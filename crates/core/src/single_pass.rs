@@ -26,7 +26,6 @@ use crate::weights::MAX_ANALYSIS_ARITY;
 use crate::{Diagnostics, GateEps, RelogicError, Weights};
 use relogic_netlist::structure::FanoutMap;
 use relogic_netlist::{Circuit, GateKind, NodeId};
-use std::collections::HashMap;
 
 /// Compact `u32` node key. Safe after [`SinglePass::try_new`] has verified
 /// the circuit's node count fits `u32`.
@@ -50,23 +49,6 @@ pub enum ErrorEvent {
 impl ErrorEvent {
     /// Both events, for iteration.
     pub const BOTH: [ErrorEvent; 2] = [ErrorEvent::Rise, ErrorEvent::Fall];
-
-    #[inline]
-    fn idx(self) -> usize {
-        match self {
-            ErrorEvent::Rise => 0,
-            ErrorEvent::Fall => 1,
-        }
-    }
-
-    #[inline]
-    fn from_value(fault_free: bool) -> Self {
-        if fault_free {
-            ErrorEvent::Fall
-        } else {
-            ErrorEvent::Rise
-        }
-    }
 }
 
 /// Four correlation coefficients for a signal pair, indexed
@@ -90,6 +72,29 @@ const PAIR_INDEPENDENT: PairCoeffs = PairCoeffs {
     val: INDEPENDENT,
 };
 
+impl PairCoeffs {
+    /// The same pair seen from the other signal: indices swapped.
+    fn transposed(&self) -> PairCoeffs {
+        let t = |c: &CorrCoeffs| [[c[0][0], c[1][0]], [c[0][1], c[1][1]]];
+        PairCoeffs {
+            err: t(&self.err),
+            val: t(&self.val),
+        }
+    }
+}
+
+/// A signal's tracked partners, sorted by ascending node key. Node ids are
+/// topological and a pair is registered when its later signal is
+/// processed, so every registration appends at the end.
+type PartnerList = Vec<(u32, PairCoeffs)>;
+
+/// The coefficients `list` holds for partner `key`, by binary search.
+fn find_partner(list: &[(u32, PairCoeffs)], key: u32) -> Option<&PairCoeffs> {
+    list.binary_search_by_key(&key, |&(k, _)| k)
+        .ok()
+        .map(|at| &list[at].1)
+}
+
 /// Options controlling the single-pass engine.
 #[derive(Clone, Debug)]
 pub struct SinglePassOptions {
@@ -98,7 +103,9 @@ pub struct SinglePassOptions {
     pub correlations: bool,
     /// Maximum number of correlated partners retained per signal; `None`
     /// keeps every partner. When trimming, the partners closest to
-    /// independence (smallest `max |C − 1|`) are dropped first.
+    /// independence (smallest `max |C − 1|`) are dropped first; among
+    /// partners of equal strength the one with the lower node id is kept,
+    /// so the result never depends on anything but the inputs.
     pub partner_cap: Option<usize>,
     /// Partners whose coefficients are all within this distance of 1 are
     /// pruned (they carry no information).
@@ -153,7 +160,7 @@ pub struct SinglePassResult {
     p10: Vec<f64>,
     node_delta: Vec<f64>,
     per_output: Vec<f64>,
-    partners: Vec<HashMap<u32, PairCoeffs>>,
+    partners: Vec<PartnerList>,
     diagnostics: Diagnostics,
 }
 
@@ -192,7 +199,7 @@ impl SinglePassResult {
     pub fn correlation(&self, a: NodeId, b: NodeId) -> Option<CorrCoeffs> {
         u32::try_from(b.index())
             .ok()
-            .and_then(|k| self.partners[a.index()].get(&k))
+            .and_then(|k| find_partner(&self.partners[a.index()], k))
             .map(|c| c.err)
     }
 
@@ -202,7 +209,7 @@ impl SinglePassResult {
     pub fn value_correlation(&self, a: NodeId, b: NodeId) -> Option<CorrCoeffs> {
         u32::try_from(b.index())
             .ok()
-            .and_then(|k| self.partners[a.index()].get(&k))
+            .and_then(|k| find_partner(&self.partners[a.index()], k))
             .map(|c| c.val)
     }
 
@@ -242,7 +249,25 @@ pub struct SinglePass<'a> {
     weights: &'a Weights,
     options: SinglePassOptions,
     is_stem: Vec<bool>,
+    /// Per node, where its compiled flip enumeration lives in
+    /// `flip_combos` (unused for sources).
+    flips: Vec<GateFlips>,
+    /// Each gate's `2^arity` input combinations, those with output 0 first,
+    /// each group in ascending order.
+    flip_combos: Vec<u16>,
 }
+
+/// Location of one gate's flip enumeration in [`SinglePass::flip_combos`].
+#[derive(Clone, Copy, Debug, Default)]
+struct GateFlips {
+    start: usize,
+    /// Number of combinations with output 0.
+    zeros: usize,
+}
+
+/// One gate's ε-independent flip enumeration: its input combinations
+/// grouped by output value, each group in ascending order.
+type ByOutput<'t> = [&'t [u16]; 2];
 
 impl<'a> SinglePass<'a> {
     /// Creates an engine over `circuit` with precomputed `weights`.
@@ -301,12 +326,49 @@ impl<'a> SinglePass<'a> {
         }
         let fanout = FanoutMap::build(circuit);
         let is_stem = circuit.node_ids().map(|id| fanout.is_stem(id)).collect();
+
+        // Compile every gate's flip enumeration once: which combinations
+        // `u` change the output away from each value does not depend on ε.
+        let mut flips = vec![GateFlips::default(); circuit.len()];
+        let mut flip_combos: Vec<u16> = Vec::new();
+        for (id, node) in circuit.iter() {
+            let kind = node.kind();
+            if kind.is_source() {
+                continue;
+            }
+            let k = node.fanins().len();
+            let start = flip_combos.len();
+            for value in [false, true] {
+                // Combinations fit u16: arity is at most MAX_ANALYSIS_ARITY.
+                #[allow(clippy::cast_possible_truncation)]
+                flip_combos.extend(
+                    (0..1usize << k)
+                        .filter(|&u| kind.eval_combo(u, k) == value)
+                        .map(|u| u as u16),
+                );
+                if !value {
+                    flips[id.index()] = GateFlips {
+                        start,
+                        zeros: flip_combos.len() - start,
+                    };
+                }
+            }
+        }
         Ok(SinglePass {
             circuit,
             weights,
             options,
             is_stem,
+            flips,
+            flip_combos,
         })
+    }
+
+    /// The compiled flip enumeration of gate `id` with `arity` fanins.
+    fn by_output(&self, id: NodeId, arity: usize) -> ByOutput<'_> {
+        let GateFlips { start, zeros } = self.flips[id.index()];
+        let combos = &self.flip_combos[start..start + (1 << arity)];
+        [&combos[..zeros], &combos[zeros..]]
     }
 
     /// Runs the single topological pass for the failure probabilities `eps`.
@@ -376,8 +438,11 @@ impl<'a> SinglePass<'a> {
         let mut diag = Diagnostics::new();
         let mut p01 = vec![0.0f64; n];
         let mut p10 = vec![0.0f64; n];
-        let mut partners: Vec<HashMap<u32, PairCoeffs>> = vec![HashMap::new(); n];
+        let mut partners: Vec<PartnerList> = vec![Vec::new(); n];
         let mut scratch = PropagationScratch::default();
+        if self.options.correlations {
+            scratch.seen = vec![u32::MAX; n];
+        }
 
         for (id, node) in self.circuit.iter() {
             let i = id.index();
@@ -387,28 +452,36 @@ impl<'a> SinglePass<'a> {
                     p01[i] = e;
                     p10[i] = e;
                 }
-                kind => {
+                _ => {
                     let w = self.weights.vector(id);
                     let fanins = node.fanins();
+                    let by_out = self.by_output(id, fanins.len());
                     scratch.load_fanins(fanins, &p01, &p10);
-                    let pair = PairLookup {
-                        fanins,
-                        partners: partners.as_slice(),
-                        p01: &p01,
-                        p10: &p10,
-                        enabled: self.options.correlations,
+                    // Without correlations every fanin skips its pair
+                    // factors, which is the independence assumption.
+                    let skip = if self.options.correlations {
+                        scratch.load_pairs(fanins, &partners, &p01, &p10);
+                        0
+                    } else {
+                        u32::MAX
                     };
-                    let (r0, r1) =
-                        propagated_ratios(kind, w, &scratch.base, &pair, None, &mut diag);
+                    let (r0, r1) = propagated_ratios(
+                        w,
+                        &scratch.base,
+                        &scratch.pairs,
+                        skip,
+                        by_out,
+                        &mut diag,
+                    );
                     p01[i] = e + (1.0 - 2.0 * e) * r0;
                     p10[i] = e + (1.0 - 2.0 * e) * r1;
 
                     if self.options.correlations {
                         self.propagate_coefficients(
                             id,
-                            kind,
                             w,
                             e,
+                            by_out,
                             &mut scratch,
                             &mut partners,
                             &p01,
@@ -445,82 +518,106 @@ impl<'a> SinglePass<'a> {
     /// Computes the error-event coefficients `C_{id,k}` (and, when value
     /// conditioning is enabled, the signal-value coefficients `V_{id,k}`)
     /// for every partner `k` correlated with any fanin of `id` (plus fanins
-    /// that are stems), and registers them symmetrically.
+    /// that are stems), and registers them symmetrically. Expects
+    /// `scratch.pairs` to hold the gate's fanin-pair table.
     #[allow(clippy::too_many_arguments)]
     fn propagate_coefficients(
         &self,
         id: NodeId,
-        kind: GateKind,
         w: &[f64],
         e: f64,
+        by_out: ByOutput<'_>,
         scratch: &mut PropagationScratch,
-        partners: &mut [HashMap<u32, PairCoeffs>],
+        partners: &mut [PartnerList],
         p01: &[f64],
         p10: &[f64],
         diag: &mut Diagnostics,
     ) {
         let i = id.index();
+        let iu = node_key(i);
         let node = self.circuit.node(id);
         let fanins = node.fanins();
+        let PropagationScratch {
+            cond,
+            pairs,
+            candidates,
+            seen,
+            w_ctx,
+            new_coeffs,
+            ..
+        } = scratch;
 
         // Candidate partner set: everything correlated with a fanin, plus
-        // stem fanins themselves.
-        scratch.candidates.clear();
+        // stem fanins themselves, visited in ascending node id. `seen`
+        // stamps a node with the gate it was last collected for.
+        candidates.clear();
+        seen[i] = iu;
         for &f in fanins {
-            for &k in partners[f.index()].keys() {
-                if k as usize != i && !scratch.candidates.contains(&k) {
-                    scratch.candidates.push(k);
+            let stem = self.is_stem[f.index()].then(|| node_key(f.index()));
+            for k in partners[f.index()].iter().map(|&(k, _)| k).chain(stem) {
+                if seen[k as usize] != iu {
+                    seen[k as usize] = iu;
+                    candidates.push(k);
                 }
             }
-            let fi = node_key(f.index());
-            if self.is_stem[f.index()] && !scratch.candidates.contains(&fi) {
-                scratch.candidates.push(fi);
-            }
         }
-        if scratch.candidates.is_empty() {
+        if candidates.is_empty() {
             return;
         }
+        candidates.sort_unstable();
 
-        let candidates = std::mem::take(&mut scratch.candidates);
         let sp_l = self.weights.signal_probs()[i];
-        let mut new_coeffs: Vec<(u32, PairCoeffs)> = Vec::with_capacity(candidates.len());
-        let mut w_ctx: Vec<f64> = Vec::with_capacity(w.len());
-        for &k in &candidates {
-            let k_node = NodeId::from_index(k as usize);
+        new_coeffs.clear();
+        // Merge-walk cursors into each fanin's sorted partner list.
+        let mut cursor = [0usize; MAX_ANALYSIS_ARITY];
+        let mut fanin_pair = [None::<PairCoeffs>; MAX_ANALYSIS_ARITY];
+        for &k in candidates.iter() {
+            // Fanin positions that are the partner itself: their pairwise
+            // coefficients with the other fanins are folded into `cond`.
+            let mut skip = 0u32;
+            for (j, &f) in fanins.iter().enumerate() {
+                let list = &partners[f.index()];
+                let at = &mut cursor[j];
+                while *at < list.len() && list[*at].0 < k {
+                    *at += 1;
+                }
+                fanin_pair[j] = list.get(*at).filter(|e| e.0 == k).map(|e| e.1);
+                if f.index() == k as usize {
+                    skip |= 1 << j;
+                }
+            }
+            let fanin_pair = &fanin_pair[..fanins.len()];
+
             let mut coeffs = PAIR_INDEPENDENT;
             for ctx in 0..2usize {
                 // Weight vector conditioned on the partner's fault-free
                 // value (Fig. 4's "the terms of the weight vector W include
                 // the signal probability of k", via the ref-[8] value
                 // coefficients). Any overall scale cancels in the ratios.
-                w_ctx.clear();
-                if self.options.value_conditioning {
+                let w_ctx: &[f64] = if self.options.value_conditioning {
+                    w_ctx.clear();
                     for (v, &wv) in w.iter().enumerate() {
                         let mut factor = 1.0f64;
-                        for (j, &f) in fanins.iter().enumerate() {
+                        for (j, pair) in fanin_pair.iter().enumerate() {
                             let vj = v >> j & 1;
-                            if f.index() == k as usize {
+                            if skip >> j & 1 == 1 {
                                 if vj != ctx {
                                     factor = 0.0;
                                     break;
                                 }
-                            } else if let Some(c) = partners[f.index()].get(&k) {
+                            } else if let Some(c) = pair {
                                 factor *= c.val[vj][ctx].max(0.0);
                             }
                         }
                         w_ctx.push(wv * factor);
                     }
-                } else {
-                    w_ctx.extend_from_slice(w);
-                }
 
-                // Signal-value coefficient V_{l,k}[·][ctx].
-                if self.options.value_conditioning {
+                    // Signal-value coefficient V_{l,k}[·][ctx].
                     let mut mass = 0.0f64;
                     let mut mass1 = 0.0f64;
                     for (v, &wv) in w_ctx.iter().enumerate() {
                         mass += wv;
-                        if kind.eval_combo(v, fanins.len()) {
+                        if node.kind().eval_combo(v, fanins.len()) {
                             mass1 += wv;
                         }
                     }
@@ -534,53 +631,41 @@ impl<'a> SinglePass<'a> {
                             f64::INFINITY,
                         );
                     }
-                }
-
-                // Error-event coefficient for the event whose fault-free
-                // context is `ctx` (rise needs clean 0, fall clean 1).
-                let ev_k = if ctx == 0 {
-                    ErrorEvent::Rise
+                    w_ctx
                 } else {
-                    ErrorEvent::Fall
+                    w
                 };
-                let pk = match ev_k {
-                    ErrorEvent::Rise => p01[k as usize],
-                    ErrorEvent::Fall => p10[k as usize],
+
+                // Error-event coefficient for k's event whose fault-free
+                // context is `ctx` (rise needs clean 0, fall clean 1).
+                let pk = if ctx == 0 {
+                    p01[k as usize]
+                } else {
+                    p10[k as usize]
                 };
                 if pk <= COEFF_EPS {
                     // Event never occurs; coefficients are irrelevant.
                     continue;
                 }
                 // Condition every fanin's error probabilities on k's event.
-                scratch.cond.clear();
-                for &f in fanins {
+                cond.clear();
+                for (j, (&f, pair)) in fanins.iter().zip(fanin_pair).enumerate() {
                     let fi = f.index();
-                    if fi == k as usize {
-                        scratch.cond.push(match ev_k {
-                            ErrorEvent::Rise => (1.0, 0.0),
-                            ErrorEvent::Fall => (0.0, 1.0),
-                        });
+                    if skip >> j & 1 == 1 {
+                        cond.push(if ctx == 0 { (1.0, 0.0) } else { (0.0, 1.0) });
                     } else {
-                        let c = partners[fi].get(&k).map_or(INDEPENDENT, |c| c.err);
-                        scratch.cond.push((
-                            diag.clamp_coeff(p01[fi] * c[0][ev_k.idx()], 0.0, 1.0),
-                            diag.clamp_coeff(p10[fi] * c[1][ev_k.idx()], 0.0, 1.0),
+                        let c = pair.map_or(INDEPENDENT, |c| c.err);
+                        cond.push((
+                            diag.clamp_coeff(p01[fi] * c[0][ctx], 0.0, 1.0),
+                            diag.clamp_coeff(p10[fi] * c[1][ctx], 0.0, 1.0),
                         ));
                     }
                 }
-                let pair = PairLookup {
-                    fanins,
-                    partners: &*partners,
-                    p01,
-                    p10,
-                    enabled: true,
-                };
-                let (r0, r1) =
-                    propagated_ratios(kind, &w_ctx, &scratch.cond, &pair, Some(k_node), diag);
+                let (r0, r1) = propagated_ratios(w_ctx, cond, pairs, skip, by_out, diag);
                 let cond_p01 = diag.clamp_prob(e + (1.0 - 2.0 * e) * r0, 0.0, 1.0);
                 let cond_p10 = diag.clamp_prob(e + (1.0 - 2.0 * e) * r1, 0.0, 1.0);
-                coeffs.err[0][ev_k.idx()] = ratio_or_one(cond_p01, p01[i]);
-                coeffs.err[1][ev_k.idx()] = ratio_or_one(cond_p10, p10[i]);
+                coeffs.err[0][ctx] = ratio_or_one(cond_p01, p01[i]);
+                coeffs.err[1][ctx] = ratio_or_one(cond_p10, p10[i]);
             }
             if !pair_is_finite(&coeffs) {
                 // Graceful degradation: a non-finite coefficient would
@@ -589,39 +674,29 @@ impl<'a> SinglePass<'a> {
                 diag.record_fallback();
                 continue;
             }
-            if pair_strength(&coeffs) >= self.options.prune_tolerance {
-                new_coeffs.push((k, coeffs));
+            let strength = pair_strength(&coeffs);
+            if strength >= self.options.prune_tolerance {
+                new_coeffs.push((k, strength, coeffs));
             }
         }
-        scratch.candidates = candidates;
 
-        // Enforce the partner cap, keeping the strongest correlations.
+        // Enforce the partner cap, keeping the strongest correlations. The
+        // sort is stable over ascending ids, so ties keep the lower id.
         if let Some(cap) = self.options.partner_cap {
             if new_coeffs.len() > cap {
-                new_coeffs.sort_by(|a, b| {
-                    pair_strength(&b.1)
-                        .partial_cmp(&pair_strength(&a.1))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
+                new_coeffs.sort_by(|a, b| b.1.total_cmp(&a.1));
                 new_coeffs.truncate(cap);
+                new_coeffs.sort_unstable_by_key(|&(k, _, _)| k);
             }
         }
 
-        let iu = node_key(i);
-        for (k, coeffs) in new_coeffs {
-            partners[i].insert(k, coeffs);
-            // Symmetric registration with transposed indices.
-            let transposed = PairCoeffs {
-                err: [
-                    [coeffs.err[0][0], coeffs.err[1][0]],
-                    [coeffs.err[0][1], coeffs.err[1][1]],
-                ],
-                val: [
-                    [coeffs.val[0][0], coeffs.val[1][0]],
-                    [coeffs.val[0][1], coeffs.val[1][1]],
-                ],
-            };
-            partners[k as usize].insert(iu, transposed);
+        debug_assert!(partners[i].is_empty());
+        for &(k, _, coeffs) in new_coeffs.iter() {
+            partners[i].push((k, coeffs));
+            debug_assert!(partners[k as usize]
+                .last()
+                .is_none_or(|&(last, _)| last < iu));
+            partners[k as usize].push((iu, coeffs.transposed()));
         }
     }
 }
@@ -651,17 +726,21 @@ fn pair_is_finite(c: &PairCoeffs) -> bool {
     c.err.iter().flatten().all(|x| x.is_finite()) && c.val.iter().flatten().all(|x| x.is_finite())
 }
 
+/// Buffers reused across the gates of one run.
 #[derive(Default)]
 struct PropagationScratch {
     base: Vec<(f64, f64)>,
     cond: Vec<(f64, f64)>,
+    /// The current gate's fanin-pair coefficient table; see
+    /// [`PropagationScratch::load_pairs`].
+    pairs: Vec<f64>,
     candidates: Vec<u32>,
-}
-
-impl std::fmt::Debug for PropagationScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PropagationScratch").finish_non_exhaustive()
-    }
+    /// Per node, the key of the gate it was last collected as a candidate
+    /// for.
+    seen: Vec<u32>,
+    w_ctx: Vec<f64>,
+    /// Surviving partners of the current gate: `(key, strength, coeffs)`.
+    new_coeffs: Vec<(u32, f64, PairCoeffs)>,
 }
 
 impl PropagationScratch {
@@ -670,96 +749,109 @@ impl PropagationScratch {
         self.base
             .extend(fanins.iter().map(|f| (p01[f.index()], p10[f.index()])));
     }
-}
 
-/// Lookup of pairwise correlation coefficients between two fanin positions.
-struct PairLookup<'b> {
-    fanins: &'b [NodeId],
-    partners: &'b [HashMap<u32, PairCoeffs>],
-    p01: &'b [f64],
-    p10: &'b [f64],
-    enabled: bool,
-}
-
-impl PairLookup<'_> {
-    /// Coefficient applied to fanin `a`'s event given fanin `b`'s event.
-    fn get(&self, a: usize, b: usize, ev_a: ErrorEvent, ev_b: ErrorEvent) -> f64 {
-        if !self.enabled {
-            return 1.0;
-        }
-        let na = self.fanins[a].index();
-        let nb = self.fanins[b].index();
-        if na == nb {
-            // Same physical signal: events coincide exactly.
-            if ev_a == ev_b {
-                let p = match ev_a {
-                    ErrorEvent::Rise => self.p01[na],
-                    ErrorEvent::Fall => self.p10[na],
-                };
-                return if p <= COEFF_EPS { 1.0 } else { 1.0 / p };
+    /// Fills the `k × k × 2 × 2` table of coefficients applied to fanin
+    /// `a`'s event given fanin `b`'s event, at
+    /// [`pair_index`]`(k, a, b, event on a, event on b)`. The gate's base
+    /// call and every conditional call share it: partner lists change only
+    /// after the gate is done.
+    fn load_pairs(
+        &mut self,
+        fanins: &[NodeId],
+        partners: &[PartnerList],
+        p01: &[f64],
+        p10: &[f64],
+    ) {
+        let k = fanins.len();
+        self.pairs.clear();
+        self.pairs.resize(k * k * 4, 1.0);
+        for (a, &fa) in fanins.iter().enumerate() {
+            let na = fa.index();
+            for (b, &fb) in fanins.iter().enumerate() {
+                let nb = fb.index();
+                if a == b {
+                    continue;
+                }
+                for (ea, eb) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    self.pairs[pair_index(k, a, b, ea, eb)] = if na != nb {
+                        find_partner(&partners[na], node_key(nb)).map_or(1.0, |c| c.err[ea][eb])
+                    } else if ea == eb {
+                        // Same physical signal: events coincide exactly.
+                        let p = if ea == 0 { p01[na] } else { p10[na] };
+                        if p <= COEFF_EPS {
+                            1.0
+                        } else {
+                            1.0 / p
+                        }
+                    } else {
+                        0.0
+                    };
+                }
             }
-            return 0.0;
         }
-        self.partners[na]
-            .get(&node_key(nb))
-            .map_or(1.0, |c| c.err[ev_a.idx()][ev_b.idx()])
     }
+}
+
+/// Position of `(a, b, event on a, event on b)` in a gate's pair table.
+#[inline]
+fn pair_index(k: usize, a: usize, b: usize, ea: usize, eb: usize) -> usize {
+    ((a * k + b) * 2 + ea) * 2 + eb
 }
 
 /// Computes `(PW(0)/W(0), PW(1)/W(1))`: the propagated error ratios of a
 /// gate, generalizing Table 1 to arbitrary kinds and arities.
 ///
 /// `probs[j]` is fanin `j`'s `(p01, p10)` (possibly conditioned on a
-/// partner event); `exclude` marks a fanin node that is the conditioning
-/// partner itself, whose pairwise coefficients with the other fanins are
-/// already folded into `probs` (so its chain factors are skipped).
+/// partner event); `pairs` is the gate's fanin-pair table. Fanin positions
+/// set in `skip` take no pairwise chain factors: the conditioning partner
+/// itself, whose coefficients are already folded into `probs`, or every
+/// fanin when correlations are off.
 fn propagated_ratios(
-    kind: GateKind,
     w: &[f64],
     probs: &[(f64, f64)],
-    pair: &PairLookup<'_>,
-    exclude: Option<NodeId>,
+    pairs: &[f64],
+    skip: u32,
+    by_out: ByOutput<'_>,
     diag: &mut Diagnostics,
 ) -> (f64, f64) {
     let k = probs.len();
     debug_assert_eq!(w.len(), 1 << k);
     let mut pw = [0.0f64; 2];
     let mut wsum = [0.0f64; 2];
-    for (v, &wv) in w.iter().enumerate() {
-        let out_v = usize::from(kind.eval_combo(v, k));
+    // Each output value's sums see its combinations in ascending order, as
+    // a single ascending walk over all combinations would give them.
+    for (out_v, &v) in by_out[0]
+        .iter()
+        .map(|v| (0, v))
+        .chain(by_out[1].iter().map(|v| (1, v)))
+    {
+        let v = usize::from(v);
+        let wv = w[v];
         wsum[out_v] += wv;
         if wv <= 0.0 {
             continue;
         }
         let mut flip_prob = 0.0f64;
-        for u in 0..1usize << k {
-            if usize::from(kind.eval_combo(u, k)) == out_v {
-                continue;
-            }
-            let diff = v ^ u;
+        for &u in by_out[out_v ^ 1] {
+            let diff = v ^ usize::from(u);
+            let chained = diff & !(skip as usize);
             let mut prob = 1.0f64;
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..k {
+            for (j, &(p01, p10)) in probs.iter().enumerate() {
                 let vj = v >> j & 1;
                 let flipped = diff >> j & 1 == 1;
-                let ev_j = ErrorEvent::from_value(vj == 1);
-                let mut q = if vj == 0 { probs[j].0 } else { probs[j].1 };
-                if q > 0.0 {
+                let mut q = if vj == 0 { p01 } else { p10 };
+                if q > 0.0 && skip >> j & 1 == 0 {
                     // Condition on the flip set (§4.1's reweighting, e.g.
                     // (1 − Pr(j₁₀)·C_ij̃)): a flipped fanin is chained on the
                     // flipped fanins before it (so each pairwise coefficient
                     // enters once), while a non-flipped fanin's flip
                     // probability is conditioned on *every* flipped fanin.
                     let upper = if flipped { j } else { k };
-                    for j2 in 0..upper {
-                        if j2 != j
-                            && diff >> j2 & 1 == 1
-                            && exclude != Some(pair.fanins[j2])
-                            && exclude != Some(pair.fanins[j])
-                        {
-                            let ev_j2 = ErrorEvent::from_value(v >> j2 & 1 == 1);
-                            q *= pair.get(j, j2, ev_j, ev_j2);
-                        }
+                    let mut rest = chained & ((1 << upper) - 1);
+                    while rest != 0 {
+                        let j2 = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        q *= pairs[pair_index(k, j, j2, vj, v >> j2 & 1)];
                     }
                 }
                 let q = diag.clamp_coeff(q, 0.0, 1.0);
