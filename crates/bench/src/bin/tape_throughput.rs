@@ -1,9 +1,9 @@
-//! Measures the compiled-tape execution layer against the graph walkers
-//! it replaces, and writes `results/tape_throughput.json`:
+//! Measures the compiled-tape execution layer and writes
+//! `results/tape_throughput.json`:
 //!
-//! * **Monte Carlo** — patterns/second on the i10 analogue (c6288-class)
-//!   at 1/2/4/8 worker threads, graph engine vs tape engine (the packed
-//!   multi-word kernel at [`DEFAULT_LANES`] lanes).
+//! * **Monte Carlo** — patterns/second of the tape kernel (at
+//!   [`DEFAULT_LANES`] lanes) on the i10 analogue (c6288-class) at 1/2/4/8
+//!   worker threads, with the scaling over one thread.
 //! * **Sweep** — ε-grid points/second on the c499 analogue, per-point
 //!   single-pass vs the tape's single-traversal grid kernel.
 //!
@@ -12,9 +12,9 @@
 //! ```
 //!
 //! `--smoke` shrinks the budgets and turns the run into a same-run
-//! regression gate: it exits non-zero unless the tape engine holds a
-//! conservative margin over the graph engine on the machine at hand
-//! (floors well under the archived speedups, so CI noise does not flake).
+//! regression gate: it exits non-zero unless the grid kernel holds a
+//! margin over the per-point engine on the machine at hand (a floor under
+//! the archived speedups).
 //! Both modes assert the correctness contracts: tape MC estimates are
 //! thread-count invariant, and tape sweep curves match the per-point
 //! engine bit for bit.
@@ -22,16 +22,12 @@
 use relogic::{
     Backend, GateEps, InputDistribution, SinglePass, SinglePassOptions, SweepTape, Weights,
 };
-use relogic_sim::{
-    available_threads, estimate, estimate_tape, CircuitTape, MonteCarloConfig, DEFAULT_LANES,
-};
+use relogic_sim::{available_threads, estimate_tape, CircuitTape, MonteCarloConfig, DEFAULT_LANES};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Conservative `--smoke` floors (the archived full-run numbers are ~5×
-/// MC and ~10× sweep; a regression to these floors is a real break, not
-/// noise).
-const SMOKE_MC_FLOOR: f64 = 2.0;
+/// `--smoke` floor on the grid-vs-per-point sweep ratio (archived full
+/// runs: ~14× on a 24-thread host, ~5× on a 2-vCPU VM).
 const SMOKE_SWEEP_FLOOR: f64 = 4.0;
 
 fn best_of<F: FnMut()>(reps: u32, mut f: F) -> f64 {
@@ -68,7 +64,7 @@ fn main() {
     };
     let hw_threads = available_threads();
 
-    // ---- Monte Carlo: graph vs tape on i10 ----
+    // ---- Monte Carlo: tape thread scaling on i10 ----
     let i10 = relogic_gen::suite::i10();
     let eps = GateEps::uniform(&i10, 0.1);
     println!(
@@ -99,10 +95,7 @@ fn main() {
         };
         let r = estimate_tape(&i10, &mc_tape, eps.as_slice(), &cfg, DEFAULT_LANES);
         assert_eq!(r, reference, "tape estimate must be thread-count invariant");
-        let graph = best_of(reps, || {
-            std::hint::black_box(estimate(&i10, eps.as_slice(), &cfg));
-        });
-        let tape = best_of(reps, || {
+        let secs = best_of(reps, || {
             std::hint::black_box(estimate_tape(
                 &i10,
                 &mc_tape,
@@ -112,14 +105,11 @@ fn main() {
             ));
         });
         #[allow(clippy::cast_precision_loss)]
-        let (graph_pps, tape_pps) = (patterns as f64 / graph, patterns as f64 / tape);
-        let speedup = graph / tape;
-        println!(
-            "  threads {threads}:  graph {graph_pps:>12.0} pps   tape {tape_pps:>12.0} pps   x{speedup:.2}"
-        );
-        mc_rows.push((threads, graph, tape, graph_pps, tape_pps, speedup));
+        let pps = patterns as f64 / secs;
+        let scaling = mc_rows.first().map_or(1.0, |&(_, one, _, _)| one / secs);
+        println!("  threads {threads}:  {pps:>12.0} pps   x{scaling:.2} vs 1 thread");
+        mc_rows.push((threads, secs, pps, scaling));
     }
-    let mc_speedup_1t = mc_rows[0].5;
 
     // ---- Sweep: per-point vs grid on c499 ----
     let c499 = relogic_gen::suite::c499();
@@ -184,12 +174,12 @@ fn main() {
     let _ = writeln!(json, "    \"lanes\": {DEFAULT_LANES},");
     let _ = writeln!(json, "    \"tape_compile_us\": {mc_compile_us:.1},");
     let _ = writeln!(json, "    \"rows\": [");
-    for (i, (threads, g, t, gp, tp, s)) in mc_rows.iter().enumerate() {
+    for (i, (threads, secs, pps, scaling)) in mc_rows.iter().enumerate() {
         let comma = if i + 1 == mc_rows.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "      {{ \"threads\": {threads}, \"graph_seconds\": {g:.6}, \"tape_seconds\": {t:.6}, \
-             \"graph_patterns_per_sec\": {gp:.0}, \"tape_patterns_per_sec\": {tp:.0}, \"speedup\": {s:.3} }}{comma}"
+            "      {{ \"threads\": {threads}, \"seconds\": {secs:.6}, \
+             \"patterns_per_sec\": {pps:.0}, \"scaling\": {scaling:.3} }}{comma}"
         );
     }
     let _ = writeln!(json, "    ]");
@@ -217,18 +207,10 @@ fn main() {
     }
 
     if smoke {
-        let mut failed = false;
-        if mc_speedup_1t < SMOKE_MC_FLOOR {
-            eprintln!("SMOKE FAIL: MC tape speedup x{mc_speedup_1t:.2} < x{SMOKE_MC_FLOOR}");
-            failed = true;
-        }
         if sweep_speedup < SMOKE_SWEEP_FLOOR {
             eprintln!("SMOKE FAIL: sweep grid speedup x{sweep_speedup:.2} < x{SMOKE_SWEEP_FLOOR}");
-            failed = true;
-        }
-        if failed {
             std::process::exit(1);
         }
-        println!("smoke ok: MC x{mc_speedup_1t:.2} (floor x{SMOKE_MC_FLOOR}), sweep x{sweep_speedup:.2} (floor x{SMOKE_SWEEP_FLOOR})");
+        println!("smoke ok: sweep x{sweep_speedup:.2} (floor x{SMOKE_SWEEP_FLOOR})");
     }
 }

@@ -591,10 +591,8 @@ fn analyze(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
     // any-output consolidation (which needs the graph result's joint
     // marginals) all stay on the graph engine. Either way the numbers
     // match bit for bit — see `relogic::SweepTape`'s module docs.
-    let use_tape = opts.engine == crate::options::EngineKind::Tape
-        && opts.no_correlations
-        && !opts.strict
-        && !(opts.diagnostics && c.output_count() > 1);
+    let use_tape =
+        opts.no_correlations && !opts.strict && !(opts.diagnostics && c.output_count() > 1);
     let result = if use_tape {
         let start = std::time::Instant::now();
         let tape = relogic::SweepTape::try_new(c, &weights)?;
@@ -813,43 +811,25 @@ fn monte_carlo(c: &Circuit, opts: &Options) -> Result<String, CliError> {
         threads: opts.threads,
         ..MonteCarloConfig::default()
     };
-    let use_tape = opts.engine == crate::options::EngineKind::Tape;
+    let start = std::time::Instant::now();
+    let tape = relogic_sim::CircuitTape::compile(c);
+    let compile_us = start.elapsed().as_micros();
     if opts.json {
-        let result = if use_tape {
-            let tape = relogic_sim::CircuitTape::compile(c);
+        return Ok(json_line(
             relogic_serve::api::monte_carlo_result_tape_cancellable(
                 c, &tape, opts.eps, &config, &cancel,
-            )?
-        } else {
-            checked(&cancel, "mc_graph")?;
-            relogic_serve::api::monte_carlo_result(c, opts.eps, &config)?
-        };
-        return Ok(json_line(result));
+            )?,
+        ));
     }
     let eps = GateEps::try_uniform(c, opts.eps)?;
-    let (r, engine_line) = if use_tape {
-        let start = std::time::Instant::now();
-        let tape = relogic_sim::CircuitTape::compile(c);
-        let compile_us = start.elapsed().as_micros();
-        let r = relogic_sim::try_estimate_tape_cancellable(
-            c,
-            &tape,
-            eps.as_slice(),
-            &config,
-            relogic_sim::DEFAULT_LANES,
-            &cancel,
-        )?;
-        (
-            r,
-            format!(
-                "engine: tape ({} x 64-bit lanes, compiled in {compile_us} us)",
-                relogic_sim::DEFAULT_LANES
-            ),
-        )
-    } else {
-        let r = relogic_sim::try_estimate_cancellable(c, eps.as_slice(), &config, &cancel)?;
-        (r, "engine: graph".to_owned())
-    };
+    let r = relogic_sim::try_estimate_tape_cancellable(
+        c,
+        &tape,
+        eps.as_slice(),
+        &config,
+        relogic_sim::DEFAULT_LANES,
+        &cancel,
+    )?;
     let mut out = format!(
         "monte carlo at eps = {} ({} patterns)\n",
         opts.eps,
@@ -869,7 +849,10 @@ fn monte_carlo(c: &Circuit, opts: &Options) -> Result<String, CliError> {
         r.any_output()
     ));
     if opts.diagnostics {
-        out.push_str(&format!("\ndiagnostics:\n{engine_line}\n"));
+        out.push_str(&format!(
+            "\ndiagnostics:\nengine: tape ({} x 64-bit lanes, compiled in {compile_us} us)\n",
+            relogic_sim::DEFAULT_LANES
+        ));
         out.push_str(&deadline_note(opts, &cancel));
     }
     Ok(out)
@@ -1521,6 +1504,7 @@ y = NOT(t)
             "analyze",
             &["--eps", "0.1", "--no-correlations", "--per-node"],
         );
+        // `--strict` keeps the run on the per-point graph engine.
         let graph = run_on_file(
             "analyze",
             &[
@@ -1528,8 +1512,7 @@ y = NOT(t)
                 "0.1",
                 "--no-correlations",
                 "--per-node",
-                "--engine",
-                "graph",
+                "--strict",
             ],
         );
         assert_eq!(tape, graph, "tape and graph engines must print the same");
@@ -1549,11 +1532,6 @@ y = NOT(t)
     fn mc_engine_flag_and_diagnostics() {
         let out = run_on_file("mc", &["--patterns", "4096", "--diagnostics"]);
         assert!(out.contains("engine: tape ("), "{out}");
-        let out = run_on_file(
-            "mc",
-            &["--patterns", "4096", "--engine", "graph", "--diagnostics"],
-        );
-        assert!(out.contains("engine: graph"), "{out}");
     }
 
     #[test]
@@ -1719,6 +1697,73 @@ y = NOT(t)
             .unwrap();
         assert!((d - 0.18).abs() < 1e-12, "{out}");
         assert_eq!(doc.get("cache").and_then(Json::as_str), Some("bypass"));
+    }
+
+    #[test]
+    fn estimate_mc_tier_matches_server_and_in_process_bits() {
+        // Budget 0 skips the exact tier; at ε = 0.3 the propagation δ of
+        // SMALL saturates past the MC threshold, so the MC tier answers.
+        let (eps, patterns, seed) = (0.3, 4096, 7);
+        let argv = "--eps 0.3 --bdd-node-budget 0 --patterns 4096 --seed 7 --json";
+        let cli = run_on_file("estimate", &argv.split(' ').collect::<Vec<_>>());
+        let frame = format!(
+            r#"{{"kind":"estimate","netlist":"{}","eps":{eps},"bdd_node_budget":0,"patterns":{patterns},"seed":{seed}}}"#,
+            SMALL.replace('\n', "\\n")
+        );
+        let service = relogic_serve::Service::new(relogic_serve::ServiceConfig::default());
+        let reply = service.handle_line(&frame);
+        let server = relogic_serve::json::parse(reply.trim())
+            .unwrap()
+            .get("result")
+            .unwrap()
+            .clone();
+
+        let c = bench::parse(SMALL).unwrap();
+        let gate_eps = GateEps::try_uniform(&c, eps).unwrap();
+        let policy = EstimatorPolicy {
+            bdd_node_budget: 0,
+            mc_patterns: patterns,
+            mc_seed: seed,
+            ..EstimatorPolicy::default()
+        };
+        let report = relogic_estimate::run_estimate(
+            &policy,
+            |_| unreachable!("budget 0 skips the exact tier"),
+            || {
+                Ok(
+                    PropagationEstimate::try_compute(&c, &InputDistribution::Uniform)?
+                        .closed_form(&gate_eps),
+                )
+            },
+            |patterns, seed| {
+                let config = MonteCarloConfig {
+                    patterns,
+                    seed,
+                    ..MonteCarloConfig::default()
+                };
+                Ok(relogic_sim::try_estimate(&c, gate_eps.as_slice(), &config)?
+                    .per_output()
+                    .to_vec())
+            },
+        )
+        .unwrap();
+        assert_eq!(report.tier, EstimatorTier::MonteCarlo);
+        let in_process: Vec<u64> = report.per_output.iter().map(|d| d.to_bits()).collect();
+
+        for (who, doc) in [
+            ("cli", relogic_serve::json::parse(cli.trim()).unwrap()),
+            ("serve", server),
+        ] {
+            assert_eq!(doc.get("tier").and_then(Json::as_str), Some("mc"), "{who}");
+            let delta: Vec<u64> = doc
+                .get("delta")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|d| d.as_f64().unwrap().to_bits())
+                .collect();
+            assert_eq!(delta, in_process, "{who}");
+        }
     }
 
     #[test]

@@ -49,11 +49,6 @@ OPTIONS:
     --seed <N>              RNG seed                             [default: 1]
     --points <N>            epsilon grid points for sweep        [default: 20]
     --max-eps <F>           epsilon grid upper bound             [default: 0.5]
-    --engine <tape|graph>   execution engine for analyze/mc      [default: tape]
-                            (tape = compiled instruction tape; graph = original
-                            graph walker; identical numbers, tape is faster.
-                            analyze uses the graph engine whenever the
-                            correlation correction or --strict is in effect)
     --no-correlations       disable reconvergent-fanout correction
     --per-node              also print per-node error probabilities (analyze)
     --diagnostics           print clamp/fallback counters (analyze, sweep)

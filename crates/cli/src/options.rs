@@ -40,9 +40,6 @@ pub struct Options {
     pub top: usize,
     /// Worker threads for `mc` and `sweep` (`0` = auto-detect).
     pub threads: usize,
-    /// Execution engine for `analyze` and `mc`: the compiled instruction
-    /// tape (default) or the original graph walker.
-    pub engine: EngineKind,
     /// Print numerical diagnostics (clamp counts, fallbacks) after analysis.
     pub diagnostics: bool,
     /// Enforce the strict numeric policy (ε ≤ 0.5, no silent degradation).
@@ -101,21 +98,6 @@ pub enum BackendKind {
     Sim,
 }
 
-/// Which execution engine runs the analysis (`--engine`).
-///
-/// `Tape` lowers the circuit to a flat SoA instruction tape before
-/// evaluating (the fast path); `Graph` walks the original node graph.
-/// Both produce the same numbers — `graph` exists as an escape hatch for
-/// cross-checking and for features the tape does not carry (the §4.1
-/// correlation correction runs on the graph engine regardless).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Compiled instruction-tape engine (default).
-    Tape,
-    /// Original graph-walking engine.
-    Graph,
-}
-
 impl Options {
     /// The `relogic` backend implied by these options.
     #[must_use]
@@ -144,7 +126,6 @@ impl Default for Options {
             to: "blif".to_owned(),
             top: 10,
             threads: 0,
-            engine: EngineKind::Tape,
             diagnostics: false,
             strict: false,
             json: false,
@@ -213,18 +194,6 @@ impl ParsedArgs {
                         other => {
                             return Err(CliError::Usage(format!(
                                 "unknown backend `{other}` (expected bdd or sim)"
-                            )))
-                        }
-                    };
-                }
-                "--engine" => {
-                    let v: String = parse_value(&arg, iter.next())?;
-                    options.engine = match v.as_str() {
-                        "tape" => EngineKind::Tape,
-                        "graph" => EngineKind::Graph,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "unknown engine `{other}` (expected tape or graph)"
                             )))
                         }
                     };
@@ -421,18 +390,6 @@ mod tests {
         let p = ParsedArgs::parse(["serve", "--unix", "/tmp/x.sock", "--chaos-profile", "io:7"])
             .unwrap();
         assert_eq!(p.options.chaos_profile.as_deref(), Some("io:7"));
-    }
-
-    #[test]
-    fn engine_selection() {
-        let p = ParsedArgs::parse(["mc", "x.bench"]).unwrap();
-        assert_eq!(p.options.engine, EngineKind::Tape, "tape is the default");
-        let p = ParsedArgs::parse(["mc", "x.bench", "--engine", "graph"]).unwrap();
-        assert_eq!(p.options.engine, EngineKind::Graph);
-        let p = ParsedArgs::parse(["analyze", "x.bench", "--engine", "tape"]).unwrap();
-        assert_eq!(p.options.engine, EngineKind::Tape);
-        assert!(ParsedArgs::parse(["mc", "x.bench", "--engine", "warp"]).is_err());
-        assert!(ParsedArgs::parse(["mc", "x.bench", "--engine"]).is_err());
     }
 
     #[test]

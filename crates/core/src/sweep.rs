@@ -4,7 +4,7 @@
 
 use crate::{Diagnostics, GateEps, RelogicError, SinglePass, SinglePassOptions, Weights};
 use relogic_netlist::Circuit;
-use relogic_sim::{try_estimate, ChunkExecutor, MonteCarloConfig};
+use relogic_sim::{try_estimate_tape, ChunkExecutor, CircuitTape, MonteCarloConfig, DEFAULT_LANES};
 
 /// An evenly spaced ε grid of `points` values covering `[lo, hi]`
 /// inclusive.
@@ -247,6 +247,7 @@ pub fn try_sweep_monte_carlo_threads(
     } else {
         config.threads
     };
+    let tape = CircuitTape::compile(circuit);
     let rows = executor.map_chunks(eps_values.len(), |i| {
         let cfg = MonteCarloConfig {
             seed: config
@@ -256,7 +257,7 @@ pub fn try_sweep_monte_carlo_threads(
             ..config.clone()
         };
         let eps = GateEps::try_uniform(circuit, eps_values[i])?;
-        let est = try_estimate(circuit, eps.as_slice(), &cfg)?;
+        let est = try_estimate_tape(circuit, &tape, eps.as_slice(), &cfg, DEFAULT_LANES)?;
         Ok::<_, RelogicError>(est.per_output().to_vec())
     });
     let delta = rows.into_iter().collect::<Result<Vec<_>, _>>()?;

@@ -155,29 +155,10 @@ pub fn observability_result(
     Ok(result)
 }
 
-/// Runs the deterministic chunk-seeded Monte Carlo reference and builds
-/// the `monte_carlo` result object. Same seed ⇒ bit-identical result for
-/// any thread count or client interleaving.
-///
-/// # Errors
-///
-/// Propagates simulator errors ([`relogic_sim::SimError`]) as typed
-/// [`ServeError`]s.
-pub fn monte_carlo_result(
-    circuit: &Circuit,
-    eps: f64,
-    config: &MonteCarloConfig,
-) -> Result<Json, ServeError> {
-    let gate_eps = GateEps::try_uniform(circuit, eps).map_err(ServeError::from)?;
-    let estimate = relogic_sim::try_estimate(circuit, gate_eps.as_slice(), config)
-        .map_err(ServeError::from)?;
-    monte_carlo_json(circuit, eps, config, &estimate)
-}
-
-/// Like [`monte_carlo_result`], but runs the compiled tape engine against
-/// a pre-compiled [`relogic_sim::CircuitTape`] (e.g. one cached on a serve
-/// artifact). Same JSON shape; the numbers come from the tape engine's
-/// position-based RNG stream, matching the CLI's default engine.
+/// Runs Monte Carlo fault injection on a pre-compiled
+/// [`relogic_sim::CircuitTape`] (e.g. one cached on a serve artifact) and
+/// builds the `monte_carlo` result object. Same seed ⇒ bit-identical
+/// result for any thread count or client interleaving.
 ///
 /// # Errors
 ///
@@ -385,10 +366,15 @@ mod tests {
             seed: 11,
             ..MonteCarloConfig::default()
         };
-        let a = monte_carlo_result(&c, 0.1, &cfg).unwrap().encode();
+        let tape = relogic_sim::CircuitTape::compile(&c);
+        let a = monte_carlo_result_tape(&c, &tape, 0.1, &cfg)
+            .unwrap()
+            .encode();
         let mut cfg2 = cfg.clone();
         cfg2.threads = 7;
-        let b = monte_carlo_result(&c, 0.1, &cfg2).unwrap().encode();
+        let b = monte_carlo_result_tape(&c, &tape, 0.1, &cfg2)
+            .unwrap()
+            .encode();
         assert_eq!(a, b, "thread count must not change the estimate");
     }
 

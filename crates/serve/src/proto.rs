@@ -167,7 +167,7 @@ pub enum Request {
         /// Cooperative deadline in milliseconds (0 = none requested).
         deadline_ms: u64,
     },
-    /// Deterministic chunk-seeded Monte Carlo reference run.
+    /// Deterministic Monte Carlo reference run on the cached tape.
     MonteCarlo {
         /// Circuit payload.
         circuit: CircuitPayload,

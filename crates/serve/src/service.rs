@@ -685,10 +685,12 @@ impl Service {
                             threads: self.inner.config.default_threads,
                             ..MonteCarloConfig::default()
                         };
-                        Ok(relogic_sim::try_estimate_cancellable(
+                        Ok(relogic_sim::try_estimate_tape_cancellable(
                             artifact.circuit(),
+                            artifact.tape(counters),
                             gate_eps.as_slice(),
                             &config,
+                            relogic_sim::DEFAULT_LANES,
                             cancel,
                         )
                         .map_err(relogic::RelogicError::from)?

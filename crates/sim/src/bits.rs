@@ -1,7 +1,7 @@
-//! Biased random bit generation for 64-lane parallel fault injection.
+//! Biased random bit generation for 64-lane parallel simulation.
 //!
-//! The Monte Carlo engine needs, for every gate and every 64-pattern block,
-//! a word whose bits are independent Bernoulli(ε) draws. Generating these
+//! The sampling backends need, for every biased input and every 64-pattern
+//! block, a word whose bits are independent Bernoulli(p) draws. Generating these
 //! bit-by-bit would dominate the runtime, so [`BiasedBits`] uses the classic
 //! binary-expansion construction: writing `p = 0.b₁b₂…b_k` in binary and
 //! folding fresh uniform words `u_t` from the least significant digit up,
@@ -72,8 +72,9 @@ impl BiasedBits {
     }
 
     /// `p` quantized to `resolution` binary digits, as an integer in
-    /// `[0, 2^resolution]`. The tape executor reuses this so both Monte
-    /// Carlo paths realize the exact same quantized probability.
+    /// `[0, 2^resolution]`. The tape executor reuses this so its fault
+    /// masks realize the same quantized probability as
+    /// [`BiasedBits::next_word`].
     pub(crate) fn quantized(&self) -> u64 {
         self.quantized
     }

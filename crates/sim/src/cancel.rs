@@ -166,7 +166,7 @@ impl CancelToken {
     /// Polls the token; returns the typed payload if it has fired.
     ///
     /// `checked_at` names the check site (a static label like
-    /// `"mc_chunk"` or `"bdd_gate"`) so the error says where the work was
+    /// `"tape_chunk"` or `"bdd_gate"`) so the error says where the work was
     /// interrupted.
     ///
     /// # Errors

@@ -47,6 +47,18 @@ pub enum SimError {
         /// Biases supplied.
         actual: usize,
     },
+    /// A per-input signal probability is non-finite or outside `[0, 1]`.
+    InvalidInputProbability {
+        /// Input position of the offending entry.
+        index: usize,
+        /// The offending value.
+        value: f64,
+    },
+    /// The ε quantization resolution is outside `1 ..= 32` binary digits.
+    InvalidBitResolution {
+        /// The requested resolution.
+        resolution: u32,
+    },
     /// An unsupported SIMD lane width was requested from the tape executor.
     InvalidLaneWidth {
         /// The requested number of `u64` lanes.
@@ -85,6 +97,12 @@ impl fmt::Display for SimError {
                 f,
                 "one bias per input (got {actual}, circuit has {expected})"
             ),
+            SimError::InvalidInputProbability { index, value } => {
+                write!(f, "input bias [{index}] = {value} out of [0,1]")
+            }
+            SimError::InvalidBitResolution { resolution } => {
+                write!(f, "bit resolution {resolution} out of 1..=32")
+            }
             SimError::InvalidLaneWidth { lanes } => {
                 write!(f, "unsupported lane width {lanes} (expected 1, 2, 4, or 8)")
             }

@@ -12,9 +12,9 @@
 //! * Every result is tagged with its chunk index and the merged `Vec` is
 //!   reassembled in index order, so the output is **independent of thread
 //!   count and scheduling** — callers that also make each chunk's *content*
-//!   independent of scheduling (e.g. by deriving per-chunk RNG streams from
-//!   the chunk index, see [`crate::parallel`]) get bit-identical results
-//!   for any `threads` value.
+//!   independent of scheduling (e.g. by drawing every random word from its
+//!   position, as the tape Monte Carlo kernel does) get bit-identical
+//!   results for any `threads` value.
 //! * Workers can keep per-thread scratch state (simulator buffers) via
 //!   [`ChunkExecutor::map_chunks_with`], amortizing allocations across all
 //!   chunks a worker processes.

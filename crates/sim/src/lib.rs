@@ -9,18 +9,18 @@
 //!
 //! * [`PackedSim`] — 64 patterns per machine word, one topological sweep
 //!   per block, with XOR fault-mask injection.
-//! * [`BiasedBits`] — `Bernoulli(ε)` fault masks at one RNG word per binary
-//!   digit of ε.
+//! * [`BiasedBits`] — `Bernoulli(p)` words at one RNG word per binary
+//!   digit of `p` (biased input sampling; defines the quantized ε the
+//!   tape kernel realizes).
 //! * [`estimate`] — the Monte Carlo reliability estimator (per-output δ,
 //!   consolidated any-output error, joint output pairs, per-node
-//!   conditional error statistics), chunked over seed-derived RNG streams
-//!   so results are bit-identical for every thread count.
-//! * [`CircuitTape`] / [`estimate_tape`] — the compiled fast path: the
-//!   circuit lowered once into a flat slot-indexed instruction tape,
+//!   conditional error statistics).
+//! * [`CircuitTape`] / [`estimate_tape`] — the kernel behind [`estimate`]:
+//!   the circuit lowered once into a flat slot-indexed instruction tape,
 //!   executed by a fused wide kernel (`u64×N` lanes, clean and noisy
 //!   planes in one pass, fault masks generated in-lane from a
 //!   position-based RNG). Bit-identical across thread counts *and* lane
-//!   widths; several times faster than the graph walker.
+//!   widths; callers holding a compiled tape call it directly.
 //! * [`exec::ChunkExecutor`] — the deterministic fan-out executor behind
 //!   the Monte Carlo engine and the ε-sweep drivers in `relogic::sweep`.
 //! * [`exact_reliability`] / [`flip_influence`] — exhaustive ground truth
@@ -42,7 +42,6 @@ pub mod exec;
 mod exhaustive;
 mod monte_carlo;
 mod packed;
-pub mod parallel;
 mod sampler;
 mod tape;
 mod tape_exec;
@@ -74,5 +73,5 @@ pub use packed::{exhaustive_block_count, exhaustive_lane_mask, exhaustive_word, 
 pub use sampler::InputSampler;
 pub use tape::{CircuitTape, OwnedTapeParts, TapeParts};
 pub use tape_exec::{
-    estimate_tape, try_estimate_tape, try_estimate_tape_cancellable, DEFAULT_LANES,
+    estimate_tape, try_estimate_tape, try_estimate_tape_cancellable, CHUNK_BLOCKS, DEFAULT_LANES,
 };

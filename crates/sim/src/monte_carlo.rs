@@ -7,12 +7,13 @@
 //! of sampled patterns on which the noisy circuit's value of `y` differs
 //! from the fault-free value.
 //!
-//! Execution is chunked and (optionally) multi-threaded: the pattern budget
-//! is cut into fixed-width chunks, each drawing from its own seed-derived
-//! RNG stream, so the estimate is **bit-identical for every thread count**
-//! (see [`crate::parallel`] for the scheme).
+//! Every estimate runs on the compiled instruction tape
+//! ([`crate::try_estimate_tape`]): each random word is a pure function of
+//! the seed and its position, so the estimate is **bit-identical for every
+//! thread count** (the stream protocol is documented in `tape_exec.rs`).
 
-use crate::{BiasedBits, SimError};
+use crate::tape_exec::FaultCounts;
+use crate::{CircuitTape, SimError};
 use relogic_netlist::Circuit;
 
 /// Configuration for [`estimate`].
@@ -22,7 +23,8 @@ pub struct MonteCarloConfig {
     pub patterns: u64,
     /// RNG seed; the same seed reproduces the same estimate exactly.
     pub seed: u64,
-    /// Binary digits of resolution for the ε-biased bit generators.
+    /// Binary digits of resolution for the ε-biased bit generators
+    /// (1 ..= 32).
     pub bit_resolution: u32,
     /// Output-index pairs whose joint error probability should be tracked.
     pub joint_pairs: Vec<(usize, usize)>,
@@ -230,17 +232,14 @@ impl ReliabilityEstimate {
 /// noise-free nodes; primary inputs may be given nonzero values to model
 /// noisy inputs).
 ///
-/// Fault injection is chunked over seed-derived RNG streams and executed on
+/// Fault injection runs on a freshly compiled [`CircuitTape`] with
 /// [`MonteCarloConfig::threads`] worker threads; for a fixed `(seed,
 /// patterns)` pair the estimate is bit-identical regardless of the thread
 /// count.
 ///
 /// # Panics
 ///
-/// Panics if `node_eps.len() != circuit.len()`, if any ε is non-finite or
-/// outside `[0, 1]`, if a joint pair references a nonexistent output, or if
-/// `config.patterns` is zero. Use [`try_estimate`] to receive these
-/// conditions as typed [`SimError`] values instead.
+/// Panics on any condition [`try_estimate`] reports as an error.
 ///
 /// # Examples
 ///
@@ -286,6 +285,10 @@ pub fn estimate(
 ///   nonexistent output.
 /// * [`SimError::InputProbsMismatch`] — `config.input_probs` does not cover
 ///   the circuit's inputs.
+/// * [`SimError::InvalidInputProbability`] — an input bias is non-finite or
+///   outside `[0, 1]`.
+/// * [`SimError::InvalidBitResolution`] — `config.bit_resolution` is
+///   outside `1 ..= 32`.
 pub fn try_estimate(
     circuit: &Circuit,
     node_eps: &[f64],
@@ -295,10 +298,9 @@ pub fn try_estimate(
 }
 
 /// [`try_estimate`] under a [`crate::CancelToken`]: the token is polled at
-/// every chunk hand-out ([`crate::parallel::CHUNK_PATTERNS`] patterns, the
-/// check-interval granularity of the graph engine). A fired token returns
-/// [`SimError::Cancelled`] — never a partial estimate. A run that completes
-/// before the token fires is bit-identical to an undeadlined run.
+/// every chunk hand-out ([`crate::CHUNK_BLOCKS`] blocks). A fired token
+/// returns [`SimError::Cancelled`] — never a partial estimate. A run that
+/// completes before the token fires is bit-identical to an undeadlined run.
 ///
 /// # Errors
 ///
@@ -310,37 +312,19 @@ pub fn try_estimate_cancellable(
     config: &MonteCarloConfig,
     cancel: &crate::CancelToken,
 ) -> Result<ReliabilityEstimate, SimError> {
-    let outputs = validate_run(circuit, node_eps, config)?;
-
-    let gens: Vec<Option<BiasedBits>> = node_eps
-        .iter()
-        .map(|&e| {
-            if e == 0.0 {
-                None
-            } else {
-                Some(BiasedBits::new(e, config.bit_resolution))
-            }
-        })
-        .collect();
-
-    let sampler = match &config.input_probs {
-        None => crate::InputSampler::uniform(circuit.input_count()),
-        Some(p) => crate::InputSampler::independent(p),
-    };
-    let blocks = config.patterns.div_ceil(64).max(1);
-    let total = blocks * 64;
-    let counts = crate::parallel::fault_injection_counts_cancellable(
-        circuit, &gens, &sampler, &outputs, config, blocks, cancel,
-    )?;
-    Ok(finalize_counts(total, counts, &config.joint_pairs))
+    crate::try_estimate_tape_cancellable(
+        circuit,
+        &CircuitTape::compile(circuit),
+        node_eps,
+        config,
+        crate::DEFAULT_LANES,
+        cancel,
+    )
 }
 
-/// Shared up-front validation for the graph and tape estimators: checks the
-/// pattern budget, the ε vector, the joint-pair indices, and the input-bias
-/// vector, returning the output node indices in declaration order.
-///
-/// Both engines must agree on what constitutes a valid run, so this is the
-/// single place the checks live.
+/// Up-front validation of a Monte Carlo run: checks the pattern budget,
+/// the ε vector, the joint-pair indices, the input-bias vector, and the
+/// bit resolution, returning the output node indices in declaration order.
 pub(crate) fn validate_run(
     circuit: &Circuit,
     node_eps: &[f64],
@@ -377,15 +361,24 @@ pub(crate) fn validate_run(
                 actual: p.len(),
             });
         }
+        for (i, &v) in p.iter().enumerate() {
+            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
+                return Err(SimError::InvalidInputProbability { index: i, value: v });
+            }
+        }
+    }
+    if !(1..=32).contains(&config.bit_resolution) {
+        return Err(SimError::InvalidBitResolution {
+            resolution: config.bit_resolution,
+        });
     }
     Ok(outputs)
 }
 
 /// Turns merged integer tallies into the final probability estimate.
-/// Shared by the graph and tape engines, so both normalize identically.
 pub(crate) fn finalize_counts(
     total: u64,
-    counts: crate::parallel::FaultCounts,
+    counts: FaultCounts,
     joint_pairs: &[(usize, usize)],
 ) -> ReliabilityEstimate {
     #[allow(clippy::cast_precision_loss)]
@@ -598,6 +591,35 @@ mod tests {
         // A valid configuration still works.
         let r = try_estimate(&c, &[0.0, 0.2], &MonteCarloConfig::default()).unwrap();
         assert!((r.per_output()[0] - 0.2).abs() < 0.01);
+    }
+
+    #[test]
+    fn bad_input_bias_and_resolution_are_typed_errors() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let g = c.not(a);
+        c.add_output("y", g);
+        for bad in [1.5, -0.25, f64::NAN, f64::INFINITY] {
+            let cfg = MonteCarloConfig {
+                input_probs: Some(vec![bad]),
+                ..MonteCarloConfig::default()
+            };
+            let err = try_estimate(&c, &[0.0, 0.1], &cfg).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidInputProbability { index: 0, value } if value.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+        }
+        for resolution in [0, 33] {
+            let cfg = MonteCarloConfig {
+                bit_resolution: resolution,
+                ..MonteCarloConfig::default()
+            };
+            assert_eq!(
+                try_estimate(&c, &[0.0, 0.1], &cfg),
+                Err(SimError::InvalidBitResolution { resolution })
+            );
+        }
     }
 
     #[test]

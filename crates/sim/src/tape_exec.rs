@@ -31,17 +31,18 @@
 //! resolution digit. This is where most of the tape engine's Monte Carlo
 //! speedup comes from.
 //!
-//! Because the stream protocol differs from the legacy graph engine's
-//! sequential xoshiro stream, tape and graph estimates of the same
-//! configuration are *statistically* identical (same circuit, same exact
-//! quantized probabilities) but not bitwise equal. Each engine is
-//! individually reproducible from its seed.
+//! The pattern budget is cut into chunks of [`CHUNK_BLOCKS`] blocks, the
+//! unit of work distribution and cancellation polling. Per-chunk tallies
+//! are exact integer counters merged in chunk order, and since no word
+//! depends on which chunk or thread computed it, the chunk width is free
+//! to change without changing any estimate.
 
 use crate::bits::DEFAULT_RESOLUTION;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::exec::ChunkExecutor;
-use crate::monte_carlo::{finalize_counts, validate_run, MonteCarloConfig, ReliabilityEstimate};
-use crate::parallel::{FaultCounts, CHUNK_BLOCKS};
+use crate::monte_carlo::{
+    finalize_counts, validate_run, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate,
+};
 use crate::tape::CircuitTape;
 use crate::{BiasedBits, SimError};
 use relogic_netlist::{Circuit, GateKind};
@@ -51,6 +52,47 @@ use relogic_netlist::{Circuit, GateKind};
 /// throughput; 8 lanes keeps the biased-comparator pipeline full on
 /// current x86-64 cores.
 pub const DEFAULT_LANES: usize = 8;
+
+/// 64-pattern blocks per chunk: the granularity at which work is handed to
+/// threads and the [`CancelToken`] is polled (1024 patterns, coarse enough
+/// to amortize executor handoff, fine enough to load-balance modest
+/// budgets). Never changes an estimate — see the module docs.
+pub const CHUNK_BLOCKS: u64 = 16;
+
+/// Exact integer tallies from one chunk (or the merge of many).
+#[derive(Clone, Debug)]
+pub(crate) struct FaultCounts {
+    pub(crate) out_err: Vec<u64>,
+    pub(crate) any_err: u64,
+    pub(crate) joint_err: Vec<u64>,
+    pub(crate) node_stats: Option<NodeErrorStats>,
+}
+
+impl FaultCounts {
+    fn new(outputs: usize, joint: usize, nodes: Option<usize>) -> Self {
+        FaultCounts {
+            out_err: vec![0; outputs],
+            any_err: 0,
+            joint_err: vec![0; joint],
+            node_stats: nodes.map(NodeErrorStats::new),
+        }
+    }
+
+    /// Adds another tally into this one (pure integer sums, so the merge
+    /// is order-independent).
+    fn merge(&mut self, other: &FaultCounts) {
+        for (a, b) in self.out_err.iter_mut().zip(&other.out_err) {
+            *a += b;
+        }
+        self.any_err += other.any_err;
+        for (a, b) in self.joint_err.iter_mut().zip(&other.joint_err) {
+            *a += b;
+        }
+        if let (Some(mine), Some(theirs)) = (self.node_stats.as_mut(), other.node_stats.as_ref()) {
+            mine.merge(theirs);
+        }
+    }
+}
 
 /// Stream discriminant for input-sampling words.
 const STREAM_INPUT: u64 = 0;
@@ -553,11 +595,11 @@ impl TapeRun<'_> {
     }
 }
 
-/// Runs tape-compiled Monte Carlo fault injection — the fast path behind
-/// [`crate::estimate`]'s graph engine. Semantics (model, validation,
-/// result shape) match [`crate::try_estimate`]; the sampled numbers come
-/// from the tape engine's own position-based stream (see the module docs
-/// for the determinism contract).
+/// Runs tape-compiled Monte Carlo fault injection against a pre-compiled
+/// `tape` — the kernel behind [`crate::try_estimate`], which compiles a
+/// fresh tape per call and runs it at [`DEFAULT_LANES`]. Pass a cached
+/// tape here to skip the compile (see the module docs for the
+/// determinism contract).
 ///
 /// `lanes` selects the kernel's `u64` lane width (1, 2, 4, or 8); the
 /// estimate is bit-identical for every accepted value and every thread

@@ -7,8 +7,9 @@
 //! the chunk width.
 
 use relogic_netlist::Circuit;
-use relogic_sim::parallel::{chunk_seed, CHUNK_PATTERNS};
-use relogic_sim::{estimate, MonteCarloConfig};
+use relogic_sim::{
+    estimate, try_estimate, try_estimate_tape, CircuitTape, MonteCarloConfig, CHUNK_BLOCKS,
+};
 
 /// A 3-output circuit with shared logic and reconvergent fanout, big
 /// enough that every chunk tallies nonzero error counts at ε = 0.05.
@@ -86,7 +87,7 @@ fn budgets_misaligned_with_the_chunk_width_stay_deterministic() {
     let c = circuit();
     let eps = uniform_eps(&c, 0.1);
     // One pattern, exactly one chunk, chunk+1 patterns, and a prime budget.
-    for patterns in [1, CHUNK_PATTERNS, CHUNK_PATTERNS + 1, 7919] {
+    for patterns in [1, CHUNK_BLOCKS * 64, CHUNK_BLOCKS * 64 + 1, 7919] {
         let serial = estimate(&c, &eps, &config(patterns, 1));
         let parallel = estimate(&c, &eps, &config(patterns, 4));
         assert_eq!(serial, parallel, "patterns = {patterns}");
@@ -123,7 +124,22 @@ fn different_seeds_give_different_streams() {
         },
     );
     assert_ne!(a, b, "distinct seeds must not collide");
-    // And the chunk-seed derivation itself is injective-ish across both axes.
-    assert_ne!(chunk_seed(1, 0), chunk_seed(1, 1));
-    assert_ne!(chunk_seed(1, 0), chunk_seed(2, 0));
+}
+
+#[test]
+fn try_estimate_is_the_tape_kernel_bit_for_bit() {
+    let c = circuit();
+    let tape = CircuitTape::compile(&c);
+    let eps = uniform_eps(&c, 0.05);
+    for threads in [1, 2, 7] {
+        let cfg = config(20_000, threads);
+        let compiled_per_call = try_estimate(&c, &eps, &cfg).expect("valid run");
+        for lanes in [1, 8] {
+            let precompiled = try_estimate_tape(&c, &tape, &eps, &cfg, lanes).expect("valid run");
+            assert_eq!(
+                compiled_per_call, precompiled,
+                "threads = {threads}, lanes = {lanes}"
+            );
+        }
+    }
 }
