@@ -7,13 +7,15 @@ use relogic::{
 use relogic_estimate::{EstimatorPolicy, EstimatorTier, PropagationEstimate};
 use relogic_netlist::structure::{output_cone_sizes, CircuitStats, FanoutMap};
 use relogic_netlist::{bench, blif, dot, verilog, Circuit};
+use relogic_serve::cache::{Artifact, ArtifactKey, CacheCounters, DiskTier, Origin};
 use relogic_serve::json::Json;
-use relogic_serve::proto::{AnalyzeRequestOptions, BackendSpec, NetlistFormat};
+use relogic_serve::proto::{AnalyzeRequestOptions, BackendSpec, CircuitPayload, NetlistFormat};
 use relogic_serve::ServeError;
 use relogic_sim::MonteCarloConfig;
-use relogic_store::{ArtifactMeta, Loaded, Store, StoreKey};
+use relogic_store::{ArtifactMeta, Loaded, Store};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors surfaced to the CLI user.
 ///
@@ -148,7 +150,7 @@ impl From<ServeError> for CliError {
                 })
             }
             // The remaining variants are protocol-level and unreachable
-            // from the one-shot JSON paths, but map them sensibly anyway.
+            // from the artifact accessors, but map them sensibly anyway.
             other => CliError::Usage(other.to_string()),
         }
     }
@@ -202,14 +204,19 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     match args.command.as_str() {
         "help" | "--help" | "-h" => Ok(crate::USAGE.to_owned()),
         "stats" => stats(&load(args)?.circuit),
-        "analyze" => analyze(&load(args)?, &args.options),
-        "observability" => observability(&load(args)?, &args.options),
+        "analyze" => analyze(&artifact(load(args)?, args), &args.options),
+        "observability" => observability(&artifact(load(args)?, args), &args.options),
         "sweep" => sweep(&load(args)?.circuit, &args.options),
         "mc" => monte_carlo(&load(args)?.circuit, &args.options),
-        "rank" => rank(&load(args)?, &args.options),
-        "estimate" => estimate(&load(args)?, &args.options),
-        "harden" => harden(&load(args)?, &args.options),
-        "critical-eps" => critical_eps(&load(args)?, &args.options),
+        "rank" => rank(&artifact(load(args)?, args), &args.options),
+        "estimate" => {
+            // The exact tier is a BDD computation whatever `--backend` says.
+            let mut loaded = load(args)?;
+            loaded.payload.backend = BackendSpec::Bdd;
+            estimate(&artifact(loaded, args), &args.options)
+        }
+        "harden" => harden(&load(args)?.circuit, &args.options),
+        "critical-eps" => critical_eps(&artifact(load(args)?, args), &args.options),
         "serve" => serve(args),
         "convert" => convert(&load(args)?.circuit, &args.options),
         "gen" => gen(args),
@@ -227,44 +234,31 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// A parsed netlist plus the raw text and path it came from, so the
-/// one-shot commands can address the on-disk artifact store with the
-/// exact digest scheme the serve daemon uses.
+/// A parsed netlist plus the wire payload a daemon would receive for it:
+/// the same text, format and backend give the same store key, so the
+/// one-shot commands and a `serve --cache-dir` daemon share artifacts.
 struct LoadedNetlist {
     path: String,
-    text: String,
+    payload: CircuitPayload,
     circuit: Circuit,
-}
-
-impl LoadedNetlist {
-    /// The wire format tag, chosen by extension exactly like
-    /// [`parse_netlist`] chooses the parser.
-    fn format(&self) -> NetlistFormat {
-        if self.path.ends_with(".bench") {
-            NetlistFormat::Bench
-        } else if self.path.ends_with(".v") || self.path.ends_with(".verilog") {
-            NetlistFormat::Verilog
-        } else {
-            NetlistFormat::Blif
-        }
-    }
-
-    /// The store key under the given backend: identical inputs hit the
-    /// artifacts a `relogic-cli serve --cache-dir` daemon wrote, and vice
-    /// versa.
-    fn store_key(&self, opts: &Options) -> StoreKey {
-        StoreKey::digest(
-            self.format().tag(),
-            &backend_spec(opts).cache_tag(),
-            &self.text,
-        )
-    }
 }
 
 fn backend_spec(opts: &Options) -> BackendSpec {
     match opts.backend() {
         relogic::Backend::Bdd => BackendSpec::Bdd,
         relogic::Backend::Simulation { patterns, seed } => BackendSpec::Sim { patterns, seed },
+    }
+}
+
+/// The netlist format of a file name: `*.bench` is ISCAS-85 bench,
+/// `*.v`/`*.verilog` structural Verilog, anything else BLIF.
+fn netlist_format(path: &str) -> NetlistFormat {
+    if path.ends_with(".bench") {
+        NetlistFormat::Bench
+    } else if path.ends_with(".v") || path.ends_with(".verilog") {
+        NetlistFormat::Verilog
+    } else {
+        NetlistFormat::Blif
     }
 }
 
@@ -277,34 +271,62 @@ fn load(args: &ParsedArgs) -> Result<LoadedNetlist, CliError> {
         path: path.to_owned(),
         source,
     })?;
-    let circuit = parse_netlist(path, &text)?;
+    let format = netlist_format(path);
+    let circuit = format
+        .parse_netlist(&text)
+        .map_err(|source| CliError::Netlist {
+            path: path.to_owned(),
+            source,
+        })?;
     Ok(LoadedNetlist {
         path: path.to_owned(),
-        text,
+        payload: CircuitPayload {
+            netlist: text,
+            format,
+            backend: backend_spec(&args.options),
+        },
         circuit,
     })
 }
 
-/// Parses netlist text, choosing the format from the file name
-/// (`*.bench` → ISCAS-85 bench, `*.v`/`*.verilog` → structural Verilog,
-/// anything else → BLIF).
-///
-/// # Errors
-///
-/// Returns [`CliError::Netlist`] on malformed input, tagged with `path`
-/// (and the offending line number for syntax errors).
-pub fn parse_netlist(path: &str, text: &str) -> Result<Circuit, CliError> {
-    let parsed = if path.ends_with(".bench") {
-        bench::parse(text)
-    } else if path.ends_with(".v") || path.ends_with(".verilog") {
-        verilog::parse(text)
-    } else {
-        blif::parse(text)
+/// The command's artifact, read and written through the store named by
+/// `--cache-dir` when set. The store must never make an analysis fail:
+/// an unusable directory degrades to computing in memory (one stderr
+/// line), and corrupt files are quarantined and recomputed.
+fn artifact(loaded: LoadedNetlist, args: &ParsedArgs) -> Artifact {
+    let disk = args
+        .options
+        .cache_dir
+        .as_deref()
+        .map(|dir| Arc::new(DiskTier::open(std::path::Path::new(dir))));
+    Artifact::new(&loaded.payload, loaded.circuit, disk)
+}
+
+/// The `--diagnostics` block naming where each artifact came from; empty
+/// without `--cache-dir`.
+fn provenance(artifact: &Artifact, opts: &Options) -> String {
+    let Some(dir) = &opts.cache_dir else {
+        return String::new();
     };
-    parsed.map_err(|source| CliError::Netlist {
-        path: path.to_owned(),
-        source,
-    })
+    let mut out = format!(
+        "disk cache ({dir}): key {}\n",
+        artifact.key().store_key().hex()
+    );
+    for (slot, origin) in artifact.provenance() {
+        let what = match origin {
+            Origin::DiskHit => "disk hit".to_owned(),
+            // The estimator's line keeps the wording it was introduced with.
+            Origin::DiskMiss if slot == "estimator" => "computed and stored".to_owned(),
+            Origin::DiskMiss => "disk miss (computed and stored)".to_owned(),
+            Origin::Quarantined(reason) => {
+                format!("corrupt artifact quarantined ({reason}), recomputed")
+            }
+            Origin::ReadFailed(err) => format!("read failed ({err}), recomputed"),
+            Origin::Computed => "computed (store unusable)".to_owned(),
+        };
+        out.push_str(&format!("{slot}: {what}\n"));
+    }
+    out
 }
 
 fn stats(c: &Circuit) -> Result<String, CliError> {
@@ -344,151 +366,6 @@ fn analysis_weights(c: &Circuit, opts: &Options) -> Result<Weights, CliError> {
         c,
         &InputDistribution::Uniform,
         opts.backend(),
-    )?)
-}
-
-/// One-shot-command view of the on-disk artifact store: best-effort
-/// read-through/write-through, keyed identically to the serve daemon,
-/// with a provenance trail surfaced by `--diagnostics`.
-///
-/// The cache must never make an analysis fail: an unusable directory or a
-/// failed write downgrades to computing in memory (with one stderr line),
-/// and corrupt artifacts are quarantined by the store and recomputed.
-struct DiskCache {
-    store: Store,
-    key: StoreKey,
-    dir: String,
-    trail: std::cell::RefCell<Vec<String>>,
-}
-
-impl DiskCache {
-    fn open(opts: &Options, loaded: &LoadedNetlist) -> Option<DiskCache> {
-        let dir = opts.cache_dir.clone()?;
-        match Store::open(dir.as_str()) {
-            Ok(store) => Some(DiskCache {
-                store,
-                key: loaded.store_key(opts),
-                dir,
-                trail: std::cell::RefCell::new(Vec::new()),
-            }),
-            Err(err) => {
-                eprintln!("relogic-cli: cache dir unusable, continuing without persistence: {err}");
-                None
-            }
-        }
-    }
-
-    fn note(&self, line: String) {
-        self.trail.borrow_mut().push(line);
-    }
-
-    /// The provenance block appended to `--diagnostics` output.
-    fn provenance(&self) -> String {
-        let mut out = format!("disk cache ({}): key {}\n", self.dir, self.key.hex());
-        for line in self.trail.borrow().iter() {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the meta sidecar once per key so `cache ls`/`warm` can name
-    /// what a digest refers to.
-    fn save_meta(&self, loaded: &LoadedNetlist, opts: &Options) {
-        if matches!(self.store.load_meta(self.key), Ok(Loaded::Hit(_))) {
-            return;
-        }
-        let meta = ArtifactMeta {
-            format_tag: loaded.format().tag().to_owned(),
-            backend_tag: backend_spec(opts).cache_tag(),
-            netlist: loaded.text.clone(),
-        };
-        if let Err(err) = self.store.save_meta(self.key, &meta) {
-            eprintln!("relogic-cli: failed to persist artifact meta: {err}");
-        }
-    }
-
-    fn loaded_note<T>(
-        &self,
-        artifact: &str,
-        loaded: Result<Loaded<T>, relogic_store::StoreError>,
-    ) -> Option<T> {
-        match loaded {
-            Ok(Loaded::Hit(v)) => {
-                self.note(format!("{artifact}: disk hit"));
-                Some(v)
-            }
-            Ok(Loaded::Miss) => {
-                self.note(format!("{artifact}: disk miss (computed and stored)"));
-                None
-            }
-            Ok(Loaded::Quarantined(reason)) => {
-                self.note(format!(
-                    "{artifact}: corrupt artifact quarantined ({reason}), recomputed"
-                ));
-                None
-            }
-            Err(err) => {
-                self.note(format!("{artifact}: read failed ({err}), recomputed"));
-                None
-            }
-        }
-    }
-}
-
-/// Weights through the optional disk cache.
-fn cached_weights(
-    loaded: &LoadedNetlist,
-    opts: &Options,
-    disk: Option<&DiskCache>,
-) -> Result<Weights, CliError> {
-    if let Some(disk) = disk {
-        if let Some(w) = disk.loaded_note("weights", disk.store.load_weights(disk.key)) {
-            return Ok(w);
-        }
-        let w = analysis_weights(&loaded.circuit, opts)?;
-        disk.save_meta(loaded, opts);
-        if let Err(err) = disk.store.save_weights(disk.key, &w) {
-            eprintln!("relogic-cli: failed to persist weights: {err}");
-        }
-        return Ok(w);
-    }
-    analysis_weights(&loaded.circuit, opts)
-}
-
-/// Observability through the optional disk cache, polling `cancel`
-/// while the backend builds (per output chunk and per node for BDD).
-fn cached_observability(
-    loaded: &LoadedNetlist,
-    opts: &Options,
-    disk: Option<&DiskCache>,
-    cancel: &relogic::CancelToken,
-) -> Result<ObservabilityMatrix, CliError> {
-    if let Some(disk) = disk {
-        if let Some(obs) =
-            disk.loaded_note("observability", disk.store.load_observability(disk.key))
-        {
-            return Ok(obs);
-        }
-        let obs = ObservabilityMatrix::try_compute_threads_cancellable(
-            &loaded.circuit,
-            &InputDistribution::Uniform,
-            opts.backend(),
-            opts.threads,
-            cancel,
-        )?;
-        disk.save_meta(loaded, opts);
-        if let Err(err) = disk.store.save_observability(disk.key, &obs) {
-            eprintln!("relogic-cli: failed to persist observability: {err}");
-        }
-        return Ok(obs);
-    }
-    Ok(ObservabilityMatrix::try_compute_threads_cancellable(
-        &loaded.circuit,
-        &InputDistribution::Uniform,
-        opts.backend(),
-        opts.threads,
-        cancel,
     )?)
 }
 
@@ -562,14 +439,10 @@ impl AnalyzeRun {
     }
 }
 
-fn analyze(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let c = &loaded.circuit;
+fn analyze(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
+    let c = artifact.circuit();
     let cancel = deadline_token(opts);
-    let disk = DiskCache::open(opts, loaded);
-    // The weights build itself is one uninterruptible backend run; the
-    // check guards entering it once the deadline has already fired.
-    checked(&cancel, "weights_build")?;
-    let weights = cached_weights(loaded, opts, disk.as_ref())?;
+    let weights = artifact.weights(&CacheCounters::default(), &cancel)?;
     if opts.json {
         let request = AnalyzeRequestOptions {
             single_pass: engine_options(opts),
@@ -578,7 +451,7 @@ fn analyze(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
         };
         let result = relogic_serve::api::analyze_result_cancellable(
             c,
-            &weights,
+            weights,
             &[opts.eps],
             &request,
             &cancel,
@@ -595,14 +468,14 @@ fn analyze(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
         opts.no_correlations && !opts.strict && !(opts.diagnostics && c.output_count() > 1);
     let result = if use_tape {
         let start = std::time::Instant::now();
-        let tape = relogic::SweepTape::try_new(c, &weights)?;
+        let tape = relogic::SweepTape::try_new(c, weights)?;
         let compile_us = start.elapsed().as_micros();
         AnalyzeRun::Tape {
             point: tape.try_run_point(&GateEps::try_uniform(c, opts.eps)?)?,
             compile_us,
         }
     } else {
-        let engine = SinglePass::try_new(c, &weights, engine_options(opts))?;
+        let engine = SinglePass::try_new(c, weights, engine_options(opts))?;
         AnalyzeRun::Graph(engine.try_run(&GateEps::try_uniform(c, opts.eps)?)?)
     };
     let mut out = format!(
@@ -661,20 +534,17 @@ fn analyze(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
         };
         out.push_str(&format!("\ndiagnostics:\n{engine_line}\n{diag}\n"));
         out.push_str(&deadline_note(opts, &cancel));
-        if let Some(disk) = &disk {
-            out.push_str(&disk.provenance());
-        }
+        out.push_str(&provenance(artifact, opts));
     }
     Ok(out)
 }
 
-fn observability(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let c = &loaded.circuit;
+fn observability(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
+    let c = artifact.circuit();
     let cancel = deadline_token(opts);
-    let disk = DiskCache::open(opts, loaded);
-    let obs = cached_observability(loaded, opts, disk.as_ref(), &cancel)?;
+    let obs = artifact.observability(&CacheCounters::default(), opts.threads, &cancel)?;
     if opts.json {
-        let result = relogic_serve::api::observability_result(c, &obs, &[opts.eps], opts.per_node)?;
+        let result = relogic_serve::api::observability_result(c, obs, &[opts.eps], opts.per_node)?;
         return Ok(json_line(result));
     }
     let deltas = obs.closed_form(&GateEps::try_uniform(c, opts.eps)?);
@@ -705,9 +575,7 @@ fn observability(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliEr
     if opts.diagnostics {
         out.push_str(&format!("\ndiagnostics:\n{}\n", obs.diagnostics()));
         out.push_str(&deadline_note(opts, &cancel));
-        if let Some(disk) = &disk {
-            out.push_str(&disk.provenance());
-        }
+        out.push_str(&provenance(artifact, opts));
     }
     Ok(out)
 }
@@ -858,11 +726,10 @@ fn monte_carlo(c: &Circuit, opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn rank(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let c = &loaded.circuit;
+fn rank(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
+    let c = artifact.circuit();
     let cancel = deadline_token(opts);
-    let disk = DiskCache::open(opts, loaded);
-    let obs = cached_observability(loaded, opts, disk.as_ref(), &cancel)?;
+    let obs = artifact.observability(&CacheCounters::default(), opts.threads, &cancel)?;
     let eps = GateEps::try_uniform(c, opts.eps)?;
     let mut rows: Vec<(relogic_netlist::NodeId, f64)> = c
         .node_ids()
@@ -886,85 +753,33 @@ fn rank(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
     if opts.diagnostics {
         out.push_str(&format!("\ndiagnostics:\n{}\n", obs.diagnostics()));
         out.push_str(&deadline_note(opts, &cancel));
-        if let Some(disk) = &disk {
-            out.push_str(&disk.provenance());
-        }
+        out.push_str(&provenance(artifact, opts));
     }
     Ok(out)
 }
 
 /// The auto-escalating hybrid estimator: exact observability under a BDD
 /// live-node budget, then the propagation estimator, then Monte Carlo
-/// refinement when the propagation answer saturates. Mirrors the serve
-/// daemon's `estimate` request, with the disk cache standing in for the
-/// in-memory artifact cache.
-fn estimate(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let c = &loaded.circuit;
+/// refinement when the propagation answer saturates — the daemon's
+/// `estimate` request, run by the same [`relogic_serve::api::estimate`].
+fn estimate(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
+    let c = artifact.circuit();
     let cancel = deadline_token(opts);
-    let disk = DiskCache::open(opts, loaded);
-    let gate_eps = GateEps::try_uniform(c, opts.eps).map_err(CliError::Estimator)?;
     let policy = EstimatorPolicy {
         bdd_node_budget: opts.bdd_node_budget,
         mc_patterns: opts.patterns,
         mc_seed: opts.seed,
         ..EstimatorPolicy::default()
     };
-    let exact = |budget: usize| -> Result<Vec<f64>, relogic::RelogicError> {
-        // A cached observability matrix is a free exact answer: the budget
-        // only guards fresh BDD builds.
-        if let Some(disk) = disk.as_ref() {
-            if let Ok(Loaded::Hit(obs)) = disk.store.load_observability(disk.key) {
-                disk.note("observability: disk hit (exact tier)".to_owned());
-                return Ok(obs.closed_form(&gate_eps));
-            }
-        }
-        let obs = ObservabilityMatrix::try_compute_budgeted_cancellable(
-            c,
-            &InputDistribution::Uniform,
-            opts.threads,
-            budget,
-            &cancel,
-        )?;
-        if let Some(disk) = disk.as_ref() {
-            disk.save_meta(loaded, opts);
-            if let Err(err) = disk.store.save_observability(disk.key, &obs) {
-                eprintln!("relogic-cli: failed to persist observability: {err}");
-            }
-            disk.note("observability: computed under budget and stored".to_owned());
-        }
-        Ok(obs.closed_form(&gate_eps))
-    };
-    let propagation = || -> Result<Vec<f64>, relogic::RelogicError> {
-        if let Some(disk) = disk.as_ref() {
-            if let Ok(Loaded::Hit(est)) = disk.store.load_estimate(disk.key) {
-                disk.note("estimator: disk hit".to_owned());
-                return Ok(est.closed_form(&gate_eps));
-            }
-        }
-        let est = PropagationEstimate::try_compute(c, &InputDistribution::Uniform)?;
-        if let Some(disk) = disk.as_ref() {
-            disk.save_meta(loaded, opts);
-            if let Err(err) = disk.store.save_estimate(disk.key, &est) {
-                eprintln!("relogic-cli: failed to persist estimator: {err}");
-            }
-            disk.note("estimator: computed and stored".to_owned());
-        }
-        Ok(est.closed_form(&gate_eps))
-    };
-    let mc = |patterns: u64, seed: u64| -> Result<Vec<f64>, relogic::RelogicError> {
-        let config = MonteCarloConfig {
-            patterns,
-            seed,
-            threads: opts.threads,
-            ..MonteCarloConfig::default()
-        };
-        let r = relogic_sim::try_estimate_cancellable(c, gate_eps.as_slice(), &config, &cancel)
-            .map_err(relogic::RelogicError::from)?;
-        Ok(r.per_output().to_vec())
-    };
-    let report =
-        relogic_estimate::run_estimate_cancellable(&policy, &cancel, exact, propagation, mc)
-            .map_err(estimator_error)?;
+    let report = relogic_serve::api::estimate(
+        artifact,
+        &CacheCounters::default(),
+        opts.eps,
+        &policy,
+        opts.threads,
+        &cancel,
+    )
+    .map_err(estimator_error)?;
     if opts.json {
         return Ok(json_line(relogic_serve::api::estimate_result(
             c, opts.eps, &report,
@@ -994,9 +809,7 @@ fn estimate(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> 
     if opts.diagnostics {
         out.push_str(&format!("\ndiagnostics:\n{}\n", report.diagnostics));
         out.push_str(&deadline_note(opts, &cancel));
-        if let Some(disk) = &disk {
-            out.push_str(&disk.provenance());
-        }
+        out.push_str(&provenance(artifact, opts));
     }
     Ok(out)
 }
@@ -1004,8 +817,7 @@ fn estimate(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> 
 /// Selective-TMR hardening sweep: ranks gates by criticality, protects
 /// growing prefixes with `tmr_selected` under the area budget, and prints
 /// the reliability-per-area Pareto front.
-fn harden(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let c = &loaded.circuit;
+fn harden(c: &Circuit, opts: &Options) -> Result<String, CliError> {
     let cancel = deadline_token(opts);
     let report = relogic_estimate::harden_cancellable(
         c,
@@ -1061,13 +873,11 @@ fn harden(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
 /// Deterministic bisection for the smallest uniform gate error rate at
 /// which the output error delta reaches `--threshold`, evaluated on the
 /// compiled sweep tape.
-fn critical_eps(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let c = &loaded.circuit;
+fn critical_eps(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
+    let c = artifact.circuit();
     let cancel = deadline_token(opts);
-    let disk = DiskCache::open(opts, loaded);
-    checked(&cancel, "weights_build")?;
-    let weights = cached_weights(loaded, opts, disk.as_ref())?;
-    let tape = relogic::SweepTape::try_new(c, &weights).map_err(CliError::Estimator)?;
+    let weights = artifact.weights(&CacheCounters::default(), &cancel)?;
+    let tape = relogic::SweepTape::try_new(c, weights).map_err(CliError::Estimator)?;
     let report = relogic_estimate::critical_eps_cancellable(
         c,
         &tape,
@@ -1106,13 +916,10 @@ fn critical_eps(loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliErr
         report.lo, report.hi, report.delta_lo, report.delta_hi
     ));
     if opts.diagnostics {
-        let note = deadline_note(opts, &cancel);
-        if !note.is_empty() || disk.is_some() {
+        let note = deadline_note(opts, &cancel) + &provenance(artifact, opts);
+        if !note.is_empty() {
             out.push_str("\ndiagnostics:\n");
             out.push_str(&note);
-            if let Some(disk) = &disk {
-                out.push_str(&disk.provenance());
-            }
         }
     }
     Ok(out)
@@ -1174,13 +981,14 @@ fn cache_gc(store: &Store) -> Result<String, CliError> {
 /// --cache-dir` (or one-shot command) starts warm. Idempotent: artifacts
 /// already present are left alone.
 fn cache_warm(store: &Store, loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let key = loaded.store_key(opts);
+    let payload = &loaded.payload;
+    let key = ArtifactKey::of(payload).store_key();
     let c = &loaded.circuit;
     let mut out = format!("warming {} as {}\n", loaded.path, key.hex());
     let meta = ArtifactMeta {
-        format_tag: loaded.format().tag().to_owned(),
-        backend_tag: backend_spec(opts).cache_tag(),
-        netlist: loaded.text.clone(),
+        format_tag: payload.format.tag().to_owned(),
+        backend_tag: payload.backend.cache_tag(),
+        netlist: payload.netlist.clone(),
     };
     if matches!(store.load_meta(key)?, Loaded::Hit(_)) {
         out.push_str("meta:          already present\n");
@@ -1796,6 +1604,55 @@ y = NOT(t)
             second.replace("estimator: disk hit", "X"),
             "cached estimator must not change the numbers"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn estimate_tier_matches_the_daemon_over_a_warm_store() {
+        // A warmed store holds the exact observability matrix. Under a node
+        // budget a fresh build would trip, the CLI and a daemon on the same
+        // directory must both answer from it: same tier, same delta bits.
+        let dir = std::env::temp_dir().join(format!("relogic-cli-tier-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let netlist_dir = std::env::temp_dir().join("relogic-cli-test");
+        std::fs::create_dir_all(&netlist_dir).unwrap();
+        let path = netlist_dir.join("tier.bench");
+        std::fs::write(&path, SMALL).unwrap();
+        let p = path.display().to_string();
+        let d = dir.display().to_string();
+        run(&ParsedArgs::parse(["cache", "warm", p.as_str(), "--cache-dir", d.as_str()]).unwrap())
+            .unwrap();
+
+        let mut argv: Vec<&str> = ["estimate", p.as_str()].into();
+        argv.extend("--eps 0.1 --bdd-node-budget 1 --json --cache-dir".split(' '));
+        argv.push(d.as_str());
+        let cli = run(&ParsedArgs::parse(argv).unwrap()).unwrap();
+        let service = relogic_serve::Service::new(relogic_serve::ServiceConfig {
+            cache_dir: Some(dir.clone()),
+            ..relogic_serve::ServiceConfig::default()
+        });
+        let reply = service.handle_line(&format!(
+            r#"{{"kind":"estimate","netlist":"{}","eps":0.1,"bdd_node_budget":1}}"#,
+            SMALL.replace('\n', "\\n")
+        ));
+        let server = relogic_serve::json::parse(reply.trim())
+            .unwrap()
+            .get("result")
+            .unwrap()
+            .clone();
+        let cli = relogic_serve::json::parse(cli.trim()).unwrap();
+        let tier = |doc: &Json| doc.get("tier").and_then(Json::as_str).map(str::to_owned);
+        let delta_bits = |doc: &Json| -> Vec<u64> {
+            doc.get("delta")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|d| d.as_f64().unwrap().to_bits())
+                .collect()
+        };
+        assert_eq!(tier(&cli).as_deref(), Some("exact"), "{reply}");
+        assert_eq!(tier(&cli), tier(&server), "{reply}");
+        assert_eq!(delta_bits(&cli), delta_bits(&server));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -80,8 +80,9 @@ OPTIONS:
                             that completes under its deadline prints
                             bit-identical output to an undeadlined run.
     --cache-dir <DIR>       versioned, checksummed on-disk artifact store:
-                            analyze/observability/rank read and write it,
-                            serve persists its cache across restarts in it,
+                            analyze, observability, rank, estimate and
+                            critical-eps read and write it, serve
+                            persists its cache across restarts in it,
                             and `cache ls|verify|gc|warm` manage it offline.
                             Corrupt files are quarantined (*.corrupt) and
                             recomputed — never served.

@@ -64,8 +64,8 @@ pub struct Options {
     pub max_inflight: usize,
     /// On-disk artifact store directory: `serve` persists compiled
     /// artifacts across restarts, the one-shot analysis commands
-    /// (`analyze`, `observability`, `rank`) read/write it, and the
-    /// `cache` subcommand manages it offline.
+    /// (`analyze`, `observability`, `rank`, `estimate`, `critical-eps`)
+    /// read/write it, and the `cache` subcommand manages it offline.
     pub cache_dir: Option<String>,
     /// Chaos fault-injection profile for `serve` (`NAME[:SEED]`). Only
     /// compiled in with the `chaos` feature.

@@ -135,9 +135,8 @@ impl Weights {
 
     fn compute_sim(circuit: &Circuit, dist: &InputDistribution, patterns: u64, seed: u64) -> Self {
         let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(circuit));
-        let counts = relogic_sim::joint_input_counts_biased(circuit, &sampler, patterns, seed);
-        let signal_probs =
-            relogic_sim::signal_probabilities_biased(circuit, &sampler, patterns, seed);
+        let (counts, signal_probs) =
+            relogic_sim::weight_samples_biased(circuit, &sampler, patterns, seed);
         #[allow(clippy::cast_precision_loss)]
         let vectors = counts
             .into_iter()
@@ -422,6 +421,25 @@ mod tests {
                 assert!((e - a).abs() < 0.02, "{id} combo {combo}: {e} vs {a}");
             }
             assert!((exact.signal_prob(id) - approx.signal_prob(id)).abs() < 0.02);
+        }
+    }
+
+    #[test]
+    fn sim_weights_match_the_two_pass_reference_bit_for_bit() {
+        let c = reconvergent();
+        let dist = InputDistribution::Independent(vec![0.3, 0.5, 0.9]);
+        let (patterns, seed) = (1000, 13);
+        let w = Weights::compute(&c, &dist, Backend::Simulation { patterns, seed });
+        let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(&c));
+        let counts = relogic_sim::joint_input_counts_biased(&c, &sampler, patterns, seed);
+        let probs = relogic_sim::signal_probabilities_biased(&c, &sampler, patterns, seed);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(w.signal_probs()), bits(&probs));
+        for (id, cs) in c.node_ids().zip(counts) {
+            let total: u64 = cs.iter().sum();
+            #[allow(clippy::cast_precision_loss)]
+            let want: Vec<f64> = cs.iter().map(|&n| n as f64 / total as f64).collect();
+            assert_eq!(bits(w.vector(id)), bits(&want), "{id}");
         }
     }
 

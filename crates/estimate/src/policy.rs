@@ -99,10 +99,9 @@ pub struct EstimateReport {
 /// Runs the escalation policy over three caller-supplied backends.
 ///
 /// The closures keep this crate decoupled from how each tier is actually
-/// materialized: the CLI hands in direct computations (with disk-cache
-/// read-through), the serve daemon hands in artifact-cache accessors. Each
-/// closure returns the per-output δ vector for the request's ε
-/// configuration.
+/// materialized: `relogic_serve::api::estimate` hands in a serve artifact's
+/// accessors for the daemon and the CLI alike. Each closure returns the
+/// per-output δ vector for the request's ε configuration.
 ///
 /// * `exact(budget)` — exact analysis bounded by `budget` live BDD nodes.
 /// * `propagation()` — the propagation-probability estimate.

@@ -1,5 +1,6 @@
-//! Result-object builders shared by the daemon and the CLI's `--json`
-//! output.
+//! Request-kind work shared by the daemon and the one-shot CLI: the
+//! `estimate` tier wiring over an [`Artifact`], and the result-object
+//! builders behind the daemon's replies and the CLI's `--json` output.
 //!
 //! Both surfaces call these functions with the same inputs and encode the
 //! returned [`Json`] with the same encoder, so a script migrating from
@@ -7,10 +8,13 @@
 //! schema — the only divergence is the `"cache"` member the caller appends
 //! (`"hit"`/`"miss"` on the server, `"bypass"` on the one-shot CLI).
 
+use crate::cache::{Artifact, CacheCounters};
 use crate::json::Json;
 use crate::proto::{AnalyzeRequestOptions, ServeError};
-use relogic::{CancelToken, GateEps, ObservabilityMatrix, SinglePass, Weights};
-use relogic_estimate::{CriticalEpsReport, EstimateReport, HardenReport, ParetoPoint};
+use relogic::{CancelToken, GateEps, ObservabilityMatrix, RelogicError, SinglePass, Weights};
+use relogic_estimate::{
+    CriticalEpsReport, EstimateReport, EstimatorPolicy, HardenReport, ParetoPoint,
+};
 use relogic_netlist::Circuit;
 use relogic_sim::MonteCarloConfig;
 
@@ -199,6 +203,67 @@ pub fn monte_carlo_result_tape_cancellable(
     )
     .map_err(ServeError::from)?;
     monte_carlo_json(circuit, eps, config, &estimate)
+}
+
+/// The tiered estimate of `artifact` at uniform gate error `eps`: the
+/// exact tier under `policy.bdd_node_budget`, then the propagation
+/// estimator, then Monte Carlo on the artifact's tape when the propagation
+/// answer saturates (see [`relogic_estimate::run_estimate_cancellable`]).
+///
+/// The exact tier reads the artifact's observability slot: a matrix
+/// already in memory or verified on disk answers for free; otherwise the
+/// budgeted build runs, and a completed build fills the slot and is
+/// written through, while a budget trip or cancellation is never cached.
+/// `threads` drives the BDD build and the Monte Carlo tier (answers are
+/// identical for every count). The exact tier is a BDD computation, so
+/// callers hand in the BDD-backed artifact of the circuit.
+///
+/// # Errors
+///
+/// Propagation and Monte Carlo failures, ε-validation errors, and
+/// [`RelogicError::Cancelled`] once `cancel` fires.
+pub fn estimate(
+    artifact: &Artifact,
+    counters: &CacheCounters,
+    eps: f64,
+    policy: &EstimatorPolicy,
+    threads: usize,
+    cancel: &CancelToken,
+) -> Result<EstimateReport, RelogicError> {
+    let circuit = artifact.circuit();
+    let gate_eps = GateEps::try_uniform(circuit, eps)?;
+    relogic_estimate::run_estimate_cancellable(
+        policy,
+        cancel,
+        |budget| {
+            artifact
+                .observability_within(counters, threads, Some(budget), cancel)
+                .map(|matrix| matrix.closed_form(&gate_eps))
+        },
+        || {
+            artifact
+                .propagation_estimate(counters, cancel)
+                .map(|est| est.closed_form(&gate_eps))
+        },
+        |patterns, seed| {
+            let config = MonteCarloConfig {
+                patterns,
+                seed,
+                threads,
+                ..MonteCarloConfig::default()
+            };
+            Ok(relogic_sim::try_estimate_tape_cancellable(
+                circuit,
+                artifact.tape(counters),
+                gate_eps.as_slice(),
+                &config,
+                relogic_sim::DEFAULT_LANES,
+                cancel,
+            )?
+            .per_output()
+            .to_vec())
+        },
+    )
 }
 
 /// Builds the `estimate` result object from a tiered-estimation report:

@@ -18,10 +18,11 @@
 //!   request that needs them (a Monte Carlo-only client never pays for
 //!   BDDs). Each fallible slot is a [`LazySlot`]: single-flight like a
 //!   `OnceLock` (concurrent requests block on one computation instead of
-//!   racing duplicates), but a **cancelled** materialization releases the
-//!   slot instead of freezing the error — the next request recomputes,
-//!   so one client's deadline can never poison the artifact for everyone
-//!   else. Non-cancellation failures stay sticky, as before.
+//!   racing duplicates), but a **cancelled** or **budget-tripped**
+//!   materialization releases the slot instead of freezing the error — the
+//!   next request recomputes, so one client's deadline or node budget can
+//!   never poison the artifact for everyone else. Backend failures stay
+//!   sticky.
 //! * **Eviction** — least-recently-used, under a configurable byte budget.
 //!   Entry sizes are charged up front from circuit structure
 //!   ([`Weights::projected_heap_bytes`] plus netlist text and projected
@@ -99,7 +100,7 @@ impl DiskTier {
             },
             Err(err) => {
                 eprintln!(
-                    "relogic-serve: cache dir unusable, persistence DEGRADED \
+                    "relogic: cache dir unusable, persistence DEGRADED \
                      (serving from memory only): {err}"
                 );
                 DiskTier {
@@ -166,54 +167,39 @@ impl DiskTier {
         );
         if persistent && !self.degraded.swap(true, Ordering::Relaxed) {
             eprintln!(
-                "relogic-serve: cache dir unusable, persistence DEGRADED \
+                "relogic: cache dir unusable, persistence DEGRADED \
                  (serving from memory only): {err}"
             );
         }
     }
 
-    fn load_weights(&self, key: StoreKey) -> Option<Weights> {
-        let loaded = match self.active()?.load_weights(key) {
-            Ok(l) => l,
+    /// Reads one artifact through the tier: `Ok` on a verified hit,
+    /// otherwise the [`Origin`] the recomputed value will carry.
+    fn load<T>(
+        &self,
+        read: impl FnOnce(&Store) -> Result<Loaded<T>, StoreError>,
+    ) -> Result<T, Origin> {
+        let Some(store) = self.active() else {
+            return Err(Origin::Computed);
+        };
+        match read(store) {
+            Ok(Loaded::Hit(value)) => Ok(value),
+            Ok(Loaded::Miss) => Err(Origin::DiskMiss),
+            Ok(Loaded::Quarantined(reason)) => Err(Origin::Quarantined(reason.to_string())),
             Err(e) => {
                 self.note(&e);
-                return None;
+                Err(Origin::ReadFailed(e.to_string()))
             }
-        };
-        loaded.hit()
+        }
     }
 
-    fn load_observability(&self, key: StoreKey) -> Option<ObservabilityMatrix> {
-        let loaded = match self.active()?.load_observability(key) {
-            Ok(l) => l,
-            Err(e) => {
+    /// Writes one artifact through the tier (best-effort).
+    fn save(&self, write: impl FnOnce(&Store) -> Result<(), StoreError>) {
+        if let Some(store) = self.active() {
+            if let Err(e) = write(store) {
                 self.note(&e);
-                return None;
             }
-        };
-        loaded.hit()
-    }
-
-    fn load_tape(&self, key: StoreKey) -> Option<CircuitTape> {
-        let loaded = match self.active()?.load_tape(key) {
-            Ok(l) => l,
-            Err(e) => {
-                self.note(&e);
-                return None;
-            }
-        };
-        loaded.hit()
-    }
-
-    fn load_estimate(&self, key: StoreKey) -> Option<PropagationEstimate> {
-        let loaded = match self.active()?.load_estimate(key) {
-            Ok(l) => l,
-            Err(e) => {
-                self.note(&e);
-                return None;
-            }
-        };
-        loaded.hit()
+        }
     }
 
     fn save_meta(&self, key: StoreKey, meta: &ArtifactMeta) {
@@ -223,63 +209,47 @@ impl DiskTier {
             if matches!(store.load_meta(key), Ok(Loaded::Hit(_))) {
                 return;
             }
-            if let Err(e) = store.save_meta(key, meta) {
-                self.note(&e);
-            }
         }
-    }
-
-    fn save_weights(&self, key: StoreKey, weights: &Weights) {
-        if let Some(store) = self.active() {
-            if let Err(e) = store.save_weights(key, weights) {
-                self.note(&e);
-            }
-        }
-    }
-
-    fn save_observability(&self, key: StoreKey, matrix: &ObservabilityMatrix) {
-        if let Some(store) = self.active() {
-            if let Err(e) = store.save_observability(key, matrix) {
-                self.note(&e);
-            }
-        }
-    }
-
-    fn save_tape(&self, key: StoreKey, tape: &CircuitTape) {
-        if let Some(store) = self.active() {
-            if let Err(e) = store.save_tape(key, tape) {
-                self.note(&e);
-            }
-        }
-    }
-
-    fn save_estimate(&self, key: StoreKey, estimate: &PropagationEstimate) {
-        if let Some(store) = self.active() {
-            if let Err(e) = store.save_estimate(key, estimate) {
-                self.note(&e);
-            }
-        }
+        self.save(|store| store.save_meta(key, meta));
     }
 }
 
+/// Where a materialized artifact slot's value came from, recorded once
+/// per slot (the CLI's `--diagnostics` provenance lines read it).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// Computed in memory with no usable persistent tier.
+    Computed,
+    /// Read back from the persistent tier, verified bit-exact.
+    DiskHit,
+    /// Absent from the persistent tier: computed and written through.
+    DiskMiss,
+    /// The on-disk copy failed verification and was quarantined; the
+    /// value was recomputed and written through.
+    Quarantined(String),
+    /// Reading the on-disk copy failed; the value was recomputed.
+    ReadFailed(String),
+}
+
 /// A lazily materialized, single-flight artifact slot that **never caches
-/// a cancellation**.
+/// a cancellation or a budget trip**.
 ///
 /// `OnceLock<Result<…>>` slots have one failure mode under deadlines: a
 /// request whose token fires mid-materialization would freeze its
 /// `Cancelled` error into the slot, poisoning the artifact for every
 /// later request. This slot keeps the same single-flight economics (one
-/// builder, waiters block) with three sticky outcomes instead of two:
+/// builder, waiters block) with three outcomes:
 ///
-/// * success — the value is frozen in a `OnceLock`, exactly as before;
-/// * non-cancellation failure (budget trip, backend error) — cached so a
-///   doomed compute is not re-run per request;
-/// * cancellation — the slot **resets to empty** and waiters are woken;
-///   the next request recomputes from scratch.
+/// * success — the value (and its [`Origin`]) is frozen in a `OnceLock`;
+/// * backend failure — cached so a doomed compute is not re-run per
+///   request;
+/// * cancellation or a live-node budget trip — properties of the
+///   *request*, not the artifact: the slot **resets to empty** and waiters
+///   are woken; the next request recomputes from scratch.
 #[derive(Debug)]
 struct LazySlot<T> {
     /// The materialized value; written once, by the builder that completes.
-    value: OnceLock<T>,
+    value: OnceLock<(T, Origin)>,
     state: Mutex<SlotState>,
     /// Signalled whenever a builder finishes (any outcome).
     done: Condvar,
@@ -301,7 +271,7 @@ impl<T> Default for LazySlot<T> {
 struct SlotState {
     /// A builder is running right now; waiters block on `done`.
     building: bool,
-    /// Sticky non-cancellation failure.
+    /// Sticky backend failure.
     failed: Option<RelogicError>,
 }
 
@@ -335,22 +305,28 @@ impl<T> LazySlot<T> {
 
     /// The value if it is already materialized; never builds.
     fn peek(&self) -> Option<&T> {
-        self.value.get()
+        self.value.get().map(|(v, _)| v)
+    }
+
+    /// Where the materialized value came from; `None` while empty.
+    fn origin(&self) -> Option<&Origin> {
+        self.value.get().map(|(_, origin)| origin)
     }
 
     /// Returns the materialized value, building it if this call is first.
     /// Concurrent callers block until the builder finishes; a cancelled
-    /// build leaves the slot empty so the next caller rebuilds.
+    /// or budget-tripped build leaves the slot empty so the next caller
+    /// rebuilds.
     fn get_or_build(
         &self,
-        build: impl FnOnce() -> Result<T, RelogicError>,
+        build: impl FnOnce() -> Result<(T, Origin), RelogicError>,
     ) -> Result<&T, RelogicError> {
-        if let Some(v) = self.value.get() {
+        if let Some(v) = self.peek() {
             return Ok(v);
         }
         let mut state = self.lock();
         loop {
-            if let Some(v) = self.value.get() {
+            if let Some(v) = self.peek() {
                 return Ok(v);
             }
             if let Some(e) = &state.failed {
@@ -374,16 +350,19 @@ impl<T> LazySlot<T> {
             Ok(v) => {
                 let _ = self.value.set(v);
                 drop(guard);
-                match self.value.get() {
+                match self.peek() {
                     Some(v) => Ok(v),
                     None => unreachable!("the sole builder just set the value"),
                 }
             }
             Err(e) => {
-                // A cancellation is the caller's deadline, not the
-                // artifact's fault: leave the slot empty for the next
-                // request. Anything else is cached as before.
-                if !matches!(e, RelogicError::Cancelled(_)) {
+                // A cancellation or a budget trip is the caller's limit,
+                // not the artifact's fault: leave the slot empty for the
+                // next request. Anything else is cached.
+                if !matches!(
+                    e,
+                    RelogicError::Cancelled(_) | RelogicError::BddBudgetExceeded { .. }
+                ) {
                     self.lock().failed = Some(e.clone());
                 }
                 drop(guard);
@@ -394,8 +373,12 @@ impl<T> LazySlot<T> {
 }
 
 /// A compiled circuit: the parsed netlist plus lazily materialized,
-/// ε-independent analysis state (weight vectors, correlation-seed inputs,
-/// observability matrix).
+/// ε-independent analysis state (weight vectors, observability matrix,
+/// instruction tape, propagation estimate).
+///
+/// The daemon's cache and the one-shot CLI commands both read artifacts
+/// through these accessors, so persistence and the exact-tier rule (see
+/// [`crate::api::estimate`]) behave the same on both surfaces.
 #[derive(Debug)]
 pub struct Artifact {
     circuit: Circuit,
@@ -409,11 +392,23 @@ pub struct Artifact {
     disk: Option<Arc<DiskTier>>,
     weights: LazySlot<Weights>,
     observability: LazySlot<ObservabilityMatrix>,
-    tape: OnceLock<CircuitTape>,
+    tape: OnceLock<(CircuitTape, Origin)>,
     estimate: LazySlot<PropagationEstimate>,
 }
 
 impl Artifact {
+    /// Wraps a circuit already parsed from `payload`, as the CLI's one-shot
+    /// commands hold it. With a persistent tier, the payload's provenance
+    /// is written through on first sight.
+    #[must_use]
+    pub fn new(
+        payload: &CircuitPayload,
+        circuit: Circuit,
+        disk: Option<Arc<DiskTier>>,
+    ) -> Artifact {
+        Artifact::with_key(payload, ArtifactKey::of(payload), circuit, disk)
+    }
+
     fn compile(
         payload: &CircuitPayload,
         key: ArtifactKey,
@@ -423,10 +418,18 @@ impl Artifact {
             .format
             .parse_netlist(&payload.netlist)
             .map_err(|e| ServeError::netlist(&e))?;
-        let stats = CircuitStats::of(&circuit);
+        Ok(Artifact::with_key(payload, key, circuit, disk))
+    }
+
+    fn with_key(
+        payload: &CircuitPayload,
+        key: ArtifactKey,
+        circuit: Circuit,
+        disk: Option<Arc<DiskTier>>,
+    ) -> Artifact {
         if let Some(disk) = &disk {
-            // Write-through provenance on first compile: `relogic cache
-            // warm`/`ls` need it, and a warm restart re-parses from it.
+            // `relogic cache warm`/`ls` need the provenance, and a warm
+            // restart re-parses from it.
             disk.save_meta(
                 key.store_key(),
                 &ArtifactMeta {
@@ -436,9 +439,9 @@ impl Artifact {
                 },
             );
         }
-        Ok(Artifact {
+        Artifact {
+            stats: CircuitStats::of(&circuit),
             circuit,
-            stats,
             backend: payload.backend,
             key,
             disk,
@@ -446,7 +449,7 @@ impl Artifact {
             observability: LazySlot::default(),
             tape: OnceLock::new(),
             estimate: LazySlot::default(),
-        })
+        }
     }
 
     /// The parsed circuit.
@@ -461,52 +464,70 @@ impl Artifact {
         &self.stats
     }
 
-    /// The ε-independent weight vectors, materialized on first use.
+    /// The content address of this artifact (and of its store files).
+    #[must_use]
+    pub fn key(&self) -> ArtifactKey {
+        self.key
+    }
+
+    /// Read-through, compute, write-through for one slot: a verified disk
+    /// artifact is bit-identical to a recompute by the store's contract,
+    /// so it short-circuits `compute`; misses, quarantines and I/O errors
+    /// fall through to it. `computed` counts completed computes only.
+    fn materialize<T, E>(
+        &self,
+        computed: &AtomicU64,
+        load: fn(&Store, StoreKey) -> Result<Loaded<T>, StoreError>,
+        save: fn(&Store, StoreKey, &T) -> Result<(), StoreError>,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(T, Origin), E> {
+        let key = self.key.store_key();
+        let origin = match &self.disk {
+            Some(disk) => match disk.load(|store| load(store, key)) {
+                Ok(value) => return Ok((value, Origin::DiskHit)),
+                Err(origin) => origin,
+            },
+            None => Origin::Computed,
+        };
+        let value = compute()?;
+        computed.fetch_add(1, Ordering::Relaxed);
+        if let Some(disk) = &self.disk {
+            disk.save(|store| save(store, key, &value));
+        }
+        Ok((value, origin))
+    }
+
+    /// The ε-independent weight vectors, materialized on first use,
+    /// checking `cancel` before the backend runs. A cancelled
+    /// materialization leaves the slot empty — the next request recomputes
+    /// instead of observing a frozen `Cancelled`.
     /// `counters.weights_computed` increments only when this call actually
     /// runs the backend.
     ///
     /// # Errors
     ///
     /// Propagates the weight backend's [`RelogicError`] (also for callers
-    /// arriving after a failed first materialization).
-    pub fn weights(&self, counters: &CacheCounters) -> Result<&Weights, ServeError> {
-        self.weights_cancellable(counters, &CancelToken::new())
-    }
-
-    /// Like [`Artifact::weights`], checking `cancel` before the backend
-    /// runs. A cancelled materialization leaves the slot empty — the next
-    /// request recomputes instead of observing a frozen `Cancelled`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Artifact::weights`], plus the deadline error once the token
-    /// has fired.
-    pub fn weights_cancellable(
+    /// arriving after a failed first materialization), plus the deadline
+    /// error once the token has fired.
+    pub fn weights(
         &self,
         counters: &CacheCounters,
         cancel: &CancelToken,
     ) -> Result<&Weights, ServeError> {
         let slot = self.weights.get_or_build(|| {
             cancel.check("weights_build")?;
-            // Read-through: a verified disk artifact is bit-identical to
-            // a recompute by the store's contract, so it short-circuits
-            // the backend entirely. Misses, quarantines, and I/O errors
-            // all fall through to compute + write-through.
-            if let Some(disk) = &self.disk {
-                if let Some(w) = disk.load_weights(self.key.store_key()) {
-                    return Ok(w);
-                }
-            }
-            counters.weights_computed.fetch_add(1, Ordering::Relaxed);
-            let weights = Weights::try_compute(
-                &self.circuit,
-                &InputDistribution::Uniform,
-                self.backend.backend(),
-            );
-            if let (Some(disk), Ok(w)) = (&self.disk, &weights) {
-                disk.save_weights(self.key.store_key(), w);
-            }
-            weights
+            self.materialize(
+                &counters.weights_computed,
+                Store::load_weights,
+                Store::save_weights,
+                || {
+                    Weights::try_compute(
+                        &self.circuit,
+                        &InputDistribution::Uniform,
+                        self.backend.backend(),
+                    )
+                },
+            )
         });
         slot.map_err(ServeError::from)
     }
@@ -517,91 +538,100 @@ impl Artifact {
     /// `counters.tapes_compiled` increments only when this call actually
     /// compiles.
     pub fn tape(&self, counters: &CacheCounters) -> &CircuitTape {
-        self.tape.get_or_init(|| {
-            if let Some(disk) = &self.disk {
-                if let Some(t) = disk.load_tape(self.key.store_key()) {
-                    return t;
-                }
-            }
-            counters.tapes_compiled.fetch_add(1, Ordering::Relaxed);
-            let tape = CircuitTape::compile(&self.circuit);
-            if let Some(disk) = &self.disk {
-                disk.save_tape(self.key.store_key(), &tape);
-            }
-            tape
-        })
+        let (tape, _) = self.tape.get_or_init(|| {
+            self.materialize(
+                &counters.tapes_compiled,
+                Store::load_tape,
+                Store::save_tape,
+                || Ok::<_, std::convert::Infallible>(CircuitTape::compile(&self.circuit)),
+            )
+            .unwrap_or_else(|never| match never {})
+        });
+        tape
     }
 
-    /// The §3 observability matrix, materialized on first use.
+    /// The §3 observability matrix, materialized on first use with
+    /// `threads` BDD workers (`0` auto-detects; the matrix is identical
+    /// for every count), threading `cancel` into the §3 engine
+    /// (per-output-chunk and per-node checks; see `relogic`). A cancelled
+    /// materialization leaves the slot empty, never poisoned: the next
+    /// request recomputes.
     ///
     /// # Errors
     ///
-    /// Propagates the backend's [`RelogicError`].
+    /// Propagates the backend's [`RelogicError`], plus the deadline error
+    /// once the token has fired.
     pub fn observability(
         &self,
         counters: &CacheCounters,
-    ) -> Result<&ObservabilityMatrix, ServeError> {
-        self.observability_cancellable(counters, &CancelToken::new())
-    }
-
-    /// Like [`Artifact::observability`], threading `cancel` into the §3
-    /// engine (per-output-chunk and per-node checks; see `relogic`). A
-    /// cancelled materialization leaves the slot empty, never poisoned:
-    /// the next request recomputes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Artifact::observability`], plus the deadline error once the
-    /// token has fired.
-    pub fn observability_cancellable(
-        &self,
-        counters: &CacheCounters,
+        threads: usize,
         cancel: &CancelToken,
     ) -> Result<&ObservabilityMatrix, ServeError> {
-        let slot = self.observability.get_or_build(|| {
-            cancel.check("obs_build")?;
-            if let Some(disk) = &self.disk {
-                if let Some(m) = disk.load_observability(self.key.store_key()) {
-                    // Persisted diagnostics ride along, but the engine
-                    // aggregate counts only runs this process executed.
-                    return Ok(m);
-                }
-            }
-            counters
-                .observability_computed
-                .fetch_add(1, Ordering::Relaxed);
-            let matrix = ObservabilityMatrix::try_compute_threads_cancellable(
-                &self.circuit,
-                &InputDistribution::Uniform,
-                self.backend.backend(),
-                0,
-                cancel,
-            );
-            if let Ok(m) = &matrix {
-                if let Some(stats) = m.diagnostics().bdd_stats() {
-                    counters.bdd_engine.record(stats);
-                }
-                if let Some(disk) = &self.disk {
-                    disk.save_observability(self.key.store_key(), m);
-                }
-            }
-            matrix
-        });
-        slot.map_err(ServeError::from)
+        self.observability_within(counters, threads, None, cancel)
+            .map_err(ServeError::from)
     }
 
-    /// The observability matrix **only if it is already materialized and
-    /// valid** — never triggers a compute. The estimator's exact tier uses
-    /// this peek: an answered `observability` request means the exact
-    /// answer is free, but a cold artifact must go through the *budgeted*
-    /// build instead (which must not poison this slot on a budget trip).
+    /// The observability slot, its BDD build bounded by a live-node
+    /// `budget` when one is given. Whatever answers an unbudgeted request
+    /// answers a budgeted one: a matrix in memory or verified on disk. A
+    /// completed build fills the slot and is written through; a budget
+    /// trip, like a cancellation, leaves the slot empty.
+    pub(crate) fn observability_within(
+        &self,
+        counters: &CacheCounters,
+        threads: usize,
+        budget: Option<usize>,
+        cancel: &CancelToken,
+    ) -> Result<&ObservabilityMatrix, RelogicError> {
+        self.observability.get_or_build(|| {
+            cancel.check("obs_build")?;
+            self.materialize(
+                &counters.observability_computed,
+                Store::load_observability,
+                Store::save_observability,
+                || {
+                    let dist = &InputDistribution::Uniform;
+                    let matrix = match (budget, self.backend) {
+                        (Some(budget), BackendSpec::Bdd) => {
+                            ObservabilityMatrix::try_compute_budgeted_cancellable(
+                                &self.circuit,
+                                dist,
+                                threads,
+                                budget,
+                                cancel,
+                            )
+                        }
+                        _ => ObservabilityMatrix::try_compute_threads_cancellable(
+                            &self.circuit,
+                            dist,
+                            self.backend.backend(),
+                            threads,
+                            cancel,
+                        ),
+                    }?;
+                    // Disk hits carry their persisted diagnostics, but the
+                    // engine aggregate counts only runs this process made.
+                    if let Some(stats) = matrix.diagnostics().bdd_stats() {
+                        counters.bdd_engine.record(stats);
+                    }
+                    Ok(matrix)
+                },
+            )
+        })
+    }
+
+    /// The observability matrix **only if it is already materialized** —
+    /// never triggers a compute.
     #[must_use]
     pub fn observability_if_ready(&self) -> Option<&ObservabilityMatrix> {
         self.observability.peek()
     }
 
     /// The propagation estimate (signal probabilities + per-output
-    /// observability estimates), materialized on first use.
+    /// observability estimates), materialized on first use, checking
+    /// `cancel` before the estimator runs (the estimator itself is
+    /// linear-time, so one up-front check is the right granularity). A
+    /// cancelled materialization leaves the slot empty.
     /// `counters.estimates_computed` increments only when this call
     /// actually runs the estimator.
     ///
@@ -612,43 +642,37 @@ impl Artifact {
     ///
     /// # Errors
     ///
-    /// Propagates the estimator's [`RelogicError`].
-    pub fn propagation_estimate(
-        &self,
-        counters: &CacheCounters,
-    ) -> Result<&PropagationEstimate, RelogicError> {
-        self.propagation_estimate_cancellable(counters, &CancelToken::new())
-    }
-
-    /// Like [`Artifact::propagation_estimate`], checking `cancel` before
-    /// the estimator runs (the estimator itself is linear-time, so one
-    /// up-front check is the right granularity). A cancelled
-    /// materialization leaves the slot empty.
-    ///
-    /// # Errors
-    ///
-    /// As [`Artifact::propagation_estimate`], plus
+    /// Propagates the estimator's [`RelogicError`], plus
     /// [`RelogicError::Cancelled`] once the token has fired.
-    pub fn propagation_estimate_cancellable(
+    pub fn propagation_estimate(
         &self,
         counters: &CacheCounters,
         cancel: &CancelToken,
     ) -> Result<&PropagationEstimate, RelogicError> {
         self.estimate.get_or_build(|| {
             cancel.check("estimate_build")?;
-            if let Some(disk) = &self.disk {
-                if let Some(e) = disk.load_estimate(self.key.store_key()) {
-                    return Ok(e);
-                }
-            }
-            counters.estimates_computed.fetch_add(1, Ordering::Relaxed);
-            let estimate =
-                PropagationEstimate::try_compute(&self.circuit, &InputDistribution::Uniform);
-            if let (Some(disk), Ok(e)) = (&self.disk, &estimate) {
-                disk.save_estimate(self.key.store_key(), e);
-            }
-            estimate
+            self.materialize(
+                &counters.estimates_computed,
+                Store::load_estimate,
+                Store::save_estimate,
+                || PropagationEstimate::try_compute(&self.circuit, &InputDistribution::Uniform),
+            )
         })
+    }
+
+    /// Where each slot materialized so far came from, in a fixed order
+    /// (`weights`, `observability`, `estimator`, `tape`).
+    #[must_use]
+    pub fn provenance(&self) -> Vec<(&'static str, &Origin)> {
+        [
+            ("weights", self.weights.origin()),
+            ("observability", self.observability.origin()),
+            ("estimator", self.estimate.origin()),
+            ("tape", self.tape.get().map(|(_, origin)| origin)),
+        ]
+        .into_iter()
+        .filter_map(|(slot, origin)| Some((slot, origin?)))
+        .collect()
     }
 
     /// Up-front byte charge for this artifact: netlist-scale circuit
@@ -1047,14 +1071,14 @@ mod tests {
         let (a1, o1) = cache.get_or_compile(&payload(SMALL)).unwrap();
         assert_eq!(o1, CacheOutcome::Miss);
         let w1 = a1
-            .weights(cache.counters())
+            .weights(cache.counters(), &CancelToken::new())
             .unwrap()
             .signal_probs()
             .to_vec();
         let (a2, o2) = cache.get_or_compile(&payload(SMALL)).unwrap();
         assert_eq!(o2, CacheOutcome::Hit);
         let w2 = a2
-            .weights(cache.counters())
+            .weights(cache.counters(), &CancelToken::new())
             .unwrap()
             .signal_probs()
             .to_vec();
@@ -1135,7 +1159,9 @@ mod tests {
     fn observability_charge_matches_materialized_footprint() {
         let cache = ArtifactCache::new(1 << 20);
         let (a, _) = cache.get_or_compile(&payload(SMALL)).unwrap();
-        let obs = a.observability(cache.counters()).unwrap();
+        let obs = a
+            .observability(cache.counters(), 0, &CancelToken::new())
+            .unwrap();
         assert_eq!(
             ObservabilityMatrix::projected_heap_bytes(a.circuit()),
             obs.approx_heap_bytes(),
@@ -1158,7 +1184,7 @@ mod tests {
         assert_eq!((entries, bytes), (0, 0));
         assert_eq!(cache.counters().evictions.load(Ordering::Relaxed), 2);
         // The held artifact keeps working after eviction.
-        assert!(held.weights(cache.counters()).is_ok());
+        assert!(held.weights(cache.counters(), &CancelToken::new()).is_ok());
         // And the next lookup recompiles.
         let (_, o) = cache.get_or_compile(&payload(SMALL)).unwrap();
         assert_eq!(o, CacheOutcome::Miss);
@@ -1177,13 +1203,19 @@ mod tests {
                 .load(Ordering::Relaxed),
             0
         );
-        let _ = a.propagation_estimate(cache.counters()).unwrap();
-        let _ = a.propagation_estimate(cache.counters()).unwrap();
+        let _ = a
+            .propagation_estimate(cache.counters(), &CancelToken::new())
+            .unwrap();
+        let _ = a
+            .propagation_estimate(cache.counters(), &CancelToken::new())
+            .unwrap();
         assert_eq!(
             cache.counters().estimates_computed.load(Ordering::Relaxed),
             1
         );
-        let _ = a.observability(cache.counters()).unwrap();
+        let _ = a
+            .observability(cache.counters(), 0, &CancelToken::new())
+            .unwrap();
         assert!(a.observability_if_ready().is_some());
     }
 
@@ -1197,23 +1229,25 @@ mod tests {
         let fired = CancelToken::new();
         fired.cancel();
 
-        let err = a
-            .observability_cancellable(cache.counters(), &fired)
-            .unwrap_err();
+        let err = a.observability(cache.counters(), 0, &fired).unwrap_err();
         assert_eq!(err.code(), "deadline_exceeded", "{err}");
         assert!(a.observability_if_ready().is_none(), "slot must stay empty");
-        assert!(a.observability(cache.counters()).is_ok());
+        assert!(a
+            .observability(cache.counters(), 0, &CancelToken::new())
+            .is_ok());
         assert!(a.observability_if_ready().is_some());
 
-        let err = a.weights_cancellable(cache.counters(), &fired).unwrap_err();
+        let err = a.weights(cache.counters(), &fired).unwrap_err();
         assert_eq!(err.code(), "deadline_exceeded", "{err}");
-        assert!(a.weights(cache.counters()).is_ok());
+        assert!(a.weights(cache.counters(), &CancelToken::new()).is_ok());
 
         let err = a
-            .propagation_estimate_cancellable(cache.counters(), &fired)
+            .propagation_estimate(cache.counters(), &fired)
             .unwrap_err();
         assert!(matches!(err, RelogicError::Cancelled(_)), "{err}");
-        assert!(a.propagation_estimate(cache.counters()).is_ok());
+        assert!(a
+            .propagation_estimate(cache.counters(), &CancelToken::new())
+            .is_ok());
     }
 
     #[test]
@@ -1230,9 +1264,13 @@ mod tests {
         // first, then the "waiter". The interleaved case is covered by
         // BuildGuard + the Empty reset; this pins the observable contract.
         assert!(artifact
-            .observability_cancellable(cache2.counters(), &fired)
+            .observability(cache2.counters(), 0, &fired)
             .is_err());
-        let fresh = std::thread::spawn(move || artifact.observability(cache2.counters()).is_ok());
+        let fresh = std::thread::spawn(move || {
+            artifact
+                .observability(cache2.counters(), 0, &CancelToken::new())
+                .is_ok()
+        });
         assert!(fresh.join().unwrap());
     }
 
@@ -1247,8 +1285,12 @@ mod tests {
                 .load(Ordering::Relaxed),
             0
         );
-        let _ = a.observability(cache.counters()).unwrap();
-        let _ = a.observability(cache.counters()).unwrap();
+        let _ = a
+            .observability(cache.counters(), 0, &CancelToken::new())
+            .unwrap();
+        let _ = a
+            .observability(cache.counters(), 0, &CancelToken::new())
+            .unwrap();
         assert_eq!(
             cache
                 .counters()

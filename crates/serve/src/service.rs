@@ -9,9 +9,11 @@
 use crate::api;
 use crate::cache::{ArtifactCache, DiskTier};
 use crate::json::Json;
-use crate::proto::{self, Request, RequestLimits, Response, ServeError};
+use crate::proto::{
+    self, BackendSpec, CircuitPayload, Request, RequestLimits, Response, ServeError,
+};
 use crate::stats::ServiceStats;
-use relogic::{CancelToken, GateEps, InputDistribution, ObservabilityMatrix, SweepTape};
+use relogic::{CancelToken, InputDistribution, SweepTape};
 use relogic_estimate::EstimatorPolicy;
 use relogic_sim::MonteCarloConfig;
 use std::collections::HashMap;
@@ -38,9 +40,6 @@ pub struct ServiceConfig {
     pub max_request_bytes: usize,
     /// Request-field validation ceilings.
     pub limits: RequestLimits,
-    /// Default worker threads for Monte Carlo requests that ask for
-    /// auto-detection (`0` keeps auto-detection).
-    pub default_threads: usize,
     /// Maximum analysis requests executing at once; further analysis
     /// frames are shed with an `overloaded` error and a `retry_after_ms`
     /// hint instead of queueing behind saturated workers. `0` disables
@@ -68,7 +67,6 @@ impl Default for ServiceConfig {
             timeout_ms: 10_000,
             max_request_bytes: 4 << 20,
             limits: RequestLimits::default(),
-            default_threads: 0,
             max_inflight: 0,
             cache_dir: None,
             #[cfg(feature = "chaos")]
@@ -87,7 +85,7 @@ struct ServiceInner {
     draining: AtomicBool,
     /// Installed by the server: reports the worker-pool queue depth for
     /// the `health` kind (absent when the service runs without a server,
-    /// e.g. in the CLI's one-shot mode).
+    /// e.g. in tests).
     queue_probe: OnceLock<Box<dyn Fn() -> usize + Send + Sync>>,
     /// Cancel token of every request currently executing, keyed by a
     /// monotonic registration id. Graceful drain fires them all once the
@@ -352,24 +350,14 @@ impl Service {
         response.to_line()
     }
 
-    /// Executes a parsed request with no timeout (used by the CLI's
-    /// one-shot JSON mode and by the supervisor's runner thread).
+    /// Executes a parsed request under `cancel` with no timeout of its own,
+    /// threading the token through every engine (the supervisor's runner
+    /// thread and its inline path call this; a fresh token runs unbounded).
+    /// A fired token surfaces as a typed `deadline_exceeded` body (counted in
+    /// `stats.cancelled`); a run that completes is bit-identical to one
+    /// executed with a fresh token.
     #[must_use]
-    pub fn execute(&self, id: Option<Json>, request: Request) -> Response {
-        self.execute_cancellable(id, request, &CancelToken::new())
-    }
-
-    /// Executes a parsed request under `cancel`, threading the token
-    /// through every engine. A fired token surfaces as a typed
-    /// `deadline_exceeded` body (counted in `stats.cancelled`); a run that
-    /// completes is bit-identical to one executed with a fresh token.
-    #[must_use]
-    pub fn execute_cancellable(
-        &self,
-        id: Option<Json>,
-        request: Request,
-        cancel: &CancelToken,
-    ) -> Response {
+    pub fn execute(&self, id: Option<Json>, request: Request, cancel: &CancelToken) -> Response {
         let kind = request.kind();
         let body = self.execute_body(&request, cancel);
         if matches!(body, Err(ServeError::DeadlineExceeded { .. })) {
@@ -402,7 +390,7 @@ impl Service {
         client_gone: Option<&dyn Fn() -> bool>,
     ) -> Response {
         if matches!(request, Request::Stats | Request::Health) {
-            return self.execute(id, request);
+            return self.execute(id, request, &CancelToken::new());
         }
         let server_ms = self.inner.config.timeout_ms;
         let request_ms = request.deadline_ms();
@@ -427,7 +415,7 @@ impl Service {
         if effective_ms.is_none() && client_gone.is_none() {
             // Nothing to supervise: run inline. The token stays
             // registered so graceful drain can still fire it.
-            let response = self.execute_cancellable(id, request, &token);
+            let response = self.execute(id, request, &token);
             drop(registration);
             return self.finalize(response, &token, request_binding, server_ms);
         }
@@ -445,7 +433,7 @@ impl Service {
         // a typed `internal`.
         std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                service.execute_cancellable(id, request, &runner_token)
+                service.execute(id, request, &runner_token)
             }));
             match outcome {
                 Ok(response) => {
@@ -580,7 +568,7 @@ impl Service {
                 ..
             } => {
                 let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let weights = artifact.weights_cancellable(self.inner.cache.counters(), cancel)?;
+                let weights = artifact.weights(self.inner.cache.counters(), cancel)?;
                 let mut result = api::analyze_result_cancellable(
                     artifact.circuit(),
                     weights,
@@ -599,7 +587,7 @@ impl Service {
             } => {
                 let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
                 let observability =
-                    artifact.observability_cancellable(self.inner.cache.counters(), cancel)?;
+                    artifact.observability(self.inner.cache.counters(), 0, cancel)?;
                 let mut result =
                     api::observability_result(artifact.circuit(), observability, eps, *per_gate)?;
                 result.push("cache", Json::from(outcome.tag()));
@@ -617,11 +605,7 @@ impl Service {
                 let config = MonteCarloConfig {
                     patterns: *patterns,
                     seed: *seed,
-                    threads: if *threads == 0 {
-                        self.inner.config.default_threads
-                    } else {
-                        *threads
-                    },
+                    threads: *threads,
                     ..MonteCarloConfig::default()
                 };
                 let tape = artifact.tape(self.inner.cache.counters());
@@ -643,60 +627,29 @@ impl Service {
                 seed,
                 ..
             } => {
-                let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let counters = self.inner.cache.counters();
-                let gate_eps =
-                    GateEps::try_uniform(artifact.circuit(), *eps).map_err(ServeError::from)?;
+                // The exact tier is a BDD computation: it answers from the
+                // circuit's BDD-backed artifact whatever backend was named.
+                let (artifact, outcome) = if circuit.backend == BackendSpec::Bdd {
+                    self.inner.cache.get_or_compile(circuit)?
+                } else {
+                    self.inner.cache.get_or_compile(&CircuitPayload {
+                        backend: BackendSpec::Bdd,
+                        ..circuit.clone()
+                    })?
+                };
                 let policy = EstimatorPolicy {
                     bdd_node_budget: *bdd_node_budget,
                     mc_patterns: *patterns,
                     mc_seed: *seed,
                     ..EstimatorPolicy::default()
                 };
-                let report = relogic_estimate::run_estimate_cancellable(
+                let report = api::estimate(
+                    &artifact,
+                    self.inner.cache.counters(),
+                    *eps,
                     &policy,
+                    0,
                     cancel,
-                    |budget| {
-                        // An already-materialized observability matrix is
-                        // the exact answer for free; a cold artifact runs
-                        // the *budgeted* build compute-and-drop, so a
-                        // budget trip can never poison the cache slot.
-                        if let Some(matrix) = artifact.observability_if_ready() {
-                            return Ok(matrix.closed_form(&gate_eps));
-                        }
-                        ObservabilityMatrix::try_compute_budgeted_cancellable(
-                            artifact.circuit(),
-                            &InputDistribution::Uniform,
-                            self.inner.config.default_threads,
-                            budget,
-                            cancel,
-                        )
-                        .map(|m| m.closed_form(&gate_eps))
-                    },
-                    || {
-                        artifact
-                            .propagation_estimate_cancellable(counters, cancel)
-                            .map(|est| est.closed_form(&gate_eps))
-                    },
-                    |mc_patterns, mc_seed| {
-                        let config = MonteCarloConfig {
-                            patterns: mc_patterns,
-                            seed: mc_seed,
-                            threads: self.inner.config.default_threads,
-                            ..MonteCarloConfig::default()
-                        };
-                        Ok(relogic_sim::try_estimate_tape_cancellable(
-                            artifact.circuit(),
-                            artifact.tape(counters),
-                            gate_eps.as_slice(),
-                            &config,
-                            relogic_sim::DEFAULT_LANES,
-                            cancel,
-                        )
-                        .map_err(relogic::RelogicError::from)?
-                        .per_output()
-                        .to_vec())
-                    },
                 )
                 .map_err(ServeError::from)?;
                 self.inner.stats.record_tiers(&report.diagnostics);
@@ -734,7 +687,7 @@ impl Service {
                 ..
             } => {
                 let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let weights = artifact.weights_cancellable(self.inner.cache.counters(), cancel)?;
+                let weights = artifact.weights(self.inner.cache.counters(), cancel)?;
                 let tape =
                     SweepTape::try_new(artifact.circuit(), weights).map_err(ServeError::from)?;
                 let report = relogic_estimate::critical_eps_cancellable(
@@ -1152,7 +1105,7 @@ mod tests {
         );
         let token = CancelToken::new();
         token.cancel();
-        let response = svc.execute_cancellable(id, parsed.unwrap(), &token);
+        let response = svc.execute(id, parsed.unwrap(), &token);
         match response.body {
             Err(ServeError::DeadlineExceeded { .. }) => {}
             other => panic!("expected deadline_exceeded, got {other:?}"),
@@ -1299,6 +1252,55 @@ mod tests {
             }
         };
         assert_eq!(delta_of(&obs), delta_of(&est));
+    }
+
+    #[test]
+    fn budget_trip_is_never_cached_and_a_completed_build_fills_the_slot() {
+        let svc = service();
+        let estimate = |budget: u64| {
+            svc.handle_line(&format!(
+                r#"{{"kind":"estimate","netlist":"{SMALL}","eps":0.1,"bdd_node_budget":{budget}}}"#
+            ))
+        };
+        let computed = || {
+            svc.cache()
+                .counters()
+                .observability_computed
+                .load(Ordering::Relaxed)
+        };
+        // The budgeted build trips: the estimate escalates, and the slot
+        // stays empty instead of freezing the trip.
+        let tripped = estimate(1);
+        assert!(tripped.contains("\"tier\":\"propagation\""), "{tripped}");
+        assert!(tripped.contains("budget"), "{tripped}");
+        assert_eq!(computed(), 0);
+        let obs = svc.handle_line(&format!(
+            r#"{{"kind":"observability","netlist":"{SMALL}","eps":0.1}}"#
+        ));
+        assert!(obs.contains("\"ok\":true"), "{obs}");
+        assert_eq!(computed(), 1, "the observability request computes once");
+        // The filled slot now answers the exact tier under any budget.
+        let exact = estimate(1);
+        assert!(exact.contains("\"tier\":\"exact\""), "{exact}");
+        assert_eq!(computed(), 1);
+
+        // On a fresh service a completed budgeted build fills the slot, so
+        // the observability request that follows computes nothing.
+        let svc = service();
+        let out = svc.handle_line(&format!(
+            r#"{{"kind":"estimate","netlist":"{SMALL}","eps":0.1}}"#
+        ));
+        assert!(out.contains("\"tier\":\"exact\""), "{out}");
+        let _ = svc.handle_line(&format!(
+            r#"{{"kind":"observability","netlist":"{SMALL}","eps":0.1}}"#
+        ));
+        assert_eq!(
+            svc.cache()
+                .counters()
+                .observability_computed
+                .load(Ordering::Relaxed),
+            1
+        );
     }
 
     #[test]

@@ -96,6 +96,23 @@ pub fn joint_input_counts_biased(
     patterns: u64,
     seed: u64,
 ) -> Vec<Vec<u64>> {
+    weight_samples_biased(circuit, sampler, patterns, seed).0
+}
+
+/// [`joint_input_counts_biased`] and [`signal_probabilities_biased`] from
+/// one simulation pass: both read the same sampled patterns, so each half
+/// is bit-identical to the separate call with the same arguments.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`joint_input_counts`].
+#[must_use]
+pub fn weight_samples_biased(
+    circuit: &Circuit,
+    sampler: &crate::InputSampler,
+    patterns: u64,
+    seed: u64,
+) -> (Vec<Vec<u64>>, Vec<f64>) {
     let blocks = patterns.div_ceil(64).max(1);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut sim = PackedSim::new(circuit);
@@ -114,10 +131,14 @@ pub fn joint_input_counts_biased(
             }
         })
         .collect();
+    let mut ones = vec![0u64; circuit.len()];
     let mut fanin_words: Vec<u64> = Vec::with_capacity(MAX_COUNTED_ARITY);
     for _ in 0..blocks {
         sampler.fill(&mut sim, &mut rng);
         sim.propagate(circuit);
+        for (count, &w) in ones.iter_mut().zip(sim.words()) {
+            *count += u64::from(w.count_ones());
+        }
         for (id, node) in circuit.iter() {
             if !node.kind().is_gate() {
                 continue;
@@ -146,7 +167,11 @@ pub fn joint_input_counts_biased(
             }
         }
     }
-    counts
+    #[allow(clippy::cast_precision_loss)]
+    let total = (blocks * 64) as f64;
+    #[allow(clippy::cast_precision_loss)]
+    let signal_probs = ones.iter().map(|&c| c as f64 / total).collect();
+    (counts, signal_probs)
 }
 
 /// Maximum gate arity supported by weight-vector estimation (the weight

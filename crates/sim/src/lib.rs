@@ -61,13 +61,13 @@ pub use cancel::{CancelToken, Cancelled};
 pub use error::SimError;
 pub use estimate::{
     joint_input_counts, joint_input_counts_biased, observabilities, observabilities_biased,
-    signal_probabilities, signal_probabilities_biased, ObservabilityEstimate, MAX_COUNTED_ARITY,
+    signal_probabilities, signal_probabilities_biased, weight_samples_biased,
+    ObservabilityEstimate, MAX_COUNTED_ARITY,
 };
 pub use exec::{available_threads, ChunkExecutor, SubmitRejection};
 pub use exhaustive::{exact_reliability, flip_influence, ExactReliability};
 pub use monte_carlo::{
-    estimate, try_estimate, try_estimate_cancellable, MonteCarloConfig, NodeErrorStats,
-    ReliabilityEstimate,
+    estimate, try_estimate, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate,
 };
 pub use packed::{exhaustive_block_count, exhaustive_lane_mask, exhaustive_word, PackedSim};
 pub use sampler::InputSampler;

@@ -294,31 +294,13 @@ pub fn try_estimate(
     node_eps: &[f64],
     config: &MonteCarloConfig,
 ) -> Result<ReliabilityEstimate, SimError> {
-    try_estimate_cancellable(circuit, node_eps, config, &crate::CancelToken::new())
-}
-
-/// [`try_estimate`] under a [`crate::CancelToken`]: the token is polled at
-/// every chunk hand-out ([`crate::CHUNK_BLOCKS`] blocks). A fired token
-/// returns [`SimError::Cancelled`] — never a partial estimate. A run that
-/// completes before the token fires is bit-identical to an undeadlined run.
-///
-/// # Errors
-///
-/// Everything [`try_estimate`] returns, plus [`SimError::Cancelled`] when
-/// `cancel` fires mid-run.
-pub fn try_estimate_cancellable(
-    circuit: &Circuit,
-    node_eps: &[f64],
-    config: &MonteCarloConfig,
-    cancel: &crate::CancelToken,
-) -> Result<ReliabilityEstimate, SimError> {
     crate::try_estimate_tape_cancellable(
         circuit,
         &CircuitTape::compile(circuit),
         node_eps,
         config,
         crate::DEFAULT_LANES,
-        cancel,
+        &crate::CancelToken::new(),
     )
 }
 
