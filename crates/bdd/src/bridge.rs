@@ -161,7 +161,7 @@ impl VarOrder {
     }
 }
 
-/// Returned by [`CircuitBdds::try_build_budgeted`] when the base circuit
+/// Carried by [`BuildInterrupt::Budget`] when the base circuit
 /// construction exceeds its live-node budget.
 ///
 /// The construction sequence is deterministic (node order, operand order,
@@ -254,7 +254,10 @@ impl CircuitBdds {
     }
 
     /// Like [`CircuitBdds::build`], but checks the manager's live-node
-    /// count after every gate and aborts once it exceeds `budget`.
+    /// count after every gate and aborts once it exceeds `budget`, and
+    /// consults a caller-supplied interrupt poll at the same per-gate point
+    /// — the allocation/ite hot path's existing bookkeeping stop, so the
+    /// added cost is one predictable branch per gate.
     ///
     /// This is the enforcement point for tiered estimation: the *base*
     /// construction is the deterministic part of exact analysis (every
@@ -262,36 +265,10 @@ impl CircuitBdds {
     /// trips identically for every thread count — and it is where
     /// multiplier-class circuits (c6288) blow up in the first place.
     ///
-    /// # Errors
-    ///
-    /// [`BuildBudgetExceeded`] as soon as the live-node count passes
-    /// `budget`; the partially-built functions are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager has fewer variables than the order requires.
-    pub fn try_build_budgeted(
-        manager: &mut BddManager,
-        circuit: &Circuit,
-        order: &VarOrder,
-        budget: usize,
-    ) -> Result<Self, BuildBudgetExceeded> {
-        match Self::try_build_interruptible(manager, circuit, order, budget, &mut || false) {
-            Ok(bdds) => Ok(bdds),
-            Err(BuildInterrupt::Budget(e)) => Err(e),
-            Err(BuildInterrupt::Interrupted) => unreachable!("the never-interrupt poll"),
-        }
-    }
-
-    /// [`CircuitBdds::try_build_budgeted`] with a caller-supplied interrupt
-    /// poll, consulted at the same per-gate point as the live-node budget —
-    /// the allocation/ite hot path's existing bookkeeping stop, so the
-    /// added cost is one predictable branch per gate.
-    ///
     /// The poll must be cheap (the cancellation layer's `is_cancelled()`
     /// is a couple of relaxed atomic loads) and *read-only*: interrupting
     /// never changes what a completed build produces, only whether it
-    /// completes.
+    /// completes. Pass `&mut || false` when only the budget applies.
     ///
     /// # Errors
     ///
@@ -595,9 +572,9 @@ mod tests {
                 .unwrap_err();
         assert_eq!(err, BuildInterrupt::Interrupted);
         // A never-firing poll builds the identical functions as the plain
-        // budgeted build (interruption is read-only).
+        // build (interruption is read-only).
         let mut m1 = BddManager::new(order.len());
-        let a = CircuitBdds::try_build_budgeted(&mut m1, &c, &order, usize::MAX).unwrap();
+        let a = CircuitBdds::build(&mut m1, &c, &order);
         let mut m2 = BddManager::new(order.len());
         let b =
             CircuitBdds::try_build_interruptible(&mut m2, &c, &order, usize::MAX, &mut || false)

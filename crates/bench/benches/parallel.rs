@@ -7,7 +7,7 @@
 //! between the `threads/N` rows is pure execution-layer speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use relogic::sweep::{epsilon_grid, sweep_single_pass_threads};
+use relogic::sweep::{epsilon_grid, sweep_single_pass};
 use relogic::{Backend, GateEps, InputDistribution, SinglePassOptions, Weights};
 use relogic_sim::{estimate, MonteCarloConfig};
 use std::hint::black_box;
@@ -43,7 +43,7 @@ fn bench_sweep_threads(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(format!("c499x50/threads{threads}"), |b| {
             b.iter(|| {
-                black_box(sweep_single_pass_threads(
+                black_box(sweep_single_pass(
                     &circuit,
                     &weights,
                     SinglePassOptions::default(),

@@ -28,8 +28,8 @@ fn main() {
     let small = suite::fig1_example();
     let obs =
         ObservabilityMatrix::compute(&small, &InputDistribution::Uniform, relogic::Backend::Bdd);
-    let cf = sweep::sweep_closed_form(&small, &obs, &grid);
-    let mc = sweep::sweep_monte_carlo(&small, &cli.mc_config(), &grid);
+    let cf = sweep::sweep_closed_form(&small, &obs, &grid, 1).expect("closed-form sweep");
+    let mc = sweep::sweep_monte_carlo(&small, &cli.mc_config(), &grid, 1).expect("MC sweep");
     println!("Fig. 1(b) analogue: delta(eps) for the Fig. 1(a)-style circuit\n");
     let rows: Vec<Vec<String>> = grid
         .iter()
@@ -66,8 +66,8 @@ fn main() {
     let b9 = suite::b9();
     let obs_b9 =
         ObservabilityMatrix::compute(&b9, &InputDistribution::Uniform, relogic::Backend::Bdd);
-    let cf9 = sweep::sweep_closed_form(&b9, &obs_b9, &grid);
-    let mc9 = sweep::sweep_monte_carlo(&b9, &cli.mc_config(), &grid);
+    let cf9 = sweep::sweep_closed_form(&b9, &obs_b9, &grid, 1).expect("closed-form sweep");
+    let mc9 = sweep::sweep_monte_carlo(&b9, &cli.mc_config(), &grid, 1).expect("MC sweep");
     let cones = relogic_netlist::structure::output_cone_sizes(&b9);
     let output = cones
         .iter()

@@ -35,9 +35,7 @@ fn main() {
     for name in CIRCUITS {
         let circuit = relogic_gen::suite::build(name).expect("suite circuit");
         let started = Instant::now();
-        let obs =
-            ObservabilityMatrix::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd)
-                .expect("observability");
+        let obs = ObservabilityMatrix::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let stats = obs
             .diagnostics()

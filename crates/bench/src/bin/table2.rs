@@ -61,7 +61,7 @@ fn main() {
 
         // Runtime: cumulative 50-run sweeps, as the paper reports.
         let t_mc = Instant::now();
-        let _ = sweep::sweep_monte_carlo(&circuit, &cli.mc_config(), &sweep_points);
+        sweep::sweep_monte_carlo(&circuit, &cli.mc_config(), &sweep_points, 1).expect("MC sweep");
         let mc_time = t_mc.elapsed();
         let t_sp = Instant::now();
         for &e in &sweep_points {

@@ -20,9 +20,12 @@
 //! engine bit for bit.
 
 use relogic::{
-    Backend, GateEps, InputDistribution, SinglePass, SinglePassOptions, SweepTape, Weights,
+    Backend, CancelToken, GateEps, InputDistribution, SinglePass, SinglePassOptions, SweepTape,
+    Weights,
 };
-use relogic_sim::{available_threads, estimate_tape, CircuitTape, MonteCarloConfig, DEFAULT_LANES};
+use relogic_sim::{
+    available_threads, try_estimate_tape, CircuitTape, MonteCarloConfig, DEFAULT_LANES,
+};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -75,17 +78,15 @@ fn main() {
     let mc_tape = CircuitTape::compile(&i10);
     let mc_compile_us = t.elapsed().as_secs_f64() * 1e6;
 
-    let reference = estimate_tape(
-        &i10,
-        &mc_tape,
-        eps.as_slice(),
-        &MonteCarloConfig {
-            patterns,
-            threads: 1,
-            ..MonteCarloConfig::default()
-        },
-        DEFAULT_LANES,
-    );
+    let never = CancelToken::new();
+    let run = |cfg: &MonteCarloConfig| {
+        try_estimate_tape(&i10, &mc_tape, eps.as_slice(), cfg, &never).expect("valid MC run")
+    };
+    let reference = run(&MonteCarloConfig {
+        patterns,
+        threads: 1,
+        ..MonteCarloConfig::default()
+    });
     let mut mc_rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let cfg = MonteCarloConfig {
@@ -93,16 +94,10 @@ fn main() {
             threads,
             ..MonteCarloConfig::default()
         };
-        let r = estimate_tape(&i10, &mc_tape, eps.as_slice(), &cfg, DEFAULT_LANES);
+        let r = run(&cfg);
         assert_eq!(r, reference, "tape estimate must be thread-count invariant");
         let secs = best_of(reps, || {
-            std::hint::black_box(estimate_tape(
-                &i10,
-                &mc_tape,
-                eps.as_slice(),
-                &cfg,
-                DEFAULT_LANES,
-            ));
+            std::hint::black_box(run(&cfg));
         });
         #[allow(clippy::cast_precision_loss)]
         let pps = patterns as f64 / secs;
@@ -137,11 +132,15 @@ fn main() {
     let t = Instant::now();
     let sweep_tape = SweepTape::try_new(&c499, &weights).expect("c499 compiles");
     let sweep_compile_us = t.elapsed().as_secs_f64() * 1e6;
-    let mut curves = sweep_tape.try_run_grid(&grid, 1).expect("grid runs");
+    let mut curves = sweep_tape
+        .try_run_grid(&grid, 1, &never)
+        .expect("grid runs");
     // The grid kernel finishes in under a millisecond, so take the best
     // of extra repetitions to keep the ratio out of timer noise.
     let grid_secs = best_of(4 * reps, || {
-        curves = sweep_tape.try_run_grid(&grid, 1).expect("grid runs");
+        curves = sweep_tape
+            .try_run_grid(&grid, 1, &never)
+            .expect("grid runs");
     });
 
     let mut worst = 0.0f64;

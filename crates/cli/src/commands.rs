@@ -644,13 +644,8 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
 fn sweep(c: &Circuit, opts: &Options) -> Result<String, CliError> {
     let weights = analysis_weights(c, opts)?;
     let grid = relogic::sweep::try_epsilon_grid(opts.points, 0.0, opts.max_eps)?;
-    let curves = relogic::sweep::try_sweep_single_pass_threads(
-        c,
-        &weights,
-        engine_options(opts),
-        &grid,
-        opts.threads,
-    )?;
+    let curves =
+        relogic::sweep::sweep_single_pass(c, &weights, engine_options(opts), &grid, opts.threads)?;
     let mut out = String::from("eps");
     for o in c.outputs() {
         out.push_str(&format!(",{}", o.name()));
@@ -690,14 +685,7 @@ fn monte_carlo(c: &Circuit, opts: &Options) -> Result<String, CliError> {
         ));
     }
     let eps = GateEps::try_uniform(c, opts.eps)?;
-    let r = relogic_sim::try_estimate_tape_cancellable(
-        c,
-        &tape,
-        eps.as_slice(),
-        &config,
-        relogic_sim::DEFAULT_LANES,
-        &cancel,
-    )?;
+    let r = relogic_sim::try_estimate_tape(c, &tape, eps.as_slice(), &config, &cancel)?;
     let mut out = format!(
         "monte carlo at eps = {} ({} patterns)\n",
         opts.eps,
@@ -1011,7 +999,13 @@ fn cache_warm(store: &Store, loaded: &LoadedNetlist, opts: &Options) -> Result<S
     if matches!(store.load_observability(key)?, Loaded::Hit(_)) {
         out.push_str("observability: already present\n");
     } else {
-        let obs = ObservabilityMatrix::try_compute(c, &InputDistribution::Uniform, opts.backend())?;
+        let obs = ObservabilityMatrix::try_compute_threads_cancellable(
+            c,
+            &InputDistribution::Uniform,
+            opts.backend(),
+            0,
+            &relogic::CancelToken::new(),
+        )?;
         store.save_observability(key, &obs)?;
         out.push_str("observability: computed and stored\n");
     }

@@ -51,12 +51,14 @@ OPTIONS:
     --max-eps <F>           epsilon grid upper bound             [default: 0.5]
     --no-correlations       disable reconvergent-fanout correction
     --per-node              also print per-node error probabilities (analyze)
-    --diagnostics           print clamp/fallback counters (analyze, sweep)
+    --diagnostics           print engine diagnostics (analyze, observability,
+                            sweep, mc, rank, estimate, critical-eps)
     --strict                reject eps > 0.5 and non-finite intermediates
                             instead of degrading gracefully
     --to <bench|blif|verilog|dot>  target format for convert     [default: blif]
     --top <N>               rows to print for rank               [default: 10]
-    --threads <N>           worker threads for mc/sweep/serve, 0 = auto-detect
+    --threads <N>           worker threads for observability, sweep, mc,
+                            rank, estimate and serve; 0 = auto-detect
                             (results are identical for every N)  [default: 0]
     --partner-cap <N|none>  cap the correlation partners tracked per node
                             (accuracy/time dial; `none` lifts the cap)

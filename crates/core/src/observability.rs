@@ -199,64 +199,42 @@ impl ObservabilityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if the input distribution does not match the circuit.
+    /// Panics on any condition
+    /// [`ObservabilityMatrix::try_compute_threads_cancellable`] reports as
+    /// an error, e.g. an input distribution that does not match the
+    /// circuit.
     #[must_use]
     pub fn compute(circuit: &Circuit, dist: &InputDistribution, backend: Backend) -> Self {
-        match Self::try_compute(circuit, dist, backend) {
+        let never = CancelToken::new();
+        match Self::try_compute_threads_cancellable(circuit, dist, backend, 0, &never) {
             Ok(m) => m,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible [`ObservabilityMatrix::compute`].
-    ///
-    /// # Errors
-    ///
-    /// [`RelogicError::DistributionMismatch`] if the input distribution
-    /// does not match the circuit, or [`RelogicError::CircuitTooLarge`] if
-    /// the circuit exhausts the BDD variable space.
-    pub fn try_compute(
-        circuit: &Circuit,
-        dist: &InputDistribution,
-        backend: Backend,
-    ) -> Result<Self, RelogicError> {
-        Self::try_compute_threads(circuit, dist, backend, 0)
-    }
-
-    /// Like [`ObservabilityMatrix::try_compute`] with an explicit worker
-    /// thread count for the BDD backend (`0` auto-detects the hardware).
+    /// Fallible [`ObservabilityMatrix::compute`] with an explicit worker
+    /// thread count for the BDD backend (`0` auto-detects the hardware),
+    /// checking `cancel` while it works.
     ///
     /// Results are **bit-identical for every thread count**: each worker
     /// rebuilds the circuit's BDDs through the same deterministic
     /// construction sequence, so a node's row does not depend on which
     /// worker computed it, and rows are reassembled in node order.
     ///
-    /// # Errors
-    ///
-    /// As [`ObservabilityMatrix::try_compute`].
-    pub fn try_compute_threads(
-        circuit: &Circuit,
-        dist: &InputDistribution,
-        backend: Backend,
-        threads: usize,
-    ) -> Result<Self, RelogicError> {
-        let never = CancelToken::new();
-        Self::try_compute_threads_cancellable(circuit, dist, backend, threads, &never)
-    }
-
-    /// Like [`ObservabilityMatrix::try_compute_threads`], checking `cancel`
-    /// while it works.
-    ///
-    /// The BDD backend checks per output chunk and per node of each
-    /// backward sweep; the simulation backend checks once before the
+    /// The BDD backend checks `cancel` per output chunk and per node of
+    /// each backward sweep; the simulation backend checks once before the
     /// pattern run. A run that completes before the token fires returns
     /// values bit-identical to an uncancelled run — the checks are
     /// read-only early exits that never perturb the computation.
     ///
     /// # Errors
     ///
-    /// [`RelogicError::Cancelled`] once the token fires, otherwise as
-    /// [`ObservabilityMatrix::try_compute`].
+    /// [`RelogicError::DistributionMismatch`] if the input distribution
+    /// does not match the circuit, [`RelogicError::CircuitTooLarge`] if
+    /// the circuit exhausts the BDD variable space, [`RelogicError::Sim`]
+    /// wrapping [`relogic_sim::SimError::ZeroPatternBudget`] for a sampled
+    /// backend with zero patterns, or [`RelogicError::Cancelled`] once the
+    /// token fires.
     pub fn try_compute_threads_cancellable(
         circuit: &Circuit,
         dist: &InputDistribution,
@@ -267,6 +245,9 @@ impl ObservabilityMatrix {
         let _ = dist.try_position_probs(circuit)?;
         match backend {
             Backend::Bdd => Self::compute_bdd(circuit, dist, threads, cancel),
+            Backend::Simulation { patterns: 0, .. } => {
+                Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
+            }
             Backend::Simulation { patterns, seed } => {
                 cancel.check("obs_sim")?;
                 let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(circuit));
@@ -289,9 +270,9 @@ impl ObservabilityMatrix {
         }
     }
 
-    /// Like [`ObservabilityMatrix::try_compute_threads`] with the BDD
-    /// backend, but the deterministic base circuit construction is bounded
-    /// by a live-node `budget`.
+    /// Like [`ObservabilityMatrix::try_compute_threads_cancellable`] with
+    /// the BDD backend and no cancellation, but the deterministic base
+    /// circuit construction is bounded by a live-node `budget`.
     ///
     /// The budget is checked gate-by-gate during a single-threaded probe
     /// build — the identical sequence every parallel worker would replay —
@@ -304,7 +285,8 @@ impl ObservabilityMatrix {
     /// # Errors
     ///
     /// [`RelogicError::BddBudgetExceeded`] when the probe build trips the
-    /// budget, otherwise as [`ObservabilityMatrix::try_compute`].
+    /// budget, otherwise as
+    /// [`ObservabilityMatrix::try_compute_threads_cancellable`].
     pub fn try_compute_budgeted(
         circuit: &Circuit,
         dist: &InputDistribution,
@@ -630,7 +612,7 @@ impl ObservabilityMatrix {
     }
 
     /// Rebuilds a matrix from deserialized arrays, validating what
-    /// [`ObservabilityMatrix::try_compute`] guarantees: one row per node,
+    /// [`ObservabilityMatrix::compute`] guarantees: one row per node,
     /// uniform row width, and every value finite. Checksummed payloads
     /// still route through here so a hash collision degrades into an
     /// error, never a panic downstream.
@@ -680,7 +662,7 @@ impl ObservabilityMatrix {
         row_payload + row_headers + self.any_output.len() * 8
     }
 
-    /// The heap footprint [`ObservabilityMatrix::try_compute`] *would*
+    /// The heap footprint [`ObservabilityMatrix::compute`] *would*
     /// produce for `circuit`, computable without running either backend
     /// (rows are `output_count` wide for every node — a pure function of
     /// circuit structure). Lets a cache charge an entry for its

@@ -4,7 +4,7 @@
 
 use crate::{Diagnostics, GateEps, RelogicError, SinglePass, SinglePassOptions, Weights};
 use relogic_netlist::Circuit;
-use relogic_sim::{try_estimate_tape, ChunkExecutor, CircuitTape, MonteCarloConfig, DEFAULT_LANES};
+use relogic_sim::{try_estimate_tape, CancelToken, ChunkExecutor, CircuitTape, MonteCarloConfig};
 
 /// An evenly spaced ε grid of `points` values covering `[lo, hi]`
 /// inclusive.
@@ -91,62 +91,19 @@ impl DeltaCurves {
 /// Sweeps the single-pass engine over `eps_values` (uniform per-gate ε).
 ///
 /// The weight vectors are computed by the caller once and shared across the
-/// whole sweep — the reuse the paper highlights in §4(i). Equivalent to
-/// [`sweep_single_pass_threads`] with `threads = 1`.
-#[must_use]
-pub fn sweep_single_pass(
-    circuit: &Circuit,
-    weights: &Weights,
-    options: SinglePassOptions,
-    eps_values: &[f64],
-) -> DeltaCurves {
-    sweep_single_pass_threads(circuit, weights, options, eps_values, 1)
-}
-
-/// Fallible [`sweep_single_pass`].
-///
-/// # Errors
-///
-/// Any error of [`SinglePass::try_new`] or [`SinglePass::try_run`], e.g. an
-/// out-of-range ε under the strict policy.
-pub fn try_sweep_single_pass(
-    circuit: &Circuit,
-    weights: &Weights,
-    options: SinglePassOptions,
-    eps_values: &[f64],
-) -> Result<DeltaCurves, RelogicError> {
-    try_sweep_single_pass_threads(circuit, weights, options, eps_values, 1)
-}
-
-/// Multi-threaded [`sweep_single_pass`]: grid points are evaluated in
-/// parallel on `threads` workers (`0` = auto-detect) against one shared,
-/// immutable [`SinglePass`] engine (and hence one shared [`Weights`]).
-///
-/// Each grid point is an independent, purely analytical evaluation, so the
-/// curves are identical for every thread count.
-#[must_use]
-pub fn sweep_single_pass_threads(
-    circuit: &Circuit,
-    weights: &Weights,
-    options: SinglePassOptions,
-    eps_values: &[f64],
-    threads: usize,
-) -> DeltaCurves {
-    match try_sweep_single_pass_threads(circuit, weights, options, eps_values, threads) {
-        Ok(curves) => curves,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`sweep_single_pass_threads`]: the first grid point that fails
-/// validation aborts the sweep with its error; per-point diagnostics are
-/// merged into [`DeltaCurves::diagnostics`].
+/// whole sweep — the reuse the paper highlights in §4(i). Grid points are
+/// evaluated in parallel on `threads` workers (`0` = auto-detect) against
+/// one shared, immutable [`SinglePass`] engine. Each grid point is an
+/// independent, purely analytical evaluation, so the curves are identical
+/// for every thread count. The first grid point that fails validation
+/// aborts the sweep with its error; per-point diagnostics are merged into
+/// [`DeltaCurves::diagnostics`].
 ///
 /// # Errors
 ///
 /// Any error of [`SinglePass::try_new`], [`GateEps::try_uniform`], or
-/// [`SinglePass::try_run`].
-pub fn try_sweep_single_pass_threads(
+/// [`SinglePass::try_run`], e.g. an out-of-range ε under the strict policy.
+pub fn sweep_single_pass(
     circuit: &Circuit,
     weights: &Weights,
     options: SinglePassOptions,
@@ -158,7 +115,11 @@ pub fn try_sweep_single_pass_threads(
     // same curves as the per-point engine (same arithmetic per lane).
     // Strict mode stays on the per-point path for its ε ≤ 0.5 policy.
     if !options.correlations && !options.strict {
-        return crate::SweepTape::try_new(circuit, weights)?.try_run_grid(eps_values, threads);
+        return crate::SweepTape::try_new(circuit, weights)?.try_run_grid(
+            eps_values,
+            threads,
+            &CancelToken::new(),
+        );
     }
     let engine = SinglePass::try_new(circuit, weights, options)?;
     let rows = ChunkExecutor::new(threads).map_chunks(eps_values.len(), |i| {
@@ -181,32 +142,7 @@ pub fn try_sweep_single_pass_threads(
 }
 
 /// Sweeps Monte Carlo fault injection over `eps_values`, deriving a distinct
-/// RNG seed per point from `config.seed`. Equivalent to
-/// [`sweep_monte_carlo_threads`] with `threads = 1`.
-#[must_use]
-pub fn sweep_monte_carlo(
-    circuit: &Circuit,
-    config: &MonteCarloConfig,
-    eps_values: &[f64],
-) -> DeltaCurves {
-    sweep_monte_carlo_threads(circuit, config, eps_values, 1)
-}
-
-/// Fallible [`sweep_monte_carlo`].
-///
-/// # Errors
-///
-/// [`RelogicError::Sim`] wrapping any Monte Carlo validation failure (zero
-/// pattern budget, bad ε vector …), or [`GateEps::try_uniform`] errors.
-pub fn try_sweep_monte_carlo(
-    circuit: &Circuit,
-    config: &MonteCarloConfig,
-    eps_values: &[f64],
-) -> Result<DeltaCurves, RelogicError> {
-    try_sweep_monte_carlo_threads(circuit, config, eps_values, 1)
-}
-
-/// Multi-threaded [`sweep_monte_carlo`]: grid points run in parallel on
+/// RNG seed per point from `config.seed`; grid points run in parallel on
 /// `threads` workers (`0` = auto-detect).
 ///
 /// When the sweep fans out (`> 1` workers), each point's estimator runs
@@ -216,26 +152,12 @@ pub fn try_sweep_monte_carlo(
 /// and the point index alone, and the estimator is bit-identical for every
 /// `threads` value, so the whole sweep is too — a 7-thread sweep reproduces
 /// the 1-thread curves exactly.
-#[must_use]
-pub fn sweep_monte_carlo_threads(
-    circuit: &Circuit,
-    config: &MonteCarloConfig,
-    eps_values: &[f64],
-    threads: usize,
-) -> DeltaCurves {
-    match try_sweep_monte_carlo_threads(circuit, config, eps_values, threads) {
-        Ok(curves) => curves,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`sweep_monte_carlo_threads`].
 ///
 /// # Errors
 ///
-/// [`RelogicError::Sim`] wrapping any Monte Carlo validation failure, or
-/// [`GateEps::try_uniform`] errors.
-pub fn try_sweep_monte_carlo_threads(
+/// [`RelogicError::Sim`] wrapping any Monte Carlo validation failure (zero
+/// pattern budget, bad ε vector …), or [`GateEps::try_uniform`] errors.
+pub fn sweep_monte_carlo(
     circuit: &Circuit,
     config: &MonteCarloConfig,
     eps_values: &[f64],
@@ -248,6 +170,7 @@ pub fn try_sweep_monte_carlo_threads(
         config.threads
     };
     let tape = CircuitTape::compile(circuit);
+    let never = CancelToken::new();
     let rows = executor.map_chunks(eps_values.len(), |i| {
         let cfg = MonteCarloConfig {
             seed: config
@@ -257,7 +180,7 @@ pub fn try_sweep_monte_carlo_threads(
             ..config.clone()
         };
         let eps = GateEps::try_uniform(circuit, eps_values[i])?;
-        let est = try_estimate_tape(circuit, &tape, eps.as_slice(), &cfg, DEFAULT_LANES)?;
+        let est = try_estimate_tape(circuit, &tape, eps.as_slice(), &cfg, &never)?;
         Ok::<_, RelogicError>(est.per_output().to_vec())
     });
     let delta = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -268,39 +191,14 @@ pub fn try_sweep_monte_carlo_threads(
     })
 }
 
-/// Sweeps the observability closed form (Eq. 3) over `eps_values`.
-/// Equivalent to [`sweep_closed_form_threads`] with `threads = 1`.
-#[must_use]
-pub fn sweep_closed_form(
-    circuit: &Circuit,
-    obs: &crate::ObservabilityMatrix,
-    eps_values: &[f64],
-) -> DeltaCurves {
-    sweep_closed_form_threads(circuit, obs, eps_values, 1)
-}
-
-/// Multi-threaded [`sweep_closed_form`]: grid points are evaluated in
-/// parallel on `threads` workers (`0` = auto-detect) against the shared,
-/// immutable observability matrix.
-#[must_use]
-pub fn sweep_closed_form_threads(
-    circuit: &Circuit,
-    obs: &crate::ObservabilityMatrix,
-    eps_values: &[f64],
-    threads: usize,
-) -> DeltaCurves {
-    match try_sweep_closed_form_threads(circuit, obs, eps_values, threads) {
-        Ok(curves) => curves,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`sweep_closed_form_threads`].
+/// Sweeps the observability closed form (Eq. 3) over `eps_values`; grid
+/// points are evaluated in parallel on `threads` workers (`0` =
+/// auto-detect) against the shared, immutable observability matrix.
 ///
 /// # Errors
 ///
 /// [`GateEps::try_uniform`] errors for any grid value outside `[0, 1]`.
-pub fn try_sweep_closed_form_threads(
+pub fn sweep_closed_form(
     circuit: &Circuit,
     obs: &crate::ObservabilityMatrix,
     eps_values: &[f64],
@@ -361,13 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn try_sweep_propagates_grid_point_errors() {
+    fn sweep_propagates_grid_point_errors() {
         use crate::RelogicError;
         let c = circuit();
         let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let err = try_sweep_single_pass(&c, &w, SinglePassOptions::default(), &[0.1, 1.5]);
+        let err = sweep_single_pass(&c, &w, SinglePassOptions::default(), &[0.1, 1.5], 1);
         assert!(matches!(err, Err(RelogicError::InvalidEpsilon { .. })));
-        let ok = try_sweep_single_pass(&c, &w, SinglePassOptions::default(), &[0.1, 0.2]).unwrap();
+        let ok = sweep_single_pass(&c, &w, SinglePassOptions::default(), &[0.1, 0.2], 1).unwrap();
         assert_eq!(ok.delta.len(), 2);
     }
 
@@ -376,7 +274,7 @@ mod tests {
         let c = circuit();
         let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         let grid = epsilon_grid(6, 0.0, 0.25);
-        let curves = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid);
+        let curves = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, 1).unwrap();
         assert_eq!(curves.delta.len(), 6);
         assert_eq!(curves.delta[0], vec![0.0]);
         let curve = curves.output_curve(0);
@@ -390,7 +288,7 @@ mod tests {
         let c = circuit();
         let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         let grid = epsilon_grid(4, 0.0, 0.3);
-        let sp = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid);
+        let sp = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, 1).unwrap();
         let mc = sweep_monte_carlo(
             &c,
             &MonteCarloConfig {
@@ -398,7 +296,9 @@ mod tests {
                 ..MonteCarloConfig::default()
             },
             &grid,
-        );
+            1,
+        )
+        .unwrap();
         for (s, m) in sp.delta.iter().zip(&mc.delta) {
             assert!((s[0] - m[0]).abs() < 0.02, "{} vs {}", s[0], m[0]);
         }
@@ -408,23 +308,32 @@ mod tests {
     fn sweeps_are_identical_for_every_thread_count() {
         let c = circuit();
         let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         let grid = epsilon_grid(7, 0.0, 0.4);
-        let sp1 = sweep_single_pass_threads(&c, &w, SinglePassOptions::default(), &grid, 1);
+        let sp = |threads| {
+            sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, threads).unwrap()
+        };
+        // Uncorrelated and non-strict: the `SweepTape` grid route.
+        let tape = |threads| {
+            let options = SinglePassOptions::without_correlations();
+            sweep_single_pass(&c, &w, options, &grid, threads).unwrap()
+        };
         let cfg = MonteCarloConfig {
             patterns: 4096,
             ..MonteCarloConfig::default()
         };
-        let mc1 = sweep_monte_carlo_threads(&c, &cfg, &grid, 1);
+        let mc = |threads| sweep_monte_carlo(&c, &cfg, &grid, threads).unwrap();
+        let cf = |threads| sweep_closed_form(&c, &obs, &grid, threads).unwrap();
+        let (sp1, tape1, mc1, cf1) = (sp(1), tape(1), mc(1), cf(1));
         for threads in [2, 3, 7] {
-            let sp =
-                sweep_single_pass_threads(&c, &w, SinglePassOptions::default(), &grid, threads);
-            assert_eq!(sp.delta, sp1.delta, "single-pass sweep @ {threads} threads");
-            let mc = sweep_monte_carlo_threads(&c, &cfg, &grid, threads);
-            assert_eq!(mc.delta, mc1.delta, "MC sweep @ {threads} threads");
+            let at = format!("@ {threads} threads");
+            assert_eq!(sp(threads).delta, sp1.delta, "single-pass sweep {at}");
+            assert_eq!(tape(threads).delta, tape1.delta, "tape-routed sweep {at}");
+            assert_eq!(mc(threads).delta, mc1.delta, "MC sweep {at}");
+            assert_eq!(cf(threads).delta, cf1.delta, "closed-form sweep {at}");
         }
-        // The sequential wrapper is the threads = 1 case.
-        let mc_wrap = sweep_monte_carlo(&c, &cfg, &grid);
-        assert_eq!(mc_wrap.delta, mc1.delta);
+        // The auto-detected width (threads = 0) is one more thread count.
+        assert_eq!(mc(0).delta, mc1.delta);
     }
 
     #[test]
@@ -433,8 +342,8 @@ mod tests {
         let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         let grid = epsilon_grid(3, 0.0, 0.02);
-        let sp = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid);
-        let cf = sweep_closed_form(&c, &obs, &grid);
+        let sp = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, 1).unwrap();
+        let cf = sweep_closed_form(&c, &obs, &grid, 1).unwrap();
         for (s, f) in sp.delta.iter().zip(&cf.delta) {
             assert!((s[0] - f[0]).abs() < 1e-3);
         }

@@ -1,6 +1,6 @@
 //! Grid-vectorized single-pass sweep engine over a compiled circuit tape.
 //!
-//! [`crate::sweep::try_sweep_single_pass_threads`] evaluates the plain §4
+//! [`crate::sweep::sweep_single_pass`] evaluates the plain §4
 //! algorithm once per ε grid point, re-walking the node graph and
 //! re-deriving each gate's flip enumeration (`propagated_ratios`) every
 //! time. For a 50-point sweep that is 50 traversals of structure that
@@ -78,7 +78,7 @@ struct OutputTap {
 /// # Examples
 ///
 /// ```
-/// use relogic::{Backend, InputDistribution, SweepTape, Weights};
+/// use relogic::{Backend, CancelToken, InputDistribution, SweepTape, Weights};
 /// use relogic_netlist::Circuit;
 ///
 /// let mut c = Circuit::new("inv");
@@ -88,7 +88,7 @@ struct OutputTap {
 ///
 /// let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
 /// let tape = SweepTape::try_new(&c, &w).unwrap();
-/// let curves = tape.try_run_grid(&[0.0, 0.1, 0.2], 1).unwrap();
+/// let curves = tape.try_run_grid(&[0.0, 0.1, 0.2], 1, &CancelToken::new()).unwrap();
 /// assert!((curves.delta[1][0] - 0.1).abs() < 1e-12);
 /// ```
 #[derive(Clone, Debug)]
@@ -333,34 +333,22 @@ impl SweepTape {
 
     /// Evaluates δ(ε) for every output at every value of `eps_values`
     /// (uniform per-gate ε, sources at 0 — the exact configuration of
-    /// [`crate::sweep::try_sweep_single_pass`]), carrying [`GRID_LANES`]
+    /// [`crate::sweep::sweep_single_pass`]), carrying [`GRID_LANES`]
     /// grid points per traversal and fanning chunks of the grid out over
     /// `threads` workers (`0` = auto-detect).
     ///
-    /// # Errors
-    ///
-    /// [`RelogicError::InvalidEpsilon`] if any grid value is non-finite
-    /// or outside `[0, 1]`.
-    pub fn try_run_grid(
-        &self,
-        eps_values: &[f64],
-        threads: usize,
-    ) -> Result<DeltaCurves, RelogicError> {
-        self.try_run_grid_cancellable(eps_values, threads, &CancelToken::new())
-    }
-
-    /// [`SweepTape::try_run_grid`] under a [`CancelToken`]: the token is
-    /// polled at every grid-chunk hand-out ([`GRID_LANES`] grid points,
-    /// the check-interval granularity of the sweep engine). A fired token
-    /// returns [`RelogicError::Cancelled`] — never a partial curve. A
+    /// `cancel` is polled at every grid-chunk hand-out ([`GRID_LANES`] grid
+    /// points, the check-interval granularity of the sweep engine). A fired
+    /// token returns [`RelogicError::Cancelled`] — never a partial curve. A
     /// sweep that completes before the token fires is bit-identical to an
     /// undeadlined sweep at every thread count.
     ///
     /// # Errors
     ///
-    /// Everything [`SweepTape::try_run_grid`] returns, plus
-    /// [`RelogicError::Cancelled`] when `cancel` fires mid-sweep.
-    pub fn try_run_grid_cancellable(
+    /// [`RelogicError::InvalidEpsilon`] if any grid value is non-finite
+    /// or outside `[0, 1]`, or [`RelogicError::Cancelled`] when `cancel`
+    /// fires mid-sweep.
+    pub fn try_run_grid(
         &self,
         eps_values: &[f64],
         threads: usize,
@@ -619,7 +607,7 @@ mod tests {
         let tape = SweepTape::try_new(&c, &w).unwrap();
         let engine = SinglePass::new(&c, &w, SinglePassOptions::without_correlations());
         let grid = crate::sweep::epsilon_grid(23, 0.0, 0.5);
-        let curves = tape.try_run_grid(&grid, 1).unwrap();
+        let curves = tape.try_run_grid(&grid, 1, &CancelToken::new()).unwrap();
         for (i, &e) in grid.iter().enumerate() {
             let r = engine.run(&GateEps::uniform(&c, e));
             for (k, &d) in r.per_output().iter().enumerate() {
@@ -638,9 +626,11 @@ mod tests {
         let w = weights(&c);
         let tape = SweepTape::try_new(&c, &w).unwrap();
         let grid = crate::sweep::epsilon_grid(19, 0.0, 0.4);
-        let one = tape.try_run_grid(&grid, 1).unwrap();
+        let one = tape.try_run_grid(&grid, 1, &CancelToken::new()).unwrap();
         for threads in [2, 3, 8] {
-            let multi = tape.try_run_grid(&grid, threads).unwrap();
+            let multi = tape
+                .try_run_grid(&grid, threads, &CancelToken::new())
+                .unwrap();
             assert_eq!(one.delta, multi.delta, "{threads} threads");
         }
     }
@@ -656,18 +646,16 @@ mod tests {
         fired.cancel();
         for threads in [1, 4] {
             assert!(matches!(
-                tape.try_run_grid_cancellable(&grid, threads, &fired),
+                tape.try_run_grid(&grid, threads, &fired),
                 Err(RelogicError::Cancelled(_))
             ));
         }
         // Generous deadline: bit-identical to the undeadlined sweep at
         // every thread count.
-        let plain = tape.try_run_grid(&grid, 1).unwrap();
+        let plain = tape.try_run_grid(&grid, 1, &CancelToken::new()).unwrap();
         for threads in [1, 2, 8] {
             let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-            let under = tape
-                .try_run_grid_cancellable(&grid, threads, &token)
-                .unwrap();
+            let under = tape.try_run_grid(&grid, threads, &token).unwrap();
             assert_eq!(plain.delta, under.delta, "{threads} threads");
         }
     }
@@ -709,11 +697,11 @@ mod tests {
         ));
         let tape = SweepTape::try_new(&c, &w).unwrap();
         assert!(matches!(
-            tape.try_run_grid(&[0.1, 1.5], 1),
+            tape.try_run_grid(&[0.1, 1.5], 1, &CancelToken::new()),
             Err(RelogicError::InvalidEpsilon { .. })
         ));
         assert!(matches!(
-            tape.try_run_grid(&[f64::NAN], 1),
+            tape.try_run_grid(&[f64::NAN], 1, &CancelToken::new()),
             Err(RelogicError::InvalidEpsilon { .. })
         ));
     }
@@ -727,8 +715,8 @@ mod tests {
         let b = SweepTape::try_with_tape(&c, &ct, &w).unwrap();
         let grid = crate::sweep::epsilon_grid(9, 0.0, 0.3);
         assert_eq!(
-            a.try_run_grid(&grid, 1).unwrap().delta,
-            b.try_run_grid(&grid, 1).unwrap().delta
+            a.try_run_grid(&grid, 1, &CancelToken::new()).unwrap().delta,
+            b.try_run_grid(&grid, 1, &CancelToken::new()).unwrap().delta
         );
     }
 }

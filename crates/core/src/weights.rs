@@ -65,8 +65,11 @@ impl Weights {
     /// # Errors
     ///
     /// [`RelogicError::ArityExceeded`] if a gate's arity exceeds
-    /// [`MAX_ANALYSIS_ARITY`], or [`RelogicError::DistributionMismatch`]
-    /// if the input distribution does not match the circuit.
+    /// [`MAX_ANALYSIS_ARITY`], [`RelogicError::DistributionMismatch`]
+    /// if the input distribution does not match the circuit, or
+    /// [`RelogicError::Sim`] wrapping
+    /// [`relogic_sim::SimError::ZeroPatternBudget`] for a sampled backend
+    /// with zero patterns.
     pub fn try_compute(
         circuit: &Circuit,
         dist: &InputDistribution,
@@ -83,12 +86,15 @@ impl Weights {
         }
         // Validate up front so the backends can use the infallible lookup.
         let _ = dist.try_position_probs(circuit)?;
-        Ok(match backend {
-            Backend::Bdd => Self::compute_bdd(circuit, dist),
-            Backend::Simulation { patterns, seed } => {
-                Self::compute_sim(circuit, dist, patterns, seed)
+        match backend {
+            Backend::Bdd => Ok(Self::compute_bdd(circuit, dist)),
+            Backend::Simulation { patterns: 0, .. } => {
+                Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
             }
-        })
+            Backend::Simulation { patterns, seed } => {
+                Ok(Self::compute_sim(circuit, dist, patterns, seed))
+            }
+        }
     }
 
     fn compute_bdd(circuit: &Circuit, dist: &InputDistribution) -> Self {
@@ -536,5 +542,25 @@ mod tests {
         let g = c.and(ins);
         c.add_output("y", g);
         let _ = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+    }
+
+    #[test]
+    fn sampled_backends_reject_a_zero_pattern_budget() {
+        let c = reconvergent();
+        let dist = InputDistribution::Uniform;
+        let zero = Backend::Simulation {
+            patterns: 0,
+            seed: 1,
+        };
+        let want = RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget);
+        assert_eq!(Weights::try_compute(&c, &dist, zero).unwrap_err(), want);
+        let obs = crate::ObservabilityMatrix::try_compute_threads_cancellable(
+            &c,
+            &dist,
+            zero,
+            1,
+            &crate::CancelToken::new(),
+        );
+        assert_eq!(obs.unwrap_err(), want);
     }
 }

@@ -11,7 +11,7 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use relogic::{Backend, InputDistribution, ObservabilityMatrix};
+use relogic::{Backend, CancelToken, InputDistribution, ObservabilityMatrix};
 use relogic_netlist::{Circuit, GateKind, NodeId};
 use relogic_sim::flip_influence;
 
@@ -107,9 +107,7 @@ proptest! {
     #[test]
     fn bdd_matrix_matches_exhaustive(seed in arb_circuit()) {
         let c = build_circuit(&seed);
-        let obs =
-            ObservabilityMatrix::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)
-                .unwrap();
+        let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         for id in c.node_ids() {
             let inf = flip_influence(&c, &[id]);
             for (k, &exact) in inf.iter().enumerate().take(c.output_count()) {
@@ -133,12 +131,13 @@ proptest! {
     #[test]
     fn thread_count_never_changes_results(seed in arb_circuit()) {
         let c = build_circuit(&seed);
-        let one = ObservabilityMatrix::try_compute_threads(
-            &c, &InputDistribution::Uniform, Backend::Bdd, 1,
+        let never = CancelToken::new();
+        let one = ObservabilityMatrix::try_compute_threads_cancellable(
+            &c, &InputDistribution::Uniform, Backend::Bdd, 1, &never,
         )
         .unwrap();
-        let four = ObservabilityMatrix::try_compute_threads(
-            &c, &InputDistribution::Uniform, Backend::Bdd, 4,
+        let four = ObservabilityMatrix::try_compute_threads_cancellable(
+            &c, &InputDistribution::Uniform, Backend::Bdd, 4, &never,
         )
         .unwrap();
         for id in c.node_ids() {

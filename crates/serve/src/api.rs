@@ -193,15 +193,9 @@ pub fn monte_carlo_result_tape_cancellable(
     cancel: &CancelToken,
 ) -> Result<Json, ServeError> {
     let gate_eps = GateEps::try_uniform(circuit, eps).map_err(ServeError::from)?;
-    let estimate = relogic_sim::try_estimate_tape_cancellable(
-        circuit,
-        tape,
-        gate_eps.as_slice(),
-        config,
-        relogic_sim::DEFAULT_LANES,
-        cancel,
-    )
-    .map_err(ServeError::from)?;
+    let estimate =
+        relogic_sim::try_estimate_tape(circuit, tape, gate_eps.as_slice(), config, cancel)
+            .map_err(ServeError::from)?;
     monte_carlo_json(circuit, eps, config, &estimate)
 }
 
@@ -252,12 +246,11 @@ pub fn estimate(
                 threads,
                 ..MonteCarloConfig::default()
             };
-            Ok(relogic_sim::try_estimate_tape_cancellable(
+            Ok(relogic_sim::try_estimate_tape(
                 circuit,
                 artifact.tape(counters),
                 gate_eps.as_slice(),
                 &config,
-                relogic_sim::DEFAULT_LANES,
                 cancel,
             )?
             .per_output()
@@ -413,8 +406,7 @@ mod tests {
     #[test]
     fn observability_result_matches_closed_form() {
         let c = small();
-        let obs = ObservabilityMatrix::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)
-            .unwrap();
+        let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         let r = observability_result(&c, &obs, &[0.1], true).unwrap();
         let points = r.get("points").and_then(Json::as_array).unwrap();
         let delta = points[0].get("delta").and_then(Json::as_array).unwrap();

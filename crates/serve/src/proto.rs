@@ -282,7 +282,8 @@ impl Request {
 pub struct RequestLimits {
     /// Maximum ε points per analyze/observability request.
     pub max_eps_points: usize,
-    /// Maximum Monte Carlo pattern budget per request.
+    /// Maximum pattern count per request: the Monte Carlo and estimate
+    /// `patterns` and the sampled backend's `backend_patterns`.
     pub max_patterns: u64,
     /// Maximum worker threads a request may demand.
     pub max_threads: usize,
@@ -546,7 +547,7 @@ fn build_request(doc: &Json, limits: &RequestLimits) -> Result<Request, ServeErr
         .ok_or_else(|| bad("missing or non-string `kind`"))?;
     match kind {
         "analyze" => {
-            let circuit = circuit_payload(doc)?;
+            let circuit = circuit_payload(doc, limits)?;
             let eps = eps_list(doc, limits)?;
             let options = analyze_options(doc)?;
             let deadline_ms = opt_u64(doc, "deadline_ms", 0)?;
@@ -558,7 +559,7 @@ fn build_request(doc: &Json, limits: &RequestLimits) -> Result<Request, ServeErr
             })
         }
         "observability" => {
-            let circuit = circuit_payload(doc)?;
+            let circuit = circuit_payload(doc, limits)?;
             let eps = eps_list(doc, limits)?;
             let per_gate = opt_bool(doc, "per_gate", false)?;
             let deadline_ms = opt_u64(doc, "deadline_ms", 0)?;
@@ -570,7 +571,7 @@ fn build_request(doc: &Json, limits: &RequestLimits) -> Result<Request, ServeErr
             })
         }
         "monte_carlo" => {
-            let circuit = circuit_payload(doc)?;
+            let circuit = circuit_payload(doc, limits)?;
             let eps = opt_f64(doc, "eps", DEFAULT_EPS)?;
             let patterns = opt_u64(doc, "patterns", DEFAULT_PATTERNS)?;
             if patterns > limits.max_patterns {
@@ -599,7 +600,7 @@ fn build_request(doc: &Json, limits: &RequestLimits) -> Result<Request, ServeErr
             })
         }
         "estimate" => {
-            let circuit = circuit_payload(doc)?;
+            let circuit = circuit_payload(doc, limits)?;
             let eps = opt_f64(doc, "eps", DEFAULT_EPS)?;
             let bdd_node_budget = usize::try_from(opt_u64(
                 doc,
@@ -626,7 +627,7 @@ fn build_request(doc: &Json, limits: &RequestLimits) -> Result<Request, ServeErr
             })
         }
         "harden" => {
-            let circuit = circuit_payload(doc)?;
+            let circuit = circuit_payload(doc, limits)?;
             let eps = opt_f64(doc, "eps", DEFAULT_EPS)?;
             let area_budget = opt_f64(doc, "area_budget", DEFAULT_AREA_BUDGET)?;
             let max_steps = usize::try_from(opt_u64(doc, "max_steps", 0)?)
@@ -641,7 +642,7 @@ fn build_request(doc: &Json, limits: &RequestLimits) -> Result<Request, ServeErr
             })
         }
         "critical_eps" => {
-            let circuit = circuit_payload(doc)?;
+            let circuit = circuit_payload(doc, limits)?;
             let threshold = opt_f64(doc, "threshold", DEFAULT_CRITICAL_THRESHOLD)?;
             let metric = match doc.get("metric") {
                 None => CriticalMetric::Max,
@@ -675,7 +676,7 @@ fn bad(message: &str) -> ServeError {
     ServeError::BadRequest(message.to_owned())
 }
 
-fn circuit_payload(doc: &Json) -> Result<CircuitPayload, ServeError> {
+fn circuit_payload(doc: &Json, limits: &RequestLimits) -> Result<CircuitPayload, ServeError> {
     let netlist = doc
         .get("netlist")
         .and_then(Json::as_str)
@@ -696,10 +697,19 @@ fn circuit_payload(doc: &Json) -> Result<CircuitPayload, ServeError> {
         None => BackendSpec::Bdd,
         Some(v) => match v.as_str() {
             Some("bdd") => BackendSpec::Bdd,
-            Some("sim") => BackendSpec::Sim {
-                patterns: opt_u64(doc, "backend_patterns", DEFAULT_PATTERNS)?,
-                seed: opt_u64(doc, "backend_seed", 1)?,
-            },
+            Some("sim") => {
+                let patterns = opt_u64(doc, "backend_patterns", DEFAULT_PATTERNS)?;
+                if patterns == 0 || patterns > limits.max_patterns {
+                    return Err(bad(&format!(
+                        "backend_patterns {patterns} is outside 1..={}",
+                        limits.max_patterns
+                    )));
+                }
+                BackendSpec::Sim {
+                    patterns,
+                    seed: opt_u64(doc, "backend_seed", 1)?,
+                }
+            }
             _ => return Err(bad("unknown backend (expected \"bdd\" or \"sim\")")),
         },
     };
@@ -1068,6 +1078,27 @@ mod tests {
             &limits,
         );
         assert!(matches!(req, Err(ServeError::BadRequest(_))));
+    }
+
+    #[test]
+    fn sampled_backend_pattern_count_is_bounded() {
+        let limits = RequestLimits {
+            max_patterns: 100,
+            ..RequestLimits::default()
+        };
+        for patterns in [0, 101] {
+            let line = format!(
+                r#"{{"kind":"analyze","netlist":"x","backend":"sim","backend_patterns":{patterns}}}"#
+            );
+            let (_, req) = parse_request(&line, &limits);
+            assert!(
+                matches!(req, Err(ServeError::BadRequest(_))),
+                "backend_patterns {patterns}: {req:?}"
+            );
+        }
+        let line = r#"{"kind":"analyze","netlist":"x","backend":"sim","backend_patterns":100}"#;
+        let (_, req) = parse_request(line, &limits);
+        assert!(req.is_ok(), "{req:?}");
     }
 
     #[test]

@@ -235,7 +235,7 @@ fn pool_handle(pool: &WorkerPool) -> Submit {
         // wedged pool) the job is dropped and its PendingConn guard
         // answers the client with `overloaded` instead of leaving the
         // connection silently stuck behind the accept loop.
-        let _ = submitter.submit_timeout_boxed(job, SUBMIT_WAIT);
+        let _ = submitter.submit(job, SUBMIT_WAIT);
     })
 }
 

@@ -59,11 +59,6 @@ pub enum SimError {
         /// The requested resolution.
         resolution: u32,
     },
-    /// An unsupported SIMD lane width was requested from the tape executor.
-    InvalidLaneWidth {
-        /// The requested number of `u64` lanes.
-        lanes: usize,
-    },
     /// An output index passed to a result accessor is out of range.
     OutputIndexOutOfRange {
         /// The requested output index.
@@ -102,9 +97,6 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidBitResolution { resolution } => {
                 write!(f, "bit resolution {resolution} out of 1..=32")
-            }
-            SimError::InvalidLaneWidth { lanes } => {
-                write!(f, "unsupported lane width {lanes} (expected 1, 2, 4, or 8)")
             }
             SimError::OutputIndexOutOfRange { index, outputs } => write!(
                 f,

@@ -16,8 +16,8 @@
 //!   position, as the tape Monte Carlo kernel does) get bit-identical
 //!   results for any `threads` value.
 //! * Workers can keep per-thread scratch state (simulator buffers) via
-//!   [`ChunkExecutor::map_chunks_with`], amortizing allocations across all
-//!   chunks a worker processes.
+//!   [`ChunkExecutor::try_map_chunks_with_state`], amortizing allocations
+//!   across all chunks a worker processes.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -73,65 +73,39 @@ impl ChunkExecutor {
 
     /// Maps `work` over chunk indices `0..chunks`, returning results in
     /// index order regardless of which worker processed which chunk.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from any worker thread.
     pub fn map_chunks<T, F>(&self, chunks: usize, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.map_chunks_with(chunks, || (), |(), i| work(i))
-    }
-
-    /// Like [`ChunkExecutor::map_chunks`], but each worker thread first
-    /// builds scratch state with `init` and reuses it for every chunk it
-    /// processes — the hook the Monte Carlo engine uses to allocate its
-    /// simulator buffers once per worker rather than once per chunk.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker thread.
-    pub fn map_chunks_with<S, T, I, F>(&self, chunks: usize, init: I, work: F) -> Vec<T>
-    where
-        T: Send,
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        self.map_chunks_with_state(chunks, init, work).0
-    }
-
-    /// Like [`ChunkExecutor::map_chunks_with`], but also returns the final
-    /// scratch state of every worker that ran (in no particular order).
-    ///
-    /// This is the hook for workloads whose per-worker state accumulates
-    /// reportable information — the BDD-backed observability engine keeps a
-    /// whole decision-diagram manager per worker and merges the managers'
-    /// statistics after the fan-out.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker thread.
-    pub fn map_chunks_with_state<S, T, I, F>(
-        &self,
-        chunks: usize,
-        init: I,
-        work: F,
-    ) -> (Vec<T>, Vec<S>)
-    where
-        T: Send,
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
         let never = CancelToken::new();
-        match self.try_map_chunks_with_state(chunks, &never, "exec_chunk", init, |scratch, i| {
-            Ok(work(scratch, i))
-        }) {
-            Ok(out) => out,
+        match self.try_map_chunks_with_state(
+            chunks,
+            &never,
+            "exec_chunk",
+            || (),
+            |(), i| Ok(work(i)),
+        ) {
+            Ok((out, _)) => out,
             Err(_) => unreachable!("a fresh token never fires"),
         }
     }
 
-    /// The cancellable core behind every `map_chunks*` variant.
+    /// Like [`ChunkExecutor::map_chunks`], under a [`CancelToken`] and with
+    /// per-worker scratch state.
+    ///
+    /// Each worker thread first builds scratch state with `init` and
+    /// reuses it for every chunk it processes — the hook the Monte Carlo
+    /// engine uses to allocate its simulator buffers once per worker rather
+    /// than once per chunk. The final scratch state of every worker that
+    /// ran comes back alongside the results (in no particular order): the
+    /// BDD-backed observability engine keeps a whole decision-diagram
+    /// manager per worker and merges the managers' statistics after the
+    /// fan-out.
     ///
     /// Workers poll `cancel` before claiming each chunk and stop claiming
     /// once it fires; a chunk's `work` may also notice cancellation itself
@@ -254,32 +228,19 @@ impl ChunkExecutor {
     }
 }
 
-/// Error returned by [`WorkerPool::submit`] once the pool has begun
-/// shutting down: the job was not (and will never be) executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolClosed;
-
-impl std::fmt::Display for PoolClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker pool is shutting down; job rejected")
-    }
-}
-
-impl std::error::Error for PoolClosed {}
-
-/// Why a non-blocking submission was rejected.
+/// Why a submission was rejected.
 ///
-/// Returned by the [`WorkerPool::try_submit`] / [`WorkerPool::submit_timeout`]
-/// family. In every rejection case the job is **dropped unexecuted** — its
-/// destructor runs on the submitting thread, which callers can exploit to
-/// attach cleanup (e.g. `relogic-serve` answers a rejected connection with an
-/// `overloaded` farewell from the job's drop guard).
+/// Returned by [`PoolSubmitter::submit`]. In every rejection case the job
+/// is **dropped unexecuted** — its destructor runs on the submitting
+/// thread, which callers can exploit to attach cleanup (e.g.
+/// `relogic-serve` answers a rejected connection with an `overloaded`
+/// farewell from the job's drop guard).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitRejection {
     /// The pool has begun shutting down; it will never accept the job.
     Closed,
-    /// The queue stayed at capacity for the allowed wait (zero for
-    /// `try_submit`); the pool is overloaded or wedged.
+    /// The queue stayed at capacity for the allowed wait; the pool is
+    /// overloaded or wedged.
     Full,
 }
 
@@ -311,17 +272,6 @@ struct PoolShared {
     chaos: std::sync::OnceLock<Arc<crate::chaos::Chaos>>,
 }
 
-/// How long a submission may wait for queue space.
-#[derive(Clone, Copy)]
-enum Wait {
-    /// Fail immediately if the queue is at capacity.
-    None,
-    /// Block until space frees up or the pool closes.
-    Forever,
-    /// Block until the deadline, then fail with [`SubmitRejection::Full`].
-    Until(Instant),
-}
-
 impl PoolShared {
     /// Locks the pool state, recovering from a poisoned mutex (a panicking
     /// job must not wedge every other connection).
@@ -332,9 +282,10 @@ impl PoolShared {
         }
     }
 
-    /// Single enqueue path behind every submit variant. On `Err` the job
-    /// has been dropped (running its destructor on the calling thread).
-    fn push(&self, job: Job, wait: Wait) -> Result<(), SubmitRejection> {
+    /// Enqueues `job`, waiting for queue space until `deadline`. On `Err`
+    /// the job has been dropped (running its destructor on the calling
+    /// thread).
+    fn push(&self, job: Job, deadline: Instant) -> Result<(), SubmitRejection> {
         let mut state = self.lock();
         loop {
             if !state.open {
@@ -346,25 +297,14 @@ impl PoolShared {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            match wait {
-                Wait::None => return Err(SubmitRejection::Full),
-                Wait::Forever => {
-                    state = match self.not_full.wait(state) {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                }
-                Wait::Until(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(SubmitRejection::Full);
-                    }
-                    state = match self.not_full.wait_timeout(state, deadline - now) {
-                        Ok((g, _)) => g,
-                        Err(poisoned) => poisoned.into_inner().0,
-                    };
-                }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(SubmitRejection::Full);
             }
+            state = match self.not_full.wait_timeout(state, deadline - now) {
+                Ok((g, _)) => g,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
         }
     }
 }
@@ -376,9 +316,9 @@ impl PoolShared {
 /// layered above it: jobs arrive continuously (one per client connection in
 /// `relogic-serve`), each job may itself fan out through a `ChunkExecutor`,
 /// and the pool outlives every job. The queue bound is the backpressure
-/// mechanism — [`WorkerPool::submit`] blocks while the queue is full, so an
-/// accept loop naturally stops pulling work off the listener when the
-/// workers are saturated.
+/// mechanism — [`PoolSubmitter::submit`] waits (up to its timeout) while
+/// the queue is full, so an accept loop naturally stops pulling work off
+/// the listener when the workers are saturated.
 ///
 /// # Examples
 ///
@@ -386,15 +326,17 @@ impl PoolShared {
 /// use relogic_sim::exec::WorkerPool;
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 /// use std::sync::Arc;
+/// use std::time::Duration;
 ///
 /// let pool = WorkerPool::new(2, 8);
+/// let submitter = pool.submitter();
 /// let done = Arc::new(AtomicUsize::new(0));
 /// for _ in 0..5 {
 ///     let done = Arc::clone(&done);
-///     pool.submit(move || {
+///     let job = Box::new(move || {
 ///         done.fetch_add(1, Ordering::SeqCst);
-///     })
-///     .unwrap();
+///     });
+///     submitter.submit(job, Duration::from_secs(60)).unwrap();
 /// }
 /// pool.shutdown(); // drains the queue, then joins the workers
 /// assert_eq!(done.load(Ordering::SeqCst), 5);
@@ -447,54 +389,6 @@ impl WorkerPool {
         self.shared.lock().queue.len()
     }
 
-    /// Enqueues a job, blocking while the queue is at capacity
-    /// (backpressure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolClosed`] if [`WorkerPool::shutdown`] has begun; the
-    /// job is dropped unexecuted.
-    pub fn submit<F>(&self, job: F) -> Result<(), PoolClosed>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.shared
-            .push(Box::new(job), Wait::Forever)
-            .map_err(|_| PoolClosed)
-    }
-
-    /// Enqueues a job without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitRejection::Full`] if the queue is at capacity right now, or
-    /// [`SubmitRejection::Closed`] if shutdown has begun. Either way the
-    /// job is dropped unexecuted (its destructor runs here).
-    pub fn try_submit<F>(&self, job: F) -> Result<(), SubmitRejection>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.shared.push(Box::new(job), Wait::None)
-    }
-
-    /// Enqueues a job, blocking at most `timeout` for queue space — the
-    /// bounded-patience middle ground between [`WorkerPool::submit`]
-    /// (which can wedge the caller behind a stuck pool) and
-    /// [`WorkerPool::try_submit`].
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitRejection::Full`] if no space freed up within `timeout`, or
-    /// [`SubmitRejection::Closed`] if shutdown began while waiting. Either
-    /// way the job is dropped unexecuted (its destructor runs here).
-    pub fn submit_timeout<F>(&self, job: F, timeout: Duration) -> Result<(), SubmitRejection>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.shared
-            .push(Box::new(job), Wait::Until(Instant::now() + timeout))
-    }
-
     /// Installs a fault injector: every job the pool subsequently runs is
     /// preceded by [`crate::chaos::Chaos::pool_job_hook`] (a possible
     /// latency spike and/or injected panic, confined by the pool's per-job
@@ -507,8 +401,8 @@ impl WorkerPool {
 
     /// A cloneable submit handle that can outlive borrows of the pool
     /// (e.g. held by accept threads while the owner retains the pool for
-    /// shutdown). Submitting through the handle behaves exactly like
-    /// [`WorkerPool::submit`].
+    /// shutdown). Every job enters the pool through
+    /// [`PoolSubmitter::submit`].
     #[must_use]
     pub fn submitter(&self) -> PoolSubmitter {
         PoolSubmitter {
@@ -540,35 +434,18 @@ pub struct PoolSubmitter {
 }
 
 impl PoolSubmitter {
-    /// Enqueues an already-boxed job, blocking while the queue is full.
+    /// Enqueues a job, waiting at most `timeout` for queue space
+    /// (backpressure with bounded patience: a stuck pool can never wedge
+    /// the caller). `Duration::ZERO` rejects at once when the queue is
+    /// full.
     ///
     /// # Errors
     ///
-    /// Returns [`PoolClosed`] if the pool has begun shutting down.
-    pub fn submit_boxed(&self, job: Job) -> Result<(), PoolClosed> {
-        self.shared.push(job, Wait::Forever).map_err(|_| PoolClosed)
-    }
-
-    /// Enqueues an already-boxed job without blocking; see
-    /// [`WorkerPool::try_submit`] for the rejection contract.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitRejection`] on a full queue or a closed pool; the job is
-    /// dropped unexecuted either way.
-    pub fn try_submit_boxed(&self, job: Job) -> Result<(), SubmitRejection> {
-        self.shared.push(job, Wait::None)
-    }
-
-    /// Enqueues an already-boxed job, blocking at most `timeout`; see
-    /// [`WorkerPool::submit_timeout`] for the rejection contract.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitRejection`] if no space freed up in time or the pool
-    /// closed; the job is dropped unexecuted either way.
-    pub fn submit_timeout_boxed(&self, job: Job, timeout: Duration) -> Result<(), SubmitRejection> {
-        self.shared.push(job, Wait::Until(Instant::now() + timeout))
+    /// [`SubmitRejection::Full`] if no space freed up within `timeout`, or
+    /// [`SubmitRejection::Closed`] if shutdown has begun. Either way the
+    /// job is dropped unexecuted (its destructor runs here).
+    pub fn submit(&self, job: Job, timeout: Duration) -> Result<(), SubmitRejection> {
+        self.shared.push(job, Instant::now() + timeout)
     }
 
     /// Jobs currently queued (not yet picked up by a worker).
@@ -639,14 +516,18 @@ mod tests {
         // Each worker counts how many chunks it has processed in its own
         // scratch; the per-chunk snapshots must therefore be positive and
         // their per-worker maxima must sum to the chunk count.
-        let counts = exec.map_chunks_with(
-            24,
-            || 0usize,
-            |seen, _i| {
-                *seen += 1;
-                *seen
-            },
-        );
+        let (counts, _) = exec
+            .try_map_chunks_with_state(
+                24,
+                &CancelToken::new(),
+                "site",
+                || 0usize,
+                |seen, _i| {
+                    *seen += 1;
+                    Ok(*seen)
+                },
+            )
+            .unwrap();
         assert_eq!(counts.len(), 24);
         assert!(counts.iter().all(|&c| c >= 1));
     }
@@ -655,14 +536,18 @@ mod tests {
     fn final_worker_states_cover_every_chunk() {
         for threads in [1, 2, 5] {
             let exec = ChunkExecutor::new(threads);
-            let (results, states) = exec.map_chunks_with_state(
-                20,
-                || 0usize,
-                |seen: &mut usize, i| {
-                    *seen += 1;
-                    i * 2
-                },
-            );
+            let (results, states) = exec
+                .try_map_chunks_with_state(
+                    20,
+                    &CancelToken::new(),
+                    "site",
+                    || 0usize,
+                    |seen: &mut usize, i| {
+                        *seen += 1;
+                        Ok(i * 2)
+                    },
+                )
+                .unwrap();
             assert_eq!(results, (0..20).map(|i| i * 2).collect::<Vec<_>>());
             assert!(!states.is_empty() && states.len() <= threads.max(1));
             assert_eq!(states.iter().sum::<usize>(), 20, "threads={threads}");
@@ -743,6 +628,17 @@ mod tests {
         }
     }
 
+    /// A timeout no test run reaches: submission blocks for queue space.
+    const FOREVER: Duration = Duration::from_secs(3600);
+
+    fn submit(
+        pool: &WorkerPool,
+        job: impl FnOnce() + Send + 'static,
+        timeout: Duration,
+    ) -> Result<(), SubmitRejection> {
+        pool.submitter().submit(Box::new(job), timeout)
+    }
+
     #[test]
     fn worker_pool_runs_every_submitted_job() {
         use std::sync::atomic::AtomicUsize;
@@ -751,9 +647,13 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
             let done = Arc::clone(&done);
-            pool.submit(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            })
+            submit(
+                &pool,
+                move || {
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+                FOREVER,
+            )
             .unwrap();
         }
         pool.shutdown();
@@ -767,16 +667,20 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         {
             let done = Arc::clone(&done);
-            pool.submit(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            })
+            submit(
+                &pool,
+                move || {
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+                FOREVER,
+            )
             .unwrap();
         }
         // Flip the pool closed from another handle before submitting more.
         let shared = Arc::clone(&pool.shared);
         shared.lock().open = false;
         shared.not_empty.notify_all();
-        assert_eq!(pool.submit(|| ()), Err(PoolClosed));
+        assert_eq!(submit(&pool, || (), FOREVER), Err(SubmitRejection::Closed));
         pool.shutdown();
     }
 
@@ -784,14 +688,17 @@ mod tests {
     fn worker_pool_survives_a_panicking_job() {
         use std::sync::atomic::AtomicUsize;
         let pool = WorkerPool::new(1, 8);
-        pool.submit(|| panic!("job panic must stay confined"))
-            .unwrap();
+        submit(&pool, || panic!("job panic must stay confined"), FOREVER).unwrap();
         let done = Arc::new(AtomicUsize::new(0));
         {
             let done = Arc::clone(&done);
-            pool.submit(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            })
+            submit(
+                &pool,
+                move || {
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+                FOREVER,
+            )
             .unwrap();
         }
         pool.shutdown();
@@ -816,13 +723,17 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         {
             let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                let (lock, cv) = &*gate;
-                let mut released = lock.lock().unwrap();
-                while !*released {
-                    released = cv.wait(released).unwrap();
-                }
-            })
+            submit(
+                &pool,
+                move || {
+                    let (lock, cv) = &*gate;
+                    let mut released = lock.lock().unwrap();
+                    while !*released {
+                        released = cv.wait(released).unwrap();
+                    }
+                },
+                FOREVER,
+            )
             .unwrap();
         }
         // Wait until the worker has actually picked the gate job up, so the
@@ -840,9 +751,9 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_rejects_when_full_and_runs_rejected_jobs_destructor() {
+    fn zero_timeout_submit_rejects_when_full_and_runs_rejected_jobs_destructor() {
         let (pool, gate) = wedged_pool(1);
-        pool.try_submit(|| ()).unwrap(); // fills the queue
+        submit(&pool, || (), Duration::ZERO).unwrap(); // fills the queue
         struct DropFlag(Arc<AtomicUsize>);
         impl Drop for DropFlag {
             fn drop(&mut self) {
@@ -851,9 +762,13 @@ mod tests {
         }
         let dropped = Arc::new(AtomicUsize::new(0));
         let flag = DropFlag(Arc::clone(&dropped));
-        let rejected = pool.try_submit(move || {
-            let _keep = &flag;
-        });
+        let rejected = submit(
+            &pool,
+            move || {
+                let _keep = &flag;
+            },
+            Duration::ZERO,
+        );
         assert_eq!(rejected, Err(SubmitRejection::Full));
         assert_eq!(
             dropped.load(Ordering::SeqCst),
@@ -865,11 +780,11 @@ mod tests {
     }
 
     #[test]
-    fn submit_timeout_times_out_on_a_wedged_pool_then_succeeds_after_release() {
+    fn submit_times_out_on_a_wedged_pool_then_succeeds_after_release() {
         let (pool, gate) = wedged_pool(1);
-        pool.try_submit(|| ()).unwrap();
+        submit(&pool, || (), Duration::ZERO).unwrap();
         let t0 = Instant::now();
-        let rejected = pool.submit_timeout(|| (), Duration::from_millis(50));
+        let rejected = submit(&pool, || (), Duration::from_millis(50));
         assert_eq!(rejected, Err(SubmitRejection::Full));
         assert!(
             t0.elapsed() >= Duration::from_millis(40),
@@ -879,7 +794,8 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         {
             let done = Arc::clone(&done);
-            pool.submit_timeout(
+            submit(
+                &pool,
                 move || {
                     done.fetch_add(1, Ordering::SeqCst);
                 },
@@ -892,18 +808,21 @@ mod tests {
     }
 
     #[test]
-    fn submit_variants_report_closed_after_shutdown_started() {
+    fn submit_reports_closed_after_shutdown_started() {
         let pool = WorkerPool::new(1, 2);
         let submitter = pool.submitter();
         pool.shared.lock().open = false;
         pool.shared.not_empty.notify_all();
-        assert_eq!(pool.try_submit(|| ()), Err(SubmitRejection::Closed));
         assert_eq!(
-            pool.submit_timeout(|| (), Duration::from_millis(10)),
+            submit(&pool, || (), Duration::ZERO),
             Err(SubmitRejection::Closed)
         );
         assert_eq!(
-            submitter.try_submit_boxed(Box::new(|| ())),
+            submit(&pool, || (), Duration::from_millis(10)),
+            Err(SubmitRejection::Closed)
+        );
+        assert_eq!(
+            submitter.submit(Box::new(|| ()), FOREVER),
             Err(SubmitRejection::Closed)
         );
         assert_eq!(submitter.queued(), 0);
@@ -921,9 +840,13 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..5 {
             let done = Arc::clone(&done);
-            pool.submit(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            })
+            submit(
+                &pool,
+                move || {
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+                FOREVER,
+            )
             .unwrap();
         }
         pool.shutdown();

@@ -15,12 +15,12 @@
 //! * [`estimate`] — the Monte Carlo reliability estimator (per-output δ,
 //!   consolidated any-output error, joint output pairs, per-node
 //!   conditional error statistics).
-//! * [`CircuitTape`] / [`estimate_tape`] — the kernel behind [`estimate`]:
-//!   the circuit lowered once into a flat slot-indexed instruction tape,
-//!   executed by a fused wide kernel (`u64×N` lanes, clean and noisy
-//!   planes in one pass, fault masks generated in-lane from a
-//!   position-based RNG). Bit-identical across thread counts *and* lane
-//!   widths; callers holding a compiled tape call it directly.
+//! * [`CircuitTape`] / [`try_estimate_tape`] — the kernel behind
+//!   [`estimate`]: the circuit lowered once into a flat slot-indexed
+//!   instruction tape, executed by a fused wide kernel (`u64×8` lanes,
+//!   clean and noisy planes in one pass, fault masks generated in-lane
+//!   from a position-based RNG). Bit-identical across thread counts;
+//!   callers holding a compiled tape call it directly.
 //! * [`exec::ChunkExecutor`] — the deterministic fan-out executor behind
 //!   the Monte Carlo engine and the ε-sweep drivers in `relogic::sweep`.
 //! * [`exact_reliability`] / [`flip_influence`] — exhaustive ground truth
@@ -72,6 +72,4 @@ pub use monte_carlo::{
 pub use packed::{exhaustive_block_count, exhaustive_lane_mask, exhaustive_word, PackedSim};
 pub use sampler::InputSampler;
 pub use tape::{CircuitTape, OwnedTapeParts, TapeParts};
-pub use tape_exec::{
-    estimate_tape, try_estimate_tape, try_estimate_tape_cancellable, CHUNK_BLOCKS, DEFAULT_LANES,
-};
+pub use tape_exec::{try_estimate_tape, CHUNK_BLOCKS, DEFAULT_LANES};

@@ -294,12 +294,11 @@ pub fn try_estimate(
     node_eps: &[f64],
     config: &MonteCarloConfig,
 ) -> Result<ReliabilityEstimate, SimError> {
-    crate::try_estimate_tape_cancellable(
+    crate::try_estimate_tape(
         circuit,
         &CircuitTape::compile(circuit),
         node_eps,
         config,
-        crate::DEFAULT_LANES,
         &crate::CancelToken::new(),
     )
 }

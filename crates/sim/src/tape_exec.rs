@@ -1,11 +1,12 @@
 //! Wide multi-word Monte Carlo execution over a compiled [`CircuitTape`].
 //!
-//! One tape traversal evaluates `64 × N` patterns: each slot carries `N`
-//! consecutive 64-pattern blocks as `u64` lanes, and the clean and noisy
-//! circuits are computed in the same pass. Fault masks are produced by a
-//! flat pre-pass over the noisy slots ([`TapeRun::fill_masks`]) that
-//! batches [`MASK_BATCH_WORDS`] independent words per comparator call, so
-//! the latency-bound RNG pipeline stays full at every lane width.
+//! One tape traversal evaluates `64 × DEFAULT_LANES` patterns: each slot
+//! carries [`DEFAULT_LANES`] consecutive 64-pattern blocks as `u64` lanes,
+//! and the clean and noisy circuits are computed in the same pass. Fault
+//! masks are produced by a flat pre-pass over the noisy slots
+//! ([`TapeRun::fill_masks`]) that batches [`MASK_BATCH_WORDS`] independent
+//! words per comparator call, so the latency-bound RNG pipeline stays
+//! full.
 //!
 //! # Determinism contract
 //!
@@ -17,11 +18,11 @@
 //! ```
 //!
 //! mixed through a SplitMix64 finalizer ([`mix64`]). No RNG state is ever
-//! advanced, so the estimate is **bit-identical for every thread count and
-//! every lane width by construction** — work distribution and lane
-//! grouping cannot change which word any (block, node) cell draws. Words
-//! are keyed by *node* index (not slot), so the numbers are also invariant
-//! under tape-layout changes.
+//! advanced, so the estimate is **bit-identical for every thread count by
+//! construction** — work distribution and lane grouping cannot change
+//! which word any (block, node) cell draws. Words are keyed by *node*
+//! index (not slot), so the numbers are also invariant under tape-layout
+//! changes.
 //!
 //! Biased Bernoulli(ε) words realize the exact same quantized probability
 //! as [`BiasedBits`] (`⌊ε·2^r⌉ / 2^r`), but through an MSB-first bitsliced
@@ -47,11 +48,14 @@ use crate::tape::CircuitTape;
 use crate::{BiasedBits, SimError};
 use relogic_netlist::{Circuit, GateKind};
 
-/// Default lane width of the tape Monte Carlo kernel (`u64×8` = 512
-/// patterns per tape step). Lane width never changes the estimate — only
+/// Lane width of the tape Monte Carlo kernel (`u64×8` = 512 patterns per
+/// tape step). Lane grouping never changes the estimate — only
 /// throughput; 8 lanes keeps the biased-comparator pipeline full on
 /// current x86-64 cores.
 pub const DEFAULT_LANES: usize = 8;
+
+/// Short name for [`DEFAULT_LANES`] inside the kernel.
+const L: usize = DEFAULT_LANES;
 
 /// 64-pattern blocks per chunk: the granularity at which work is handed to
 /// threads and the [`CancelToken`] is polled (1024 patterns, coarse enough
@@ -184,13 +188,12 @@ const UNCHECKED_PLANES: u32 = 12;
 /// pipeline and vectorize) and the early exit is decided once per plane
 /// for the whole group, after an unconditional [`UNCHECKED_PLANES`]-plane
 /// prefix. `W` may span several lane groups — the mask pre-pass batches
-/// `16 / L` slots per call so narrow lane widths still fill the machine's
-/// vector units.
+/// `16 / L` slots per call to fill the machine's vector units.
 ///
 /// Every update to an already-decided word is a no-op (`eq = 0` freezes
 /// it, and a plane with digit 0 only clears `eq` bits), so `out[l]` is
 /// exactly `biased_word(bases[l], …)` regardless of grouping — the group
-/// formulation cannot perturb lane-width identity.
+/// formulation cannot perturb the estimate.
 #[inline(always)]
 fn biased_group<const W: usize>(
     bases: &[u64; W],
@@ -243,10 +246,9 @@ fn biased_group<const W: usize>(
 }
 
 /// Mask pre-pass batch width: every `biased_group` call in the pre-pass
-/// spans 16 words (`16 / L` slots), whatever the kernel lane width. The
-/// plane loop is latency-bound on `mix64`, so narrow lane widths must
-/// still present enough independent words per plane to saturate the
-/// vector units.
+/// spans 16 words (`16 / L` slots). The plane loop is latency-bound on
+/// `mix64`, so each plane must present enough independent words to
+/// saturate the vector units.
 const MASK_BATCH_WORDS: usize = 16;
 
 /// Runtime detection for the tape kernel's AVX-512 fast path.
@@ -331,10 +333,10 @@ struct TapeScratch {
 }
 
 impl TapeScratch {
-    fn new(n_slots: usize, lanes: usize) -> TapeScratch {
+    fn new(n_slots: usize) -> TapeScratch {
         TapeScratch {
-            vals: vec![0u64; n_slots * lanes * 2],
-            masks: vec![0u64; n_slots * lanes],
+            vals: vec![0u64; n_slots * L * 2],
+            masks: vec![0u64; n_slots * L],
         }
     }
 }
@@ -348,11 +350,7 @@ impl TapeRun<'_> {
         )
     }
 
-    fn run<const L: usize>(
-        &self,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> Result<FaultCounts, Cancelled> {
+    fn run(&self, threads: usize, cancel: &CancelToken) -> Result<FaultCounts, Cancelled> {
         let chunks = usize::try_from(self.blocks.div_ceil(CHUNK_BLOCKS)).unwrap_or(usize::MAX);
         let executor = ChunkExecutor::new(threads);
         let n_slots = self.tape.n_slots();
@@ -360,8 +358,8 @@ impl TapeRun<'_> {
             chunks,
             cancel,
             "tape_chunk",
-            || TapeScratch::new(n_slots, L),
-            |scratch, chunk| Ok(self.run_chunk::<L>(scratch, chunk)),
+            || TapeScratch::new(n_slots),
+            |scratch, chunk| Ok(self.run_chunk(scratch, chunk)),
         )?;
         let mut merged = self.counts();
         for tally in &tallies {
@@ -377,14 +375,14 @@ impl TapeRun<'_> {
     /// wrapper); only the instruction selection differs, and the kernel
     /// is pure integer arithmetic, so the counts are identical either
     /// way.
-    fn run_chunk<const L: usize>(&self, scratch: &mut TapeScratch, chunk: usize) -> FaultCounts {
+    fn run_chunk(&self, scratch: &mut TapeScratch, chunk: usize) -> FaultCounts {
         #[cfg(target_arch = "x86_64")]
         if self.simd {
             // SAFETY: `simd` is only set when `avx512_available()`
             // reported support for the required subsets.
-            return unsafe { self.run_chunk_avx512::<L>(scratch, chunk) };
+            return unsafe { self.run_chunk_avx512(scratch, chunk) };
         }
-        self.run_chunk_impl::<L>(scratch, chunk)
+        self.run_chunk_impl(scratch, chunk)
     }
 
     /// [`TapeRun::run_chunk_impl`] compiled with the AVX-512 feature set,
@@ -396,20 +394,12 @@ impl TapeRun<'_> {
     /// The host must support AVX-512F and AVX-512DQ.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn run_chunk_avx512<const L: usize>(
-        &self,
-        scratch: &mut TapeScratch,
-        chunk: usize,
-    ) -> FaultCounts {
-        self.run_chunk_impl::<L>(scratch, chunk)
+    unsafe fn run_chunk_avx512(&self, scratch: &mut TapeScratch, chunk: usize) -> FaultCounts {
+        self.run_chunk_impl(scratch, chunk)
     }
 
     #[inline(always)]
-    fn run_chunk_impl<const L: usize>(
-        &self,
-        scratch: &mut TapeScratch,
-        chunk: usize,
-    ) -> FaultCounts {
+    fn run_chunk_impl(&self, scratch: &mut TapeScratch, chunk: usize) -> FaultCounts {
         let first = chunk as u64 * CHUNK_BLOCKS;
         let last = (first + CHUNK_BLOCKS).min(self.blocks);
         let mut counts = self.counts();
@@ -419,8 +409,8 @@ impl TapeRun<'_> {
             // the kernel vectorizable); blocks past the budget are pure
             // functions of their index and simply go untallied.
             let live = usize::try_from(last - b).map_or(L, |g| g.min(L));
-            self.compute_group::<L>(scratch, b);
-            self.tally_group::<L>(scratch, live, &mut counts);
+            self.compute_group(scratch, b);
+            self.tally_group(scratch, live, &mut counts);
             b += live as u64;
         }
         counts
@@ -432,7 +422,7 @@ impl TapeRun<'_> {
     /// Remainder slots fall back to an `L`-wide call, which produces the
     /// identical words (each word is a pure function of its cell key).
     #[inline(always)]
-    fn fill_masks<const L: usize>(&self, masks: &mut [u64], first_block: u64) {
+    fn fill_masks(&self, masks: &mut [u64], first_block: u64) {
         let batch = MASK_BATCH_WORDS / L;
         // `cell_key`'s weighted sum separates into a per-block and a
         // per-node term; hoisting both leaves one add + one xor + one
@@ -479,8 +469,8 @@ impl TapeRun<'_> {
     /// dedicated loops so the gate fold has a compile-time trip count in
     /// the overwhelmingly common cases.
     #[inline(always)]
-    fn compute_group<const L: usize>(&self, scratch: &mut TapeScratch, first_block: u64) {
-        self.fill_masks::<L>(&mut scratch.masks, first_block);
+    fn compute_group(&self, scratch: &mut TapeScratch, first_block: u64) {
+        self.fill_masks(&mut scratch.masks, first_block);
         let tape = self.tape;
         let vals = &mut scratch.vals;
         let mask_plane = &scratch.masks;
@@ -489,7 +479,7 @@ impl TapeRun<'_> {
             match tape.kind(s) {
                 GateKind::Input => {
                     let node = tape.node_of_slot(s) as u64;
-                    let bases = self.bases::<L>(first_block, node, STREAM_INPUT);
+                    let bases = self.bases(first_block, node, STREAM_INPUT);
                     let mut words = [0u64; L];
                     match self.sample_q[s] {
                         None => {
@@ -553,7 +543,7 @@ impl TapeRun<'_> {
 
     /// Cell keys of one lane group for a `(node, stream)` pair.
     #[inline(always)]
-    fn bases<const L: usize>(&self, first_block: u64, node: u64, stream: u64) -> [u64; L] {
+    fn bases(&self, first_block: u64, node: u64, stream: u64) -> [u64; L] {
         let mut bases = [0u64; L];
         for (l, b) in bases.iter_mut().enumerate() {
             *b = cell_key(self.seed, first_block + l as u64, node, stream);
@@ -563,12 +553,7 @@ impl TapeRun<'_> {
 
     /// Tallies the first `live` lanes of the freshly computed group.
     #[inline(always)]
-    fn tally_group<const L: usize>(
-        &self,
-        scratch: &TapeScratch,
-        live: usize,
-        counts: &mut FaultCounts,
-    ) {
+    fn tally_group(&self, scratch: &TapeScratch, live: usize, counts: &mut FaultCounts) {
         let vals = &scratch.vals;
         let clean = |s: usize, l: usize| vals[s * 2 * L + l];
         let noisy = |s: usize, l: usize| vals[s * 2 * L + L + l];
@@ -597,18 +582,20 @@ impl TapeRun<'_> {
 
 /// Runs tape-compiled Monte Carlo fault injection against a pre-compiled
 /// `tape` — the kernel behind [`crate::try_estimate`], which compiles a
-/// fresh tape per call and runs it at [`DEFAULT_LANES`]. Pass a cached
-/// tape here to skip the compile (see the module docs for the
-/// determinism contract).
+/// fresh tape per call. Pass a cached tape here to skip the compile (see
+/// the module docs for the determinism contract).
 ///
-/// `lanes` selects the kernel's `u64` lane width (1, 2, 4, or 8); the
-/// estimate is bit-identical for every accepted value and every thread
+/// `cancel` is polled at every chunk hand-out ([`CHUNK_BLOCKS`] blocks,
+/// the check-interval granularity of the tape engine). A fired token
+/// returns [`SimError::Cancelled`] — never a partial estimate. The
+/// position-based stream protocol means a run that completes before the
+/// token fires is bit-identical to an undeadlined run at every thread
 /// count.
 ///
 /// # Errors
 ///
-/// All of [`crate::try_estimate`]'s errors, plus
-/// [`SimError::InvalidLaneWidth`] for an unsupported lane width.
+/// All of [`crate::try_estimate`]'s errors, plus [`SimError::Cancelled`]
+/// when `cancel` fires mid-run.
 ///
 /// # Panics
 ///
@@ -618,33 +605,6 @@ pub fn try_estimate_tape(
     tape: &CircuitTape,
     node_eps: &[f64],
     config: &MonteCarloConfig,
-    lanes: usize,
-) -> Result<ReliabilityEstimate, SimError> {
-    try_estimate_tape_cancellable(circuit, tape, node_eps, config, lanes, &CancelToken::new())
-}
-
-/// [`try_estimate_tape`] under a [`CancelToken`]: the token is polled at
-/// every chunk hand-out ([`CHUNK_BLOCKS`] blocks, the check-interval
-/// granularity of the tape engine). A fired token returns
-/// [`SimError::Cancelled`] — never a partial estimate. The position-based
-/// stream protocol means a run that completes before the token fires is
-/// bit-identical to an undeadlined run at every thread count and lane
-/// width.
-///
-/// # Errors
-///
-/// Everything [`try_estimate_tape`] returns, plus [`SimError::Cancelled`]
-/// when `cancel` fires mid-run.
-///
-/// # Panics
-///
-/// Panics if `tape` was not compiled from `circuit`.
-pub fn try_estimate_tape_cancellable(
-    circuit: &Circuit,
-    tape: &CircuitTape,
-    node_eps: &[f64],
-    config: &MonteCarloConfig,
-    lanes: usize,
     cancel: &CancelToken,
 ) -> Result<ReliabilityEstimate, SimError> {
     assert_eq!(
@@ -653,9 +613,6 @@ pub fn try_estimate_tape_cancellable(
         "tape was compiled from a different circuit"
     );
     let output_nodes = validate_run(circuit, node_eps, config)?;
-    if !matches!(lanes, 1 | 2 | 4 | 8) {
-        return Err(SimError::InvalidLaneWidth { lanes });
-    }
 
     let n = tape.n_slots();
     let mut mask_q = vec![0u64; n];
@@ -710,32 +667,8 @@ pub fn try_estimate_tape_cancellable(
         seed: config.seed,
         blocks,
     };
-    let counts = match lanes {
-        1 => run.run::<1>(config.threads, cancel),
-        2 => run.run::<2>(config.threads, cancel),
-        4 => run.run::<4>(config.threads, cancel),
-        _ => run.run::<8>(config.threads, cancel),
-    }?;
+    let counts = run.run(config.threads, cancel)?;
     Ok(finalize_counts(total, counts, &config.joint_pairs))
-}
-
-/// Infallible [`try_estimate_tape`].
-///
-/// # Panics
-///
-/// Panics on any condition [`try_estimate_tape`] reports as an error.
-#[must_use]
-pub fn estimate_tape(
-    circuit: &Circuit,
-    tape: &CircuitTape,
-    node_eps: &[f64],
-    config: &MonteCarloConfig,
-    lanes: usize,
-) -> ReliabilityEstimate {
-    match try_estimate_tape(circuit, tape, node_eps, config, lanes) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -781,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_lane_and_thread_invariant() {
+    fn estimates_are_thread_invariant() {
         let c = chain();
         let tape = CircuitTape::compile(&c);
         let eps = [0.0, 0.1, 0.2];
@@ -790,16 +723,14 @@ mod tests {
             track_nodes: true,
             ..MonteCarloConfig::default()
         };
-        let reference = try_estimate_tape(&c, &tape, &eps, &cfg, 4).unwrap();
-        for lanes in [1, 2, 4, 8] {
-            for threads in [1, 2, 8] {
-                let cfg = MonteCarloConfig {
-                    threads,
-                    ..cfg.clone()
-                };
-                let r = try_estimate_tape(&c, &tape, &eps, &cfg, lanes).unwrap();
-                assert_eq!(r, reference, "lanes={lanes} threads={threads}");
-            }
+        let reference = try_estimate_tape(&c, &tape, &eps, &cfg, &CancelToken::new()).unwrap();
+        for threads in [1, 2, 8] {
+            let cfg = MonteCarloConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let r = try_estimate_tape(&c, &tape, &eps, &cfg, &CancelToken::new()).unwrap();
+            assert_eq!(r, reference, "threads={threads}");
         }
     }
 
@@ -816,14 +747,14 @@ mod tests {
             track_nodes: true,
             ..MonteCarloConfig::default()
         };
-        let reference = try_estimate_tape(&c, &tape, &eps, &base_cfg, 4).unwrap();
+        let reference = try_estimate_tape(&c, &tape, &eps, &base_cfg, &CancelToken::new()).unwrap();
         for threads in [1, 2, 8] {
             let cfg = MonteCarloConfig {
                 threads,
                 ..base_cfg.clone()
             };
             let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-            let under = try_estimate_tape_cancellable(&c, &tape, &eps, &cfg, 4, &token).unwrap();
+            let under = try_estimate_tape(&c, &tape, &eps, &cfg, &token).unwrap();
             assert_eq!(under, reference, "threads={threads}");
         }
     }
@@ -838,8 +769,7 @@ mod tests {
         };
         let token = CancelToken::new();
         token.cancel();
-        let err = try_estimate_tape_cancellable(&c, &tape, &[0.0, 0.1, 0.1], &cfg, 4, &token)
-            .unwrap_err();
+        let err = try_estimate_tape(&c, &tape, &[0.0, 0.1, 0.1], &cfg, &token).unwrap_err();
         assert!(matches!(err, SimError::Cancelled(_)), "{err:?}");
     }
 
@@ -853,23 +783,12 @@ mod tests {
             patterns: 1 << 17,
             ..MonteCarloConfig::default()
         };
-        let r = try_estimate_tape(&c, &tape, &[0.0, e, e], &cfg, DEFAULT_LANES).unwrap();
+        let r = try_estimate_tape(&c, &tape, &[0.0, e, e], &cfg, &CancelToken::new()).unwrap();
         let expect = 2.0 * e * (1.0 - e);
         assert!(
             (r.per_output()[0] - expect).abs() < 0.01,
             "{} vs {expect}",
             r.per_output()[0]
-        );
-    }
-
-    #[test]
-    fn invalid_lane_width_is_typed() {
-        let c = chain();
-        let tape = CircuitTape::compile(&c);
-        let cfg = MonteCarloConfig::default();
-        assert_eq!(
-            try_estimate_tape(&c, &tape, &[0.0, 0.1, 0.1], &cfg, 3),
-            Err(SimError::InvalidLaneWidth { lanes: 3 })
         );
     }
 
@@ -882,11 +801,17 @@ mod tests {
             ..MonteCarloConfig::default()
         };
         assert_eq!(
-            try_estimate_tape(&c, &tape, &[0.0, 0.1, 0.1], &cfg, 4),
+            try_estimate_tape(&c, &tape, &[0.0, 0.1, 0.1], &cfg, &CancelToken::new()),
             Err(SimError::ZeroPatternBudget)
         );
         assert_eq!(
-            try_estimate_tape(&c, &tape, &[0.0], &MonteCarloConfig::default(), 4),
+            try_estimate_tape(
+                &c,
+                &tape,
+                &[0.0],
+                &MonteCarloConfig::default(),
+                &CancelToken::new()
+            ),
             Err(SimError::EpsLengthMismatch {
                 expected: 3,
                 actual: 1
@@ -908,7 +833,7 @@ mod tests {
             patterns: 1 << 16,
             ..MonteCarloConfig::default()
         };
-        let r = try_estimate_tape(&c, &tape, &[0.0, 0.25], &cfg, 4).unwrap();
+        let r = try_estimate_tape(&c, &tape, &[0.0, 0.25], &cfg, &CancelToken::new()).unwrap();
         let j = r.joint(0, 1).unwrap();
         assert!((j - r.per_output()[0]).abs() < 1e-12);
         let stats = r.node_stats().unwrap();
@@ -930,7 +855,7 @@ mod tests {
             patterns: 1 << 16,
             ..MonteCarloConfig::default()
         };
-        let r = try_estimate_tape(&c, &tape, &[0.0, 0.0], &cfg, 4).unwrap();
+        let r = try_estimate_tape(&c, &tape, &[0.0, 0.0], &cfg, &CancelToken::new()).unwrap();
         let stats = r.node_stats().unwrap();
         assert!((stats.signal_probability(a.index()) - 0.9).abs() < 0.01);
     }
