@@ -1,17 +1,17 @@
 //! Command implementations.
 
-use crate::options::{Options, ParsedArgs};
-use relogic::{
-    GateEps, InputDistribution, ObservabilityMatrix, SinglePass, SinglePassOptions, Weights,
-};
-use relogic_estimate::{EstimatorPolicy, EstimatorTier, PropagationEstimate};
+use crate::options::{Options, ParsedArgs, KIND_COMMANDS};
+use relogic::{GateEps, InputDistribution, ObservabilityMatrix, SinglePassOptions, Weights};
+use relogic_estimate::{EstimatorTier, PropagationEstimate};
 use relogic_netlist::structure::{output_cone_sizes, CircuitStats, FanoutMap};
 use relogic_netlist::{bench, blif, dot, verilog, Circuit};
+use relogic_serve::api::{self, Outcome};
 use relogic_serve::cache::{Artifact, ArtifactKey, CacheCounters, DiskTier, Origin};
 use relogic_serve::json::Json;
-use relogic_serve::proto::{AnalyzeRequestOptions, BackendSpec, CircuitPayload, NetlistFormat};
+use relogic_serve::proto::{
+    AnalyzeRequestOptions, BackendSpec, CircuitPayload, NetlistFormat, Request,
+};
 use relogic_serve::ServeError;
-use relogic_sim::MonteCarloConfig;
 use relogic_store::{ArtifactMeta, Loaded, Store};
 use std::error::Error;
 use std::fmt;
@@ -156,12 +156,19 @@ impl From<ServeError> for CliError {
     }
 }
 
-/// Maps a `RelogicError` from the estimator subsystem to its CLI class:
-/// a fired deadline keeps exit code 9, everything else is exit code 8.
-fn estimator_error(e: relogic::RelogicError) -> CliError {
-    match e {
-        relogic::RelogicError::Cancelled(c) => CliError::Deadline(c),
-        other => CliError::Estimator(other),
+/// The exit-code class of a failed [`api::run`]: engine errors of the
+/// estimator kinds (`estimate`, `harden`, `critical-eps`) exit 8, those of
+/// the other kinds 5 (analysis) or 6 (simulation), and a fired deadline
+/// exits 9 whichever kind noticed it.
+fn run_error(request: &Request, e: ServeError) -> CliError {
+    let estimator = matches!(
+        request,
+        Request::Estimate { .. } | Request::Harden { .. } | Request::CriticalEps { .. }
+    );
+    match CliError::from(e) {
+        CliError::Analysis(e) if estimator => CliError::Estimator(e),
+        CliError::Sim(e) if estimator => CliError::Estimator(e.into()),
+        other => other,
     }
 }
 
@@ -174,12 +181,6 @@ fn deadline_token(opts: &Options) -> relogic::CancelToken {
     } else {
         relogic::CancelToken::new()
     }
-}
-
-/// One cooperative check between command phases (the fine-grained checks
-/// live inside the engines).
-fn checked(cancel: &relogic::CancelToken, site: &'static str) -> Result<(), CliError> {
-    cancel.check(site).map_err(CliError::Deadline)
 }
 
 /// The `--diagnostics` line accounting for an armed deadline.
@@ -204,19 +205,14 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     match args.command.as_str() {
         "help" | "--help" | "-h" => Ok(crate::USAGE.to_owned()),
         "stats" => stats(&load(args)?.circuit),
-        "analyze" => analyze(&artifact(load(args)?, args), &args.options),
-        "observability" => observability(&artifact(load(args)?, args), &args.options),
         "sweep" => sweep(&load(args)?.circuit, &args.options),
-        "mc" => monte_carlo(&load(args)?.circuit, &args.options),
-        "rank" => rank(&artifact(load(args)?, args), &args.options),
-        "estimate" => {
-            // The exact tier is a BDD computation whatever `--backend` says.
-            let mut loaded = load(args)?;
-            loaded.payload.backend = BackendSpec::Bdd;
-            estimate(&artifact(loaded, args), &args.options)
+        "rank" => {
+            let loaded = load(args)?;
+            rank(
+                &artifact(&loaded.payload, loaded.circuit, &args.options),
+                &args.options,
+            )
         }
-        "harden" => harden(&load(args)?.circuit, &args.options),
-        "critical-eps" => critical_eps(&artifact(load(args)?, args), &args.options),
         "serve" => serve(args),
         "convert" => convert(&load(args)?.circuit, &args.options),
         "gen" => gen(args),
@@ -228,6 +224,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             "unknown cache action `{}` (expected ls, verify, gc, or warm)",
             &other["cache ".len()..]
         ))),
+        kind if KIND_COMMANDS.contains(&kind) => run_kind(args),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}` (try `relogic-cli help`)"
         ))),
@@ -289,17 +286,17 @@ fn load(args: &ParsedArgs) -> Result<LoadedNetlist, CliError> {
     })
 }
 
-/// The command's artifact, read and written through the store named by
-/// `--cache-dir` when set. The store must never make an analysis fail:
-/// an unusable directory degrades to computing in memory (one stderr
-/// line), and corrupt files are quarantined and recomputed.
-fn artifact(loaded: LoadedNetlist, args: &ParsedArgs) -> Artifact {
-    let disk = args
-        .options
+/// The artifact of `circuit` (parsed from `payload`), read and written
+/// through the store named by `--cache-dir` when set. The store must never
+/// make an analysis fail: an unusable directory degrades to computing in
+/// memory (one stderr line), and corrupt files are quarantined and
+/// recomputed.
+fn artifact(payload: &CircuitPayload, circuit: Circuit, opts: &Options) -> Artifact {
+    let disk = opts
         .cache_dir
         .as_deref()
         .map(|dir| Arc::new(DiskTier::open(std::path::Path::new(dir))));
-    Artifact::new(&loaded.payload, loaded.circuit, disk)
+    Artifact::new(payload, circuit, disk)
 }
 
 /// The `--diagnostics` block naming where each artifact came from; empty
@@ -327,6 +324,22 @@ fn provenance(artifact: &Artifact, opts: &Options) -> String {
         out.push_str(&format!("{slot}: {what}\n"));
     }
     out
+}
+
+/// The `--diagnostics` footer of every artifact command: the engine block
+/// `body`, the deadline note and the artifact provenance, under one
+/// heading that is left out when all three are empty.
+fn diagnostics_footer(
+    body: Option<String>,
+    opts: &Options,
+    cancel: &relogic::CancelToken,
+    artifact: &Artifact,
+) -> String {
+    let note = deadline_note(opts, cancel) + &provenance(artifact, opts);
+    if body.is_none() && note.is_empty() {
+        return String::new();
+    }
+    format!("\ndiagnostics:\n{}{note}", body.unwrap_or_default())
 }
 
 fn stats(c: &Circuit) -> Result<String, CliError> {
@@ -382,6 +395,62 @@ fn engine_options(opts: &Options) -> SinglePassOptions {
     o
 }
 
+/// The protocol request a [`KIND_COMMANDS`] command runs: the one the
+/// daemon parses from the equivalent frame, with the same defaults. `None`
+/// for any other command.
+fn request(command: &str, opts: &Options, circuit: CircuitPayload) -> Option<Request> {
+    let deadline_ms = opts.deadline_ms;
+    Some(match command {
+        "analyze" => Request::Analyze {
+            circuit,
+            eps: vec![opts.eps],
+            options: AnalyzeRequestOptions {
+                single_pass: engine_options(opts),
+                diagnostics: opts.diagnostics,
+                per_node: opts.per_node,
+            },
+            deadline_ms,
+        },
+        "observability" => Request::Observability {
+            circuit,
+            eps: vec![opts.eps],
+            per_gate: opts.per_node,
+            deadline_ms,
+        },
+        "mc" => Request::MonteCarlo {
+            circuit,
+            eps: opts.eps,
+            patterns: opts.patterns,
+            seed: opts.seed,
+            threads: opts.threads,
+            deadline_ms,
+        },
+        "estimate" => Request::Estimate {
+            circuit,
+            eps: opts.eps,
+            bdd_node_budget: opts.bdd_node_budget,
+            patterns: opts.patterns,
+            seed: opts.seed,
+            deadline_ms,
+        },
+        "harden" => Request::Harden {
+            circuit,
+            eps: opts.eps,
+            area_budget: opts.area_budget,
+            max_steps: opts.max_steps,
+            deadline_ms,
+        },
+        "critical-eps" => Request::CriticalEps {
+            circuit,
+            threshold: opts.threshold,
+            metric: opts.metric,
+            max_steps: opts.max_steps,
+            deadline_ms,
+        },
+        _ => return None,
+    })
+}
+
 /// Appends the `"cache":"bypass"` member and newline-terminates, so CLI
 /// JSON output is frame-compatible with the server's response `result`.
 fn json_line(mut result: Json) -> String {
@@ -391,170 +460,120 @@ fn json_line(mut result: Json) -> String {
     line
 }
 
-/// One analyze run, from either engine. Both engines expose the same
-/// per-output/per-node accessors and — by the tape's bit-identity
-/// contract — the same numbers, so the printing code below is shared.
-enum AnalyzeRun {
-    Graph(relogic::SinglePassResult),
-    Tape {
-        point: relogic::SweepPoint,
-        compile_us: u128,
-    },
-}
-
-impl AnalyzeRun {
-    fn per_output(&self) -> &[f64] {
-        match self {
-            AnalyzeRun::Graph(r) => r.per_output(),
-            AnalyzeRun::Tape { point, .. } => point.per_output(),
-        }
-    }
-
-    fn p01(&self, id: relogic_netlist::NodeId) -> f64 {
-        match self {
-            AnalyzeRun::Graph(r) => r.p01(id),
-            AnalyzeRun::Tape { point, .. } => point.p01(id),
-        }
-    }
-
-    fn p10(&self, id: relogic_netlist::NodeId) -> f64 {
-        match self {
-            AnalyzeRun::Graph(r) => r.p10(id),
-            AnalyzeRun::Tape { point, .. } => point.p10(id),
-        }
-    }
-
-    fn node_delta(&self, id: relogic_netlist::NodeId) -> f64 {
-        match self {
-            AnalyzeRun::Graph(r) => r.node_delta(id),
-            AnalyzeRun::Tape { point, .. } => point.node_delta(id),
-        }
-    }
-
-    fn diagnostics(&self) -> &relogic::Diagnostics {
-        match self {
-            AnalyzeRun::Graph(r) => r.diagnostics(),
-            AnalyzeRun::Tape { point, .. } => point.diagnostics(),
-        }
-    }
-}
-
-fn analyze(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
-    let c = artifact.circuit();
+/// Runs one [`KIND_COMMANDS`] command the way the daemon runs the request:
+/// build the [`Request`], read its artifact, [`api::run`] it, then print
+/// the JSON result or the kind's text rendering.
+fn run_kind(args: &ParsedArgs) -> Result<String, CliError> {
+    let opts = &args.options;
+    let loaded = load(args)?;
+    let request = request(&args.command, opts, loaded.payload)
+        .expect("every KIND_COMMANDS entry names a request kind");
+    let payload = request
+        .payload()
+        .expect("every analysis kind reads a circuit");
+    let artifact = artifact(&payload, loaded.circuit, opts);
+    let counters = CacheCounters::default();
     let cancel = deadline_token(opts);
-    let weights = artifact.weights(&CacheCounters::default(), &cancel)?;
-    if opts.json {
-        let request = AnalyzeRequestOptions {
-            single_pass: engine_options(opts),
-            diagnostics: opts.diagnostics,
-            per_node: opts.per_node,
-        };
-        let result = relogic_serve::api::analyze_result_cancellable(
-            c,
-            weights,
-            &[opts.eps],
-            &request,
-            &cancel,
-        )?;
-        return Ok(json_line(result));
-    }
-    checked(&cancel, "analyze_point")?;
-    // The tape engine carries the uncorrelated recurrence only; the §4.1
-    // correlation correction, the strict numeric policy, and the
-    // any-output consolidation (which needs the graph result's joint
-    // marginals) all stay on the graph engine. Either way the numbers
-    // match bit for bit — see `relogic::SweepTape`'s module docs.
-    let use_tape =
-        opts.no_correlations && !opts.strict && !(opts.diagnostics && c.output_count() > 1);
-    let result = if use_tape {
+    // `mc --diagnostics` reports how long the tape slot took to fill.
+    let tape_us = (opts.diagnostics && matches!(request, Request::MonteCarlo { .. })).then(|| {
         let start = std::time::Instant::now();
-        let tape = relogic::SweepTape::try_new(c, weights)?;
-        let compile_us = start.elapsed().as_micros();
-        AnalyzeRun::Tape {
-            point: tape.try_run_point(&GateEps::try_uniform(c, opts.eps)?)?,
-            compile_us,
-        }
-    } else {
-        let engine = SinglePass::try_new(c, weights, engine_options(opts))?;
-        AnalyzeRun::Graph(engine.try_run(&GateEps::try_uniform(c, opts.eps)?)?)
+        artifact.tape(&counters);
+        start.elapsed().as_micros()
+    });
+    let outcome = api::run(&request, &artifact, &counters, opts.threads, &cancel)
+        .map_err(|e| run_error(&request, e))?;
+    let c = artifact.circuit();
+    if opts.json {
+        return Ok(json_line(outcome.to_json(&request, c)?));
+    }
+    let (mut out, body) = match &outcome {
+        Outcome::Analyze(points) => analyze_text(c, points, opts)?,
+        Outcome::Observability(matrix) => observability_text(c, matrix, opts)?,
+        Outcome::MonteCarlo(estimate) => mc_text(c, estimate, opts, tape_us),
+        Outcome::Estimate(report) => estimate_text(c, report, opts),
+        Outcome::Harden(report) => (harden_text(c, report, opts), None),
+        Outcome::CriticalEps(report) => (critical_eps_text(report), None),
     };
-    let mut out = format!(
-        "single-pass reliability at eps = {} ({} backend{})\n",
-        opts.eps,
-        match opts.backend {
-            crate::options::BackendKind::Bdd => "bdd",
-            crate::options::BackendKind::Sim => "sim",
-        },
-        if opts.no_correlations {
-            ", correlations off"
-        } else {
-            ""
-        }
-    );
-    for (k, o) in c.outputs().iter().enumerate() {
-        out.push_str(&format!(
-            "{:>24}  delta = {:.6}\n",
-            o.name(),
-            result.per_output()[k]
-        ));
-    }
-    if opts.per_node {
-        out.push_str("\nper-node error probabilities:\n");
-        for (id, node) in c.iter() {
-            if !node.kind().is_gate() {
-                continue;
-            }
-            out.push_str(&format!(
-                "{:>24}  p01 = {:.6}  p10 = {:.6}  delta = {:.6}\n",
-                c.display_name(id),
-                result.p01(id),
-                result.p10(id),
-                result.node_delta(id)
-            ));
-        }
-    }
     if opts.diagnostics {
-        let mut diag = result.diagnostics().clone();
-        if let AnalyzeRun::Graph(graph_result) = &result {
-            if c.output_count() > 1 {
-                let cons = relogic::consolidate::Consolidator::try_new(
-                    c,
-                    &InputDistribution::Uniform,
-                    opts.backend(),
-                )?;
-                let any = cons.any_output_error_with(graph_result, &mut diag)?;
-                out.push_str(&format!("{:>24}  any-output = {any:.6}\n", "*"));
-            }
-        }
-        let engine_line = match &result {
-            AnalyzeRun::Graph(_) => "engine: graph".to_owned(),
-            AnalyzeRun::Tape { compile_us, .. } => {
-                format!("engine: tape (compiled in {compile_us} us)")
-            }
-        };
-        out.push_str(&format!("\ndiagnostics:\n{engine_line}\n{diag}\n"));
-        out.push_str(&deadline_note(opts, &cancel));
-        out.push_str(&provenance(artifact, opts));
+        out.push_str(&diagnostics_footer(body, opts, &cancel, &artifact));
     }
     Ok(out)
 }
 
-fn observability(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
-    let c = artifact.circuit();
-    let cancel = deadline_token(opts);
-    let obs = artifact.observability(&CacheCounters::default(), opts.threads, &cancel)?;
-    if opts.json {
-        let result = relogic_serve::api::observability_result(c, obs, &[opts.eps], opts.per_node)?;
-        return Ok(json_line(result));
+fn backend_name(opts: &Options) -> &'static str {
+    match opts.backend {
+        crate::options::BackendKind::Bdd => "bdd",
+        crate::options::BackendKind::Sim => "sim",
     }
+}
+
+/// `analyze` text, and its `--diagnostics` block. On a multi-output
+/// circuit `--diagnostics` adds the any-output error of the consolidated
+/// outputs.
+fn analyze_text(
+    c: &Circuit,
+    points: &[relogic::SinglePassResult],
+    opts: &Options,
+) -> Result<(String, Option<String>), CliError> {
+    let mut out = String::new();
+    let mut diag = relogic::Diagnostics::new();
+    for result in points {
+        out.push_str(&format!(
+            "single-pass reliability at eps = {} ({} backend{})\n",
+            opts.eps,
+            backend_name(opts),
+            if opts.no_correlations {
+                ", correlations off"
+            } else {
+                ""
+            }
+        ));
+        for (k, o) in c.outputs().iter().enumerate() {
+            out.push_str(&format!(
+                "{:>24}  delta = {:.6}\n",
+                o.name(),
+                result.per_output()[k]
+            ));
+        }
+        if opts.per_node {
+            out.push_str("\nper-node error probabilities:\n");
+            for (id, node) in c.iter() {
+                if !node.kind().is_gate() {
+                    continue;
+                }
+                out.push_str(&format!(
+                    "{:>24}  p01 = {:.6}  p10 = {:.6}  delta = {:.6}\n",
+                    c.display_name(id),
+                    result.p01(id),
+                    result.p10(id),
+                    result.node_delta(id)
+                ));
+            }
+        }
+        diag.merge(result.diagnostics());
+        if opts.diagnostics && c.output_count() > 1 {
+            let cons = relogic::consolidate::Consolidator::try_new(
+                c,
+                &InputDistribution::Uniform,
+                opts.backend(),
+            )?;
+            let any = cons.any_output_error_with(result, &mut diag)?;
+            out.push_str(&format!("{:>24}  any-output = {any:.6}\n", "*"));
+        }
+    }
+    Ok((out, Some(format!("{diag}\n"))))
+}
+
+fn observability_text(
+    c: &Circuit,
+    obs: &ObservabilityMatrix,
+    opts: &Options,
+) -> Result<(String, Option<String>), CliError> {
     let deltas = obs.closed_form(&GateEps::try_uniform(c, opts.eps)?);
     let mut out = format!(
         "closed-form observability bound at eps = {} ({} backend)\n",
         opts.eps,
-        match opts.backend {
-            crate::options::BackendKind::Bdd => "bdd",
-            crate::options::BackendKind::Sim => "sim",
-        },
+        backend_name(opts),
     );
     for (k, o) in c.outputs().iter().enumerate() {
         out.push_str(&format!("{:>24}  delta = {:.6}\n", o.name(), deltas[k]));
@@ -572,12 +591,136 @@ fn observability(artifact: &Artifact, opts: &Options) -> Result<String, CliError
             ));
         }
     }
-    if opts.diagnostics {
-        out.push_str(&format!("\ndiagnostics:\n{}\n", obs.diagnostics()));
-        out.push_str(&deadline_note(opts, &cancel));
-        out.push_str(&provenance(artifact, opts));
+    Ok((out, Some(format!("{}\n", obs.diagnostics()))))
+}
+
+fn mc_text(
+    c: &Circuit,
+    r: &relogic_sim::ReliabilityEstimate,
+    opts: &Options,
+    tape_us: Option<u128>,
+) -> (String, Option<String>) {
+    let mut out = format!(
+        "monte carlo at eps = {} ({} patterns)\n",
+        opts.eps,
+        r.patterns()
+    );
+    for (k, o) in c.outputs().iter().enumerate() {
+        out.push_str(&format!(
+            "{:>24}  delta = {:.6}  (std err {:.6})\n",
+            o.name(),
+            r.per_output()[k],
+            r.std_error(k)
+        ));
     }
-    Ok(out)
+    out.push_str(&format!(
+        "{:>24}  any-output = {:.6}\n",
+        "*",
+        r.any_output()
+    ));
+    let engine = format!(
+        "engine: tape ({} x 64-bit lanes, compiled in {} us)\n",
+        relogic_sim::DEFAULT_LANES,
+        tape_us.unwrap_or(0)
+    );
+    (out, Some(engine))
+}
+
+/// The auto-escalating hybrid estimator's text: which tier answered and
+/// why, and the propagation answer a Monte Carlo refinement replaced.
+fn estimate_text(
+    c: &Circuit,
+    report: &relogic_estimate::EstimateReport,
+    opts: &Options,
+) -> (String, Option<String>) {
+    let mut out = format!(
+        "hybrid estimate at eps = {} (tier: {})\nreason: {}\n",
+        opts.eps,
+        report.tier.name(),
+        report.reason
+    );
+    for (k, o) in c.outputs().iter().enumerate() {
+        out.push_str(&format!(
+            "{:>24}  delta = {:.6}\n",
+            o.name(),
+            report.per_output[k]
+        ));
+    }
+    if report.tier == EstimatorTier::MonteCarlo {
+        if let Some(prop) = &report.propagation {
+            out.push_str("\npropagation tier before MC refinement:\n");
+            for (k, o) in c.outputs().iter().enumerate() {
+                out.push_str(&format!("{:>24}  delta = {:.6}\n", o.name(), prop[k]));
+            }
+        }
+    }
+    (out, Some(format!("{}\n", report.diagnostics)))
+}
+
+/// The selective-TMR hardening sweep's text: the reliability-per-area
+/// Pareto front and the gate protection order.
+fn harden_text(c: &Circuit, report: &relogic_estimate::HardenReport, opts: &Options) -> String {
+    let point_line = |p: &relogic_estimate::ParetoPoint| {
+        format!(
+            "protect {:>4}  {:>6} gates  area {:>6.2}x  mean delta = {:.6}  max delta = {:.6}\n",
+            p.protected, p.gates, p.area_ratio, p.mean_delta, p.max_delta
+        )
+    };
+    let mut out = format!(
+        "selective-TMR hardening sweep at eps = {} (area budget {:.2}x)\n",
+        opts.eps, opts.area_budget
+    );
+    out.push_str("baseline:  ");
+    out.push_str(&point_line(&report.baseline));
+    out.push_str(&format!(
+        "evaluated {} protection prefixes within budget\npareto front:\n",
+        report.evaluated.len()
+    ));
+    for p in &report.front {
+        out.push_str("  ");
+        out.push_str(&point_line(p));
+    }
+    out.push_str(&format!(
+        "\nprotection order (top {}, criticality = eps * any-output observability):\n",
+        opts.top.min(report.ranking.len())
+    ));
+    for &(id, crit) in report.ranking.iter().take(opts.top) {
+        out.push_str(&format!(
+            "{:>24}  criticality = {:.6}\n",
+            c.display_name(id),
+            crit
+        ));
+    }
+    out
+}
+
+/// The critical-ε bisection's text: where δ reaches the threshold, and the
+/// final bracket.
+fn critical_eps_text(report: &relogic_estimate::CriticalEpsReport) -> String {
+    let mut out = format!(
+        "critical-eps bisection (metric {}, threshold {})\n",
+        report.metric.name(),
+        report.threshold
+    );
+    match report.critical {
+        Some(critical) => out.push_str(&format!(
+            "{} delta reaches {} at eps = {:.9} ({} steps)\n",
+            report.metric.name(),
+            report.threshold,
+            critical,
+            report.steps
+        )),
+        None => out.push_str(&format!(
+            "{} delta never reaches {} for eps in [0, 0.5]\n",
+            report.metric.name(),
+            report.threshold
+        )),
+    }
+    out.push_str(&format!(
+        "bracket: eps in [{:.9}, {:.9}], delta in [{:.6}, {:.6}]\n",
+        report.lo, report.hi, report.delta_lo, report.delta_hi
+    ));
+    out
 }
 
 fn serve(args: &ParsedArgs) -> Result<String, CliError> {
@@ -666,54 +809,6 @@ fn sweep(c: &Circuit, opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn monte_carlo(c: &Circuit, opts: &Options) -> Result<String, CliError> {
-    let cancel = deadline_token(opts);
-    let config = MonteCarloConfig {
-        patterns: opts.patterns,
-        seed: opts.seed,
-        threads: opts.threads,
-        ..MonteCarloConfig::default()
-    };
-    let start = std::time::Instant::now();
-    let tape = relogic_sim::CircuitTape::compile(c);
-    let compile_us = start.elapsed().as_micros();
-    if opts.json {
-        return Ok(json_line(
-            relogic_serve::api::monte_carlo_result_tape_cancellable(
-                c, &tape, opts.eps, &config, &cancel,
-            )?,
-        ));
-    }
-    let eps = GateEps::try_uniform(c, opts.eps)?;
-    let r = relogic_sim::try_estimate_tape(c, &tape, eps.as_slice(), &config, &cancel)?;
-    let mut out = format!(
-        "monte carlo at eps = {} ({} patterns)\n",
-        opts.eps,
-        r.patterns()
-    );
-    for (k, o) in c.outputs().iter().enumerate() {
-        out.push_str(&format!(
-            "{:>24}  delta = {:.6}  (std err {:.6})\n",
-            o.name(),
-            r.per_output()[k],
-            r.std_error(k)
-        ));
-    }
-    out.push_str(&format!(
-        "{:>24}  any-output = {:.6}\n",
-        "*",
-        r.any_output()
-    ));
-    if opts.diagnostics {
-        out.push_str(&format!(
-            "\ndiagnostics:\nengine: tape ({} x 64-bit lanes, compiled in {compile_us} us)\n",
-            relogic_sim::DEFAULT_LANES
-        ));
-        out.push_str(&deadline_note(opts, &cancel));
-    }
-    Ok(out)
-}
-
 fn rank(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
     let c = artifact.circuit();
     let cancel = deadline_token(opts);
@@ -739,176 +834,8 @@ fn rank(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
         ));
     }
     if opts.diagnostics {
-        out.push_str(&format!("\ndiagnostics:\n{}\n", obs.diagnostics()));
-        out.push_str(&deadline_note(opts, &cancel));
-        out.push_str(&provenance(artifact, opts));
-    }
-    Ok(out)
-}
-
-/// The auto-escalating hybrid estimator: exact observability under a BDD
-/// live-node budget, then the propagation estimator, then Monte Carlo
-/// refinement when the propagation answer saturates — the daemon's
-/// `estimate` request, run by the same [`relogic_serve::api::estimate`].
-fn estimate(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
-    let c = artifact.circuit();
-    let cancel = deadline_token(opts);
-    let policy = EstimatorPolicy {
-        bdd_node_budget: opts.bdd_node_budget,
-        mc_patterns: opts.patterns,
-        mc_seed: opts.seed,
-        ..EstimatorPolicy::default()
-    };
-    let report = relogic_serve::api::estimate(
-        artifact,
-        &CacheCounters::default(),
-        opts.eps,
-        &policy,
-        opts.threads,
-        &cancel,
-    )
-    .map_err(estimator_error)?;
-    if opts.json {
-        return Ok(json_line(relogic_serve::api::estimate_result(
-            c, opts.eps, &report,
-        )));
-    }
-    let mut out = format!(
-        "hybrid estimate at eps = {} (tier: {})\nreason: {}\n",
-        opts.eps,
-        report.tier.name(),
-        report.reason
-    );
-    for (k, o) in c.outputs().iter().enumerate() {
-        out.push_str(&format!(
-            "{:>24}  delta = {:.6}\n",
-            o.name(),
-            report.per_output[k]
-        ));
-    }
-    if report.tier == EstimatorTier::MonteCarlo {
-        if let Some(prop) = &report.propagation {
-            out.push_str("\npropagation tier before MC refinement:\n");
-            for (k, o) in c.outputs().iter().enumerate() {
-                out.push_str(&format!("{:>24}  delta = {:.6}\n", o.name(), prop[k]));
-            }
-        }
-    }
-    if opts.diagnostics {
-        out.push_str(&format!("\ndiagnostics:\n{}\n", report.diagnostics));
-        out.push_str(&deadline_note(opts, &cancel));
-        out.push_str(&provenance(artifact, opts));
-    }
-    Ok(out)
-}
-
-/// Selective-TMR hardening sweep: ranks gates by criticality, protects
-/// growing prefixes with `tmr_selected` under the area budget, and prints
-/// the reliability-per-area Pareto front.
-fn harden(c: &Circuit, opts: &Options) -> Result<String, CliError> {
-    let cancel = deadline_token(opts);
-    let report = relogic_estimate::harden_cancellable(
-        c,
-        &InputDistribution::Uniform,
-        opts.eps,
-        opts.area_budget,
-        opts.max_steps,
-        &cancel,
-    )
-    .map_err(estimator_error)?;
-    if opts.json {
-        return Ok(json_line(relogic_serve::api::harden_result(
-            c,
-            opts.eps,
-            opts.area_budget,
-            &report,
-        )));
-    }
-    let point_line = |p: &relogic_estimate::ParetoPoint| {
-        format!(
-            "protect {:>4}  {:>6} gates  area {:>6.2}x  mean delta = {:.6}  max delta = {:.6}\n",
-            p.protected, p.gates, p.area_ratio, p.mean_delta, p.max_delta
-        )
-    };
-    let mut out = format!(
-        "selective-TMR hardening sweep at eps = {} (area budget {:.2}x)\n",
-        opts.eps, opts.area_budget
-    );
-    out.push_str("baseline:  ");
-    out.push_str(&point_line(&report.baseline));
-    out.push_str(&format!(
-        "evaluated {} protection prefixes within budget\npareto front:\n",
-        report.evaluated.len()
-    ));
-    for p in &report.front {
-        out.push_str("  ");
-        out.push_str(&point_line(p));
-    }
-    out.push_str(&format!(
-        "\nprotection order (top {}, criticality = eps * any-output observability):\n",
-        opts.top.min(report.ranking.len())
-    ));
-    for &(id, crit) in report.ranking.iter().take(opts.top) {
-        out.push_str(&format!(
-            "{:>24}  criticality = {:.6}\n",
-            c.display_name(id),
-            crit
-        ));
-    }
-    Ok(out)
-}
-
-/// Deterministic bisection for the smallest uniform gate error rate at
-/// which the output error delta reaches `--threshold`, evaluated on the
-/// compiled sweep tape.
-fn critical_eps(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
-    let c = artifact.circuit();
-    let cancel = deadline_token(opts);
-    let weights = artifact.weights(&CacheCounters::default(), &cancel)?;
-    let tape = relogic::SweepTape::try_new(c, weights).map_err(CliError::Estimator)?;
-    let report = relogic_estimate::critical_eps_cancellable(
-        c,
-        &tape,
-        opts.metric,
-        opts.threshold,
-        opts.max_steps,
-        &cancel,
-    )
-    .map_err(estimator_error)?;
-    if opts.json {
-        return Ok(json_line(relogic_serve::api::critical_eps_result(
-            c, &report,
-        )));
-    }
-    let mut out = format!(
-        "critical-eps bisection (metric {}, threshold {})\n",
-        report.metric.name(),
-        report.threshold
-    );
-    match report.critical {
-        Some(critical) => out.push_str(&format!(
-            "{} delta reaches {} at eps = {:.9} ({} steps)\n",
-            report.metric.name(),
-            report.threshold,
-            critical,
-            report.steps
-        )),
-        None => out.push_str(&format!(
-            "{} delta never reaches {} for eps in [0, 0.5]\n",
-            report.metric.name(),
-            report.threshold
-        )),
-    }
-    out.push_str(&format!(
-        "bracket: eps in [{:.9}, {:.9}], delta in [{:.6}, {:.6}]\n",
-        report.lo, report.hi, report.delta_lo, report.delta_hi
-    ));
-    if opts.diagnostics {
-        let note = deadline_note(opts, &cancel) + &provenance(artifact, opts);
-        if !note.is_empty() {
-            out.push_str("\ndiagnostics:\n");
-            out.push_str(&note);
-        }
+        let body = format!("{}\n", obs.diagnostics());
+        out.push_str(&diagnostics_footer(Some(body), opts, &cancel, artifact));
     }
     Ok(out)
 }
@@ -1053,6 +980,8 @@ fn gen(args: &ParsedArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relogic_estimate::EstimatorPolicy;
+    use relogic_sim::MonteCarloConfig;
 
     const SMALL: &str = "\
 INPUT(a)
@@ -1280,24 +1209,83 @@ y = NOT(t)
     #[test]
     fn cli_json_is_bit_identical_to_server_result() {
         // The CLI and the daemon must expose the same schema and the same
-        // numbers; a client can switch transports without re-validating.
-        let cli = run_on_file("analyze", &["--eps", "0.1", "--json"]);
-        let service = relogic_serve::Service::new(relogic_serve::ServiceConfig::default());
-        let frame = format!(
-            r#"{{"kind":"analyze","netlist":"{}","eps":0.1}}"#,
-            SMALL.replace('\n', "\\n")
-        );
-        let reply = service.handle_line(&frame);
-        let server_result = relogic_serve::json::parse(reply.trim())
-            .unwrap()
-            .get("result")
-            .unwrap()
-            .clone();
-        let cli_result = relogic_serve::json::parse(cli.trim()).unwrap();
-        assert_eq!(
-            cli_result.encode().replace("\"cache\":\"bypass\"", ""),
-            server_result.encode().replace("\"cache\":\"miss\"", "")
-        );
+        // numbers for every request kind; a client can switch transports
+        // without re-validating.
+        for (command, flags, kind, fields) in [
+            ("analyze", "--eps 0.1", "analyze", r#""eps":0.1"#),
+            (
+                "observability",
+                "--eps 0.1 --per-node",
+                "observability",
+                r#""eps":0.1,"per_gate":true"#,
+            ),
+            (
+                "mc",
+                "--eps 0.1 --patterns 4096 --seed 5",
+                "monte_carlo",
+                r#""eps":0.1,"patterns":4096,"seed":5"#,
+            ),
+            ("estimate", "--eps 0.1", "estimate", r#""eps":0.1"#),
+            (
+                "harden",
+                "--eps 0.1 --area-budget 20",
+                "harden",
+                r#""eps":0.1,"area_budget":20"#,
+            ),
+            (
+                "critical-eps",
+                "--threshold 0.18",
+                "critical_eps",
+                r#""threshold":0.18"#,
+            ),
+        ] {
+            let mut argv: Vec<&str> = flags.split(' ').collect();
+            argv.push("--json");
+            let cli = run_on_file(command, &argv);
+            let service = relogic_serve::Service::new(relogic_serve::ServiceConfig::default());
+            let frame = format!(
+                r#"{{"kind":"{kind}","netlist":"{}",{fields}}}"#,
+                SMALL.replace('\n', "\\n")
+            );
+            let reply = service.handle_line(&frame);
+            let server_result = relogic_serve::json::parse(reply.trim())
+                .unwrap()
+                .get("result")
+                .unwrap_or_else(|| panic!("{command}: {reply}"))
+                .clone();
+            let cli_result = relogic_serve::json::parse(cli.trim()).unwrap();
+            assert_eq!(
+                cli_result.encode().replace(",\"cache\":\"bypass\"", ""),
+                server_result.encode().replace(",\"cache\":\"miss\"", ""),
+                "{command}"
+            );
+        }
+    }
+
+    #[test]
+    fn flagless_requests_match_the_daemon_defaults() {
+        for (command, kind) in KIND_COMMANDS.iter().zip([
+            "analyze",
+            "observability",
+            "monte_carlo",
+            "estimate",
+            "harden",
+            "critical_eps",
+        ]) {
+            let args = ParsedArgs::parse([*command, "x.bench"]).unwrap();
+            let payload = CircuitPayload {
+                netlist: SMALL.to_owned(),
+                format: NetlistFormat::Bench,
+                backend: backend_spec(&args.options),
+            };
+            let cli = request(command, &args.options, payload).unwrap();
+            let frame = Json::obj([("kind", Json::from(kind)), ("netlist", Json::from(SMALL))]);
+            let (_, daemon) = relogic_serve::proto::parse_request(
+                &frame.encode(),
+                &relogic_serve::RequestLimits::default(),
+            );
+            assert_eq!(format!("{cli:?}"), format!("{:?}", daemon.unwrap()));
+        }
     }
 
     #[test]
@@ -1306,7 +1294,7 @@ y = NOT(t)
             "analyze",
             &["--eps", "0.1", "--no-correlations", "--per-node"],
         );
-        // `--strict` keeps the run on the per-point graph engine.
+        // `--strict` does not change the numbers of an in-policy run.
         let graph = run_on_file(
             "analyze",
             &[
@@ -1318,16 +1306,6 @@ y = NOT(t)
             ],
         );
         assert_eq!(tape, graph, "tape and graph engines must print the same");
-        let diag = run_on_file(
-            "analyze",
-            &["--eps", "0.1", "--no-correlations", "--diagnostics"],
-        );
-        assert!(diag.contains("engine: tape (compiled in"), "{diag}");
-        let diag = run_on_file("analyze", &["--eps", "0.1", "--diagnostics"]);
-        assert!(
-            diag.contains("engine: graph"),
-            "correlations force the graph engine: {diag}"
-        );
     }
 
     #[test]
@@ -1732,7 +1710,14 @@ y = NOT(t)
             site: "watchdog",
         });
         assert_eq!(err.exit_code(), 9);
-        let err = estimator_error(relogic::RelogicError::Cancelled(c));
+        let (_, estimate) = relogic_serve::proto::parse_request(
+            r#"{"kind":"estimate","netlist":"x"}"#,
+            &relogic_serve::RequestLimits::default(),
+        );
+        let err = run_error(
+            &estimate.unwrap(),
+            ServeError::from(relogic::RelogicError::Cancelled(c)),
+        );
         assert_eq!(err.exit_code(), 9, "estimator seam must not remap to 8");
     }
 

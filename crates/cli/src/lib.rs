@@ -52,7 +52,7 @@ OPTIONS:
     --no-correlations       disable reconvergent-fanout correction
     --per-node              also print per-node error probabilities (analyze)
     --diagnostics           print engine diagnostics (analyze, observability,
-                            sweep, mc, rank, estimate, critical-eps)
+                            sweep, mc, rank, estimate, harden, critical-eps)
     --strict                reject eps > 0.5 and non-finite intermediates
                             instead of degrading gracefully
     --to <bench|blif|verilog|dot>  target format for convert     [default: blif]
@@ -64,7 +64,8 @@ OPTIONS:
                             (accuracy/time dial; `none` lifts the cap)
     --json                  emit machine-readable JSON (analyze, observability,
                             mc, estimate, harden, critical-eps) using the
-                            relogic-serve result schema
+                            relogic-serve result schema; other commands
+                            reject it
     --bdd-node-budget <N>   BDD live-node budget for the estimate exact
                             tier; 0 disables the exact tier
                             (fallbacks are counted, never silent)
@@ -81,9 +82,10 @@ OPTIONS:
                             with code 9 — never a partial result. A run
                             that completes under its deadline prints
                             bit-identical output to an undeadlined run.
+                            Other commands reject the flag.
     --cache-dir <DIR>       versioned, checksummed on-disk artifact store:
-                            analyze, observability, rank, estimate and
-                            critical-eps read and write it, serve
+                            analyze, observability, mc, rank, estimate,
+                            harden and critical-eps read and write it, serve
                             persists its cache across restarts in it,
                             and `cache ls|verify|gc|warm` manage it offline.
                             Corrupt files are quarantined (*.corrupt) and

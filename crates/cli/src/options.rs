@@ -3,6 +3,21 @@
 use crate::commands::CliError;
 use relogic::Backend;
 use relogic_estimate::CriticalMetric;
+use relogic_serve::proto::{
+    DEFAULT_AREA_BUDGET, DEFAULT_CRITICAL_THRESHOLD, DEFAULT_EPS, DEFAULT_PATTERNS,
+};
+
+/// The commands that run one protocol request kind through
+/// `relogic_serve::api::run`, as the daemon does. `--json` applies to
+/// exactly these; `--deadline-ms` to these and `rank`.
+pub(crate) const KIND_COMMANDS: [&str; 6] = [
+    "analyze",
+    "observability",
+    "mc",
+    "estimate",
+    "harden",
+    "critical-eps",
+];
 
 /// Raw command line split into command, positional argument, and options.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,9 +78,9 @@ pub struct Options {
     /// typed `overloaded` error carrying a retry hint.
     pub max_inflight: usize,
     /// On-disk artifact store directory: `serve` persists compiled
-    /// artifacts across restarts, the one-shot analysis commands
-    /// (`analyze`, `observability`, `rank`, `estimate`, `critical-eps`)
-    /// read/write it, and the `cache` subcommand manages it offline.
+    /// artifacts across restarts, the one-shot analysis commands (the six
+    /// request-kind commands and `rank`) read/write it, and the `cache`
+    /// subcommand manages it offline.
     pub cache_dir: Option<String>,
     /// Chaos fault-injection profile for `serve` (`NAME[:SEED]`). Only
     /// compiled in with the `chaos` feature.
@@ -115,9 +130,9 @@ impl Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            eps: 0.05,
+            eps: DEFAULT_EPS,
             backend: BackendKind::Bdd,
-            patterns: 65_536,
+            patterns: DEFAULT_PATTERNS,
             seed: 1,
             points: 20,
             max_eps: 0.5,
@@ -139,8 +154,8 @@ impl Default for Options {
             #[cfg(feature = "chaos")]
             chaos_profile: None,
             bdd_node_budget: relogic_estimate::DEFAULT_BDD_NODE_BUDGET,
-            area_budget: 2.0,
-            threshold: 0.1,
+            area_budget: DEFAULT_AREA_BUDGET,
+            threshold: DEFAULT_CRITICAL_THRESHOLD,
             metric: CriticalMetric::Max,
             max_steps: 0,
             deadline_ms: 0,
@@ -175,6 +190,7 @@ impl ParsedArgs {
         }
         let mut target = None;
         let mut options = Options::default();
+        let mut deadline_given = false;
 
         let mut iter = args;
         while let Some(arg) = iter.next() {
@@ -225,7 +241,10 @@ impl ParsedArgs {
                     });
                 }
                 "--bdd-node-budget" => options.bdd_node_budget = parse_value(&arg, iter.next())?,
-                "--deadline-ms" => options.deadline_ms = parse_value(&arg, iter.next())?,
+                "--deadline-ms" => {
+                    options.deadline_ms = parse_value(&arg, iter.next())?;
+                    deadline_given = true;
+                }
                 "--area-budget" => options.area_budget = parse_value(&arg, iter.next())?,
                 "--threshold" => options.threshold = parse_value(&arg, iter.next())?,
                 "--max-steps" => options.max_steps = parse_value(&arg, iter.next())?,
@@ -258,6 +277,20 @@ impl ParsedArgs {
                 "--eps {} out of [0, 1]",
                 options.eps
             )));
+        }
+        // The usage text printed with the error lists where each flag applies.
+        let kind_command = KIND_COMMANDS.contains(&command.as_str());
+        for (given, flag, honoured) in [
+            (options.json, "--json", kind_command),
+            (
+                deadline_given,
+                "--deadline-ms",
+                kind_command || command == "rank",
+            ),
+        ] {
+            if given && !honoured {
+                return Err(CliError::Usage(format!("`{command}` does not take {flag}")));
+            }
         }
         if options.threads > 1024 {
             return Err(CliError::Usage(format!(

@@ -1,13 +1,15 @@
 //! Exit codes of the `relogic-cli` binary on the commands that read their
 //! analysis state through a serve `Artifact`: estimator failures exit 8,
 //! an expired `--deadline-ms` exits 9 with nothing on stdout, and a
-//! malformed netlist exits 4 with a `file:line:` message.
+//! malformed netlist exits 4 with a `file:line:` message. A closed stdout
+//! is not a crash, and `--json`/`--deadline-ms` on a command that does not
+//! honour them is a usage error (exit 2).
 
 // Test helpers may unwrap: a panic here is a test failure, not a crash path.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SMALL: &str = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nt = NAND(a, b)\ny = NOT(t)\n";
 
@@ -78,5 +80,67 @@ fn malformed_netlist_exits_4_with_file_and_line() {
         assert_eq!(out.status.code(), Some(4), "{command}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("broken.bench:3:"), "{command}: {stderr}");
+    }
+}
+
+#[test]
+fn closed_stdout_exits_quietly_without_a_panic() {
+    // The reader goes away before the child prints (`relogic-cli … | head`
+    // with a reader that exits early): the write fails with a broken pipe,
+    // which is the reader's choice, not a crash.
+    let p = netlist("pipe.bench", SMALL).display().to_string();
+    for args in [
+        &["sweep", &p, "--points", "4000", "--no-correlations"][..],
+        &["analyze", &p, "--per-node"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_relogic-cli"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn json_and_deadline_flags_are_usage_errors_where_not_honoured() {
+    let p = netlist("flags.bench", SMALL).display().to_string();
+    let p = p.as_str();
+    for (args, flag) in [
+        (&["sweep", p, "--json"][..], "--json"),
+        (&["rank", p, "--json"], "--json"),
+        (&["stats", p, "--json"], "--json"),
+        (&["sweep", p, "--deadline-ms", "600000"], "--deadline-ms"),
+        (&["stats", p, "--deadline-ms", "600000"], "--deadline-ms"),
+        (&["convert", p, "--deadline-ms", "600000"], "--deadline-ms"),
+        (&["gen", "x2", "--deadline-ms", "600000"], "--deadline-ms"),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+    // The commands that honour the flags still take them.
+    for args in [
+        &[
+            "mc",
+            p,
+            "--patterns",
+            "64",
+            "--json",
+            "--deadline-ms",
+            "600000",
+        ][..],
+        &["rank", p, "--deadline-ms", "600000"],
+        &["critical-eps", p, "--threshold", "0.18", "--json"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
     }
 }

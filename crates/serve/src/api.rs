@@ -1,22 +1,214 @@
-//! Request-kind work shared by the daemon and the one-shot CLI: the
-//! `estimate` tier wiring over an [`Artifact`], and the result-object
-//! builders behind the daemon's replies and the CLI's `--json` output.
+//! Request-kind work shared by the daemon and the one-shot CLI: [`run`]
+//! executes one analysis [`Request`] against an [`Artifact`] and returns a
+//! typed [`Outcome`], and [`Outcome::to_json`] encodes it with the
+//! result-object builders behind the daemon's replies and the CLI's
+//! `--json` output.
 //!
-//! Both surfaces call these functions with the same inputs and encode the
-//! returned [`Json`] with the same encoder, so a script migrating from
+//! Both surfaces build the same [`Request`], call [`run`] and encode the
+//! outcome with the same encoder, so a script migrating from
 //! `relogic-cli analyze --json` to the socket protocol parses an identical
 //! schema — the only divergence is the `"cache"` member the caller appends
 //! (`"hit"`/`"miss"` on the server, `"bypass"` on the one-shot CLI).
 
 use crate::cache::{Artifact, CacheCounters};
 use crate::json::Json;
-use crate::proto::{AnalyzeRequestOptions, ServeError};
-use relogic::{CancelToken, GateEps, ObservabilityMatrix, RelogicError, SinglePass, Weights};
+use crate::proto::{AnalyzeRequestOptions, Request, ServeError};
+use relogic::{
+    CancelToken, GateEps, InputDistribution, ObservabilityMatrix, RelogicError, SinglePass,
+    SinglePassResult, SweepTape, Weights,
+};
 use relogic_estimate::{
     CriticalEpsReport, EstimateReport, EstimatorPolicy, HardenReport, ParetoPoint,
 };
 use relogic_netlist::Circuit;
-use relogic_sim::MonteCarloConfig;
+use relogic_sim::{CircuitTape, MonteCarloConfig, ReliabilityEstimate};
+
+/// What [`run`] computed for one analysis request.
+#[derive(Debug)]
+pub enum Outcome<'a> {
+    /// `analyze`: one single-pass result per ε point.
+    Analyze(Vec<SinglePassResult>),
+    /// `observability`: the artifact's §3 matrix.
+    Observability(&'a ObservabilityMatrix),
+    /// `monte_carlo`: the tape estimate.
+    MonteCarlo(ReliabilityEstimate),
+    /// `estimate`: which tier answered, and its deltas.
+    Estimate(EstimateReport),
+    /// `harden`: the selective-TMR sweep.
+    Harden(HardenReport),
+    /// `critical_eps`: the bisection.
+    CriticalEps(CriticalEpsReport),
+}
+
+/// Runs one analysis request against `artifact`, materializing the slots
+/// its kind reads. `threads` is the BDD and estimator worker count (`0`
+/// auto-detects; answers are identical for every count); a
+/// `monte_carlo` request names its own. The artifact must be the one
+/// built from [`Request::payload`]. `estimate` escalates from the exact
+/// tier under the request's node budget to the propagation estimator, then
+/// to Monte Carlo when that answer saturates (see
+/// [`relogic_estimate::run_estimate_cancellable`]).
+///
+/// # Errors
+///
+/// The engines' typed errors, [`ServeError::DeadlineExceeded`] once
+/// `cancel` fires, and [`ServeError::BadRequest`] for `stats`/`health`,
+/// which read the service rather than a circuit.
+pub fn run<'a>(
+    request: &Request,
+    artifact: &'a Artifact,
+    counters: &CacheCounters,
+    threads: usize,
+    cancel: &CancelToken,
+) -> Result<Outcome<'a>, ServeError> {
+    let circuit = artifact.circuit();
+    Ok(match request {
+        Request::Analyze { eps, options, .. } => {
+            let weights = artifact.weights(counters, cancel)?;
+            Outcome::Analyze(analyze_points(circuit, weights, eps, options, cancel)?)
+        }
+        Request::Observability { .. } => {
+            Outcome::Observability(artifact.observability(counters, threads, cancel)?)
+        }
+        Request::MonteCarlo {
+            eps,
+            patterns,
+            seed,
+            threads,
+            ..
+        } => {
+            let config = MonteCarloConfig {
+                patterns: *patterns,
+                seed: *seed,
+                threads: *threads,
+                ..MonteCarloConfig::default()
+            };
+            let tape = artifact.tape(counters);
+            Outcome::MonteCarlo(monte_carlo(circuit, tape, *eps, &config, cancel)?)
+        }
+        Request::Estimate {
+            eps,
+            bdd_node_budget,
+            patterns,
+            seed,
+            ..
+        } => {
+            let policy = EstimatorPolicy {
+                bdd_node_budget: *bdd_node_budget,
+                mc_patterns: *patterns,
+                mc_seed: *seed,
+                ..EstimatorPolicy::default()
+            };
+            let gate_eps = GateEps::try_uniform(circuit, *eps)?;
+            // The exact tier reads the observability slot: a matrix in
+            // memory or verified on disk answers for free; otherwise the
+            // budgeted build runs, and only a completed build fills the
+            // slot. The Monte Carlo tier runs on the artifact's tape.
+            Outcome::Estimate(relogic_estimate::run_estimate_cancellable(
+                &policy,
+                cancel,
+                |budget| {
+                    artifact
+                        .observability_within(counters, threads, Some(budget), cancel)
+                        .map(|matrix| matrix.closed_form(&gate_eps))
+                },
+                || {
+                    artifact
+                        .propagation_estimate(counters, cancel)
+                        .map(|est| est.closed_form(&gate_eps))
+                },
+                |patterns, seed| {
+                    let config = MonteCarloConfig {
+                        patterns,
+                        seed,
+                        threads,
+                        ..MonteCarloConfig::default()
+                    };
+                    Ok(relogic_sim::try_estimate_tape(
+                        circuit,
+                        artifact.tape(counters),
+                        gate_eps.as_slice(),
+                        &config,
+                        cancel,
+                    )?
+                    .per_output()
+                    .to_vec())
+                },
+            )?)
+        }
+        Request::Harden {
+            eps,
+            area_budget,
+            max_steps,
+            ..
+        } => Outcome::Harden(relogic_estimate::harden_cancellable(
+            circuit,
+            &InputDistribution::Uniform,
+            *eps,
+            *area_budget,
+            *max_steps,
+            cancel,
+        )?),
+        Request::CriticalEps {
+            threshold,
+            metric,
+            max_steps,
+            ..
+        } => {
+            let tape = SweepTape::try_new(circuit, artifact.weights(counters, cancel)?)?;
+            Outcome::CriticalEps(relogic_estimate::critical_eps_cancellable(
+                circuit, &tape, *metric, *threshold, *max_steps, cancel,
+            )?)
+        }
+        Request::Stats | Request::Health => {
+            return Err(ServeError::BadRequest(format!(
+                "`{}` reads the service, not a circuit",
+                request.kind()
+            )))
+        }
+    })
+}
+
+impl Outcome<'_> {
+    /// The result object answering `request`, the request [`run`] ran to
+    /// produce this outcome, on `circuit`, the artifact's.
+    ///
+    /// # Errors
+    ///
+    /// ε-validation errors of the `observability` closed form, and
+    /// [`ServeError::Internal`] for an outcome of another kind.
+    pub fn to_json(&self, request: &Request, circuit: &Circuit) -> Result<Json, ServeError> {
+        Ok(match (self, request) {
+            (Outcome::Analyze(points), Request::Analyze { eps, options, .. }) => {
+                analyze_json(circuit, eps, options, points)
+            }
+            (Outcome::Observability(matrix), Request::Observability { eps, per_gate, .. }) => {
+                return observability_result(circuit, matrix, eps, *per_gate)
+            }
+            (Outcome::MonteCarlo(estimate), Request::MonteCarlo { eps, seed, .. }) => {
+                monte_carlo_json(circuit, *eps, *seed, estimate)
+            }
+            (Outcome::Estimate(report), Request::Estimate { eps, .. }) => {
+                estimate_result(circuit, *eps, report)
+            }
+            (
+                Outcome::Harden(report),
+                Request::Harden {
+                    eps, area_budget, ..
+                },
+            ) => harden_result(circuit, *eps, *area_budget, report),
+            (Outcome::CriticalEps(report), Request::CriticalEps { .. }) => {
+                critical_eps_result(circuit, report)
+            }
+            _ => {
+                return Err(ServeError::Internal(format!(
+                    "a `{}` request cannot encode this outcome",
+                    request.kind()
+                )))
+            }
+        })
+    }
+}
 
 fn output_names(circuit: &Circuit) -> Json {
     Json::Arr(
@@ -58,35 +250,37 @@ pub fn analyze_result(
     eps: &[f64],
     options: &AnalyzeRequestOptions,
 ) -> Result<Json, ServeError> {
-    analyze_result_cancellable(circuit, weights, eps, options, &CancelToken::new())
+    let points = analyze_points(circuit, weights, eps, options, &CancelToken::new())?;
+    Ok(analyze_json(circuit, eps, options, &points))
 }
 
-/// Like [`analyze_result`], but polls `cancel` between ε points so a
-/// multi-point sweep unwinds promptly on a fired deadline. A run that
-/// completes produces exactly the same object as [`analyze_result`].
-///
-/// # Errors
-///
-/// Engine errors, plus [`ServeError::DeadlineExceeded`] when the token
-/// fires between points (site `"analyze_point"`) or inside the engine.
-pub fn analyze_result_cancellable(
+/// The single pass at each ε point, polling `cancel` between points so a
+/// multi-point sweep unwinds promptly (site `"analyze_point"`).
+fn analyze_points(
     circuit: &Circuit,
     weights: &Weights,
     eps: &[f64],
     options: &AnalyzeRequestOptions,
     cancel: &CancelToken,
-) -> Result<Json, ServeError> {
-    let engine = SinglePass::try_new(circuit, weights, options.single_pass.clone())
-        .map_err(ServeError::from)?;
-    let mut diagnostics = relogic::Diagnostics::new();
+) -> Result<Vec<SinglePassResult>, ServeError> {
+    let engine = SinglePass::try_new(circuit, weights, options.single_pass.clone())?;
     let mut points = Vec::with_capacity(eps.len());
     for &e in eps {
-        cancel
-            .check("analyze_point")
-            .map_err(relogic::RelogicError::from)
-            .map_err(ServeError::from)?;
-        let gate_eps = GateEps::try_uniform(circuit, e).map_err(ServeError::from)?;
-        let result = engine.try_run(&gate_eps).map_err(ServeError::from)?;
+        cancel.check("analyze_point").map_err(RelogicError::from)?;
+        points.push(engine.try_run(&GateEps::try_uniform(circuit, e)?)?);
+    }
+    Ok(points)
+}
+
+fn analyze_json(
+    circuit: &Circuit,
+    eps: &[f64],
+    options: &AnalyzeRequestOptions,
+    points: &[SinglePassResult],
+) -> Json {
+    let mut diagnostics = relogic::Diagnostics::new();
+    let mut encoded = Vec::with_capacity(points.len());
+    for (&e, result) in eps.iter().zip(points) {
         let mut point = Json::obj([
             ("eps", Json::Num(e)),
             ("delta", delta_array(result.per_output())),
@@ -106,17 +300,17 @@ pub fn analyze_result_cancellable(
                 .collect();
             point.push("per_node", Json::Arr(nodes));
         }
-        points.push(point);
+        encoded.push(point);
         diagnostics.merge(result.diagnostics());
     }
     let mut result = Json::obj([
         ("outputs", output_names(circuit)),
-        ("points", Json::Arr(points)),
+        ("points", Json::Arr(encoded)),
     ]);
     if options.diagnostics {
         result.push("diagnostics", diagnostics_json(&diagnostics));
     }
-    Ok(result)
+    result
 }
 
 /// Evaluates the §3 closed form at each ε point and builds the
@@ -159,104 +353,42 @@ pub fn observability_result(
     Ok(result)
 }
 
-/// Runs Monte Carlo fault injection on a pre-compiled
-/// [`relogic_sim::CircuitTape`] (e.g. one cached on a serve artifact) and
-/// builds the `monte_carlo` result object. Same seed ⇒ bit-identical
-/// result for any thread count or client interleaving.
+/// Runs Monte Carlo fault injection on a pre-compiled [`CircuitTape`]
+/// (e.g. one cached on a serve artifact) and builds the `monte_carlo`
+/// result object. Same seed ⇒ bit-identical result for any thread count
+/// or client interleaving.
 ///
 /// # Errors
 ///
 /// Any validation error of the ε value or Monte Carlo configuration.
 pub fn monte_carlo_result_tape(
     circuit: &Circuit,
-    tape: &relogic_sim::CircuitTape,
+    tape: &CircuitTape,
     eps: f64,
     config: &MonteCarloConfig,
 ) -> Result<Json, ServeError> {
-    monte_carlo_result_tape_cancellable(circuit, tape, eps, config, &CancelToken::new())
+    let estimate = monte_carlo(circuit, tape, eps, config, &CancelToken::new())?;
+    Ok(monte_carlo_json(circuit, eps, config.seed, &estimate))
 }
 
-/// Like [`monte_carlo_result_tape`], but the tape engine polls `cancel`
-/// at every chunk hand-out. Completed runs are bit-identical to
-/// [`monte_carlo_result_tape`] — the token never alters the RNG stream or
-/// the merge order, only whether an answer is produced.
-///
-/// # Errors
-///
-/// Validation errors, plus [`ServeError::DeadlineExceeded`] when the
-/// token fires mid-simulation.
-pub fn monte_carlo_result_tape_cancellable(
+/// Tape Monte Carlo at uniform gate error `eps`. The engine polls `cancel`
+/// at every chunk hand-out; the token never alters the RNG stream or the
+/// merge order, only whether an answer is produced.
+fn monte_carlo(
     circuit: &Circuit,
-    tape: &relogic_sim::CircuitTape,
+    tape: &CircuitTape,
     eps: f64,
     config: &MonteCarloConfig,
     cancel: &CancelToken,
-) -> Result<Json, ServeError> {
-    let gate_eps = GateEps::try_uniform(circuit, eps).map_err(ServeError::from)?;
-    let estimate =
-        relogic_sim::try_estimate_tape(circuit, tape, gate_eps.as_slice(), config, cancel)
-            .map_err(ServeError::from)?;
-    monte_carlo_json(circuit, eps, config, &estimate)
-}
-
-/// The tiered estimate of `artifact` at uniform gate error `eps`: the
-/// exact tier under `policy.bdd_node_budget`, then the propagation
-/// estimator, then Monte Carlo on the artifact's tape when the propagation
-/// answer saturates (see [`relogic_estimate::run_estimate_cancellable`]).
-///
-/// The exact tier reads the artifact's observability slot: a matrix
-/// already in memory or verified on disk answers for free; otherwise the
-/// budgeted build runs, and a completed build fills the slot and is
-/// written through, while a budget trip or cancellation is never cached.
-/// `threads` drives the BDD build and the Monte Carlo tier (answers are
-/// identical for every count). The exact tier is a BDD computation, so
-/// callers hand in the BDD-backed artifact of the circuit.
-///
-/// # Errors
-///
-/// Propagation and Monte Carlo failures, ε-validation errors, and
-/// [`RelogicError::Cancelled`] once `cancel` fires.
-pub fn estimate(
-    artifact: &Artifact,
-    counters: &CacheCounters,
-    eps: f64,
-    policy: &EstimatorPolicy,
-    threads: usize,
-    cancel: &CancelToken,
-) -> Result<EstimateReport, RelogicError> {
-    let circuit = artifact.circuit();
+) -> Result<ReliabilityEstimate, ServeError> {
     let gate_eps = GateEps::try_uniform(circuit, eps)?;
-    relogic_estimate::run_estimate_cancellable(
-        policy,
+    Ok(relogic_sim::try_estimate_tape(
+        circuit,
+        tape,
+        gate_eps.as_slice(),
+        config,
         cancel,
-        |budget| {
-            artifact
-                .observability_within(counters, threads, Some(budget), cancel)
-                .map(|matrix| matrix.closed_form(&gate_eps))
-        },
-        || {
-            artifact
-                .propagation_estimate(counters, cancel)
-                .map(|est| est.closed_form(&gate_eps))
-        },
-        |patterns, seed| {
-            let config = MonteCarloConfig {
-                patterns,
-                seed,
-                threads,
-                ..MonteCarloConfig::default()
-            };
-            Ok(relogic_sim::try_estimate_tape(
-                circuit,
-                artifact.tape(counters),
-                gate_eps.as_slice(),
-                &config,
-                cancel,
-            )?
-            .per_output()
-            .to_vec())
-        },
-    )
+    )?)
 }
 
 /// Builds the `estimate` result object from a tiered-estimation report:
@@ -340,21 +472,21 @@ pub fn critical_eps_result(circuit: &Circuit, report: &CriticalEpsReport) -> Jso
 fn monte_carlo_json(
     circuit: &Circuit,
     eps: f64,
-    config: &MonteCarloConfig,
-    estimate: &relogic_sim::ReliabilityEstimate,
-) -> Result<Json, ServeError> {
+    seed: u64,
+    estimate: &ReliabilityEstimate,
+) -> Json {
     let std_errors: Vec<Json> = (0..circuit.output_count())
         .map(|k| Json::Num(estimate.std_error(k)))
         .collect();
-    Ok(Json::obj([
+    Json::obj([
         ("eps", Json::Num(eps)),
         ("patterns", Json::from(estimate.patterns())),
-        ("seed", Json::from(config.seed)),
+        ("seed", Json::from(seed)),
         ("outputs", output_names(circuit)),
         ("delta", delta_array(estimate.per_output())),
         ("std_error", Json::Arr(std_errors)),
         ("any_output", Json::Num(estimate.any_output())),
-    ]))
+    ])
 }
 
 #[cfg(test)]
@@ -433,6 +565,25 @@ mod tests {
             .unwrap()
             .encode();
         assert_eq!(a, b, "thread count must not change the estimate");
+    }
+
+    #[test]
+    fn run_answers_analysis_kinds_and_encodes_only_their_own_outcome() {
+        let parse = |line: &str| {
+            crate::proto::parse_request(line, &crate::proto::RequestLimits::default())
+                .1
+                .unwrap()
+        };
+        let critical = parse(r#"{"kind":"critical_eps","netlist":"x","threshold":0.18}"#);
+        let artifact = Artifact::new(&critical.payload().unwrap(), small(), None);
+        let (counters, cancel) = (CacheCounters::default(), CancelToken::new());
+        let err = run(&Request::Stats, &artifact, &counters, 0, &cancel).unwrap_err();
+        assert_eq!(err.code(), "bad_request");
+        let outcome = run(&critical, &artifact, &counters, 0, &cancel).unwrap();
+        assert!(outcome.to_json(&critical, artifact.circuit()).is_ok());
+        let harden = parse(r#"{"kind":"harden","netlist":"x"}"#);
+        let err = outcome.to_json(&harden, artifact.circuit()).unwrap_err();
+        assert_eq!(err.code(), "internal");
     }
 
     #[test]

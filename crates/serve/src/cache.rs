@@ -378,7 +378,7 @@ impl<T> LazySlot<T> {
 ///
 /// The daemon's cache and the one-shot CLI commands both read artifacts
 /// through these accessors, so persistence and the exact-tier rule (see
-/// [`crate::api::estimate`]) behave the same on both surfaces.
+/// [`crate::api::run`]) behave the same on both surfaces.
 #[derive(Debug)]
 pub struct Artifact {
     circuit: Circuit,

@@ -22,6 +22,7 @@ use relogic::{RelogicError, SinglePassOptions};
 use relogic_estimate::CriticalMetric;
 use relogic_netlist::{Circuit, NetlistError};
 use relogic_sim::SimError;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Default uniform gate failure probability when a request omits `eps`,
@@ -236,19 +237,62 @@ pub enum Request {
     Health,
 }
 
+/// The wire tag of every request kind, in [`Request::kind_index`] order:
+/// the order of the per-kind counters in `stats`.
+pub const KINDS: [&str; 8] = [
+    "analyze",
+    "observability",
+    "monte_carlo",
+    "estimate",
+    "harden",
+    "critical_eps",
+    "stats",
+    "health",
+];
+
 impl Request {
+    /// This kind's position in [`KINDS`].
+    #[must_use]
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Request::Analyze { .. } => 0,
+            Request::Observability { .. } => 1,
+            Request::MonteCarlo { .. } => 2,
+            Request::Estimate { .. } => 3,
+            Request::Harden { .. } => 4,
+            Request::CriticalEps { .. } => 5,
+            Request::Stats => 6,
+            Request::Health => 7,
+        }
+    }
+
     /// The wire tag of this request kind.
     #[must_use]
     pub fn kind(&self) -> &'static str {
+        KINDS[self.kind_index()]
+    }
+
+    /// The circuit payload whose artifact this kind reads; `None` for
+    /// `stats` and `health`, which read the service. `estimate` reads the
+    /// BDD-backed artifact whatever backend the request names: its exact
+    /// tier is a BDD computation, and a sampled-backend slot must never
+    /// receive BDD values.
+    #[must_use]
+    pub fn payload(&self) -> Option<Cow<'_, CircuitPayload>> {
         match self {
-            Request::Analyze { .. } => "analyze",
-            Request::Observability { .. } => "observability",
-            Request::MonteCarlo { .. } => "monte_carlo",
-            Request::Estimate { .. } => "estimate",
-            Request::Harden { .. } => "harden",
-            Request::CriticalEps { .. } => "critical_eps",
-            Request::Stats => "stats",
-            Request::Health => "health",
+            Request::Estimate { circuit, .. } if circuit.backend != BackendSpec::Bdd => {
+                Some(Cow::Owned(CircuitPayload {
+                    backend: BackendSpec::Bdd,
+                    ..circuit.clone()
+                }))
+            }
+            Request::Analyze { circuit, .. }
+            | Request::Observability { circuit, .. }
+            | Request::MonteCarlo { circuit, .. }
+            | Request::Estimate { circuit, .. }
+            | Request::Harden { circuit, .. }
+            | Request::CriticalEps { circuit, .. } => Some(Cow::Borrowed(circuit)),
+            Request::Stats | Request::Health => None,
         }
     }
 
@@ -958,6 +1002,31 @@ mod tests {
             (threshold, metric, max_steps),
             (0.2, CriticalMetric::Mean, 0)
         );
+    }
+
+    #[test]
+    fn every_wire_tag_parses_to_its_kind_index() {
+        for (i, tag) in KINDS.iter().enumerate() {
+            let line = format!(r#"{{"kind":"{tag}","netlist":"x"}}"#);
+            let req = parse_request(&line, &RequestLimits::default()).1.unwrap();
+            assert_eq!((req.kind_index(), req.kind()), (i, *tag));
+            assert_eq!(req.payload().is_some(), req.needs_admission(), "{tag}");
+        }
+    }
+
+    #[test]
+    fn estimate_reads_the_bdd_backed_payload() {
+        let limits = RequestLimits::default();
+        for kind in ["estimate", "analyze"] {
+            let line = format!(r#"{{"kind":"{kind}","netlist":"x","backend":"sim"}}"#);
+            let req = parse_request(&line, &limits).1.unwrap();
+            let backend = req.payload().unwrap().backend;
+            if kind == "estimate" {
+                assert_eq!(backend, BackendSpec::Bdd);
+            } else {
+                assert!(matches!(backend, BackendSpec::Sim { .. }), "{backend:?}");
+            }
+        }
     }
 
     #[test]

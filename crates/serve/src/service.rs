@@ -9,13 +9,9 @@
 use crate::api;
 use crate::cache::{ArtifactCache, DiskTier};
 use crate::json::Json;
-use crate::proto::{
-    self, BackendSpec, CircuitPayload, Request, RequestLimits, Response, ServeError,
-};
+use crate::proto::{self, Request, RequestLimits, Response, ServeError};
 use crate::stats::ServiceStats;
-use relogic::{CancelToken, InputDistribution, SweepTape};
-use relogic_estimate::EstimatorPolicy;
-use relogic_sim::MonteCarloConfig;
+use relogic::CancelToken;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -314,7 +310,7 @@ impl Service {
         let (id, parsed) = proto::parse_request(line, &self.inner.config.limits);
         let response = match parsed {
             Ok(request) => {
-                self.inner.stats.count_kind(request.kind());
+                self.inner.stats.count_kind(request.kind_index());
                 if request.needs_admission() {
                     match self.admit() {
                         Some(permit) => {
@@ -389,7 +385,7 @@ impl Service {
         request: Request,
         client_gone: Option<&dyn Fn() -> bool>,
     ) -> Response {
-        if matches!(request, Request::Stats | Request::Health) {
+        if !request.needs_admission() {
             return self.execute(id, request, &CancelToken::new());
         }
         let server_ms = self.inner.config.timeout_ms;
@@ -560,152 +556,22 @@ impl Service {
                 chaos.maybe_panic(ChaosSite::ExecPanic);
             }
         }
-        match request {
-            Request::Analyze {
-                circuit,
-                eps,
-                options,
-                ..
-            } => {
-                let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let weights = artifact.weights(self.inner.cache.counters(), cancel)?;
-                let mut result = api::analyze_result_cancellable(
-                    artifact.circuit(),
-                    weights,
-                    eps,
-                    options,
-                    cancel,
-                )?;
-                result.push("cache", Json::from(outcome.tag()));
-                Ok(result)
-            }
-            Request::Observability {
-                circuit,
-                eps,
-                per_gate,
-                ..
-            } => {
-                let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let observability =
-                    artifact.observability(self.inner.cache.counters(), 0, cancel)?;
-                let mut result =
-                    api::observability_result(artifact.circuit(), observability, eps, *per_gate)?;
-                result.push("cache", Json::from(outcome.tag()));
-                Ok(result)
-            }
-            Request::MonteCarlo {
-                circuit,
-                eps,
-                patterns,
-                seed,
-                threads,
-                ..
-            } => {
-                let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let config = MonteCarloConfig {
-                    patterns: *patterns,
-                    seed: *seed,
-                    threads: *threads,
-                    ..MonteCarloConfig::default()
-                };
-                let tape = artifact.tape(self.inner.cache.counters());
-                let mut result = api::monte_carlo_result_tape_cancellable(
-                    artifact.circuit(),
-                    tape,
-                    *eps,
-                    &config,
-                    cancel,
-                )?;
-                result.push("cache", Json::from(outcome.tag()));
-                Ok(result)
-            }
-            Request::Estimate {
-                circuit,
-                eps,
-                bdd_node_budget,
-                patterns,
-                seed,
-                ..
-            } => {
-                // The exact tier is a BDD computation: it answers from the
-                // circuit's BDD-backed artifact whatever backend was named.
-                let (artifact, outcome) = if circuit.backend == BackendSpec::Bdd {
-                    self.inner.cache.get_or_compile(circuit)?
-                } else {
-                    self.inner.cache.get_or_compile(&CircuitPayload {
-                        backend: BackendSpec::Bdd,
-                        ..circuit.clone()
-                    })?
-                };
-                let policy = EstimatorPolicy {
-                    bdd_node_budget: *bdd_node_budget,
-                    mc_patterns: *patterns,
-                    mc_seed: *seed,
-                    ..EstimatorPolicy::default()
-                };
-                let report = api::estimate(
-                    &artifact,
-                    self.inner.cache.counters(),
-                    *eps,
-                    &policy,
-                    0,
-                    cancel,
-                )
-                .map_err(ServeError::from)?;
-                self.inner.stats.record_tiers(&report.diagnostics);
-                let mut result = api::estimate_result(artifact.circuit(), *eps, &report);
-                result.push("cache", Json::from(outcome.tag()));
-                Ok(result)
-            }
-            Request::Harden {
-                circuit,
-                eps,
-                area_budget,
-                max_steps,
-                ..
-            } => {
-                let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let report = relogic_estimate::harden_cancellable(
-                    artifact.circuit(),
-                    &InputDistribution::Uniform,
-                    *eps,
-                    *area_budget,
-                    *max_steps,
-                    cancel,
-                )
-                .map_err(ServeError::from)?;
-                let mut result =
-                    api::harden_result(artifact.circuit(), *eps, *area_budget, &report);
-                result.push("cache", Json::from(outcome.tag()));
-                Ok(result)
-            }
-            Request::CriticalEps {
-                circuit,
-                threshold,
-                metric,
-                max_steps,
-                ..
-            } => {
-                let (artifact, outcome) = self.inner.cache.get_or_compile(circuit)?;
-                let weights = artifact.weights(self.inner.cache.counters(), cancel)?;
-                let tape =
-                    SweepTape::try_new(artifact.circuit(), weights).map_err(ServeError::from)?;
-                let report = relogic_estimate::critical_eps_cancellable(
-                    artifact.circuit(),
-                    &tape,
-                    *metric,
-                    *threshold,
-                    *max_steps,
-                    cancel,
-                )
-                .map_err(ServeError::from)?;
-                let mut result = api::critical_eps_result(artifact.circuit(), &report);
-                result.push("cache", Json::from(outcome.tag()));
-                Ok(result)
-            }
-            Request::Stats => Ok(self.stats_json()),
-            Request::Health => Ok(self.health_json()),
+        let Some(payload) = request.payload() else {
+            // `stats` and `health` read the service, not a circuit.
+            return Ok(if matches!(request, Request::Stats) {
+                self.stats_json()
+            } else {
+                self.health_json()
+            });
+        };
+        let (artifact, cached) = self.inner.cache.get_or_compile(&payload)?;
+        let outcome = api::run(request, &artifact, self.inner.cache.counters(), 0, cancel)?;
+        if let api::Outcome::Estimate(report) = &outcome {
+            self.inner.stats.record_tiers(&report.diagnostics);
         }
+        let mut result = outcome.to_json(request, artifact.circuit())?;
+        result.push("cache", Json::from(cached.tag()));
+        Ok(result)
     }
 
     /// The `health` result object: readiness (not draining), the drain
@@ -1163,7 +1029,10 @@ mod tests {
         let result = doc.get("result").unwrap();
         assert_eq!(result.get("ready").and_then(Json::as_bool), Some(false));
         assert_eq!(result.get("draining").and_then(Json::as_bool), Some(true));
-        assert_eq!(svc.stats().health.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            svc.stats().requests[Request::Health.kind_index()].load(Ordering::Relaxed),
+            2
+        );
     }
 
     #[test]

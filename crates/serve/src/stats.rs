@@ -1,6 +1,7 @@
 //! Service counters and a lock-free latency histogram.
 
 use crate::json::Json;
+use crate::proto::KINDS;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -107,22 +108,8 @@ impl LatencyHistogram {
 /// Request/connection counters exposed by the `stats` request kind.
 #[derive(Debug, Default)]
 pub struct ServiceStats {
-    /// `analyze` requests received.
-    pub analyze: AtomicU64,
-    /// `observability` requests received.
-    pub observability: AtomicU64,
-    /// `monte_carlo` requests received.
-    pub monte_carlo: AtomicU64,
-    /// `estimate` requests received.
-    pub estimate: AtomicU64,
-    /// `harden` requests received.
-    pub harden: AtomicU64,
-    /// `critical_eps` requests received.
-    pub critical_eps: AtomicU64,
-    /// `stats` requests received.
-    pub stats: AtomicU64,
-    /// `health` requests received.
-    pub health: AtomicU64,
+    /// Requests received per kind, indexed like [`KINDS`].
+    pub requests: [AtomicU64; KINDS.len()],
     /// Frames answered with a typed error.
     pub errors: AtomicU64,
     /// Requests that hit the per-request timeout.
@@ -164,19 +151,10 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Bumps the per-kind request counter.
-    pub fn count_kind(&self, kind: &str) {
-        match kind {
-            "analyze" => &self.analyze,
-            "observability" => &self.observability,
-            "monte_carlo" => &self.monte_carlo,
-            "estimate" => &self.estimate,
-            "harden" => &self.harden,
-            "critical_eps" => &self.critical_eps,
-            "health" => &self.health,
-            _ => &self.stats,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+    /// Bumps the request counter of the kind at `kind` in [`KINDS`]
+    /// (see [`crate::Request::kind_index`]).
+    pub fn count_kind(&self, kind: usize) {
+        self.requests[kind].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one estimate's tier outcome into the service-wide counters.
@@ -234,31 +212,17 @@ impl ServiceStats {
         ])
     }
 
-    /// The `requests` sub-object.
+    /// The `requests` sub-object: one member per kind, in [`KINDS`]
+    /// order.
     #[must_use]
     pub fn requests_json(&self) -> Json {
-        Json::obj([
-            ("analyze", Json::from(self.analyze.load(Ordering::Relaxed))),
-            (
-                "observability",
-                Json::from(self.observability.load(Ordering::Relaxed)),
-            ),
-            (
-                "monte_carlo",
-                Json::from(self.monte_carlo.load(Ordering::Relaxed)),
-            ),
-            (
-                "estimate",
-                Json::from(self.estimate.load(Ordering::Relaxed)),
-            ),
-            ("harden", Json::from(self.harden.load(Ordering::Relaxed))),
-            (
-                "critical_eps",
-                Json::from(self.critical_eps.load(Ordering::Relaxed)),
-            ),
-            ("stats", Json::from(self.stats.load(Ordering::Relaxed))),
-            ("health", Json::from(self.health.load(Ordering::Relaxed))),
-        ])
+        Json::Obj(
+            KINDS
+                .iter()
+                .zip(&self.requests)
+                .map(|(kind, n)| ((*kind).to_owned(), Json::from(n.load(Ordering::Relaxed))))
+                .collect(),
+        )
     }
 }
 
@@ -285,14 +249,15 @@ mod tests {
     #[test]
     fn kind_counters_accumulate() {
         let s = ServiceStats::default();
-        s.count_kind("analyze");
-        s.count_kind("analyze");
-        s.count_kind("monte_carlo");
-        s.count_kind("estimate");
-        s.count_kind("harden");
-        s.count_kind("critical_eps");
-        s.count_kind("stats");
-        s.count_kind("health");
+        let count_kind = |tag| s.count_kind(KINDS.iter().position(|k| *k == tag).unwrap());
+        count_kind("analyze");
+        count_kind("analyze");
+        count_kind("monte_carlo");
+        count_kind("estimate");
+        count_kind("harden");
+        count_kind("critical_eps");
+        count_kind("stats");
+        count_kind("health");
         let j = s.requests_json();
         assert_eq!(j.get("analyze").and_then(Json::as_u64), Some(2));
         assert_eq!(j.get("monte_carlo").and_then(Json::as_u64), Some(1));
