@@ -18,12 +18,16 @@ use relogic_bdd::{BddManager, BddRef, BuildInterrupt, CircuitBdds, VarOrder};
 use relogic_netlist::{Circuit, NodeId};
 use relogic_sim::exec::ChunkExecutor;
 use relogic_sim::{CancelToken, Cancelled};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 
-/// Number of output columns handed to a worker at a time. Workers fan out
-/// over *outputs* (plus one extra chunk for the any-output column), so the
-/// expensive per-stem splices are shared by all columns a worker owns.
-const OUTPUTS_PER_CHUNK: usize = 8;
+/// Output columns per sweep worker beyond the first. Every worker holds a
+/// full BDD manager (about 0.14 GB on the c499 analogue), so the worker
+/// count is capped at `⌈outputs / 8⌉ + 1` — the manager count of the
+/// earlier split by output column — instead of following the thread count
+/// up, and peak memory never exceeds that design's on any host. Only two
+/// workers have been measured to pay (`results/obs_throughput.json`).
+const OUTPUTS_PER_WORKER: usize = 8;
 
 /// Live-node count headroom above the base circuit functions before a
 /// worker garbage-collects. Collection wipes the operation caches and the
@@ -86,6 +90,12 @@ struct ObsPlan {
     /// Number of [`NodeMode::Region`] fanins that will read this node's
     /// predicate row (rows with zero readers are dropped immediately).
     readers: Vec<u32>,
+    /// Post-dominator trees, each a node list in descending node order
+    /// (the sweep's order), listed by descending root. A tree is a non-region
+    /// root plus every node whose chain of [`NodeMode::Region`] dominators
+    /// ends there; a region row needs its dominator's row from the same
+    /// manager, so a tree is always swept whole by one worker.
+    trees: Vec<Vec<usize>>,
 }
 
 impl ObsPlan {
@@ -164,19 +174,36 @@ impl ObsPlan {
                 readers[*d as usize] += 1;
             }
         }
+        // A dominator follows its region nodes in topological order, so a
+        // descending pass meets every root before the nodes under it.
+        let mut tree_of = vec![0usize; n];
+        let mut trees: Vec<Vec<usize>> = Vec::new();
+        for v in (0..n).rev() {
+            let t = match mode[v] {
+                NodeMode::Region(d) => tree_of[d as usize],
+                _ => {
+                    trees.push(Vec::new());
+                    trees.len() - 1
+                }
+            };
+            tree_of[v] = t;
+            trees[t].push(v);
+        }
         ObsPlan {
             mode,
             ports,
             readers,
+            trees,
         }
     }
 }
 
 /// Per-worker symbolic state: a full BDD manager plus the base circuit
-/// functions it splices auxiliaries into. Each worker builds its own copy
-/// through the identical deterministic construction sequence, so any
-/// worker computes bit-identical results for any node — which is what
-/// makes the fan-out independent of thread count and scheduling.
+/// functions it splices auxiliaries into. Every worker's copy comes from
+/// the identical deterministic construction sequence (the budget probe's
+/// manager is handed on as the first worker's), so any worker computes
+/// bit-identical results for any node — which is what makes the fan-out
+/// independent of thread count and scheduling.
 struct BddWorker {
     manager: BddManager,
     bdds: CircuitBdds,
@@ -186,6 +213,72 @@ struct BddWorker {
     /// must be dropped whenever the manager collects or reorders.
     memo: HashMap<BddRef, f64>,
     gc_floor: usize,
+}
+
+impl BddWorker {
+    /// A manager for `order` plus the auxiliary variable. The auxiliary
+    /// goes at the TOP of the order: spliced cones then cost one node per
+    /// gate above the splice point, and the Boolean difference reads the
+    /// root's two cofactors instead of dragging the auxiliary through
+    /// every path of the diagram.
+    fn empty_manager(order: &VarOrder) -> BddManager {
+        let mut manager = BddManager::new(order.len() + 1);
+        manager.place_var_at_top(key32(order.len()));
+        manager
+    }
+
+    /// Builds the base circuit functions from scratch.
+    fn build(circuit: &Circuit, dist: &InputDistribution) -> Self {
+        let order = VarOrder::dfs(circuit);
+        let mut manager = Self::empty_manager(&order);
+        let bdds = CircuitBdds::build(&mut manager, circuit, &order);
+        Self::new(manager, bdds, circuit, dist)
+    }
+
+    /// Wraps a manager holding the base circuit functions `bdds`, built on
+    /// a manager from [`BddWorker::empty_manager`].
+    fn new(
+        mut manager: BddManager,
+        bdds: CircuitBdds,
+        circuit: &Circuit,
+        dist: &InputDistribution,
+    ) -> Self {
+        let order_len = bdds.order().len();
+        let var_probs =
+            bdds.order()
+                .permute_probs(&dist.position_probs(circuit), order_len + 1, 0.5);
+        // Collect back to the base functions once the splice garbage
+        // outgrows the circuit itself by a wide margin.
+        let gc_floor = manager.live_node_count() + GC_HEADROOM_NODES;
+        manager.enable_reordering(REORDER_TRIGGER_NODES);
+        BddWorker {
+            manager,
+            bdds,
+            var_probs,
+            aux: key32(order_len),
+            memo: HashMap::new(),
+            gc_floor,
+        }
+    }
+}
+
+/// The auxiliary splice variable takes the index after the last input;
+/// a circuit whose inputs use up the variable space has no room for it.
+fn check_aux_fits(circuit: &Circuit) -> Result<(), RelogicError> {
+    relogic_bdd::Var::try_from(circuit.input_count())
+        .map(|_| ())
+        .map_err(|_| RelogicError::CircuitTooLarge {
+            nodes: circuit.len(),
+        })
+}
+
+/// Worker threads for the exact sweep: `threads` (`0` auto-detects the
+/// hardware), capped at one worker per [`OUTPUTS_PER_WORKER`] outputs
+/// plus one.
+fn sweep_threads(threads: usize, outputs: usize) -> usize {
+    ChunkExecutor::new(threads)
+        .threads()
+        .min(outputs.div_ceil(OUTPUTS_PER_WORKER) + 1)
 }
 
 impl ObservabilityMatrix {
@@ -216,13 +309,20 @@ impl ObservabilityMatrix {
     /// thread count for the BDD backend (`0` auto-detects the hardware),
     /// checking `cancel` while it works.
     ///
-    /// Results are **bit-identical for every thread count**: each worker
-    /// rebuilds the circuit's BDDs through the same deterministic
-    /// construction sequence, so a node's row does not depend on which
-    /// worker computed it, and rows are reassembled in node order.
+    /// The BDD backend's backward sweep is split by post-dominator tree:
+    /// each worker sweeps whole trees, computing every output column plus
+    /// the any column for the nodes it owns, so every stem splice runs
+    /// exactly once whatever the thread count. Each worker holds a full BDD
+    /// manager, so at most `⌈outputs / 8⌉ + 1` workers start.
     ///
-    /// The BDD backend checks `cancel` per output chunk and per node of
-    /// each backward sweep; the simulation backend checks once before the
+    /// Results are **bit-identical for every thread count**: each worker
+    /// builds the circuit's BDDs through the same deterministic
+    /// construction sequence, every row is a canonical BDD under the same
+    /// variable order, so a node's row does not depend on which worker
+    /// computed it, and rows are reassembled in node order.
+    ///
+    /// The BDD backend checks `cancel` per post-dominator tree and per node of the
+    /// backward sweep; the simulation backend checks once before the
     /// pattern run. A run that completes before the token fires returns
     /// values bit-identical to an uncancelled run — the checks are
     /// read-only early exits that never perturb the computation.
@@ -244,7 +344,7 @@ impl ObservabilityMatrix {
     ) -> Result<Self, RelogicError> {
         let _ = dist.try_position_probs(circuit)?;
         match backend {
-            Backend::Bdd => Self::compute_bdd(circuit, dist, threads, cancel),
+            Backend::Bdd => Self::compute_bdd(circuit, dist, threads, cancel, None),
             Backend::Simulation { patterns: 0, .. } => {
                 Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
             }
@@ -277,7 +377,9 @@ impl ObservabilityMatrix {
     /// The budget is checked gate-by-gate during a single-threaded probe
     /// build — the identical sequence every parallel worker would replay —
     /// so the trip decision is a pure function of `(circuit, budget)` and
-    /// cannot depend on thread count or scheduling. The subsequent
+    /// cannot depend on thread count or scheduling. A probe that fits
+    /// becomes the first worker's state, so only extra workers build the
+    /// circuit again. The subsequent
     /// backward sweep is GC-managed (see [`GC_HEADROOM_NODES`]) rather
     /// than budget-checked; the base build is where multiplier-class
     /// reconvergence blows up.
@@ -300,7 +402,7 @@ impl ObservabilityMatrix {
     /// Like [`ObservabilityMatrix::try_compute_budgeted`], checking
     /// `cancel` while it works: the probe build polls the token at the
     /// same per-gate point as the budget check (one extra branch), and
-    /// the subsequent sweep checks per chunk and per node.
+    /// the subsequent sweep checks per post-dominator tree and per node.
     ///
     /// # Errors
     ///
@@ -314,64 +416,32 @@ impl ObservabilityMatrix {
         cancel: &CancelToken,
     ) -> Result<Self, RelogicError> {
         let _ = dist.try_position_probs(circuit)?;
-        let order_len = circuit.input_count();
-        let _aux =
-            relogic_bdd::Var::try_from(order_len).map_err(|_| RelogicError::CircuitTooLarge {
-                nodes: circuit.len(),
-            })?;
+        check_aux_fits(circuit)?;
         let order = VarOrder::dfs(circuit);
-        let mut manager = BddManager::new(order.len() + 1);
-        manager.place_var_at_top(key32(order.len()));
+        let mut manager = BddWorker::empty_manager(&order);
         let mut poll = || cancel.is_cancelled();
-        CircuitBdds::try_build_interruptible(&mut manager, circuit, &order, budget, &mut poll)
-            .map_err(|e| match e {
-                BuildInterrupt::Budget(b) => RelogicError::BddBudgetExceeded {
-                    live_nodes: b.live_nodes,
-                    budget: b.budget,
-                },
-                BuildInterrupt::Interrupted => RelogicError::Cancelled(Cancelled {
-                    after: cancel.elapsed(),
-                    checked_at: "bdd_gate",
-                }),
-            })?;
-        drop(manager);
-        Self::compute_bdd(circuit, dist, threads, cancel)
+        let bdds =
+            CircuitBdds::try_build_interruptible(&mut manager, circuit, &order, budget, &mut poll)
+                .map_err(|e| match e {
+                    BuildInterrupt::Budget(b) => RelogicError::BddBudgetExceeded {
+                        live_nodes: b.live_nodes,
+                        budget: b.budget,
+                    },
+                    BuildInterrupt::Interrupted => RelogicError::Cancelled(Cancelled {
+                        after: cancel.elapsed(),
+                        checked_at: "bdd_gate",
+                    }),
+                })?;
+        let probe = BddWorker::new(manager, bdds, circuit, dist);
+        Self::compute_bdd(circuit, dist, threads, cancel, Some(probe))
     }
 
-    fn build_worker(circuit: &Circuit, dist: &InputDistribution) -> BddWorker {
-        let order = VarOrder::dfs(circuit);
-        let mut manager = BddManager::new(order.len() + 1);
-        let aux: relogic_bdd::Var = key32(order.len());
-        // The auxiliary goes at the TOP of the order: spliced cones then
-        // cost one node per gate above the splice point, and the Boolean
-        // difference reads the root's two cofactors instead of dragging
-        // the auxiliary through every path of the diagram.
-        manager.place_var_at_top(aux);
-        let bdds = CircuitBdds::build(&mut manager, circuit, &order);
-        let var_probs = order.permute_probs(&dist.position_probs(circuit), order.len() + 1, 0.5);
-        // Collect back to the base functions once the splice garbage
-        // outgrows the circuit itself by a wide margin.
-        let gc_floor = manager.live_node_count() + GC_HEADROOM_NODES;
-        manager.enable_reordering(REORDER_TRIGGER_NODES);
-        BddWorker {
-            manager,
-            bdds,
-            var_probs,
-            aux,
-            memo: HashMap::new(),
-            gc_floor,
-        }
-    }
-
-    /// One backward sweep over the netlist, producing the observability
-    /// values for a set of columns.
+    /// One backward sweep over the nodes in `owned` (one post-dominator
+    /// tree, descending node order), returning one row per owned
+    /// node: every output column, then the any-output observability (the
+    /// OR, in ascending output order, of every output's predicate).
     ///
-    /// `cols` names the output columns to compute; with `include_any` set
-    /// an extra *last* column holds the any-output observability (the OR,
-    /// in ascending output order, of every output's predicate).
-    ///
-    /// Nodes are visited in reverse topological order. A node's predicate
-    /// row is one of:
+    /// A node's predicate row is one of:
     ///
     /// * **Stem** (post-dominated only by the virtual sink): full
     ///   auxiliary-variable splice — the only expensive case, and exact
@@ -385,7 +455,8 @@ impl ObservabilityMatrix {
     ///   output runs through `d`; distributing `D ∧ ·` over the OR in the
     ///   any column is sound for the same reason. A region node never
     ///   feeds a port directly (a port would pull its post-dominator up
-    ///   to the sink), so no column overrides exist.
+    ///   to the sink), so no column overrides exist. `d` is in the same
+    ///   tree, so its row was computed earlier in this sweep.
     /// * **PortsOnly / Dead**: constant TRUE/FALSE rows, no symbolic work.
     ///
     /// Rows are dropped as soon as their last region reader has consumed
@@ -396,40 +467,31 @@ impl ObservabilityMatrix {
         worker: &mut BddWorker,
         circuit: &Circuit,
         plan: &ObsPlan,
-        cols: &[usize],
-        include_any: bool,
+        owned: &[usize],
         cancel: &CancelToken,
     ) -> Result<Vec<Vec<f64>>, Cancelled> {
-        let n = circuit.len();
-        let width = cols.len() + usize::from(include_any);
         let out_nodes: Vec<usize> = circuit.outputs().iter().map(|o| o.node().index()).collect();
-        let mut vals: Vec<Vec<f64>> = vec![vec![0.0; width]; n];
-        let mut rows: Vec<Option<Vec<BddRef>>> = vec![None; n];
-        let mut pending: Vec<u32> = plan.readers.clone();
-        for i in (0..n).rev() {
+        let mut vals: Vec<Vec<f64>> = Vec::with_capacity(owned.len());
+        // Rows still awaiting region readers, with the readers left. Keyed
+        // in node order so the GC sees its roots in a fixed order.
+        let mut rows: BTreeMap<usize, (u32, Vec<BddRef>)> = BTreeMap::new();
+        for &i in owned {
             // Per-node check: a stem splice can dwarf everything else in
             // the sweep, so finer granularity buys nothing.
             cancel.check("obs_node")?;
             let id = NodeId::from_index(i);
             let preds: Vec<BddRef> = match plan.mode[i] {
-                NodeMode::Dead => vec![BddRef::FALSE; width],
-                NodeMode::PortsOnly => {
-                    let mut preds: Vec<BddRef> = cols
-                        .iter()
-                        .map(|&y| {
-                            let y = key32(y);
-                            if plan.ports[i].contains(&y) {
-                                BddRef::TRUE
-                            } else {
-                                BddRef::FALSE
-                            }
-                        })
-                        .collect();
-                    if include_any {
-                        preds.push(BddRef::TRUE);
-                    }
-                    preds
-                }
+                NodeMode::Dead => vec![BddRef::FALSE; out_nodes.len() + 1],
+                NodeMode::PortsOnly => (0..out_nodes.len())
+                    .map(|y| {
+                        if plan.ports[i].contains(&key32(y)) {
+                            BddRef::TRUE
+                        } else {
+                            BddRef::FALSE
+                        }
+                    })
+                    .chain([BddRef::TRUE])
+                    .collect(),
                 NodeMode::Region(d) => {
                     let d = d as usize;
                     let manager = &mut worker.manager;
@@ -442,7 +504,7 @@ impl ObservabilityMatrix {
                     );
                     // The dominator's row is pinned until its last region
                     // reader (this node, at the latest) is done.
-                    let Some(drow) = rows[d].as_ref() else {
+                    let Some((_, drow)) = rows.get(&d) else {
                         unreachable!("region dominator row dropped before its readers")
                     };
                     drow.iter().map(|&p| manager.and(diff, p)).collect()
@@ -452,42 +514,44 @@ impl ObservabilityMatrix {
                         manager, bdds, aux, ..
                     } = worker;
                     let funcs = bdds.with_aux_at(manager, circuit, id, *aux);
-                    let mut preds: Vec<BddRef> = cols
+                    let mut preds: Vec<BddRef> = out_nodes
                         .iter()
-                        .map(|&y| manager.boolean_difference(funcs[out_nodes[y]], *aux))
+                        .map(|&on| manager.boolean_difference(funcs[on], *aux))
                         .collect();
-                    if include_any {
-                        // Fixed ascending fold order keeps the any column
-                        // bit-identical across thread counts.
-                        let mut acc = BddRef::FALSE;
-                        for &on in &out_nodes {
-                            let diff = manager.boolean_difference(funcs[on], *aux);
-                            acc = manager.or(acc, diff);
-                        }
-                        preds.push(acc);
-                    }
+                    // Fixed ascending fold order keeps the any column
+                    // bit-identical across thread counts.
+                    let any = preds
+                        .iter()
+                        .fold(BddRef::FALSE, |acc, &p| manager.or(acc, p));
+                    preds.push(any);
                     preds
                 }
             };
-            for (j, &p) in preds.iter().enumerate() {
-                vals[i][j] =
-                    worker
-                        .manager
-                        .probability_memo(p, &worker.var_probs, &mut worker.memo);
-            }
+            vals.push(
+                preds
+                    .iter()
+                    .map(|&p| {
+                        worker
+                            .manager
+                            .probability_memo(p, &worker.var_probs, &mut worker.memo)
+                    })
+                    .collect(),
+            );
             if plan.readers[i] > 0 {
-                rows[i] = Some(preds);
+                rows.insert(i, (plan.readers[i], preds));
             }
             if let NodeMode::Region(d) = plan.mode[i] {
                 let d = d as usize;
-                pending[d] -= 1;
-                if pending[d] == 0 {
-                    rows[d] = None;
+                if let Some((left, _)) = rows.get_mut(&d) {
+                    *left -= 1;
+                    if *left == 0 {
+                        rows.remove(&d);
+                    }
                 }
             }
             if worker.manager.live_node_count() > worker.gc_floor {
                 let mut roots: Vec<BddRef> = worker.bdds.funcs().to_vec();
-                for row in rows.iter().flatten() {
+                for (_, row) in rows.values() {
                     roots.extend_from_slice(row);
                 }
                 // maybe_reorder gc's as part of sifting; otherwise collect
@@ -503,69 +567,48 @@ impl ObservabilityMatrix {
         Ok(vals)
     }
 
+    /// The exact matrix, swept one post-dominator tree per chunk: each
+    /// chunk computes every column for the nodes it owns, so each stem
+    /// splice is paid exactly once whatever the thread count, and the
+    /// executor hands the trees out to at most [`sweep_threads`] workers.
+    /// `probe` is a worker already built by the budget probe; it becomes
+    /// the first worker's state and only the other workers build.
     fn compute_bdd(
         circuit: &Circuit,
         dist: &InputDistribution,
         threads: usize,
         cancel: &CancelToken,
+        probe: Option<BddWorker>,
     ) -> Result<Self, RelogicError> {
-        let order_len = circuit.input_count();
-        let _aux =
-            relogic_bdd::Var::try_from(order_len).map_err(|_| RelogicError::CircuitTooLarge {
-                nodes: circuit.len(),
-            })?;
+        check_aux_fits(circuit)?;
         let n = circuit.len();
-        let m = circuit.output_count();
         let plan = ObsPlan::build(circuit);
-        let exec = ChunkExecutor::new(threads);
-        // A lone worker computes every column (plus the any column) in a
-        // single sweep so the expensive per-stem splices are paid once.
-        // With real parallelism, workers fan out over output chunks and
-        // the any column rides in a dedicated chunk; either way the
-        // numbers are bit-identical because every predicate is a
-        // canonical BDD evaluated against the same variable order.
-        let (out_chunks, chunks) = if exec.threads() <= 1 {
-            (0, 1)
-        } else {
-            (
-                m.div_ceil(OUTPUTS_PER_CHUNK),
-                m.div_ceil(OUTPUTS_PER_CHUNK) + 1,
-            )
-        };
-        let (chunk_vals, workers) = exec.try_map_chunks_with_state(
-            chunks,
+        let exec = ChunkExecutor::new(sweep_threads(threads, circuit.output_count()));
+        let probe = Mutex::new(probe);
+        let (tree_vals, workers) = exec.try_map_chunks_with_state(
+            plan.trees.len(),
             cancel,
             "obs_chunk",
-            || Self::build_worker(circuit, dist),
-            |worker, chunk| {
-                if out_chunks == 0 {
-                    let cols: Vec<usize> = (0..m).collect();
-                    Self::sweep(worker, circuit, &plan, &cols, true, cancel)
-                } else if chunk == out_chunks {
-                    Self::sweep(worker, circuit, &plan, &[], true, cancel)
-                } else {
-                    let cols: Vec<usize> = (chunk * OUTPUTS_PER_CHUNK
-                        ..m.min((chunk + 1) * OUTPUTS_PER_CHUNK))
-                        .collect();
-                    Self::sweep(worker, circuit, &plan, &cols, false, cancel)
-                }
+            || {
+                // Only `take` runs under the lock, so a poisoned slot is
+                // still either full or empty.
+                let handed_on = match probe.lock() {
+                    Ok(mut slot) => slot.take(),
+                    Err(poisoned) => poisoned.into_inner().take(),
+                };
+                handed_on.unwrap_or_else(|| BddWorker::build(circuit, dist))
             },
+            |worker, tree| Self::sweep(worker, circuit, &plan, &plan.trees[tree], cancel),
         )?;
-        let mut per_output: Vec<Vec<f64>> = vec![Vec::with_capacity(m); n];
+        let mut per_output: Vec<Vec<f64>> = vec![Vec::new(); n];
         let mut any_output: Vec<f64> = vec![0.0; n];
-        for (chunk, vals) in chunk_vals.into_iter().enumerate() {
-            if out_chunks == 0 || chunk == out_chunks {
-                for (i, mut row) in vals.into_iter().enumerate() {
-                    let Some(any) = row.pop() else {
-                        unreachable!("sweep rows always carry the any column last")
-                    };
-                    any_output[i] = any;
-                    per_output[i].extend(row);
-                }
-            } else {
-                for (i, row) in vals.into_iter().enumerate() {
-                    per_output[i].extend(row);
-                }
+        for (owned, vals) in plan.trees.iter().zip(tree_vals) {
+            for (&i, mut row) in owned.iter().zip(vals) {
+                let Some(any) = row.pop() else {
+                    unreachable!("sweep rows always carry the any column last")
+                };
+                any_output[i] = any;
+                per_output[i] = row;
             }
         }
         let mut engine = BddEngineStats::default();
@@ -934,6 +977,63 @@ mod tests {
             assert_eq!(under.per_output_rows(), plain.per_output_rows());
             assert_eq!(under.any_output_values(), plain.any_output_values());
         }
+    }
+
+    #[test]
+    fn trees_partition_nodes_and_keep_regions_with_their_dominators() {
+        for name in ["x2", "cu", "b9", "c499"] {
+            let c = relogic_gen::suite::build(name).expect("suite circuit");
+            let plan = ObsPlan::build(&c);
+            assert!(
+                plan.mode.iter().any(|m| matches!(m, NodeMode::Region(_))),
+                "{name}: no region nodes, so the tree invariant is vacuous"
+            );
+            let mut owner = vec![None; c.len()];
+            for (k, nodes) in plan.trees.iter().enumerate() {
+                assert!(
+                    nodes.windows(2).all(|w| w[0] > w[1]),
+                    "{name}: tree {k} is not in sweep order"
+                );
+                assert!(
+                    !matches!(plan.mode[nodes[0]], NodeMode::Region(_)),
+                    "{name}: tree {k} does not start at its root"
+                );
+                for &v in nodes {
+                    assert_eq!(owner[v], None, "{name}: node {v} owned twice");
+                    owner[v] = Some(k);
+                }
+            }
+            assert!(
+                owner.iter().all(Option::is_some),
+                "{name}: the trees do not cover every node"
+            );
+            for (v, m) in plan.mode.iter().enumerate() {
+                if let NodeMode::Region(d) = *m {
+                    assert_eq!(
+                        owner[v], owner[d as usize],
+                        "{name}: region node {v} split from its dominator {d}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_workers_are_capped_by_output_count() {
+        // (threads, outputs, cap): one worker per 8 outputs plus one.
+        for (threads, outputs, cap) in [(1, 7, 1), (2, 1, 2), (7, 7, 2), (7, 11, 3), (64, 32, 5)] {
+            let exec = ChunkExecutor::new(sweep_threads(threads, outputs));
+            let never = CancelToken::new();
+            let (_, workers) = exec
+                .try_map_chunks_with_state(200, &never, "test_chunk", || (), |(), i| Ok(i))
+                .expect("a fresh token never fires");
+            assert!(
+                !workers.is_empty() && workers.len() <= cap,
+                "{threads} threads, {outputs} outputs: {} workers",
+                workers.len()
+            );
+        }
+        assert!(sweep_threads(0, 1000) >= 1, "auto-detect yields a worker");
     }
 
     #[test]

@@ -127,7 +127,8 @@ proptest! {
     }
 
     /// The executor's determinism contract: the matrix is bit-identical
-    /// for every worker thread count.
+    /// for every worker thread count, however the post-dominator trees
+    /// fall to workers.
     #[test]
     fn thread_count_never_changes_results(seed in arb_circuit()) {
         let c = build_circuit(&seed);
@@ -136,15 +137,75 @@ proptest! {
             &c, &InputDistribution::Uniform, Backend::Bdd, 1, &never,
         )
         .unwrap();
-        let four = ObservabilityMatrix::try_compute_threads_cancellable(
-            &c, &InputDistribution::Uniform, Backend::Bdd, 4, &never,
-        )
-        .unwrap();
-        for id in c.node_ids() {
-            for k in 0..c.output_count() {
-                prop_assert_eq!(one.at_output(id, k).to_bits(), four.at_output(id, k).to_bits());
+        for threads in [2usize, 3, 4] {
+            let many = ObservabilityMatrix::try_compute_threads_cancellable(
+                &c, &InputDistribution::Uniform, Backend::Bdd, threads, &never,
+            )
+            .unwrap();
+            for id in c.node_ids() {
+                for k in 0..c.output_count() {
+                    prop_assert_eq!(
+                        one.at_output(id, k).to_bits(),
+                        many.at_output(id, k).to_bits()
+                    );
+                }
+                prop_assert_eq!(one.any(id).to_bits(), many.any(id).to_bits());
             }
-            prop_assert_eq!(one.any(id).to_bits(), four.any(id).to_bits());
+        }
+    }
+}
+
+fn matrix_bits(obs: &ObservabilityMatrix) -> (Vec<Vec<u64>>, Vec<u64>) {
+    (
+        obs.per_output_rows()
+            .iter()
+            .map(|row| row.iter().map(|x| x.to_bits()).collect())
+            .collect(),
+        obs.any_output_values()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect(),
+    )
+}
+
+/// On suite circuits with real post-dominator trees and stems, every
+/// thread count gives one thread's bits, and the budgeted entry point
+/// (whose probe manager becomes the first worker's) gives the
+/// unbudgeted one's.
+#[test]
+fn suite_matrices_are_bit_identical_across_threads_and_entry_points() {
+    let never = CancelToken::new();
+    let dist = InputDistribution::Uniform;
+    for name in ["x2", "cu", "b9"] {
+        let c = relogic_gen::suite::build(name).unwrap();
+        let one = matrix_bits(
+            &ObservabilityMatrix::try_compute_threads_cancellable(
+                &c,
+                &dist,
+                Backend::Bdd,
+                1,
+                &never,
+            )
+            .unwrap(),
+        );
+        for threads in [2usize, 3, 7] {
+            let many = ObservabilityMatrix::try_compute_threads_cancellable(
+                &c,
+                &dist,
+                Backend::Bdd,
+                threads,
+                &never,
+            )
+            .unwrap();
+            assert!(matrix_bits(&many) == one, "{name}: {threads} threads");
+        }
+        for threads in [1usize, 2] {
+            let budgeted =
+                ObservabilityMatrix::try_compute_budgeted(&c, &dist, threads, 1 << 24).unwrap();
+            assert!(
+                matrix_bits(&budgeted) == one,
+                "{name}: budgeted at {threads} threads"
+            );
         }
     }
 }
