@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use relogic::GateEps;
-use relogic_sim::{estimate, BiasedBits, MonteCarloConfig, PackedSim};
+use relogic_sim::{try_estimate, BiasedBits, MonteCarloConfig, PackedSim};
 use std::hint::black_box;
 
 fn bench_monte_carlo(c: &mut Criterion) {
@@ -14,14 +14,14 @@ fn bench_monte_carlo(c: &mut Criterion) {
     group.sample_size(10);
     for name in ["x2", "b9", "c499", "i10"] {
         let circuit = relogic_gen::suite::build(name).expect("suite circuit");
-        let eps = GateEps::uniform(&circuit, 0.1);
+        let eps = GateEps::try_uniform(&circuit, 0.1).unwrap();
         let cfg = MonteCarloConfig {
             patterns: 1 << 14,
             ..MonteCarloConfig::default()
         };
         group.throughput(Throughput::Elements(1 << 14));
         group.bench_function(name, |b| {
-            b.iter(|| black_box(estimate(&circuit, eps.as_slice(), &cfg)));
+            b.iter(|| black_box(try_estimate(&circuit, eps.as_slice(), &cfg).unwrap()));
         });
     }
     group.finish();

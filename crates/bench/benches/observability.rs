@@ -41,7 +41,7 @@ fn bench_observability(c: &mut Criterion) {
 fn bench_closed_form(c: &mut Criterion) {
     let b9 = relogic_gen::suite::b9();
     let obs = ObservabilityMatrix::compute(&b9, &InputDistribution::Uniform, Backend::Bdd);
-    let eps = GateEps::uniform(&b9, 0.1);
+    let eps = GateEps::try_uniform(&b9, 0.1).unwrap();
     // The closed form is the cheap part: one product per output (Eq. 3) —
     // this is what makes it attractive for soft-error-rate sweeps.
     c.bench_function("closed_form_b9", |b| {
@@ -57,15 +57,19 @@ fn bench_consolidation(c: &mut Criterion) {
         patterns: 1 << 14,
         seed: 7,
     };
-    let weights = Weights::compute(&b9, &InputDistribution::Uniform, backend);
-    let engine = SinglePass::new(&b9, &weights, SinglePassOptions::default());
-    let result = engine.run(&GateEps::uniform(&b9, 0.1));
-    let cons = Consolidator::new(&b9, &InputDistribution::Uniform, backend);
+    let weights = Weights::try_compute(&b9, &InputDistribution::Uniform, backend).unwrap();
+    let engine = SinglePass::try_new(&b9, &weights, SinglePassOptions::default()).unwrap();
+    let result = engine
+        .try_run(&GateEps::try_uniform(&b9, 0.1).unwrap())
+        .unwrap();
+    let cons = Consolidator::try_new(&b9, &InputDistribution::Uniform, backend).unwrap();
     group.bench_function("b9_any_output", |b| {
         b.iter(|| black_box(cons.any_output_error(black_box(&result))));
     });
     group.bench_function("b9_build_consolidator", |b| {
-        b.iter(|| black_box(Consolidator::new(&b9, &InputDistribution::Uniform, backend)));
+        b.iter(|| {
+            black_box(Consolidator::try_new(&b9, &InputDistribution::Uniform, backend).unwrap())
+        });
     });
     group.finish();
 }

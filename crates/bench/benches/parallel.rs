@@ -7,16 +7,16 @@
 //! between the `threads/N` rows is pure execution-layer speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use relogic::sweep::{epsilon_grid, sweep_single_pass};
+use relogic::sweep::{sweep_single_pass, try_epsilon_grid};
 use relogic::{Backend, GateEps, InputDistribution, SinglePassOptions, Weights};
-use relogic_sim::{estimate, MonteCarloConfig};
+use relogic_sim::{try_estimate, MonteCarloConfig};
 use std::hint::black_box;
 
 const PATTERNS: u64 = 1 << 15;
 
 fn bench_mc_threads(c: &mut Criterion) {
     let circuit = relogic_gen::suite::i10();
-    let eps = GateEps::uniform(&circuit, 0.1);
+    let eps = GateEps::try_uniform(&circuit, 0.1).unwrap();
     let mut group = c.benchmark_group("monte_carlo_threads");
     group.sample_size(10);
     group.throughput(Throughput::Elements(PATTERNS));
@@ -27,7 +27,7 @@ fn bench_mc_threads(c: &mut Criterion) {
             ..MonteCarloConfig::default()
         };
         group.bench_function(format!("i10/threads{threads}"), |b| {
-            b.iter(|| black_box(estimate(&circuit, eps.as_slice(), &cfg)));
+            b.iter(|| black_box(try_estimate(&circuit, eps.as_slice(), &cfg).unwrap()));
         });
     }
     group.finish();
@@ -35,8 +35,9 @@ fn bench_mc_threads(c: &mut Criterion) {
 
 fn bench_sweep_threads(c: &mut Criterion) {
     let circuit = relogic_gen::suite::build("c499").expect("suite circuit");
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
-    let grid = epsilon_grid(50, 0.0, 0.5);
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    let grid = try_epsilon_grid(50, 0.0, 0.5).unwrap();
     let mut group = c.benchmark_group("sweep_threads");
     group.sample_size(10);
     group.throughput(Throughput::Elements(grid.len() as u64));

@@ -14,11 +14,11 @@ fn bench_single_pass(c: &mut Criterion) {
     for name in ["x2", "b9", "c499", "i10"] {
         let circuit = relogic_gen::suite::build(name).expect("suite circuit");
         let backend = relogic_bench::backend_for(name);
-        let weights = Weights::compute(&circuit, &InputDistribution::Uniform, backend);
-        let engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
-        let eps = GateEps::uniform(&circuit, 0.1);
+        let weights = Weights::try_compute(&circuit, &InputDistribution::Uniform, backend).unwrap();
+        let engine = SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
+        let eps = GateEps::try_uniform(&circuit, 0.1).unwrap();
         group.bench_function(name, |b| {
-            b.iter(|| black_box(engine.run(black_box(&eps))));
+            b.iter(|| black_box(engine.try_run(black_box(&eps)).unwrap()));
         });
     }
     group.finish();
@@ -29,19 +29,21 @@ fn bench_single_pass_no_correlation(c: &mut Criterion) {
     group.sample_size(10);
     for name in ["b9", "c499"] {
         let circuit = relogic_gen::suite::build(name).expect("suite circuit");
-        let weights = Weights::compute(
+        let weights = Weights::try_compute(
             &circuit,
             &InputDistribution::Uniform,
             relogic_bench::backend_for(name),
-        );
-        let engine = SinglePass::new(
+        )
+        .unwrap();
+        let engine = SinglePass::try_new(
             &circuit,
             &weights,
             SinglePassOptions::without_correlations(),
-        );
-        let eps = GateEps::uniform(&circuit, 0.1);
+        )
+        .unwrap();
+        let eps = GateEps::try_uniform(&circuit, 0.1).unwrap();
         group.bench_function(name, |b| {
-            b.iter(|| black_box(engine.run(black_box(&eps))));
+            b.iter(|| black_box(engine.try_run(black_box(&eps)).unwrap()));
         });
     }
     group.finish();
@@ -53,24 +55,23 @@ fn bench_weights(c: &mut Criterion) {
     let b9 = relogic_gen::suite::b9();
     group.bench_function("b9_bdd", |b| {
         b.iter(|| {
-            black_box(Weights::compute(
-                &b9,
-                &InputDistribution::Uniform,
-                Backend::Bdd,
-            ))
+            black_box(Weights::try_compute(&b9, &InputDistribution::Uniform, Backend::Bdd).unwrap())
         });
     });
     let i10 = relogic_gen::suite::i10();
     group.bench_function("i10_sim", |b| {
         b.iter(|| {
-            black_box(Weights::compute(
-                &i10,
-                &InputDistribution::Uniform,
-                Backend::Simulation {
-                    patterns: 1 << 14,
-                    seed: 1,
-                },
-            ))
+            black_box(
+                Weights::try_compute(
+                    &i10,
+                    &InputDistribution::Uniform,
+                    Backend::Simulation {
+                        patterns: 1 << 14,
+                        seed: 1,
+                    },
+                )
+                .unwrap(),
+            )
         });
     });
     group.finish();

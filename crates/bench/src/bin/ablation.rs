@@ -28,15 +28,16 @@ fn main() {
 fn partner_cap_ablation(cli: &Cli) {
     println!("Ablation 1: correlation partner cap on c499 (avg % error vs MC)\n");
     let circuit = relogic_gen::suite::c499();
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
     let eps_points = [0.05, 0.15, 0.3];
     // Reference Monte Carlo per ε.
     let refs: Vec<Vec<f64>> = eps_points
         .iter()
         .enumerate()
         .map(|(i, &e)| {
-            let eps = GateEps::uniform(&circuit, e);
-            relogic_sim::estimate(
+            let eps = GateEps::try_uniform(&circuit, e).unwrap();
+            relogic_sim::try_estimate(
                 &circuit,
                 eps.as_slice(),
                 &MonteCarloConfig {
@@ -44,6 +45,7 @@ fn partner_cap_ablation(cli: &Cli) {
                     ..cli.mc_config()
                 },
             )
+            .unwrap()
             .per_output()
             .to_vec()
         })
@@ -79,11 +81,13 @@ fn partner_cap_ablation(cli: &Cli) {
         ),
     ];
     for (label, opts) in configs {
-        let engine = SinglePass::new(&circuit, &weights, opts);
+        let engine = SinglePass::try_new(&circuit, &weights, opts).unwrap();
         let t0 = std::time::Instant::now();
         let mut row = vec![label];
         for (i, &e) in eps_points.iter().enumerate() {
-            let r = engine.run(&GateEps::uniform(&circuit, e));
+            let r = engine
+                .try_run(&GateEps::try_uniform(&circuit, e).unwrap())
+                .unwrap();
             row.push(format!(
                 "{:.2}",
                 metrics::average_percent_error(r.per_output(), &refs[i])
@@ -108,10 +112,10 @@ fn bit_resolution_ablation() {
     let g = c.not(a);
     c.add_output("y", g);
     let mut eps = GateEps::zero(&c);
-    eps.set(g, 0.3);
+    eps.try_set(g, 0.3).unwrap();
     let mut rows = Vec::new();
     for resolution in [2, 4, 8, 16, 24] {
-        let r = relogic_sim::estimate(
+        let r = relogic_sim::try_estimate(
             &c,
             eps.as_slice(),
             &MonteCarloConfig {
@@ -119,7 +123,8 @@ fn bit_resolution_ablation() {
                 bit_resolution: resolution,
                 ..MonteCarloConfig::default()
             },
-        );
+        )
+        .unwrap();
         let effective = relogic_sim::BiasedBits::new(0.3, resolution).effective_probability();
         rows.push(vec![
             resolution.to_string(),
@@ -137,16 +142,20 @@ fn bit_resolution_ablation() {
 fn weight_budget_ablation(cli: &Cli) {
     println!("Ablation 3: weight-vector sampling budget on b9 (avg % error vs MC at ε = 0.1)\n");
     let circuit = relogic_gen::suite::b9();
-    let eps = GateEps::uniform(&circuit, 0.1);
-    let mc = relogic_sim::estimate(&circuit, eps.as_slice(), &cli.mc_config());
+    let eps = GateEps::try_uniform(&circuit, 0.1).unwrap();
+    let mc = relogic_sim::try_estimate(&circuit, eps.as_slice(), &cli.mc_config()).unwrap();
     let mut rows = Vec::new();
     for patterns in [1u64 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16] {
-        let w = Weights::compute(
+        let w = Weights::try_compute(
             &circuit,
             &InputDistribution::Uniform,
             Backend::Simulation { patterns, seed: 5 },
-        );
-        let r = SinglePass::new(&circuit, &w, SinglePassOptions::default()).run(&eps);
+        )
+        .unwrap();
+        let r = SinglePass::try_new(&circuit, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&eps)
+            .unwrap();
         rows.push(vec![
             patterns.to_string(),
             format!(
@@ -155,8 +164,11 @@ fn weight_budget_ablation(cli: &Cli) {
             ),
         ]);
     }
-    let exact = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
-    let r = SinglePass::new(&circuit, &exact, SinglePassOptions::default()).run(&eps);
+    let exact = Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    let r = SinglePass::try_new(&circuit, &exact, SinglePassOptions::default())
+        .unwrap()
+        .try_run(&eps)
+        .unwrap();
     rows.push(vec![
         "exact (BDD)".into(),
         format!(

@@ -30,11 +30,14 @@ fn accuracy(cli: &Cli) {
     let mut rows = Vec::new();
     for name in ["x2", "cu", "b9", "c1908"] {
         let c = relogic_gen::suite::build(name).expect("suite circuit");
-        let eps = GateEps::uniform(&c, 0.1);
-        let mc = relogic_sim::estimate(&c, eps.as_slice(), &cli.mc_config());
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
+        let mc = relogic_sim::try_estimate(&c, eps.as_slice(), &cli.mc_config()).unwrap();
         let comp = compositional(&c, &eps);
-        let w = Weights::compute(&c, &InputDistribution::Uniform, backend_for(name));
-        let sp = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&eps);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, backend_for(name)).unwrap();
+        let sp = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&eps)
+            .unwrap();
         rows.push(vec![
             name.to_owned(),
             format!(
@@ -74,16 +77,16 @@ fn scalability() {
             locality: 1000,
             global_edge_fraction: 1.0,
         });
-        let eps = GateEps::uniform(&c, 0.1);
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
 
         let t0 = Instant::now();
         let ptm = ptm_exact(&c, &eps, 26);
         let ptm_time = t0.elapsed();
 
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let engine = SinglePass::new(&c, &w, SinglePassOptions::default());
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap();
         let t1 = Instant::now();
-        let sp = engine.run(&eps);
+        let sp = engine.try_run(&eps).unwrap();
         let sp_time = t1.elapsed();
 
         let (ptm_cell, err_cell) = match &ptm {

@@ -74,7 +74,7 @@ fn main() {
             continue;
         }
         let circuit = (entry.build)();
-        let eps = GateEps::uniform(&circuit, eps_value);
+        let eps = GateEps::try_uniform(&circuit, eps_value).unwrap();
 
         let started = Instant::now();
         let mc = relogic_sim::try_estimate(

@@ -22,7 +22,7 @@ use relogic_sim::flip_influence;
 fn main() {
     let cli = Cli::parse();
     let points = cli.points.unwrap_or(50);
-    let grid = sweep::epsilon_grid(points, 0.0, 0.5);
+    let grid = sweep::try_epsilon_grid(points, 0.0, 0.5).unwrap();
 
     // ---- Fig. 1(b): small circuit ----
     let small = suite::fig1_example();

@@ -16,20 +16,24 @@ use relogic_sim::MonteCarloConfig;
 fn main() {
     let cli = Cli::parse();
     let points = cli.points.unwrap_or(25);
-    let grid = sweep::epsilon_grid(points, 0.0, 0.5);
+    let grid = sweep::try_epsilon_grid(points, 0.0, 0.5).unwrap();
 
     let circuit = relogic_gen::suite::b9();
     let backend = backend_for("b9");
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, backend);
-    let corr_engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
-    let plain_engine = SinglePass::new(
+    let weights = Weights::try_compute(&circuit, &InputDistribution::Uniform, backend).unwrap();
+    let corr_engine =
+        SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
+    let plain_engine = SinglePass::try_new(
         &circuit,
         &weights,
         SinglePassOptions::without_correlations(),
-    );
+    )
+    .unwrap();
 
     // Pick the most error-correlated output pair at a probe ε.
-    let probe = corr_engine.run(&GateEps::uniform(&circuit, 0.1));
+    let probe = corr_engine
+        .try_run(&GateEps::try_uniform(&circuit, 0.1).unwrap())
+        .unwrap();
     let outs: Vec<_> = circuit.outputs().iter().map(|o| o.node()).collect();
     let mut best = (0usize, 1usize, 0.0f64);
     for a in 0..outs.len() {
@@ -53,18 +57,19 @@ fn main() {
     );
 
     let consolidator =
-        Consolidator::for_pairs(&circuit, &[(a, b)], &InputDistribution::Uniform, backend);
+        Consolidator::try_for_pairs(&circuit, &[(a, b)], &InputDistribution::Uniform, backend)
+            .unwrap();
     let mut rows = Vec::with_capacity(points);
     for (i, &e) in grid.iter().enumerate() {
-        let eps = GateEps::uniform(&circuit, e);
-        let rc = corr_engine.run(&eps);
-        let rp = plain_engine.run(&eps);
-        let with_corr = consolidator.pair_error(&rc, a, b);
+        let eps = GateEps::try_uniform(&circuit, e).unwrap();
+        let rc = corr_engine.try_run(&eps).unwrap();
+        let rp = plain_engine.try_run(&eps).unwrap();
+        let with_corr = consolidator.try_pair_error(&rc, a, b).unwrap();
         // Independence assumption: P(e_a ∪ e_b) = δa + δb − δa·δb.
         let da = rp.per_output()[a];
         let db = rp.per_output()[b];
         let without = da + db - da * db;
-        let mc = relogic_sim::estimate(
+        let mc = relogic_sim::try_estimate(
             &circuit,
             eps.as_slice(),
             &MonteCarloConfig {
@@ -72,7 +77,8 @@ fn main() {
                 joint_pairs: vec![(a, b)],
                 ..cli.mc_config()
             },
-        );
+        )
+        .unwrap();
         let mc_pair =
             mc.per_output()[a] + mc.per_output()[b] - mc.joint(a, b).expect("pair tracked");
         rows.push(vec![

@@ -14,7 +14,7 @@ use relogic_sim::MonteCarloConfig;
 fn main() {
     let cli = Cli::parse();
     let points = cli.points.unwrap_or(25);
-    let grid = sweep::epsilon_grid(points, 0.0, 0.5);
+    let grid = sweep::try_epsilon_grid(points, 0.0, 0.5).unwrap();
 
     let circuit = relogic_gen::suite::i10();
     let cones = output_cone_sizes(&circuit);
@@ -36,8 +36,9 @@ fn main() {
         cones[o1], cones[o2]
     );
 
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, backend_for("i10"));
-    let engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, backend_for("i10")).unwrap();
+    let engine = SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
 
     let mut rows = Vec::with_capacity(points);
     let mut sp1 = Vec::new();
@@ -45,16 +46,17 @@ fn main() {
     let mut sp2 = Vec::new();
     let mut mc2 = Vec::new();
     for (i, &e) in grid.iter().enumerate() {
-        let eps = GateEps::uniform(&circuit, e);
-        let sp = engine.run(&eps);
-        let mc = relogic_sim::estimate(
+        let eps = GateEps::try_uniform(&circuit, e).unwrap();
+        let sp = engine.try_run(&eps).unwrap();
+        let mc = relogic_sim::try_estimate(
             &circuit,
             eps.as_slice(),
             &MonteCarloConfig {
                 seed: 0xF160_0000 + i as u64,
                 ..cli.mc_config()
             },
-        );
+        )
+        .unwrap();
         sp1.push(sp.per_output()[o1]);
         mc1.push(mc.per_output()[o1]);
         sp2.push(sp.per_output()[o2]);

@@ -20,8 +20,9 @@ fn main() {
     let runs = cli.runs.unwrap_or(if cli.full { 1000 } else { 50 });
 
     let circuit = relogic_gen::suite::c499();
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, backend_for("c499"));
-    let engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, backend_for("c499")).unwrap();
+    let engine = SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
     let m = circuit.output_count();
     let mut sums = vec![0.0f64; m];
     let mut rng = SmallRng::seed_from_u64(0xF170_0007);
@@ -32,16 +33,17 @@ fn main() {
         cli.mc_patterns()
     );
     for run in 0..runs {
-        let eps = GateEps::random_uniform(&circuit, 0.0, 0.5, &mut rng);
-        let sp = engine.run(&eps);
-        let mc = relogic_sim::estimate(
+        let eps = GateEps::try_random_uniform(&circuit, 0.0, 0.5, &mut rng).unwrap();
+        let sp = engine.try_run(&eps).unwrap();
+        let mc = relogic_sim::try_estimate(
             &circuit,
             eps.as_slice(),
             &MonteCarloConfig {
                 seed: 0xF170_0000 + run as u64,
                 ..cli.mc_config()
             },
-        );
+        )
+        .unwrap();
         let errs = metrics::percent_errors(sp.per_output(), mc.per_output());
         for (s, e) in sums.iter_mut().zip(&errs) {
             *s += e;

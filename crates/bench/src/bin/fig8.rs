@@ -41,7 +41,7 @@ fn describe(name: &str, c: &Circuit) {
 fn main() {
     let cli = Cli::parse();
     let points = cli.points.unwrap_or(16);
-    let grid = sweep::epsilon_grid(points, 0.0, 0.15);
+    let grid = sweep::try_epsilon_grid(points, 0.0, 0.15).unwrap();
 
     let (low, high) = relogic_gen::suite::b9_variants();
     println!("Fig. 8 analogue: two functionally equivalent versions of b9\n");
@@ -56,16 +56,16 @@ fn main() {
         seed: 0xF180,
     };
     let analyze = |c: &Circuit| -> (Vec<f64>, Vec<f64>) {
-        let weights = Weights::compute(c, &InputDistribution::Uniform, backend);
-        let engine = SinglePass::new(c, &weights, SinglePassOptions::default());
-        let cons = Consolidator::new(c, &InputDistribution::Uniform, backend);
+        let weights = Weights::try_compute(c, &InputDistribution::Uniform, backend).unwrap();
+        let engine = SinglePass::try_new(c, &weights, SinglePassOptions::default()).unwrap();
+        let cons = Consolidator::try_new(c, &InputDistribution::Uniform, backend).unwrap();
         let mut sp = Vec::with_capacity(grid.len());
         let mut mc = Vec::with_capacity(grid.len());
         for (i, &e) in grid.iter().enumerate() {
-            let eps = GateEps::uniform(c, e);
-            sp.push(cons.any_output_error(&engine.run(&eps)));
+            let eps = GateEps::try_uniform(c, e).unwrap();
+            sp.push(cons.any_output_error(&engine.try_run(&eps).unwrap()));
             mc.push(
-                relogic_sim::estimate(
+                relogic_sim::try_estimate(
                     c,
                     eps.as_slice(),
                     &MonteCarloConfig {
@@ -73,6 +73,7 @@ fn main() {
                         ..cli.mc_config()
                     },
                 )
+                .unwrap()
                 .any_output(),
             );
         }

@@ -17,7 +17,7 @@ use std::time::Instant;
 fn main() {
     let cli = Cli::parse();
     let eps_points = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3];
-    let sweep_points = sweep::epsilon_grid(cli.points.unwrap_or(50), 0.0, 0.5);
+    let sweep_points = sweep::try_epsilon_grid(cli.points.unwrap_or(50), 0.0, 0.5).unwrap();
     let mut rows = Vec::new();
 
     println!(
@@ -36,23 +36,24 @@ fn main() {
         let backend = backend_for(entry.name);
 
         let t_w = Instant::now();
-        let weights = Weights::compute(&circuit, &InputDistribution::Uniform, backend);
+        let weights = Weights::try_compute(&circuit, &InputDistribution::Uniform, backend).unwrap();
         let weights_time = t_w.elapsed();
-        let engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
+        let engine = SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
 
         // Accuracy at the paper's six ε values.
         let mut errs = Vec::with_capacity(eps_points.len());
         for (i, &e) in eps_points.iter().enumerate() {
-            let eps = GateEps::uniform(&circuit, e);
-            let sp = engine.run(&eps);
-            let mc = relogic_sim::estimate(
+            let eps = GateEps::try_uniform(&circuit, e).unwrap();
+            let sp = engine.try_run(&eps).unwrap();
+            let mc = relogic_sim::try_estimate(
                 &circuit,
                 eps.as_slice(),
                 &MonteCarloConfig {
                     seed: 0x7AB1_E000 + i as u64,
                     ..cli.mc_config()
                 },
-            );
+            )
+            .unwrap();
             errs.push(metrics::average_percent_error(
                 sp.per_output(),
                 mc.per_output(),
@@ -65,7 +66,9 @@ fn main() {
         let mc_time = t_mc.elapsed();
         let t_sp = Instant::now();
         for &e in &sweep_points {
-            let _ = engine.run(&GateEps::uniform(&circuit, e));
+            let _ = engine
+                .try_run(&GateEps::try_uniform(&circuit, e).unwrap())
+                .unwrap();
         }
         let sp_time = t_sp.elapsed();
 

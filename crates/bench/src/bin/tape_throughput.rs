@@ -69,7 +69,7 @@ fn main() {
 
     // ---- Monte Carlo: tape thread scaling on i10 ----
     let i10 = relogic_gen::suite::i10();
-    let eps = GateEps::uniform(&i10, 0.1);
+    let eps = GateEps::try_uniform(&i10, 0.1).unwrap();
     println!(
         "MC on i10 ({} gates), {patterns} patterns x best-of-{reps}, {DEFAULT_LANES} lanes, {hw_threads} hardware thread(s)",
         i10.gate_count()
@@ -108,21 +108,23 @@ fn main() {
 
     // ---- Sweep: per-point vs grid on c499 ----
     let c499 = relogic_gen::suite::c499();
-    let weights = Weights::compute(&c499, &InputDistribution::Uniform, Backend::Bdd);
-    let grid = relogic::sweep::epsilon_grid(points, 0.0, 0.5);
+    let weights = Weights::try_compute(&c499, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    let grid = relogic::sweep::try_epsilon_grid(points, 0.0, 0.5).unwrap();
     println!(
         "sweep on c499 ({} gates), {points}-point eps grid, 1 thread",
         c499.gate_count()
     );
 
-    let engine = SinglePass::new(&c499, &weights, SinglePassOptions::without_correlations());
+    let engine =
+        SinglePass::try_new(&c499, &weights, SinglePassOptions::without_correlations()).unwrap();
     let mut per_point_rows = Vec::new();
     let per_point = best_of(reps, || {
         per_point_rows = grid
             .iter()
             .map(|&e| {
                 engine
-                    .run(&GateEps::uniform(&c499, e))
+                    .try_run(&GateEps::try_uniform(&c499, e).unwrap())
+                    .unwrap()
                     .per_output()
                     .to_vec()
             })

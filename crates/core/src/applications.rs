@@ -10,7 +10,7 @@
 //! * **Selective hardening** — instead of protecting every gate, protect
 //!   the few whose hardening most improves output reliability.
 
-use crate::{GateEps, SinglePass, SinglePassResult, Weights};
+use crate::{GateEps, RelogicError, SinglePass, SinglePassResult, Weights};
 use relogic_netlist::{Circuit, NodeId};
 
 /// Per-node asymmetric error report entry.
@@ -107,20 +107,24 @@ impl HardeningPlan {
 /// the gate whose hardening most reduces the mean output error probability
 /// under the single-pass analysis.
 ///
+/// # Errors
+///
+/// Any error of [`SinglePass::try_new`] or [`SinglePass::try_run`]: in
+/// particular [`RelogicError::LengthMismatch`] if `weights` or `eps` was
+/// built for a different circuit.
+///
 /// # Panics
 ///
-/// Panics if `factor` is not in `[0, 1)` or the weights do not match the
-/// circuit.
-#[must_use]
+/// Panics if `factor` is not in `[0, 1)`.
 pub fn selective_hardening(
     circuit: &Circuit,
     weights: &Weights,
     eps: &GateEps,
     budget: usize,
     factor: f64,
-) -> HardeningPlan {
+) -> Result<HardeningPlan, RelogicError> {
     assert!((0.0..1.0).contains(&factor), "hardening factor {factor}");
-    let engine = SinglePass::new(circuit, weights, crate::SinglePassOptions::default());
+    let engine = SinglePass::try_new(circuit, weights, crate::SinglePassOptions::default())?;
     let mean = |r: &SinglePassResult| -> f64 {
         let d = r.per_output();
         if d.is_empty() {
@@ -132,7 +136,7 @@ pub fn selective_hardening(
         }
     };
     let mut current = eps.clone();
-    let baseline = mean(&engine.run(&current));
+    let baseline = mean(&engine.try_run(&current)?);
     let mut best_so_far = baseline;
     let mut steps = Vec::new();
     let mut already: Vec<NodeId> = Vec::new();
@@ -145,15 +149,15 @@ pub fn selective_hardening(
                 continue;
             }
             let mut trial = current.clone();
-            trial.set(id, current.get(id) * factor);
-            let d = mean(&engine.run(&trial));
+            trial.try_set(id, current.get(id) * factor)?;
+            let d = mean(&engine.try_run(&trial)?);
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((id, d));
             }
         }
         match best {
             Some((id, d)) if d < best_so_far - 1e-15 => {
-                current.set(id, current.get(id) * factor);
+                current.try_set(id, current.get(id) * factor)?;
                 already.push(id);
                 best_so_far = d;
                 steps.push(HardeningStep {
@@ -164,11 +168,11 @@ pub fn selective_hardening(
             _ => break,
         }
     }
-    HardeningPlan {
+    Ok(HardeningPlan {
         baseline,
         steps,
         hardened_eps: current,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -189,15 +193,17 @@ mod tests {
     }
 
     fn weights(c: &Circuit) -> Weights {
-        Weights::compute(c, &InputDistribution::Uniform, Backend::Bdd)
+        Weights::try_compute(c, &InputDistribution::Uniform, Backend::Bdd).unwrap()
     }
 
     #[test]
     fn asymmetry_report_covers_all_gates() {
         let c = circuit();
         let w = weights(&c);
-        let r =
-            SinglePass::new(&c, &w, SinglePassOptions::default()).run(&GateEps::uniform(&c, 0.1));
+        let r = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&GateEps::try_uniform(&c, 0.1).unwrap())
+            .unwrap();
         let report = asymmetry_report(&c, &r);
         assert_eq!(report.len(), 3);
         for row in &report {
@@ -217,8 +223,10 @@ mod tests {
         // are direction-skewed; this is the §5.1 observation.
         let c = circuit();
         let w = weights(&c);
-        let r =
-            SinglePass::new(&c, &w, SinglePassOptions::default()).run(&GateEps::uniform(&c, 0.1));
+        let r = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&GateEps::try_uniform(&c, 0.1).unwrap())
+            .unwrap();
         let g2 = NodeId::from_index(4); // the OR gate
         assert!(
             (r.p01(g2) - r.p10(g2)).abs() > 1e-6,
@@ -230,8 +238,8 @@ mod tests {
     fn hardening_reduces_delta_within_budget() {
         let c = circuit();
         let w = weights(&c);
-        let eps = GateEps::uniform(&c, 0.1);
-        let plan = selective_hardening(&c, &w, &eps, 2, 0.1);
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
+        let plan = selective_hardening(&c, &w, &eps, 2, 0.1).unwrap();
         assert!(plan.baseline > 0.0);
         assert_eq!(plan.steps.len(), 2);
         assert!(plan.final_delta() < plan.baseline);
@@ -251,7 +259,8 @@ mod tests {
         // partially masked AND.
         let c = circuit();
         let w = weights(&c);
-        let plan = selective_hardening(&c, &w, &GateEps::uniform(&c, 0.1), 1, 0.1);
+        let plan =
+            selective_hardening(&c, &w, &GateEps::try_uniform(&c, 0.1).unwrap(), 1, 0.1).unwrap();
         let chosen = plan.steps[0].node;
         assert!(
             chosen == NodeId::from_index(4) || chosen == NodeId::from_index(5),
@@ -263,7 +272,8 @@ mod tests {
     fn zero_budget_returns_baseline() {
         let c = circuit();
         let w = weights(&c);
-        let plan = selective_hardening(&c, &w, &GateEps::uniform(&c, 0.1), 0, 0.1);
+        let plan =
+            selective_hardening(&c, &w, &GateEps::try_uniform(&c, 0.1).unwrap(), 0, 0.1).unwrap();
         assert!(plan.steps.is_empty());
         assert_eq!(plan.final_delta(), plan.baseline);
         assert_eq!(plan.improvement(), 0.0);
@@ -273,7 +283,7 @@ mod tests {
     fn noise_free_circuit_has_nothing_to_harden() {
         let c = circuit();
         let w = weights(&c);
-        let plan = selective_hardening(&c, &w, &GateEps::zero(&c), 3, 0.1);
+        let plan = selective_hardening(&c, &w, &GateEps::zero(&c), 3, 0.1).unwrap();
         assert!(plan.steps.is_empty());
         assert_eq!(plan.baseline, 0.0);
     }

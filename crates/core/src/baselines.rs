@@ -294,7 +294,7 @@ mod tests {
     fn ptm_matches_exhaustive_exactly() {
         let c = reconvergent();
         for &e in &[0.0, 0.05, 0.2, 0.5] {
-            let eps = GateEps::uniform(&c, e);
+            let eps = GateEps::try_uniform(&c, e).unwrap();
             let ptm = ptm_exact(&c, &eps, 16).expect("narrow circuit");
             let exact = exact_reliability(&c, eps.as_slice());
             for (k, (&a, &b)) in ptm.iter().zip(&exact.per_output).enumerate() {
@@ -314,9 +314,9 @@ mod tests {
         let g = c.and([a, k1]);
         c.add_output("y", g);
         let mut eps = GateEps::zero(&c);
-        eps.set(a, 0.1);
-        eps.set(k1, 0.2);
-        eps.set(g, 0.05);
+        eps.try_set(a, 0.1).unwrap();
+        eps.try_set(k1, 0.2).unwrap();
+        eps.try_set(g, 0.05).unwrap();
         let ptm = ptm_exact(&c, &eps, 8).unwrap();
         let exact = exact_reliability(&c, eps.as_slice());
         assert!((ptm[0] - exact.per_output[0]).abs() < 1e-12);
@@ -329,7 +329,7 @@ mod tests {
         let ins: Vec<_> = (0..10).map(|i| c.add_input(format!("x{i}"))).collect();
         let g = c.xor(ins);
         c.add_output("y", g);
-        let eps = GateEps::uniform(&c, 0.1);
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
         let err = ptm_exact(&c, &eps, 6).unwrap_err();
         assert!(err.required > 6);
         assert!(err.to_string().contains("live cut"));
@@ -350,7 +350,7 @@ mod tests {
         let g3 = c.xor([g1, g2]);
         c.add_output("y", g3);
         for &e in &[0.05, 0.2] {
-            let eps = GateEps::uniform(&c, e);
+            let eps = GateEps::try_uniform(&c, e).unwrap();
             let comp = compositional(&c, &eps);
             let exact = exact_reliability(&c, eps.as_slice());
             // XOR output: error direction does not matter and signal probs
@@ -372,18 +372,22 @@ mod tests {
         // analogue against Monte Carlo.
         use crate::{metrics, Backend, InputDistribution, SinglePass, SinglePassOptions, Weights};
         let c = relogic_gen::suite::x2();
-        let eps = GateEps::uniform(&c, 0.1);
-        let mc = relogic_sim::estimate(
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
+        let mc = relogic_sim::try_estimate(
             &c,
             eps.as_slice(),
             &relogic_sim::MonteCarloConfig {
                 patterns: 1 << 17,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let comp = compositional(&c, &eps);
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let sp = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&eps);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let sp = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&eps)
+            .unwrap();
         let comp_err = metrics::average_percent_error(&comp, mc.per_output());
         let sp_err = metrics::average_percent_error(sp.per_output(), mc.per_output());
         assert!(
@@ -396,7 +400,7 @@ mod tests {
     fn compositional_stays_in_unit_interval() {
         let c = reconvergent();
         for &e in &[0.0, 0.3, 0.5] {
-            for d in compositional(&c, &GateEps::uniform(&c, e)) {
+            for d in compositional(&c, &GateEps::try_uniform(&c, e).unwrap()) {
                 assert!((0.0..=1.0).contains(&d));
             }
         }

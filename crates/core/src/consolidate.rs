@@ -35,12 +35,14 @@ use std::collections::HashMap;
 /// c.add_output("y1", g);
 /// c.add_output("y2", h);
 ///
-/// let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-/// let r = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&GateEps::uniform(&c, 0.1));
-/// let cons = Consolidator::new(&c, &InputDistribution::Uniform, Backend::Bdd);
+/// let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)?;
+/// let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default())?;
+/// let r = engine.try_run(&GateEps::try_uniform(&c, 0.1)?)?;
+/// let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd)?;
 /// let any = cons.any_output_error(&r);
 /// assert!(any >= r.per_output()[0].max(r.per_output()[1]) - 1e-9);
 /// assert!(any <= r.per_output()[0] + r.per_output()[1] + 1e-9);
+/// # Ok::<(), relogic::RelogicError>(())
 /// ```
 #[derive(Debug)]
 pub struct Consolidator {
@@ -56,16 +58,7 @@ impl Consolidator {
     /// Cost is one symbolic circuit construction plus `O(outputs²)`
     /// conjunction queries with [`Backend::Bdd`], or one sampling pass with
     /// [`Backend::Simulation`]. For circuits with very many outputs prefer
-    /// [`Consolidator::for_pairs`].
-    #[must_use]
-    pub fn new(circuit: &Circuit, dist: &InputDistribution, backend: Backend) -> Self {
-        match Self::try_new(circuit, dist, backend) {
-            Ok(c) => c,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Consolidator::new`].
+    /// [`Consolidator::try_for_pairs`].
     ///
     /// # Errors
     ///
@@ -84,24 +77,6 @@ impl Consolidator {
     }
 
     /// Builds joint value distributions for the given output-index pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pair index is out of range or not strictly increasing.
-    #[must_use]
-    pub fn for_pairs(
-        circuit: &Circuit,
-        pairs: &[(usize, usize)],
-        dist: &InputDistribution,
-        backend: Backend,
-    ) -> Self {
-        match Self::try_for_pairs(circuit, pairs, dist, backend) {
-            Ok(c) => c,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Consolidator::for_pairs`].
     ///
     /// # Errors
     ///
@@ -188,19 +163,6 @@ impl Consolidator {
     /// Joint probability that outputs `a` and `b` are *both* in error, using
     /// the single-pass error probabilities and correlation coefficients.
     ///
-    /// # Panics
-    ///
-    /// Panics if the pair was not precomputed.
-    #[must_use]
-    pub fn joint_error(&self, result: &SinglePassResult, a: usize, b: usize) -> f64 {
-        match self.try_joint_error(result, a, b) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Consolidator::joint_error`].
-    ///
     /// # Errors
     ///
     /// [`RelogicError::MissingOutputPair`] if the pair was not precomputed.
@@ -268,19 +230,6 @@ impl Consolidator {
     /// Probability that at least one of outputs `a`, `b` is in error — the
     /// quantity plotted in the paper's Fig. 5.
     ///
-    /// # Panics
-    ///
-    /// Panics if the pair was not precomputed.
-    #[must_use]
-    pub fn pair_error(&self, result: &SinglePassResult, a: usize, b: usize) -> f64 {
-        match self.try_pair_error(result, a, b) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Consolidator::pair_error`].
-    ///
     /// # Errors
     ///
     /// [`RelogicError::MissingOutputPair`] if the pair was not precomputed.
@@ -301,7 +250,7 @@ impl Consolidator {
     ///
     /// # Panics
     ///
-    /// Panics if the consolidator was built with [`Consolidator::for_pairs`]
+    /// Panics if the consolidator was built with [`Consolidator::try_for_pairs`]
     /// and does not cover all output pairs.
     #[must_use]
     pub fn any_output_error(&self, result: &SinglePassResult) -> f64 {
@@ -319,7 +268,7 @@ impl Consolidator {
     /// # Errors
     ///
     /// [`RelogicError::MissingOutputPair`] if the consolidator was built
-    /// with [`Consolidator::for_pairs`] and does not cover all output
+    /// with [`Consolidator::try_for_pairs`] and does not cover all output
     /// pairs.
     pub fn any_output_error_with(
         &self,
@@ -378,13 +327,16 @@ fn delta_of(result: &SinglePassResult, node: NodeId, values: &[f64; 4], first: b
 mod tests {
     use super::*;
     use crate::{GateEps, SinglePass, SinglePassOptions, Weights};
-    use relogic_sim::{estimate, exact_reliability, MonteCarloConfig};
+    use relogic_sim::{exact_reliability, try_estimate, MonteCarloConfig};
 
     fn analyzed(c: &Circuit, eps: f64) -> (SinglePassResult, Consolidator, GateEps) {
-        let w = Weights::compute(c, &InputDistribution::Uniform, Backend::Bdd);
-        let e = GateEps::uniform(c, eps);
-        let r = SinglePass::new(c, &w, SinglePassOptions::default()).run(&e);
-        let cons = Consolidator::new(c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let e = GateEps::try_uniform(c, eps).unwrap();
+        let r = SinglePass::try_new(c, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&e)
+            .unwrap();
+        let cons = Consolidator::try_new(c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         (r, cons, e)
     }
 
@@ -412,7 +364,7 @@ mod tests {
         // Same node: joint error = δ (they always err together)... the
         // correlation machinery reaches this via a perfectly correlated
         // pair only when tracked; identical nodes share everything.
-        let j = cons.joint_error(&r, 0, 1);
+        let j = cons.try_joint_error(&r, 0, 1).unwrap();
         assert!(j <= r.per_output()[0] + 1e-12);
         let any = cons.any_output_error(&r);
         assert!(any <= r.per_output()[0] + r.per_output()[1]);
@@ -431,7 +383,7 @@ mod tests {
                 "ε={e}: consolidated {any} vs exact {}",
                 exact.any_output
             );
-            let pair = cons.pair_error(&r, 0, 1);
+            let pair = cons.try_pair_error(&r, 0, 1).unwrap();
             assert!((pair - exact.any_output).abs() < 0.05);
         }
     }
@@ -458,18 +410,22 @@ mod tests {
     #[test]
     fn simulation_backend_agrees_with_bdd() {
         let c = two_output_reconvergent();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let eps = GateEps::uniform(&c, 0.1);
-        let r = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&eps);
-        let exact = Consolidator::new(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let sampled = Consolidator::new(
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
+        let r = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&eps)
+            .unwrap();
+        let exact = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let sampled = Consolidator::try_new(
             &c,
             &InputDistribution::Uniform,
             Backend::Simulation {
                 patterns: 1 << 15,
                 seed: 5,
             },
-        );
+        )
+        .unwrap();
         assert!((exact.any_output_error(&r) - sampled.any_output_error(&r)).abs() < 0.02);
     }
 
@@ -477,14 +433,15 @@ mod tests {
     fn consolidated_matches_monte_carlo_any() {
         let c = two_output_reconvergent();
         let (r, cons, eps) = analyzed(&c, 0.12);
-        let mc = estimate(
+        let mc = try_estimate(
             &c,
             eps.as_slice(),
             &MonteCarloConfig {
                 patterns: 1 << 17,
                 ..MonteCarloConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert!(
             (cons.any_output_error(&r) - mc.any_output()).abs() < 0.03,
             "{} vs {}",
@@ -497,18 +454,23 @@ mod tests {
     fn for_pairs_restricts_coverage() {
         let c = two_output_reconvergent();
         let cons =
-            Consolidator::for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, Backend::Bdd);
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let r =
-            SinglePass::new(&c, &w, SinglePassOptions::default()).run(&GateEps::uniform(&c, 0.1));
-        let _ = cons.pair_error(&r, 0, 1);
+            Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, Backend::Bdd)
+                .unwrap();
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let r = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&GateEps::try_uniform(&c, 0.1).unwrap())
+            .unwrap();
+        let _ = cons.try_pair_error(&r, 0, 1).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "invalid output pair")]
     fn bad_pairs_rejected() {
         let c = two_output_reconvergent();
-        let _ = Consolidator::for_pairs(&c, &[(1, 1)], &InputDistribution::Uniform, Backend::Bdd);
+        let err =
+            Consolidator::try_for_pairs(&c, &[(1, 1)], &InputDistribution::Uniform, Backend::Bdd)
+                .unwrap_err();
+        assert!(err.to_string().contains("invalid output pair"), "{err}");
     }
 
     #[test]

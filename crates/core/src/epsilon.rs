@@ -34,9 +34,10 @@ fn check_eps(node: Option<NodeId>, eps: f64) -> Result<(), RelogicError> {
 /// let g = c.not(a);
 /// c.add_output("y", g);
 ///
-/// let eps = GateEps::uniform(&c, 0.1);
+/// let eps = GateEps::try_uniform(&c, 0.1)?;
 /// assert_eq!(eps.get(a), 0.0); // inputs are noise-free
 /// assert_eq!(eps.get(g), 0.1);
+/// # Ok::<(), relogic::RelogicError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct GateEps {
@@ -57,20 +58,6 @@ impl GateEps {
     /// Table 2 and figure sweeps ("the same value of ε has been used for
     /// all the gates").
     ///
-    /// # Panics
-    ///
-    /// Panics if `eps` is outside `[0, 1]`.
-    #[must_use]
-    pub fn uniform(circuit: &Circuit, eps: f64) -> Self {
-        match GateEps::try_uniform(circuit, eps) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`GateEps::uniform`]: rejects non-finite or out-of-range
-    /// `eps` with a typed error instead of panicking.
-    ///
     /// # Errors
     ///
     /// [`RelogicError::InvalidEpsilon`] if `eps` is not a finite value in
@@ -88,24 +75,6 @@ impl GateEps {
     /// Independent per-gate ε drawn uniformly from `[lo, hi]` — the Fig. 7
     /// configuration ("ε for each gate was derived from a uniform random
     /// distribution over the interval [0, 0.5]").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is invalid or outside `[0, 1]`.
-    #[must_use]
-    pub fn random_uniform<R: Rng + ?Sized>(
-        circuit: &Circuit,
-        lo: f64,
-        hi: f64,
-        rng: &mut R,
-    ) -> Self {
-        match GateEps::try_random_uniform(circuit, lo, hi, rng) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`GateEps::random_uniform`].
     ///
     /// # Errors
     ///
@@ -138,19 +107,6 @@ impl GateEps {
 
     /// Builds an ε vector from a per-node closure.
     ///
-    /// # Panics
-    ///
-    /// Panics if the closure returns a value outside `[0, 1]`.
-    #[must_use]
-    pub fn from_fn(circuit: &Circuit, f: impl FnMut(NodeId) -> f64) -> Self {
-        match GateEps::try_from_fn(circuit, f) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`GateEps::from_fn`].
-    ///
     /// # Errors
     ///
     /// [`RelogicError::InvalidEpsilon`] naming the offending node if the
@@ -178,19 +134,7 @@ impl GateEps {
         self.values[node.index()]
     }
 
-    /// Sets ε of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or `eps` is outside `[0, 1]`.
-    pub fn set(&mut self, node: NodeId, eps: f64) {
-        if let Err(e) = self.try_set(node, eps) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`GateEps::set`]: validates both the node index and the
-    /// value.
+    /// Sets ε of `node`, validating both the node index and the value.
     ///
     /// # Errors
     ///
@@ -212,7 +156,7 @@ impl GateEps {
     }
 
     /// The raw per-node slice (indexed by [`NodeId::index`]), as consumed by
-    /// `relogic_sim::estimate`.
+    /// `relogic_sim::try_estimate`.
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.values
@@ -259,7 +203,7 @@ mod tests {
     #[test]
     fn uniform_skips_sources() {
         let c = circuit();
-        let eps = GateEps::uniform(&c, 0.2);
+        let eps = GateEps::try_uniform(&c, 0.2).unwrap();
         assert_eq!(eps.as_slice(), &[0.0, 0.0, 0.2, 0.2]);
         assert_eq!(eps.noisy_nodes().count(), 2);
     }
@@ -275,7 +219,7 @@ mod tests {
         let c = circuit();
         let mut eps = GateEps::zero(&c);
         let g = NodeId::from_index(2);
-        eps.set(g, 0.5);
+        eps.try_set(g, 0.5).unwrap();
         assert_eq!(eps.get(g), 0.5);
         assert_eq!(eps.len(), 4);
     }
@@ -284,7 +228,7 @@ mod tests {
     fn random_uniform_stays_in_range() {
         let c = circuit();
         let mut rng = SmallRng::seed_from_u64(1);
-        let eps = GateEps::random_uniform(&c, 0.0, 0.5, &mut rng);
+        let eps = GateEps::try_random_uniform(&c, 0.0, 0.5, &mut rng).unwrap();
         for id in c.node_ids() {
             let e = eps.get(id);
             assert!((0.0..=0.5).contains(&e));
@@ -297,15 +241,15 @@ mod tests {
     #[test]
     fn from_fn_builds_arbitrary_vectors() {
         let c = circuit();
-        let eps = GateEps::from_fn(&c, |id| if id.index() == 3 { 0.4 } else { 0.0 });
+        let eps = GateEps::try_from_fn(&c, |id| if id.index() == 3 { 0.4 } else { 0.0 }).unwrap();
         assert_eq!(eps.get(NodeId::from_index(3)), 0.4);
     }
 
     #[test]
-    #[should_panic(expected = "out of [0,1]")]
     fn invalid_eps_rejected() {
         let c = circuit();
-        let _ = GateEps::uniform(&c, 1.2);
+        let err = GateEps::try_uniform(&c, 1.2).unwrap_err();
+        assert!(err.to_string().contains("out of [0,1]"), "{err}");
     }
 
     #[test]

@@ -40,11 +40,12 @@
 //! let y = c.or([g, cin]);
 //! c.add_output("y", y);
 //!
-//! let weights = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-//! let engine = SinglePass::new(&c, &weights, SinglePassOptions::default());
-//! let result = engine.run(&GateEps::uniform(&c, 0.05));
+//! let weights = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)?;
+//! let engine = SinglePass::try_new(&c, &weights, SinglePassOptions::default())?;
+//! let result = engine.try_run(&GateEps::try_uniform(&c, 0.05)?)?;
 //! let delta = result.per_output()[0];
 //! assert!(delta > 0.0 && delta < 0.15);
+//! # Ok::<(), relogic::RelogicError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -72,4 +73,4 @@ pub use observability::ObservabilityMatrix;
 pub use relogic_sim::{CancelToken, Cancelled};
 pub use single_pass::{CorrCoeffs, ErrorEvent, SinglePass, SinglePassOptions, SinglePassResult};
 pub use tape::{SweepPoint, SweepTape};
-pub use weights::{joint_value_distribution, Weights, MAX_ANALYSIS_ARITY};
+pub use weights::{Weights, MAX_ANALYSIS_ARITY};

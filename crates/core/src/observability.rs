@@ -837,7 +837,7 @@ mod tests {
         let g = NodeId::from_index(3); // the AND gate, o = 1/2
         for &e in &[0.05, 0.2, 0.45] {
             let mut eps = GateEps::zero(&c);
-            eps.set(g, e);
+            eps.try_set(g, e).unwrap();
             let cf = obs.closed_form_output(&eps, 0);
             let exact = exact_reliability(&c, eps.as_slice());
             assert!(
@@ -852,7 +852,7 @@ mod tests {
     fn closed_form_is_accurate_for_small_eps_on_all_gates() {
         let c = aoi();
         let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let eps = GateEps::uniform(&c, 0.01);
+        let eps = GateEps::try_uniform(&c, 0.01).unwrap();
         let cf = obs.closed_form(&eps);
         let exact = exact_reliability(&c, eps.as_slice());
         assert!(
@@ -867,7 +867,7 @@ mod tests {
     fn closed_form_saturates_at_half() {
         let c = aoi();
         let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let eps = GateEps::uniform(&c, 0.5);
+        let eps = GateEps::try_uniform(&c, 0.5).unwrap();
         for &d in &obs.closed_form(&eps) {
             assert!(d <= 0.5 + 1e-12);
         }
@@ -906,7 +906,7 @@ mod tests {
     fn criticality_ranks_by_single_failure_contribution() {
         let c = aoi();
         let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let eps = GateEps::uniform(&c, 0.1);
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
         let ranked = obs.criticality(&eps, 0);
         // The OR gate is the output gate (o = 1): must rank first.
         assert_eq!(ranked[0].0, NodeId::from_index(4));

@@ -51,45 +51,32 @@ impl ErrorEvent {
     pub const BOTH: [ErrorEvent; 2] = [ErrorEvent::Rise, ErrorEvent::Fall];
 }
 
-/// Four correlation coefficients for a signal pair, indexed
-/// `[event on first][event on second]`. `1.0` everywhere means independent.
+/// The four §4.1 error-event correlation coefficients of a signal pair,
+/// indexed `[event on first][event on second]`: `C[e][f]` is
+/// `Pr(first has e, second has f) / (Pr(first has e)·Pr(second has f))`,
+/// each event conditioned on its signal's fault-free value. `1.0`
+/// everywhere means independent.
 pub type CorrCoeffs = [[f64; 2]; 2];
 
 const INDEPENDENT: CorrCoeffs = [[1.0, 1.0], [1.0, 1.0]];
 
-/// Tracked coefficients for a signal pair: the four §4.1 error-event
-/// coefficients plus four Ercolani-style *signal-value* coefficients
-/// `V[value on first][value on second]` (the paper's ref [8]), used to
-/// condition weight vectors on a partner's fault-free value.
-#[derive(Clone, Copy, Debug)]
-struct PairCoeffs {
-    err: CorrCoeffs,
-    val: CorrCoeffs,
+/// The same pair seen from the other signal: indices swapped.
+fn transposed(c: &CorrCoeffs) -> CorrCoeffs {
+    [[c[0][0], c[1][0]], [c[0][1], c[1][1]]]
 }
 
-const PAIR_INDEPENDENT: PairCoeffs = PairCoeffs {
-    err: INDEPENDENT,
-    val: INDEPENDENT,
-};
+/// A signal's tracked partners and their coefficients (indexed from this
+/// signal's side), sorted by ascending node key. Node ids are topological
+/// and a pair is registered when its later signal is processed, so every
+/// registration appends at the end. Each entry is 40 bytes.
+type PartnerList = Vec<(u32, CorrCoeffs)>;
 
-impl PairCoeffs {
-    /// The same pair seen from the other signal: indices swapped.
-    fn transposed(&self) -> PairCoeffs {
-        let t = |c: &CorrCoeffs| [[c[0][0], c[1][0]], [c[0][1], c[1][1]]];
-        PairCoeffs {
-            err: t(&self.err),
-            val: t(&self.val),
-        }
-    }
-}
-
-/// A signal's tracked partners, sorted by ascending node key. Node ids are
-/// topological and a pair is registered when its later signal is
-/// processed, so every registration appends at the end.
-type PartnerList = Vec<(u32, PairCoeffs)>;
+/// Partners whose coefficients are all within this distance of 1 carry no
+/// information and are not tracked.
+const PRUNE_TOLERANCE: f64 = 1e-4;
 
 /// The coefficients `list` holds for partner `key`, by binary search.
-fn find_partner(list: &[(u32, PairCoeffs)], key: u32) -> Option<&PairCoeffs> {
+fn find_partner(list: &[(u32, CorrCoeffs)], key: u32) -> Option<&CorrCoeffs> {
     list.binary_search_by_key(&key, |&(k, _)| k)
         .ok()
         .map(|at| &list[at].1)
@@ -107,19 +94,6 @@ pub struct SinglePassOptions {
     /// partners of equal strength the one with the lower node id is kept,
     /// so the result never depends on anything but the inputs.
     pub partner_cap: Option<usize>,
-    /// Partners whose coefficients are all within this distance of 1 are
-    /// pruned (they carry no information).
-    pub prune_tolerance: f64,
-    /// Extension beyond the paper: condition weight vectors on the
-    /// partner's fault-free value using Ercolani-style signal-value
-    /// coefficients (the paper's ref [8]) while propagating error
-    /// coefficients. The Fig. 4 conditionals otherwise use the
-    /// unconditioned weight vector, which overestimates correlation where
-    /// the partner's value restricts the gate's input space. The
-    /// first-order product form implemented here helps modestly on control
-    /// logic and is neutral on the XOR lattices (see EXPERIMENTS.md), so
-    /// the default stays faithful to the paper: off.
-    pub value_conditioning: bool,
     /// Strict numeric policy. When set, [`SinglePass::try_run`] rejects
     /// ε > 0.5 (outside the sensible von Neumann BSC regime) and turns
     /// non-finite correlation numerics into
@@ -133,8 +107,6 @@ impl Default for SinglePassOptions {
         SinglePassOptions {
             correlations: true,
             partner_cap: Some(64),
-            prune_tolerance: 1e-4,
-            value_conditioning: false,
             strict: false,
         }
     }
@@ -200,17 +172,7 @@ impl SinglePassResult {
         u32::try_from(b.index())
             .ok()
             .and_then(|k| find_partner(&self.partners[a.index()], k))
-            .map(|c| c.err)
-    }
-
-    /// The tracked signal-value correlation coefficients
-    /// `V[value on a][value on b]` for a pair, if tracked.
-    #[must_use]
-    pub fn value_correlation(&self, a: NodeId, b: NodeId) -> Option<CorrCoeffs> {
-        u32::try_from(b.index())
-            .ok()
-            .and_then(|k| find_partner(&self.partners[a.index()], k))
-            .map(|c| c.val)
+            .copied()
     }
 
     /// Numerical diagnostics accumulated during this run: clamp events,
@@ -223,7 +185,7 @@ impl SinglePassResult {
 
 /// The single-pass reliability engine.
 ///
-/// Construction precomputes ε-independent structure; [`SinglePass::run`] is
+/// Construction precomputes ε-independent structure; [`SinglePass::try_run`] is
 /// then `O(n · 4^arity)` per ε vector (plus correlation bookkeeping), which
 /// is what makes 50-point ε sweeps cheap compared to Monte Carlo.
 ///
@@ -238,10 +200,11 @@ impl SinglePassResult {
 /// let g = c.not(a);
 /// c.add_output("y", g);
 ///
-/// let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-/// let engine = SinglePass::new(&c, &w, SinglePassOptions::default());
-/// let r = engine.run(&GateEps::uniform(&c, 0.1));
+/// let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)?;
+/// let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default())?;
+/// let r = engine.try_run(&GateEps::try_uniform(&c, 0.1)?)?;
 /// assert!((r.per_output()[0] - 0.1).abs() < 1e-12);
+/// # Ok::<(), relogic::RelogicError>(())
 /// ```
 #[derive(Debug)]
 pub struct SinglePass<'a> {
@@ -270,25 +233,11 @@ struct GateFlips {
 type ByOutput<'t> = [&'t [u16]; 2];
 
 impl<'a> SinglePass<'a> {
-    /// Creates an engine over `circuit` with precomputed `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SinglePass::try_new`] would return an error — in
-    /// particular if `weights` was computed for a different circuit
-    /// (length mismatch).
-    #[must_use]
-    pub fn new(circuit: &'a Circuit, weights: &'a Weights, options: SinglePassOptions) -> Self {
-        match SinglePass::try_new(circuit, weights, options) {
-            Ok(engine) => engine,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor: validates that the circuit is non-empty, that
-    /// its node count fits the engine's compact `u32` node keys, that
-    /// `weights` covers exactly the circuit's nodes, and that every gate's
-    /// arity is within [`MAX_ANALYSIS_ARITY`].
+    /// Creates an engine over `circuit` with precomputed `weights`,
+    /// validating that the circuit is non-empty, that its node count fits
+    /// the engine's compact `u32` node keys, that `weights` covers exactly
+    /// the circuit's nodes (it was computed for this circuit), and that
+    /// every gate's arity is within [`MAX_ANALYSIS_ARITY`].
     ///
     /// # Errors
     ///
@@ -371,22 +320,9 @@ impl<'a> SinglePass<'a> {
         [&combos[..zeros], &combos[zeros..]]
     }
 
-    /// Runs the single topological pass for the failure probabilities `eps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SinglePass::try_run`] would return an error — in
-    /// particular if `eps` covers a different node count than the circuit.
-    #[must_use]
-    pub fn run(&self, eps: &GateEps) -> SinglePassResult {
-        match self.try_run(eps) {
-            Ok(result) => result,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible run: validates the ε map against the circuit before the
-    /// pass and applies the configured numeric policy during it.
+    /// Runs the single topological pass for the failure probabilities
+    /// `eps`. Validates the ε map against the circuit before the pass and
+    /// applies the configured numeric policy during it.
     ///
     /// Every ε must be finite and in `[0, 1]` — or `[0, 0.5]` when
     /// [`SinglePassOptions::strict`] is set (beyond 0.5 the BSC gate
@@ -515,10 +451,9 @@ impl<'a> SinglePass<'a> {
         }
     }
 
-    /// Computes the error-event coefficients `C_{id,k}` (and, when value
-    /// conditioning is enabled, the signal-value coefficients `V_{id,k}`)
-    /// for every partner `k` correlated with any fanin of `id` (plus fanins
-    /// that are stems), and registers them symmetrically. Expects
+    /// Computes the error-event coefficients `C_{id,k}` for every partner
+    /// `k` correlated with any fanin of `id` (plus fanins that are stems),
+    /// and registers them symmetrically. Expects
     /// `scratch.pairs` to hold the gate's fanin-pair table.
     #[allow(clippy::too_many_arguments)]
     fn propagate_coefficients(
@@ -542,7 +477,6 @@ impl<'a> SinglePass<'a> {
             pairs,
             candidates,
             seen,
-            w_ctx,
             new_coeffs,
             ..
         } = scratch;
@@ -566,11 +500,10 @@ impl<'a> SinglePass<'a> {
         }
         candidates.sort_unstable();
 
-        let sp_l = self.weights.signal_probs()[i];
         new_coeffs.clear();
         // Merge-walk cursors into each fanin's sorted partner list.
         let mut cursor = [0usize; MAX_ANALYSIS_ARITY];
-        let mut fanin_pair = [None::<PairCoeffs>; MAX_ANALYSIS_ARITY];
+        let mut fanin_pair = [None::<CorrCoeffs>; MAX_ANALYSIS_ARITY];
         for &k in candidates.iter() {
             // Fanin positions that are the partner itself: their pairwise
             // coefficients with the other fanins are folded into `cond`.
@@ -588,54 +521,8 @@ impl<'a> SinglePass<'a> {
             }
             let fanin_pair = &fanin_pair[..fanins.len()];
 
-            let mut coeffs = PAIR_INDEPENDENT;
+            let mut coeffs = INDEPENDENT;
             for ctx in 0..2usize {
-                // Weight vector conditioned on the partner's fault-free
-                // value (Fig. 4's "the terms of the weight vector W include
-                // the signal probability of k", via the ref-[8] value
-                // coefficients). Any overall scale cancels in the ratios.
-                let w_ctx: &[f64] = if self.options.value_conditioning {
-                    w_ctx.clear();
-                    for (v, &wv) in w.iter().enumerate() {
-                        let mut factor = 1.0f64;
-                        for (j, pair) in fanin_pair.iter().enumerate() {
-                            let vj = v >> j & 1;
-                            if skip >> j & 1 == 1 {
-                                if vj != ctx {
-                                    factor = 0.0;
-                                    break;
-                                }
-                            } else if let Some(c) = pair {
-                                factor *= c.val[vj][ctx].max(0.0);
-                            }
-                        }
-                        w_ctx.push(wv * factor);
-                    }
-
-                    // Signal-value coefficient V_{l,k}[·][ctx].
-                    let mut mass = 0.0f64;
-                    let mut mass1 = 0.0f64;
-                    for (v, &wv) in w_ctx.iter().enumerate() {
-                        mass += wv;
-                        if node.kind().eval_combo(v, fanins.len()) {
-                            mass1 += wv;
-                        }
-                    }
-                    if mass > COEFF_EPS {
-                        let p1_ctx = mass1 / mass;
-                        coeffs.val[1][ctx] =
-                            diag.clamp_coeff(ratio_or_one(p1_ctx, sp_l), 0.0, f64::INFINITY);
-                        coeffs.val[0][ctx] = diag.clamp_coeff(
-                            ratio_or_one(1.0 - p1_ctx, 1.0 - sp_l),
-                            0.0,
-                            f64::INFINITY,
-                        );
-                    }
-                    w_ctx
-                } else {
-                    w
-                };
-
                 // Error-event coefficient for k's event whose fault-free
                 // context is `ctx` (rise needs clean 0, fall clean 1).
                 let pk = if ctx == 0 {
@@ -654,28 +541,28 @@ impl<'a> SinglePass<'a> {
                     if skip >> j & 1 == 1 {
                         cond.push(if ctx == 0 { (1.0, 0.0) } else { (0.0, 1.0) });
                     } else {
-                        let c = pair.map_or(INDEPENDENT, |c| c.err);
+                        let c = pair.unwrap_or(INDEPENDENT);
                         cond.push((
                             diag.clamp_coeff(p01[fi] * c[0][ctx], 0.0, 1.0),
                             diag.clamp_coeff(p10[fi] * c[1][ctx], 0.0, 1.0),
                         ));
                     }
                 }
-                let (r0, r1) = propagated_ratios(w_ctx, cond, pairs, skip, by_out, diag);
+                let (r0, r1) = propagated_ratios(w, cond, pairs, skip, by_out, diag);
                 let cond_p01 = diag.clamp_prob(e + (1.0 - 2.0 * e) * r0, 0.0, 1.0);
                 let cond_p10 = diag.clamp_prob(e + (1.0 - 2.0 * e) * r1, 0.0, 1.0);
-                coeffs.err[0][ctx] = ratio_or_one(cond_p01, p01[i]);
-                coeffs.err[1][ctx] = ratio_or_one(cond_p10, p10[i]);
+                coeffs[0][ctx] = ratio_or_one(cond_p01, p01[i]);
+                coeffs[1][ctx] = ratio_or_one(cond_p10, p10[i]);
             }
-            if !pair_is_finite(&coeffs) {
+            if !coeffs.iter().flatten().all(|x| x.is_finite()) {
                 // Graceful degradation: a non-finite coefficient would
                 // poison every downstream gate; drop the pair back to
                 // independence and record the fallback.
                 diag.record_fallback();
                 continue;
             }
-            let strength = pair_strength(&coeffs);
-            if strength >= self.options.prune_tolerance {
+            let strength = coeff_strength(&coeffs);
+            if strength >= PRUNE_TOLERANCE {
                 new_coeffs.push((k, strength, coeffs));
             }
         }
@@ -696,7 +583,7 @@ impl<'a> SinglePass<'a> {
             debug_assert!(partners[k as usize]
                 .last()
                 .is_none_or(|&(last, _)| last < iu));
-            partners[k as usize].push((iu, coeffs.transposed()));
+            partners[k as usize].push((iu, transposed(&coeffs)));
         }
     }
 }
@@ -718,14 +605,6 @@ fn coeff_strength(c: &CorrCoeffs) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn pair_strength(c: &PairCoeffs) -> f64 {
-    coeff_strength(&c.err).max(coeff_strength(&c.val))
-}
-
-fn pair_is_finite(c: &PairCoeffs) -> bool {
-    c.err.iter().flatten().all(|x| x.is_finite()) && c.val.iter().flatten().all(|x| x.is_finite())
-}
-
 /// Buffers reused across the gates of one run.
 #[derive(Default)]
 struct PropagationScratch {
@@ -738,9 +617,8 @@ struct PropagationScratch {
     /// Per node, the key of the gate it was last collected as a candidate
     /// for.
     seen: Vec<u32>,
-    w_ctx: Vec<f64>,
     /// Surviving partners of the current gate: `(key, strength, coeffs)`.
-    new_coeffs: Vec<(u32, f64, PairCoeffs)>,
+    new_coeffs: Vec<(u32, f64, CorrCoeffs)>,
 }
 
 impl PropagationScratch {
@@ -774,7 +652,7 @@ impl PropagationScratch {
                 }
                 for (ea, eb) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                     self.pairs[pair_index(k, a, b, ea, eb)] = if na != nb {
-                        find_partner(&partners[na], node_key(nb)).map_or(1.0, |c| c.err[ea][eb])
+                        find_partner(&partners[na], node_key(nb)).map_or(1.0, |c| c[ea][eb])
                     } else if ea == eb {
                         // Same physical signal: events coincide exactly.
                         let p = if ea == 0 { p01[na] } else { p10[na] };
@@ -884,12 +762,15 @@ mod tests {
     use relogic_sim::exact_reliability;
 
     fn weights(c: &Circuit) -> Weights {
-        Weights::compute(c, &InputDistribution::Uniform, Backend::Bdd)
+        Weights::try_compute(c, &InputDistribution::Uniform, Backend::Bdd).unwrap()
     }
 
     fn run(c: &Circuit, eps: &GateEps, opts: SinglePassOptions) -> SinglePassResult {
         let w = weights(c);
-        SinglePass::new(c, &w, opts).run(eps)
+        SinglePass::try_new(c, &w, opts)
+            .unwrap()
+            .try_run(eps)
+            .unwrap()
     }
 
     #[test]
@@ -901,7 +782,7 @@ mod tests {
         c.add_output("y", g);
         let r = run(
             &c,
-            &GateEps::uniform(&c, 0.23),
+            &GateEps::try_uniform(&c, 0.23).unwrap(),
             SinglePassOptions::default(),
         );
         assert!((r.per_output()[0] - 0.23).abs() < 1e-12);
@@ -918,7 +799,7 @@ mod tests {
         let g3 = c.not(g2);
         c.add_output("y", g3);
         for &e in &[0.05, 0.15, 0.3, 0.5] {
-            let eps = GateEps::uniform(&c, e);
+            let eps = GateEps::try_uniform(&c, e).unwrap();
             let r = run(&c, &eps, SinglePassOptions::default());
             let exact = exact_reliability(&c, eps.as_slice());
             assert!(
@@ -943,7 +824,7 @@ mod tests {
         let g3 = c.xor([g1, g2]);
         c.add_output("y", g3);
         for &e in &[0.02, 0.1, 0.25, 0.4] {
-            let eps = GateEps::uniform(&c, e);
+            let eps = GateEps::try_uniform(&c, e).unwrap();
             let r = run(&c, &eps, SinglePassOptions::without_correlations());
             let exact = exact_reliability(&c, eps.as_slice());
             assert!(
@@ -965,7 +846,7 @@ mod tests {
         let g4 = c.or([g1, g2]);
         let g5 = c.and([g4, g3]);
         c.add_output("y", g5);
-        let eps = GateEps::uniform(&c, 0.17);
+        let eps = GateEps::try_uniform(&c, 0.17).unwrap();
         let r = run(&c, &eps, SinglePassOptions::without_correlations());
         let exact = exact_reliability(&c, eps.as_slice());
         assert!(
@@ -986,7 +867,7 @@ mod tests {
         let inv = c.not(a);
         let g = c.xor([inv, inv]);
         c.add_output("y", g);
-        let eps = GateEps::uniform(&c, 0.2);
+        let eps = GateEps::try_uniform(&c, 0.2).unwrap();
         let r = run(&c, &eps, SinglePassOptions::default());
         let exact = exact_reliability(&c, eps.as_slice());
         assert!(
@@ -1012,13 +893,13 @@ mod tests {
         let g = c.xor([p, q]);
         c.add_output("y", g);
         let w = weights(&c);
-        let plain = SinglePass::new(&c, &w, SinglePassOptions::without_correlations());
-        let corr = SinglePass::new(&c, &w, SinglePassOptions::default());
+        let plain = SinglePass::try_new(&c, &w, SinglePassOptions::without_correlations()).unwrap();
+        let corr = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap();
         for &e in &[0.05, 0.1, 0.2, 0.3] {
-            let eps = GateEps::uniform(&c, e);
+            let eps = GateEps::try_uniform(&c, e).unwrap();
             let exact = exact_reliability(&c, eps.as_slice()).per_output[0];
-            let pe = (plain.run(&eps).per_output()[0] - exact).abs();
-            let ce = (corr.run(&eps).per_output()[0] - exact).abs();
+            let pe = (plain.try_run(&eps).unwrap().per_output()[0] - exact).abs();
+            let ce = (corr.try_run(&eps).unwrap().per_output()[0] - exact).abs();
             assert!(
                 ce < pe,
                 "ε={e}: corrected error {ce} should beat plain {pe}"
@@ -1040,11 +921,11 @@ mod tests {
         let g = c.and([p, q]);
         c.add_output("y", g);
         let w = weights(&c);
-        let corr = SinglePass::new(&c, &w, SinglePassOptions::default());
+        let corr = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap();
         for &e in &[0.05, 0.1, 0.2, 0.3] {
-            let eps = GateEps::uniform(&c, e);
+            let eps = GateEps::try_uniform(&c, e).unwrap();
             let exact = exact_reliability(&c, eps.as_slice()).per_output[0];
-            let ce = (corr.run(&eps).per_output()[0] - exact).abs();
+            let ce = (corr.try_run(&eps).unwrap().per_output()[0] - exact).abs();
             assert!(ce < 0.01, "ε={e}: corrected error {ce}");
         }
     }
@@ -1059,7 +940,11 @@ mod tests {
         let q = c.or([s, b]);
         c.add_output("y1", p);
         c.add_output("y2", q);
-        let r = run(&c, &GateEps::uniform(&c, 0.1), SinglePassOptions::default());
+        let r = run(
+            &c,
+            &GateEps::try_uniform(&c, 0.1).unwrap(),
+            SinglePassOptions::default(),
+        );
         // p and q both descend from stem s: coefficients must be tracked.
         assert!(r.correlation(p, q).is_some());
         assert!(r.correlation(p, s).is_some());
@@ -1092,7 +977,11 @@ mod tests {
         let g = c.and([p, q]);
         c.add_output("y", g);
         for &e in &[0.0, 0.1, 0.3, 0.5, 0.49] {
-            let r = run(&c, &GateEps::uniform(&c, e), SinglePassOptions::default());
+            let r = run(
+                &c,
+                &GateEps::try_uniform(&c, e).unwrap(),
+                SinglePassOptions::default(),
+            );
             for id in c.node_ids() {
                 assert!((0.0..=1.0).contains(&r.p01(id)), "p01({id})={}", r.p01(id));
                 assert!((0.0..=1.0).contains(&r.p10(id)), "p10({id})={}", r.p10(id));
@@ -1108,7 +997,7 @@ mod tests {
         let g = c.buf(a);
         c.add_output("y", g);
         let mut eps = GateEps::zero(&c);
-        eps.set(a, 0.3);
+        eps.try_set(a, 0.3).unwrap();
         let r = run(&c, &eps, SinglePassOptions::default());
         assert!((r.per_output()[0] - 0.3).abs() < 1e-12);
     }
@@ -1128,48 +1017,9 @@ mod tests {
             partner_cap: Some(1),
             ..SinglePassOptions::default()
         };
-        let r = run(&c, &GateEps::uniform(&c, 0.2), opts);
+        let r = run(&c, &GateEps::try_uniform(&c, 0.2).unwrap(), opts);
         // still produces sane probabilities
         assert!((0.0..=1.0).contains(&r.per_output()[0]));
-    }
-
-    #[test]
-    fn value_conditioning_extension_stays_bounded() {
-        // The ref-[8] value-conditioning extension must keep every
-        // probability legal and track the exact result at least as well as
-        // a coarse envelope on a reconvergent circuit.
-        let mut c = Circuit::new("t");
-        let a = c.add_input("a");
-        let b = c.add_input("b");
-        let s = c.nand([a, b]);
-        let p = c.and([s, b]);
-        let q = c.or([s, a]);
-        let g = c.xor([p, q]);
-        c.add_output("y", g);
-        let w = weights(&c);
-        let opts = SinglePassOptions {
-            value_conditioning: true,
-            ..SinglePassOptions::default()
-        };
-        let engine = SinglePass::new(&c, &w, opts);
-        for &e in &[0.05, 0.2, 0.5] {
-            let eps = GateEps::uniform(&c, e);
-            let r = engine.run(&eps);
-            for id in c.node_ids() {
-                assert!((0.0..=1.0).contains(&r.p01(id)));
-                assert!((0.0..=1.0).contains(&r.p10(id)));
-            }
-            let exact = exact_reliability(&c, eps.as_slice()).per_output[0];
-            assert!(
-                (r.per_output()[0] - exact).abs() < 0.05,
-                "ε={e}: {} vs {exact}",
-                r.per_output()[0]
-            );
-        }
-        // The value coefficients are exposed for inspection.
-        let r = engine.run(&GateEps::uniform(&c, 0.1));
-        let v = r.value_correlation(p, q).expect("pair tracked");
-        assert!(v.iter().flatten().all(|&x| x >= 0.0));
     }
 
     #[test]
@@ -1186,7 +1036,7 @@ mod tests {
         let g5 = c.nor([g2, x2]);
         let g6 = c.xor([g4, g5]);
         c.add_output("y", g6);
-        let eps = GateEps::uniform(&c, 0.1);
+        let eps = GateEps::try_uniform(&c, 0.1).unwrap();
         let exact = exact_reliability(&c, eps.as_slice()).per_output[0];
         let plain = run(&c, &eps, SinglePassOptions::without_correlations()).per_output()[0];
         let corr = run(&c, &eps, SinglePassOptions::default()).per_output()[0];
@@ -1236,7 +1086,9 @@ mod tests {
         other.add_output("y", b);
         let w = weights(&c);
         let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap();
-        let err = engine.try_run(&GateEps::uniform(&other, 0.1)).unwrap_err();
+        let err = engine
+            .try_run(&GateEps::try_uniform(&other, 0.1).unwrap())
+            .unwrap_err();
         assert!(matches!(
             err,
             RelogicError::LengthMismatch { what: "ε map", .. }
@@ -1255,7 +1107,9 @@ mod tests {
             ..SinglePassOptions::default()
         };
         let engine = SinglePass::try_new(&c, &w, opts).unwrap();
-        let err = engine.try_run(&GateEps::uniform(&c, 0.6)).unwrap_err();
+        let err = engine
+            .try_run(&GateEps::try_uniform(&c, 0.6).unwrap())
+            .unwrap_err();
         match err {
             RelogicError::InvalidEpsilon { value, max, .. } => {
                 assert!((value - 0.6).abs() < 1e-12);
@@ -1265,7 +1119,9 @@ mod tests {
         }
         // The same ε is fine without strict.
         let lenient = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap();
-        assert!(lenient.try_run(&GateEps::uniform(&c, 0.6)).is_ok());
+        assert!(lenient
+            .try_run(&GateEps::try_uniform(&c, 0.6).unwrap())
+            .is_ok());
     }
 
     #[test]
@@ -1279,7 +1135,11 @@ mod tests {
         let q = c.buf(s);
         let g = c.xor([p, q]);
         c.add_output("y", g);
-        let r = run(&c, &GateEps::uniform(&c, 0.2), SinglePassOptions::default());
+        let r = run(
+            &c,
+            &GateEps::try_uniform(&c, 0.2).unwrap(),
+            SinglePassOptions::default(),
+        );
         assert!(
             !r.diagnostics().is_clean(),
             "expected clamp events on a reconvergent XOR, got {:?}",
@@ -1295,7 +1155,11 @@ mod tests {
         let b = c.add_input("b");
         let g = c.and([a, b]);
         c.add_output("y", g);
-        let r = run(&c, &GateEps::uniform(&c, 0.1), SinglePassOptions::default());
+        let r = run(
+            &c,
+            &GateEps::try_uniform(&c, 0.1).unwrap(),
+            SinglePassOptions::default(),
+        );
         assert!(r.diagnostics().is_clean(), "{:?}", r.diagnostics());
     }
 }

@@ -9,32 +9,20 @@ use relogic_sim::{try_estimate_tape, CancelToken, ChunkExecutor, CircuitTape, Mo
 /// An evenly spaced ε grid of `points` values covering `[lo, hi]`
 /// inclusive.
 ///
-/// # Panics
-///
-/// Panics if `points == 0` or the range is invalid.
-///
-/// # Examples
-///
-/// ```
-/// let grid = relogic::sweep::epsilon_grid(50, 0.0, 0.5);
-/// assert_eq!(grid.len(), 50);
-/// assert_eq!(grid[0], 0.0);
-/// assert_eq!(*grid.last().unwrap(), 0.5);
-/// ```
-#[must_use]
-pub fn epsilon_grid(points: usize, lo: f64, hi: f64) -> Vec<f64> {
-    match try_epsilon_grid(points, lo, hi) {
-        Ok(g) => g,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`epsilon_grid`].
-///
 /// # Errors
 ///
 /// [`RelogicError::InvalidGrid`] if `points == 0` or the range is not an
 /// increasing, finite subrange of `[0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// let grid = relogic::sweep::try_epsilon_grid(50, 0.0, 0.5)?;
+/// assert_eq!(grid.len(), 50);
+/// assert_eq!(grid[0], 0.0);
+/// assert_eq!(grid.last(), Some(&0.5));
+/// # Ok::<(), relogic::RelogicError>(())
+/// ```
 pub fn try_epsilon_grid(points: usize, lo: f64, hi: f64) -> Result<Vec<f64>, RelogicError> {
     if points == 0 {
         return Err(RelogicError::InvalidGrid {
@@ -46,16 +34,12 @@ pub fn try_epsilon_grid(points: usize, lo: f64, hi: f64) -> Result<Vec<f64>, Rel
             message: format!("invalid ε range [{lo}, {hi}]"),
         });
     }
-    Ok(epsilon_grid_validated(points, lo, hi))
-}
-
-fn epsilon_grid_validated(points: usize, lo: f64, hi: f64) -> Vec<f64> {
     if points == 1 {
-        return vec![lo];
+        return Ok(vec![lo]);
     }
     #[allow(clippy::cast_precision_loss)]
     let step = (hi - lo) / (points - 1) as f64;
-    (0..points)
+    Ok((0..points)
         .map(|i| {
             if i == points - 1 {
                 hi
@@ -65,7 +49,7 @@ fn epsilon_grid_validated(points: usize, lo: f64, hi: f64) -> Vec<f64> {
                 e.min(hi)
             }
         })
-        .collect()
+        .collect())
 }
 
 /// A family of δ(ε) curves: `delta[point][output]`.
@@ -232,12 +216,12 @@ mod tests {
 
     #[test]
     fn grid_endpoints_and_spacing() {
-        let g = epsilon_grid(6, 0.05, 0.3);
+        let g = try_epsilon_grid(6, 0.05, 0.3).unwrap();
         assert_eq!(g.len(), 6);
         assert!((g[0] - 0.05).abs() < 1e-12);
         assert!((g[5] - 0.3).abs() < 1e-12);
         assert!((g[1] - 0.1).abs() < 1e-12);
-        assert_eq!(epsilon_grid(1, 0.2, 0.5), vec![0.2]);
+        assert_eq!(try_epsilon_grid(1, 0.2, 0.5).unwrap(), vec![0.2]);
     }
 
     #[test]
@@ -262,7 +246,7 @@ mod tests {
     fn sweep_propagates_grid_point_errors() {
         use crate::RelogicError;
         let c = circuit();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let err = sweep_single_pass(&c, &w, SinglePassOptions::default(), &[0.1, 1.5], 1);
         assert!(matches!(err, Err(RelogicError::InvalidEpsilon { .. })));
         let ok = sweep_single_pass(&c, &w, SinglePassOptions::default(), &[0.1, 0.2], 1).unwrap();
@@ -272,8 +256,8 @@ mod tests {
     #[test]
     fn single_pass_sweep_is_monotone_from_zero() {
         let c = circuit();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let grid = epsilon_grid(6, 0.0, 0.25);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let grid = try_epsilon_grid(6, 0.0, 0.25).unwrap();
         let curves = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, 1).unwrap();
         assert_eq!(curves.delta.len(), 6);
         assert_eq!(curves.delta[0], vec![0.0]);
@@ -286,8 +270,8 @@ mod tests {
     #[test]
     fn monte_carlo_sweep_tracks_single_pass() {
         let c = circuit();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let grid = epsilon_grid(4, 0.0, 0.3);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let grid = try_epsilon_grid(4, 0.0, 0.3).unwrap();
         let sp = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, 1).unwrap();
         let mc = sweep_monte_carlo(
             &c,
@@ -307,9 +291,9 @@ mod tests {
     #[test]
     fn sweeps_are_identical_for_every_thread_count() {
         let c = circuit();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let grid = epsilon_grid(7, 0.0, 0.4);
+        let grid = try_epsilon_grid(7, 0.0, 0.4).unwrap();
         let sp = |threads| {
             sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, threads).unwrap()
         };
@@ -339,9 +323,9 @@ mod tests {
     #[test]
     fn closed_form_sweep_matches_single_pass_at_small_eps() {
         let c = circuit();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let grid = epsilon_grid(3, 0.0, 0.02);
+        let grid = try_epsilon_grid(3, 0.0, 0.02).unwrap();
         let sp = sweep_single_pass(&c, &w, SinglePassOptions::default(), &grid, 1).unwrap();
         let cf = sweep_closed_form(&c, &obs, &grid, 1).unwrap();
         for (s, f) in sp.delta.iter().zip(&cf.delta) {

@@ -86,7 +86,7 @@ struct OutputTap {
 /// let g = c.not(a);
 /// c.add_output("y", g);
 ///
-/// let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+/// let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
 /// let tape = SweepTape::try_new(&c, &w).unwrap();
 /// let curves = tape.try_run_grid(&[0.0, 0.1, 0.2], 1, &CancelToken::new()).unwrap();
 /// assert!((curves.delta[1][0] - 0.1).abs() < 1e-12);
@@ -597,7 +597,7 @@ mod tests {
     }
 
     fn weights(c: &Circuit) -> Weights {
-        Weights::compute(c, &InputDistribution::Uniform, Backend::Bdd)
+        Weights::try_compute(c, &InputDistribution::Uniform, Backend::Bdd).unwrap()
     }
 
     #[test]
@@ -605,11 +605,14 @@ mod tests {
         let c = reconvergent();
         let w = weights(&c);
         let tape = SweepTape::try_new(&c, &w).unwrap();
-        let engine = SinglePass::new(&c, &w, SinglePassOptions::without_correlations());
-        let grid = crate::sweep::epsilon_grid(23, 0.0, 0.5);
+        let engine =
+            SinglePass::try_new(&c, &w, SinglePassOptions::without_correlations()).unwrap();
+        let grid = crate::sweep::try_epsilon_grid(23, 0.0, 0.5).unwrap();
         let curves = tape.try_run_grid(&grid, 1, &CancelToken::new()).unwrap();
         for (i, &e) in grid.iter().enumerate() {
-            let r = engine.run(&GateEps::uniform(&c, e));
+            let r = engine
+                .try_run(&GateEps::try_uniform(&c, e).unwrap())
+                .unwrap();
             for (k, &d) in r.per_output().iter().enumerate() {
                 assert!(
                     (curves.delta[i][k] - d).abs() < 1e-12,
@@ -625,7 +628,7 @@ mod tests {
         let c = reconvergent();
         let w = weights(&c);
         let tape = SweepTape::try_new(&c, &w).unwrap();
-        let grid = crate::sweep::epsilon_grid(19, 0.0, 0.4);
+        let grid = crate::sweep::try_epsilon_grid(19, 0.0, 0.4).unwrap();
         let one = tape.try_run_grid(&grid, 1, &CancelToken::new()).unwrap();
         for threads in [2, 3, 8] {
             let multi = tape
@@ -640,7 +643,7 @@ mod tests {
         let c = reconvergent();
         let w = weights(&c);
         let tape = SweepTape::try_new(&c, &w).unwrap();
-        let grid = crate::sweep::epsilon_grid(19, 0.0, 0.4);
+        let grid = crate::sweep::try_epsilon_grid(19, 0.0, 0.4).unwrap();
         // Pre-fired token: typed cancellation, no partial curve.
         let fired = CancelToken::new();
         fired.cancel();
@@ -665,13 +668,14 @@ mod tests {
         let c = reconvergent();
         let w = weights(&c);
         let tape = SweepTape::try_new(&c, &w).unwrap();
-        let engine = SinglePass::new(&c, &w, SinglePassOptions::without_correlations());
-        let mut eps = GateEps::uniform(&c, 0.05);
+        let engine =
+            SinglePass::try_new(&c, &w, SinglePassOptions::without_correlations()).unwrap();
+        let mut eps = GateEps::try_uniform(&c, 0.05).unwrap();
         // Perturb a couple of nodes, including a primary input.
-        eps.set(c.inputs()[0], 0.2);
-        eps.set(c.outputs()[0].node(), 0.31);
+        eps.try_set(c.inputs()[0], 0.2).unwrap();
+        eps.try_set(c.outputs()[0].node(), 0.31).unwrap();
         let p = tape.try_run_point(&eps).unwrap();
-        let r = engine.run(&eps);
+        let r = engine.try_run(&eps).unwrap();
         for (k, &d) in r.per_output().iter().enumerate() {
             assert!((p.per_output()[k] - d).abs() < 1e-12);
         }
@@ -713,7 +717,7 @@ mod tests {
         let ct = CircuitTape::compile(&c);
         let a = SweepTape::try_new(&c, &w).unwrap();
         let b = SweepTape::try_with_tape(&c, &ct, &w).unwrap();
-        let grid = crate::sweep::epsilon_grid(9, 0.0, 0.3);
+        let grid = crate::sweep::try_epsilon_grid(9, 0.0, 0.3).unwrap();
         assert_eq!(
             a.try_run_grid(&grid, 1, &CancelToken::new()).unwrap().delta,
             b.try_run_grid(&grid, 1, &CancelToken::new()).unwrap().delta

@@ -7,7 +7,7 @@
 //! symbolic techniques based on BDDs. Weight vectors are independent of ε⃗
 //! and change only if the structure of the logic circuit changes."*
 //!
-//! [`Weights::compute`] implements both backends; the result is reused
+//! [`Weights::try_compute`] implements both backends; the result is reused
 //! across every ε in a sweep, exactly as the paper prescribes.
 
 use crate::{Backend, InputDistribution, RelogicError};
@@ -28,12 +28,18 @@ pub struct Weights {
 }
 
 impl Weights {
-    /// Computes weight vectors and signal probabilities for `circuit`.
+    /// Computes weight vectors and signal probabilities for `circuit`,
+    /// validating gate arities and the input distribution before touching
+    /// the backend.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a gate's arity exceeds [`MAX_ANALYSIS_ARITY`] or the input
-    /// distribution does not match the circuit.
+    /// [`RelogicError::ArityExceeded`] if a gate's arity exceeds
+    /// [`MAX_ANALYSIS_ARITY`], [`RelogicError::DistributionMismatch`]
+    /// if the input distribution does not match the circuit, or
+    /// [`RelogicError::Sim`] wrapping
+    /// [`relogic_sim::SimError::ZeroPatternBudget`] for a sampled backend
+    /// with zero patterns.
     ///
     /// # Examples
     ///
@@ -47,29 +53,11 @@ impl Weights {
     /// let g = c.and([a, b]);
     /// c.add_output("y", g);
     ///
-    /// let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+    /// let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)?;
     /// assert_eq!(w.vector(g), &[0.25, 0.25, 0.25, 0.25]);
     /// assert!((w.signal_prob(g) - 0.25).abs() < 1e-12);
+    /// # Ok::<(), relogic::RelogicError>(())
     /// ```
-    #[must_use]
-    pub fn compute(circuit: &Circuit, dist: &InputDistribution, backend: Backend) -> Self {
-        match Weights::try_compute(circuit, dist, backend) {
-            Ok(w) => w,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Weights::compute`]: validates gate arities and the input
-    /// distribution before touching the backend.
-    ///
-    /// # Errors
-    ///
-    /// [`RelogicError::ArityExceeded`] if a gate's arity exceeds
-    /// [`MAX_ANALYSIS_ARITY`], [`RelogicError::DistributionMismatch`]
-    /// if the input distribution does not match the circuit, or
-    /// [`RelogicError::Sim`] wrapping
-    /// [`relogic_sim::SimError::ZeroPatternBudget`] for a sampled backend
-    /// with zero patterns.
     pub fn try_compute(
         circuit: &Circuit,
         dist: &InputDistribution,
@@ -265,113 +253,6 @@ impl Weights {
     }
 }
 
-/// Exact (BDD) or sampled joint value distribution of a set of nodes:
-/// entry `combo` is `Pr(⋀_j node_j = bit_j(combo))` under the fault-free
-/// circuit. Used for consolidating multi-output error probabilities.
-///
-/// # Panics
-///
-/// Panics if `nodes.len() > 12` (distribution size `2^n`), or under the
-/// conditions of [`Weights::compute`].
-#[must_use]
-pub fn joint_value_distribution(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    dist: &InputDistribution,
-    backend: Backend,
-) -> Vec<f64> {
-    match try_joint_value_distribution(circuit, nodes, dist, backend) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`joint_value_distribution`].
-///
-/// # Errors
-///
-/// [`RelogicError::DistributionMismatch`] if `nodes` is larger than 12 (the
-/// `2^n` distribution would blow up), names a node outside the circuit, or
-/// the input distribution does not match the circuit.
-pub fn try_joint_value_distribution(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    dist: &InputDistribution,
-    backend: Backend,
-) -> Result<Vec<f64>, RelogicError> {
-    if nodes.len() > 12 {
-        return Err(RelogicError::DistributionMismatch {
-            message: format!("joint distribution over {} nodes (max 12)", nodes.len()),
-        });
-    }
-    if let Some(&bad) = nodes.iter().find(|n| n.index() >= circuit.len()) {
-        return Err(RelogicError::DistributionMismatch {
-            message: format!("node {bad} outside circuit of {} nodes", circuit.len()),
-        });
-    }
-    let _ = dist.try_position_probs(circuit)?;
-    Ok(joint_value_distribution_validated(
-        circuit, nodes, dist, backend,
-    ))
-}
-
-fn joint_value_distribution_validated(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    dist: &InputDistribution,
-    backend: Backend,
-) -> Vec<f64> {
-    match backend {
-        Backend::Bdd => {
-            let order = VarOrder::dfs(circuit);
-            let mut manager = BddManager::new(order.len());
-            let bdds = CircuitBdds::build(&mut manager, circuit, &order);
-            let var_probs = order.permute_probs(&dist.position_probs(circuit), order.len(), 0.5);
-            let mut memo: HashMap<relogic_bdd::BddRef, f64> = HashMap::new();
-            (0..1usize << nodes.len())
-                .map(|combo| {
-                    let mut conj = relogic_bdd::BddRef::TRUE;
-                    for (j, &nid) in nodes.iter().enumerate() {
-                        let lit = if combo >> j & 1 == 1 {
-                            bdds.func(nid)
-                        } else {
-                            manager.not(bdds.func(nid))
-                        };
-                        conj = manager.and(conj, lit);
-                        if conj.is_false() {
-                            break;
-                        }
-                    }
-                    manager.probability_memo(conj, &var_probs, &mut memo)
-                })
-                .collect()
-        }
-        Backend::Simulation { patterns, seed } => {
-            use rand::SeedableRng;
-            let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(circuit));
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            let mut sim = relogic_sim::PackedSim::new(circuit);
-            let blocks = patterns.div_ceil(64).max(1);
-            let mut counts = vec![0u64; 1 << nodes.len()];
-            for _ in 0..blocks {
-                sampler.fill(&mut sim, &mut rng);
-                sim.propagate(circuit);
-                for lane in 0..64 {
-                    let mut combo = 0usize;
-                    for (j, &nid) in nodes.iter().enumerate() {
-                        combo |= (((sim.node_word(nid) >> lane) & 1) as usize) << j;
-                    }
-                    counts[combo] += 1;
-                }
-            }
-            #[allow(clippy::cast_precision_loss)]
-            let total = (blocks * 64) as f64;
-            #[allow(clippy::cast_precision_loss)]
-            counts.into_iter().map(|c| c as f64 / total).collect()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,7 +273,7 @@ mod tests {
     #[test]
     fn bdd_weights_are_exact() {
         let c = reconvergent();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let g = NodeId::from_index(3);
         let o1 = NodeId::from_index(4);
         // AND of two fresh inputs: uniform 1/4 each.
@@ -410,15 +291,16 @@ mod tests {
     #[test]
     fn sim_weights_converge_to_bdd_weights() {
         let c = reconvergent();
-        let exact = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let approx = Weights::compute(
+        let exact = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let approx = Weights::try_compute(
             &c,
             &InputDistribution::Uniform,
             Backend::Simulation {
                 patterns: 1 << 16,
                 seed: 77,
             },
-        );
+        )
+        .unwrap();
         for (id, node) in c.iter() {
             if !node.kind().is_gate() {
                 continue;
@@ -435,7 +317,7 @@ mod tests {
         let c = reconvergent();
         let dist = InputDistribution::Independent(vec![0.3, 0.5, 0.9]);
         let (patterns, seed) = (1000, 13);
-        let w = Weights::compute(&c, &dist, Backend::Simulation { patterns, seed });
+        let w = Weights::try_compute(&c, &dist, Backend::Simulation { patterns, seed }).unwrap();
         let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(&c));
         let counts = relogic_sim::joint_input_counts_biased(&c, &sampler, patterns, seed);
         let probs = relogic_sim::signal_probabilities_biased(&c, &sampler, patterns, seed);
@@ -456,7 +338,7 @@ mod tests {
         let a = c.add_input("a");
         let g = c.xor([a, a]);
         c.add_output("y", g);
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         assert_eq!(w.vector(g), &[0.5, 0.0, 0.0, 0.5]);
         assert_eq!(w.signal_prob(g), 0.0);
     }
@@ -469,14 +351,15 @@ mod tests {
         let g = c.and([a, b]);
         c.add_output("y", g);
         let dist = InputDistribution::Independent(vec![0.9, 0.5]);
-        let w = Weights::compute(
+        let w = Weights::try_compute(
             &c,
             &dist,
             Backend::Simulation {
                 patterns: 1 << 16,
                 seed: 21,
             },
-        );
+        )
+        .unwrap();
         let v = w.vector(g);
         assert!((v[0b01] - 0.45).abs() < 0.01, "{v:?}");
         assert!((w.signal_prob(a) - 0.9).abs() < 0.01);
@@ -490,35 +373,12 @@ mod tests {
         let g = c.and([a, b]);
         c.add_output("y", g);
         let dist = InputDistribution::Independent(vec![0.9, 0.5]);
-        let w = Weights::compute(&c, &dist, Backend::Bdd);
+        let w = Weights::try_compute(&c, &dist, Backend::Bdd).unwrap();
         let v = w.vector(g);
         assert!((v[0b00] - 0.05).abs() < 1e-12);
         assert!((v[0b01] - 0.45).abs() < 1e-12);
         assert!((v[0b10] - 0.05).abs() < 1e-12);
         assert!((v[0b11] - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
-    fn joint_value_distribution_of_outputs() {
-        let c = reconvergent();
-        let nodes = [NodeId::from_index(4), NodeId::from_index(5)];
-        let exact = joint_value_distribution(&c, &nodes, &InputDistribution::Uniform, Backend::Bdd);
-        assert!((exact.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        let approx = joint_value_distribution(
-            &c,
-            &nodes,
-            &InputDistribution::Uniform,
-            Backend::Simulation {
-                patterns: 1 << 15,
-                seed: 3,
-            },
-        );
-        for (e, a) in exact.iter().zip(&approx) {
-            assert!((e - a).abs() < 0.02);
-        }
-        // y1=0,y2=1 impossible? y1 = g|c, y2 = g^c: y2=1 means exactly one
-        // of (g,c) is 1, which forces y1=1. So combo (y1=0, y2=1) has mass 0.
-        assert!(exact[0b10] < 1e-12);
     }
 
     #[test]
@@ -529,19 +389,22 @@ mod tests {
         let g = c.and([a, b]);
         let h = c.or([g, a]);
         c.add_output("y", h);
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         assert_eq!(w.approx_heap_bytes(), Weights::projected_heap_bytes(&c));
         assert!(w.approx_heap_bytes() > 0);
     }
 
     #[test]
-    #[should_panic(expected = "exceeding the analysis limit")]
     fn oversized_gate_rejected() {
         let mut c = Circuit::new("t");
         let ins: Vec<_> = (0..9).map(|i| c.add_input(format!("x{i}"))).collect();
         let g = c.and(ins);
         c.add_output("y", g);
-        let _ = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let err = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap_err();
+        assert!(
+            err.to_string().contains("exceeding the analysis limit"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! 1. **Golden bits.** `suite_circuits_match_golden_bits` runs the default
 //!    correlated engine on six suite circuits at the 11-point grid
-//!    `epsilon_grid(11, 0.0, 0.5)` and compares, per grid point, every
+//!    `try_epsilon_grid(11, 0.0, 0.5)` and compares, per grid point, every
 //!    output's δ bits, an FNV-1a hash of every node's `p01`/`p10` bits, and
 //!    the coefficient-saturation count against `data/single_pass_golden.txt`.
 //!    The file was recorded from the `HashMap`-based engine that preceded
@@ -34,7 +34,7 @@
 // Test-only code: the library's unwrap ban does not apply here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use relogic::sweep::epsilon_grid;
+use relogic::sweep::try_epsilon_grid;
 use relogic::{
     Backend, GateEps, InputDistribution, SinglePass, SinglePassOptions, SinglePassResult, Weights,
 };
@@ -75,13 +75,16 @@ fn node_hash(c: &Circuit, r: &SinglePassResult) -> u64 {
 /// `<circuit> <point> <coeff_saturations> <node hash> <δ bits per output…>`.
 fn golden_lines(name: &str, backend: Backend) -> Vec<String> {
     let c = relogic_gen::suite::build(name).expect("suite circuit");
-    let w = Weights::compute(&c, &InputDistribution::Uniform, backend);
-    let engine = SinglePass::new(&c, &w, SinglePassOptions::default());
-    epsilon_grid(11, 0.0, 0.5)
+    let w = Weights::try_compute(&c, &InputDistribution::Uniform, backend).unwrap();
+    let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap();
+    try_epsilon_grid(11, 0.0, 0.5)
+        .unwrap()
         .into_iter()
         .enumerate()
         .map(|(point, e)| {
-            let r = engine.run(&GateEps::uniform(&c, e));
+            let r = engine
+                .try_run(&GateEps::try_uniform(&c, e).unwrap())
+                .unwrap();
             let mut line = format!(
                 "{name} {point} {} {:016x}",
                 r.diagnostics().coeff_saturations(),
@@ -160,18 +163,25 @@ fn correlated_pass_is_deterministic() {
             locality: 12,
             global_edge_fraction: 0.3,
         });
-        let w = Weights::compute(
+        let w = Weights::try_compute(
             &c,
             &InputDistribution::Uniform,
             Backend::Simulation {
                 patterns: 1 << 12,
                 seed: 0xBEEF,
             },
-        );
+        )
+        .unwrap();
         for e in [0.05, 0.2, 0.4] {
-            let eps = GateEps::uniform(&c, e);
-            let a = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&eps);
-            let b = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&eps);
+            let eps = GateEps::try_uniform(&c, e).unwrap();
+            let a = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+                .unwrap()
+                .try_run(&eps)
+                .unwrap();
+            let b = SinglePass::try_new(&c, &w, SinglePassOptions::default())
+                .unwrap()
+                .try_run(&eps)
+                .unwrap();
             assert_bit_identical(&c, &a, &b, &format!("seed {seed}, ε={e}"));
         }
     }

@@ -172,13 +172,13 @@ proptest! {
     #[test]
     fn sweep_grid_matches_per_point_engine(seed in arb_circuit()) {
         let c = build_circuit(&seed);
-        let weights = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let grid = relogic::sweep::epsilon_grid(9, 0.0, 0.4);
+        let weights = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let grid = relogic::sweep::try_epsilon_grid(9, 0.0, 0.4).unwrap();
         let tape = SweepTape::try_new(&c, &weights).unwrap();
         let curves = tape.try_run_grid(&grid, 2, &CancelToken::new()).unwrap();
-        let engine = SinglePass::new(&c, &weights, SinglePassOptions::without_correlations());
+        let engine = SinglePass::try_new(&c, &weights, SinglePassOptions::without_correlations()).unwrap();
         for (i, &e) in grid.iter().enumerate() {
-            let point = engine.run(&GateEps::try_uniform(&c, e).unwrap());
+            let point = engine.try_run(&GateEps::try_uniform(&c, e).unwrap()).unwrap();
             for (k, &d) in point.per_output().iter().enumerate() {
                 prop_assert!(
                     (curves.delta[i][k] - d).abs() <= 1e-12,

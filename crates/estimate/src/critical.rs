@@ -205,7 +205,7 @@ mod tests {
     }
 
     fn tape_for(c: &Circuit) -> SweepTape {
-        let w = Weights::compute(c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         SweepTape::try_new(c, &w).unwrap()
     }
 

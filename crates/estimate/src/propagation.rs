@@ -440,7 +440,7 @@ mod tests {
         let c = aoi();
         let est = PropagationEstimate::try_compute(&c, &InputDistribution::Uniform).unwrap();
         let exact = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let eps = GateEps::uniform(&c, 0.03);
+        let eps = GateEps::try_uniform(&c, 0.03).unwrap();
         let a = est.closed_form(&eps);
         let b = exact.closed_form(&eps);
         for (x, y) in a.iter().zip(&b) {

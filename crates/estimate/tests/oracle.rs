@@ -41,7 +41,7 @@ fn mean_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 fn propagation_within_pinned_bound_of_mc_on_gen_suite() {
     for entry in suite::entries() {
         let circuit = (entry.build)();
-        let eps = GateEps::uniform(&circuit, PROPAGATION_VS_MC_BOUND_EPS);
+        let eps = GateEps::try_uniform(&circuit, PROPAGATION_VS_MC_BOUND_EPS).unwrap();
         let est = PropagationEstimate::try_compute(&circuit, &InputDistribution::Uniform)
             .expect("suite circuits fit the estimator");
         let prop = est.closed_form(&eps);
@@ -63,7 +63,7 @@ fn propagation_within_pinned_bound_of_mc_on_gen_suite() {
 fn propagation_tracks_exact_bdd_on_small_suite_circuits() {
     for name in ["x2", "cu", "b9"] {
         let circuit = suite::build(name).expect("known suite name");
-        let eps = GateEps::uniform(&circuit, PROPAGATION_VS_MC_BOUND_EPS);
+        let eps = GateEps::try_uniform(&circuit, PROPAGATION_VS_MC_BOUND_EPS).unwrap();
         let est = PropagationEstimate::try_compute(&circuit, &InputDistribution::Uniform)
             .expect("estimator runs");
         let exact =
@@ -112,7 +112,7 @@ fn policy_backends(
 #[test]
 fn exact_tier_answers_small_circuits_under_the_default_budget() {
     let circuit = suite::build("x2").expect("x2 exists");
-    let eps = GateEps::uniform(&circuit, 0.02);
+    let eps = GateEps::try_uniform(&circuit, 0.02).unwrap();
     let report = policy_backends(&circuit, &eps, &EstimatorPolicy::default()).unwrap();
     assert_eq!(report.tier, EstimatorTier::Exact);
     assert_eq!(report.diagnostics.tier_exact(), 1);
@@ -124,7 +124,7 @@ fn exact_tier_answers_small_circuits_under_the_default_budget() {
 #[test]
 fn budget_trip_on_c499_falls_back_to_propagation() {
     let circuit = suite::build("c499").expect("c499 exists");
-    let eps = GateEps::uniform(&circuit, 0.001);
+    let eps = GateEps::try_uniform(&circuit, 0.001).unwrap();
     let policy = EstimatorPolicy {
         bdd_node_budget: 50,
         ..EstimatorPolicy::default()
@@ -152,7 +152,7 @@ fn saturated_propagation_refines_with_mc() {
         cur = circuit.xor([cur, b]);
     }
     circuit.add_output("y", cur);
-    let eps = GateEps::uniform(&circuit, 0.4);
+    let eps = GateEps::try_uniform(&circuit, 0.4).unwrap();
     let policy = EstimatorPolicy {
         bdd_node_budget: 0,
         mc_patterns: 1 << 14,
@@ -174,7 +174,7 @@ fn saturated_propagation_refines_with_mc() {
 #[test]
 fn estimates_are_bit_identical_across_thread_counts() {
     let circuit = suite::build("b9").expect("b9 exists");
-    let eps = GateEps::uniform(&circuit, 0.02);
+    let eps = GateEps::try_uniform(&circuit, 0.02).unwrap();
     let a = ObservabilityMatrix::try_compute_budgeted(
         &circuit,
         &InputDistribution::Uniform,

@@ -247,8 +247,12 @@ mod tests {
             patterns: 1 << 19,
             ..Default::default()
         };
-        let plain = relogic_sim::estimate(&c, &uniform_eps(&c, e), &cfg).per_output()[0];
-        let tmr = relogic_sim::estimate(&t, &uniform_eps(&t, e), &cfg).per_output()[0];
+        let plain = relogic_sim::try_estimate(&c, &uniform_eps(&c, e), &cfg)
+            .unwrap()
+            .per_output()[0];
+        let tmr = relogic_sim::try_estimate(&t, &uniform_eps(&t, e), &cfg)
+            .unwrap()
+            .per_output()[0];
         assert!(
             tmr < 0.5 * plain,
             "at ε={e}: tmr {tmr} should be well under plain {plain}"

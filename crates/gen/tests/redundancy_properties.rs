@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use relogic_gen::tmr_selected;
 use relogic_netlist::{Circuit, GateKind, NodeId};
-use relogic_sim::{estimate, MonteCarloConfig};
+use relogic_sim::{try_estimate, MonteCarloConfig};
 
 /// Gate error rate of the weak (protected) gates.
 const EPS_WEAK: f64 = 0.2;
@@ -125,8 +125,8 @@ proptest! {
             seed: 42,
             ..MonteCarloConfig::default()
         };
-        let plain = estimate(&c, &base_eps(&c, &protect), &cfg);
-        let tmr = estimate(&t, &tmr_eps(&c, &t, &protect), &cfg);
+        let plain = try_estimate(&c, &base_eps(&c, &protect), &cfg).unwrap();
+        let tmr = try_estimate(&t, &tmr_eps(&c, &t, &protect), &cfg).unwrap();
 
         for k in 0..c.output_count() {
             let margin = 4.0 * (plain.std_error(k) + tmr.std_error(k)) + 1e-9;

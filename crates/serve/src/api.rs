@@ -510,7 +510,7 @@ mod tests {
     #[test]
     fn analyze_result_shape_and_values() {
         let c = small();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let r = analyze_result(&c, &w, &[0.1], &options()).unwrap();
         let points = r.get("points").and_then(Json::as_array).unwrap();
         assert_eq!(points.len(), 1);
@@ -523,7 +523,7 @@ mod tests {
     #[test]
     fn analyze_per_node_and_diagnostics_sections() {
         let c = small();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let mut opts = options();
         opts.per_node = true;
         opts.diagnostics = true;
@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn invalid_eps_is_a_typed_analysis_error() {
         let c = small();
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let err = analyze_result(&c, &w, &[1.5], &options()).unwrap_err();
         assert_eq!(err.code(), "analysis_error");
     }

@@ -812,7 +812,6 @@ fn analyze_options(doc: &Json) -> Result<AnalyzeRequestOptions, ServeError> {
         }
     }
     single_pass.strict = opt_bool(doc, "strict", false)?;
-    single_pass.value_conditioning = opt_bool(doc, "value_conditioning", false)?;
     Ok(AnalyzeRequestOptions {
         single_pass,
         diagnostics: opt_bool(doc, "diagnostics", false)?,

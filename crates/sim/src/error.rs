@@ -59,13 +59,6 @@ pub enum SimError {
         /// The requested resolution.
         resolution: u32,
     },
-    /// An output index passed to a result accessor is out of range.
-    OutputIndexOutOfRange {
-        /// The requested output index.
-        index: usize,
-        /// Number of outputs covered by the result.
-        outputs: usize,
-    },
     /// The run's [`crate::CancelToken`] fired (deadline or explicit
     /// cancel) before the work completed; no partial result escapes.
     Cancelled(Cancelled),
@@ -98,10 +91,6 @@ impl fmt::Display for SimError {
             SimError::InvalidBitResolution { resolution } => {
                 write!(f, "bit resolution {resolution} out of 1..=32")
             }
-            SimError::OutputIndexOutOfRange { index, outputs } => write!(
-                f,
-                "output index {index} out of range ({outputs} outputs covered)"
-            ),
             SimError::Cancelled(c) => write!(f, "{c}"),
         }
     }

@@ -169,7 +169,7 @@ pub fn flip_influence(circuit: &Circuit, flipped: &[NodeId]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{estimate, MonteCarloConfig};
+    use crate::{try_estimate, MonteCarloConfig};
 
     fn reconvergent() -> Circuit {
         let mut c = Circuit::new("t");
@@ -205,14 +205,15 @@ mod tests {
             .map(|(_, n)| if n.kind().is_gate() { 0.12 } else { 0.0 })
             .collect();
         let exact = exact_reliability(&c, &eps);
-        let mc = estimate(
+        let mc = try_estimate(
             &c,
             &eps,
             &MonteCarloConfig {
                 patterns: 1 << 18,
                 ..MonteCarloConfig::default()
             },
-        );
+        )
+        .unwrap();
         for k in 0..2 {
             assert!(
                 (exact.per_output[k] - mc.per_output()[k]).abs() < 0.005,

@@ -12,11 +12,11 @@
 //! * [`BiasedBits`] — `Bernoulli(p)` words at one RNG word per binary
 //!   digit of `p` (biased input sampling; defines the quantized ε the
 //!   tape kernel realizes).
-//! * [`estimate`] — the Monte Carlo reliability estimator (per-output δ,
+//! * [`try_estimate`] — the Monte Carlo reliability estimator (per-output δ,
 //!   consolidated any-output error, joint output pairs, per-node
 //!   conditional error statistics).
 //! * [`CircuitTape`] / [`try_estimate_tape`] — the kernel behind
-//!   [`estimate`]: the circuit lowered once into a flat slot-indexed
+//!   [`try_estimate`]: the circuit lowered once into a flat slot-indexed
 //!   instruction tape, executed by a fused wide kernel (`u64×8` lanes,
 //!   clean and noisy planes in one pass, fault masks generated in-lane
 //!   from a position-based RNG). Bit-identical across thread counts;
@@ -66,9 +66,7 @@ pub use estimate::{
 };
 pub use exec::{available_threads, ChunkExecutor, SubmitRejection};
 pub use exhaustive::{exact_reliability, flip_influence, ExactReliability};
-pub use monte_carlo::{
-    estimate, try_estimate, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate,
-};
+pub use monte_carlo::{try_estimate, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate};
 pub use packed::{exhaustive_block_count, exhaustive_lane_mask, exhaustive_word, PackedSim};
 pub use sampler::InputSampler;
 pub use tape::{CircuitTape, OwnedTapeParts, TapeParts};

@@ -16,7 +16,7 @@ use crate::tape_exec::FaultCounts;
 use crate::{CircuitTape, SimError};
 use relogic_netlist::Circuit;
 
-/// Configuration for [`estimate`].
+/// Configuration for [`try_estimate`].
 #[derive(Clone, Debug)]
 pub struct MonteCarloConfig {
     /// Number of random input patterns (rounded up to a multiple of 64).
@@ -195,34 +195,12 @@ impl ReliabilityEstimate {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is out of range. Estimates produced by [`estimate`] /
+    /// Panics if `k` is out of range. Estimates produced by
     /// [`try_estimate`] always carry a nonzero pattern count, so the value
     /// is finite.
     #[must_use]
     pub fn std_error(&self, k: usize) -> f64 {
         crate::bits::stats::proportion_std_error(self.per_output[k], self.patterns)
-    }
-
-    /// Fallible [`ReliabilityEstimate::std_error`]: returns a typed error
-    /// for an out-of-range output index or a zero pattern count (which
-    /// would otherwise surface as `NaN` from a division by zero).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::OutputIndexOutOfRange`] if `k` does not name an output;
-    /// [`SimError::ZeroPatternBudget`] if no patterns were simulated.
-    pub fn try_std_error(&self, k: usize) -> Result<f64, SimError> {
-        let &p = self
-            .per_output
-            .get(k)
-            .ok_or(SimError::OutputIndexOutOfRange {
-                index: k,
-                outputs: self.per_output.len(),
-            })?;
-        if self.patterns == 0 {
-            return Err(SimError::ZeroPatternBudget);
-        }
-        Ok(crate::bits::stats::proportion_std_error(p, self.patterns))
     }
 }
 
@@ -237,41 +215,8 @@ impl ReliabilityEstimate {
 /// patterns)` pair the estimate is bit-identical regardless of the thread
 /// count.
 ///
-/// # Panics
-///
-/// Panics on any condition [`try_estimate`] reports as an error.
-///
-/// # Examples
-///
-/// ```
-/// use relogic_netlist::Circuit;
-/// use relogic_sim::{estimate, MonteCarloConfig};
-///
-/// let mut c = Circuit::new("inv");
-/// let a = c.add_input("a");
-/// let g = c.not(a);
-/// c.add_output("y", g);
-///
-/// // Only the inverter is noisy: δ must equal ε exactly (in expectation).
-/// let eps = vec![0.0, 0.1];
-/// let r = estimate(&c, &eps, &MonteCarloConfig::default());
-/// assert!((r.per_output()[0] - 0.1).abs() < 0.01);
-/// ```
-#[must_use]
-pub fn estimate(
-    circuit: &Circuit,
-    node_eps: &[f64],
-    config: &MonteCarloConfig,
-) -> ReliabilityEstimate {
-    match try_estimate(circuit, node_eps, config) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`estimate`]: validates the ε vector, the joint-pair indices,
-/// and the pattern budget up front, returning a typed [`SimError`] instead
-/// of panicking on invalid input.
+/// Validates the ε vector, the joint-pair indices, and the pattern budget
+/// up front, returning a typed [`SimError`] for invalid input.
 ///
 /// # Errors
 ///
@@ -289,6 +234,24 @@ pub fn estimate(
 ///   outside `[0, 1]`.
 /// * [`SimError::InvalidBitResolution`] — `config.bit_resolution` is
 ///   outside `1 ..= 32`.
+///
+/// # Examples
+///
+/// ```
+/// use relogic_netlist::Circuit;
+/// use relogic_sim::{try_estimate, MonteCarloConfig};
+///
+/// let mut c = Circuit::new("inv");
+/// let a = c.add_input("a");
+/// let g = c.not(a);
+/// c.add_output("y", g);
+///
+/// // Only the inverter is noisy: δ must equal ε exactly (in expectation).
+/// let eps = vec![0.0, 0.1];
+/// let r = try_estimate(&c, &eps, &MonteCarloConfig::default())?;
+/// assert!((r.per_output()[0] - 0.1).abs() < 0.01);
+/// # Ok::<(), relogic_sim::SimError>(())
+/// ```
 pub fn try_estimate(
     circuit: &Circuit,
     node_eps: &[f64],
@@ -401,7 +364,7 @@ mod tests {
         let a = c.add_input("a");
         let g = c.not(a);
         c.add_output("y", g);
-        let r = estimate(&c, &[0.0, 0.2], &MonteCarloConfig::default());
+        let r = try_estimate(&c, &[0.0, 0.2], &MonteCarloConfig::default()).unwrap();
         assert!(
             (r.per_output()[0] - 0.2).abs() < 0.01,
             "{}",
@@ -420,7 +383,7 @@ mod tests {
         let g2 = c.not(g1);
         c.add_output("y", g2);
         let eps = 0.1;
-        let r = estimate(&c, &[0.0, eps, eps], &MonteCarloConfig::default());
+        let r = try_estimate(&c, &[0.0, eps, eps], &MonteCarloConfig::default()).unwrap();
         let expect = 2.0 * eps * (1.0 - eps);
         assert!(
             (r.per_output()[0] - expect).abs() < 0.01,
@@ -436,7 +399,7 @@ mod tests {
         let b = c.add_input("b");
         let g = c.and([a, b]);
         c.add_output("y", g);
-        let r = estimate(&c, &uniform_eps(&c, 0.0), &MonteCarloConfig::default());
+        let r = try_estimate(&c, &uniform_eps(&c, 0.0), &MonteCarloConfig::default()).unwrap();
         assert_eq!(r.per_output()[0], 0.0);
         assert_eq!(r.any_output(), 0.0);
     }
@@ -453,8 +416,8 @@ mod tests {
             patterns: 4096,
             ..MonteCarloConfig::default()
         };
-        let r1 = estimate(&c, &eps, &cfg);
-        let r2 = estimate(&c, &eps, &cfg);
+        let r1 = try_estimate(&c, &eps, &cfg).unwrap();
+        let r2 = try_estimate(&c, &eps, &cfg).unwrap();
         assert_eq!(r1.per_output(), r2.per_output());
         assert_eq!(r1.patterns(), 4096);
     }
@@ -471,7 +434,7 @@ mod tests {
             joint_pairs: vec![(0, 1)],
             ..MonteCarloConfig::default()
         };
-        let r = estimate(&c, &[0.0, 0.25], &cfg);
+        let r = try_estimate(&c, &[0.0, 0.25], &cfg).unwrap();
         let j = r.joint(0, 1).unwrap();
         assert!((j - r.per_output()[0]).abs() < 1e-12);
         assert!(r.joint(1, 0).is_some(), "pair lookup is order-insensitive");
@@ -491,7 +454,7 @@ mod tests {
             patterns: 1 << 17,
             ..MonteCarloConfig::default()
         };
-        let r = estimate(&c, &[0.0, 0.0, 0.3], &cfg);
+        let r = try_estimate(&c, &[0.0, 0.0, 0.3], &cfg).unwrap();
         let stats = r.node_stats().unwrap();
         assert!((stats.p01(g.index()) - 0.3).abs() < 0.01);
         assert!((stats.p10(g.index()) - 0.3).abs() < 0.01);
@@ -506,17 +469,17 @@ mod tests {
         let a = c.add_input("a");
         let g = c.buf(a);
         c.add_output("y", g);
-        let r = estimate(&c, &[0.1, 0.0], &MonteCarloConfig::default());
+        let r = try_estimate(&c, &[0.1, 0.0], &MonteCarloConfig::default()).unwrap();
         assert!((r.per_output()[0] - 0.1).abs() < 0.01);
     }
 
     #[test]
-    #[should_panic(expected = "need one ε per node")]
-    fn wrong_eps_length_panics() {
+    fn wrong_eps_length_rejected() {
         let mut c = Circuit::new("t");
         let a = c.add_input("a");
         c.add_output("y", a);
-        let _ = estimate(&c, &[0.0, 0.0], &MonteCarloConfig::default());
+        let err = try_estimate(&c, &[0.0, 0.0], &MonteCarloConfig::default()).unwrap_err();
+        assert!(err.to_string().contains("need one ε per node"), "{err}");
     }
 
     #[test]
@@ -604,57 +567,29 @@ mod tests {
     }
 
     #[test]
-    fn try_std_error_guards_bad_indices() {
-        let mut c = Circuit::new("t");
-        let a = c.add_input("a");
-        let g = c.not(a);
-        c.add_output("y", g);
-        let r = estimate(&c, &[0.0, 0.3], &MonteCarloConfig::default());
-        assert!(r.try_std_error(0).unwrap().is_finite());
-        assert_eq!(
-            r.try_std_error(3),
-            Err(SimError::OutputIndexOutOfRange {
-                index: 3,
-                outputs: 1
-            })
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "pattern budget is zero")]
-    fn zero_patterns_panics_in_infallible_wrapper() {
-        let mut c = Circuit::new("t");
-        let a = c.add_input("a");
-        c.add_output("y", a);
-        let cfg = MonteCarloConfig {
-            patterns: 0,
-            ..MonteCarloConfig::default()
-        };
-        let _ = estimate(&c, &[0.0], &cfg);
-    }
-
-    #[test]
     fn std_error_shrinks_with_patterns() {
         let mut c = Circuit::new("t");
         let a = c.add_input("a");
         let g = c.not(a);
         c.add_output("y", g);
-        let small = estimate(
+        let small = try_estimate(
             &c,
             &[0.0, 0.3],
             &MonteCarloConfig {
                 patterns: 1024,
                 ..MonteCarloConfig::default()
             },
-        );
-        let large = estimate(
+        )
+        .unwrap();
+        let large = try_estimate(
             &c,
             &[0.0, 0.3],
             &MonteCarloConfig {
                 patterns: 1 << 16,
                 ..MonteCarloConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert!(large.std_error(0) < small.std_error(0));
     }
 }

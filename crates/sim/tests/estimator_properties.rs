@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use relogic_netlist::{Circuit, GateKind, NodeId};
 use relogic_sim::{
-    estimate, exact_reliability, flip_influence, signal_probabilities, MonteCarloConfig,
+    exact_reliability, flip_influence, signal_probabilities, try_estimate, MonteCarloConfig,
 };
 
 fn random_circuit(ops: &[(u8, u8, u8)], inputs: usize) -> Circuit {
@@ -56,10 +56,10 @@ proptest! {
     fn monte_carlo_converges_to_exact((c, e) in arb_case()) {
         let eps = uniform_eps(&c, e);
         let exact = exact_reliability(&c, &eps);
-        let mc = estimate(&c, &eps, &MonteCarloConfig {
+        let mc = try_estimate(&c, &eps, &MonteCarloConfig {
             patterns: 1 << 15,
             ..MonteCarloConfig::default()
-        });
+        }).unwrap();
         // 4-sigma bound with se <= 0.5/sqrt(n).
         let bound = 4.0 * 0.5 / f64::sqrt(mc.patterns() as f64) + 1e-9;
         prop_assert!(
@@ -119,8 +119,8 @@ proptest! {
             track_nodes: true,
             ..MonteCarloConfig::default()
         };
-        let serial = estimate(&c, &eps, &MonteCarloConfig { threads: 1, ..cfg.clone() });
-        let parallel = estimate(&c, &eps, &MonteCarloConfig { threads, ..cfg });
+        let serial = try_estimate(&c, &eps, &MonteCarloConfig { threads: 1, ..cfg.clone() }).unwrap();
+        let parallel = try_estimate(&c, &eps, &MonteCarloConfig { threads, ..cfg }).unwrap();
         prop_assert_eq!(serial, parallel);
     }
 

@@ -8,8 +8,7 @@
 
 use relogic_netlist::Circuit;
 use relogic_sim::{
-    estimate, try_estimate, try_estimate_tape, CancelToken, CircuitTape, MonteCarloConfig,
-    CHUNK_BLOCKS,
+    try_estimate, try_estimate_tape, CancelToken, CircuitTape, MonteCarloConfig, CHUNK_BLOCKS,
 };
 
 /// A 3-output circuit with shared logic and reconvergent fanout, big
@@ -55,10 +54,10 @@ fn estimate_is_bit_identical_at_1_2_and_7_threads() {
     let eps = uniform_eps(&c, 0.05);
     // 20 000 patterns: rounds to 20 032, spanning 20 chunks with a ragged
     // final chunk — every merge path is exercised.
-    let base = estimate(&c, &eps, &config(20_000, 1));
+    let base = try_estimate(&c, &eps, &config(20_000, 1)).unwrap();
     assert!(base.per_output().iter().any(|&d| d > 0.0));
     for threads in [2, 7] {
-        let parallel = estimate(&c, &eps, &config(20_000, threads));
+        let parallel = try_estimate(&c, &eps, &config(20_000, threads)).unwrap();
         assert_eq!(base, parallel, "threads = {threads}");
     }
 }
@@ -67,8 +66,8 @@ fn estimate_is_bit_identical_at_1_2_and_7_threads() {
 fn joint_pairs_and_node_statistics_survive_the_parallel_merge_exactly() {
     let c = circuit();
     let eps = uniform_eps(&c, 0.08);
-    let serial = estimate(&c, &eps, &config(30_000, 1));
-    let parallel = estimate(&c, &eps, &config(30_000, 5));
+    let serial = try_estimate(&c, &eps, &config(30_000, 1)).unwrap();
+    let parallel = try_estimate(&c, &eps, &config(30_000, 5)).unwrap();
     for &(a, b) in &[(0, 1), (0, 2), (1, 2)] {
         let s = serial.joint(a, b).expect("pair tracked");
         let p = parallel.joint(a, b).expect("pair tracked");
@@ -89,8 +88,8 @@ fn budgets_misaligned_with_the_chunk_width_stay_deterministic() {
     let eps = uniform_eps(&c, 0.1);
     // One pattern, exactly one chunk, chunk+1 patterns, and a prime budget.
     for patterns in [1, CHUNK_BLOCKS * 64, CHUNK_BLOCKS * 64 + 1, 7919] {
-        let serial = estimate(&c, &eps, &config(patterns, 1));
-        let parallel = estimate(&c, &eps, &config(patterns, 4));
+        let serial = try_estimate(&c, &eps, &config(patterns, 1)).unwrap();
+        let parallel = try_estimate(&c, &eps, &config(patterns, 4)).unwrap();
         assert_eq!(serial, parallel, "patterns = {patterns}");
     }
 }
@@ -99,8 +98,8 @@ fn budgets_misaligned_with_the_chunk_width_stay_deterministic() {
 fn auto_detect_matches_explicit_thread_counts() {
     let c = circuit();
     let eps = uniform_eps(&c, 0.05);
-    let auto = estimate(&c, &eps, &config(4096, 0));
-    let one = estimate(&c, &eps, &config(4096, 1));
+    let auto = try_estimate(&c, &eps, &config(4096, 0)).unwrap();
+    let one = try_estimate(&c, &eps, &config(4096, 1)).unwrap();
     assert_eq!(auto, one);
 }
 
@@ -108,22 +107,24 @@ fn auto_detect_matches_explicit_thread_counts() {
 fn different_seeds_give_different_streams() {
     let c = circuit();
     let eps = uniform_eps(&c, 0.1);
-    let a = estimate(
+    let a = try_estimate(
         &c,
         &eps,
         &MonteCarloConfig {
             seed: 1,
             ..config(8192, 2)
         },
-    );
-    let b = estimate(
+    )
+    .unwrap();
+    let b = try_estimate(
         &c,
         &eps,
         &MonteCarloConfig {
             seed: 2,
             ..config(8192, 2)
         },
-    );
+    )
+    .unwrap();
     assert_ne!(a, b, "distinct seeds must not collide");
 }
 

@@ -148,7 +148,7 @@ fn read_time_bit_flips_are_always_quarantined_never_served_wrong() {
         store
             .save_weights(
                 key,
-                &Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd),
+                &Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap(),
             )
             .unwrap();
         store

@@ -115,7 +115,8 @@ fn populate(store: &Store) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
     let circuit = full_adder();
     let key = adder_key();
     let tape = CircuitTape::compile(&circuit);
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
     let matrix = ObservabilityMatrix::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
     let estimate = PropagationEstimate::try_compute(&circuit, &InputDistribution::Uniform).unwrap();
     store
@@ -161,7 +162,7 @@ proptest! {
     #[test]
     fn weights_round_trip_bit_identically(seed in arb_circuit()) {
         let circuit = build_circuit(&seed);
-        let weights = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
+        let weights = Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let dir = temp_dir("weights-prop");
         let store = Store::open(&dir).unwrap().quiet();
         let key = StoreKey::digest("bench", "bdd", &format!("{seed:?}"));

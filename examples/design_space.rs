@@ -16,10 +16,14 @@ use relogic_netlist::structure::{depth, total_output_levels, CircuitStats};
 use relogic_netlist::Circuit;
 
 fn consolidated(c: &Circuit, eps_value: f64, backend: Backend) -> f64 {
-    let weights = Weights::compute(c, &InputDistribution::Uniform, backend);
-    let engine = SinglePass::new(c, &weights, SinglePassOptions::default());
-    let cons = Consolidator::new(c, &InputDistribution::Uniform, backend);
-    cons.any_output_error(&engine.run(&GateEps::uniform(c, eps_value)))
+    let weights = Weights::try_compute(c, &InputDistribution::Uniform, backend).unwrap();
+    let engine = SinglePass::try_new(c, &weights, SinglePassOptions::default()).unwrap();
+    let cons = Consolidator::try_new(c, &InputDistribution::Uniform, backend).unwrap();
+    cons.any_output_error(
+        &engine
+            .try_run(&GateEps::try_uniform(c, eps_value).unwrap())
+            .unwrap(),
+    )
 }
 
 fn main() {

@@ -38,9 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Analyze.
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
-    let engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
-    let result = engine.run(&GateEps::uniform(&circuit, 0.02));
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    let engine = SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
+    let result = engine
+        .try_run(&GateEps::try_uniform(&circuit, 0.02).unwrap())
+        .unwrap();
     for (k, out) in circuit.outputs().iter().enumerate() {
         println!("  δ({}) = {:.5}", out.name(), result.per_output()[k]);
     }

@@ -16,9 +16,9 @@ use relogic::{
     Weights,
 };
 use relogic_netlist::Circuit;
-use relogic_sim::{estimate, MonteCarloConfig};
+use relogic_sim::{try_estimate, MonteCarloConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the circuit: a full adder.
     let mut c = Circuit::new("full_adder");
     let a = c.add_input("a");
@@ -33,27 +33,27 @@ fn main() {
     c.add_output("cout", cout);
 
     // 2. Assign gate failure probabilities (inputs stay noise-free).
-    let eps = GateEps::uniform(&c, 0.05);
+    let eps = GateEps::try_uniform(&c, 0.05)?;
 
     // 3. Single-pass analysis: exact weight vectors via BDDs, one
     //    topological sweep with reconvergent-fanout correlation handling.
-    let weights = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-    let engine = SinglePass::new(&c, &weights, SinglePassOptions::default());
-    let analytical = engine.run(&eps);
+    let weights = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)?;
+    let engine = SinglePass::try_new(&c, &weights, SinglePassOptions::default())?;
+    let analytical = engine.try_run(&eps)?;
 
     // 4. Observability closed form — exact when at most one gate fails.
     let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
     let closed_form = obs.closed_form(&eps);
 
     // 5. Monte Carlo reference.
-    let mc = estimate(
+    let mc = try_estimate(
         &c,
         eps.as_slice(),
         &MonteCarloConfig {
             patterns: 1 << 18,
             ..MonteCarloConfig::default()
         },
-    );
+    )?;
 
     println!(
         "output   single-pass   closed-form   monte-carlo (n={})",
@@ -73,4 +73,5 @@ fn main() {
         analytical.p01(sum),
         analytical.p10(sum)
     );
+    Ok(())
 }

@@ -34,8 +34,8 @@ fn mean_delta(
         patterns: 1 << 15,
         seed: 17,
     };
-    let w = Weights::compute(c, &InputDistribution::Uniform, backend);
-    let eps = GateEps::from_fn(c, |id| {
+    let w = Weights::try_compute(c, &InputDistribution::Uniform, backend).unwrap();
+    let eps = GateEps::try_from_fn(c, |id| {
         if !c.node(id).kind().is_gate() {
             0.0
         } else if hardened(id) {
@@ -43,8 +43,12 @@ fn mean_delta(
         } else {
             eps_value
         }
-    });
-    let r = SinglePass::new(c, &w, SinglePassOptions::default()).run(&eps);
+    })
+    .unwrap();
+    let r = SinglePass::try_new(c, &w, SinglePassOptions::default())
+        .unwrap()
+        .try_run(&eps)
+        .unwrap();
     let d = r.per_output();
     d.iter().sum::<f64>() / d.len() as f64
 }

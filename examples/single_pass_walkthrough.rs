@@ -13,13 +13,13 @@ use relogic::{Backend, GateEps, InputDistribution, SinglePass, SinglePassOptions
 use relogic_gen::suite;
 use relogic_sim::exact_reliability;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let c = suite::fig2_example();
     let eps_value = 0.05;
-    let eps = GateEps::uniform(&c, eps_value);
-    let weights = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-    let engine = SinglePass::new(&c, &weights, SinglePassOptions::default());
-    let result = engine.run(&eps);
+    let eps = GateEps::try_uniform(&c, eps_value)?;
+    let weights = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)?;
+    let engine = SinglePass::try_new(&c, &weights, SinglePassOptions::default())?;
+    let result = engine.try_run(&eps)?;
 
     println!("single-pass walkthrough of the Fig. 2 circuit (uniform gate ε = {eps_value})\n");
     for (id, node) in c.iter() {
@@ -69,4 +69,5 @@ fn main() {
         result.per_output()[0],
         exact.per_output[0]
     );
+    Ok(())
 }

@@ -17,9 +17,9 @@ use relogic::{
     Weights,
 };
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let c = relogic_gen::suite::b9();
-    let eps = GateEps::uniform(&c, 1e-3); // SEU-like rarity
+    let eps = GateEps::try_uniform(&c, 1e-3)?; // SEU-like rarity
     let backend = Backend::Bdd;
 
     // --- criticality ranking (closed form is exact for single failures) ---
@@ -42,9 +42,9 @@ fn main() {
     }
 
     // --- selective hardening under the single-pass model ---
-    let weights = Weights::compute(&c, &InputDistribution::Uniform, backend);
+    let weights = Weights::try_compute(&c, &InputDistribution::Uniform, backend)?;
     let budget = 8;
-    let plan = selective_hardening(&c, &weights, &eps, budget, 0.1);
+    let plan = selective_hardening(&c, &weights, &eps, budget, 0.1)?;
     println!(
         "\nselective hardening: baseline mean output δ = {:.3e}",
         plan.baseline
@@ -64,8 +64,8 @@ fn main() {
     );
 
     // --- asymmetric redundancy guidance ---
-    let engine = SinglePass::new(&c, &weights, SinglePassOptions::default());
-    let result = engine.run(&GateEps::uniform(&c, 0.02));
+    let engine = SinglePass::try_new(&c, &weights, SinglePassOptions::default())?;
+    let result = engine.try_run(&GateEps::try_uniform(&c, 0.02)?)?;
     let report = asymmetry_report(&c, &result);
     println!("\nmost direction-skewed nodes at ε = 0.02 (asymmetric redundancy targets):");
     for row in report.iter().take(8) {
@@ -77,4 +77,5 @@ fn main() {
             row.skew()
         );
     }
+    Ok(())
 }

@@ -179,8 +179,11 @@ fn exact_pair_stats(circuit: &Circuit, eps: &GateEps, a: NodeId, b: NodeId) -> P
 }
 
 fn analyze(c: &Circuit, e: f64) -> relogic::SinglePassResult {
-    let w = Weights::compute(c, &InputDistribution::Uniform, Backend::Bdd);
-    SinglePass::new(c, &w, SinglePassOptions::default()).run(&GateEps::uniform(c, e))
+    let w = Weights::try_compute(c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    SinglePass::try_new(c, &w, SinglePassOptions::default())
+        .unwrap()
+        .try_run(&GateEps::try_uniform(c, e).unwrap())
+        .unwrap()
 }
 
 #[test]
@@ -197,9 +200,9 @@ fn buffer_pair_coefficients_are_exact() {
     c.add_output("y", g);
     let e = 0.1;
     let r = analyze(&c, e);
-    let exact = exact_pair_stats(&c, &GateEps::uniform(&c, e), p, q).coeffs();
+    let exact = exact_pair_stats(&c, &GateEps::try_uniform(&c, e).unwrap(), p, q).coeffs();
     let tracked = r.correlation(p, q).expect("pair tracked");
-    let stats = exact_pair_stats(&c, &GateEps::uniform(&c, e), p, q);
+    let stats = exact_pair_stats(&c, &GateEps::try_uniform(&c, e).unwrap(), p, q);
     for ea in 0..2 {
         for eb in 0..2 {
             // Cross-direction contexts (clean_p = 0 ∧ clean_q = 1) are
@@ -241,12 +244,12 @@ fn observability_exclusive_pairs_are_a_known_limitation() {
     let q = c.or([s, b]);
     c.add_output("op", p);
     c.add_output("oq", q);
-    let cons = Consolidator::new(&c, &InputDistribution::Uniform, Backend::Bdd);
+    let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
     let e = 0.05;
     let r = analyze(&c, e);
-    let stats = exact_pair_stats(&c, &GateEps::uniform(&c, e), p, q);
+    let stats = exact_pair_stats(&c, &GateEps::try_uniform(&c, e).unwrap(), p, q);
     let exact_joint: f64 = stats.joint.iter().flatten().sum();
-    let modeled = cons.joint_error(&r, 0, 1);
+    let modeled = cons.try_joint_error(&r, 0, 1).unwrap();
     // Overestimates, but stays within the hard bounds and within ~3× —
     // the envelope observed on the SEC lattices.
     assert!(modeled >= exact_joint - 1e-12, "direction of the bias");
@@ -271,7 +274,7 @@ fn tracked_joint_error_improves_on_independence() {
     c.add_output("y", g);
     let e = 0.1;
     let r = analyze(&c, e);
-    let stats = exact_pair_stats(&c, &GateEps::uniform(&c, e), p, q);
+    let stats = exact_pair_stats(&c, &GateEps::try_uniform(&c, e).unwrap(), p, q);
     let tracked = r.correlation(p, q).expect("pair tracked");
 
     // Exact conditional P(p rise ∧ q fall | contexts) vs the engine's
@@ -301,7 +304,7 @@ fn untracked_pairs_are_actually_independent() {
     let e = 0.2;
     let r = analyze(&c, e);
     assert!(r.correlation(g1, g2).is_none());
-    let exact = exact_pair_stats(&c, &GateEps::uniform(&c, e), g1, g2).coeffs();
+    let exact = exact_pair_stats(&c, &GateEps::try_uniform(&c, e).unwrap(), g1, g2).coeffs();
     for row in &exact {
         for &v in row {
             assert!(

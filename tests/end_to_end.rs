@@ -8,7 +8,7 @@ use relogic::{
 };
 use relogic_netlist::structure::CircuitStats;
 use relogic_netlist::{bench, blif};
-use relogic_sim::{estimate, exact_reliability, MonteCarloConfig};
+use relogic_sim::{exact_reliability, try_estimate, MonteCarloConfig};
 
 const ARBITER: &str = "\
 INPUT(r0)
@@ -34,10 +34,11 @@ fn parse_analyze_crosscheck() {
     assert_eq!(stats.inputs, 4);
     assert_eq!(stats.outputs, 3);
 
-    let eps = GateEps::uniform(&circuit, 0.08);
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
-    let engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
-    let sp = engine.run(&eps);
+    let eps = GateEps::try_uniform(&circuit, 0.08).unwrap();
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    let engine = SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
+    let sp = engine.try_run(&eps).unwrap();
     let exact = exact_reliability(&circuit, eps.as_slice());
     for k in 0..3 {
         assert!(
@@ -71,19 +72,21 @@ fn blif_and_bench_roundtrips_preserve_analysis() {
 #[test]
 fn suite_circuit_single_pass_tracks_monte_carlo() {
     let circuit = relogic_gen::suite::x2();
-    let weights = Weights::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
-    let engine = SinglePass::new(&circuit, &weights, SinglePassOptions::default());
+    let weights =
+        Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    let engine = SinglePass::try_new(&circuit, &weights, SinglePassOptions::default()).unwrap();
     for &e in &[0.05, 0.2] {
-        let eps = GateEps::uniform(&circuit, e);
-        let sp = engine.run(&eps);
-        let mc = estimate(
+        let eps = GateEps::try_uniform(&circuit, e).unwrap();
+        let sp = engine.try_run(&eps).unwrap();
+        let mc = try_estimate(
             &circuit,
             eps.as_slice(),
             &MonteCarloConfig {
                 patterns: 1 << 17,
                 ..MonteCarloConfig::default()
             },
-        );
+        )
+        .unwrap();
         let err = metrics::average_percent_error(sp.per_output(), mc.per_output());
         assert!(err < 6.0, "ε={e}: avg error {err}%");
     }
@@ -99,7 +102,7 @@ fn observability_closed_form_is_exact_in_single_failure_regime() {
             continue;
         }
         let mut eps = GateEps::zero(&circuit);
-        eps.set(id, 0.3);
+        eps.try_set(id, 0.3).unwrap();
         let cf = obs.closed_form(&eps);
         let exact = exact_reliability(&circuit, eps.as_slice());
         assert!(
@@ -126,9 +129,11 @@ fn transforms_preserve_reliability_characteristics() {
     }
     // And the analysis still runs on the rewrites.
     for variant in [&nand_version, &buffered] {
-        let w = Weights::compute(variant, &InputDistribution::Uniform, Backend::Bdd);
-        let r = SinglePass::new(variant, &w, SinglePassOptions::default())
-            .run(&GateEps::uniform(variant, 0.1));
+        let w = Weights::try_compute(variant, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let r = SinglePass::try_new(variant, &w, SinglePassOptions::default())
+            .unwrap()
+            .try_run(&GateEps::try_uniform(variant, 0.1).unwrap())
+            .unwrap();
         assert!(r.per_output()[0] > 0.0 && r.per_output()[0] <= 0.5 + 1e-9);
     }
 }
@@ -140,10 +145,11 @@ fn umbrella_reexports_are_usable() {
     let a = c.add_input("a");
     let g = c.not(a);
     c.add_output("y", g);
-    let w = relogic_suite::core::Weights::compute(
+    let w = relogic_suite::core::Weights::try_compute(
         &c,
         &relogic_suite::core::InputDistribution::Uniform,
         relogic_suite::core::Backend::Bdd,
-    );
+    )
+    .unwrap();
     assert_eq!(w.signal_prob(g), 0.5);
 }

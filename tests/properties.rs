@@ -80,9 +80,9 @@ proptest! {
 
     #[test]
     fn single_pass_probabilities_stay_in_unit_interval((c, e) in small_circuit()) {
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let r = SinglePass::new(&c, &w, SinglePassOptions::default())
-            .run(&GateEps::uniform(&c, e));
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let r = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap()
+            .try_run(&GateEps::try_uniform(&c, e).unwrap()).unwrap();
         for id in c.node_ids() {
             prop_assert!((0.0..=1.0).contains(&r.p01(id)), "p01({id}) = {}", r.p01(id));
             prop_assert!((0.0..=1.0).contains(&r.p10(id)), "p10({id}) = {}", r.p10(id));
@@ -95,9 +95,9 @@ proptest! {
 
     #[test]
     fn zero_noise_means_zero_delta((c, _e) in small_circuit()) {
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let r = SinglePass::new(&c, &w, SinglePassOptions::default())
-            .run(&GateEps::zero(&c));
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let r = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap()
+            .try_run(&GateEps::zero(&c)).unwrap();
         for &d in r.per_output() {
             prop_assert_eq!(d, 0.0);
         }
@@ -105,9 +105,9 @@ proptest! {
 
     #[test]
     fn trees_are_exact((c, e) in tree_circuit()) {
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let eps = GateEps::uniform(&c, e);
-        let r = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&eps);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let eps = GateEps::try_uniform(&c, e).unwrap();
+        let r = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap().try_run(&eps).unwrap();
         let exact = exact_reliability(&c, eps.as_slice());
         prop_assert!(
             (r.per_output()[0] - exact.per_output[0]).abs() < 1e-9,
@@ -119,7 +119,7 @@ proptest! {
 
     #[test]
     fn weight_vectors_are_distributions((c, _e) in small_circuit()) {
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         for (id, node) in c.iter() {
             if !node.kind().is_gate() { continue; }
             let v = w.vector(id);
@@ -132,12 +132,12 @@ proptest! {
 
     #[test]
     fn sim_and_bdd_weights_agree((c, _e) in small_circuit()) {
-        let exact = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let approx = Weights::compute(
+        let exact = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let approx = Weights::try_compute(
             &c,
             &InputDistribution::Uniform,
             Backend::Simulation { patterns: 1 << 14, seed: 42 },
-        );
+        ).unwrap();
         for id in c.node_ids() {
             prop_assert!(
                 (exact.signal_prob(id) - approx.signal_prob(id)).abs() < 0.05,
@@ -166,7 +166,7 @@ proptest! {
         // pick the last gate (always exists: generators guarantee ≥1 gate)
         let gate = c.node_ids().rev().find(|&id| c.node(id).kind().is_gate()).expect("gate");
         let mut eps = GateEps::zero(&c);
-        eps.set(gate, e);
+        eps.try_set(gate, e).unwrap();
         let cf = obs.closed_form(&eps);
         let exact = exact_reliability(&c, eps.as_slice());
         for (k, (&a, &b)) in cf.iter().zip(&exact.per_output).enumerate() {
@@ -198,11 +198,11 @@ proptest! {
         // cancel on XOR-heavy reconvergence, see the c499 discussion in
         // EXPERIMENTS.md), but on small random circuits both must stay
         // within a modest absolute envelope of the exact value.
-        let w = Weights::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
-        let eps = GateEps::uniform(&c, e);
+        let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let eps = GateEps::try_uniform(&c, e).unwrap();
         let exact = exact_reliability(&c, eps.as_slice());
-        let plain = SinglePass::new(&c, &w, SinglePassOptions::without_correlations()).run(&eps);
-        let corr = SinglePass::new(&c, &w, SinglePassOptions::default()).run(&eps);
+        let plain = SinglePass::try_new(&c, &w, SinglePassOptions::without_correlations()).unwrap().try_run(&eps).unwrap();
+        let corr = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap().try_run(&eps).unwrap();
         for k in 0..c.output_count() {
             let pe = (plain.per_output()[k] - exact.per_output[k]).abs();
             let ce = (corr.per_output()[k] - exact.per_output[k]).abs();
@@ -221,11 +221,11 @@ proptest! {
         let g = c.not(a);
         c.add_output("y", g);
         let mut eps = GateEps::zero(&c);
-        eps.set(g, e);
-        let r = relogic_sim::estimate(&c, eps.as_slice(), &relogic_sim::MonteCarloConfig {
+        eps.try_set(g, e).unwrap();
+        let r = relogic_sim::try_estimate(&c, eps.as_slice(), &relogic_sim::MonteCarloConfig {
             patterns: 1 << 15,
             ..Default::default()
-        });
+        }).unwrap();
         prop_assert!((r.per_output()[0] - e).abs() < 0.02);
     }
 }
