@@ -356,7 +356,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: a fixed size or a size range.
+    /// Length specification for [`vec`](fn@vec): a fixed size or a size range.
     pub trait IntoSizeRange {
         /// Inclusive lower and upper length bounds.
         fn bounds(&self) -> (usize, usize);

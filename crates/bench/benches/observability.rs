@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use relogic::{
-    consolidate::Consolidator, Backend, GateEps, InputDistribution, ObservabilityMatrix,
-    SinglePass, SinglePassOptions, Weights,
+    consolidate::Consolidator, Backend, Diagnostics, GateEps, InputDistribution,
+    ObservabilityMatrix, SinglePass, SinglePassOptions, Weights,
 };
 use std::hint::black_box;
 
@@ -64,7 +64,12 @@ fn bench_consolidation(c: &mut Criterion) {
         .unwrap();
     let cons = Consolidator::try_new(&b9, &InputDistribution::Uniform, backend).unwrap();
     group.bench_function("b9_any_output", |b| {
-        b.iter(|| black_box(cons.any_output_error(black_box(&result))));
+        b.iter(|| {
+            black_box(
+                cons.try_any_output_error(black_box(&result), &mut Diagnostics::new())
+                    .unwrap(),
+            )
+        });
     });
     group.bench_function("b9_build_consolidator", |b| {
         b.iter(|| {

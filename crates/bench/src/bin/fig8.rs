@@ -12,7 +12,7 @@
 //! ```
 
 use relogic::{
-    consolidate::Consolidator, sweep, Backend, GateEps, InputDistribution, SinglePass,
+    consolidate::Consolidator, sweep, Backend, Diagnostics, GateEps, InputDistribution, SinglePass,
     SinglePassOptions, Weights,
 };
 use relogic_bench::{render_table, Cli};
@@ -63,7 +63,11 @@ fn main() {
         let mut mc = Vec::with_capacity(grid.len());
         for (i, &e) in grid.iter().enumerate() {
             let eps = GateEps::try_uniform(c, e).unwrap();
-            sp.push(cons.any_output_error(&engine.try_run(&eps).unwrap()));
+            let r = engine.try_run(&eps).unwrap();
+            sp.push(
+                cons.try_any_output_error(&r, &mut Diagnostics::new())
+                    .unwrap(),
+            );
             mc.push(
                 relogic_sim::try_estimate(
                     c,

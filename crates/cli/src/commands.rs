@@ -2,7 +2,7 @@
 
 use crate::options::{Options, ParsedArgs, KIND_COMMANDS};
 use relogic::{GateEps, InputDistribution, ObservabilityMatrix, SinglePassOptions, Weights};
-use relogic_estimate::{EstimatorTier, PropagationEstimate};
+use relogic_estimate::EstimatorTier;
 use relogic_netlist::structure::{output_cone_sizes, CircuitStats, FanoutMap};
 use relogic_netlist::{bench, blif, dot, verilog, Circuit};
 use relogic_serve::api::{self, Outcome};
@@ -12,7 +12,7 @@ use relogic_serve::proto::{
     AnalyzeRequestOptions, BackendSpec, CircuitPayload, NetlistFormat, Request,
 };
 use relogic_serve::ServeError;
-use relogic_store::{ArtifactMeta, Loaded, Store};
+use relogic_store::{Loaded, Store};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -219,7 +219,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "cache ls" => cache_ls(&cache_store(args)?),
         "cache verify" => cache_verify(&cache_store(args)?),
         "cache gc" => cache_gc(&cache_store(args)?),
-        "cache warm" => cache_warm(&cache_store(args)?, &load(args)?, &args.options),
+        "cache warm" => cache_warm(&cache_store(args)?, load(args)?),
         other if other.starts_with("cache ") => Err(CliError::Usage(format!(
             "unknown cache action `{}` (expected ls, verify, gc, or warm)",
             &other["cache ".len()..]
@@ -557,7 +557,7 @@ fn analyze_text(
                 &InputDistribution::Uniform,
                 opts.backend(),
             )?;
-            let any = cons.any_output_error_with(result, &mut diag)?;
+            let any = cons.try_any_output_error(result, &mut diag)?;
             out.push_str(&format!("{:>24}  any-output = {any:.6}\n", "*"));
         }
     }
@@ -813,13 +813,7 @@ fn rank(artifact: &Artifact, opts: &Options) -> Result<String, CliError> {
     let c = artifact.circuit();
     let cancel = deadline_token(opts);
     let obs = artifact.observability(&CacheCounters::default(), opts.threads, &cancel)?;
-    let eps = GateEps::try_uniform(c, opts.eps)?;
-    let mut rows: Vec<(relogic_netlist::NodeId, f64)> = c
-        .node_ids()
-        .filter(|&id| c.node(id).kind().is_gate())
-        .map(|id| (id, eps.get(id) * obs.any(id)))
-        .collect();
-    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let rows = obs.criticality(c, &GateEps::try_uniform(c, opts.eps)?);
     let mut out = format!(
         "top {} gates by soft-error criticality (eps * any-output observability):\n",
         opts.top.min(rows.len())
@@ -893,56 +887,41 @@ fn cache_gc(store: &Store) -> Result<String, CliError> {
 }
 
 /// Precomputes every artifact for a netlist so a later `serve
-/// --cache-dir` (or one-shot command) starts warm. Idempotent: artifacts
-/// already present are left alone.
-fn cache_warm(store: &Store, loaded: &LoadedNetlist, opts: &Options) -> Result<String, CliError> {
-    let payload = &loaded.payload;
-    let key = ArtifactKey::of(payload).store_key();
-    let c = &loaded.circuit;
+/// --cache-dir` (or one-shot command) starts warm, by reading each slot of
+/// its [`Artifact`] through the store. Idempotent: artifacts already
+/// present are read back, not recomputed.
+fn cache_warm(store: &Store, loaded: LoadedNetlist) -> Result<String, CliError> {
+    let key = ArtifactKey::of(&loaded.payload).store_key();
     let mut out = format!("warming {} as {}\n", loaded.path, key.hex());
-    let meta = ArtifactMeta {
-        format_tag: payload.format.tag().to_owned(),
-        backend_tag: payload.backend.cache_tag(),
-        netlist: payload.netlist.clone(),
+    // The artifact writes the meta sidecar through when it is missing.
+    let had_meta = matches!(store.load_meta(key)?, Loaded::Hit(_));
+    let disk = Arc::new(DiskTier::open(store.root()));
+    let artifact = Artifact::new(&loaded.payload, loaded.circuit, Some(Arc::clone(&disk)));
+    let (counters, never) = (CacheCounters::default(), relogic::CancelToken::new());
+    artifact.tape(&counters);
+    artifact.weights(&counters, &never)?;
+    artifact.observability(&counters, 0, &never)?;
+    artifact
+        .propagation_estimate(&counters, &never)
+        .map_err(CliError::Estimator)?;
+    if disk.is_degraded() {
+        return Err(CliError::Store(format!(
+            "{}: store unusable, artifacts not written",
+            store.root().display()
+        )));
+    }
+    let meta = if had_meta {
+        "already present"
+    } else {
+        "stored"
     };
-    if matches!(store.load_meta(key)?, Loaded::Hit(_)) {
-        out.push_str("meta:          already present\n");
-    } else {
-        store.save_meta(key, &meta)?;
-        out.push_str("meta:          stored\n");
-    }
-    if matches!(store.load_tape(key)?, Loaded::Hit(_)) {
-        out.push_str("tape:          already present\n");
-    } else {
-        store.save_tape(key, &relogic_sim::CircuitTape::compile(c))?;
-        out.push_str("tape:          compiled and stored\n");
-    }
-    if matches!(store.load_weights(key)?, Loaded::Hit(_)) {
-        out.push_str("weights:       already present\n");
-    } else {
-        store.save_weights(key, &analysis_weights(c, opts)?)?;
-        out.push_str("weights:       computed and stored\n");
-    }
-    if matches!(store.load_observability(key)?, Loaded::Hit(_)) {
-        out.push_str("observability: already present\n");
-    } else {
-        let obs = ObservabilityMatrix::try_compute_threads_cancellable(
-            c,
-            &InputDistribution::Uniform,
-            opts.backend(),
-            0,
-            &relogic::CancelToken::new(),
-        )?;
-        store.save_observability(key, &obs)?;
-        out.push_str("observability: computed and stored\n");
-    }
-    if matches!(store.load_estimate(key)?, Loaded::Hit(_)) {
-        out.push_str("estimator:     already present\n");
-    } else {
-        let est = PropagationEstimate::try_compute(c, &InputDistribution::Uniform)
-            .map_err(CliError::Estimator)?;
-        store.save_estimate(key, &est)?;
-        out.push_str("estimator:     computed and stored\n");
+    out.push_str(&format!("{:<15}{meta}\n", "meta:"));
+    for (slot, origin) in artifact.provenance() {
+        let what = match origin {
+            Origin::DiskHit => "already present",
+            _ => "computed and stored",
+        };
+        out.push_str(&format!("{:<15}{what}\n", format!("{slot}:")));
     }
     Ok(out)
 }
@@ -980,7 +959,7 @@ fn gen(args: &ParsedArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relogic_estimate::EstimatorPolicy;
+    use relogic_estimate::{EstimatorPolicy, PropagationEstimate};
     use relogic_sim::MonteCarloConfig;
 
     const SMALL: &str = "\

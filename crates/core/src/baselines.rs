@@ -7,7 +7,7 @@
 //!   irregular multi-level structures such as logic circuits, they suffer
 //!   significant penalties in accuracy even on small circuits".
 //! * [`ptm_exact`] — a probabilistic-transfer-matrix-style *exact* engine
-//!   (the paper's ref [5]): the joint distribution over (fault-free,
+//!   (the paper's ref \[5\]): the joint distribution over (fault-free,
 //!   faulty) values of all live signals is propagated through the circuit.
 //!   Exact for any ε⃗, but the state space is `4^(live signals)`, which is
 //!   why the original PTM work "suggests their inapplicability to large

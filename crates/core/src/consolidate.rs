@@ -22,7 +22,7 @@ use std::collections::HashMap;
 ///
 /// ```
 /// use relogic::{
-///     consolidate::Consolidator, Backend, GateEps, InputDistribution, SinglePass,
+///     consolidate::Consolidator, Backend, Diagnostics, GateEps, InputDistribution, SinglePass,
 ///     SinglePassOptions, Weights,
 /// };
 /// use relogic_netlist::Circuit;
@@ -39,7 +39,7 @@ use std::collections::HashMap;
 /// let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default())?;
 /// let r = engine.try_run(&GateEps::try_uniform(&c, 0.1)?)?;
 /// let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd)?;
-/// let any = cons.any_output_error(&r);
+/// let any = cons.try_any_output_error(&r, &mut Diagnostics::new())?;
 /// assert!(any >= r.per_output()[0].max(r.per_output()[1]) - 1e-9);
 /// assert!(any <= r.per_output()[0] + r.per_output()[1] + 1e-9);
 /// # Ok::<(), relogic::RelogicError>(())
@@ -162,27 +162,12 @@ impl Consolidator {
 
     /// Joint probability that outputs `a` and `b` are *both* in error, using
     /// the single-pass error probabilities and correlation coefficients.
+    /// Clamp events are accumulated into `diag`.
     ///
     /// # Errors
     ///
     /// [`RelogicError::MissingOutputPair`] if the pair was not precomputed.
     pub fn try_joint_error(
-        &self,
-        result: &SinglePassResult,
-        a: usize,
-        b: usize,
-    ) -> Result<f64, RelogicError> {
-        let mut diag = Diagnostics::new();
-        self.joint_error_with(result, a, b, &mut diag)
-    }
-
-    /// [`Consolidator::try_joint_error`] that also accumulates clamp events
-    /// into `diag`.
-    ///
-    /// # Errors
-    ///
-    /// [`RelogicError::MissingOutputPair`] if the pair was not precomputed.
-    pub fn joint_error_with(
         &self,
         result: &SinglePassResult,
         a: usize,
@@ -241,36 +226,22 @@ impl Consolidator {
     ) -> Result<f64, RelogicError> {
         let da = result.per_output()[a];
         let db = result.per_output()[b];
-        Ok((da + db - self.try_joint_error(result, a, b)?).clamp(da.max(db), (da + db).min(1.0)))
+        let joint = self.try_joint_error(result, a, b, &mut Diagnostics::new())?;
+        Ok((da + db - joint).clamp(da.max(db), (da + db).min(1.0)))
     }
 
     /// Probability that at least one primary output is in error (the
     /// paper's "consolidated output error curve", Fig. 8), via a
-    /// pairwise-corrected product over outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the consolidator was built with [`Consolidator::try_for_pairs`]
-    /// and does not cover all output pairs.
-    #[must_use]
-    pub fn any_output_error(&self, result: &SinglePassResult) -> f64 {
-        let mut diag = Diagnostics::new();
-        match self.any_output_error_with(result, &mut diag) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Consolidator::any_output_error`] that also accumulates
-    /// clamp events — in particular the θ guard-rail clamps of the
-    /// Kirkwood correction — into `diag`.
+    /// pairwise-corrected product over outputs. Clamp events — in
+    /// particular the θ guard-rail clamps of the Kirkwood correction — are
+    /// accumulated into `diag`.
     ///
     /// # Errors
     ///
     /// [`RelogicError::MissingOutputPair`] if the consolidator was built
     /// with [`Consolidator::try_for_pairs`] and does not cover all output
     /// pairs.
-    pub fn any_output_error_with(
+    pub fn try_any_output_error(
         &self,
         result: &SinglePassResult,
         diag: &mut Diagnostics,
@@ -299,7 +270,7 @@ impl Consolidator {
                 if ok_a <= 0.0 || ok_b <= 0.0 {
                     return Ok(1.0);
                 }
-                let joint_err = self.joint_error_with(result, a, b, diag)?;
+                let joint_err = self.try_joint_error(result, a, b, diag)?;
                 let ok_both = (1.0 - deltas[a] - deltas[b] + joint_err).clamp(0.0, 1.0);
                 let theta = diag.clamp_theta(ok_both / (ok_a * ok_b), 1e-6, 1e6);
                 log_none += theta.ln();
@@ -340,6 +311,11 @@ mod tests {
         (r, cons, e)
     }
 
+    fn any(cons: &Consolidator, r: &SinglePassResult) -> f64 {
+        cons.try_any_output_error(r, &mut Diagnostics::new())
+            .unwrap()
+    }
+
     fn two_output_reconvergent() -> Circuit {
         let mut c = Circuit::new("t");
         let a = c.add_input("a");
@@ -364,9 +340,11 @@ mod tests {
         // Same node: joint error = δ (they always err together)... the
         // correlation machinery reaches this via a perfectly correlated
         // pair only when tracked; identical nodes share everything.
-        let j = cons.try_joint_error(&r, 0, 1).unwrap();
+        let j = cons
+            .try_joint_error(&r, 0, 1, &mut Diagnostics::new())
+            .unwrap();
         assert!(j <= r.per_output()[0] + 1e-12);
-        let any = cons.any_output_error(&r);
+        let any = any(&cons, &r);
         assert!(any <= r.per_output()[0] + r.per_output()[1]);
         assert!(any >= r.per_output()[0] - 1e-12);
     }
@@ -377,7 +355,7 @@ mod tests {
         for &e in &[0.05, 0.15, 0.3] {
             let (r, cons, eps) = analyzed(&c, e);
             let exact = exact_reliability(&c, eps.as_slice());
-            let any = cons.any_output_error(&r);
+            let any = any(&cons, &r);
             assert!(
                 (any - exact.any_output).abs() < 0.05,
                 "ε={e}: consolidated {any} vs exact {}",
@@ -396,7 +374,7 @@ mod tests {
         for &e in &[0.05, 0.1, 0.2, 0.3] {
             let (r, cons, eps) = analyzed(&c, e);
             let exact = exact_reliability(&c, eps.as_slice()).any_output;
-            let any = cons.any_output_error(&r);
+            let any = any(&cons, &r);
             let naive = 1.0 - r.per_output().iter().map(|&d| 1.0 - d).product::<f64>();
             corrected += (any - exact).abs();
             independent += (naive - exact).abs();
@@ -426,7 +404,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!((exact.any_output_error(&r) - sampled.any_output_error(&r)).abs() < 0.02);
+        assert!((any(&exact, &r) - any(&sampled, &r)).abs() < 0.02);
     }
 
     #[test]
@@ -443,9 +421,9 @@ mod tests {
         )
         .unwrap();
         assert!(
-            (cons.any_output_error(&r) - mc.any_output()).abs() < 0.03,
+            (any(&cons, &r) - mc.any_output()).abs() < 0.03,
             "{} vs {}",
-            cons.any_output_error(&r),
+            any(&cons, &r),
             mc.any_output()
         );
     }
@@ -485,7 +463,7 @@ mod tests {
             .unwrap();
         let (r, _, _) = analyzed(&c, 0.1);
         assert!(matches!(
-            empty.try_joint_error(&r, 0, 1),
+            empty.try_joint_error(&r, 0, 1, &mut Diagnostics::new()),
             Err(RelogicError::MissingOutputPair { a: 0, b: 1 })
         ));
         assert!(matches!(
@@ -493,17 +471,17 @@ mod tests {
             Err(RelogicError::MissingOutputPair { .. })
         ));
         let mut diag = Diagnostics::new();
-        assert!(empty.any_output_error_with(&r, &mut diag).is_err());
+        assert!(empty.try_any_output_error(&r, &mut diag).is_err());
     }
 
     #[test]
-    fn any_output_error_with_accumulates_diagnostics() {
+    fn try_any_output_error_accumulates_diagnostics() {
         let c = two_output_reconvergent();
         let (r, cons, _) = analyzed(&c, 0.3);
         let mut diag = Diagnostics::new();
-        let with = cons.any_output_error_with(&r, &mut diag).unwrap();
-        assert!((with - cons.any_output_error(&r)).abs() < 1e-15);
-        // Whatever events occurred, the plain call must not change them.
+        let first = cons.try_any_output_error(&r, &mut diag).unwrap();
+        // The accumulator never changes the answer.
+        assert_eq!(first.to_bits(), any(&cons, &r).to_bits());
         assert!(diag.worst_excursion().is_finite());
     }
 
@@ -514,6 +492,6 @@ mod tests {
         let g = c.not(a);
         c.add_output("y", g);
         let (r, cons, _) = analyzed(&c, 0.2);
-        assert!((cons.any_output_error(&r) - r.per_output()[0]).abs() < 1e-12);
+        assert!((any(&cons, &r) - r.per_output()[0]).abs() < 1e-12);
     }
 }

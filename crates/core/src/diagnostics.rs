@@ -4,7 +4,7 @@
 //! their estimates legal by clamping: propagated flip probabilities and
 //! coefficient-weighted products are clamped into `[0, 1]`, and the
 //! pairwise Kirkwood correction factor θ in
-//! [`crate::consolidate::Consolidator::any_output_error`] is clamped into
+//! [`crate::consolidate::Consolidator::try_any_output_error`] is clamped into
 //! `[1e-6, 1e6]`. Those clamps are part of the approximation — §4.1's
 //! correlation coefficients are first-order, so the products they re-weight
 //! can legitimately leave `[0, 1]` — but silently discarding the excursion

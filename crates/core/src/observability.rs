@@ -49,8 +49,14 @@ fn key32(index: usize) -> u32 {
     index as u32
 }
 
-/// Per-node, per-output noiseless observabilities.
-#[derive(Clone, Debug)]
+/// Per-node, per-output noiseless observabilities, plus each node's
+/// any-output observability.
+///
+/// One table for every way of filling it: exactly with BDDs (§3), by
+/// fault simulation ([`Backend::Simulation`]), or by the propagation
+/// estimator in `relogic-estimate`. The closed form (Eq. 3) and the
+/// criticality ranking read it the same way whichever filled it.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ObservabilityMatrix {
     per_output: Vec<Vec<f64>>, // [node][output]
     any_output: Vec<f64>,
@@ -351,16 +357,8 @@ impl ObservabilityMatrix {
             Backend::Simulation { patterns, seed } => {
                 cancel.check("obs_sim")?;
                 let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(circuit));
-                let est = relogic_sim::observabilities_biased(circuit, &sampler, patterns, seed);
-                let per_output = circuit
-                    .node_ids()
-                    .map(|id| {
-                        (0..circuit.output_count())
-                            .map(|k| est.at_output(id, k))
-                            .collect()
-                    })
-                    .collect();
-                let any_output = circuit.node_ids().map(|id| est.any(id)).collect();
+                let (per_output, any_output) =
+                    relogic_sim::observabilities_biased(circuit, &sampler, patterns, seed);
                 Ok(ObservabilityMatrix {
                     per_output,
                     any_output,
@@ -379,10 +377,10 @@ impl ObservabilityMatrix {
     /// so the trip decision is a pure function of `(circuit, budget)` and
     /// cannot depend on thread count or scheduling. A probe that fits
     /// becomes the first worker's state, so only extra workers build the
-    /// circuit again. The subsequent
-    /// backward sweep is GC-managed (see [`GC_HEADROOM_NODES`]) rather
-    /// than budget-checked; the base build is where multiplier-class
-    /// reconvergence blows up.
+    /// circuit again. The subsequent backward sweep is GC-managed (a
+    /// worker collects once splice garbage outgrows the base functions by
+    /// two million nodes) rather than budget-checked; the base build is
+    /// where multiplier-class reconvergence blows up.
     ///
     /// # Errors
     ///
@@ -765,15 +763,19 @@ impl ObservabilityMatrix {
             .collect()
     }
 
-    /// Per-node *criticality* `ε_i · o_i` at a given output: the
-    /// single-failure contribution of each node, useful for ranking
-    /// soft-error hardening candidates (§5.1).
+    /// The gates of `circuit` ranked by soft-error *criticality*
+    /// `ε_i · o_i` against the any-output observability — each gate's
+    /// single-failure contribution, the ranking signal for hardening
+    /// (§5.1): descending, ties by ascending node id. Sources are left
+    /// out.
     #[must_use]
-    pub fn criticality(&self, eps: &GateEps, output_index: usize) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = (0..self.len())
-            .map(NodeId::from_index)
-            .map(|id| (id, eps.get(id) * self.at_output(id, output_index)))
+    pub fn criticality(&self, circuit: &Circuit, eps: &GateEps) -> Vec<(NodeId, f64)> {
+        let mut v: Vec<(NodeId, f64)> = circuit
+            .iter()
+            .filter(|(_, node)| node.kind().is_gate())
+            .map(|(id, _)| (id, eps.get(id) * self.any(id)))
             .collect();
+        // Stable, so equal criticalities keep ascending node order.
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         v
     }
@@ -907,12 +909,34 @@ mod tests {
         let c = aoi();
         let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         let eps = GateEps::try_uniform(&c, 0.1).unwrap();
-        let ranked = obs.criticality(&eps, 0);
-        // The OR gate is the output gate (o = 1): must rank first.
-        assert_eq!(ranked[0].0, NodeId::from_index(4));
-        assert!(ranked[0].1 >= ranked[1].1);
-        // Noise-free inputs have zero criticality.
-        assert_eq!(ranked.last().unwrap().1, 0.0);
+        let ranked = obs.criticality(&c, &eps);
+        // The OR gate is the output gate (o = 1): must rank first, ahead
+        // of the AND gate (o = 1/2). Inputs are not ranked.
+        let and = NodeId::from_index(3);
+        let or = NodeId::from_index(4);
+        assert_eq!(ranked, vec![(or, 0.1), (and, 0.05)]);
+        // At ε = 0 every gate ties, in ascending node order.
+        let ties = obs.criticality(&c, &GateEps::zero(&c));
+        assert_eq!(ties, vec![(and, 0.0), (or, 0.0)]);
+    }
+
+    #[test]
+    fn from_parts_rejects_bad_shapes_and_values() {
+        let obs = ObservabilityMatrix::compute(&aoi(), &InputDistribution::Uniform, Backend::Bdd);
+        let rebuilt = ObservabilityMatrix::from_parts(
+            obs.per_output_rows().to_vec(),
+            obs.any_output_values().to_vec(),
+            obs.diagnostics().clone(),
+        )
+        .unwrap();
+        assert_eq!(rebuilt, obs);
+        let parts = |rows: Vec<Vec<f64>>, any: Vec<f64>| {
+            ObservabilityMatrix::from_parts(rows, any, Diagnostics::new())
+        };
+        assert!(parts(vec![], vec![0.5]).is_err(), "one any entry per row");
+        assert!(parts(vec![vec![0.5], vec![0.5, 0.5]], vec![0.5, 0.5]).is_err());
+        assert!(parts(vec![vec![f64::NAN]], vec![0.5]).is_err());
+        assert!(parts(vec![vec![0.5]], vec![f64::INFINITY]).is_err());
     }
 
     #[test]

@@ -333,12 +333,12 @@ impl SweepTape {
 
     /// Evaluates δ(ε) for every output at every value of `eps_values`
     /// (uniform per-gate ε, sources at 0 — the exact configuration of
-    /// [`crate::sweep::sweep_single_pass`]), carrying [`GRID_LANES`]
-    /// grid points per traversal and fanning chunks of the grid out over
+    /// [`crate::sweep::sweep_single_pass`]), carrying 16 grid points per
+    /// traversal and fanning chunks of the grid out over
     /// `threads` workers (`0` = auto-detect).
     ///
-    /// `cancel` is polled at every grid-chunk hand-out ([`GRID_LANES`] grid
-    /// points, the check-interval granularity of the sweep engine). A fired
+    /// `cancel` is polled at every grid-chunk hand-out (16 grid points,
+    /// the check-interval granularity of the sweep engine). A fired
     /// token returns [`RelogicError::Cancelled`] — never a partial curve. A
     /// sweep that completes before the token fires is bit-identical to an
     /// undeadlined sweep at every thread count.

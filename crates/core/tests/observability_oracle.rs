@@ -11,7 +11,7 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use relogic::{Backend, CancelToken, InputDistribution, ObservabilityMatrix};
+use relogic::{Backend, CancelToken, GateEps, InputDistribution, ObservabilityMatrix};
 use relogic_netlist::{Circuit, GateKind, NodeId};
 use relogic_sim::flip_influence;
 
@@ -208,4 +208,24 @@ fn suite_matrices_are_bit_identical_across_threads_and_entry_points() {
             );
         }
     }
+}
+
+/// `criticality` is the ranking `relogic-cli rank` prints: on b9, as the
+/// CLI parses it from `gen b9`, the gate order at the CLI's default
+/// ε = 0.05 matches `data/b9_rank_order.txt`, recorded with
+/// `relogic-cli rank b9.bench --top 1000` from the CLI's own sort, before
+/// the ranking moved onto the matrix. Ties (90 of b9's 210 gates
+/// share ε·o = 0.05 or 0) fall in ascending node order.
+#[test]
+fn criticality_reproduces_the_rank_order_on_b9() {
+    let text = relogic_netlist::bench::write(&relogic_gen::suite::build("b9").unwrap());
+    let c = relogic_netlist::bench::parse(&text).unwrap();
+    let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
+    let ranked: Vec<String> = obs
+        .criticality(&c, &GateEps::try_uniform(&c, 0.05).unwrap())
+        .into_iter()
+        .map(|(id, _)| c.display_name(id))
+        .collect();
+    let want: Vec<&str> = include_str!("data/b9_rank_order.txt").lines().collect();
+    assert_eq!(ranked, want);
 }

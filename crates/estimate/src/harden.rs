@@ -89,12 +89,20 @@ pub fn harden(
     area_budget: f64,
     max_steps: usize,
 ) -> Result<HardenReport, RelogicError> {
-    let never = CancelToken::new();
-    harden_cancellable(circuit, dist, eps, area_budget, max_steps, &never)
+    let est = PropagationEstimate::try_compute(circuit, dist)?;
+    harden_cancellable(
+        circuit,
+        &est,
+        eps,
+        area_budget,
+        max_steps,
+        &CancelToken::new(),
+    )
 }
 
-/// Like [`harden`], checking `cancel` before the estimator pass and before
-/// every protection-prefix evaluation (each prefix pays a full
+/// Like [`harden`] over an estimate already computed for `circuit` (the
+/// daemon reads its artifact's), checking `cancel` before every
+/// protection-prefix evaluation (each prefix pays a full
 /// [`tmr_selected`] transform plus a closed-form rescore). A sweep that
 /// completes before the token fires returns a report identical to an
 /// uncancelled sweep.
@@ -105,7 +113,7 @@ pub fn harden(
 /// [`harden`].
 pub fn harden_cancellable(
     circuit: &Circuit,
-    dist: &InputDistribution,
+    est: &PropagationEstimate,
     eps: f64,
     area_budget: f64,
     max_steps: usize,
@@ -119,10 +127,8 @@ pub fn harden_cancellable(
             hi: f64::INFINITY,
         });
     }
-    cancel.check("harden_estimate")?;
-    let est = PropagationEstimate::try_compute(circuit, dist)?;
     let gate_eps = GateEps::try_uniform(circuit, eps)?;
-    let (mean_delta, max_delta) = score(&est, &gate_eps);
+    let (mean_delta, max_delta) = score(est, &gate_eps);
     let baseline = ParetoPoint {
         protected: 0,
         gates: circuit.gate_count(),
@@ -131,14 +137,10 @@ pub fn harden_cancellable(
         max_delta,
     };
 
-    // Protection order: criticality desc, then signal-probability skew
-    // |1 − 2p| desc (biased gates mask best), then node index for a total
-    // deterministic order. Sources carry ε = 0 and are filtered out.
-    let mut ranking: Vec<(NodeId, f64)> = circuit
-        .iter()
-        .filter(|(_, node)| node.kind().is_gate())
-        .map(|(id, _)| (id, gate_eps.get(id) * est.any(id)))
-        .collect();
+    // Protection order: the matrix's criticality ranking (desc, then node
+    // index), re-sorted stably so signal-probability skew |1 − 2p| desc
+    // breaks criticality ties (biased gates mask best).
+    let mut ranking = est.observabilities().criticality(circuit, &gate_eps);
     let skew = |id: NodeId| (1.0 - 2.0 * est.signal_probs()[id.index()]).abs();
     ranking.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -148,7 +150,6 @@ pub fn harden_cancellable(
                     .partial_cmp(&skew(a.0))
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-            .then_with(|| a.0.index().cmp(&b.0.index()))
     });
 
     let mut evaluated: Vec<ParetoPoint> = Vec::new();
@@ -165,7 +166,7 @@ pub fn harden_cancellable(
         for &id in &protect {
             masked.try_set(id, 0.0)?;
         }
-        let (mean_delta, max_delta) = score(&est, &masked);
+        let (mean_delta, max_delta) = score(est, &masked);
         evaluated.push(ParetoPoint {
             protected: k,
             gates: transformed.gate_count(),
@@ -287,15 +288,14 @@ mod tests {
     #[test]
     fn cancelled_sweep_returns_typed_error_and_completed_sweep_is_identical() {
         let c = and_chain();
+        let est = PropagationEstimate::try_compute(&c, &InputDistribution::Uniform).unwrap();
         let fired = CancelToken::new();
         fired.cancel();
-        let err =
-            harden_cancellable(&c, &InputDistribution::Uniform, 0.01, 4.0, 0, &fired).unwrap_err();
+        let err = harden_cancellable(&c, &est, 0.01, 4.0, 0, &fired).unwrap_err();
         assert!(matches!(err, RelogicError::Cancelled(_)), "{err}");
         let plain = harden(&c, &InputDistribution::Uniform, 0.01, 4.0, 0).unwrap();
         let generous = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-        let under =
-            harden_cancellable(&c, &InputDistribution::Uniform, 0.01, 4.0, 0, &generous).unwrap();
+        let under = harden_cancellable(&c, &est, 0.01, 4.0, 0, &generous).unwrap();
         assert_eq!(plain, under);
     }
 

@@ -16,10 +16,13 @@
 //! the approximation the paper's exact method exists to avoid — but the
 //! cost is `O(edges · outputs)` with no symbolic blow-up, which makes this
 //! the fallback tier when the exact BDD build trips its node budget. The
-//! output error δ uses the same closed form as
-//! [`relogic::ObservabilityMatrix::closed_form`].
+//! estimates fill the same [`ObservabilityMatrix`] the exact and sampled
+//! backends fill, so the output error δ, the criticality ranking and the
+//! store encoding are the matrix's own.
 
-use relogic::{GateEps, InputDistribution, RelogicError, MAX_ANALYSIS_ARITY};
+use relogic::{
+    Diagnostics, GateEps, InputDistribution, ObservabilityMatrix, RelogicError, MAX_ANALYSIS_ARITY,
+};
 use relogic_netlist::{Circuit, GateKind, NodeId};
 
 /// Gate error rate at which the propagation-vs-Monte-Carlo accuracy bound
@@ -40,14 +43,13 @@ pub const PROPAGATION_VS_MC_MEAN_ABS_BOUND: f64 = 0.15;
 /// Signal probabilities and estimated observabilities for every node of a
 /// circuit, computed by the propagation-probability estimator.
 ///
-/// The estimate is ε-independent (like the exact
-/// [`relogic::ObservabilityMatrix`]), so it is cacheable per circuit and
-/// reusable across the whole ε sweep.
+/// The estimate is ε-independent (like the exact [`ObservabilityMatrix`]
+/// it fills), so it is cacheable per circuit and reusable across the whole
+/// ε sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PropagationEstimate {
     signal_probs: Vec<f64>,
-    per_output: Vec<Vec<f64>>, // [node][output]
-    any_output: Vec<f64>,
+    observabilities: ObservabilityMatrix,
 }
 
 /// Distinct fanin nodes of a gate, in first-appearance pin order, plus the
@@ -201,10 +203,14 @@ impl PropagationEstimate {
             }
         }
 
+        // Every value is a clamped probability of a validated
+        // distribution, so the matrix's finiteness check cannot fail.
+        let observabilities =
+            ObservabilityMatrix::from_parts(per_output, any_output, Diagnostics::new())
+                .map_err(|message| RelogicError::DistributionMismatch { message })?;
         Ok(PropagationEstimate {
             signal_probs: probs,
-            per_output,
-            any_output,
+            observabilities,
         })
     }
 
@@ -215,91 +221,23 @@ impl PropagationEstimate {
         &self.signal_probs
     }
 
-    /// All per-output observability rows, indexed `[node][output]`;
-    /// exposed for the persistent artifact store.
+    /// The estimated per-output and any-output observabilities.
     #[must_use]
-    pub fn per_output_rows(&self) -> &[Vec<f64>] {
-        &self.per_output
+    pub fn observabilities(&self) -> &ObservabilityMatrix {
+        &self.observabilities
     }
 
-    /// All any-output observability estimates, indexed by
-    /// [`NodeId::index`].
-    #[must_use]
-    pub fn any_output_values(&self) -> &[f64] {
-        &self.any_output
-    }
-
-    /// Estimated observability of `node` at output `output_index`.
-    #[must_use]
-    pub fn at_output(&self, node: NodeId, output_index: usize) -> f64 {
-        self.per_output[node.index()][output_index]
-    }
-
-    /// Estimated probability a flip at `node` changes at least one output.
-    #[must_use]
-    pub fn any(&self, node: NodeId) -> f64 {
-        self.any_output[node.index()]
-    }
-
-    /// Number of outputs covered.
-    #[must_use]
-    pub fn output_count(&self) -> usize {
-        self.per_output.first().map_or(0, Vec::len)
-    }
-
-    /// Number of nodes covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.any_output.len()
-    }
-
-    /// Returns `true` if no nodes are covered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.any_output.is_empty()
-    }
-
-    /// The closed-form output error `δ_y = ½ (1 − Π_i (1 − 2 ε_i ô_i))`
-    /// over the estimated observabilities.
-    #[must_use]
-    pub fn closed_form_output(&self, eps: &GateEps, output_index: usize) -> f64 {
-        let mut prod = 1.0f64;
-        for node in eps.noisy_nodes() {
-            prod *= 1.0 - 2.0 * eps.get(node) * self.at_output(node, output_index);
-        }
-        0.5 * (1.0 - prod)
-    }
-
-    /// Closed-form output error for every output.
+    /// The closed-form output error for every output, over the estimated
+    /// observabilities ([`ObservabilityMatrix::closed_form`]).
     #[must_use]
     pub fn closed_form(&self, eps: &GateEps) -> Vec<f64> {
-        (0..self.output_count())
-            .map(|k| self.closed_form_output(eps, k))
-            .collect()
+        self.observabilities.closed_form(eps)
     }
 
-    /// Per-node criticality `ε_i · ô_i` against the any-output
-    /// observability estimate, sorted descending — the hardening
-    /// optimizer's ranking signal.
-    #[must_use]
-    pub fn criticality(&self, eps: &GateEps) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = (0..self.len())
-            .map(NodeId::from_index)
-            .map(|id| (id, eps.get(id) * self.any(id)))
-            .collect();
-        v.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.index().cmp(&b.0.index()))
-        });
-        v
-    }
-
-    /// Rebuilds an estimate from deserialized arrays, validating the
-    /// invariants [`PropagationEstimate::try_compute`] guarantees: equal
-    /// node counts, uniform row width, and every value a finite
-    /// probability. Checksummed store payloads still route through here so
-    /// a hash collision degrades into an error, never a panic downstream.
+    /// Rebuilds an estimate from deserialized parts: one signal
+    /// probability in `[0, 1]` per row of `observabilities`. Checksummed
+    /// store payloads still route through here so a hash collision
+    /// degrades into an error, never a panic downstream.
     ///
     /// # Errors
     ///
@@ -307,57 +245,25 @@ impl PropagationEstimate {
     /// invariant.
     pub fn from_parts(
         signal_probs: Vec<f64>,
-        per_output: Vec<Vec<f64>>,
-        any_output: Vec<f64>,
+        observabilities: ObservabilityMatrix,
     ) -> Result<Self, String> {
-        if signal_probs.len() != any_output.len() || per_output.len() != any_output.len() {
+        if signal_probs.len() != observabilities.len() {
             return Err(format!(
-                "{} signal probs, {} rows, {} any-output entries",
+                "{} signal probs for {} observability rows",
                 signal_probs.len(),
-                per_output.len(),
-                any_output.len()
+                observabilities.len()
             ));
         }
-        let in_unit = |x: &f64| x.is_finite() && (0.0..=1.0).contains(x);
-        if !signal_probs.iter().all(in_unit) {
+        if !signal_probs
+            .iter()
+            .all(|x| x.is_finite() && (0.0..=1.0).contains(x))
+        {
             return Err("signal probability outside [0, 1]".to_owned());
-        }
-        if !any_output.iter().all(in_unit) {
-            return Err("any-output observability outside [0, 1]".to_owned());
-        }
-        let width = per_output.first().map_or(0, Vec::len);
-        for (i, row) in per_output.iter().enumerate() {
-            if row.len() != width {
-                return Err(format!("row {i} has width {} != {width}", row.len()));
-            }
-            if !row.iter().all(in_unit) {
-                return Err(format!("observability outside [0, 1] in row {i}"));
-            }
         }
         Ok(PropagationEstimate {
             signal_probs,
-            per_output,
-            any_output,
+            observabilities,
         })
-    }
-
-    /// Approximate heap footprint in bytes (row payloads + headers plus
-    /// the two flat arrays). A structural estimate for cache accounting.
-    #[must_use]
-    pub fn approx_heap_bytes(&self) -> usize {
-        let rows: usize = self.per_output.iter().map(|r| r.len() * 8).sum();
-        rows + self.per_output.len() * std::mem::size_of::<Vec<f64>>()
-            + self.signal_probs.len() * 8
-            + self.any_output.len() * 8
-    }
-
-    /// The heap footprint [`PropagationEstimate::try_compute`] *would*
-    /// produce for `circuit`, a pure function of circuit structure —
-    /// lets a cache charge for the estimate before materializing it.
-    #[must_use]
-    pub fn projected_heap_bytes(circuit: &Circuit) -> usize {
-        let n = circuit.len();
-        n * (std::mem::size_of::<Vec<f64>>() + circuit.output_count() * 8) + 2 * n * 8
     }
 }
 
@@ -385,12 +291,12 @@ mod tests {
         let exact = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, Backend::Bdd);
         for id in c.node_ids() {
             assert!(
-                (est.at_output(id, 0) - exact.at_output(id, 0)).abs() < 1e-12,
+                (est.observabilities().at_output(id, 0) - exact.at_output(id, 0)).abs() < 1e-12,
                 "{id}: {} vs {}",
-                est.at_output(id, 0),
+                est.observabilities().at_output(id, 0),
                 exact.at_output(id, 0)
             );
-            assert!((est.any(id) - exact.any(id)).abs() < 1e-12);
+            assert!((est.observabilities().any(id) - exact.any(id)).abs() < 1e-12);
         }
         // Signal probabilities: AND = 1/4, OR = 1/4 + 1/2·3/4 = 0.625.
         assert!((est.signal_probs()[3] - 0.25).abs() < 1e-12);
@@ -403,7 +309,7 @@ mod tests {
         let c = aoi();
         let dist = InputDistribution::Independent(vec![0.5, 0.5, 0.9]);
         let est = PropagationEstimate::try_compute(&c, &dist).unwrap();
-        assert!((est.at_output(NodeId::from_index(3), 0) - 0.1).abs() < 1e-12);
+        assert!((est.observabilities().at_output(NodeId::from_index(3), 0) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -416,7 +322,7 @@ mod tests {
         c.add_output("y", g);
         let est = PropagationEstimate::try_compute(&c, &InputDistribution::Uniform).unwrap();
         assert_eq!(est.signal_probs()[g.index()], 0.0);
-        assert_eq!(est.any(a), 0.0);
+        assert_eq!(est.observabilities().any(a), 0.0);
     }
 
     #[test]
@@ -429,10 +335,10 @@ mod tests {
         c.add_output("y1", g);
         c.add_output("y2", h);
         let est = PropagationEstimate::try_compute(&c, &InputDistribution::Uniform).unwrap();
-        assert!((est.at_output(g, 0) - 1.0).abs() < 1e-12);
-        assert!((est.at_output(g, 1) - 0.5).abs() < 1e-12);
-        assert!((est.any(g) - 1.0).abs() < 1e-12);
-        assert_eq!(est.output_count(), 2);
+        assert!((est.observabilities().at_output(g, 0) - 1.0).abs() < 1e-12);
+        assert!((est.observabilities().at_output(g, 1) - 0.5).abs() < 1e-12);
+        assert!((est.observabilities().any(g) - 1.0).abs() < 1e-12);
+        assert_eq!(est.observabilities().output_count(), 2);
     }
 
     #[test]
@@ -449,35 +355,16 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_bad_shapes_and_values() {
+    fn from_parts_rejects_bad_signal_probabilities() {
         let est = PropagationEstimate::try_compute(&aoi(), &InputDistribution::Uniform).unwrap();
-        let ok = PropagationEstimate::from_parts(
-            est.signal_probs().to_vec(),
-            est.per_output_rows().to_vec(),
-            est.any_output_values().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(ok, est);
-        assert!(PropagationEstimate::from_parts(vec![0.5], vec![], vec![]).is_err());
-        assert!(PropagationEstimate::from_parts(vec![2.0], vec![vec![0.5]], vec![0.5]).is_err());
-        assert!(
-            PropagationEstimate::from_parts(vec![0.5], vec![vec![f64::NAN]], vec![0.5]).is_err()
-        );
-        assert!(PropagationEstimate::from_parts(
-            vec![0.5, 0.5],
-            vec![vec![0.5], vec![0.5, 0.5]],
-            vec![0.5, 0.5]
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn projected_bytes_match_materialized_footprint() {
-        let c = aoi();
-        let est = PropagationEstimate::try_compute(&c, &InputDistribution::Uniform).unwrap();
-        assert_eq!(
-            PropagationEstimate::projected_heap_bytes(&c),
-            est.approx_heap_bytes()
-        );
+        let rebuild =
+            |probs: Vec<f64>| PropagationEstimate::from_parts(probs, est.observabilities().clone());
+        assert_eq!(rebuild(est.signal_probs().to_vec()).unwrap(), est);
+        assert!(rebuild(vec![0.5]).is_err(), "one probability per row");
+        let mut bad = est.signal_probs().to_vec();
+        bad[0] = 2.0;
+        assert!(rebuild(bad.clone()).is_err());
+        bad[0] = f64::NAN;
+        assert!(rebuild(bad).is_err());
     }
 }

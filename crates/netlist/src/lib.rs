@@ -13,7 +13,7 @@
 //!   by the simulator and the analytical reliability engines.
 //! * [`structure`] — logic levels, fanout/stem maps, transitive fanin cones,
 //!   cone extraction, and summary statistics.
-//! * [`bench`] / [`blif`] / [`verilog`] — parsers and writers for the
+//! * [`bench`](mod@bench) / [`blif`] / [`verilog`] — parsers and writers for the
 //!   ISCAS-85 `.bench`, Berkeley BLIF, and structural gate-level Verilog
 //!   interchange formats (combinational subsets).
 //! * [`dot`] — Graphviz export.

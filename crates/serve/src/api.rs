@@ -14,8 +14,8 @@ use crate::cache::{Artifact, CacheCounters};
 use crate::json::Json;
 use crate::proto::{AnalyzeRequestOptions, Request, ServeError};
 use relogic::{
-    CancelToken, GateEps, InputDistribution, ObservabilityMatrix, RelogicError, SinglePass,
-    SinglePassResult, SweepTape, Weights,
+    CancelToken, GateEps, ObservabilityMatrix, RelogicError, SinglePass, SinglePassResult,
+    SweepTape, Weights,
 };
 use relogic_estimate::{
     CriticalEpsReport, EstimateReport, EstimatorPolicy, HardenReport, ParetoPoint,
@@ -143,7 +143,7 @@ pub fn run<'a>(
             ..
         } => Outcome::Harden(relogic_estimate::harden_cancellable(
             circuit,
-            &InputDistribution::Uniform,
+            artifact.propagation_estimate(counters, cancel)?,
             *eps,
             *area_budget,
             *max_steps,

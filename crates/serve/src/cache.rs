@@ -16,7 +16,7 @@
 //! * **Laziness** — parsing happens on first use of a netlist; weight
 //!   vectors and the observability matrix are materialized on the first
 //!   request that needs them (a Monte Carlo-only client never pays for
-//!   BDDs). Each fallible slot is a [`LazySlot`]: single-flight like a
+//!   BDDs). Each fallible slot is a `LazySlot`: single-flight like a
 //!   `OnceLock` (concurrent requests block on one computation instead of
 //!   racing duplicates), but a **cancelled** or **budget-tripped**
 //!   materialization releases the slot instead of freezing the error — the
@@ -686,7 +686,8 @@ impl Artifact {
         let weight_bytes = Weights::projected_heap_bytes(&self.circuit);
         let obs_bytes = ObservabilityMatrix::projected_heap_bytes(&self.circuit);
         let tape_bytes = CircuitTape::projected_heap_bytes(&self.circuit);
-        let estimate_bytes = PropagationEstimate::projected_heap_bytes(&self.circuit);
+        // The estimate is a second matrix plus one signal probability per node.
+        let estimate_bytes = obs_bytes + nodes * 8;
         circuit_bytes + weight_bytes + obs_bytes + tape_bytes + estimate_bytes
     }
 }

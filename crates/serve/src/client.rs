@@ -8,7 +8,7 @@
 //!   against the time remaining; the call fails with
 //!   [`ClientError::DeadlineExceeded`] rather than overshooting.
 //! - **decorrelated-jitter exponential backoff**: each retry sleeps
-//!   `clamp(base, prev × 3, cap)` with a seeded [`splitmix64`]-driven
+//!   `clamp(base, prev × 3, cap)` with a seeded splitmix64-driven
 //!   uniform draw, honouring the server's `retry_after_ms` hint as a
 //!   floor. The seed makes backoff schedules reproducible in tests.
 //! - a **retry budget** (token bucket): each retry spends one token,

@@ -26,8 +26,8 @@
 //! - [`client`] — a retrying std-only client with deadline-capped,
 //!   seeded decorrelated-jitter backoff and retry-budget accounting.
 //!
-//! With the `chaos` feature, [`relogic_sim::chaos`] is re-exported as
-//! [`chaos`] and the daemon accepts a fault-injection config that
+//! With the `chaos` feature, `relogic_sim::chaos` is re-exported as
+//! `chaos` and the daemon accepts a fault-injection config that
 //! deterministically perturbs the pool, connection I/O, and the cache.
 
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! Backpressure chain: accept threads hand connections to a
 //! [`relogic_sim::exec::WorkerPool`] with a bounded queue; when every
 //! worker is busy and the queue is full, the acceptor waits a bounded
-//! [`SUBMIT_WAIT`] for space and then sheds the connection with a typed
+//! 500 ms for space and then sheds the connection with a typed
 //! `overloaded` farewell (carrying a retry hint), so a saturated or
 //! wedged pool surfaces to clients as a retryable error rather than a
 //! stuck accept loop.

@@ -298,7 +298,7 @@ impl Service {
     /// Like [`Service::handle_line`], with an optional client-liveness
     /// probe. When the probe reports the client gone mid-request, the
     /// in-flight job's cancel token is fired and the worker is freed
-    /// within [`DISCONNECT_POLL`] plus one engine check interval — the
+    /// within 100 ms (the probe interval) plus one engine check interval — the
     /// (undeliverable) response is returned for the caller to discard.
     #[must_use]
     pub fn handle_line_with_probe(
@@ -1170,6 +1170,31 @@ mod tests {
                 .load(Ordering::Relaxed),
             1
         );
+    }
+
+    #[test]
+    fn harden_and_estimate_share_one_propagation_estimate() {
+        let svc = service();
+        let computed = || {
+            svc.cache()
+                .counters()
+                .estimates_computed
+                .load(Ordering::Relaxed)
+        };
+        for _ in 0..2 {
+            let out = svc.handle_line(&format!(
+                r#"{{"kind":"harden","netlist":"{SMALL}","eps":0.1,"area_budget":20}}"#
+            ));
+            assert!(out.contains("\"ok\":true"), "{out}");
+        }
+        assert_eq!(computed(), 1, "the first harden fills the estimate slot");
+        // A tripped exact tier falls to the propagation tier, which reads
+        // the same slot.
+        let out = svc.handle_line(&format!(
+            r#"{{"kind":"estimate","netlist":"{SMALL}","eps":0.1,"bdd_node_budget":1}}"#
+        ));
+        assert!(out.contains("\"tier\":\"propagation\""), "{out}");
+        assert_eq!(computed(), 1);
     }
 
     #[test]

@@ -5,12 +5,9 @@ use std::fmt;
 
 use crate::cancel::Cancelled;
 
-/// Errors returned by the fallible (`try_*`) simulation entry points.
-///
-/// The infallible entry points ([`crate::estimate`] and friends) are thin
-/// wrappers that panic with the same messages; the `try_*` variants return
-/// these values so callers (the CLI, servers, batch drivers) can degrade
-/// gracefully instead of aborting.
+/// Errors returned by the fallible (`try_*`) simulation entry points, so
+/// callers (the CLI, servers, batch drivers) can degrade gracefully
+/// instead of aborting.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {

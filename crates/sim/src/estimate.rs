@@ -11,101 +11,36 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use relogic_netlist::{Circuit, NodeId};
 
-/// Estimates the fault-free signal probability `Pr(node = 1)` of every node
-/// from `patterns` uniform random input patterns.
+/// Joint fanin-combination counts and signal probabilities from one
+/// simulation pass over `patterns` sampled input patterns.
+///
+/// Count entry `[i][combo]` is the number of patterns on which gate `i`'s
+/// fanins took the values encoded by `combo` (bit `j` of `combo` = value
+/// of fanin `j`); sources (inputs/constants) get an empty vector. These
+/// counts, normalized, are the paper's *weight vectors* — the core
+/// quantity of the single-pass algorithm — estimated by random pattern
+/// simulation as §4(i) suggests. The second half is the fault-free signal
+/// probability `Pr(node = 1)` of every node.
 ///
 /// # Examples
 ///
 /// ```
 /// use relogic_netlist::Circuit;
-/// use relogic_sim::signal_probabilities;
+/// use relogic_sim::{weight_samples_biased, InputSampler};
 ///
 /// let mut c = Circuit::new("t");
 /// let a = c.add_input("a");
 /// let b = c.add_input("b");
 /// let g = c.and([a, b]);
 /// c.add_output("y", g);
-/// let p = signal_probabilities(&c, 1 << 16, 7);
+/// let (counts, p) = weight_samples_biased(&c, &InputSampler::uniform(2), 1 << 16, 7);
+/// assert_eq!(counts[g.index()].iter().sum::<u64>(), 1 << 16);
 /// assert!((p[g.index()] - 0.25).abs() < 0.01);
 /// ```
-#[must_use]
-pub fn signal_probabilities(circuit: &Circuit, patterns: u64, seed: u64) -> Vec<f64> {
-    signal_probabilities_biased(
-        circuit,
-        &crate::InputSampler::uniform(circuit.input_count()),
-        patterns,
-        seed,
-    )
-}
-
-/// Like [`signal_probabilities`] but under independent per-input biases.
-#[must_use]
-pub fn signal_probabilities_biased(
-    circuit: &Circuit,
-    sampler: &crate::InputSampler,
-    patterns: u64,
-    seed: u64,
-) -> Vec<f64> {
-    let blocks = patterns.div_ceil(64).max(1);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sim = PackedSim::new(circuit);
-    let mut ones = vec![0u64; circuit.len()];
-    for _ in 0..blocks {
-        sampler.fill(&mut sim, &mut rng);
-        sim.propagate(circuit);
-        for (count, &w) in ones.iter_mut().zip(sim.words()) {
-            *count += u64::from(w.count_ones());
-        }
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let total = (blocks * 64) as f64;
-    #[allow(clippy::cast_precision_loss)]
-    ones.iter().map(|&c| c as f64 / total).collect()
-}
-
-/// Joint fanin-combination counts for every gate: entry `[i][combo]` is the
-/// number of sampled patterns on which gate `i`'s fanins took the values
-/// encoded by `combo` (bit `j` of `combo` = value of fanin `j`).
-///
-/// Sources (inputs/constants) get an empty vector. These counts, normalized,
-/// are the paper's *weight vectors* — the core quantity of the single-pass
-/// algorithm — estimated by random pattern simulation as §4(i) suggests.
 ///
 /// # Panics
 ///
-/// Panics if any gate has more than `MAX_COUNTED_ARITY` fanins.
-#[must_use]
-pub fn joint_input_counts(circuit: &Circuit, patterns: u64, seed: u64) -> Vec<Vec<u64>> {
-    joint_input_counts_biased(
-        circuit,
-        &crate::InputSampler::uniform(circuit.input_count()),
-        patterns,
-        seed,
-    )
-}
-
-/// Like [`joint_input_counts`] but under independent per-input biases.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`joint_input_counts`].
-#[must_use]
-pub fn joint_input_counts_biased(
-    circuit: &Circuit,
-    sampler: &crate::InputSampler,
-    patterns: u64,
-    seed: u64,
-) -> Vec<Vec<u64>> {
-    weight_samples_biased(circuit, sampler, patterns, seed).0
-}
-
-/// [`joint_input_counts_biased`] and [`signal_probabilities_biased`] from
-/// one simulation pass: both read the same sampled patterns, so each half
-/// is bit-identical to the separate call with the same arguments.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`joint_input_counts`].
+/// Panics if any gate has more than [`MAX_COUNTED_ARITY`] fanins.
 #[must_use]
 pub fn weight_samples_biased(
     circuit: &Circuit,
@@ -178,65 +113,24 @@ pub fn weight_samples_biased(
 /// vector has `2^arity` entries).
 pub const MAX_COUNTED_ARITY: usize = 12;
 
-/// Per-gate, per-output observability estimates from fault simulation.
-#[derive(Clone, Debug)]
-pub struct ObservabilityEstimate {
-    per_output: Vec<Vec<f64>>, // [node][output]
-    any_output: Vec<f64>,
-}
-
-impl ObservabilityEstimate {
-    /// Observability of `node` at output `output_index`: the probability a
-    /// flip at the node changes that output.
-    #[must_use]
-    pub fn at_output(&self, node: NodeId, output_index: usize) -> f64 {
-        self.per_output[node.index()][output_index]
-    }
-
-    /// Observability of `node` at *any* output.
-    #[must_use]
-    pub fn any(&self, node: NodeId) -> f64 {
-        self.any_output[node.index()]
-    }
-
-    /// Number of nodes covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.any_output.len()
-    }
-
-    /// Returns `true` if no nodes are covered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.any_output.is_empty()
-    }
-}
-
 /// Estimates the noiseless observability of every node at every output by
 /// parallel-pattern fault simulation: for each sampled block, each node is
 /// flipped in turn and only its fanout cone is re-simulated.
 ///
+/// Returns the per-output rows, indexed `[node][output]`, and the
+/// any-output observability of every node (the probability a flip changes
+/// at least one output) — the two arrays of `relogic::ObservabilityMatrix`.
+///
 /// Cost is `O(patterns/64 · Σ_i |cone(i)|)`; intended for circuits up to a
 /// few thousand gates (the exact BDD backend in `relogic` is preferable for
 /// small, reconvergence-heavy circuits).
-#[must_use]
-pub fn observabilities(circuit: &Circuit, patterns: u64, seed: u64) -> ObservabilityEstimate {
-    observabilities_biased(
-        circuit,
-        &crate::InputSampler::uniform(circuit.input_count()),
-        patterns,
-        seed,
-    )
-}
-
-/// Like [`observabilities`] but under independent per-input biases.
 #[must_use]
 pub fn observabilities_biased(
     circuit: &Circuit,
     sampler: &crate::InputSampler,
     patterns: u64,
     seed: u64,
-) -> ObservabilityEstimate {
+) -> (Vec<Vec<f64>>, Vec<f64>) {
     let n = circuit.len();
     let outputs: Vec<usize> = circuit.outputs().iter().map(|o| o.node().index()).collect();
     let blocks = patterns.div_ceil(64).max(1);
@@ -296,15 +190,17 @@ pub fn observabilities_biased(
         .collect();
     #[allow(clippy::cast_precision_loss)]
     let any_output = any_counts.into_iter().map(|c| c as f64 / total).collect();
-    ObservabilityEstimate {
-        per_output,
-        any_output,
-    }
+    (per_output, any_output)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InputSampler;
+
+    fn uniform(c: &Circuit) -> InputSampler {
+        InputSampler::uniform(c.input_count())
+    }
 
     #[test]
     fn signal_probabilities_of_basic_gates() {
@@ -315,7 +211,7 @@ mod tests {
         let or = c.or([a, b]);
         let xor = c.xor([a, b]);
         c.add_output("y", xor);
-        let p = signal_probabilities(&c, 1 << 16, 42);
+        let (_, p) = weight_samples_biased(&c, &uniform(&c), 1 << 16, 42);
         assert!((p[a.index()] - 0.5).abs() < 0.01);
         assert!((p[and.index()] - 0.25).abs() < 0.01);
         assert!((p[or.index()] - 0.75).abs() < 0.01);
@@ -330,7 +226,7 @@ mod tests {
         let g = c.and([a, b]);
         c.add_output("y", g);
         let patterns = 1u64 << 14;
-        let counts = joint_input_counts(&c, patterns, 3);
+        let (counts, _) = weight_samples_biased(&c, &uniform(&c), patterns, 3);
         let w = &counts[g.index()];
         assert_eq!(w.len(), 4);
         let total: u64 = w.iter().sum();
@@ -350,7 +246,7 @@ mod tests {
         let a = c.add_input("a");
         let g = c.xor([a, a]);
         c.add_output("y", g);
-        let counts = joint_input_counts(&c, 4096, 9);
+        let (counts, _) = weight_samples_biased(&c, &uniform(&c), 4096, 9);
         let w = &counts[g.index()];
         assert_eq!(w[0b01], 0);
         assert_eq!(w[0b10], 0);
@@ -363,7 +259,7 @@ mod tests {
         let ins: Vec<_> = (0..6).map(|i| c.add_input(format!("x{i}"))).collect();
         let g = c.and(ins);
         c.add_output("y", g);
-        let counts = joint_input_counts(&c, 4096, 1);
+        let (counts, _) = weight_samples_biased(&c, &uniform(&c), 4096, 1);
         let w = &counts[g.index()];
         assert_eq!(w.len(), 64);
         assert_eq!(w.iter().sum::<u64>(), 4096);
@@ -379,12 +275,12 @@ mod tests {
         let g = c.and([a, b]);
         let y = c.or([g, x]);
         c.add_output("y", y);
-        let obs = observabilities(&c, 1 << 15, 5);
-        assert!((obs.at_output(g, 0) - 0.5).abs() < 0.02);
-        assert!((obs.at_output(x, 0) - 0.75).abs() < 0.02);
-        assert!((obs.at_output(y, 0) - 1.0).abs() < 1e-12);
-        assert!((obs.any(g) - 0.5).abs() < 0.02);
-        assert_eq!(obs.len(), c.len());
+        let (per_output, any) = observabilities_biased(&c, &uniform(&c), 1 << 15, 5);
+        assert!((per_output[g.index()][0] - 0.5).abs() < 0.02);
+        assert!((per_output[x.index()][0] - 0.75).abs() < 0.02);
+        assert!((per_output[y.index()][0] - 1.0).abs() < 1e-12);
+        assert!((any[g.index()] - 0.5).abs() < 0.02);
+        assert_eq!((per_output.len(), any.len()), (c.len(), c.len()));
     }
 
     #[test]
@@ -397,10 +293,10 @@ mod tests {
         let y2 = c.and([g, b]);
         c.add_output("y1", g);
         c.add_output("y2", y2);
-        let obs = observabilities(&c, 1 << 15, 8);
-        assert!((obs.at_output(g, 0) - 1.0).abs() < 1e-12);
-        assert!((obs.at_output(g, 1) - 0.5).abs() < 0.02);
+        let (per_output, any) = observabilities_biased(&c, &uniform(&c), 1 << 15, 8);
+        assert!((per_output[g.index()][0] - 1.0).abs() < 1e-12);
+        assert!((per_output[g.index()][1] - 0.5).abs() < 0.02);
         // any-output observability is 1 (always visible at y1)
-        assert!((obs.any(g) - 1.0).abs() < 1e-12);
+        assert!((any[g.index()] - 1.0).abs() < 1e-12);
     }
 }

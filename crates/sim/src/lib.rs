@@ -25,9 +25,9 @@
 //!   the Monte Carlo engine and the ε-sweep drivers in `relogic::sweep`.
 //! * [`exact_reliability`] / [`flip_influence`] — exhaustive ground truth
 //!   for small circuits.
-//! * [`signal_probabilities`] / [`joint_input_counts`] /
-//!   [`observabilities`] — sampling backends for the quantities the
-//!   analytical engines need (weight vectors, observabilities).
+//! * [`weight_samples_biased`] / [`observabilities_biased`] — sampling
+//!   backends for the quantities the analytical engines need (weight
+//!   vectors and signal probabilities from one pass; observability rows).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -59,11 +59,7 @@ pub const CHAOS_FEATURE_GATED: () = ();
 pub use bits::{stats, BiasedBits, DEFAULT_RESOLUTION};
 pub use cancel::{CancelToken, Cancelled};
 pub use error::SimError;
-pub use estimate::{
-    joint_input_counts, joint_input_counts_biased, observabilities, observabilities_biased,
-    signal_probabilities, signal_probabilities_biased, weight_samples_biased,
-    ObservabilityEstimate, MAX_COUNTED_ARITY,
-};
+pub use estimate::{observabilities_biased, weight_samples_biased, MAX_COUNTED_ARITY};
 pub use exec::{available_threads, ChunkExecutor, SubmitRejection};
 pub use exhaustive::{exact_reliability, flip_influence, ExactReliability};
 pub use monte_carlo::{try_estimate, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate};

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 use relogic_netlist::{Circuit, GateKind, NodeId};
 use relogic_sim::{
-    exact_reliability, flip_influence, signal_probabilities, try_estimate, MonteCarloConfig,
+    exact_reliability, flip_influence, try_estimate, weight_samples_biased, InputSampler,
+    MonteCarloConfig,
 };
 
 fn random_circuit(ops: &[(u8, u8, u8)], inputs: usize) -> Circuit {
@@ -73,7 +74,8 @@ proptest! {
 
     #[test]
     fn signal_probabilities_match_truth_table((c, _e) in arb_case()) {
-        let probs = signal_probabilities(&c, 1 << 14, 3);
+        let (_, probs) =
+            weight_samples_biased(&c, &InputSampler::uniform(c.input_count()), 1 << 14, 3);
         // Brute-force count per node.
         let m = c.input_count();
         let mut ones = vec![0usize; c.len()];

@@ -268,15 +268,31 @@ pub fn decode_weights(payload: &[u8]) -> Result<Weights, ContainerError> {
     Weights::from_parts(vectors, signal_probs).map_err(ContainerError::Malformed)
 }
 
-/// Encodes an observability matrix together with its run diagnostics.
-#[must_use]
-pub fn encode_observability(matrix: &ObservabilityMatrix) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Writes an observability matrix's rows: the per-output rows (a counted
+/// sequence of `f64` sequences), then the any-output values.
+fn write_rows(w: &mut Writer, matrix: &ObservabilityMatrix) {
     w.u64(matrix.per_output_rows().len() as u64);
     for row in matrix.per_output_rows() {
         w.f64_slice(row);
     }
     w.f64_slice(matrix.any_output_values());
+}
+
+/// Reads what [`write_rows`] wrote.
+fn read_rows(r: &mut Reader<'_>) -> Result<(Vec<Vec<f64>>, Vec<f64>), ContainerError> {
+    let n = r.count(8)?;
+    let mut per_output = Vec::with_capacity(n);
+    for _ in 0..n {
+        per_output.push(r.f64_vec()?);
+    }
+    Ok((per_output, r.f64_vec()?))
+}
+
+/// Encodes an observability matrix together with its run diagnostics.
+#[must_use]
+pub fn encode_observability(matrix: &ObservabilityMatrix) -> Vec<u8> {
+    let mut w = Writer::new();
+    write_rows(&mut w, matrix);
     let d = matrix.diagnostics();
     w.u64(d.prob_clamps());
     w.u64(d.coeff_saturations());
@@ -308,12 +324,7 @@ pub fn encode_observability(matrix: &ObservabilityMatrix) -> Vec<u8> {
 /// invariant, a bad diagnostics flag, or trailing bytes.
 pub fn decode_observability(payload: &[u8]) -> Result<ObservabilityMatrix, ContainerError> {
     let mut r = Reader::new(payload);
-    let n = r.count(8)?;
-    let mut per_output = Vec::with_capacity(n);
-    for _ in 0..n {
-        per_output.push(r.f64_vec()?);
-    }
-    let any_output = r.f64_vec()?;
+    let (per_output, any_output) = read_rows(&mut r)?;
     let prob_clamps = r.u64()?;
     let coeff_saturations = r.u64()?;
     let theta_clamps = r.u64()?;
@@ -351,38 +362,32 @@ pub fn decode_observability(payload: &[u8]) -> Result<ObservabilityMatrix, Conta
         .map_err(ContainerError::Malformed)
 }
 
-/// Encodes a propagation estimate (signal probabilities + per-output and
-/// any-output observability estimates).
+/// Encodes a propagation estimate: its signal probabilities, then its
+/// observability rows in the matrix row encoding (no diagnostics).
 #[must_use]
 pub fn encode_estimate(estimate: &PropagationEstimate) -> Vec<u8> {
     let mut w = Writer::new();
     w.f64_slice(estimate.signal_probs());
-    w.u64(estimate.per_output_rows().len() as u64);
-    for row in estimate.per_output_rows() {
-        w.f64_slice(row);
-    }
-    w.f64_slice(estimate.any_output_values());
+    write_rows(&mut w, estimate.observabilities());
     w.buf
 }
 
-/// Decodes a propagation estimate, revalidating via
+/// Decodes a propagation estimate, revalidating the rows via
+/// [`ObservabilityMatrix::from_parts`] and the whole via
 /// [`PropagationEstimate::from_parts`].
 ///
 /// # Errors
 ///
-/// [`ContainerError::Malformed`] on truncation, a violated estimate
-/// invariant (shape mismatch, non-probability value), or trailing bytes.
+/// [`ContainerError::Malformed`] on truncation, a violated matrix or
+/// estimate invariant (shape mismatch, non-finite value, signal
+/// probability outside `[0, 1]`), or trailing bytes.
 pub fn decode_estimate(payload: &[u8]) -> Result<PropagationEstimate, ContainerError> {
     let mut r = Reader::new(payload);
     let signal_probs = r.f64_vec()?;
-    let n = r.count(8)?;
-    let mut per_output = Vec::with_capacity(n);
-    for _ in 0..n {
-        per_output.push(r.f64_vec()?);
-    }
-    let any_output = r.f64_vec()?;
+    let (per_output, any_output) = read_rows(&mut r)?;
     r.finish()?;
-    PropagationEstimate::from_parts(signal_probs, per_output, any_output)
+    ObservabilityMatrix::from_parts(per_output, any_output, Diagnostics::new())
+        .and_then(|matrix| PropagationEstimate::from_parts(signal_probs, matrix))
         .map_err(ContainerError::Malformed)
 }
 
@@ -423,26 +428,56 @@ mod tests {
         assert!(decode_estimate(&bytes).is_err());
     }
 
+    fn estimate(
+        signal_probs: Vec<f64>,
+        per_output: Vec<Vec<f64>>,
+        any_output: Vec<f64>,
+    ) -> PropagationEstimate {
+        let matrix =
+            ObservabilityMatrix::from_parts(per_output, any_output, Diagnostics::new()).unwrap();
+        PropagationEstimate::from_parts(signal_probs, matrix).unwrap()
+    }
+
     #[test]
     fn estimate_round_trips_bit_exactly() {
-        let est = PropagationEstimate::from_parts(
+        let est = estimate(
             vec![0.5, 0.25, 1.0],
             vec![vec![1.0, 0.0], vec![0.5, 0.125], vec![0.0, 1.0]],
             vec![1.0, 0.5625, 1.0],
-        )
-        .unwrap();
+        );
         let decoded = decode_estimate(&encode_estimate(&est)).unwrap();
         assert_eq!(decoded, est);
     }
 
     #[test]
-    fn truncated_estimate_is_malformed_not_a_panic() {
-        let est = PropagationEstimate::from_parts(
-            vec![0.5, 0.25],
-            vec![vec![1.0], vec![0.5]],
-            vec![1.0, 0.5],
+    fn estimate_payload_layout_is_pinned() {
+        // Recorded from the encoder that wrote the estimator's own row
+        // arrays, before the estimate held an `ObservabilityMatrix`:
+        // stores written then must keep decoding, bit for bit.
+        const PINNED: &str = "\
+            0500000000000000000000000000e03f000000000000e03f000000000000d03f\
+            000000000000e83f000000000000e03f05000000000000000200000000000000\
+            000000000000e03f000000000000f03f0200000000000000000000000000e03f\
+            000000000000e03f0200000000000000000000000000f03f000000000000f03f\
+            0200000000000000000000000000f03f00000000000000000200000000000000\
+            0000000000000000000000000000f03f0500000000000000000000000000f03f\
+            000000000000e03f000000000000f03f000000000000f03f000000000000f03f";
+        let c = relogic_netlist::bench::parse(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n\
+             g = AND(a, b)\ny = NOT(g)\nz = XOR(a, g)\n",
         )
         .unwrap();
+        let est =
+            PropagationEstimate::try_compute(&c, &relogic::InputDistribution::Uniform).unwrap();
+        let bytes = encode_estimate(&est);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED);
+        assert_eq!(decode_estimate(&bytes).unwrap(), est);
+    }
+
+    #[test]
+    fn truncated_estimate_is_malformed_not_a_panic() {
+        let est = estimate(vec![0.5, 0.25], vec![vec![1.0], vec![0.5]], vec![1.0, 0.5]);
         let bytes = encode_estimate(&est);
         for cut in 0..bytes.len() {
             assert!(decode_estimate(&bytes[..cut]).is_err(), "cut at {cut}");

@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example design_space`
 
 use relogic::{
-    consolidate::Consolidator, Backend, GateEps, InputDistribution, SinglePass, SinglePassOptions,
-    Weights,
+    consolidate::Consolidator, Backend, Diagnostics, GateEps, InputDistribution, SinglePass,
+    SinglePassOptions, Weights,
 };
 use relogic_netlist::structure::{depth, total_output_levels, CircuitStats};
 use relogic_netlist::Circuit;
@@ -19,11 +19,11 @@ fn consolidated(c: &Circuit, eps_value: f64, backend: Backend) -> f64 {
     let weights = Weights::try_compute(c, &InputDistribution::Uniform, backend).unwrap();
     let engine = SinglePass::try_new(c, &weights, SinglePassOptions::default()).unwrap();
     let cons = Consolidator::try_new(c, &InputDistribution::Uniform, backend).unwrap();
-    cons.any_output_error(
-        &engine
-            .try_run(&GateEps::try_uniform(c, eps_value).unwrap())
-            .unwrap(),
-    )
+    let result = engine
+        .try_run(&GateEps::try_uniform(c, eps_value).unwrap())
+        .unwrap();
+    cons.try_any_output_error(&result, &mut Diagnostics::new())
+        .unwrap()
 }
 
 fn main() {

@@ -25,13 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- criticality ranking (closed form is exact for single failures) ---
     let obs = ObservabilityMatrix::compute(&c, &InputDistribution::Uniform, backend);
     println!("top 10 soft-error-critical gates of b9 (ε·o, any-output observability):");
-    let mut ranked: Vec<_> = c
-        .node_ids()
-        .filter(|&id| c.node(id).kind().is_gate())
-        .map(|id| (id, eps.get(id) * obs.any(id)))
-        .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-    for (id, crit) in ranked.iter().take(10) {
+    for (id, crit) in obs.criticality(&c, &eps).iter().take(10) {
         println!(
             "  {:>5}  kind {:5}  criticality {:.3e}  observability {:.3}",
             c.display_name(*id),

@@ -249,7 +249,9 @@ fn observability_exclusive_pairs_are_a_known_limitation() {
     let r = analyze(&c, e);
     let stats = exact_pair_stats(&c, &GateEps::try_uniform(&c, e).unwrap(), p, q);
     let exact_joint: f64 = stats.joint.iter().flatten().sum();
-    let modeled = cons.try_joint_error(&r, 0, 1).unwrap();
+    let modeled = cons
+        .try_joint_error(&r, 0, 1, &mut relogic::Diagnostics::new())
+        .unwrap();
     // Overestimates, but stays within the hard bounds and within ~3× —
     // the envelope observed on the SEC lattices.
     assert!(modeled >= exact_joint - 1e-12, "direction of the bias");
