@@ -1,12 +1,13 @@
 //! Criterion bench: Monte Carlo fault-injection throughput — the "Monte
 //! Carlo" runtime column of Table 2 (per evaluation, scaled pattern count)
-//! plus the raw packed-simulator and biased-bit kernels it is built from.
+//! plus the tape block evaluator and the biased-bit kernel the sampled
+//! passes are built from.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use relogic::GateEps;
-use relogic_sim::{try_estimate, BiasedBits, MonteCarloConfig, PackedSim};
+use relogic_sim::{try_estimate, BiasedBits, CircuitTape, MonteCarloConfig};
 use std::hint::black_box;
 
 fn bench_monte_carlo(c: &mut Criterion) {
@@ -27,17 +28,21 @@ fn bench_monte_carlo(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_packed_sim(c: &mut Criterion) {
+fn bench_tape_block(c: &mut Criterion) {
     let circuit = relogic_gen::suite::i10();
-    let mut sim = PackedSim::new(&circuit);
+    let tape = CircuitTape::compile(&circuit);
+    let mut words = vec![0u64; tape.n_slots()];
     let mut rng = SmallRng::seed_from_u64(3);
-    let mut group = c.benchmark_group("packed_sim_block");
+    let out = tape.output_slots()[0] as usize;
+    let mut group = c.benchmark_group("tape_eval_block");
     group.throughput(Throughput::Elements(64));
-    group.bench_function("i10_propagate", |b| {
+    group.bench_function("i10", |b| {
         b.iter(|| {
-            sim.randomize_inputs(&mut rng);
-            sim.propagate(&circuit);
-            black_box(sim.words()[circuit.len() - 1])
+            for &slot in tape.input_slots() {
+                words[slot as usize] = rng.next_u64();
+            }
+            tape.eval_block(&mut words, None);
+            black_box(words[out])
         });
     });
     group.finish();
@@ -61,7 +66,7 @@ fn bench_biased_bits(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_monte_carlo,
-    bench_packed_sim,
+    bench_tape_block,
     bench_biased_bits
 );
 criterion_main!(benches);

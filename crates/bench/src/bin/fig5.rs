@@ -7,8 +7,8 @@
 //! ```
 
 use relogic::{
-    consolidate::Consolidator, sweep, GateEps, InputDistribution, SinglePass, SinglePassOptions,
-    Weights,
+    consolidate::Consolidator, sweep, Diagnostics, GateEps, InputDistribution, SinglePass,
+    SinglePassOptions, Weights,
 };
 use relogic_bench::{backend_for, render_table, Cli};
 use relogic_sim::MonteCarloConfig;
@@ -60,11 +60,12 @@ fn main() {
         Consolidator::try_for_pairs(&circuit, &[(a, b)], &InputDistribution::Uniform, backend)
             .unwrap();
     let mut rows = Vec::with_capacity(points);
+    let mut diag = Diagnostics::new();
     for (i, &e) in grid.iter().enumerate() {
         let eps = GateEps::try_uniform(&circuit, e).unwrap();
         let rc = corr_engine.try_run(&eps).unwrap();
         let rp = plain_engine.try_run(&eps).unwrap();
-        let with_corr = consolidator.try_pair_error(&rc, a, b).unwrap();
+        let with_corr = consolidator.try_pair_error(&rc, a, b, &mut diag).unwrap();
         // Independence assumption: P(e_a ∪ e_b) = δa + δb − δa·δb.
         let da = rp.per_output()[a];
         let db = rp.per_output()[b];
@@ -95,5 +96,11 @@ fn main() {
     println!(
         "SP+corr uses the S4.1 correlation coefficients at the two outputs;\n\
          SP indep assumes the output error events are independent."
+    );
+    println!(
+        "SP+corr joint-term clamps over the grid: {} coefficient saturations, \
+         {} probability clamps",
+        diag.coeff_saturations(),
+        diag.prob_clamps()
     );
 }

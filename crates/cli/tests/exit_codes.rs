@@ -71,6 +71,41 @@ fn expired_deadline_exits_9_with_empty_stdout() {
 }
 
 #[test]
+fn sampled_observability_honours_the_deadline() {
+    // A million sampled patterns take seconds on c1908; the simulation
+    // backend checks the token once per 64-pattern block in every worker,
+    // so both commands stop within the deadline plus 250 ms.
+    let p = netlist(
+        "c1908.bench",
+        &relogic_netlist::bench::write(&relogic_gen::suite::build("c1908").unwrap()),
+    )
+    .display()
+    .to_string();
+    for command in ["observability", "rank"] {
+        let started = std::time::Instant::now();
+        let out = cli(&[
+            command,
+            &p,
+            "--backend",
+            "sim",
+            "--patterns",
+            "1048576",
+            "--threads",
+            "2",
+            "--deadline-ms",
+            "500",
+        ]);
+        let elapsed = started.elapsed();
+        assert_eq!(out.status.code(), Some(9), "{command}: {out:?}");
+        assert!(out.stdout.is_empty(), "{command}: partial output {out:?}");
+        assert!(
+            elapsed < std::time::Duration::from_millis(750),
+            "{command}: exited after {elapsed:?}"
+        );
+    }
+}
+
+#[test]
 fn malformed_netlist_exits_4_with_file_and_line() {
     let p = netlist("broken.bench", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
         .display()

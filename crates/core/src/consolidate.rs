@@ -126,31 +126,25 @@ impl Consolidator {
                     .collect()
             }
             Backend::Simulation { patterns, seed } => {
-                use rand::SeedableRng;
-                let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(circuit));
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-                let mut sim = relogic_sim::PackedSim::new(circuit);
-                let blocks = patterns.div_ceil(64).max(1);
-                let mut counts: HashMap<(usize, usize), [u64; 4]> =
-                    pairs.iter().map(|&p| (p, [0u64; 4])).collect();
-                for _ in 0..blocks {
-                    sampler.fill(&mut sim, &mut rng);
-                    sim.propagate(circuit);
-                    for (&(a, b), slot) in &mut counts {
-                        let wa = sim.node_word(output_nodes[a]);
-                        let wb = sim.node_word(output_nodes[b]);
-                        slot[0b00] += u64::from((!wa & !wb).count_ones());
-                        slot[0b01] += u64::from((wa & !wb).count_ones());
-                        slot[0b10] += u64::from((!wa & wb).count_ones());
-                        slot[0b11] += u64::from((wa & wb).count_ones());
-                    }
-                }
+                let tuples: Vec<[NodeId; 2]> = pairs
+                    .iter()
+                    .map(|&(a, b)| [output_nodes[a], output_nodes[b]])
+                    .collect();
+                let (counts, _) = relogic_sim::sample_joint_counts(
+                    circuit,
+                    &dist.position_probs(circuit),
+                    patterns,
+                    seed,
+                    &tuples,
+                );
                 #[allow(clippy::cast_precision_loss)]
-                let total = (blocks * 64) as f64;
-                #[allow(clippy::cast_precision_loss)]
-                counts
-                    .into_iter()
-                    .map(|(p, c)| (p, c.map(|x| x as f64 / total)))
+                pairs
+                    .iter()
+                    .zip(counts)
+                    .map(|(&p, c)| {
+                        let total = c.iter().sum::<u64>() as f64;
+                        (p, [0, 1, 2, 3].map(|combo| c[combo] as f64 / total))
+                    })
                     .collect()
             }
         };
@@ -213,7 +207,9 @@ impl Consolidator {
     }
 
     /// Probability that at least one of outputs `a`, `b` is in error — the
-    /// quantity plotted in the paper's Fig. 5.
+    /// quantity plotted in the paper's Fig. 5. Clamp events of the joint
+    /// term are accumulated into `diag`, as in
+    /// [`Consolidator::try_joint_error`].
     ///
     /// # Errors
     ///
@@ -223,10 +219,11 @@ impl Consolidator {
         result: &SinglePassResult,
         a: usize,
         b: usize,
+        diag: &mut Diagnostics,
     ) -> Result<f64, RelogicError> {
         let da = result.per_output()[a];
         let db = result.per_output()[b];
-        let joint = self.try_joint_error(result, a, b, &mut Diagnostics::new())?;
+        let joint = self.try_joint_error(result, a, b, diag)?;
         Ok((da + db - joint).clamp(da.max(db), (da + db).min(1.0)))
     }
 
@@ -361,7 +358,9 @@ mod tests {
                 "ε={e}: consolidated {any} vs exact {}",
                 exact.any_output
             );
-            let pair = cons.try_pair_error(&r, 0, 1).unwrap();
+            let pair = cons
+                .try_pair_error(&r, 0, 1, &mut Diagnostics::new())
+                .unwrap();
             assert!((pair - exact.any_output).abs() < 0.05);
         }
     }
@@ -439,7 +438,9 @@ mod tests {
             .unwrap()
             .try_run(&GateEps::try_uniform(&c, 0.1).unwrap())
             .unwrap();
-        let _ = cons.try_pair_error(&r, 0, 1).unwrap();
+        let _ = cons
+            .try_pair_error(&r, 0, 1, &mut Diagnostics::new())
+            .unwrap();
     }
 
     #[test]
@@ -467,7 +468,7 @@ mod tests {
             Err(RelogicError::MissingOutputPair { a: 0, b: 1 })
         ));
         assert!(matches!(
-            empty.try_pair_error(&r, 0, 1),
+            empty.try_pair_error(&r, 0, 1, &mut Diagnostics::new()),
             Err(RelogicError::MissingOutputPair { .. })
         ));
         let mut diag = Diagnostics::new();
@@ -483,6 +484,33 @@ mod tests {
         // The accumulator never changes the answer.
         assert_eq!(first.to_bits(), any(&cons, &r).to_bits());
         assert!(diag.worst_excursion().is_finite());
+    }
+
+    #[test]
+    fn pair_error_reports_joint_clamps_to_the_caller() {
+        // A random netlist whose output pair (2, 3) has a correlation
+        // coefficient that overshoots at ε = 0.01: the joint term's
+        // coefficient product saturates.
+        let c = relogic_gen::generate(&relogic_gen::RandomCircuitConfig {
+            name: "clamp".into(),
+            inputs: 6,
+            gates: 21,
+            outputs: 5,
+            seed: 11,
+            max_arity: 2,
+            xor_fraction: 0.3,
+            locality: 4,
+            global_edge_fraction: 0.3,
+        });
+        let (r, cons, _) = analyzed(&c, 0.01);
+        let mut diag = Diagnostics::new();
+        let pair = cons.try_pair_error(&r, 2, 3, &mut diag).unwrap();
+        assert_eq!(diag.coeff_saturations(), 1);
+        assert!(diag.worst_excursion() > 0.0);
+        // The accumulator never changes the answer, and it sums across calls.
+        let again = cons.try_pair_error(&r, 2, 3, &mut diag).unwrap();
+        assert_eq!(pair.to_bits(), again.to_bits());
+        assert_eq!(diag.coeff_saturations(), 2);
     }
 
     #[test]

@@ -312,8 +312,8 @@ impl ObservabilityMatrix {
     }
 
     /// Fallible [`ObservabilityMatrix::compute`] with an explicit worker
-    /// thread count for the BDD backend (`0` auto-detects the hardware),
-    /// checking `cancel` while it works.
+    /// thread count (`0` auto-detects the hardware), checking `cancel`
+    /// while it works.
     ///
     /// The BDD backend's backward sweep is split by post-dominator tree:
     /// each worker sweeps whole trees, computing every output column plus
@@ -327,11 +327,16 @@ impl ObservabilityMatrix {
     /// variable order, so a node's row does not depend on which worker
     /// computed it, and rows are reassembled in node order.
     ///
-    /// The BDD backend checks `cancel` per post-dominator tree and per node of the
-    /// backward sweep; the simulation backend checks once before the
-    /// pattern run. A run that completes before the token fires returns
-    /// values bit-identical to an uncancelled run — the checks are
-    /// read-only early exits that never perturb the computation.
+    /// The simulation backend splits the target nodes across workers;
+    /// every worker replays the same sampled input stream, so the counts
+    /// are bit-identical for every thread count as well.
+    ///
+    /// The BDD backend checks `cancel` per post-dominator tree and per
+    /// node of the backward sweep; the simulation backend checks it once
+    /// per 64-pattern block in every worker. A run that completes before
+    /// the token fires returns values bit-identical to an uncancelled run
+    /// — the checks are read-only early exits that never perturb the
+    /// computation.
     ///
     /// # Errors
     ///
@@ -355,10 +360,14 @@ impl ObservabilityMatrix {
                 Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
             }
             Backend::Simulation { patterns, seed } => {
-                cancel.check("obs_sim")?;
-                let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(circuit));
-                let (per_output, any_output) =
-                    relogic_sim::observabilities_biased(circuit, &sampler, patterns, seed);
+                let (per_output, any_output) = relogic_sim::observabilities_biased(
+                    circuit,
+                    &dist.position_probs(circuit),
+                    patterns,
+                    seed,
+                    threads,
+                    cancel,
+                )?;
                 Ok(ObservabilityMatrix {
                     per_output,
                     any_output,

@@ -128,9 +128,14 @@ impl Weights {
     }
 
     fn compute_sim(circuit: &Circuit, dist: &InputDistribution, patterns: u64, seed: u64) -> Self {
-        let sampler = relogic_sim::InputSampler::independent(&dist.position_probs(circuit));
-        let (counts, signal_probs) =
-            relogic_sim::weight_samples_biased(circuit, &sampler, patterns, seed);
+        let fanins: Vec<&[NodeId]> = circuit.iter().map(|(_, node)| node.fanins()).collect();
+        let (counts, signal_probs) = relogic_sim::sample_joint_counts(
+            circuit,
+            &dist.position_probs(circuit),
+            patterns,
+            seed,
+            &fanins,
+        );
         #[allow(clippy::cast_precision_loss)]
         let vectors = counts
             .into_iter()

@@ -2,10 +2,10 @@
 //!
 //! Three contracts, each pitted against randomized circuits:
 //!
-//! 1. **Functional equivalence** — the instruction tape computes the same
-//!    Boolean function as the graph simulator, checked by exhaustive
-//!    enumeration of every input assignment (circuits are capped at 12
-//!    inputs so 2^n enumeration stays cheap).
+//! 1. **Functional equivalence** — the tape's block evaluator computes the
+//!    same value at every node as the scalar `Circuit::eval_all`, checked
+//!    on every input assignment (circuits are capped at 12 inputs so 2^n
+//!    enumeration stays cheap).
 //! 2. **Monte Carlo bit-identity** — `try_estimate_tape` returns the same
 //!    bits for every worker-thread count: the position-based RNG makes the
 //!    sample set a pure function of (seed, pattern index), not of the
@@ -23,10 +23,7 @@ use relogic::{
     Weights,
 };
 use relogic_netlist::{Circuit, GateKind, NodeId};
-use relogic_sim::{
-    exhaustive_block_count, exhaustive_lane_mask, exhaustive_word, try_estimate_tape, CircuitTape,
-    MonteCarloConfig, PackedSim,
-};
+use relogic_sim::{try_estimate_tape, CircuitTape, MonteCarloConfig};
 
 /// Recipe for one random gate: a kind selector plus two fanin selectors
 /// (reduced modulo the number of already-built nodes).
@@ -75,65 +72,37 @@ fn build_circuit(seed: &CircuitSeed) -> Circuit {
     c
 }
 
-/// Evaluates 64 packed assignments through the tape's own instruction
-/// stream (slot order, slot-space fanins), independent of the graph.
-fn tape_words(tape: &CircuitTape, block: u64) -> Vec<u64> {
-    let mut words = vec![0u64; tape.n_slots()];
-    for (position, &slot) in tape.input_slots().iter().enumerate() {
-        words[slot as usize] = exhaustive_word(position, block);
-    }
-    for slot in 0..tape.n_slots() {
-        let fold = |init: u64, f: fn(u64, u64) -> u64| {
-            tape.fanins(slot)
-                .iter()
-                .fold(init, |acc, &x| f(acc, words[x as usize]))
-        };
-        words[slot] = match tape.kind(slot) {
-            GateKind::Input => continue,
-            GateKind::Const(b) => {
-                if b {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
-            GateKind::Buf => fold(0, |a, b| a | b),
-            GateKind::Not => !fold(0, |a, b| a | b),
-            GateKind::And => fold(u64::MAX, |a, b| a & b),
-            GateKind::Nand => !fold(u64::MAX, |a, b| a & b),
-            GateKind::Or => fold(0, |a, b| a | b),
-            GateKind::Nor => !fold(0, |a, b| a | b),
-            GateKind::Xor => fold(0, |a, b| a ^ b),
-            GateKind::Xnor => !fold(0, |a, b| a ^ b),
-        };
-    }
-    words
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Exhaustive equivalence: for every input assignment, every node's
-    /// value computed through the compiled tape equals the graph
-    /// simulator's. Catches any slot-mapping, fanin-rewiring, or
-    /// level-ordering bug in tape compilation.
+    /// value from the tape's block evaluator equals the scalar
+    /// `Circuit::eval_all`. Catches any slot-mapping, fanin-rewiring,
+    /// level-ordering or word-rule bug in the tape.
     #[test]
     fn tape_matches_graph_on_every_input_assignment(seed in arb_circuit()) {
         let c = build_circuit(&seed);
         let tape = CircuitTape::compile(&c);
-        let mut sim = PackedSim::new(&c);
-        for block in 0..exhaustive_block_count(c.input_count()) {
-            let mask = exhaustive_lane_mask(c.input_count());
-            sim.exhaustive_inputs(block);
-            sim.propagate(&c);
-            let words = tape_words(&tape, block);
-            for i in 0..c.len() {
-                let graph = sim.node_word(NodeId::from_index(i)) & mask;
-                let tape_w = words[tape.slot_of_node(i)] & mask;
-                prop_assert_eq!(
-                    graph, tape_w,
-                    "node {} disagrees in block {}", i, block
-                );
+        let m = c.input_count();
+        let mut words = vec![0u64; tape.n_slots()];
+        for first in (0..1usize << m).step_by(64) {
+            // Lane `l` carries assignment `first + l`: input `j` takes
+            // bit `j` of the assignment index.
+            let lanes = (1usize << m).min(first + 64) - first;
+            for (j, &slot) in tape.input_slots().iter().enumerate() {
+                words[slot as usize] = (0..lanes)
+                    .filter(|l| (first + l) >> j & 1 == 1)
+                    .fold(0u64, |w, l| w | 1 << l);
+            }
+            tape.eval_block(&mut words, None);
+            for l in 0..lanes {
+                let bits: Vec<bool> = (0..m).map(|j| (first + l) >> j & 1 == 1).collect();
+                for (i, &v) in c.eval_all(&bits).iter().enumerate() {
+                    prop_assert_eq!(
+                        words[tape.slot_of_node(i)] >> l & 1 == 1, v,
+                        "node {} disagrees at assignment {}", i, first + l
+                    );
+                }
             }
         }
     }

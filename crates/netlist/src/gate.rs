@@ -1,9 +1,10 @@
 //! Gate kinds and their Boolean semantics.
 //!
 //! [`GateKind`] is the single source of truth for how a node computes its
-//! value: scalar evaluation, 64-lane packed evaluation, truth-table
-//! enumeration, and arity constraints all live here so that the simulator,
-//! the BDD bridge, and the analytical engines cannot drift apart.
+//! value: scalar evaluation, truth-table enumeration, and arity constraints
+//! all live here so that the BDD bridge and the analytical engines cannot
+//! drift apart. The 64-lane word rule lives with the compiled tape in
+//! `relogic-sim`, which is checked against [`GateKind::eval`].
 
 use std::fmt;
 
@@ -174,36 +175,6 @@ impl GateKind {
         }
     }
 
-    /// Evaluates the gate across 64 packed patterns at once.
-    ///
-    /// Bit `k` of the result is the gate output for pattern `k`; this is the
-    /// kernel of the parallel-pattern simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) under the same conditions as [`GateKind::eval`].
-    #[must_use]
-    pub fn eval_word(self, fanins: &[u64]) -> u64 {
-        debug_assert!(
-            self.accepts_arity(fanins.len()),
-            "{self:?} cannot take {} fanins",
-            fanins.len()
-        );
-        match self {
-            GateKind::Input => panic!("primary inputs have no evaluation rule"),
-            GateKind::Const(false) => 0,
-            GateKind::Const(true) => u64::MAX,
-            GateKind::Buf => fanins[0],
-            GateKind::Not => !fanins[0],
-            GateKind::And => fanins.iter().fold(u64::MAX, |acc, &w| acc & w),
-            GateKind::Nand => !fanins.iter().fold(u64::MAX, |acc, &w| acc & w),
-            GateKind::Or => fanins.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Nor => !fanins.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Xor => fanins.iter().fold(0, |acc, &w| acc ^ w),
-            GateKind::Xnor => !fanins.iter().fold(0, |acc, &w| acc ^ w),
-        }
-    }
-
     /// Evaluates the gate on the fanin combination encoded by `combo`.
     ///
     /// Bit `j` of `combo` is the value of fanin `j`. This is the
@@ -342,40 +313,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn word_eval_matches_scalar_eval() {
-        // Pack all 16 combinations of 4 inputs into the low 16 lanes.
-        let mut lanes = [0u64; 4];
-        for combo in 0..16 {
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                if combo >> j & 1 != 0 {
-                    *lane |= 1 << combo;
-                }
-            }
-        }
-        for kind in [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ] {
-            let word = kind.eval_word(&lanes);
-            for combo in 0..16 {
-                assert_eq!(
-                    word >> combo & 1 != 0,
-                    kind.eval(&bits(combo, 4)),
-                    "{kind:?} combo {combo:04b}"
-                );
-            }
-        }
-        assert_eq!(GateKind::Not.eval_word(&[0b10]), !0b10);
-        assert_eq!(GateKind::Buf.eval_word(&[0b10]), 0b10);
-        assert_eq!(GateKind::Const(true).eval_word(&[]), u64::MAX);
-        assert_eq!(GateKind::Const(false).eval_word(&[]), 0);
     }
 
     #[test]

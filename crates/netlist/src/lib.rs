@@ -8,9 +8,9 @@
 //!   construction (gates can only reference already-created fanins), so it
 //!   can never contain a combinational cycle and analyses can sweep nodes in
 //!   id order.
-//! * [`GateKind`] — the Boolean semantics of every node, with scalar,
-//!   64-lane packed, and truth-table-combination evaluation kernels shared
-//!   by the simulator and the analytical reliability engines.
+//! * [`GateKind`] — the Boolean semantics of every node, with scalar and
+//!   truth-table-combination evaluation kernels shared by the analytical
+//!   reliability engines (the scalar rule is the simulator's oracle).
 //! * [`structure`] — logic levels, fanout/stem maps, transitive fanin cones,
 //!   cone extraction, and summary statistics.
 //! * [`bench`](mod@bench) / [`blif`] / [`verilog`] — parsers and writers for the

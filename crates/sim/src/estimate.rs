@@ -1,101 +1,122 @@
 //! Simulation-based estimation backends: signal probabilities, joint
-//! fanin-combination counts (weight vectors), and fault-simulation
-//! observabilities.
+//! value counts (weight vectors and output-pair distributions), and
+//! fault-simulation observabilities.
 //!
 //! These provide the same quantities as the BDD backend in `relogic-bdd`
 //! but scale to circuits whose BDDs blow up, at the cost of sampling noise
-//! `O(1/√patterns)`.
+//! `O(1/√patterns)`. Both run on the compiled tape's block evaluator
+//! ([`CircuitTape::eval_block`]) and draw their inputs from one
+//! `SmallRng(seed)` stream ([`InputSampler`]), so every count is a pure
+//! function of `(input probabilities, patterns, seed)`.
 
-use crate::packed::PackedSim;
+use crate::cancel::{CancelToken, Cancelled};
+use crate::exec::ChunkExecutor;
+use crate::sampler::InputSampler;
+use crate::tape::CircuitTape;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use relogic_netlist::{Circuit, NodeId};
 
-/// Joint fanin-combination counts and signal probabilities from one
-/// simulation pass over `patterns` sampled input patterns.
+/// Joint value counts of node tuples and the signal probability of every
+/// node, from one simulation pass over `patterns` sampled input patterns
+/// (rounded up to whole 64-pattern blocks).
 ///
-/// Count entry `[i][combo]` is the number of patterns on which gate `i`'s
-/// fanins took the values encoded by `combo` (bit `j` of `combo` = value
-/// of fanin `j`); sources (inputs/constants) get an empty vector. These
-/// counts, normalized, are the paper's *weight vectors* — the core
-/// quantity of the single-pass algorithm — estimated by random pattern
-/// simulation as §4(i) suggests. The second half is the fault-free signal
-/// probability `Pr(node = 1)` of every node.
+/// Input position `i` is 1 with probability `input_probs[i]`. Count entry
+/// `[t][combo]` is the number of patterns on which the nodes of
+/// `tuples[t]` took the values encoded by `combo` (bit `j` of `combo` =
+/// value of node `j` of the tuple); an empty tuple gets an empty count
+/// vector. With every gate's fanins as its tuple the counts, normalized,
+/// are the paper's *weight vectors* — the core quantity of the
+/// single-pass algorithm — estimated by random pattern simulation as
+/// §4(i) suggests; with output pairs they are the joint value
+/// distributions the consolidator needs. The second half is the
+/// fault-free signal probability `Pr(node = 1)` of every node.
 ///
 /// # Examples
 ///
 /// ```
 /// use relogic_netlist::Circuit;
-/// use relogic_sim::{weight_samples_biased, InputSampler};
+/// use relogic_sim::sample_joint_counts;
 ///
 /// let mut c = Circuit::new("t");
 /// let a = c.add_input("a");
 /// let b = c.add_input("b");
 /// let g = c.and([a, b]);
 /// c.add_output("y", g);
-/// let (counts, p) = weight_samples_biased(&c, &InputSampler::uniform(2), 1 << 16, 7);
-/// assert_eq!(counts[g.index()].iter().sum::<u64>(), 1 << 16);
+/// let (counts, p) = sample_joint_counts(&c, &[0.5, 0.5], 1 << 16, 7, &[[a, b]]);
+/// assert_eq!(counts[0].iter().sum::<u64>(), 1 << 16);
 /// assert!((p[g.index()] - 0.25).abs() < 0.01);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if any gate has more than [`MAX_COUNTED_ARITY`] fanins.
+/// Panics if a tuple has more than [`MAX_COUNTED_ARITY`] nodes or
+/// `input_probs` holds a probability outside `[0, 1]`.
 #[must_use]
-pub fn weight_samples_biased(
+pub fn sample_joint_counts<T: AsRef<[NodeId]>>(
     circuit: &Circuit,
-    sampler: &crate::InputSampler,
+    input_probs: &[f64],
     patterns: u64,
     seed: u64,
+    tuples: &[T],
 ) -> (Vec<Vec<u64>>, Vec<f64>) {
+    let tape = CircuitTape::compile(circuit);
+    let sampler = InputSampler::independent(input_probs);
     let blocks = patterns.div_ceil(64).max(1);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sim = PackedSim::new(circuit);
-    let mut counts: Vec<Vec<u64>> = circuit
+    let slot_tuples: Vec<Vec<usize>> = tuples
         .iter()
-        .map(|(_, n)| {
-            if n.kind().is_gate() {
-                assert!(
-                    n.arity() <= MAX_COUNTED_ARITY,
-                    "gate arity {} exceeds weight-vector limit {MAX_COUNTED_ARITY}",
-                    n.arity()
-                );
-                vec![0u64; 1 << n.arity()]
-            } else {
+        .map(|t| {
+            let t = t.as_ref();
+            assert!(
+                t.len() <= MAX_COUNTED_ARITY,
+                "tuple of {} nodes exceeds weight-vector limit {MAX_COUNTED_ARITY}",
+                t.len()
+            );
+            t.iter().map(|id| tape.slot_of_node(id.index())).collect()
+        })
+        .collect();
+    let mut counts: Vec<Vec<u64>> = slot_tuples
+        .iter()
+        .map(|t| {
+            if t.is_empty() {
                 Vec::new()
+            } else {
+                vec![0u64; 1 << t.len()]
             }
         })
         .collect();
-    let mut ones = vec![0u64; circuit.len()];
-    let mut fanin_words: Vec<u64> = Vec::with_capacity(MAX_COUNTED_ARITY);
+    let mut ones = vec![0u64; tape.n_slots()];
+    let mut words = vec![0u64; tape.n_slots()];
     for _ in 0..blocks {
-        sampler.fill(&mut sim, &mut rng);
-        sim.propagate(circuit);
-        for (count, &w) in ones.iter_mut().zip(sim.words()) {
+        sampler.fill(&mut words, tape.input_slots(), &mut rng);
+        tape.eval_block(&mut words, None);
+        for (count, &w) in ones.iter_mut().zip(&words) {
             *count += u64::from(w.count_ones());
         }
-        for (id, node) in circuit.iter() {
-            if !node.kind().is_gate() {
+        for (tuple, slot) in slot_tuples.iter().zip(&mut counts) {
+            if tuple.is_empty() {
                 continue;
             }
-            fanin_words.clear();
-            fanin_words.extend(node.fanins().iter().map(|f| sim.words()[f.index()]));
-            let slot = &mut counts[id.index()];
-            if fanin_words.len() <= 4 {
+            if tuple.len() <= 4 {
                 // Bit-sliced: one AND-chain per combination.
                 for (combo, c) in slot.iter_mut().enumerate() {
                     let mut w = u64::MAX;
-                    for (j, &fw) in fanin_words.iter().enumerate() {
-                        w &= if combo >> j & 1 == 1 { fw } else { !fw };
+                    for (j, &s) in tuple.iter().enumerate() {
+                        w &= if combo >> j & 1 == 1 {
+                            words[s]
+                        } else {
+                            !words[s]
+                        };
                     }
                     *c += u64::from(w.count_ones());
                 }
             } else {
-                // Lane-gather for wide gates.
+                // Lane-gather for wide tuples.
                 for lane in 0..64 {
                     let mut combo = 0usize;
-                    for (j, &fw) in fanin_words.iter().enumerate() {
-                        combo |= (((fw >> lane) & 1) as usize) << j;
+                    for (j, &s) in tuple.iter().enumerate() {
+                        combo |= (((words[s] >> lane) & 1) as usize) << j;
                     }
                     slot[combo] += 1;
                 }
@@ -105,101 +126,215 @@ pub fn weight_samples_biased(
     #[allow(clippy::cast_precision_loss)]
     let total = (blocks * 64) as f64;
     #[allow(clippy::cast_precision_loss)]
-    let signal_probs = ones.iter().map(|&c| c as f64 / total).collect();
+    let signal_probs = (0..tape.n_slots())
+        .map(|i| ones[tape.slot_of_node(i)] as f64 / total)
+        .collect();
     (counts, signal_probs)
 }
 
-/// Maximum gate arity supported by weight-vector estimation (the weight
-/// vector has `2^arity` entries).
+/// Maximum tuple width [`sample_joint_counts`] counts (a tuple's count
+/// vector has `2^width` entries).
 pub const MAX_COUNTED_ARITY: usize = 12;
+
+/// Every target node's fanout cone on the tape: the gate slots to
+/// re-simulate when the target flips (in slot order, so fanins come
+/// first) and the `(output index, slot)` pairs whose value the flip can
+/// reach.
+struct Cones {
+    /// CSR offsets into `slots`, one range per target node.
+    start: Vec<usize>,
+    slots: Vec<u32>,
+    /// CSR offsets into `outputs`, one range per target node.
+    out_start: Vec<usize>,
+    outputs: Vec<(u32, u32)>,
+}
+
+impl Cones {
+    fn new(tape: &CircuitTape) -> Cones {
+        let n = tape.n_slots();
+        let mut in_cone = vec![false; n];
+        let mut cones = Cones {
+            start: vec![0],
+            slots: Vec::new(),
+            out_start: vec![0],
+            outputs: Vec::new(),
+        };
+        for target in 0..n {
+            let ts = tape.slot_of_node(target);
+            in_cone.iter_mut().for_each(|b| *b = false);
+            in_cone[ts] = true;
+            for s in ts + 1..n {
+                if tape.fanins(s).iter().any(|&f| in_cone[f as usize]) {
+                    in_cone[s] = true;
+                    cones.slots.push(s as u32);
+                }
+            }
+            for (k, &os) in tape.output_slots().iter().enumerate() {
+                if in_cone[os as usize] {
+                    cones.outputs.push((k as u32, os));
+                }
+            }
+            cones.start.push(cones.slots.len());
+            cones.out_start.push(cones.outputs.len());
+        }
+        cones
+    }
+
+    /// Re-simulation work of `target` per block, for splitting targets.
+    fn work(&self, target: usize) -> usize {
+        self.start[target + 1] - self.start[target] + self.out_start[target + 1]
+            - self.out_start[target]
+            + 1
+    }
+}
+
+/// Contiguous target ranges per executor chunk. A single worker takes
+/// every target in one chunk; otherwise targets are split into
+/// `CHUNKS_PER_WORKER` chunks per worker of about equal re-simulation
+/// work, handed out dynamically.
+const CHUNKS_PER_WORKER: usize = 4;
+
+fn split_targets(cones: &Cones, targets: usize, workers: usize) -> Vec<(usize, usize)> {
+    let chunks = if workers <= 1 {
+        1
+    } else {
+        (workers * CHUNKS_PER_WORKER).min(targets.max(1))
+    };
+    let total: usize = (0..targets).map(|t| cones.work(t)).sum();
+    let mut ranges = Vec::with_capacity(chunks);
+    let (mut lo, mut acc) = (0, 0);
+    for t in 0..targets {
+        acc += cones.work(t);
+        // Close a chunk once it holds its share of the work.
+        if acc * chunks >= total * (ranges.len() + 1) && t + 1 < targets {
+            ranges.push((lo, t + 1));
+            lo = t + 1;
+        }
+    }
+    ranges.push((lo, targets));
+    ranges
+}
 
 /// Estimates the noiseless observability of every node at every output by
 /// parallel-pattern fault simulation: for each sampled block, each node is
 /// flipped in turn and only its fanout cone is re-simulated.
 ///
-/// Returns the per-output rows, indexed `[node][output]`, and the
-/// any-output observability of every node (the probability a flip changes
-/// at least one output) — the two arrays of `relogic::ObservabilityMatrix`.
+/// Input position `i` is 1 with probability `input_probs[i]`. Returns the
+/// per-output rows, indexed `[node][output]`, and the any-output
+/// observability of every node (the probability a flip changes at least
+/// one output) — the two arrays of `relogic::ObservabilityMatrix`.
+///
+/// The target nodes are split across `threads` [`ChunkExecutor`] workers
+/// (`0` auto-detects the hardware). Every worker replays the same input
+/// stream, so each node's counts — and the result — are bit-identical for
+/// every thread count. `cancel` is checked once per 64-pattern block of
+/// every worker; a fired token returns [`Cancelled`], never a partial
+/// matrix.
 ///
 /// Cost is `O(patterns/64 · Σ_i |cone(i)|)`; intended for circuits up to a
 /// few thousand gates (the exact BDD backend in `relogic` is preferable for
 /// small, reconvergence-heavy circuits).
-#[must_use]
+///
+/// # Errors
+///
+/// [`Cancelled`] once `cancel` fires before the last block completes.
+///
+/// # Panics
+///
+/// Panics if `input_probs` holds a probability outside `[0, 1]`.
 pub fn observabilities_biased(
     circuit: &Circuit,
-    sampler: &crate::InputSampler,
+    input_probs: &[f64],
     patterns: u64,
     seed: u64,
-) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let n = circuit.len();
-    let outputs: Vec<usize> = circuit.outputs().iter().map(|o| o.node().index()).collect();
+    threads: usize,
+    cancel: &CancelToken,
+) -> Result<(Vec<Vec<f64>>, Vec<f64>), Cancelled> {
+    let tape = CircuitTape::compile(circuit);
+    let n = tape.n_slots();
+    let outputs = tape.output_slots().len();
+    let sampler = InputSampler::independent(input_probs);
     let blocks = patterns.div_ceil(64).max(1);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut clean = PackedSim::new(circuit);
+    let cones = Cones::new(&tape);
+    let executor = ChunkExecutor::new(threads);
+    let ranges = split_targets(&cones, n, executor.threads());
 
-    // Precompute, for each node, the list of gates in its transitive fanout
-    // (in topological order) — the nodes to re-simulate per fault.
-    let mut in_cone = vec![false; n];
-    let mut cones: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for target in (0..n).map(NodeId::from_index) {
-        in_cone.iter_mut().for_each(|b| *b = false);
-        in_cone[target.index()] = true;
-        let mut cone = Vec::new();
-        for (id, node) in circuit.iter().skip(target.index() + 1) {
-            if node.kind().is_gate() && node.fanins().iter().any(|f| in_cone[f.index()]) {
-                in_cone[id.index()] = true;
-                cone.push(id);
+    let (chunks, _) = executor.try_map_chunks_with_state(
+        ranges.len(),
+        cancel,
+        "obs_sim",
+        || (vec![0u64; n], vec![0u64; n]),
+        |(clean, faulty), chunk| {
+            let (lo, hi) = ranges[chunk];
+            let mut counts = vec![vec![0u64; outputs]; hi - lo];
+            let mut any_counts = vec![0u64; hi - lo];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..blocks {
+                cancel.check("obs_sim")?;
+                sampler.fill(clean, tape.input_slots(), &mut rng);
+                tape.eval_block(clean, None);
+                faulty.copy_from_slice(clean);
+                for target in lo..hi {
+                    let ts = tape.slot_of_node(target);
+                    let cone = &cones.slots[cones.start[target]..cones.start[target + 1]];
+                    faulty[ts] = !clean[ts];
+                    for &s in cone {
+                        faulty[s as usize] = tape.eval_slot(s as usize, faulty);
+                    }
+                    let mut any = 0u64;
+                    let row = &mut counts[target - lo];
+                    for &(k, os) in
+                        &cones.outputs[cones.out_start[target]..cones.out_start[target + 1]]
+                    {
+                        let diff = clean[os as usize] ^ faulty[os as usize];
+                        row[k as usize] += u64::from(diff.count_ones());
+                        any |= diff;
+                    }
+                    any_counts[target - lo] += u64::from(any.count_ones());
+                    faulty[ts] = clean[ts];
+                    for &s in cone {
+                        faulty[s as usize] = clean[s as usize];
+                    }
+                }
             }
-        }
-        cones[target.index()] = cone;
-    }
-
-    let mut counts: Vec<Vec<u64>> = vec![vec![0u64; outputs.len()]; n];
-    let mut any_counts = vec![0u64; n];
-    let mut faulty: Vec<u64> = vec![0; n];
-    let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
-
-    for _ in 0..blocks {
-        sampler.fill(&mut clean, &mut rng);
-        clean.propagate(circuit);
-        for target in 0..n {
-            faulty.copy_from_slice(clean.words());
-            faulty[target] = !faulty[target];
-            for &id in &cones[target] {
-                let node = circuit.node(id);
-                fanin_words.clear();
-                fanin_words.extend(node.fanins().iter().map(|f| faulty[f.index()]));
-                faulty[id.index()] = node.kind().eval_word(&fanin_words);
-            }
-            let mut any = 0u64;
-            for (k, &oidx) in outputs.iter().enumerate() {
-                let diff = clean.words()[oidx] ^ faulty[oidx];
-                counts[target][k] += u64::from(diff.count_ones());
-                any |= diff;
-            }
-            any_counts[target] += u64::from(any.count_ones());
-        }
-    }
+            Ok((counts, any_counts))
+        },
+    )?;
 
     #[allow(clippy::cast_precision_loss)]
     let total = (blocks * 64) as f64;
-    #[allow(clippy::cast_precision_loss)]
-    let per_output = counts
-        .into_iter()
-        .map(|row| row.into_iter().map(|c| c as f64 / total).collect())
-        .collect();
-    #[allow(clippy::cast_precision_loss)]
-    let any_output = any_counts.into_iter().map(|c| c as f64 / total).collect();
-    (per_output, any_output)
+    let mut per_output = Vec::with_capacity(n);
+    let mut any_output = Vec::with_capacity(n);
+    for (counts, any_counts) in chunks {
+        #[allow(clippy::cast_precision_loss)]
+        per_output.extend(
+            counts
+                .into_iter()
+                .map(|row| row.into_iter().map(|c| c as f64 / total).collect()),
+        );
+        #[allow(clippy::cast_precision_loss)]
+        any_output.extend(any_counts.into_iter().map(|c| c as f64 / total));
+    }
+    Ok((per_output, any_output))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::InputSampler;
 
-    fn uniform(c: &Circuit) -> InputSampler {
-        InputSampler::uniform(c.input_count())
+    fn uniform(c: &Circuit) -> Vec<f64> {
+        vec![0.5; c.input_count()]
+    }
+
+    /// Weight-vector counts and signal probabilities: every node's fanins
+    /// as its tuple.
+    fn weight_samples(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<u64>>, Vec<f64>) {
+        let fanins: Vec<&[NodeId]> = c.iter().map(|(_, n)| n.fanins()).collect();
+        sample_joint_counts(c, &uniform(c), patterns, seed, &fanins)
+    }
+
+    fn observabilities(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        observabilities_biased(c, &uniform(c), patterns, seed, 1, &CancelToken::new()).unwrap()
     }
 
     #[test]
@@ -211,7 +346,7 @@ mod tests {
         let or = c.or([a, b]);
         let xor = c.xor([a, b]);
         c.add_output("y", xor);
-        let (_, p) = weight_samples_biased(&c, &uniform(&c), 1 << 16, 42);
+        let (_, p) = weight_samples(&c, 1 << 16, 42);
         assert!((p[a.index()] - 0.5).abs() < 0.01);
         assert!((p[and.index()] - 0.25).abs() < 0.01);
         assert!((p[or.index()] - 0.75).abs() < 0.01);
@@ -226,7 +361,7 @@ mod tests {
         let g = c.and([a, b]);
         c.add_output("y", g);
         let patterns = 1u64 << 14;
-        let (counts, _) = weight_samples_biased(&c, &uniform(&c), patterns, 3);
+        let (counts, _) = weight_samples(&c, patterns, 3);
         let w = &counts[g.index()];
         assert_eq!(w.len(), 4);
         let total: u64 = w.iter().sum();
@@ -246,7 +381,7 @@ mod tests {
         let a = c.add_input("a");
         let g = c.xor([a, a]);
         c.add_output("y", g);
-        let (counts, _) = weight_samples_biased(&c, &uniform(&c), 4096, 9);
+        let (counts, _) = weight_samples(&c, 4096, 9);
         let w = &counts[g.index()];
         assert_eq!(w[0b01], 0);
         assert_eq!(w[0b10], 0);
@@ -254,12 +389,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_gate_uses_lane_gather() {
+    fn wide_tuple_uses_lane_gather() {
         let mut c = Circuit::new("t");
         let ins: Vec<_> = (0..6).map(|i| c.add_input(format!("x{i}"))).collect();
         let g = c.and(ins);
         c.add_output("y", g);
-        let (counts, _) = weight_samples_biased(&c, &uniform(&c), 4096, 1);
+        let (counts, _) = weight_samples(&c, 4096, 1);
         let w = &counts[g.index()];
         assert_eq!(w.len(), 64);
         assert_eq!(w.iter().sum::<u64>(), 4096);
@@ -275,7 +410,7 @@ mod tests {
         let g = c.and([a, b]);
         let y = c.or([g, x]);
         c.add_output("y", y);
-        let (per_output, any) = observabilities_biased(&c, &uniform(&c), 1 << 15, 5);
+        let (per_output, any) = observabilities(&c, 1 << 15, 5);
         assert!((per_output[g.index()][0] - 0.5).abs() < 0.02);
         assert!((per_output[x.index()][0] - 0.75).abs() < 0.02);
         assert!((per_output[y.index()][0] - 1.0).abs() < 1e-12);
@@ -293,10 +428,67 @@ mod tests {
         let y2 = c.and([g, b]);
         c.add_output("y1", g);
         c.add_output("y2", y2);
-        let (per_output, any) = observabilities_biased(&c, &uniform(&c), 1 << 15, 8);
+        let (per_output, any) = observabilities(&c, 1 << 15, 8);
         assert!((per_output[g.index()][0] - 1.0).abs() < 1e-12);
         assert!((per_output[g.index()][1] - 0.5).abs() < 0.02);
         // any-output observability is 1 (always visible at y1)
         assert!((any[g.index()] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn observabilities_are_thread_invariant() {
+        let mut c = Circuit::new("t");
+        let ins: Vec<_> = (0..5).map(|i| c.add_input(format!("x{i}"))).collect();
+        let g1 = c.and([ins[0], ins[1]]);
+        let g2 = c.xor([g1, ins[2]]);
+        let g3 = c.or([g2, ins[3]]);
+        let g4 = c.nand([g1, ins[4]]);
+        c.add_output("y1", g3);
+        c.add_output("y2", g4);
+        c.add_output("y3", g2);
+        let one = observabilities(&c, 5000, 3);
+        for threads in [2, 3, 8] {
+            let many =
+                observabilities_biased(&c, &uniform(&c), 5000, 3, threads, &CancelToken::new())
+                    .unwrap();
+            assert_eq!(one, many, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn fired_token_cancels_observabilities() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let g = c.not(a);
+        c.add_output("y", g);
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1, 2] {
+            let err = observabilities_biased(&c, &[0.5], 1 << 16, 1, threads, &token).unwrap_err();
+            assert_eq!(err.checked_at, "obs_sim");
+        }
+    }
+
+    #[test]
+    fn targets_split_into_contiguous_ranges() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let mut g = c.not(a);
+        for _ in 0..20 {
+            g = c.not(g);
+        }
+        c.add_output("y", g);
+        let tape = CircuitTape::compile(&c);
+        let cones = Cones::new(&tape);
+        for workers in [1, 2, 3, 7] {
+            let ranges = split_targets(&cones, c.len(), workers);
+            assert_eq!(ranges[0].0, 0);
+            assert_eq!(ranges.last().unwrap().1, c.len());
+            assert!(ranges
+                .windows(2)
+                .all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+            assert!(ranges.len() <= workers * CHUNKS_PER_WORKER);
+        }
+        assert_eq!(split_targets(&cones, c.len(), 1), [(0, c.len())]);
     }
 }

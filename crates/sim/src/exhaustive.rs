@@ -1,13 +1,15 @@
 //! Exact reliability evaluation by exhaustive enumeration.
 //!
 //! For small circuits (≤ ~20 inputs, ≤ ~16 noisy nodes) the reliability can
-//! be computed *exactly*: enumerate every input pattern with the packed
-//! simulator and every subset of failing nodes, weight each subset by
+//! be computed *exactly*: enumerate every input pattern on the compiled
+//! tape and every subset of failing nodes, weight each subset by
 //! `Π ε_i · Π (1-ε_j)`, and accumulate output disagreement. These exact
 //! values are the ground truth that both the Monte Carlo engine and the
 //! analytical engines are validated against in the test suites.
+//! [`for_each_input_block`] is the enumeration driver both oracles here
+//! (and the test suites' own oracles) share.
 
-use crate::packed::{exhaustive_block_count, exhaustive_lane_mask, PackedSim};
+use crate::tape::CircuitTape;
 use relogic_netlist::{Circuit, NodeId};
 
 /// Exact per-output reliability `δ_y(ε⃗)` and consolidated error.
@@ -17,6 +19,78 @@ pub struct ExactReliability {
     pub per_output: Vec<f64>,
     /// Exact probability at least one output is in error.
     pub any_output: f64,
+}
+
+/// Enumerates all `2^m` input assignments of `tape`'s `m` inputs in
+/// 64-pattern blocks, calling `visit(words, lane_mask)` once per block.
+///
+/// `words` holds every slot's fault-free word ([`CircuitTape::eval_block`]
+/// layout): pattern `block · 64 + lane` assigns input position `i` bit `i`
+/// of the pattern index. `lane_mask` selects the lanes that hold a
+/// pattern; only a circuit with fewer than 6 inputs leaves lanes unused.
+/// Each assignment is visited exactly once, so a count over masked lanes
+/// divided by `2^m` is an exact probability under uniform inputs.
+///
+/// # Examples
+///
+/// ```
+/// use relogic_netlist::Circuit;
+/// use relogic_sim::{for_each_input_block, CircuitTape};
+///
+/// let mut c = Circuit::new("t");
+/// let a = c.add_input("a");
+/// let b = c.add_input("b");
+/// let g = c.and([a, b]);
+/// c.add_output("y", g);
+///
+/// let tape = CircuitTape::compile(&c);
+/// let mut ones = 0;
+/// for_each_input_block(&tape, |words, lanes| {
+///     ones += (words[tape.slot_of_node(g.index())] & lanes).count_ones();
+/// });
+/// assert_eq!(ones, 1); // one of the four assignments sets a AND b
+/// ```
+///
+/// # Panics
+///
+/// Panics if the tape has more than 30 inputs, where exhaustive
+/// enumeration is hopeless anyway.
+pub fn for_each_input_block<F: FnMut(&[u64], u64)>(tape: &CircuitTape, mut visit: F) {
+    let inputs = tape.input_slots().len();
+    assert!(inputs <= 30, "exhaustive enumeration over {inputs} inputs");
+    let (blocks, lane_mask) = if inputs >= 6 {
+        (1u64 << (inputs - 6), u64::MAX)
+    } else {
+        (1, (1u64 << (1usize << inputs)) - 1)
+    };
+    let mut words = vec![0u64; tape.n_slots()];
+    for block in 0..blocks {
+        for (position, &slot) in tape.input_slots().iter().enumerate() {
+            words[slot as usize] = input_word(position, block);
+        }
+        tape.eval_block(&mut words, None);
+        visit(&words, lane_mask);
+    }
+}
+
+/// The exhaustive-enumeration word for input `position` in `block`:
+/// bit `lane` is bit `position` of the pattern index `block * 64 + lane`.
+fn input_word(position: usize, block: u64) -> u64 {
+    match position {
+        0 => 0xAAAA_AAAA_AAAA_AAAA,
+        1 => 0xCCCC_CCCC_CCCC_CCCC,
+        2 => 0xF0F0_F0F0_F0F0_F0F0,
+        3 => 0xFF00_FF00_FF00_FF00,
+        4 => 0xFFFF_0000_FFFF_0000,
+        5 => 0xFFFF_FFFF_0000_0000,
+        // Inputs beyond the 6 in-word ones are constant within a block.
+        p => 0u64.wrapping_sub(block >> (p - 6) & 1),
+    }
+}
+
+/// `2^inputs`, the number of patterns [`for_each_input_block`] visits.
+fn pattern_count(circuit: &Circuit) -> f64 {
+    f64::from(1u32 << circuit.input_count())
 }
 
 /// Computes exact reliability by enumerating inputs × failure subsets.
@@ -58,26 +132,14 @@ pub fn exact_reliability(circuit: &Circuit, node_eps: &[f64]) -> ExactReliabilit
         noisy.len()
     );
 
-    let outputs: Vec<usize> = circuit.outputs().iter().map(|o| o.node().index()).collect();
-    let blocks = exhaustive_block_count(circuit.input_count());
-    #[allow(clippy::cast_precision_loss)]
-    let pattern_count = (exhaustive_lane_mask(circuit.input_count()).count_ones() as f64)
-        * if circuit.input_count() > 6 {
-            (blocks) as f64
-        } else {
-            1.0
-        };
-
-    let mut per_output = vec![0.0f64; outputs.len()];
+    let tape = CircuitTape::compile(circuit);
+    let patterns = pattern_count(circuit);
+    let mut per_output = vec![0.0f64; tape.output_slots().len()];
     let mut any_output = 0.0f64;
-    let mut clean = PackedSim::new(circuit);
-    let mut faulty = PackedSim::new(circuit);
-    let mut masks = vec![0u64; circuit.len()];
-    let lane_mask = exhaustive_lane_mask(circuit.input_count());
+    let mut faulty = vec![0u64; tape.n_slots()];
+    let mut masks = vec![0u64; tape.n_slots()];
 
-    for block in 0..blocks {
-        clean.exhaustive_inputs(block);
-        clean.propagate(circuit);
+    for_each_input_block(&tape, |clean, lane_mask| {
         for subset in 0..1u64 << noisy.len() {
             // Probability of exactly this failure subset.
             let mut weight = 1.0f64;
@@ -91,30 +153,21 @@ pub fn exact_reliability(circuit: &Circuit, node_eps: &[f64]) -> ExactReliabilit
             if weight == 0.0 {
                 continue;
             }
-            for m in masks.iter_mut() {
-                *m = 0;
-            }
             for (j, &node) in noisy.iter().enumerate() {
-                if subset >> j & 1 == 1 {
-                    masks[node] = u64::MAX;
-                }
+                masks[tape.slot_of_node(node)] = 0u64.wrapping_sub(subset >> j & 1);
             }
-            faulty.copy_from(&clean);
-            // Restore clean inputs (copy_from already did) and repropagate.
-            faulty.propagate_with_flips(circuit, &masks);
+            faulty.copy_from_slice(clean);
+            tape.eval_block(&mut faulty, Some(&masks));
             let mut any = 0u64;
-            for (k, &oidx) in outputs.iter().enumerate() {
-                let diff = (clean.words()[oidx] ^ faulty.words()[oidx]) & lane_mask;
-                #[allow(clippy::cast_precision_loss)]
-                let frac = f64::from(diff.count_ones()) / pattern_count;
-                per_output[k] += weight * frac;
+            for (k, &os) in tape.output_slots().iter().enumerate() {
+                let os = os as usize;
+                let diff = (clean[os] ^ faulty[os]) & lane_mask;
+                per_output[k] += weight * (f64::from(diff.count_ones()) / patterns);
                 any |= diff;
             }
-            #[allow(clippy::cast_precision_loss)]
-            let frac = f64::from(any.count_ones()) / pattern_count;
-            any_output += weight * frac;
+            any_output += weight * (f64::from(any.count_ones()) / patterns);
         }
-    }
+    });
     ExactReliability {
         per_output,
         any_output,
@@ -134,36 +187,24 @@ pub fn exact_reliability(circuit: &Circuit, node_eps: &[f64]) -> ExactReliabilit
 #[must_use]
 pub fn flip_influence(circuit: &Circuit, flipped: &[NodeId]) -> Vec<f64> {
     assert!(circuit.input_count() <= 20);
-    let outputs: Vec<usize> = circuit.outputs().iter().map(|o| o.node().index()).collect();
-    let blocks = exhaustive_block_count(circuit.input_count());
-    let lane_mask = exhaustive_lane_mask(circuit.input_count());
-    #[allow(clippy::cast_precision_loss)]
-    let pattern_count = f64::from(lane_mask.count_ones())
-        * if circuit.input_count() > 6 {
-            blocks as f64
-        } else {
-            1.0
-        };
-
-    let mut masks = vec![0u64; circuit.len()];
+    let tape = CircuitTape::compile(circuit);
+    let mut masks = vec![0u64; tape.n_slots()];
     for &f in flipped {
-        masks[f.index()] = u64::MAX;
+        masks[tape.slot_of_node(f.index())] = u64::MAX;
     }
-    let mut clean = PackedSim::new(circuit);
-    let mut faulty = PackedSim::new(circuit);
-    let mut counts = vec![0u64; outputs.len()];
-    for block in 0..blocks {
-        clean.exhaustive_inputs(block);
-        clean.propagate(circuit);
-        faulty.copy_from(&clean);
-        faulty.propagate_with_flips(circuit, &masks);
-        for (k, &oidx) in outputs.iter().enumerate() {
-            let diff = (clean.words()[oidx] ^ faulty.words()[oidx]) & lane_mask;
-            counts[k] += u64::from(diff.count_ones());
+    let mut faulty = vec![0u64; tape.n_slots()];
+    let mut counts = vec![0u64; tape.output_slots().len()];
+    for_each_input_block(&tape, |clean, lane_mask| {
+        faulty.copy_from_slice(clean);
+        tape.eval_block(&mut faulty, Some(&masks));
+        for (count, &os) in counts.iter_mut().zip(tape.output_slots()) {
+            let os = os as usize;
+            *count += u64::from(((clean[os] ^ faulty[os]) & lane_mask).count_ones());
         }
-    }
+    });
+    let patterns = pattern_count(circuit);
     #[allow(clippy::cast_precision_loss)]
-    counts.iter().map(|&c| c as f64 / pattern_count).collect()
+    counts.iter().map(|&c| c as f64 / patterns).collect()
 }
 
 #[cfg(test)]
@@ -289,6 +330,53 @@ mod tests {
         };
         let exact = exact_reliability(&c, &eps);
         assert!((exact.per_output[0] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn enumeration_covers_all_patterns() {
+        // Full adder: every one of the 8 assignments in one partial block.
+        let mut c = Circuit::new("fa");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let cin = c.add_input("cin");
+        let s1 = c.xor([a, b]);
+        let sum = c.xor([s1, cin]);
+        c.add_output("sum", sum);
+        let tape = CircuitTape::compile(&c);
+        let mut blocks = 0;
+        for_each_input_block(&tape, |words, mask| {
+            blocks += 1;
+            assert_eq!(mask, 0xFF);
+            for lane in 0..8u32 {
+                let bits: Vec<bool> = (0..3).map(|j| lane >> j & 1 != 0).collect();
+                let expect = c.eval(&bits);
+                let got = words[tape.slot_of_node(sum.index())] >> lane & 1 != 0;
+                assert_eq!(got, expect[0], "lane {lane}");
+            }
+        });
+        assert_eq!(blocks, 1);
+    }
+
+    #[test]
+    fn enumeration_blocks_beyond_six_inputs() {
+        // 8 inputs: 4 blocks; input 7 is constant within a block and
+        // follows bit 1 of the block index, input 6 bit 0.
+        let mut c = Circuit::new("t");
+        let ins: Vec<_> = (0..8).map(|i| c.add_input(format!("x{i}"))).collect();
+        let g = c.and(ins.clone());
+        c.add_output("y", g);
+        let tape = CircuitTape::compile(&c);
+        let mut seen = Vec::new();
+        for_each_input_block(&tape, |words, mask| {
+            assert_eq!(mask, u64::MAX);
+            let word = |i: usize| words[tape.slot_of_node(ins[i].index())];
+            seen.push((word(6), word(7)));
+        });
+        let (zero, ones) = (0, u64::MAX);
+        assert_eq!(
+            seen,
+            [(zero, zero), (ones, zero), (zero, ones), (ones, ones)]
+        );
     }
 
     #[test]

@@ -1,64 +1,34 @@
-//! Biased input-pattern sampling.
+//! Biased input-pattern sampling for the sampled weight, pair and
+//! observability passes.
 //!
-//! The packed estimators default to the uniform input distribution (every
-//! input is 1 with probability ½ — the paper's setting). [`InputSampler`]
-//! generalizes this to independent per-input biases, using the same
-//! binary-expansion trick as the fault-mask generator, so all sampling
-//! backends (Monte Carlo, signal probabilities, weight vectors,
-//! observabilities) support non-uniform input statistics.
+//! Those passes default to the uniform input distribution (every input is
+//! 1 with probability ½ — the paper's setting). [`InputSampler`]
+//! generalizes this to independent per-input biases through
+//! [`BiasedBits`]. The input stream is one `SmallRng(seed)` sequence read
+//! in input-position order, block after block, so every sampled count is
+//! a pure function of `(input probabilities, patterns, seed)`. Monte Carlo
+//! does not use it: the tape kernel draws its input words from a
+//! position-based stream instead.
 
 use crate::bits::{BiasedBits, DEFAULT_RESOLUTION};
-use crate::packed::PackedSim;
 use rand::RngCore;
 
 /// Draws 64-pattern input words under independent per-input biases.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use relogic_netlist::Circuit;
-/// use relogic_sim::{InputSampler, PackedSim};
-///
-/// let mut c = Circuit::new("t");
-/// let a = c.add_input("a");
-/// c.add_output("y", a);
-///
-/// let sampler = InputSampler::independent(&[0.9]);
-/// let mut sim = PackedSim::new(&c);
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-/// let mut ones = 0u32;
-/// for _ in 0..256 {
-///     sampler.fill(&mut sim, &mut rng);
-///     ones += sim.node_word(a).count_ones();
-/// }
-/// let mean = f64::from(ones) / (256.0 * 64.0);
-/// assert!((mean - 0.9).abs() < 0.02);
-/// ```
 #[derive(Clone, Debug)]
-pub struct InputSampler {
+pub(crate) struct InputSampler {
     /// One generator per input position; `None` means unbiased (p = ½),
     /// which costs a single RNG word.
     gens: Vec<Option<BiasedBits>>,
 }
 
 impl InputSampler {
-    /// Uniform sampler over `inputs` inputs (every bias ½).
-    #[must_use]
-    pub fn uniform(inputs: usize) -> Self {
-        InputSampler {
-            gens: vec![None; inputs],
-        }
-    }
-
     /// Independent per-input biases: input `i` is 1 with probability
     /// `probs[i]`.
     ///
     /// # Panics
     ///
     /// Panics if any probability is outside `[0, 1]`.
-    #[must_use]
-    pub fn independent(probs: &[f64]) -> Self {
+    pub(crate) fn independent(probs: &[f64]) -> Self {
         InputSampler {
             gens: probs
                 .iter()
@@ -73,36 +43,23 @@ impl InputSampler {
         }
     }
 
-    /// Number of inputs covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.gens.len()
-    }
-
-    /// Returns `true` if the sampler covers no inputs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.gens.is_empty()
-    }
-
-    /// Returns `true` if every input is unbiased.
-    #[must_use]
-    pub fn is_uniform(&self) -> bool {
-        self.gens.iter().all(Option::is_none)
-    }
-
-    /// Fills the simulator's input words with one sampled block.
+    /// Writes one sampled block into the slot-indexed `words`: input
+    /// position `i` goes to slot `input_slots[i]`.
     ///
     /// # Panics
     ///
-    /// Panics if the simulator's circuit has a different input count.
-    pub fn fill<R: RngCore + ?Sized>(&self, sim: &mut PackedSim, rng: &mut R) {
-        for (pos, gen) in self.gens.iter().enumerate() {
-            let word = match gen {
+    /// Panics if `input_slots` covers fewer inputs than the sampler.
+    pub(crate) fn fill<R: RngCore + ?Sized>(
+        &self,
+        words: &mut [u64],
+        input_slots: &[u32],
+        rng: &mut R,
+    ) {
+        for (gen, &slot) in self.gens.iter().zip(input_slots) {
+            words[slot as usize] = match gen {
                 None => rng.next_u64(),
                 Some(g) => g.next_word(rng),
             };
-            sim.set_input_word(pos, word);
         }
     }
 }
@@ -110,6 +67,7 @@ impl InputSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CircuitTape;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use relogic_netlist::Circuit;
@@ -123,40 +81,33 @@ mod tests {
         c
     }
 
+    /// Mean of every input word over `blocks` sampled blocks.
+    fn input_means(probs: &[f64], blocks: u32, seed: u64) -> Vec<f64> {
+        let tape = CircuitTape::compile(&two_input_circuit());
+        let sampler = InputSampler::independent(probs);
+        let mut words = vec![0u64; tape.n_slots()];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ones = [0u32; 2];
+        for _ in 0..blocks {
+            sampler.fill(&mut words, tape.input_slots(), &mut rng);
+            for (k, &s) in tape.input_slots().iter().enumerate() {
+                ones[k] += words[s as usize].count_ones();
+            }
+        }
+        ones.iter()
+            .map(|&o| f64::from(o) / (f64::from(blocks) * 64.0))
+            .collect()
+    }
+
     #[test]
     fn uniform_sampler_is_unbiased() {
-        let c = two_input_circuit();
-        let sampler = InputSampler::uniform(2);
-        assert!(sampler.is_uniform());
-        assert_eq!(sampler.len(), 2);
-        let mut sim = PackedSim::new(&c);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut ones = 0u64;
-        for _ in 0..4096 {
-            sampler.fill(&mut sim, &mut rng);
-            ones += u64::from(sim.node_word(c.inputs()[0]).count_ones());
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let mean = ones as f64 / (4096.0 * 64.0);
-        assert!((mean - 0.5).abs() < 0.01);
+        let means = input_means(&[0.5, 0.5], 4096, 2);
+        assert!((means[0] - 0.5).abs() < 0.01, "{means:?}");
     }
 
     #[test]
     fn biased_sampler_hits_targets() {
-        let c = two_input_circuit();
-        let sampler = InputSampler::independent(&[0.2, 0.8]);
-        assert!(!sampler.is_uniform());
-        let mut sim = PackedSim::new(&c);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut ones = [0u64; 2];
-        for _ in 0..8192 {
-            sampler.fill(&mut sim, &mut rng);
-            for (k, &id) in c.inputs().iter().enumerate() {
-                ones[k] += u64::from(sim.node_word(id).count_ones());
-            }
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let means: Vec<f64> = ones.iter().map(|&o| o as f64 / (8192.0 * 64.0)).collect();
+        let means = input_means(&[0.2, 0.8], 8192, 3);
         assert!((means[0] - 0.2).abs() < 0.01, "{means:?}");
         assert!((means[1] - 0.8).abs() < 0.01, "{means:?}");
     }
@@ -165,18 +116,18 @@ mod tests {
     fn gate_statistics_follow_bias() {
         // AND of (0.9, 0.9)-biased inputs is 1 with probability 0.81.
         let c = two_input_circuit();
+        let tape = CircuitTape::compile(&c);
         let sampler = InputSampler::independent(&[0.9, 0.9]);
-        let mut sim = PackedSim::new(&c);
+        let mut words = vec![0u64; tape.n_slots()];
         let mut rng = SmallRng::seed_from_u64(4);
-        let g = c.outputs()[0].node();
-        let mut ones = 0u64;
+        let g = tape.slot_of_node(c.outputs()[0].node().index());
+        let mut ones = 0u32;
         for _ in 0..8192 {
-            sampler.fill(&mut sim, &mut rng);
-            sim.propagate(&c);
-            ones += u64::from(sim.node_word(g).count_ones());
+            sampler.fill(&mut words, tape.input_slots(), &mut rng);
+            tape.eval_block(&mut words, None);
+            ones += words[g].count_ones();
         }
-        #[allow(clippy::cast_precision_loss)]
-        let mean = ones as f64 / (8192.0 * 64.0);
+        let mean = f64::from(ones) / (8192.0 * 64.0);
         assert!((mean - 0.81).abs() < 0.01, "{mean}");
     }
 

@@ -1,8 +1,10 @@
-//! Compilation of a levelized [`Circuit`] into a flat instruction tape.
+//! Compilation of a levelized [`Circuit`] into a flat instruction tape, and
+//! the one 64-pattern block evaluator every sampled and exhaustive pass
+//! runs on.
 //!
-//! The graph-walking simulators chase `NodeId` pointers through the node
-//! table for every pattern block. [`CircuitTape`] lowers the circuit once
-//! into a structure-of-arrays form the execution kernels can stream:
+//! [`CircuitTape`] lowers the circuit once into a structure-of-arrays form
+//! the execution kernels can stream, instead of chasing `NodeId` pointers
+//! through the node table for every pattern block:
 //!
 //! * **Slots** — every node gets a dense *slot* index; slots are ordered by
 //!   `(level, NodeId)`, so a single forward pass over the slot axis visits
@@ -14,12 +16,47 @@
 //!   begins, so kernels that want to process level-by-level (the ε-grid
 //!   sweep engine) can do so without re-deriving structure.
 //!
+//! [`CircuitTape::eval_block`] evaluates one 64-pattern word per slot,
+//! optionally XOR-ing a per-slot flip mask into each slot's word (the
+//! von Neumann gate-noise model, or deterministic fault injection). It and
+//! the wide Monte Carlo kernel share one word-level gate rule,
+//! [`gate_word`].
+//!
 //! The tape is pure structure: it carries no ε values and no RNG state, so
 //! one compiled tape serves every Monte Carlo configuration and every
 //! sweep grid over the same netlist. That makes it the natural unit for
 //! the serve artifact cache (see `projected_heap_bytes`).
 
 use relogic_netlist::{Circuit, GateKind};
+
+/// Evaluates one gate over a 64-pattern word, fetching each fanin word
+/// through `fetch` (called with the fanin position `0..arity`).
+///
+/// This is the library's one word-level gate rule, shared by
+/// [`CircuitTape::eval_block`] and the wide Monte Carlo kernel. The
+/// closure form lets each caller supply its own storage layout
+/// (slot-indexed words here, slot×lane-strided words in the Monte Carlo
+/// kernel) without a gather into a scratch buffer.
+///
+/// # Panics
+///
+/// Panics on [`GateKind::Input`], which has no evaluation rule.
+#[inline(always)]
+pub(crate) fn gate_word<F: FnMut(usize) -> u64>(kind: GateKind, arity: usize, mut fetch: F) -> u64 {
+    match kind {
+        GateKind::Input => panic!("primary inputs have no evaluation rule"),
+        GateKind::Const(false) => 0,
+        GateKind::Const(true) => u64::MAX,
+        GateKind::Buf => fetch(0),
+        GateKind::Not => !fetch(0),
+        GateKind::And => (0..arity).fold(u64::MAX, |acc, i| acc & fetch(i)),
+        GateKind::Nand => !(0..arity).fold(u64::MAX, |acc, i| acc & fetch(i)),
+        GateKind::Or => (0..arity).fold(0, |acc, i| acc | fetch(i)),
+        GateKind::Nor => !(0..arity).fold(0, |acc, i| acc | fetch(i)),
+        GateKind::Xor => (0..arity).fold(0, |acc, i| acc ^ fetch(i)),
+        GateKind::Xnor => !(0..arity).fold(0, |acc, i| acc ^ fetch(i)),
+    }
+}
 
 /// A circuit lowered to a flat, slot-indexed instruction tape.
 ///
@@ -189,6 +226,67 @@ impl CircuitTape {
     #[must_use]
     pub fn output_slots(&self) -> &[u32] {
         &self.output_slots
+    }
+
+    /// Evaluates one 64-pattern block in slot order: `words[slot]` holds
+    /// the slot's value for 64 patterns. Input slots must already hold
+    /// their input words; every other slot is overwritten.
+    ///
+    /// With `flips`, each slot's word is XOR-ed with `flips[slot]` right
+    /// after it is computed (input slots included), so every reader sees
+    /// the flipped value. Bernoulli(ε) masks implement the von Neumann
+    /// gate-noise model; all-ones masks inject deterministic faults.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use relogic_netlist::Circuit;
+    /// use relogic_sim::CircuitTape;
+    ///
+    /// let mut c = Circuit::new("t");
+    /// let a = c.add_input("a");
+    /// let b = c.add_input("b");
+    /// let g = c.xor([a, b]);
+    /// c.add_output("y", g);
+    ///
+    /// let tape = CircuitTape::compile(&c);
+    /// let mut words = vec![0u64; tape.n_slots()];
+    /// words[tape.slot_of_node(a.index())] = 0b1100;
+    /// words[tape.slot_of_node(b.index())] = 0b1010;
+    /// tape.eval_block(&mut words, None);
+    /// assert_eq!(words[tape.slot_of_node(g.index())] & 0b1111, 0b0110);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` or `flips` does not hold one word per slot.
+    pub fn eval_block(&self, words: &mut [u64], flips: Option<&[u64]>) {
+        assert_eq!(words.len(), self.n_slots(), "one word per slot");
+        if let Some(flips) = flips {
+            assert_eq!(flips.len(), self.n_slots(), "one flip mask per slot");
+            for s in 0..self.n_slots() {
+                if self.kinds[s] != GateKind::Input {
+                    words[s] = self.eval_slot(s, words);
+                }
+                words[s] ^= flips[s];
+            }
+        } else {
+            for s in 0..self.n_slots() {
+                if self.kinds[s] != GateKind::Input {
+                    words[s] = self.eval_slot(s, words);
+                }
+            }
+        }
+    }
+
+    /// The 64-pattern word of gate `slot` computed from the slot-indexed
+    /// `words` of its fanins.
+    #[inline]
+    pub(crate) fn eval_slot(&self, slot: usize, words: &[u64]) -> u64 {
+        let fanins = self.fanins(slot);
+        gate_word(self.kinds[slot], fanins.len(), |i| {
+            words[fanins[i] as usize]
+        })
     }
 
     /// Borrows every internal array of the tape, in the documented field
@@ -489,6 +587,104 @@ mod tests {
         let mut p = owned_parts(&tape);
         p.kinds.pop(); // length mismatch across arrays
         assert!(CircuitTape::from_parts(p).is_err());
+    }
+
+    /// Words of `tape` for one block whose input words are `inputs` (in
+    /// input-position order).
+    fn block(tape: &CircuitTape, inputs: &[u64], flips: Option<&[u64]>) -> Vec<u64> {
+        let mut words = vec![0u64; tape.n_slots()];
+        for (&slot, &w) in tape.input_slots().iter().zip(inputs) {
+            words[slot as usize] = w;
+        }
+        tape.eval_block(&mut words, flips);
+        words
+    }
+
+    #[test]
+    fn eval_block_matches_scalar_on_random_patterns() {
+        use rand::rngs::SmallRng;
+        use rand::{RngCore, SeedableRng};
+        let c = full_adder();
+        let tape = CircuitTape::compile(&c);
+        let mut rng = SmallRng::seed_from_u64(11);
+        let inputs: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
+        let words = block(&tape, &inputs, None);
+        for lane in 0..64 {
+            let bits: Vec<bool> = inputs.iter().map(|w| w >> lane & 1 != 0).collect();
+            let expect = c.eval_all(&bits);
+            for (i, &v) in expect.iter().enumerate() {
+                assert_eq!(
+                    words[tape.slot_of_node(i)] >> lane & 1 != 0,
+                    v,
+                    "lane {lane} node {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deterministic_flip_injection() {
+        // y = a AND b; flipping the AND output inverts y everywhere.
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let g = c.and([a, b]);
+        c.add_output("y", g);
+        let tape = CircuitTape::compile(&c);
+        let clean = block(&tape, &[0b1100, 0b1010], None);
+        let mut flips = vec![0u64; tape.n_slots()];
+        let gs = tape.slot_of_node(g.index());
+        flips[gs] = u64::MAX;
+        let faulty = block(&tape, &[0b1100, 0b1010], Some(&flips));
+        assert_eq!(clean[gs] ^ faulty[gs], u64::MAX);
+    }
+
+    #[test]
+    fn input_flips_propagate() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let g = c.not(a);
+        c.add_output("y", g);
+        let tape = CircuitTape::compile(&c);
+        let mut flips = vec![0u64; tape.n_slots()];
+        flips[tape.slot_of_node(a.index())] = 0b1;
+        let words = block(&tape, &[0], Some(&flips));
+        assert_eq!(words[tape.slot_of_node(g.index())] & 0b11, 0b10);
+    }
+
+    #[test]
+    fn gate_word_matches_scalar_eval() {
+        // Pack all 16 combinations of 4 inputs into the low 16 lanes.
+        let mut lanes = [0u64; 4];
+        for combo in 0..16 {
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                if combo >> j & 1 != 0 {
+                    *lane |= 1 << combo;
+                }
+            }
+        }
+        for kind in [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ] {
+            let word = gate_word(kind, 4, |i| lanes[i]);
+            for combo in 0..16 {
+                let bits: Vec<bool> = (0..4).map(|j| combo >> j & 1 != 0).collect();
+                assert_eq!(
+                    word >> combo & 1 != 0,
+                    kind.eval(&bits),
+                    "{kind:?} combo {combo:04b}"
+                );
+            }
+        }
+        assert_eq!(gate_word(GateKind::Not, 1, |_| 0b10), !0b10);
+        assert_eq!(gate_word(GateKind::Buf, 1, |_| 0b10), 0b10);
+        assert_eq!(gate_word(GateKind::Const(true), 0, |_| 0), u64::MAX);
+        assert_eq!(gate_word(GateKind::Const(false), 0, |_| 0), 0);
     }
 
     #[test]

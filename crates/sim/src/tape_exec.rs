@@ -506,7 +506,7 @@ impl TapeRun<'_> {
                     let generic = |dst: &mut [u64]| {
                         let arity = fanins.len();
                         for (l, d) in dst.iter_mut().enumerate() {
-                            *d = crate::packed::gate_word(kind, arity, |i| {
+                            *d = crate::tape::gate_word(kind, arity, |i| {
                                 lo[fanins[i] as usize * 2 * L + l]
                             });
                         }

@@ -10,7 +10,7 @@ use relogic::{
     Backend, CorrCoeffs, GateEps, InputDistribution, SinglePass, SinglePassOptions, Weights,
 };
 use relogic_netlist::{Circuit, NodeId};
-use relogic_sim::{exhaustive_block_count, exhaustive_lane_mask, PackedSim};
+use relogic_sim::{for_each_input_block, CircuitTape};
 
 /// Exact event probabilities for a pair of nodes, computed by enumeration.
 ///
@@ -75,19 +75,12 @@ fn exact_pair_stats(circuit: &Circuit, eps: &GateEps, a: NodeId, b: NodeId) -> P
         .collect();
     assert!(noisy.len() <= 16, "too many noisy nodes for enumeration");
     assert!(circuit.input_count() <= 12);
-    let blocks = exhaustive_block_count(circuit.input_count());
-    let lane_mask = exhaustive_lane_mask(circuit.input_count());
-    #[allow(clippy::cast_precision_loss)]
-    let pattern_count = f64::from(lane_mask.count_ones())
-        * if circuit.input_count() > 6 {
-            blocks as f64
-        } else {
-            1.0
-        };
+    let pattern_count = f64::from(1u32 << circuit.input_count());
 
-    let mut clean = PackedSim::new(circuit);
-    let mut faulty = PackedSim::new(circuit);
-    let mut masks = vec![0u64; circuit.len()];
+    let tape = CircuitTape::compile(circuit);
+    let (sa, sb) = (tape.slot_of_node(a.index()), tape.slot_of_node(b.index()));
+    let mut faulty = vec![0u64; tape.n_slots()];
+    let mut masks = vec![0u64; tape.n_slots()];
     let mut pa = [0.0f64; 2];
     let mut pb = [0.0f64; 2];
     let mut joint = [[0.0f64; 2]; 2];
@@ -95,31 +88,20 @@ fn exact_pair_stats(circuit: &Circuit, eps: &GateEps, a: NodeId, b: NodeId) -> P
     let mut ctx_b = [0.0f64; 2];
     let mut ctx_joint = [[0.0f64; 2]; 2];
 
-    for block in 0..blocks {
-        clean.exhaustive_inputs(block);
-        clean.propagate(circuit);
+    for_each_input_block(&tape, |clean, lane_mask| {
         // Context masses depend only on the fault-free simulation.
-        let ca = clean.node_word(a);
-        let cb = clean.node_word(b);
+        let ca = clean[sa];
+        let cb = clean[sb];
         let actx = [!ca & lane_mask, ca & lane_mask];
         let bctx = [!cb & lane_mask, cb & lane_mask];
         for (ea, &wa) in actx.iter().enumerate() {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                ctx_a[ea] += f64::from(wa.count_ones()) / pattern_count;
-            }
+            ctx_a[ea] += f64::from(wa.count_ones()) / pattern_count;
             for (eb, &wb) in bctx.iter().enumerate() {
-                #[allow(clippy::cast_precision_loss)]
-                {
-                    ctx_joint[ea][eb] += f64::from((wa & wb).count_ones()) / pattern_count;
-                }
+                ctx_joint[ea][eb] += f64::from((wa & wb).count_ones()) / pattern_count;
             }
         }
         for (eb, &wb) in bctx.iter().enumerate() {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                ctx_b[eb] += f64::from(wb.count_ones()) / pattern_count;
-            }
+            ctx_b[eb] += f64::from(wb.count_ones()) / pattern_count;
         }
         for subset in 0..1u64 << noisy.len() {
             let mut weight = 1.0f64;
@@ -133,41 +115,28 @@ fn exact_pair_stats(circuit: &Circuit, eps: &GateEps, a: NodeId, b: NodeId) -> P
             if weight <= 0.0 {
                 continue;
             }
-            for m in masks.iter_mut() {
-                *m = 0;
-            }
             for (j, &node) in noisy.iter().enumerate() {
-                if subset >> j & 1 == 1 {
-                    masks[node] = u64::MAX;
-                }
+                masks[tape.slot_of_node(node)] = 0u64.wrapping_sub(subset >> j & 1);
             }
-            faulty.copy_from(&clean);
-            faulty.propagate_with_flips(circuit, &masks);
+            faulty.copy_from_slice(clean);
+            tape.eval_block(&mut faulty, Some(&masks));
 
-            let ca = clean.node_word(a);
-            let fa = faulty.node_word(a);
-            let cb = clean.node_word(b);
-            let fb = faulty.node_word(b);
+            let fa = faulty[sa];
+            let fb = faulty[sb];
             // rise = clean 0, noisy 1; fall = clean 1, noisy 0
             let ev_a = [(!ca & fa) & lane_mask, (ca & !fa) & lane_mask];
             let ev_b = [(!cb & fb) & lane_mask, (cb & !fb) & lane_mask];
             for (ea, &wa) in ev_a.iter().enumerate() {
-                #[allow(clippy::cast_precision_loss)]
-                let frac = f64::from(wa.count_ones()) / pattern_count;
-                pa[ea] += weight * frac;
+                pa[ea] += weight * (f64::from(wa.count_ones()) / pattern_count);
                 for (eb, &wb) in ev_b.iter().enumerate() {
-                    #[allow(clippy::cast_precision_loss)]
-                    let fracj = f64::from((wa & wb).count_ones()) / pattern_count;
-                    joint[ea][eb] += weight * fracj;
+                    joint[ea][eb] += weight * (f64::from((wa & wb).count_ones()) / pattern_count);
                 }
             }
             for (eb, &wb) in ev_b.iter().enumerate() {
-                #[allow(clippy::cast_precision_loss)]
-                let frac = f64::from(wb.count_ones()) / pattern_count;
-                pb[eb] += weight * frac;
+                pb[eb] += weight * (f64::from(wb.count_ones()) / pattern_count);
             }
         }
-    }
+    });
     PairStats {
         pa,
         pb,
