@@ -76,18 +76,14 @@ pub fn sample_joint_counts<T: AsRef<[NodeId]>>(
             t.iter().map(|id| tape.slot_of_node(id.index())).collect()
         })
         .collect();
+    // An empty tuple (a source's fanins) gets no counts.
     let mut counts: Vec<Vec<u64>> = slot_tuples
         .iter()
-        .map(|t| {
-            if t.is_empty() {
-                Vec::new()
-            } else {
-                vec![0u64; 1 << t.len()]
-            }
-        })
+        .map(|t| vec![0u64; if t.is_empty() { 0 } else { 1 << t.len() }])
         .collect();
     let mut ones = vec![0u64; tape.n_slots()];
     let mut words = vec![0u64; tape.n_slots()];
+    let mut tuple_words: Vec<u64> = Vec::with_capacity(MAX_COUNTED_ARITY);
     for _ in 0..blocks {
         sampler.fill(&mut words, tape.input_slots(), &mut rng);
         tape.eval_block(&mut words, None);
@@ -95,19 +91,14 @@ pub fn sample_joint_counts<T: AsRef<[NodeId]>>(
             *count += u64::from(w.count_ones());
         }
         for (tuple, slot) in slot_tuples.iter().zip(&mut counts) {
-            if tuple.is_empty() {
-                continue;
-            }
-            if tuple.len() <= 4 {
+            tuple_words.clear();
+            tuple_words.extend(tuple.iter().map(|&s| words[s]));
+            if tuple_words.len() <= 4 {
                 // Bit-sliced: one AND-chain per combination.
                 for (combo, c) in slot.iter_mut().enumerate() {
                     let mut w = u64::MAX;
-                    for (j, &s) in tuple.iter().enumerate() {
-                        w &= if combo >> j & 1 == 1 {
-                            words[s]
-                        } else {
-                            !words[s]
-                        };
+                    for (j, &tw) in tuple_words.iter().enumerate() {
+                        w &= if combo >> j & 1 == 1 { tw } else { !tw };
                     }
                     *c += u64::from(w.count_ones());
                 }
@@ -115,8 +106,8 @@ pub fn sample_joint_counts<T: AsRef<[NodeId]>>(
                 // Lane-gather for wide tuples.
                 for lane in 0..64 {
                     let mut combo = 0usize;
-                    for (j, &s) in tuple.iter().enumerate() {
-                        combo |= (((words[s] >> lane) & 1) as usize) << j;
+                    for (j, &tw) in tuple_words.iter().enumerate() {
+                        combo |= (((tw >> lane) & 1) as usize) << j;
                     }
                     slot[combo] += 1;
                 }
@@ -136,83 +127,20 @@ pub fn sample_joint_counts<T: AsRef<[NodeId]>>(
 /// vector has `2^width` entries).
 pub const MAX_COUNTED_ARITY: usize = 12;
 
-/// Every target node's fanout cone on the tape: the gate slots to
-/// re-simulate when the target flips (in slot order, so fanins come
-/// first) and the `(output index, slot)` pairs whose value the flip can
-/// reach.
-struct Cones {
-    /// CSR offsets into `slots`, one range per target node.
-    start: Vec<usize>,
-    slots: Vec<u32>,
-    /// CSR offsets into `outputs`, one range per target node.
-    out_start: Vec<usize>,
-    outputs: Vec<(u32, u32)>,
-}
-
-impl Cones {
-    fn new(tape: &CircuitTape) -> Cones {
-        let n = tape.n_slots();
-        let mut in_cone = vec![false; n];
-        let mut cones = Cones {
-            start: vec![0],
-            slots: Vec::new(),
-            out_start: vec![0],
-            outputs: Vec::new(),
-        };
-        for target in 0..n {
-            let ts = tape.slot_of_node(target);
-            in_cone.iter_mut().for_each(|b| *b = false);
-            in_cone[ts] = true;
-            for s in ts + 1..n {
-                if tape.fanins(s).iter().any(|&f| in_cone[f as usize]) {
-                    in_cone[s] = true;
-                    cones.slots.push(s as u32);
-                }
-            }
-            for (k, &os) in tape.output_slots().iter().enumerate() {
-                if in_cone[os as usize] {
-                    cones.outputs.push((k as u32, os));
-                }
-            }
-            cones.start.push(cones.slots.len());
-            cones.out_start.push(cones.outputs.len());
-        }
-        cones
-    }
-
-    /// Re-simulation work of `target` per block, for splitting targets.
-    fn work(&self, target: usize) -> usize {
-        self.start[target + 1] - self.start[target] + self.out_start[target + 1]
-            - self.out_start[target]
-            + 1
-    }
-}
-
-/// Contiguous target ranges per executor chunk. A single worker takes
-/// every target in one chunk; otherwise targets are split into
-/// `CHUNKS_PER_WORKER` chunks per worker of about equal re-simulation
-/// work, handed out dynamically.
-const CHUNKS_PER_WORKER: usize = 4;
-
-fn split_targets(cones: &Cones, targets: usize, workers: usize) -> Vec<(usize, usize)> {
-    let chunks = if workers <= 1 {
-        1
-    } else {
-        (workers * CHUNKS_PER_WORKER).min(targets.max(1))
-    };
-    let total: usize = (0..targets).map(|t| cones.work(t)).sum();
-    let mut ranges = Vec::with_capacity(chunks);
-    let (mut lo, mut acc) = (0, 0);
-    for t in 0..targets {
-        acc += cones.work(t);
-        // Close a chunk once it holds its share of the work.
-        if acc * chunks >= total * (ranges.len() + 1) && t + 1 < targets {
-            ranges.push((lo, t + 1));
-            lo = t + 1;
+/// The fanout cone of node `target`: its own slot first, then every gate
+/// slot a flip there can reach, in slot order (fanins first).
+fn fanout_cone(tape: &CircuitTape, target: usize) -> Vec<u32> {
+    let ts = tape.slot_of_node(target);
+    let mut in_cone = vec![false; tape.n_slots()];
+    in_cone[ts] = true;
+    let mut cone = vec![ts as u32];
+    for s in ts + 1..tape.n_slots() {
+        if tape.fanins(s).iter().any(|&f| in_cone[f as usize]) {
+            in_cone[s] = true;
+            cone.push(s as u32);
         }
     }
-    ranges.push((lo, targets));
-    ranges
+    cone
 }
 
 /// Estimates the noiseless observability of every node at every output by
@@ -224,12 +152,10 @@ fn split_targets(cones: &Cones, targets: usize, workers: usize) -> Vec<(usize, u
 /// observability of every node (the probability a flip changes at least
 /// one output) — the two arrays of `relogic::ObservabilityMatrix`.
 ///
-/// The target nodes are split across `threads` [`ChunkExecutor`] workers
-/// (`0` auto-detects the hardware). Every worker replays the same input
-/// stream, so each node's counts — and the result — are bit-identical for
-/// every thread count. `cancel` is checked once per 64-pattern block of
-/// every worker; a fired token returns [`Cancelled`], never a partial
-/// matrix.
+/// Worker `w` of `threads` (`0` auto-detects the hardware) takes the
+/// nodes `w, w + threads, …` and replays the whole input stream, so every
+/// count — and the result — is bit-identical for every thread count.
+/// `cancel` is checked once per 64-pattern block in every worker.
 ///
 /// Cost is `O(patterns/64 · Σ_i |cone(i)|)`; intended for circuits up to a
 /// few thousand gates (the exact BDD backend in `relogic` is preferable for
@@ -252,68 +178,68 @@ pub fn observabilities_biased(
 ) -> Result<(Vec<Vec<f64>>, Vec<f64>), Cancelled> {
     let tape = CircuitTape::compile(circuit);
     let n = tape.n_slots();
-    let outputs = tape.output_slots().len();
     let sampler = InputSampler::independent(input_probs);
     let blocks = patterns.div_ceil(64).max(1);
-    let cones = Cones::new(&tape);
+    let mut outputs_at = vec![Vec::new(); n];
+    for (k, &os) in tape.output_slots().iter().enumerate() {
+        outputs_at[os as usize].push(k);
+    }
     let executor = ChunkExecutor::new(threads);
-    let ranges = split_targets(&cones, n, executor.threads());
-
+    let workers = executor.threads().min(n).max(1);
     let (chunks, _) = executor.try_map_chunks_with_state(
-        ranges.len(),
+        workers,
         cancel,
         "obs_sim",
         || (vec![0u64; n], vec![0u64; n]),
-        |(clean, faulty), chunk| {
-            let (lo, hi) = ranges[chunk];
-            let mut counts = vec![vec![0u64; outputs]; hi - lo];
-            let mut any_counts = vec![0u64; hi - lo];
+        |(clean, faulty), worker| {
+            let cones: Vec<Vec<u32>> = (worker..n)
+                .step_by(workers)
+                .map(|t| fanout_cone(&tape, t))
+                .collect();
+            let mut counts = vec![(vec![0u64; tape.output_slots().len()], 0u64); cones.len()];
             let mut rng = SmallRng::seed_from_u64(seed);
             for _ in 0..blocks {
                 cancel.check("obs_sim")?;
                 sampler.fill(clean, tape.input_slots(), &mut rng);
                 tape.eval_block(clean, None);
                 faulty.copy_from_slice(clean);
-                for target in lo..hi {
-                    let ts = tape.slot_of_node(target);
-                    let cone = &cones.slots[cones.start[target]..cones.start[target + 1]];
-                    faulty[ts] = !clean[ts];
-                    for &s in cone {
-                        faulty[s as usize] = tape.eval_slot(s as usize, faulty);
-                    }
+                for (cone, (row, any_count)) in cones.iter().zip(&mut counts) {
                     let mut any = 0u64;
-                    let row = &mut counts[target - lo];
-                    for &(k, os) in
-                        &cones.outputs[cones.out_start[target]..cones.out_start[target + 1]]
-                    {
-                        let diff = clean[os as usize] ^ faulty[os as usize];
-                        row[k as usize] += u64::from(diff.count_ones());
-                        any |= diff;
+                    for (i, &s) in cone.iter().enumerate() {
+                        let s = s as usize;
+                        faulty[s] = if i == 0 {
+                            !clean[s]
+                        } else {
+                            tape.eval_slot(s, faulty)
+                        };
+                        for &k in &outputs_at[s] {
+                            let diff = clean[s] ^ faulty[s];
+                            row[k] += u64::from(diff.count_ones());
+                            any |= diff;
+                        }
                     }
-                    any_counts[target - lo] += u64::from(any.count_ones());
-                    faulty[ts] = clean[ts];
+                    *any_count += u64::from(any.count_ones());
                     for &s in cone {
                         faulty[s as usize] = clean[s as usize];
                     }
                 }
             }
-            Ok((counts, any_counts))
+            Ok(counts)
         },
     )?;
 
     #[allow(clippy::cast_precision_loss)]
     let total = (blocks * 64) as f64;
-    let mut per_output = Vec::with_capacity(n);
-    let mut any_output = Vec::with_capacity(n);
-    for (counts, any_counts) in chunks {
-        #[allow(clippy::cast_precision_loss)]
-        per_output.extend(
-            counts
-                .into_iter()
-                .map(|row| row.into_iter().map(|c| c as f64 / total).collect()),
-        );
-        #[allow(clippy::cast_precision_loss)]
-        any_output.extend(any_counts.into_iter().map(|c| c as f64 / total));
+    let mut per_output = vec![Vec::new(); n];
+    let mut any_output = vec![0.0; n];
+    for (worker, counts) in chunks.into_iter().enumerate() {
+        for (j, (row, any)) in counts.into_iter().enumerate() {
+            #[allow(clippy::cast_precision_loss)]
+            {
+                per_output[worker + j * workers] = row.iter().map(|&c| c as f64 / total).collect();
+                any_output[worker + j * workers] = any as f64 / total;
+            }
+        }
     }
     Ok((per_output, any_output))
 }
@@ -467,28 +393,5 @@ mod tests {
             let err = observabilities_biased(&c, &[0.5], 1 << 16, 1, threads, &token).unwrap_err();
             assert_eq!(err.checked_at, "obs_sim");
         }
-    }
-
-    #[test]
-    fn targets_split_into_contiguous_ranges() {
-        let mut c = Circuit::new("t");
-        let a = c.add_input("a");
-        let mut g = c.not(a);
-        for _ in 0..20 {
-            g = c.not(g);
-        }
-        c.add_output("y", g);
-        let tape = CircuitTape::compile(&c);
-        let cones = Cones::new(&tape);
-        for workers in [1, 2, 3, 7] {
-            let ranges = split_targets(&cones, c.len(), workers);
-            assert_eq!(ranges[0].0, 0);
-            assert_eq!(ranges.last().unwrap().1, c.len());
-            assert!(ranges
-                .windows(2)
-                .all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
-            assert!(ranges.len() <= workers * CHUNKS_PER_WORKER);
-        }
-        assert_eq!(split_targets(&cones, c.len(), 1), [(0, c.len())]);
     }
 }

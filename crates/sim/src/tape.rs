@@ -17,10 +17,8 @@
 //!   sweep engine) can do so without re-deriving structure.
 //!
 //! [`CircuitTape::eval_block`] evaluates one 64-pattern word per slot,
-//! optionally XOR-ing a per-slot flip mask into each slot's word (the
-//! von Neumann gate-noise model, or deterministic fault injection). It and
-//! the wide Monte Carlo kernel share one word-level gate rule,
-//! [`gate_word`].
+//! with optional per-slot XOR flip masks. It and the wide Monte Carlo
+//! kernel share one word-level gate rule, `gate_word`.
 //!
 //! The tape is pure structure: it carries no ε values and no RNG state, so
 //! one compiled tape serves every Monte Carlo configuration and every
@@ -32,10 +30,9 @@ use relogic_netlist::{Circuit, GateKind};
 /// Evaluates one gate over a 64-pattern word, fetching each fanin word
 /// through `fetch` (called with the fanin position `0..arity`).
 ///
-/// This is the library's one word-level gate rule, shared by
-/// [`CircuitTape::eval_block`] and the wide Monte Carlo kernel. The
-/// closure form lets each caller supply its own storage layout
-/// (slot-indexed words here, slot×lane-strided words in the Monte Carlo
+/// This is the library's one word-level gate rule. The closure form lets
+/// each caller supply its own storage layout (slot-indexed words in
+/// [`CircuitTape::eval_block`], slot×lane-strided words in the Monte Carlo
 /// kernel) without a gather into a scratch buffer.
 ///
 /// # Panics
@@ -230,51 +227,22 @@ impl CircuitTape {
 
     /// Evaluates one 64-pattern block in slot order: `words[slot]` holds
     /// the slot's value for 64 patterns. Input slots must already hold
-    /// their input words; every other slot is overwritten.
-    ///
-    /// With `flips`, each slot's word is XOR-ed with `flips[slot]` right
-    /// after it is computed (input slots included), so every reader sees
-    /// the flipped value. Bernoulli(ε) masks implement the von Neumann
-    /// gate-noise model; all-ones masks inject deterministic faults.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use relogic_netlist::Circuit;
-    /// use relogic_sim::CircuitTape;
-    ///
-    /// let mut c = Circuit::new("t");
-    /// let a = c.add_input("a");
-    /// let b = c.add_input("b");
-    /// let g = c.xor([a, b]);
-    /// c.add_output("y", g);
-    ///
-    /// let tape = CircuitTape::compile(&c);
-    /// let mut words = vec![0u64; tape.n_slots()];
-    /// words[tape.slot_of_node(a.index())] = 0b1100;
-    /// words[tape.slot_of_node(b.index())] = 0b1010;
-    /// tape.eval_block(&mut words, None);
-    /// assert_eq!(words[tape.slot_of_node(g.index())] & 0b1111, 0b0110);
-    /// ```
+    /// their input words; every other slot is overwritten. With `flips`,
+    /// each slot's word is XOR-ed with `flips[slot]` right after it is
+    /// computed (inputs included), so every reader sees the flipped value:
+    /// Bernoulli(ε) masks are the von Neumann gate-noise model, all-ones
+    /// masks deterministic fault injection.
     ///
     /// # Panics
     ///
-    /// Panics if `words` or `flips` does not hold one word per slot.
+    /// Panics if `words` or `flips` holds fewer words than there are slots.
     pub fn eval_block(&self, words: &mut [u64], flips: Option<&[u64]>) {
-        assert_eq!(words.len(), self.n_slots(), "one word per slot");
-        if let Some(flips) = flips {
-            assert_eq!(flips.len(), self.n_slots(), "one flip mask per slot");
-            for s in 0..self.n_slots() {
-                if self.kinds[s] != GateKind::Input {
-                    words[s] = self.eval_slot(s, words);
-                }
-                words[s] ^= flips[s];
+        for s in 0..self.n_slots() {
+            if self.kinds[s] != GateKind::Input {
+                words[s] = self.eval_slot(s, words);
             }
-        } else {
-            for s in 0..self.n_slots() {
-                if self.kinds[s] != GateKind::Input {
-                    words[s] = self.eval_slot(s, words);
-                }
+            if let Some(flips) = flips {
+                words[s] ^= flips[s];
             }
         }
     }
