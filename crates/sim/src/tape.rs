@@ -249,7 +249,7 @@ impl CircuitTape {
 
     /// The 64-pattern word of gate `slot` computed from the slot-indexed
     /// `words` of its fanins.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn eval_slot(&self, slot: usize, words: &[u64]) -> u64 {
         let fanins = self.fanins(slot);
         gate_word(self.kinds[slot], fanins.len(), |i| {

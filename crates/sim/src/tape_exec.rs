@@ -44,7 +44,7 @@ use crate::exec::ChunkExecutor;
 use crate::monte_carlo::{
     finalize_counts, validate_run, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate,
 };
-use crate::tape::CircuitTape;
+use crate::tape::{gate_word, CircuitTape};
 use crate::{BiasedBits, SimError};
 use relogic_netlist::{Circuit, GateKind};
 
@@ -276,21 +276,22 @@ struct MaskClass {
     slots: Vec<(u32, u64)>,
 }
 
-/// Elementwise unary gate kernel over one slot's lane window.
+/// Unary gate `kind` over one slot's lane window. Callers pass a constant
+/// `kind`, so `gate_word`'s dispatch folds away inside the lane loop.
 #[inline(always)]
-fn zip1(dst: &mut [u64], a: &[u64], f: impl Fn(u64) -> u64) {
+fn zip1(kind: GateKind, dst: &mut [u64], a: &[u64]) {
     for (d, &x) in dst.iter_mut().zip(a) {
-        *d = f(x);
+        *d = gate_word(kind, 1, |_| x);
     }
 }
 
-/// Elementwise binary gate kernel over one slot's lane window. The zip
+/// Binary gate `kind` over one slot's lane window, as [`zip1`]. The zip
 /// bounds the loop by slice lengths, so the body compiles to straight
 /// vector ops.
 #[inline(always)]
-fn zip2(dst: &mut [u64], a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> u64) {
+fn zip2(kind: GateKind, dst: &mut [u64], a: &[u64], b: &[u64]) {
     for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = f(x, y);
+        *d = gate_word(kind, 2, |i| if i == 0 { x } else { y });
     }
 }
 
@@ -506,24 +507,22 @@ impl TapeRun<'_> {
                     let generic = |dst: &mut [u64]| {
                         let arity = fanins.len();
                         for (l, d) in dst.iter_mut().enumerate() {
-                            *d = crate::tape::gate_word(kind, arity, |i| {
-                                lo[fanins[i] as usize * 2 * L + l]
-                            });
+                            *d = gate_word(kind, arity, |i| lo[fanins[i] as usize * 2 * L + l]);
                         }
                     };
                     match *fanins {
                         [a, b] => match kind {
-                            GateKind::And => zip2(dst, src(a), src(b), |x, y| x & y),
-                            GateKind::Nand => zip2(dst, src(a), src(b), |x, y| !(x & y)),
-                            GateKind::Or => zip2(dst, src(a), src(b), |x, y| x | y),
-                            GateKind::Nor => zip2(dst, src(a), src(b), |x, y| !(x | y)),
-                            GateKind::Xor => zip2(dst, src(a), src(b), |x, y| x ^ y),
-                            GateKind::Xnor => zip2(dst, src(a), src(b), |x, y| !(x ^ y)),
+                            GateKind::And => zip2(GateKind::And, dst, src(a), src(b)),
+                            GateKind::Nand => zip2(GateKind::Nand, dst, src(a), src(b)),
+                            GateKind::Or => zip2(GateKind::Or, dst, src(a), src(b)),
+                            GateKind::Nor => zip2(GateKind::Nor, dst, src(a), src(b)),
+                            GateKind::Xor => zip2(GateKind::Xor, dst, src(a), src(b)),
+                            GateKind::Xnor => zip2(GateKind::Xnor, dst, src(a), src(b)),
                             _ => generic(dst),
                         },
                         [a] => match kind {
-                            GateKind::Buf => dst.copy_from_slice(src(a)),
-                            GateKind::Not => zip1(dst, src(a), |x| !x),
+                            GateKind::Buf => zip1(GateKind::Buf, dst, src(a)),
+                            GateKind::Not => zip1(GateKind::Not, dst, src(a)),
                             _ => generic(dst),
                         },
                         _ => generic(dst),
