@@ -130,21 +130,17 @@ impl Consolidator {
                     .iter()
                     .map(|&(a, b)| [output_nodes[a], output_nodes[b]])
                     .collect();
-                let (counts, _) = relogic_sim::sample_joint_counts(
+                let (joint, _) = relogic_sim::sample_joint_probs(
                     circuit,
                     &dist.position_probs(circuit),
                     patterns,
                     seed,
                     &tuples,
                 );
-                #[allow(clippy::cast_precision_loss)]
                 pairs
                     .iter()
-                    .zip(counts)
-                    .map(|(&p, c)| {
-                        let total = c.iter().sum::<u64>() as f64;
-                        (p, [0, 1, 2, 3].map(|combo| c[combo] as f64 / total))
-                    })
+                    .zip(joint)
+                    .map(|(&p, v)| (p, [v[0], v[1], v[2], v[3]]))
                     .collect()
             }
         };

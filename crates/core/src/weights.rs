@@ -129,25 +129,13 @@ impl Weights {
 
     fn compute_sim(circuit: &Circuit, dist: &InputDistribution, patterns: u64, seed: u64) -> Self {
         let fanins: Vec<&[NodeId]> = circuit.iter().map(|(_, node)| node.fanins()).collect();
-        let (counts, signal_probs) = relogic_sim::sample_joint_counts(
+        let (vectors, signal_probs) = relogic_sim::sample_joint_probs(
             circuit,
             &dist.position_probs(circuit),
             patterns,
             seed,
             &fanins,
         );
-        #[allow(clippy::cast_precision_loss)]
-        let vectors = counts
-            .into_iter()
-            .map(|cs| {
-                let total: u64 = cs.iter().sum();
-                if total == 0 {
-                    return Vec::new();
-                }
-                let tf = total as f64;
-                cs.into_iter().map(|c| c as f64 / tf).collect()
-            })
-            .collect();
         Weights {
             vectors,
             signal_probs,

@@ -17,34 +17,33 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use relogic_netlist::{Circuit, NodeId};
 
-/// Joint value counts of node tuples and the signal probability of every
-/// node, from one simulation pass over `patterns` sampled input patterns
-/// (rounded up to whole 64-pattern blocks).
+/// Joint value probabilities of node tuples and the signal probability of
+/// every node, from one simulation pass over `patterns` sampled input
+/// patterns (rounded up to whole 64-pattern blocks).
 ///
-/// Input position `i` is 1 with probability `input_probs[i]`. Count entry
-/// `[t][combo]` is the number of patterns on which the nodes of
+/// Input position `i` is 1 with probability `input_probs[i]`. Entry
+/// `[t][combo]` is the fraction of patterns on which the nodes of
 /// `tuples[t]` took the values encoded by `combo` (bit `j` of `combo` =
-/// value of node `j` of the tuple); an empty tuple gets an empty count
-/// vector. With every gate's fanins as its tuple the counts, normalized,
-/// are the paper's *weight vectors* — the core quantity of the
-/// single-pass algorithm — estimated by random pattern simulation as
-/// §4(i) suggests; with output pairs they are the joint value
-/// distributions the consolidator needs. The second half is the
-/// fault-free signal probability `Pr(node = 1)` of every node.
+/// value of node `j` of the tuple); an empty tuple gets an empty vector.
+/// With every gate's fanins as its tuple these are the paper's *weight
+/// vectors* — the core quantity of the single-pass algorithm — estimated
+/// by random pattern simulation as §4(i) suggests; with output pairs they
+/// are the joint value distributions the consolidator needs. The second
+/// half is the fault-free signal probability `Pr(node = 1)` of every node.
 ///
 /// # Examples
 ///
 /// ```
 /// use relogic_netlist::Circuit;
-/// use relogic_sim::sample_joint_counts;
+/// use relogic_sim::sample_joint_probs;
 ///
 /// let mut c = Circuit::new("t");
 /// let a = c.add_input("a");
 /// let b = c.add_input("b");
 /// let g = c.and([a, b]);
 /// c.add_output("y", g);
-/// let (counts, p) = sample_joint_counts(&c, &[0.5, 0.5], 1 << 16, 7, &[[a, b]]);
-/// assert_eq!(counts[0].iter().sum::<u64>(), 1 << 16);
+/// let (joint, p) = sample_joint_probs(&c, &[0.5, 0.5], 1 << 16, 7, &[[a, b]]);
+/// assert!((joint[0][0b11] - p[g.index()]).abs() < 1e-12);
 /// assert!((p[g.index()] - 0.25).abs() < 0.01);
 /// ```
 ///
@@ -53,13 +52,13 @@ use relogic_netlist::{Circuit, NodeId};
 /// Panics if a tuple has more than [`MAX_COUNTED_ARITY`] nodes or
 /// `input_probs` holds a probability outside `[0, 1]`.
 #[must_use]
-pub fn sample_joint_counts<T: AsRef<[NodeId]>>(
+pub fn sample_joint_probs<T: AsRef<[NodeId]>>(
     circuit: &Circuit,
     input_probs: &[f64],
     patterns: u64,
     seed: u64,
     tuples: &[T],
-) -> (Vec<Vec<u64>>, Vec<f64>) {
+) -> (Vec<Vec<f64>>, Vec<f64>) {
     let tape = CircuitTape::compile(circuit);
     let sampler = InputSampler::independent(input_probs);
     let blocks = patterns.div_ceil(64).max(1);
@@ -115,16 +114,19 @@ pub fn sample_joint_counts<T: AsRef<[NodeId]>>(
         }
     }
     #[allow(clippy::cast_precision_loss)]
-    let total = (blocks * 64) as f64;
-    #[allow(clippy::cast_precision_loss)]
-    let signal_probs = (0..tape.n_slots())
-        .map(|i| ones[tape.slot_of_node(i)] as f64 / total)
+    let fraction = |count: u64| count as f64 / (blocks * 64) as f64;
+    let joint = counts
+        .into_iter()
+        .map(|cs| cs.into_iter().map(fraction).collect())
         .collect();
-    (counts, signal_probs)
+    let signal_probs = (0..tape.n_slots())
+        .map(|i| fraction(ones[tape.slot_of_node(i)]))
+        .collect();
+    (joint, signal_probs)
 }
 
-/// Maximum tuple width [`sample_joint_counts`] counts (a tuple's count
-/// vector has `2^width` entries).
+/// Maximum tuple width [`sample_joint_probs`] samples (a tuple's vector
+/// has `2^width` entries).
 pub const MAX_COUNTED_ARITY: usize = 12;
 
 /// The fanout cone of node `target`: its own slot first, then every gate
@@ -252,11 +254,11 @@ mod tests {
         vec![0.5; c.input_count()]
     }
 
-    /// Weight-vector counts and signal probabilities: every node's fanins
-    /// as its tuple.
-    fn weight_samples(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<u64>>, Vec<f64>) {
+    /// Weight vectors and signal probabilities: every node's fanins as
+    /// its tuple.
+    fn weight_samples(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let fanins: Vec<&[NodeId]> = c.iter().map(|(_, n)| n.fanins()).collect();
-        sample_joint_counts(c, &uniform(c), patterns, seed, &fanins)
+        sample_joint_probs(c, &uniform(c), patterns, seed, &fanins)
     }
 
     fn observabilities(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -280,38 +282,36 @@ mod tests {
     }
 
     #[test]
-    fn joint_counts_sum_to_patterns_and_match_marginals() {
+    fn joint_probs_sum_to_one_and_match_marginals() {
         let mut c = Circuit::new("t");
         let a = c.add_input("a");
         let b = c.add_input("b");
         let g = c.and([a, b]);
         c.add_output("y", g);
-        let patterns = 1u64 << 14;
-        let (counts, _) = weight_samples(&c, patterns, 3);
-        let w = &counts[g.index()];
+        let (joint, p) = weight_samples(&c, 1 << 14, 3);
+        let w = &joint[g.index()];
         assert_eq!(w.len(), 4);
-        let total: u64 = w.iter().sum();
-        assert_eq!(total, patterns);
+        // Fractions of a power-of-two pattern count add up exactly.
+        assert_eq!(w.iter().sum::<f64>(), 1.0);
+        assert_eq!(w[0b11], p[g.index()]);
         // independent uniform inputs: each combo ~ 1/4
-        for &cnt in w {
-            #[allow(clippy::cast_precision_loss)]
-            let frac = cnt as f64 / patterns as f64;
+        for &frac in w {
             assert!((frac - 0.25).abs() < 0.02, "{frac}");
         }
     }
 
     #[test]
-    fn joint_counts_capture_correlation() {
+    fn joint_probs_capture_correlation() {
         // Both fanins of g are the same signal: only combos 00 and 11 occur.
         let mut c = Circuit::new("t");
         let a = c.add_input("a");
         let g = c.xor([a, a]);
         c.add_output("y", g);
-        let (counts, _) = weight_samples(&c, 4096, 9);
-        let w = &counts[g.index()];
-        assert_eq!(w[0b01], 0);
-        assert_eq!(w[0b10], 0);
-        assert!(w[0b00] > 0 && w[0b11] > 0);
+        let (joint, _) = weight_samples(&c, 4096, 9);
+        let w = &joint[g.index()];
+        assert_eq!(w[0b01], 0.0);
+        assert_eq!(w[0b10], 0.0);
+        assert!(w[0b00] > 0.0 && w[0b11] > 0.0);
     }
 
     #[test]
@@ -320,10 +320,10 @@ mod tests {
         let ins: Vec<_> = (0..6).map(|i| c.add_input(format!("x{i}"))).collect();
         let g = c.and(ins);
         c.add_output("y", g);
-        let (counts, _) = weight_samples(&c, 4096, 1);
-        let w = &counts[g.index()];
+        let (joint, _) = weight_samples(&c, 4096, 1);
+        let w = &joint[g.index()];
         assert_eq!(w.len(), 64);
-        assert_eq!(w.iter().sum::<u64>(), 4096);
+        assert_eq!(w.iter().sum::<f64>(), 1.0);
     }
 
     #[test]

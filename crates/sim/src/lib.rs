@@ -28,7 +28,7 @@
 //! * [`exact_reliability`] / [`flip_influence`] — exhaustive ground truth
 //!   for small circuits, on the shared enumeration driver
 //!   [`for_each_input_block`].
-//! * [`sample_joint_counts`] / [`observabilities_biased`] — sampling
+//! * [`sample_joint_probs`] / [`observabilities_biased`] — sampling
 //!   backends for the quantities the analytical engines need (weight
 //!   vectors, output-pair value distributions and signal probabilities
 //!   from one pass; observability rows).
@@ -62,7 +62,7 @@ pub const CHAOS_FEATURE_GATED: () = ();
 pub use bits::{stats, BiasedBits, DEFAULT_RESOLUTION};
 pub use cancel::{CancelToken, Cancelled};
 pub use error::SimError;
-pub use estimate::{observabilities_biased, sample_joint_counts, MAX_COUNTED_ARITY};
+pub use estimate::{observabilities_biased, sample_joint_probs, MAX_COUNTED_ARITY};
 pub use exec::{available_threads, ChunkExecutor, SubmitRejection};
 pub use exhaustive::{exact_reliability, flip_influence, for_each_input_block, ExactReliability};
 pub use monte_carlo::{try_estimate, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate};
