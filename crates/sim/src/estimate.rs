@@ -1,6 +1,6 @@
 //! Simulation-based estimation backends: signal probabilities, joint
-//! value counts (weight vectors and output-pair distributions), and
-//! fault-simulation observabilities.
+//! value distributions (weight vectors and output-pair distributions),
+//! and fault-simulation observabilities.
 //!
 //! These provide the same quantities as the BDD backend in `relogic-bdd`
 //! but scale to circuits whose BDDs blow up, at the cost of sampling noise
