@@ -79,53 +79,6 @@ impl VarOrder {
         VarOrder { var_of }
     }
 
-    /// Fanin-weight order: each output carries weight 1.0, split evenly
-    /// down its fanin cone in reverse topological order, and inputs are
-    /// numbered by descending accumulated weight (declaration position as
-    /// the tie-break, so the order is deterministic).
-    ///
-    /// Inputs feeding many outputs through shallow logic accumulate large
-    /// weights and land near the top of the order — the classic static
-    /// heuristic for reconvergent circuits, complementing [`VarOrder::dfs`]
-    /// (which optimizes for locality rather than influence).
-    #[must_use]
-    pub fn weighted(circuit: &Circuit) -> Self {
-        let mut weight = vec![0.0f64; circuit.len()];
-        for out in circuit.outputs() {
-            weight[out.node().index()] += 1.0;
-        }
-        // Nodes are stored in topological order, so a reverse scan sees
-        // every node after all of its fanouts.
-        for idx in (0..circuit.len()).rev() {
-            let node = circuit.node(NodeId::from_index(idx));
-            let fanins = node.fanins();
-            if fanins.is_empty() || weight[idx] == 0.0 {
-                continue;
-            }
-            #[allow(clippy::cast_precision_loss)]
-            let share = weight[idx] / fanins.len() as f64;
-            for f in fanins {
-                weight[f.index()] += share;
-            }
-        }
-        let mut by_weight: Vec<(usize, f64)> = (0..circuit.input_count())
-            .map(|pos| {
-                let id = circuit.inputs()[pos];
-                (pos, weight[id.index()])
-            })
-            .collect();
-        by_weight.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let mut var_of = vec![Var::MAX; circuit.input_count()];
-        for (rank, (pos, _)) in by_weight.into_iter().enumerate() {
-            var_of[pos] = Var::try_from(rank).expect("input count overflow");
-        }
-        VarOrder { var_of }
-    }
-
     /// Number of inputs covered by this order.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -189,11 +142,11 @@ impl std::fmt::Display for BuildBudgetExceeded {
 
 impl std::error::Error for BuildBudgetExceeded {}
 
-/// Why an interruptible budgeted build stopped early.
+/// Why a circuit build stopped early.
 ///
 /// The crate stays dependency-free of the cancellation layer: callers hand
-/// [`CircuitBdds::try_build_interruptible`] a polling closure and get this
-/// back, mapping `Interrupted` onto their own typed cancellation error.
+/// [`CircuitBdds::try_build`] a polling closure and get this back, mapping
+/// `Interrupted` onto their own typed cancellation error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BuildInterrupt {
     /// The live-node budget tripped (deterministic per circuit/order).
@@ -223,52 +176,26 @@ pub struct CircuitBdds {
 }
 
 impl CircuitBdds {
-    /// Builds BDDs for every node of `circuit` in topological order.
+    /// Builds BDDs for every node of `circuit` in topological order,
+    /// checking the manager's live-node count after every gate and
+    /// aborting once it exceeds `budget`, and consulting a caller-supplied
+    /// interrupt poll at the same per-gate point — the allocation/ite hot
+    /// path's existing bookkeeping stop, so the added cost is one
+    /// predictable branch per gate.
     ///
     /// The manager must have at least `order.len()` variables; extra
     /// variables (e.g. a pre-allocated observability auxiliary) are fine.
     ///
-    /// # Panics
-    ///
-    /// Panics if the manager has fewer variables than the order requires.
-    #[must_use]
-    pub fn build(manager: &mut BddManager, circuit: &Circuit, order: &VarOrder) -> Self {
-        assert!(manager.var_count() >= order.len());
-        let mut funcs: Vec<BddRef> = Vec::with_capacity(circuit.len());
-        for (id, node) in circuit.iter() {
-            let f = match node.kind() {
-                GateKind::Input => {
-                    let pos = circuit
-                        .input_position(id)
-                        .expect("input node has a position");
-                    manager.var(order.var_of_position(pos))
-                }
-                kind => build_gate(manager, kind, node.fanins(), &funcs),
-            };
-            funcs.push(f);
-        }
-        CircuitBdds {
-            funcs,
-            order: order.clone(),
-        }
-    }
-
-    /// Like [`CircuitBdds::build`], but checks the manager's live-node
-    /// count after every gate and aborts once it exceeds `budget`, and
-    /// consults a caller-supplied interrupt poll at the same per-gate point
-    /// — the allocation/ite hot path's existing bookkeeping stop, so the
-    /// added cost is one predictable branch per gate.
-    ///
-    /// This is the enforcement point for tiered estimation: the *base*
-    /// construction is the deterministic part of exact analysis (every
-    /// worker replays the identical sequence), so a budget enforced here
-    /// trips identically for every thread count — and it is where
+    /// The *base* construction is the deterministic part of exact analysis
+    /// (every worker replays the identical sequence), so a budget enforced
+    /// here trips identically for every thread count — and it is where
     /// multiplier-class circuits (c6288) blow up in the first place.
     ///
     /// The poll must be cheap (the cancellation layer's `is_cancelled()`
     /// is a couple of relaxed atomic loads) and *read-only*: interrupting
     /// never changes what a completed build produces, only whether it
-    /// completes. Pass `&mut || false` when only the budget applies.
+    /// completes. Pass `usize::MAX` and `&mut || false` for an unbounded,
+    /// uninterruptible build.
     ///
     /// # Errors
     ///
@@ -280,7 +207,7 @@ impl CircuitBdds {
     /// # Panics
     ///
     /// Panics if the manager has fewer variables than the order requires.
-    pub fn try_build_interruptible(
+    pub fn try_build(
         manager: &mut BddManager,
         circuit: &Circuit,
         order: &VarOrder,
@@ -379,56 +306,6 @@ impl CircuitBdds {
         funcs
     }
 
-    /// Boolean difference of `gate`'s *local* function with respect to its
-    /// fanin `wrt`: the predicate (over primary inputs) that flipping the
-    /// value on the `wrt` pins flips the gate's output.
-    ///
-    /// Built as `f_gate[wrt ← 1] ⊕ f_gate[wrt ← 0]` over the base fanin
-    /// functions, which stays exact when the gate reads `wrt` on several
-    /// pins. This is the chain-rule factor for exact observability on
-    /// fanout-free paths: if `wrt`'s only observer is `gate`, then
-    /// `∂y/∂wrt = local_difference(gate, wrt) ∧ ∂y/∂gate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate` is not actually a gate or does not read `wrt`.
-    #[must_use]
-    pub fn local_difference(
-        &self,
-        manager: &mut BddManager,
-        circuit: &Circuit,
-        gate: NodeId,
-        wrt: NodeId,
-    ) -> BddRef {
-        let node = circuit.node(gate);
-        assert!(
-            node.kind().is_gate(),
-            "local_difference target must be a gate"
-        );
-        assert!(
-            node.fanins().contains(&wrt),
-            "gate does not read the differentiation node"
-        );
-        let with = |manager: &mut BddManager, value: BddRef| {
-            let lookup: Vec<BddRef> = node
-                .fanins()
-                .iter()
-                .map(|&f| {
-                    if f == wrt {
-                        value
-                    } else {
-                        self.funcs[f.index()]
-                    }
-                })
-                .collect();
-            let pins: Vec<NodeId> = (0..lookup.len()).map(NodeId::from_index).collect();
-            build_gate(manager, node.kind(), &pins, &lookup)
-        };
-        let hi = with(manager, BddRef::TRUE);
-        let lo = with(manager, BddRef::FALSE);
-        manager.xor(hi, lo)
-    }
-
     /// Boolean difference of `dom`'s function with respect to the value at
     /// `target`, where `dom` post-dominates `target` in the circuit DAG
     /// (every path from `target` to any output runs through `dom`).
@@ -437,9 +314,10 @@ impl CircuitBdds {
     /// the reconvergence region — the intersection of `target`'s fanout
     /// cone with `dom`'s fanin cone — then reads `∂f_dom/∂aux`. Because
     /// reconvergent fanout in real netlists is local, the region is
-    /// typically a handful of gates, which makes this the cheap middle
-    /// ground between [`CircuitBdds::local_difference`] (single observer)
-    /// and a full-cone splice (no post-dominator short of the outputs).
+    /// typically a handful of gates, which makes this far cheaper than a
+    /// full-cone splice ([`CircuitBdds::with_aux_at`], for nodes with no
+    /// post-dominator short of the outputs). A node read by a single gate
+    /// is the degenerate case: the region is that gate.
     ///
     /// This is the generalized chain-rule factor: if `dom` post-dominates
     /// `target`, then `∂y/∂target = region_difference(target, dom) ∧
@@ -546,6 +424,10 @@ fn build_gate(
 mod tests {
     use super::*;
 
+    fn build(manager: &mut BddManager, circuit: &Circuit, order: &VarOrder) -> CircuitBdds {
+        CircuitBdds::try_build(manager, circuit, order, usize::MAX, &mut || false).unwrap()
+    }
+
     fn full_adder() -> Circuit {
         let mut c = Circuit::new("fa");
         let a = c.add_input("a");
@@ -562,29 +444,30 @@ mod tests {
     }
 
     #[test]
-    fn interruptible_build_stops_at_the_per_gate_check() {
+    fn build_stops_at_the_per_gate_check() {
         let c = full_adder();
         let order = VarOrder::natural(&c);
         // Interrupt poll fires on the very first gate check.
         let mut m = BddManager::new(order.len());
-        let err =
-            CircuitBdds::try_build_interruptible(&mut m, &c, &order, usize::MAX, &mut || true)
-                .unwrap_err();
+        let err = CircuitBdds::try_build(&mut m, &c, &order, usize::MAX, &mut || true).unwrap_err();
         assert_eq!(err, BuildInterrupt::Interrupted);
-        // A never-firing poll builds the identical functions as the plain
-        // build (interruption is read-only).
+        // A poll that fires late stops the build without changing what
+        // the gates before it built (interruption is read-only).
         let mut m1 = BddManager::new(order.len());
-        let a = CircuitBdds::build(&mut m1, &c, &order);
+        let a = build(&mut m1, &c, &order);
         let mut m2 = BddManager::new(order.len());
-        let b =
-            CircuitBdds::try_build_interruptible(&mut m2, &c, &order, usize::MAX, &mut || false)
-                .unwrap();
-        assert_eq!(a.funcs(), b.funcs());
-        // The budget branch still wins its own error type through the
-        // interruptible path.
+        let mut polls = 0;
+        let err = CircuitBdds::try_build(&mut m2, &c, &order, usize::MAX, &mut || {
+            polls += 1;
+            polls == c.len()
+        })
+        .unwrap_err();
+        assert_eq!(err, BuildInterrupt::Interrupted);
+        assert_eq!(m1.live_node_count(), m2.live_node_count());
+        assert_eq!(a.funcs().len(), c.len());
+        // The budget trips with its own error type.
         let mut m3 = BddManager::new(order.len());
-        let err = CircuitBdds::try_build_interruptible(&mut m3, &c, &order, 0, &mut || false)
-            .unwrap_err();
+        let err = CircuitBdds::try_build(&mut m3, &c, &order, 0, &mut || false).unwrap_err();
         assert!(matches!(err, BuildInterrupt::Budget(_)), "{err:?}");
     }
 
@@ -593,7 +476,7 @@ mod tests {
         let c = full_adder();
         let order = VarOrder::natural(&c);
         let mut m = BddManager::new(order.len());
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = build(&mut m, &c, &order);
         for p in 0..8u32 {
             let bits: Vec<bool> = (0..3).map(|j| p >> j & 1 != 0).collect();
             let expect = c.eval(&bits);
@@ -612,7 +495,7 @@ mod tests {
         let c = full_adder();
         let order = VarOrder::dfs(&c);
         let mut m = BddManager::new(order.len());
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = build(&mut m, &c, &order);
         for p in 0..8u32 {
             let bits: Vec<bool> = (0..3).map(|j| p >> j & 1 != 0).collect();
             // Permute the assignment into variable space.
@@ -632,7 +515,7 @@ mod tests {
         let c = full_adder();
         let order = VarOrder::natural(&c);
         let mut m = BddManager::new(order.len());
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = build(&mut m, &c, &order);
         // sum = a^b^cin has probability 1/2; cout = majority has 1/2.
         let sum = bdds.func(c.outputs()[0].node());
         let cout = bdds.func(c.outputs()[1].node());
@@ -652,7 +535,7 @@ mod tests {
         c.add_output("y", y);
         let order = VarOrder::natural(&c);
         let mut m = BddManager::new(order.len() + 1);
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = build(&mut m, &c, &order);
         let aux = 3;
         let funcs = bdds.with_aux_at(&mut m, &c, g, aux);
         let oy = funcs[y.index()];
@@ -674,42 +557,13 @@ mod tests {
         let c = full_adder();
         let order = VarOrder::natural(&c);
         let mut m = BddManager::new(order.len() + 1);
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = build(&mut m, &c, &order);
         let s1 = relogic_netlist::NodeId::from_index(3); // a ^ b
         let funcs = bdds.with_aux_at(&mut m, &c, s1, 3);
         // s1 feeds sum (xor: always observable) and c2->cout.
         let sum_f = funcs[c.outputs()[0].node().index()];
         let d = m.boolean_difference(sum_f, 3);
         assert_eq!(d, BddRef::TRUE);
-    }
-
-    #[test]
-    fn weighted_order_matches_semantics_and_ranks_influence() {
-        let c = full_adder();
-        let order = VarOrder::weighted(&c);
-        assert_eq!(order.len(), 3);
-        // All three variables assigned, all distinct.
-        let mut seen: Vec<Var> = (0..3).map(|p| order.var_of_position(p)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2]);
-        let mut m = BddManager::new(order.len());
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
-        for p in 0..8u32 {
-            let bits: Vec<bool> = (0..3).map(|j| p >> j & 1 != 0).collect();
-            let mut asg = vec![false; 3];
-            for (pos, &bit) in bits.iter().enumerate() {
-                asg[order.var_of_position(pos) as usize] = bit;
-            }
-            let expect = c.eval(&bits);
-            for (k, out) in c.outputs().iter().enumerate() {
-                assert_eq!(m.eval(bdds.func(out.node()), &asg), expect[k]);
-            }
-        }
-        // cin reaches both outputs through shallower logic than a or b
-        // (weight 0.75 vs 0.625), so it lands nearest the top; a and b tie
-        // and keep declaration order.
-        assert_eq!(order.var_of_position(2), 0);
-        assert!(order.var_of_position(0) < order.var_of_position(1));
     }
 
     #[test]
@@ -731,7 +585,7 @@ mod tests {
         c.add_output("y", g);
         let order = VarOrder::natural(&c);
         let mut m = BddManager::new(order.len());
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = build(&mut m, &c, &order);
         assert_eq!(bdds.func(k1), BddRef::TRUE);
         assert_eq!(bdds.func(g), bdds.func(a));
     }

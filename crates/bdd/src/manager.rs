@@ -180,32 +180,19 @@ fn cache_hash(tag: u32, a: u32, b: u32, c: u32) -> u64 {
     )
 }
 
-/// Binary Boolean operations supported by [`BddManager::apply`].
-///
-/// All three are implemented on top of the memoized [`BddManager::ite`]
-/// kernel via the standard encodings `a∧b = ite(a,b,0)`, `a∨b = ite(a,1,b)`
-/// and `a⊕b = ite(a,¬b,b)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum BddOp {
-    /// Conjunction.
-    And,
-    /// Disjunction.
-    Or,
-    /// Exclusive or.
-    Xor,
-}
-
 /// Engine counters reported by [`BddManager::stats`].
+///
+/// Several managers' counters fold into one report with
+/// [`BddStats::merge`]: counters sum, peaks and load factors take the
+/// maximum, so the numbers describe a whole multi-worker run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BddStats {
     /// Nodes currently allocated and reachable-or-not-yet-collected
-    /// (terminal excluded).
+    /// (terminal excluded; summed over merged managers).
     pub live_nodes: usize,
-    /// High-water mark of `live_nodes` over the manager's lifetime.
+    /// High-water mark of `live_nodes` in any one manager.
     pub peak_live_nodes: usize,
-    /// Total node slots ever allocated (free-listed slots included).
-    pub allocated_nodes: usize,
-    /// Occupied fraction of the open-addressed unique table.
+    /// Worst occupied fraction of any manager's unique table.
     pub unique_load: f64,
     /// Operation-cache lookups that found their entry.
     pub cache_hits: u64,
@@ -213,8 +200,6 @@ pub struct BddStats {
     pub cache_misses: u64,
     /// Mark-and-sweep collections run.
     pub gc_runs: u64,
-    /// Nodes reclaimed across all collections.
-    pub gc_freed: u64,
     /// Sifting passes run.
     pub reorders: u64,
 }
@@ -240,13 +225,27 @@ impl BddStats {
     pub fn merge(&mut self, other: &BddStats) {
         self.live_nodes += other.live_nodes;
         self.peak_live_nodes = self.peak_live_nodes.max(other.peak_live_nodes);
-        self.allocated_nodes += other.allocated_nodes;
         self.unique_load = self.unique_load.max(other.unique_load);
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.gc_runs += other.gc_runs;
-        self.gc_freed += other.gc_freed;
         self.reorders += other.reorders;
+    }
+}
+
+impl fmt::Display for BddStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "peak live BDD nodes:      {}", self.peak_live_nodes)?;
+        writeln!(f, "unique-table load:        {:.3}", self.unique_load)?;
+        writeln!(
+            f,
+            "op-cache hit rate:        {:.3} ({} hits / {} misses)",
+            self.cache_hit_rate(),
+            self.cache_hits,
+            self.cache_misses
+        )?;
+        writeln!(f, "GC runs:                  {}", self.gc_runs)?;
+        write!(f, "reorder passes:           {}", self.reorders)
     }
 }
 
@@ -291,7 +290,6 @@ pub struct BddManager {
     cache_hits: u64,
     cache_misses: u64,
     gc_runs: u64,
-    gc_freed: u64,
     reorders: u64,
     reorder_trigger: Option<usize>,
 }
@@ -310,7 +308,6 @@ impl BddManager {
     /// Creates a manager with `var_count` variables (indices
     /// `0..var_count`), each initially at the level equal to its index.
     ///
-    /// More variables can be added later with [`BddManager::add_var`].
     #[must_use]
     pub fn new(var_count: usize) -> Self {
         let levels = u32::try_from(var_count).expect("variable count overflow");
@@ -331,7 +328,6 @@ impl BddManager {
             cache_hits: 0,
             cache_misses: 0,
             gc_runs: 0,
-            gc_freed: 0,
             reorders: 0,
             reorder_trigger: None,
         }
@@ -341,15 +337,6 @@ impl BddManager {
     #[must_use]
     pub fn var_count(&self) -> usize {
         self.level_of.len()
-    }
-
-    /// Appends a fresh variable at the bottom of the order and returns its
-    /// index.
-    pub fn add_var(&mut self) -> Var {
-        let v = u32::try_from(self.level_of.len()).expect("variable index overflow");
-        self.level_of.push(v);
-        self.var_at.push(v);
-        v
     }
 
     /// Moves variable `v` to the top of the order (level 0), shifting the
@@ -405,23 +392,12 @@ impl BddManager {
         BddStats {
             live_nodes: self.live,
             peak_live_nodes: self.peak_live,
-            allocated_nodes: self.nodes.len() - 1,
             unique_load,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             gc_runs: self.gc_runs,
-            gc_freed: self.gc_freed,
             reorders: self.reorders,
         }
-    }
-
-    /// Number of garbage collections run so far. Callers holding external
-    /// memo tables keyed by [`BddRef`] (e.g.
-    /// [`BddManager::probability_memo`]) must invalidate them whenever this
-    /// advances: collection recycles node indices.
-    #[must_use]
-    pub fn gc_count(&self) -> u64 {
-        self.gc_runs
     }
 
     /// Number of nodes reachable from `f` (its BDD size), the terminal
@@ -441,12 +417,6 @@ impl BddManager {
             stack.push(BddRef(n.high).regular());
         }
         count
-    }
-
-    /// Drops the operation cache (the unique table is kept, so existing
-    /// refs stay valid). Useful to bound memory in long sweeps.
-    pub fn clear_op_caches(&mut self) {
-        self.cache.fill(EMPTY_ENTRY);
     }
 
     /// The level a ref's top variable is decided at (`u32::MAX` for
@@ -470,28 +440,6 @@ impl BddManager {
     #[inline]
     fn high_of(&self, r: BddRef) -> BddRef {
         BddRef(self.nodes[r.index()].high ^ (r.0 & 1))
-    }
-
-    /// The decision variable of `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is a terminal.
-    #[must_use]
-    pub fn topvar(&self, f: BddRef) -> Var {
-        assert!(!f.is_terminal(), "terminals have no decision variable");
-        self.nodes[f.index()].var
-    }
-
-    /// The `(low, high)` cofactors of `f` with respect to its top variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is a terminal.
-    #[must_use]
-    pub fn cofactors(&self, f: BddRef) -> (BddRef, BddRef) {
-        assert!(!f.is_terminal(), "terminals have no cofactors");
-        (self.low_of(f), self.high_of(f))
     }
 
     // ----- unique table -------------------------------------------------
@@ -678,19 +626,6 @@ impl BddManager {
         self.mk(v, BddRef::FALSE, BddRef::TRUE)
     }
 
-    /// The negated single-variable function `¬x_v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn nvar(&mut self, v: Var) -> BddRef {
-        assert!(
-            (v as usize) < self.level_of.len(),
-            "variable {v} out of range"
-        );
-        self.mk(v, BddRef::TRUE, BddRef::FALSE)
-    }
-
     /// A constant terminal as a `BddRef`.
     #[must_use]
     pub fn constant(value: bool) -> BddRef {
@@ -706,16 +641,6 @@ impl BddManager {
     pub fn not(&self, f: BddRef) -> BddRef {
         let _ = self;
         f.negate()
-    }
-
-    /// Applies a binary Boolean operation (an [`BddManager::ite`]
-    /// encoding).
-    pub fn apply(&mut self, op: BddOp, a: BddRef, b: BddRef) -> BddRef {
-        match op {
-            BddOp::And => self.ite(a, b, BddRef::FALSE),
-            BddOp::Or => self.ite(a, BddRef::TRUE, b),
-            BddOp::Xor => self.ite(a, b.negate(), b),
-        }
     }
 
     /// Conjunction `a ∧ b`.
@@ -903,75 +828,12 @@ impl BddManager {
         BddRef(r.0 ^ c)
     }
 
-    /// Functional composition: substitutes `g` for variable `v` in `f`.
-    pub fn compose(&mut self, f: BddRef, v: Var, g: BddRef) -> BddRef {
-        let v_level = self.level_of[v as usize];
-        let mut cache = HashMap::new();
-        self.compose_rec(f, v_level, g, &mut cache)
-    }
-
-    fn compose_rec(
-        &mut self,
-        f: BddRef,
-        v_level: u32,
-        g: BddRef,
-        cache: &mut HashMap<BddRef, BddRef>,
-    ) -> BddRef {
-        if f.is_terminal() || self.level(f) > v_level {
-            return f;
-        }
-        let c = f.0 & 1;
-        let fr = f.regular();
-        if let Some(&r) = cache.get(&fr) {
-            return BddRef(r.0 ^ c);
-        }
-        let n = self.nodes[fr.index()];
-        let r = if self.level_of[n.var as usize] == v_level {
-            self.ite(g, BddRef(n.high), BddRef(n.low))
-        } else {
-            let low = self.compose_rec(BddRef(n.low), v_level, g, cache);
-            let high = self.compose_rec(BddRef(n.high), v_level, g, cache);
-            // The substitution may pull `g`'s variables above `n.var`, so
-            // rebuild through ite rather than mk.
-            let x = self.var(n.var);
-            self.ite(x, high, low)
-        };
-        cache.insert(fr, r);
-        BddRef(r.0 ^ c)
-    }
-
-    /// Existential quantification `∃v. f = f|_{v=0} ∨ f|_{v=1}`.
-    pub fn exists(&mut self, f: BddRef, v: Var) -> BddRef {
-        let f0 = self.restrict(f, v, false);
-        let f1 = self.restrict(f, v, true);
-        self.or(f0, f1)
-    }
-
     /// Boolean difference `∂f/∂v = f|_{v=0} ⊕ f|_{v=1}`: the set of input
     /// assignments where the value of `v` is observable at `f`.
     pub fn boolean_difference(&mut self, f: BddRef, v: Var) -> BddRef {
         let f0 = self.restrict(f, v, false);
         let f1 = self.restrict(f, v, true);
         self.xor(f0, f1)
-    }
-
-    /// The set of variables `f` structurally depends on, ascending by
-    /// variable index.
-    #[must_use]
-    pub fn support(&self, f: BddRef) -> Vec<Var> {
-        let mut seen = std::collections::HashSet::new();
-        let mut vars = std::collections::BTreeSet::new();
-        let mut stack = vec![f.regular()];
-        while let Some(r) = stack.pop() {
-            if r.is_terminal() || !seen.insert(r.index()) {
-                continue;
-            }
-            let n = self.nodes[r.index()];
-            vars.insert(n.var);
-            stack.push(BddRef(n.low).regular());
-            stack.push(BddRef(n.high).regular());
-        }
-        vars.into_iter().collect()
     }
 
     /// Evaluates `f` under a full variable assignment.
@@ -1012,8 +874,8 @@ impl BddManager {
     /// Like [`BddManager::probability`] but reusing a caller-provided memo
     /// table, so many related queries (e.g. weight-vector entries) share
     /// work. The memo is only valid for one fixed `var_probs` and must be
-    /// discarded whenever [`BddManager::gc_count`] advances (collection
-    /// recycles node indices).
+    /// discarded after every [`BddManager::gc`] or sifting pass (both
+    /// recycle node indices).
     pub fn probability_memo(
         &self,
         f: BddRef,
@@ -1071,7 +933,7 @@ impl BddManager {
     /// **Every ref the caller intends to keep using must be covered by
     /// `roots`** (reachability counts: interior nodes of a rooted function
     /// survive). External memo tables keyed by [`BddRef`] must be
-    /// discarded afterwards — see [`BddManager::gc_count`].
+    /// discarded afterwards, since collection recycles node indices.
     pub fn gc(&mut self, roots: &[BddRef]) -> usize {
         let mut marked = vec![false; self.nodes.len()];
         marked[0] = true;
@@ -1104,7 +966,6 @@ impl BddManager {
         self.rebuild_unique();
         self.cache.fill(EMPTY_ENTRY);
         self.gc_runs += 1;
-        self.gc_freed += freed as u64;
         freed
     }
 
@@ -1578,32 +1439,6 @@ mod tests {
     }
 
     #[test]
-    fn compose_substitutes() {
-        let mut m = BddManager::new(3);
-        let a = m.var(0);
-        let b = m.var(1);
-        let c = m.var(2);
-        // f = a & b; substitute b := (a ^ c)  =>  a & (a ^ c) = a & !c
-        let f = m.and(a, b);
-        let g = m.xor(a, c);
-        let h = m.compose(f, 1, g);
-        let nc = m.not(c);
-        let expect = m.and(a, nc);
-        assert_eq!(h, expect);
-        // composing a variable outside the support is identity
-        assert_eq!(m.compose(a, 2, b), a);
-    }
-
-    #[test]
-    fn exists_quantifies() {
-        let (mut m, a, b) = two_var();
-        let f = m.and(a, b);
-        assert_eq!(m.exists(f, 0), b);
-        let g = m.xor(a, b);
-        assert_eq!(m.exists(g, 0), BddRef::TRUE);
-    }
-
-    #[test]
     fn boolean_difference_detects_observability() {
         let (mut m, a, b) = two_var();
         let f = m.and(a, b);
@@ -1612,16 +1447,6 @@ mod tests {
         let g = m.xor(a, b);
         // xor always observes both inputs
         assert_eq!(m.boolean_difference(g, 0), BddRef::TRUE);
-    }
-
-    #[test]
-    fn support_lists_dependencies() {
-        let mut m = BddManager::new(3);
-        let a = m.var(0);
-        let c = m.var(2);
-        let f = m.or(a, c);
-        assert_eq!(m.support(f), vec![0, 2]);
-        assert_eq!(m.support(BddRef::TRUE), Vec::<Var>::new());
     }
 
     #[test]
@@ -1649,17 +1474,6 @@ mod tests {
     }
 
     #[test]
-    fn add_var_extends_order() {
-        let mut m = BddManager::new(1);
-        let v = m.add_var();
-        assert_eq!(v, 1);
-        let b = m.var(1);
-        let a = m.var(0);
-        let f = m.and(a, b);
-        assert!(m.eval(f, &[true, true]));
-    }
-
-    #[test]
     fn place_var_at_top_reorders_levels() {
         let mut m = BddManager::new(3);
         m.place_var_at_top(2);
@@ -1667,19 +1481,11 @@ mod tests {
         let c = m.var(2);
         let f = m.and(a, c);
         // c sits at the top now, so it is the decision variable of f.
-        assert_eq!(m.topvar(f), 2);
+        assert_eq!(m.nodes[f.index()].var, 2);
+        assert_eq!(m.level(f), 0);
         assert!(m.eval(f, &[true, false, true]));
         assert!(!m.eval(f, &[true, false, false]));
         m.check_canonical().unwrap();
-    }
-
-    #[test]
-    fn clear_caches_preserves_refs() {
-        let (mut m, a, b) = two_var();
-        let f = m.and(a, b);
-        m.clear_op_caches();
-        let g = m.and(a, b);
-        assert_eq!(f, g);
     }
 
     #[test]
@@ -1737,7 +1543,7 @@ mod tests {
         let t = m.and(vs[0], vs[1]);
         let again = m.or(t, vs[2]);
         assert_eq!(again, keep);
-        assert_eq!(m.gc_count(), 1);
+        assert_eq!(m.stats().gc_runs, 1);
     }
 
     #[test]

@@ -125,19 +125,6 @@ proptest! {
     }
 
     #[test]
-    fn compose_agrees_with_substitution(e in arb_expr(), g in arb_expr(), v in 0..VARS) {
-        let mut m = BddManager::new(VARS);
-        let f = build(&mut m, &e);
-        let sub = build(&mut m, &g);
-        let composed = m.compose(f, v as u32, sub);
-        for asg in assignments() {
-            let mut patched = asg.clone();
-            patched[v] = eval(&g, &asg);
-            prop_assert_eq!(m.eval(composed, &asg), eval(&e, &patched));
-        }
-    }
-
-    #[test]
     fn boolean_difference_marks_sensitivity(e in arb_expr(), v in 0..VARS) {
         let mut m = BddManager::new(VARS);
         let f = build(&mut m, &e);
@@ -147,21 +134,6 @@ proptest! {
             flipped[v] = !flipped[v];
             let sensitive = eval(&e, &asg) != eval(&e, &flipped);
             prop_assert_eq!(m.eval(diff, &asg), sensitive);
-        }
-    }
-
-    #[test]
-    fn support_is_exactly_the_sensitive_vars(e in arb_expr()) {
-        let mut m = BddManager::new(VARS);
-        let f = build(&mut m, &e);
-        let support = m.support(f);
-        for v in 0..VARS {
-            let sensitive = assignments().any(|asg| {
-                let mut flipped = asg.clone();
-                flipped[v] = !flipped[v];
-                eval(&e, &asg) != eval(&e, &flipped)
-            });
-            prop_assert_eq!(support.contains(&(v as u32)), sensitive, "var {}", v);
         }
     }
 }

@@ -93,7 +93,7 @@ proptest! {
         let mut m = BddManager::new(order.len() + 1);
         let aux = Var::try_from(order.len()).expect("≤ 12 inputs");
         m.place_var_at_top(aux);
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = CircuitBdds::try_build(&mut m, &c, &order, usize::MAX, &mut || false).expect("unbounded build");
         let n_asg = 1usize << c.input_count();
         for target in c.node_ids() {
             let funcs = bdds.with_aux_at(&mut m, &c, target, aux);
@@ -129,7 +129,7 @@ proptest! {
         let c = build_circuit(&seed);
         let order = VarOrder::dfs(&c);
         let mut m = BddManager::new(order.len().max(1));
-        let bdds = CircuitBdds::build(&mut m, &c, &order);
+        let bdds = CircuitBdds::try_build(&mut m, &c, &order, usize::MAX, &mut || false).expect("unbounded build");
         m.check_canonical().expect("canonical after circuit build");
         for &f in bdds.funcs() {
             let nf = m.not(f);

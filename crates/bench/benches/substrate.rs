@@ -15,7 +15,9 @@ fn bench_bdd_build(c: &mut Criterion) {
             b.iter(|| {
                 let order = VarOrder::dfs(&circuit);
                 let mut m = BddManager::new(order.len());
-                let bdds = CircuitBdds::build(&mut m, &circuit, &order);
+                let bdds =
+                    CircuitBdds::try_build(&mut m, &circuit, &order, usize::MAX, &mut || false)
+                        .expect("unbounded build");
                 black_box(bdds.func(circuit.outputs()[0].node()))
             });
         });
@@ -27,7 +29,8 @@ fn bench_bdd_probability(c: &mut Criterion) {
     let circuit = relogic_gen::suite::c499();
     let order = VarOrder::dfs(&circuit);
     let mut m = BddManager::new(order.len());
-    let bdds = CircuitBdds::build(&mut m, &circuit, &order);
+    let bdds = CircuitBdds::try_build(&mut m, &circuit, &order, usize::MAX, &mut || false)
+        .expect("unbounded build");
     let probs = vec![0.5; order.len()];
     let roots: Vec<_> = circuit
         .outputs()

@@ -8,8 +8,8 @@
 //! combined with the joint fault-free value distribution of each output
 //! pair, give a pairwise-corrected estimate.
 
+use crate::exact::exact_joint_probs;
 use crate::{Backend, Diagnostics, ErrorEvent, InputDistribution, RelogicError, SinglePassResult};
-use relogic_bdd::{BddManager, CircuitBdds, VarOrder};
 use relogic_netlist::{Circuit, NodeId};
 use std::collections::HashMap;
 
@@ -57,7 +57,8 @@ impl Consolidator {
     ///
     /// Cost is one symbolic circuit construction plus `O(outputs²)`
     /// conjunction queries with [`Backend::Bdd`], or one sampling pass with
-    /// [`Backend::Simulation`]. For circuits with very many outputs prefer
+    /// [`Backend::Simulation`] — the same joint-distribution call weight
+    /// vectors make, with output pairs as the node tuples. For circuits with very many outputs prefer
     /// [`Consolidator::try_for_pairs`].
     ///
     /// # Errors
@@ -100,50 +101,22 @@ impl Consolidator {
                 });
             }
         }
-        let _ = dist.try_position_probs(circuit)?;
-        let pair_values = match backend {
-            Backend::Bdd => {
-                let order = VarOrder::dfs(circuit);
-                let mut manager = BddManager::new(order.len());
-                let bdds = CircuitBdds::build(&mut manager, circuit, &order);
-                let var_probs =
-                    order.permute_probs(&dist.position_probs(circuit), order.len(), 0.5);
-                let mut memo: HashMap<relogic_bdd::BddRef, f64> = HashMap::new();
-                pairs
-                    .iter()
-                    .map(|&(a, b)| {
-                        let fa = bdds.func(output_nodes[a]);
-                        let fb = bdds.func(output_nodes[b]);
-                        let mut dist4 = [0.0f64; 4];
-                        for (combo, slot) in dist4.iter_mut().enumerate() {
-                            let la = if combo & 1 == 1 { fa } else { manager.not(fa) };
-                            let lb = if combo & 2 == 2 { fb } else { manager.not(fb) };
-                            let conj = manager.and(la, lb);
-                            *slot = manager.probability_memo(conj, &var_probs, &mut memo);
-                        }
-                        ((a, b), dist4)
-                    })
-                    .collect()
-            }
+        let probs = dist.try_position_probs(circuit)?;
+        let tuples: Vec<[NodeId; 2]> = pairs
+            .iter()
+            .map(|&(a, b)| [output_nodes[a], output_nodes[b]])
+            .collect();
+        let (joint, _) = match backend {
+            Backend::Bdd => exact_joint_probs(circuit, &probs, &tuples)?,
             Backend::Simulation { patterns, seed } => {
-                let tuples: Vec<[NodeId; 2]> = pairs
-                    .iter()
-                    .map(|&(a, b)| [output_nodes[a], output_nodes[b]])
-                    .collect();
-                let (joint, _) = relogic_sim::sample_joint_probs(
-                    circuit,
-                    &dist.position_probs(circuit),
-                    patterns,
-                    seed,
-                    &tuples,
-                );
-                pairs
-                    .iter()
-                    .zip(joint)
-                    .map(|(&p, v)| (p, [v[0], v[1], v[2], v[3]]))
-                    .collect()
+                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &tuples)
             }
         };
+        let pair_values = pairs
+            .iter()
+            .zip(joint)
+            .map(|(&p, v)| (p, [v[0], v[1], v[2], v[3]]))
+            .collect();
         Ok(Consolidator {
             output_nodes,
             pair_values,

@@ -13,83 +13,17 @@
 //! graceful-degradation fallbacks taken when correlation propagation
 //! produces non-finite coefficients.
 
+use crate::BddEngineStats;
 use std::fmt;
 
 /// Slack below which a clamp is considered floating-point rounding and not
 /// counted as an event (the value is still clamped).
 pub(crate) const CLAMP_SLACK: f64 = 1e-12;
 
-/// Symbolic-engine counters attached to a run that used the BDD backend.
-///
-/// Aggregated across every per-worker manager the run created (counters
-/// sum; peaks and load factors take the maximum), so the numbers describe
-/// the whole computation regardless of thread count.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct BddEngineStats {
-    /// High-water mark of live decision nodes in any one manager.
-    pub peak_live_nodes: usize,
-    /// Live decision nodes at the end of the run (summed over managers).
-    pub live_nodes: usize,
-    /// Worst occupied fraction of any manager's unique table.
-    pub unique_load: f64,
-    /// Operation-cache (ite / restrict) lookups that hit.
-    pub cache_hits: u64,
-    /// Operation-cache lookups that missed.
-    pub cache_misses: u64,
-    /// Mark-and-sweep garbage collections run.
-    pub gc_runs: u64,
-    /// Sifting-based reorder passes run.
-    pub reorders: u64,
-}
-
-impl BddEngineStats {
-    /// Hit fraction of the operation cache (0 when never consulted).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / total as f64
-            }
-        }
-    }
-
-    /// Folds another engine's counters into this one (sums counters, maxes
-    /// extrema).
-    pub fn merge(&mut self, other: &BddEngineStats) {
-        self.peak_live_nodes = self.peak_live_nodes.max(other.peak_live_nodes);
-        self.live_nodes += other.live_nodes;
-        self.unique_load = self.unique_load.max(other.unique_load);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.gc_runs += other.gc_runs;
-        self.reorders += other.reorders;
-    }
-}
-
-impl fmt::Display for BddEngineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "peak live BDD nodes:      {}", self.peak_live_nodes)?;
-        writeln!(f, "unique-table load:        {:.3}", self.unique_load)?;
-        writeln!(
-            f,
-            "op-cache hit rate:        {:.3} ({} hits / {} misses)",
-            self.cache_hit_rate(),
-            self.cache_hits,
-            self.cache_misses
-        )?;
-        writeln!(f, "GC runs:                  {}", self.gc_runs)?;
-        write!(f, "reorder passes:           {}", self.reorders)
-    }
-}
-
 /// Counters and extrema accumulated over one analysis run.
 ///
-/// Obtained from [`crate::SinglePassResult::diagnostics`], from the
-/// consolidator's `*_with` methods, and from [`crate::sweep::DeltaCurves`].
+/// Obtained from [`crate::SinglePassResult::diagnostics`], passed to the
+/// consolidator's `try_*` methods, and from [`crate::sweep::DeltaCurves`].
 /// Merge several runs with [`Diagnostics::merge`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Diagnostics {

@@ -58,6 +58,7 @@ pub mod consolidate;
 mod diagnostics;
 mod epsilon;
 mod error;
+mod exact;
 pub mod metrics;
 mod observability;
 mod single_pass;
@@ -66,10 +67,15 @@ mod tape;
 mod weights;
 
 pub use backend::{Backend, InputDistribution};
-pub use diagnostics::{BddEngineStats, Diagnostics};
+pub use diagnostics::Diagnostics;
 pub use epsilon::GateEps;
 pub use error::RelogicError;
 pub use observability::ObservabilityMatrix;
+/// Symbolic-engine counters attached to a run that used the BDD backend,
+/// summed over every per-worker manager the run created (peaks and load
+/// factors take the maximum), so they describe the whole computation
+/// whatever the thread count.
+pub use relogic_bdd::BddStats as BddEngineStats;
 pub use relogic_sim::{CancelToken, Cancelled};
 pub use single_pass::{CorrCoeffs, ErrorEvent, SinglePass, SinglePassOptions, SinglePassResult};
 pub use tape::{SweepPoint, SweepTape};

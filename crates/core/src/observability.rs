@@ -13,8 +13,9 @@
 //! rate estimation) and accurate whenever multiple simultaneous failures
 //! are improbable.
 
+use crate::exact::ExactModel;
 use crate::{Backend, BddEngineStats, Diagnostics, GateEps, InputDistribution, RelogicError};
-use relogic_bdd::{BddManager, BddRef, BuildInterrupt, CircuitBdds, VarOrder};
+use relogic_bdd::{BddManager, BddRef, CircuitBdds};
 use relogic_netlist::{Circuit, NodeId};
 use relogic_sim::exec::ChunkExecutor;
 use relogic_sim::{CancelToken, Cancelled};
@@ -222,37 +223,15 @@ struct BddWorker {
 }
 
 impl BddWorker {
-    /// A manager for `order` plus the auxiliary variable. The auxiliary
-    /// goes at the TOP of the order: spliced cones then cost one node per
-    /// gate above the splice point, and the Boolean difference reads the
-    /// root's two cofactors instead of dragging the auxiliary through
-    /// every path of the diagram.
-    fn empty_manager(order: &VarOrder) -> BddManager {
-        let mut manager = BddManager::new(order.len() + 1);
-        manager.place_var_at_top(key32(order.len()));
-        manager
-    }
-
-    /// Builds the base circuit functions from scratch.
-    fn build(circuit: &Circuit, dist: &InputDistribution) -> Self {
-        let order = VarOrder::dfs(circuit);
-        let mut manager = Self::empty_manager(&order);
-        let bdds = CircuitBdds::build(&mut manager, circuit, &order);
-        Self::new(manager, bdds, circuit, dist)
-    }
-
-    /// Wraps a manager holding the base circuit functions `bdds`, built on
-    /// a manager from [`BddWorker::empty_manager`].
-    fn new(
-        mut manager: BddManager,
-        bdds: CircuitBdds,
-        circuit: &Circuit,
-        dist: &InputDistribution,
-    ) -> Self {
-        let order_len = bdds.order().len();
-        let var_probs =
-            bdds.order()
-                .permute_probs(&dist.position_probs(circuit), order_len + 1, 0.5);
+    /// Readies an exact model for the sweep: arms the garbage-collection
+    /// headroom and the sifting backstop.
+    fn new(model: ExactModel) -> Self {
+        let ExactModel {
+            mut manager,
+            bdds,
+            var_probs,
+            aux,
+        } = model;
         // Collect back to the base functions once the splice garbage
         // outgrows the circuit itself by a wide margin.
         let gc_floor = manager.live_node_count() + GC_HEADROOM_NODES;
@@ -261,21 +240,11 @@ impl BddWorker {
             manager,
             bdds,
             var_probs,
-            aux: key32(order_len),
+            aux,
             memo: HashMap::new(),
             gc_floor,
         }
     }
-}
-
-/// The auxiliary splice variable takes the index after the last input;
-/// a circuit whose inputs use up the variable space has no room for it.
-fn check_aux_fits(circuit: &Circuit) -> Result<(), RelogicError> {
-    relogic_bdd::Var::try_from(circuit.input_count())
-        .map(|_| ())
-        .map_err(|_| RelogicError::CircuitTooLarge {
-            nodes: circuit.len(),
-        })
 }
 
 /// Worker threads for the exact sweep: `threads` (`0` auto-detects the
@@ -331,9 +300,12 @@ impl ObservabilityMatrix {
     /// every worker replays the same sampled input stream, so the counts
     /// are bit-identical for every thread count as well.
     ///
-    /// The BDD backend checks `cancel` per post-dominator tree and per
-    /// node of the backward sweep; the simulation backend checks it once
-    /// per 64-pattern block in every worker. A run that completes before
+    /// The BDD backend checks `cancel` per gate of every worker's base
+    /// build (the same unbudgeted probe path as
+    /// [`ObservabilityMatrix::try_compute_budgeted_cancellable`]), then
+    /// per post-dominator tree and per node of the backward sweep; the
+    /// simulation backend checks it once per 64-pattern block in every
+    /// worker. A run that completes before
     /// the token fires returns values bit-identical to an uncancelled run
     /// — the checks are read-only early exits that never perturb the
     /// computation.
@@ -355,7 +327,9 @@ impl ObservabilityMatrix {
     ) -> Result<Self, RelogicError> {
         let _ = dist.try_position_probs(circuit)?;
         match backend {
-            Backend::Bdd => Self::compute_bdd(circuit, dist, threads, cancel, None),
+            Backend::Bdd => {
+                Self::try_compute_budgeted_cancellable(circuit, dist, threads, usize::MAX, cancel)
+            }
             Backend::Simulation { patterns: 0, .. } => {
                 Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
             }
@@ -407,9 +381,10 @@ impl ObservabilityMatrix {
     }
 
     /// Like [`ObservabilityMatrix::try_compute_budgeted`], checking
-    /// `cancel` while it works: the probe build polls the token at the
-    /// same per-gate point as the budget check (one extra branch), and
-    /// the subsequent sweep checks per post-dominator tree and per node.
+    /// `cancel` while it works: the probe build and every other worker's
+    /// build poll the token at the same per-gate point as the budget check
+    /// (one extra branch), and the subsequent sweep checks per
+    /// post-dominator tree and per node.
     ///
     /// # Errors
     ///
@@ -422,25 +397,9 @@ impl ObservabilityMatrix {
         budget: usize,
         cancel: &CancelToken,
     ) -> Result<Self, RelogicError> {
-        let _ = dist.try_position_probs(circuit)?;
-        check_aux_fits(circuit)?;
-        let order = VarOrder::dfs(circuit);
-        let mut manager = BddWorker::empty_manager(&order);
-        let mut poll = || cancel.is_cancelled();
-        let bdds =
-            CircuitBdds::try_build_interruptible(&mut manager, circuit, &order, budget, &mut poll)
-                .map_err(|e| match e {
-                    BuildInterrupt::Budget(b) => RelogicError::BddBudgetExceeded {
-                        live_nodes: b.live_nodes,
-                        budget: b.budget,
-                    },
-                    BuildInterrupt::Interrupted => RelogicError::Cancelled(Cancelled {
-                        after: cancel.elapsed(),
-                        checked_at: "bdd_gate",
-                    }),
-                })?;
-        let probe = BddWorker::new(manager, bdds, circuit, dist);
-        Self::compute_bdd(circuit, dist, threads, cancel, Some(probe))
+        let probs = dist.try_position_probs(circuit)?;
+        let probe = ExactModel::try_build(circuit, &probs, budget, cancel)?;
+        Self::compute_bdd(circuit, &probs, threads, cancel, BddWorker::new(probe))
     }
 
     /// One backward sweep over the nodes in `owned` (one post-dominator
@@ -578,20 +537,20 @@ impl ObservabilityMatrix {
     /// chunk computes every column for the nodes it owns, so each stem
     /// splice is paid exactly once whatever the thread count, and the
     /// executor hands the trees out to at most [`sweep_threads`] workers.
-    /// `probe` is a worker already built by the budget probe; it becomes
-    /// the first worker's state and only the other workers build.
+    /// `probe` is the worker whose build the budget was checked on; it
+    /// becomes the first worker's state, and only the other workers build
+    /// again, polling `cancel` per gate as the probe did.
     fn compute_bdd(
         circuit: &Circuit,
-        dist: &InputDistribution,
+        input_probs: &[f64],
         threads: usize,
         cancel: &CancelToken,
-        probe: Option<BddWorker>,
+        probe: BddWorker,
     ) -> Result<Self, RelogicError> {
-        check_aux_fits(circuit)?;
         let n = circuit.len();
         let plan = ObsPlan::build(circuit);
         let exec = ChunkExecutor::new(sweep_threads(threads, circuit.output_count()));
-        let probe = Mutex::new(probe);
+        let probe = Mutex::new(Some(probe));
         let (tree_vals, workers) = exec.try_map_chunks_with_state(
             plan.trees.len(),
             cancel,
@@ -603,9 +562,21 @@ impl ObservabilityMatrix {
                     Ok(mut slot) => slot.take(),
                     Err(poisoned) => poisoned.into_inner().take(),
                 };
-                handed_on.unwrap_or_else(|| BddWorker::build(circuit, dist))
+                // The other workers replay the probe's build, which fit the
+                // budget, so only the token can stop them: `None`.
+                handed_on.or_else(|| {
+                    ExactModel::try_build(circuit, input_probs, usize::MAX, cancel)
+                        .ok()
+                        .map(BddWorker::new)
+                })
             },
-            |worker, tree| Self::sweep(worker, circuit, &plan, &plan.trees[tree], cancel),
+            |worker, tree| match worker {
+                Some(worker) => Self::sweep(worker, circuit, &plan, &plan.trees[tree], cancel),
+                None => Err(Cancelled {
+                    after: cancel.elapsed(),
+                    checked_at: "bdd_gate",
+                }),
+            },
         )?;
         let mut per_output: Vec<Vec<f64>> = vec![Vec::new(); n];
         let mut any_output: Vec<f64> = vec![0.0; n];
@@ -619,17 +590,8 @@ impl ObservabilityMatrix {
             }
         }
         let mut engine = BddEngineStats::default();
-        for w in &workers {
-            let s = w.manager.stats();
-            engine.merge(&BddEngineStats {
-                peak_live_nodes: s.peak_live_nodes,
-                live_nodes: s.live_nodes,
-                unique_load: s.unique_load,
-                cache_hits: s.cache_hits,
-                cache_misses: s.cache_misses,
-                gc_runs: s.gc_runs,
-                reorders: s.reorders,
-            });
+        for w in workers.iter().flatten() {
+            engine.merge(&w.manager.stats());
         }
         let mut diagnostics = Diagnostics::new();
         diagnostics.record_bdd_stats(engine);

@@ -10,10 +10,9 @@
 //! [`Weights::try_compute`] implements both backends; the result is reused
 //! across every ε in a sweep, exactly as the paper prescribes.
 
+use crate::exact::exact_joint_probs;
 use crate::{Backend, InputDistribution, RelogicError};
-use relogic_bdd::{BddManager, CircuitBdds, VarOrder};
 use relogic_netlist::{Circuit, NodeId};
-use std::collections::HashMap;
 
 /// Maximum gate arity the analytical engines accept (weight vectors have
 /// `2^arity` entries and the propagation step enumerates `4^arity` pairs).
@@ -72,74 +71,21 @@ impl Weights {
                 });
             }
         }
-        // Validate up front so the backends can use the infallible lookup.
-        let _ = dist.try_position_probs(circuit)?;
-        match backend {
-            Backend::Bdd => Ok(Self::compute_bdd(circuit, dist)),
+        let probs = dist.try_position_probs(circuit)?;
+        let fanins: Vec<&[NodeId]> = circuit.iter().map(|(_, node)| node.fanins()).collect();
+        let (vectors, signal_probs) = match backend {
+            Backend::Bdd => exact_joint_probs(circuit, &probs, &fanins)?,
             Backend::Simulation { patterns: 0, .. } => {
-                Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
+                return Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
             }
             Backend::Simulation { patterns, seed } => {
-                Ok(Self::compute_sim(circuit, dist, patterns, seed))
+                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &fanins)
             }
-        }
-    }
-
-    fn compute_bdd(circuit: &Circuit, dist: &InputDistribution) -> Self {
-        let order = VarOrder::dfs(circuit);
-        let mut manager = BddManager::new(order.len());
-        let bdds = CircuitBdds::build(&mut manager, circuit, &order);
-        let var_probs = order.permute_probs(&dist.position_probs(circuit), order.len(), 0.5);
-        let mut memo: HashMap<relogic_bdd::BddRef, f64> = HashMap::new();
-
-        let signal_probs: Vec<f64> = circuit
-            .node_ids()
-            .map(|id| manager.probability_memo(bdds.func(id), &var_probs, &mut memo))
-            .collect();
-
-        let mut vectors: Vec<Vec<f64>> = vec![Vec::new(); circuit.len()];
-        for (id, node) in circuit.iter() {
-            if !node.kind().is_gate() {
-                continue;
-            }
-            let k = node.arity();
-            let mut vec = vec![0.0f64; 1 << k];
-            for (combo, slot) in vec.iter_mut().enumerate() {
-                let mut conj = relogic_bdd::BddRef::TRUE;
-                for (j, &f) in node.fanins().iter().enumerate() {
-                    let lit = if combo >> j & 1 == 1 {
-                        bdds.func(f)
-                    } else {
-                        manager.not(bdds.func(f))
-                    };
-                    conj = manager.and(conj, lit);
-                    if conj.is_false() {
-                        break;
-                    }
-                }
-                *slot = manager.probability_memo(conj, &var_probs, &mut memo);
-            }
-            vectors[id.index()] = vec;
-        }
-        Weights {
+        };
+        Ok(Weights {
             vectors,
             signal_probs,
-        }
-    }
-
-    fn compute_sim(circuit: &Circuit, dist: &InputDistribution, patterns: u64, seed: u64) -> Self {
-        let fanins: Vec<&[NodeId]> = circuit.iter().map(|(_, node)| node.fanins()).collect();
-        let (vectors, signal_probs) = relogic_sim::sample_joint_probs(
-            circuit,
-            &dist.position_probs(circuit),
-            patterns,
-            seed,
-            &fanins,
-        );
-        Weights {
-            vectors,
-            signal_probs,
-        }
+        })
     }
 
     /// The weight vector of gate `node` (`2^arity` probabilities summing to
