@@ -58,8 +58,8 @@ impl Consolidator {
     /// Cost is one symbolic circuit construction plus `O(outputs²)`
     /// conjunction queries with [`Backend::Bdd`], or one sampling pass with
     /// [`Backend::Simulation`] — the same joint-distribution call weight
-    /// vectors make, with output pairs as the node tuples. For circuits with very many outputs prefer
-    /// [`Consolidator::try_for_pairs`].
+    /// vectors make, with output pairs as the node tuples. For circuits
+    /// with very many outputs prefer [`Consolidator::try_for_pairs`].
     ///
     /// # Errors
     ///

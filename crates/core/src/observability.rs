@@ -301,14 +301,13 @@ impl ObservabilityMatrix {
     /// are bit-identical for every thread count as well.
     ///
     /// The BDD backend checks `cancel` per gate of every worker's base
-    /// build (the same unbudgeted probe path as
-    /// [`ObservabilityMatrix::try_compute_budgeted_cancellable`]), then
-    /// per post-dominator tree and per node of the backward sweep; the
-    /// simulation backend checks it once per 64-pattern block in every
-    /// worker. A run that completes before
-    /// the token fires returns values bit-identical to an uncancelled run
-    /// — the checks are read-only early exits that never perturb the
-    /// computation.
+    /// build (the probe path of
+    /// [`ObservabilityMatrix::try_compute_budgeted_cancellable`], with no
+    /// budget), then per post-dominator tree and per node of the backward
+    /// sweep; the simulation backend checks it once per 64-pattern block
+    /// in every worker. A run that completes before the token fires
+    /// returns values bit-identical to an uncancelled run — the checks are
+    /// read-only early exits that never perturb the computation.
     ///
     /// # Errors
     ///
