@@ -124,7 +124,9 @@ impl VarOrder {
 /// reproducible and independent of thread count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BuildBudgetExceeded {
-    /// Live decision nodes when the budget check tripped.
+    /// Live decision nodes the build asked for: the manager refused the
+    /// allocation that would have made this count, so on a fresh
+    /// manager it is `budget + 1`.
     pub live_nodes: usize,
     /// The configured budget.
     pub budget: usize,
@@ -176,12 +178,17 @@ pub struct CircuitBdds {
 }
 
 impl CircuitBdds {
-    /// Builds BDDs for every node of `circuit` in topological order,
-    /// checking the manager's live-node count after every gate and
-    /// aborting once it exceeds `budget`, and consulting a caller-supplied
-    /// interrupt poll at the same per-gate point — the allocation/ite hot
-    /// path's existing bookkeeping stop, so the added cost is one
-    /// predictable branch per gate.
+    /// Builds BDDs for every node of `circuit` in topological order under
+    /// a live-node `budget`, consulting a caller-supplied interrupt poll
+    /// after every gate.
+    ///
+    /// The manager enforces the budget at node allocation
+    /// ([`BddManager::set_live_node_limit`]): the build stops at the first
+    /// allocation that would take the live count past `budget`, so the
+    /// manager's peak never passes it. This build never collects garbage,
+    /// so the live count only grows, and a build trips exactly when, and
+    /// at the gate where, a check after every gate would have found more
+    /// than `budget` live nodes.
     ///
     /// The manager must have at least `order.len()` variables; extra
     /// variables (e.g. a pre-allocated observability auxiliary) are fine.
@@ -199,10 +206,11 @@ impl CircuitBdds {
     ///
     /// # Errors
     ///
-    /// [`BuildInterrupt::Budget`] as soon as the live-node count passes
+    /// [`BuildInterrupt::Budget`] as soon as an allocation would pass
     /// `budget`, [`BuildInterrupt::Interrupted`] as soon as `interrupt`
     /// returns `true`; the partially-built functions are dropped either
-    /// way.
+    /// way, every node the manager holds stays valid, and the manager is
+    /// left without a limit.
     ///
     /// # Panics
     ///
@@ -215,6 +223,24 @@ impl CircuitBdds {
         interrupt: &mut dyn FnMut() -> bool,
     ) -> Result<Self, BuildInterrupt> {
         assert!(manager.var_count() >= order.len());
+        manager.set_live_node_limit(budget);
+        let funcs = Self::build_gates(manager, circuit, order, budget, interrupt);
+        manager.set_live_node_limit(usize::MAX);
+        Ok(CircuitBdds {
+            funcs: funcs?,
+            order: order.clone(),
+        })
+    }
+
+    /// The gate loop of [`CircuitBdds::try_build`], run while the manager
+    /// enforces `budget`.
+    fn build_gates(
+        manager: &mut BddManager,
+        circuit: &Circuit,
+        order: &VarOrder,
+        budget: usize,
+        interrupt: &mut dyn FnMut() -> bool,
+    ) -> Result<Vec<BddRef>, BuildInterrupt> {
         let mut funcs: Vec<BddRef> = Vec::with_capacity(circuit.len());
         for (id, node) in circuit.iter() {
             let f = match node.kind() {
@@ -226,22 +252,18 @@ impl CircuitBdds {
                 }
                 kind => build_gate(manager, kind, node.fanins(), &funcs),
             };
-            funcs.push(f);
-            let live = manager.live_node_count();
-            if live > budget {
+            if manager.limit_exceeded() {
                 return Err(BuildInterrupt::Budget(BuildBudgetExceeded {
-                    live_nodes: live,
+                    live_nodes: manager.live_node_count() + 1,
                     budget,
                 }));
             }
+            funcs.push(f);
             if interrupt() {
                 return Err(BuildInterrupt::Interrupted);
             }
         }
-        Ok(CircuitBdds {
-            funcs,
-            order: order.clone(),
-        })
+        Ok(funcs)
     }
 
     /// The function computed by `node`.
@@ -438,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn build_stops_at_the_per_gate_check() {
+    fn build_stops_on_interrupt_and_on_the_budget() {
         let c = full_adder();
         let order = VarOrder::natural(&c);
         // Interrupt poll fires on the very first gate check.

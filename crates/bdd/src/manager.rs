@@ -22,10 +22,22 @@
 //! The unique table and the operation cache are open-addressed arrays with
 //! power-of-two capacities and multiplicative (xxhash-style) mixing of the
 //! packed `(var, low, high)` triple. The unique table is exact (linear
-//! probing, grown at 70% load, rebuilt tombstone-free after garbage
-//! collection); the operation cache is *lossy* — one entry per slot,
-//! overwritten on collision — and keeps hit/miss counters surfaced through
+//! probing, grown at 80% load, rebuilt tombstone-free after garbage
+//! collection); each 8-byte slot carries the node's 32-bit hash beside its
+//! index, so a probe reads a node only when the hashes match, and growing
+//! the table reads no node at all. The operation cache is *lossy* — one
+//! 16-byte entry per slot, overwritten on collision, with the operation
+//! folded into the key — and keeps hit/miss counters surfaced through
 //! [`BddManager::stats`].
+//!
+//! # Live-node limit
+//!
+//! [`BddManager::set_live_node_limit`] caps the live node count at node
+//! allocation. The first allocation that would pass the limit is refused:
+//! the manager is then *exhausted* ([`BddManager::limit_exceeded`]),
+//! every operation returns at once with a placeholder, and no further node
+//! or cache entry is written, so everything stored before the refusal
+//! stays valid and the peak never passes the limit.
 //!
 //! # Variable order
 //!
@@ -34,7 +46,6 @@
 //! identities), so callers' probability vectors and assignments — always
 //! indexed by `Var` — survive dynamic reordering untouched.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Handle to a BDD function owned by a [`BddManager`].
@@ -114,19 +125,12 @@ pub type Var = u32;
 
 const TERMINAL_VAR: Var = Var::MAX;
 const FREE_VAR: Var = Var::MAX - 1;
-/// Empty slot marker in the open-addressed unique table.
-const EMPTY_SLOT: u32 = u32::MAX;
-/// Free-list terminator.
+/// Free-list terminator and empty unique-table slot marker.
 const NIL_IDX: u32 = u32::MAX;
 
 const UNIQUE_MIN: usize = 1 << 10;
 const CACHE_MIN: usize = 1 << 11;
 const CACHE_MAX: usize = 1 << 22;
-
-/// Operation tags for the shared lossy cache. Tag 0 marks an empty slot.
-const TAG_ITE: u32 = 1;
-const TAG_RESTRICT0: u32 = 2;
-const TAG_RESTRICT1: u32 = 3;
 
 #[derive(Clone, Copy)]
 struct Node {
@@ -138,9 +142,26 @@ struct Node {
     high: u32,
 }
 
+/// A unique-table slot: a node index and the node's hash, whose low bits
+/// are also its home slot.
+#[derive(Clone, Copy)]
+struct Slot {
+    hash: u32,
+    /// Node index, or [`NIL_IDX`] for an empty slot.
+    idx: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    hash: 0,
+    idx: NIL_IDX,
+};
+
+/// An operation-cache entry. The key is `(f, g, h)` for ITE, whose `f` is
+/// a regular non-terminal ref (even, at least 2), and `(f | 1, v, value)`
+/// for restriction, whose `f` is regular too; `a == 0` marks an empty
+/// slot.
 #[derive(Clone, Copy)]
 struct CacheEntry {
-    tag: u32,
     a: u32,
     b: u32,
     c: u32,
@@ -148,12 +169,15 @@ struct CacheEntry {
 }
 
 const EMPTY_ENTRY: CacheEntry = CacheEntry {
-    tag: 0,
     a: 0,
     b: 0,
     c: 0,
     result: 0,
 };
+
+/// What [`BddManager::ite`] and [`BddManager::restrict`] return once the
+/// live-node limit has refused an allocation.
+const PLACEHOLDER: BddRef = BddRef::FALSE;
 
 /// xxhash-style avalanche over three 64-bit lanes.
 #[inline]
@@ -167,17 +191,9 @@ fn hash3(a: u64, b: u64, c: u64) -> u64 {
 }
 
 #[inline]
-fn node_hash(var: Var, low: u32, high: u32) -> u64 {
-    hash3(u64::from(var), u64::from(low), u64::from(high))
-}
-
-#[inline]
-fn cache_hash(tag: u32, a: u32, b: u32, c: u32) -> u64 {
-    hash3(
-        (u64::from(tag) << 32) | u64::from(a),
-        u64::from(b),
-        u64::from(c),
-    )
+#[allow(clippy::cast_possible_truncation)]
+fn node_hash(var: Var, low: u32, high: u32) -> u32 {
+    hash3(u64::from(var), u64::from(low), u64::from(high)) as u32
 }
 
 /// Engine counters reported by [`BddManager::stats`].
@@ -282,11 +298,15 @@ pub struct BddManager {
     level_of: Vec<u32>,
     /// `var_at[level]` — inverse of `level_of`.
     var_at: Vec<Var>,
-    /// Open-addressed unique table: node indices or [`EMPTY_SLOT`].
-    unique: Vec<u32>,
+    /// Open-addressed unique table: hashed node indices or [`EMPTY_SLOT`].
+    unique: Vec<Slot>,
     unique_len: usize,
     /// Lossy operation cache (ite / restrict), overwrite-on-collision.
     cache: Vec<CacheEntry>,
+    /// Allocations that would take `live` past this are refused.
+    live_limit: usize,
+    /// Set once the limit has refused an allocation.
+    exhausted: bool,
     cache_hits: u64,
     cache_misses: u64,
     gc_runs: u64,
@@ -325,6 +345,8 @@ impl BddManager {
             unique: vec![EMPTY_SLOT; UNIQUE_MIN],
             unique_len: 0,
             cache: vec![EMPTY_ENTRY; CACHE_MIN],
+            live_limit: usize::MAX,
+            exhausted: false,
             cache_hits: 0,
             cache_misses: 0,
             gc_runs: 0,
@@ -381,6 +403,28 @@ impl BddManager {
     #[must_use]
     pub fn live_node_count(&self) -> usize {
         self.live
+    }
+
+    /// Caps the live node count at `limit` (`usize::MAX` for none) and
+    /// clears an earlier refusal.
+    ///
+    /// Node allocation enforces the cap: the first allocation that would
+    /// take the live count past `limit` is refused, and from then on
+    /// [`BddManager::limit_exceeded`] is `true` and every operation
+    /// returns at once with a meaningless placeholder, allocating nothing
+    /// and writing no cache entry. Nodes and cache entries stored before
+    /// the refusal stay valid, and the peak live count never passes
+    /// `limit`. Sifting is exempt: it always runs to completion.
+    pub fn set_live_node_limit(&mut self, limit: usize) {
+        self.live_limit = limit;
+        self.exhausted = false;
+    }
+
+    /// Whether the live-node limit has refused an allocation since it was
+    /// last set; if so, every ref returned since then is a placeholder.
+    #[must_use]
+    pub fn limit_exceeded(&self) -> bool {
+        self.exhausted
     }
 
     /// Engine counters: node census, table load, cache hit/miss, GC and
@@ -444,20 +488,27 @@ impl BddManager {
 
     // ----- unique table -------------------------------------------------
 
+    /// Whether one more entry would take the unique table to its maximum
+    /// load of 80%. (The hash in each slot keeps long probe runs cheap:
+    /// a probe reads a node only on a hash match.)
+    #[inline]
+    fn unique_full(&self) -> bool {
+        (self.unique_len + 1) * 5 >= self.unique.len() * 4
+    }
+
     fn unique_grow(&mut self) {
         let new_cap = self.unique.len() * 2;
         let mut slots = vec![EMPTY_SLOT; new_cap];
         let mask = new_cap - 1;
-        for &idx in &self.unique {
-            if idx == EMPTY_SLOT {
+        for &s in &self.unique {
+            if s.idx == NIL_IDX {
                 continue;
             }
-            let n = self.nodes[idx as usize];
-            let mut i = node_hash(n.var, n.low, n.high) as usize & mask;
-            while slots[i] != EMPTY_SLOT {
+            let mut i = s.hash as usize & mask;
+            while slots[i].idx != NIL_IDX {
                 i = (i + 1) & mask;
             }
-            slots[i] = idx;
+            slots[i] = s;
         }
         self.unique = slots;
     }
@@ -465,16 +516,17 @@ impl BddManager {
     /// Re-inserts an already-allocated node under its (possibly new)
     /// triple. The triple must not collide with a resident node.
     fn unique_insert(&mut self, idx: u32) {
-        if (self.unique_len + 1) * 10 >= self.unique.len() * 7 {
+        if self.unique_full() {
             self.unique_grow();
         }
         let n = self.nodes[idx as usize];
+        let hash = node_hash(n.var, n.low, n.high);
         let mask = self.unique.len() - 1;
-        let mut i = node_hash(n.var, n.low, n.high) as usize & mask;
-        while self.unique[i] != EMPTY_SLOT {
+        let mut i = hash as usize & mask;
+        while self.unique[i].idx != NIL_IDX {
             #[cfg(debug_assertions)]
             {
-                let o = self.nodes[self.unique[i] as usize];
+                let o = self.nodes[self.unique[i].idx as usize];
                 debug_assert!(
                     o.var != n.var || o.low != n.low || o.high != n.high,
                     "duplicate canonical triple in unique table"
@@ -482,7 +534,7 @@ impl BddManager {
             }
             i = (i + 1) & mask;
         }
-        self.unique[i] = idx;
+        self.unique[i] = Slot { hash, idx };
         self.unique_len += 1;
     }
 
@@ -492,16 +544,15 @@ impl BddManager {
         let mask = self.unique.len() - 1;
         let n = self.nodes[idx as usize];
         let mut i = node_hash(n.var, n.low, n.high) as usize & mask;
-        while self.unique[i] != idx {
-            debug_assert!(self.unique[i] != EMPTY_SLOT, "node missing from table");
+        while self.unique[i].idx != idx {
+            debug_assert!(self.unique[i].idx != NIL_IDX, "node missing from table");
             i = (i + 1) & mask;
         }
         self.unique[i] = EMPTY_SLOT;
         self.unique_len -= 1;
         let mut j = (i + 1) & mask;
-        while self.unique[j] != EMPTY_SLOT {
-            let m = self.nodes[self.unique[j] as usize];
-            let k = node_hash(m.var, m.low, m.high) as usize & mask;
+        while self.unique[j].idx != NIL_IDX {
+            let k = self.unique[j].hash as usize & mask;
             // The entry at j may move into the hole at i iff the hole lies
             // on its probe path from its home slot k.
             if (j.wrapping_sub(k) & mask) >= (j.wrapping_sub(i) & mask) {
@@ -515,24 +566,37 @@ impl BddManager {
 
     /// Finds or allocates the node `(var, low, high)` (raw packed edges;
     /// `low` must be regular). Returns the node index and whether it was
-    /// freshly allocated.
-    fn mk_raw(&mut self, var: Var, low: u32, high: u32) -> (u32, bool) {
+    /// freshly allocated, or `None` when the allocation would pass the
+    /// live-node limit (the manager is then exhausted).
+    fn mk_raw(&mut self, var: Var, low: u32, high: u32) -> Option<(u32, bool)> {
         debug_assert_eq!(low & 1, 0, "canonical form: low edge must be regular");
-        if (self.unique_len + 1) * 10 >= self.unique.len() * 7 {
-            self.unique_grow();
-        }
-        let mask = self.unique.len() - 1;
-        let mut i = node_hash(var, low, high) as usize & mask;
+        let hash = node_hash(var, low, high);
+        let mut mask = self.unique.len() - 1;
+        let mut i = hash as usize & mask;
         loop {
             let s = self.unique[i];
-            if s == EMPTY_SLOT {
+            if s.idx == NIL_IDX {
                 break;
             }
-            let n = self.nodes[s as usize];
-            if n.var == var && n.low == low && n.high == high {
-                return (s, false);
+            if s.hash == hash {
+                let n = self.nodes[s.idx as usize];
+                if n.var == var && n.low == low && n.high == high {
+                    return Some((s.idx, false));
+                }
             }
             i = (i + 1) & mask;
+        }
+        if self.live >= self.live_limit {
+            self.exhausted = true;
+            return None;
+        }
+        if self.unique_full() {
+            self.unique_grow();
+            mask = self.unique.len() - 1;
+            i = hash as usize & mask;
+            while self.unique[i].idx != NIL_IDX {
+                i = (i + 1) & mask;
+            }
         }
         let idx = if self.free_head != NIL_IDX {
             let idx = self.free_head;
@@ -545,11 +609,11 @@ impl BddManager {
             self.nodes.push(Node { var, low, high });
             idx
         };
-        self.unique[i] = idx;
+        self.unique[i] = Slot { hash, idx };
         self.unique_len += 1;
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
-        (idx, true)
+        Some((idx, true))
     }
 
     /// Returns the canonical ref for the function `var ? high : low`,
@@ -563,12 +627,10 @@ impl BddManager {
                 && self.level_of[var as usize] < self.level(high),
             "mk: children must sit strictly below the decision variable"
         );
-        if low.is_complement() {
-            let (idx, _) = self.mk_raw(var, low.negate().0, high.negate().0);
-            BddRef(idx << 1 | 1)
-        } else {
-            let (idx, _) = self.mk_raw(var, low.0, high.0);
-            BddRef(idx << 1)
+        let c = low.0 & 1;
+        match self.mk_raw(var, low.0 ^ c, high.0 ^ c) {
+            Some((idx, _)) => BddRef(idx << 1 | c),
+            None => PLACEHOLDER,
         }
     }
 
@@ -586,29 +648,27 @@ impl BddManager {
         }
     }
 
+    /// Looks `(a, b, c)` up in the operation cache; on a miss, returns the
+    /// slot for the [`BddManager::cache_put`] that stores its result.
     #[inline]
-    fn cache_get(&mut self, tag: u32, a: u32, b: u32, c: u32) -> Option<BddRef> {
-        let i = cache_hash(tag, a, b, c) as usize & (self.cache.len() - 1);
+    fn cache_get(&mut self, a: u32, b: u32, c: u32) -> Result<BddRef, usize> {
+        let i = hash3(u64::from(a), u64::from(b), u64::from(c)) as usize & (self.cache.len() - 1);
         let e = self.cache[i];
-        if e.tag == tag && e.a == a && e.b == b && e.c == c {
+        if e.a == a && e.b == b && e.c == c {
             self.cache_hits += 1;
-            Some(BddRef(e.result))
+            Ok(BddRef(e.result))
         } else {
             self.cache_misses += 1;
-            None
+            Err(i)
         }
     }
 
+    /// Stores a result in the slot [`BddManager::cache_get`] returned for
+    /// its key; the cache is never resized mid-operation, so the slot is
+    /// still the key's.
     #[inline]
-    fn cache_put(&mut self, tag: u32, a: u32, b: u32, c: u32, result: u32) {
-        let i = cache_hash(tag, a, b, c) as usize & (self.cache.len() - 1);
-        self.cache[i] = CacheEntry {
-            tag,
-            a,
-            b,
-            c,
-            result,
-        };
+    fn cache_put(&mut self, slot: usize, a: u32, b: u32, c: u32, result: u32) {
+        self.cache[slot] = CacheEntry { a, b, c, result };
     }
 
     // ----- construction and Boolean operations --------------------------
@@ -680,6 +740,9 @@ impl BddManager {
     }
 
     fn ite_rec(&mut self, f: BddRef, g: BddRef, h: BddRef) -> BddRef {
+        if self.exhausted {
+            return PLACEHOLDER;
+        }
         // Terminal f.
         if f.is_true() {
             return g;
@@ -753,9 +816,10 @@ impl BddManager {
             g = g.negate();
             h = h.negate();
         }
-        if let Some(r) = self.cache_get(TAG_ITE, f.0, g.0, h.0) {
-            return if complement_out { r.negate() } else { r };
-        }
+        let slot = match self.cache_get(f.0, g.0, h.0) {
+            Ok(r) => return if complement_out { r.negate() } else { r },
+            Err(slot) => slot,
+        };
         let v_level = self.level(f).min(self.level(g)).min(self.level(h));
         let v = self.var_at[v_level as usize];
         let (f0, f1) = self.cofactor_at(f, v_level);
@@ -764,7 +828,10 @@ impl BddManager {
         let low = self.ite_rec(f0, g0, h0);
         let high = self.ite_rec(f1, g1, h1);
         let r = self.mk(v, low, high);
-        self.cache_put(TAG_ITE, f.0, g.0, h.0, r.0);
+        if self.exhausted {
+            return PLACEHOLDER;
+        }
+        self.cache_put(slot, f.0, g.0, h.0, r.0);
         if complement_out {
             r.negate()
         } else {
@@ -803,6 +870,9 @@ impl BddManager {
     }
 
     fn restrict_rec(&mut self, f: BddRef, v: Var, v_level: u32, value: bool) -> BddRef {
+        if self.exhausted {
+            return PLACEHOLDER;
+        }
         if f.is_terminal() || self.level(f) > v_level {
             return f;
         }
@@ -816,15 +886,20 @@ impl BddManager {
             };
             return BddRef(r.0 ^ c);
         }
-        let tag = if value { TAG_RESTRICT1 } else { TAG_RESTRICT0 };
-        if let Some(r) = self.cache_get(tag, fr.0, v, 0) {
-            return BddRef(r.0 ^ c);
-        }
+        // The odd first key word tells restriction from ITE.
+        let key = (fr.0 | 1, v, u32::from(value));
+        let slot = match self.cache_get(key.0, key.1, key.2) {
+            Ok(r) => return BddRef(r.0 ^ c),
+            Err(slot) => slot,
+        };
         let n = self.nodes[fr.index()];
         let low = self.restrict_rec(BddRef(n.low), v, v_level, value);
         let high = self.restrict_rec(BddRef(n.high), v, v_level, value);
         let r = self.mk(n.var, low, high);
-        self.cache_put(tag, fr.0, v, 0, r.0);
+        if self.exhausted {
+            return PLACEHOLDER;
+        }
+        self.cache_put(slot, key.0, key.1, key.2, r.0);
         BddRef(r.0 ^ c)
     }
 
@@ -860,46 +935,48 @@ impl BddManager {
     /// Probability that `f` is true when each variable `v` is independently
     /// true with probability `var_probs[v]`.
     ///
-    /// Runs in `O(|f|)` via a memoized bottom-up sweep.
+    /// Runs a memoized bottom-up sweep over the `O(|f|)` nodes of `f`,
+    /// with a fresh memo over the whole node store; many queries on one
+    /// manager should share one through [`BddManager::probability_memo`].
     ///
     /// # Panics
     ///
     /// Panics if `f` depends on a variable with index `>= var_probs.len()`.
     #[must_use]
     pub fn probability(&self, f: BddRef, var_probs: &[f64]) -> f64 {
-        let mut memo: HashMap<BddRef, f64> = HashMap::new();
-        self.probability_memo(f, var_probs, &mut memo)
+        self.probability_memo(f, var_probs, &mut Vec::new())
     }
 
     /// Like [`BddManager::probability`] but reusing a caller-provided memo
     /// table, so many related queries (e.g. weight-vector entries) share
-    /// work. The memo is only valid for one fixed `var_probs` and must be
-    /// discarded after every [`BddManager::gc`] or sifting pass (both
-    /// recycle node indices).
-    pub fn probability_memo(
-        &self,
-        f: BddRef,
-        var_probs: &[f64],
-        memo: &mut HashMap<BddRef, f64>,
-    ) -> f64 {
+    /// work. The memo is indexed by node (it grows to the node store's
+    /// size, unset entries NaN); it is only valid for one fixed
+    /// `var_probs` and must be cleared after every [`BddManager::gc`] or
+    /// sifting pass (both recycle node indices).
+    pub fn probability_memo(&self, f: BddRef, var_probs: &[f64], memo: &mut Vec<f64>) -> f64 {
+        if memo.len() < self.nodes.len() {
+            memo.resize(self.nodes.len(), f64::NAN);
+        }
+        self.probability_rec(f, var_probs, memo)
+    }
+
+    fn probability_rec(&self, f: BddRef, var_probs: &[f64], memo: &mut [f64]) -> f64 {
         if f.is_false() {
             return 0.0;
         }
         if f.is_true() {
             return 1.0;
         }
-        let fr = f.regular();
-        let p = if let Some(&p) = memo.get(&fr) {
-            p
-        } else {
-            let n = self.nodes[fr.index()];
-            let p_hi = self.probability_memo(BddRef(n.high), var_probs, memo);
-            let p_lo = self.probability_memo(BddRef(n.low), var_probs, memo);
+        let i = f.index();
+        let mut p = memo[i];
+        if p.is_nan() {
+            let n = self.nodes[i];
+            let p_hi = self.probability_rec(BddRef(n.high), var_probs, memo);
+            let p_lo = self.probability_rec(BddRef(n.low), var_probs, memo);
             let pv = var_probs[n.var as usize];
-            let p = pv * p_hi + (1.0 - pv) * p_lo;
-            memo.insert(fr, p);
-            p
-        };
+            p = pv * p_hi + (1.0 - pv) * p_lo;
+            memo[i] = p;
+        }
         if f.is_complement() {
             1.0 - p
         } else {
@@ -980,11 +1057,15 @@ impl BddManager {
             if n.var == FREE_VAR {
                 continue;
             }
-            let mut s = node_hash(n.var, n.low, n.high) as usize & mask;
-            while slots[s] != EMPTY_SLOT {
+            let hash = node_hash(n.var, n.low, n.high);
+            let mut s = hash as usize & mask;
+            while slots[s].idx != NIL_IDX {
                 s = (s + 1) & mask;
             }
-            slots[s] = u32::try_from(i).expect("node index fits");
+            slots[s] = Slot {
+                hash,
+                idx: u32::try_from(i).expect("node index fits"),
+            };
             len += 1;
         }
         self.unique = slots;
@@ -1059,10 +1140,14 @@ impl BddManager {
             .map(|v| Var::try_from(v).expect("var index fits"))
             .collect();
         vars.sort_by_key(|&v| std::cmp::Reverse(by_var[v as usize].len()));
+        // A swap may grow the diagram before it shrinks it, so the
+        // live-node limit does not apply here.
+        let live_limit = std::mem::replace(&mut self.live_limit, usize::MAX);
         for v in vars {
             let limit = self.live + self.live / 5 + 16;
             self.sift_one(v, &mut by_var, &mut rc, &mut pending_free, limit);
         }
+        self.live_limit = live_limit;
         for idx in pending_free {
             debug_assert_eq!(self.nodes[idx as usize].var, FREE_VAR);
             self.nodes[idx as usize].low = self.free_head;
@@ -1223,7 +1308,9 @@ impl BddManager {
         } else {
             (low, high, 0)
         };
-        let (idx, inserted) = self.mk_raw(var, l.0, h.0);
+        let (idx, inserted) = self
+            .mk_raw(var, l.0, h.0)
+            .expect("sifting runs without a live-node limit");
         if inserted {
             if idx as usize >= rc.len() {
                 rc.resize(self.nodes.len(), 0);
@@ -1298,13 +1385,17 @@ impl BddManager {
             }
             // The node must be findable under its own triple.
             let mask = self.unique.len() - 1;
-            let mut s = node_hash(n.var, n.low, n.high) as usize & mask;
+            let hash = node_hash(n.var, n.low, n.high);
+            let mut s = hash as usize & mask;
             loop {
                 let slot = self.unique[s];
-                if slot == EMPTY_SLOT {
+                if slot.idx == NIL_IDX {
                     return Err(format!("node {i}: missing from the unique table"));
                 }
-                if slot as usize == i {
+                if slot.idx as usize == i {
+                    if slot.hash != hash {
+                        return Err(format!("node {i}: stale hash in the unique table"));
+                    }
                     break;
                 }
                 s = (s + 1) & mask;
@@ -1513,6 +1604,55 @@ mod tests {
             assert_eq!(m.eval(maj, &asg), expect);
         }
         m.check_canonical().unwrap();
+    }
+
+    #[test]
+    fn live_node_limit_refuses_the_first_node_past_it() {
+        let mut m = BddManager::new(4);
+        let vs: Vec<BddRef> = (0..4).map(|v| m.var(v)).collect();
+        let ab = m.and(vs[0], vs[1]);
+        let live = m.live_node_count();
+        m.set_live_node_limit(live);
+        // Nodes that exist are still found at the limit.
+        assert_eq!(m.and(vs[1], vs[0]), ab);
+        assert_eq!(m.var(2), vs[2]);
+        assert!(!m.limit_exceeded());
+        // The first new node is refused.
+        let _ = m.or(vs[2], vs[3]);
+        assert!(m.limit_exceeded());
+        assert_eq!(m.live_node_count(), live);
+        assert_eq!(m.stats().peak_live_nodes, live);
+        // Once refused, operations return at once: no lookup, no node.
+        let before = m.stats();
+        let _ = m.xor(vs[0], vs[3]);
+        let _ = m.restrict(ab, 0, true);
+        assert_eq!(m.stats(), before);
+        m.check_canonical().unwrap();
+        // Lifting the limit leaves a whole manager: no placeholder was
+        // cached for the refused operation.
+        m.set_live_node_limit(usize::MAX);
+        assert!(!m.limit_exceeded());
+        let o = m.or(vs[2], vs[3]);
+        assert!(m.eval(o, &[false, false, false, true]));
+        assert!(!m.eval(o, &[true, true, false, false]));
+        assert_eq!(m.live_node_count(), live + 1);
+        m.check_canonical().unwrap();
+    }
+
+    #[test]
+    fn probability_memo_is_node_indexed_and_reusable() {
+        let (mut m, a, b) = two_var();
+        let f = m.and(a, b);
+        let g = m.or(a, b);
+        let probs = [0.1, 0.9];
+        let mut memo = Vec::new();
+        let pf = m.probability_memo(f, &probs, &mut memo);
+        assert_eq!(memo.len(), m.node_count());
+        let pg = m.probability_memo(g, &probs, &mut memo);
+        assert!((pf - 0.09).abs() < 1e-12);
+        assert!((pg - (1.0 - 0.9 * 0.1)).abs() < 1e-12);
+        let nf = m.not(f);
+        assert!((m.probability_memo(nf, &probs, &mut memo) - (1.0 - pf)).abs() < 1e-12);
     }
 
     #[test]

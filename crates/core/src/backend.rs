@@ -25,6 +25,25 @@ pub enum Backend {
     },
 }
 
+impl Backend {
+    /// This backend, checked before any work starts: a sampled backend
+    /// with no patterns is an error, not one silently sampled block.
+    ///
+    /// # Errors
+    ///
+    /// [`RelogicError::Sim`] wrapping
+    /// [`relogic_sim::SimError::ZeroPatternBudget`] for
+    /// `Simulation { patterns: 0, .. }`.
+    pub(crate) fn validated(self) -> Result<Self, RelogicError> {
+        match self {
+            Backend::Simulation { patterns: 0, .. } => {
+                Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
+            }
+            backend => Ok(backend),
+        }
+    }
+}
+
 /// Distribution of the primary-input vectors.
 ///
 /// The paper assumes "the primary input vectors are equally likely"

@@ -63,8 +63,7 @@ impl Consolidator {
     ///
     /// # Errors
     ///
-    /// [`RelogicError::DistributionMismatch`] if the input distribution
-    /// does not match the circuit.
+    /// As [`Consolidator::try_for_pairs`].
     pub fn try_new(
         circuit: &Circuit,
         dist: &InputDistribution,
@@ -82,9 +81,11 @@ impl Consolidator {
     /// # Errors
     ///
     /// [`RelogicError::InvalidOutputPair`] if a pair index is out of range
-    /// or not strictly increasing, or
+    /// or not strictly increasing,
     /// [`RelogicError::DistributionMismatch`] if the input distribution
-    /// does not match the circuit.
+    /// does not match the circuit, or [`RelogicError::Sim`] wrapping
+    /// [`relogic_sim::SimError::ZeroPatternBudget`] for a sampled backend
+    /// with zero patterns.
     pub fn try_for_pairs(
         circuit: &Circuit,
         pairs: &[(usize, usize)],
@@ -106,7 +107,7 @@ impl Consolidator {
             .iter()
             .map(|&(a, b)| [output_nodes[a], output_nodes[b]])
             .collect();
-        let (joint, _) = match backend {
+        let (joint, _) = match backend.validated()? {
             Backend::Bdd => exact_joint_probs(circuit, &probs, &tuples)?,
             Backend::Simulation { patterns, seed } => {
                 relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &tuples)
@@ -280,6 +281,29 @@ mod tests {
     fn any(cons: &Consolidator, r: &SinglePassResult) -> f64 {
         cons.try_any_output_error(r, &mut Diagnostics::new())
             .unwrap()
+    }
+
+    #[test]
+    fn zero_pattern_budget_is_rejected() {
+        let c = two_output_reconvergent();
+        let zero = Backend::Simulation {
+            patterns: 0,
+            seed: 1,
+        };
+        let err = Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, zero)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget)
+        );
+        // One pattern still samples a full block.
+        let one = Backend::Simulation {
+            patterns: 1,
+            seed: 1,
+        };
+        assert!(
+            Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, one).is_ok()
+        );
     }
 
     fn two_output_reconvergent() -> Circuit {

@@ -99,10 +99,13 @@ pub enum RelogicError {
     /// A simulation-backend failure (zero pattern budget, bad ε vector …).
     Sim(SimError),
     /// A budgeted exact (BDD) computation exceeded its live-node budget
-    /// and aborted. The tiered estimator treats this as the signal to
-    /// fall back to a cheaper backend.
+    /// and aborted. The BDD manager enforces the budget at node
+    /// allocation, so the build stopped at the first node past it. The
+    /// tiered estimator treats this as the signal to fall back to a
+    /// cheaper backend.
     BddBudgetExceeded {
-        /// Live decision nodes when the budget check tripped.
+        /// Live decision nodes the build asked for when the manager
+        /// refused an allocation: `budget + 1`.
         live_nodes: usize,
         /// The configured live-node budget.
         budget: usize,

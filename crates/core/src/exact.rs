@@ -11,7 +11,6 @@
 use crate::{CancelToken, Cancelled, RelogicError};
 use relogic_bdd::{BddManager, BddRef, BuildInterrupt, CircuitBdds, Var, VarOrder};
 use relogic_netlist::{Circuit, NodeId};
-use std::collections::HashMap;
 
 /// A manager holding the base function of every node of a circuit, plus
 /// what reading probabilities off it needs.
@@ -25,8 +24,9 @@ pub(crate) struct ExactModel {
 }
 
 impl ExactModel {
-    /// Builds every node's function under the DFS variable order, checking
-    /// the live-node `budget` and `cancel` after every gate, and permutes
+    /// Builds every node's function under the DFS variable order (the
+    /// manager refuses any node allocation past the live-node `budget`,
+    /// and `cancel` is checked after every gate), and permutes
     /// `input_probs` (one probability per input position) into variable
     /// order.
     ///
@@ -45,9 +45,9 @@ impl ExactModel {
     ///
     /// [`RelogicError::CircuitTooLarge`] if the inputs leave no variable
     /// for the auxiliary,
-    /// [`RelogicError::BddBudgetExceeded`] once the live-node count passes
-    /// `budget`, or [`RelogicError::Cancelled`] (site `bdd_gate`) once the
-    /// token fires.
+    /// [`RelogicError::BddBudgetExceeded`] at the first node allocation
+    /// that would pass `budget`, or [`RelogicError::Cancelled`] (site
+    /// `bdd_gate`) once the token fires.
     pub(crate) fn try_build(
         circuit: &Circuit,
         input_probs: &[f64],
@@ -108,7 +108,7 @@ pub(crate) fn exact_joint_probs<T: AsRef<[NodeId]>>(
         var_probs,
         ..
     } = ExactModel::try_build(circuit, input_probs, usize::MAX, &CancelToken::new())?;
-    let mut memo: HashMap<BddRef, f64> = HashMap::new();
+    let mut memo = Vec::new();
     let signal_probs = bdds
         .funcs()
         .iter()

@@ -19,7 +19,7 @@ use relogic_bdd::{BddManager, BddRef, CircuitBdds};
 use relogic_netlist::{Circuit, NodeId};
 use relogic_sim::exec::ChunkExecutor;
 use relogic_sim::{CancelToken, Cancelled};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Output columns per sweep worker beyond the first. Every worker holds a
@@ -216,9 +216,9 @@ struct BddWorker {
     bdds: CircuitBdds,
     var_probs: Vec<f64>,
     aux: relogic_bdd::Var,
-    /// Probability memo shared across nodes; keyed by node index, so it
-    /// must be dropped whenever the manager collects or reorders.
-    memo: HashMap<BddRef, f64>,
+    /// Probability memo shared across nodes; indexed by BDD node, so it
+    /// must be cleared whenever the manager collects or reorders.
+    memo: Vec<f64>,
     gc_floor: usize,
 }
 
@@ -241,7 +241,7 @@ impl BddWorker {
             bdds,
             var_probs,
             aux,
-            memo: HashMap::new(),
+            memo: Vec::new(),
             gc_floor,
         }
     }
@@ -325,12 +325,9 @@ impl ObservabilityMatrix {
         cancel: &CancelToken,
     ) -> Result<Self, RelogicError> {
         let _ = dist.try_position_probs(circuit)?;
-        match backend {
+        match backend.validated()? {
             Backend::Bdd => {
                 Self::try_compute_budgeted_cancellable(circuit, dist, threads, usize::MAX, cancel)
-            }
-            Backend::Simulation { patterns: 0, .. } => {
-                Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
             }
             Backend::Simulation { patterns, seed } => {
                 let (per_output, any_output) = relogic_sim::observabilities_biased(
@@ -381,9 +378,8 @@ impl ObservabilityMatrix {
 
     /// Like [`ObservabilityMatrix::try_compute_budgeted`], checking
     /// `cancel` while it works: the probe build and every other worker's
-    /// build poll the token at the same per-gate point as the budget check
-    /// (one extra branch), and the subsequent sweep checks per
-    /// post-dominator tree and per node.
+    /// build poll the token after every gate (one extra branch), and the
+    /// subsequent sweep checks per post-dominator tree and per node.
     ///
     /// # Errors
     ///
@@ -925,7 +921,7 @@ mod tests {
             .expect_err("fired token must cancel the compute");
             assert!(matches!(err, RelogicError::Cancelled(_)), "{err}");
         }
-        // The budgeted probe build polls at the per-gate check: the
+        // The budgeted probe build polls after every gate: the
         // cancellation surfaces there, before any sweep work starts.
         let err = ObservabilityMatrix::try_compute_budgeted_cancellable(
             &c,

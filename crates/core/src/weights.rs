@@ -73,11 +73,8 @@ impl Weights {
         }
         let probs = dist.try_position_probs(circuit)?;
         let fanins: Vec<&[NodeId]> = circuit.iter().map(|(_, node)| node.fanins()).collect();
-        let (vectors, signal_probs) = match backend {
+        let (vectors, signal_probs) = match backend.validated()? {
             Backend::Bdd => exact_joint_probs(circuit, &probs, &fanins)?,
-            Backend::Simulation { patterns: 0, .. } => {
-                return Err(RelogicError::Sim(relogic_sim::SimError::ZeroPatternBudget))
-            }
             Backend::Simulation { patterns, seed } => {
                 relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &fanins)
             }
