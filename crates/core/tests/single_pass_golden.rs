@@ -3,8 +3,12 @@
 //! 1. **Golden bits.** `suite_circuits_match_golden_bits` runs the default
 //!    correlated engine on six suite circuits at the 11-point grid
 //!    `try_epsilon_grid(11, 0.0, 0.5)` and compares, per grid point, every
-//!    output's δ bits, an FNV-1a hash of every node's `p01`/`p10` bits, and
-//!    the coefficient-saturation count against `data/single_pass_golden.txt`.
+//!    output's δ bits, an FNV-1a hash of every node's `p01`/`p10` bits, the
+//!    coefficient-saturation, probability-clamp and correlation-fallback
+//!    counts and the bits of the worst excursion against
+//!    `data/single_pass_golden.txt`. b9 and c499 also run at `partner_cap`
+//!    `Some(1)` and `None` (lines `b9/cap1`, `b9/uncapped`, …), so the
+//!    cap's selection and every clamp the kernel counts are pinned too.
 //!    The file was recorded from the `HashMap`-based engine that preceded
 //!    the flattened kernel (sorted partner lists, per-gate pair tables,
 //!    compiled flip lists), so any change to the arithmetic or to its
@@ -25,7 +29,9 @@
 //!    same happened once in the set it recorded: c1355 at ε = 0.05
 //!    (`c1355 1`) gave saturation counts of 1886, 1887 or 1888 from run to
 //!    run, with stable δ and node hash. The file holds 1886, the count
-//!    under the ascending-id tie rule.
+//!    under the ascending-id tie rule. The wider lines (the three extra
+//!    diagnostics and the two cap settings) were added later, recorded from
+//!    the scalar kernel that preceded the eight-lane one.
 //! 2. **Determinism.** `correlated_pass_is_deterministic` runs 32 seeded
 //!    random 200–400-gate circuits through two separately constructed
 //!    engines; `p01`/`p10`, `per_output` and the diagnostics must agree
@@ -46,13 +52,19 @@ const TABLE2_SAMPLED: Backend = Backend::Simulation {
     patterns: 131_072,
     seed: 0xBEEF,
 };
-const GOLDEN_CIRCUITS: [(&str, Backend); 6] = [
-    ("x2", Backend::Bdd),
-    ("cu", Backend::Bdd),
-    ("b9", Backend::Bdd),
-    ("c499", Backend::Bdd),
-    ("c1355", Backend::Bdd),
-    ("frg2", TABLE2_SAMPLED),
+const DEFAULT_CAP: Option<usize> = Some(64);
+/// `(label, circuit, weights backend, partner cap)`.
+const GOLDEN_RUNS: [(&str, &str, Backend, Option<usize>); 10] = [
+    ("x2", "x2", Backend::Bdd, DEFAULT_CAP),
+    ("cu", "cu", Backend::Bdd, DEFAULT_CAP),
+    ("b9", "b9", Backend::Bdd, DEFAULT_CAP),
+    ("c499", "c499", Backend::Bdd, DEFAULT_CAP),
+    ("c1355", "c1355", Backend::Bdd, DEFAULT_CAP),
+    ("frg2", "frg2", TABLE2_SAMPLED, DEFAULT_CAP),
+    ("b9/cap1", "b9", Backend::Bdd, Some(1)),
+    ("b9/uncapped", "b9", Backend::Bdd, None),
+    ("c499/cap1", "c499", Backend::Bdd, Some(1)),
+    ("c499/uncapped", "c499", Backend::Bdd, None),
 ];
 
 /// FNV-1a over the bits of every node's `p01`, then every node's `p10`.
@@ -71,12 +83,22 @@ fn node_hash(c: &Circuit, r: &SinglePassResult) -> u64 {
     h
 }
 
-/// One golden line per grid point:
-/// `<circuit> <point> <coeff_saturations> <node hash> <δ bits per output…>`.
-fn golden_lines(name: &str, backend: Backend) -> Vec<String> {
+/// One golden line per grid point: `<label> <point> <coeff_saturations>
+/// <prob_clamps> <correlation_fallbacks> <worst excursion bits> <node hash>
+/// <δ bits per output…>`.
+fn golden_lines(
+    label: &str,
+    name: &str,
+    backend: Backend,
+    partner_cap: Option<usize>,
+) -> Vec<String> {
     let c = relogic_gen::suite::build(name).expect("suite circuit");
     let w = Weights::try_compute(&c, &InputDistribution::Uniform, backend).unwrap();
-    let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default()).unwrap();
+    let options = SinglePassOptions {
+        partner_cap,
+        ..SinglePassOptions::default()
+    };
+    let engine = SinglePass::try_new(&c, &w, options).unwrap();
     try_epsilon_grid(11, 0.0, 0.5)
         .unwrap()
         .into_iter()
@@ -85,9 +107,13 @@ fn golden_lines(name: &str, backend: Backend) -> Vec<String> {
             let r = engine
                 .try_run(&GateEps::try_uniform(&c, e).unwrap())
                 .unwrap();
+            let d = r.diagnostics();
             let mut line = format!(
-                "{name} {point} {} {:016x}",
-                r.diagnostics().coeff_saturations(),
+                "{label} {point} {} {} {} {:016x} {:016x}",
+                d.coeff_saturations(),
+                d.prob_clamps(),
+                d.correlation_fallbacks(),
+                d.worst_excursion().to_bits(),
                 node_hash(&c, &r)
             );
             for d in r.per_output() {
@@ -100,20 +126,20 @@ fn golden_lines(name: &str, backend: Backend) -> Vec<String> {
 
 #[test]
 fn suite_circuits_match_golden_bits() {
-    for (name, backend) in GOLDEN_CIRCUITS {
+    for (label, name, backend, cap) in GOLDEN_RUNS {
         let expected: Vec<&str> = GOLDEN
             .lines()
-            .filter(|l| l.split(' ').next() == Some(name))
+            .filter(|l| l.split(' ').next() == Some(label))
             .collect();
         assert_eq!(
             expected.len(),
             11,
-            "{name}: golden file has no 11-point record"
+            "{label}: golden file has no 11-point record"
         );
-        for (got, want) in golden_lines(name, backend).iter().zip(expected) {
+        for (got, want) in golden_lines(label, name, backend, cap).iter().zip(expected) {
             assert_eq!(
                 got, want,
-                "{name}: single pass differs from the golden bits"
+                "{label}: single pass differs from the golden bits"
             );
         }
     }
@@ -123,8 +149,8 @@ fn suite_circuits_match_golden_bits() {
 #[test]
 #[ignore = "regenerates the golden data"]
 fn print_golden_lines() {
-    for (name, backend) in GOLDEN_CIRCUITS {
-        for line in golden_lines(name, backend) {
+    for (label, name, backend, cap) in GOLDEN_RUNS {
+        for line in golden_lines(label, name, backend, cap) {
             println!("golden {line}");
         }
     }
