@@ -59,6 +59,36 @@ fn estimator_failure_exits_8() {
 }
 
 #[test]
+fn out_of_range_parameters_exit_8_naming_the_allowed_range() {
+    let p = netlist("range.bench", SMALL).display().to_string();
+    let cases = [
+        (
+            vec!["critical-eps", &p, "--threshold", "0"],
+            "critical-eps threshold = 0 outside (0, 0.5)",
+        ),
+        (
+            vec!["critical-eps", &p, "--threshold", "0.5"],
+            "critical-eps threshold = 0.5 outside (0, 0.5)",
+        ),
+        (
+            vec!["harden", &p, "--area-budget", "0"],
+            "harden area budget = 0 outside [1, inf)",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = cli(&args);
+        assert_eq!(out.status.code(), Some(8), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("estimator error: {message}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("strict"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn expired_deadline_exits_9_with_empty_stdout() {
     let p = c499();
     for command in ["observability", "estimate"] {

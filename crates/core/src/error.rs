@@ -96,6 +96,16 @@ pub enum RelogicError {
         /// Legal upper bound.
         hi: f64,
     },
+    /// A request parameter is non-finite or outside the range its
+    /// operation accepts.
+    InvalidParameter {
+        /// The parameter.
+        name: &'static str,
+        /// The offending value.
+        value: f64,
+        /// The accepted range in interval notation, e.g. `(0, 0.5)`.
+        allowed: &'static str,
+    },
     /// A simulation-backend failure (zero pattern budget, bad ε vector …).
     Sim(SimError),
     /// A budgeted exact (BDD) computation exceeded its live-node budget
@@ -167,6 +177,11 @@ impl fmt::Display for RelogicError {
                 f,
                 "strict numeric policy violation: {context} = {value} outside [{lo}, {hi}]"
             ),
+            RelogicError::InvalidParameter {
+                name,
+                value,
+                allowed,
+            } => write!(f, "{name} = {value} outside {allowed}"),
             RelogicError::Sim(e) => write!(f, "simulation error: {e}"),
             RelogicError::BddBudgetExceeded { live_nodes, budget } => write!(
                 f,

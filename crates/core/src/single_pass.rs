@@ -376,9 +376,6 @@ impl<'a> SinglePass<'a> {
         let mut p10 = vec![0.0f64; n];
         let mut partners: Vec<PartnerList> = vec![Vec::new(); n];
         let mut scratch = PropagationScratch::default();
-        if self.options.correlations {
-            scratch.seen = vec![u32::MAX; n];
-        }
 
         for (id, node) in self.circuit.iter() {
             let i = id.index();
@@ -401,11 +398,13 @@ impl<'a> SinglePass<'a> {
                     } else {
                         u32::MAX
                     };
-                    let (r0, r1) = propagated_ratios(
+                    // The gate's own call is the one-lane instance.
+                    let [[r0], [r1]] = propagated_ratios(
                         w,
                         &scratch.base,
                         &scratch.pairs,
-                        skip,
+                        &[skip],
+                        1,
                         by_out,
                         &mut diag,
                     );
@@ -455,6 +454,11 @@ impl<'a> SinglePass<'a> {
     /// `k` correlated with any fanin of `id` (plus fanins that are stems),
     /// and registers them symmetrically. Expects
     /// `scratch.pairs` to hold the gate's fanin-pair table.
+    ///
+    /// Every (candidate, event) conditioned call becomes one lane of a
+    /// [`LaneBatch`]; the batches then run [`LANES`] calls per
+    /// [`propagated_ratios`] instance, and the coefficients are assembled
+    /// in ascending candidate id.
     #[allow(clippy::too_many_arguments)]
     fn propagate_coefficients(
         &self,
@@ -472,57 +476,72 @@ impl<'a> SinglePass<'a> {
         let iu = node_key(i);
         let node = self.circuit.node(id);
         let fanins = node.fanins();
+        let arity = fanins.len();
         let PropagationScratch {
-            cond,
+            base,
             pairs,
-            candidates,
-            seen,
+            batches,
+            lanes_of,
+            coeff_lanes,
             new_coeffs,
-            ..
         } = scratch;
 
-        // Candidate partner set: everything correlated with a fanin, plus
-        // stem fanins themselves, visited in ascending node id. `seen`
-        // stamps a node with the gate it was last collected for.
-        candidates.clear();
-        seen[i] = iu;
+        // Candidate partners: everything correlated with a fanin, plus stem
+        // fanins themselves, visited in ascending node id by merging the
+        // fanins' sorted partner lists. `stems` holds the stem fanins'
+        // keys, ascending; `lists[j]` is the unmerged rest of fanin j's
+        // list.
+        let mut stems = [u32::MAX; MAX_ANALYSIS_ARITY + 1];
+        let mut n_stems = 0;
         for &f in fanins {
-            let stem = self.is_stem[f.index()].then(|| node_key(f.index()));
-            for k in partners[f.index()].iter().map(|&(k, _)| k).chain(stem) {
-                if seen[k as usize] != iu {
-                    seen[k as usize] = iu;
-                    candidates.push(k);
-                }
+            if self.is_stem[f.index()] {
+                stems[n_stems] = node_key(f.index());
+                n_stems += 1;
             }
         }
-        if candidates.is_empty() {
-            return;
+        stems[..n_stems].sort_unstable();
+        let mut next_stem = 0;
+        let mut lists: [&[(u32, CorrCoeffs)]; MAX_ANALYSIS_ARITY] = [&[]; MAX_ANALYSIS_ARITY];
+        for (list, &f) in lists.iter_mut().zip(fanins) {
+            *list = &partners[f.index()];
         }
-        candidates.sort_unstable();
-
-        new_coeffs.clear();
-        // Merge-walk cursors into each fanin's sorted partner list.
-        let mut cursor = [0usize; MAX_ANALYSIS_ARITY];
-        let mut fanin_pair = [None::<CorrCoeffs>; MAX_ANALYSIS_ARITY];
-        for &k in candidates.iter() {
-            // Fanin positions that are the partner itself: their pairwise
-            // coefficients with the other fanins are folded into `cond`.
-            let mut skip = 0u32;
-            for (j, &f) in fanins.iter().enumerate() {
-                let list = &partners[f.index()];
-                let at = &mut cursor[j];
-                while *at < list.len() && list[*at].0 < k {
-                    *at += 1;
+        let lists = &mut lists[..arity];
+        let mut fanin_pair = [None::<&CorrCoeffs>; MAX_ANALYSIS_ARITY];
+        let mut n_lanes = 0usize;
+        lanes_of.clear();
+        loop {
+            let mut k = stems[next_stem];
+            for list in lists.iter() {
+                if let Some(&(key, _)) = list.first() {
+                    k = k.min(key);
                 }
-                fanin_pair[j] = list.get(*at).filter(|e| e.0 == k).map(|e| e.1);
+            }
+            if k == u32::MAX {
+                // Node keys are below u32::MAX: every list is exhausted.
+                break;
+            }
+            while stems[next_stem] == k {
+                next_stem += 1;
+            }
+            // Fanin positions that are the partner itself: their pairwise
+            // coefficients with the other fanins are folded into the
+            // conditioned probabilities.
+            let mut skip = 0u32;
+            for (j, (list, &f)) in lists.iter_mut().zip(fanins).enumerate() {
+                fanin_pair[j] = match list.split_first() {
+                    Some(((key, c), tail)) if *key == k => {
+                        *list = tail;
+                        Some(c)
+                    }
+                    _ => None,
+                };
                 if f.index() == k as usize {
                     skip |= 1 << j;
                 }
             }
-            let fanin_pair = &fanin_pair[..fanins.len()];
 
-            let mut coeffs = INDEPENDENT;
-            for ctx in 0..2usize {
+            let mut lanes = [None; 2];
+            for (ctx, lane_slot) in lanes.iter_mut().enumerate() {
                 // Error-event coefficient for k's event whose fault-free
                 // context is `ctx` (rise needs clean 0, fall clean 1).
                 let pk = if ctx == 0 {
@@ -534,25 +553,57 @@ impl<'a> SinglePass<'a> {
                     // Event never occurs; coefficients are irrelevant.
                     continue;
                 }
-                // Condition every fanin's error probabilities on k's event.
-                cond.clear();
-                for (j, (&f, pair)) in fanins.iter().zip(fanin_pair).enumerate() {
-                    let fi = f.index();
-                    if skip >> j & 1 == 1 {
-                        cond.push(if ctx == 0 { (1.0, 0.0) } else { (0.0, 1.0) });
-                    } else {
-                        let c = pair.unwrap_or(INDEPENDENT);
-                        cond.push((
-                            diag.clamp_coeff(p01[fi] * c[0][ctx], 0.0, 1.0),
-                            diag.clamp_coeff(p10[fi] * c[1][ctx], 0.0, 1.0),
-                        ));
-                    }
+                let lane = n_lanes % LANES;
+                if lane == 0 && n_lanes / LANES == batches.len() {
+                    batches.push(LaneBatch::EMPTY);
                 }
-                let (r0, r1) = propagated_ratios(w, cond, pairs, skip, by_out, diag);
-                let cond_p01 = diag.clamp_prob(e + (1.0 - 2.0 * e) * r0, 0.0, 1.0);
-                let cond_p10 = diag.clamp_prob(e + (1.0 - 2.0 * e) * r1, 0.0, 1.0);
-                coeffs[0][ctx] = ratio_or_one(cond_p01, p01[i]);
-                coeffs[1][ctx] = ratio_or_one(cond_p10, p10[i]);
+                let batch = &mut batches[n_lanes / LANES];
+                // Condition every fanin's error probabilities on k's
+                // event; `LaneBatch::ratios` clamps the products.
+                for (j, (&[[b01], [b10]], pair)) in base.iter().zip(&fanin_pair).enumerate() {
+                    let (c01, c10) = if skip >> j & 1 == 1 {
+                        if ctx == 0 {
+                            (1.0, 0.0)
+                        } else {
+                            (0.0, 1.0)
+                        }
+                    } else {
+                        let c = pair.unwrap_or(&INDEPENDENT);
+                        (b01 * c[0][ctx], b10 * c[1][ctx])
+                    };
+                    batch.probs[j][0][lane] = c01;
+                    batch.probs[j][1][lane] = c10;
+                }
+                batch.skip[lane] = skip;
+                *lane_slot = Some(n_lanes);
+                n_lanes += 1;
+            }
+            lanes_of.push((k, lanes));
+        }
+        if lanes_of.is_empty() {
+            return;
+        }
+
+        // Run the batches; each lane's (r0, r1) becomes the coefficient
+        // pair (C[0][ctx], C[1][ctx]) of its candidate.
+        coeff_lanes.clear();
+        let p_own = [p01[i], p10[i]];
+        for (b, batch) in batches[..n_lanes.div_ceil(LANES)].iter_mut().enumerate() {
+            let lanes = (n_lanes - b * LANES).min(LANES);
+            let mut r = batch.ratios(lanes, arity, w, pairs, by_out, diag);
+            lane_coefficients(&mut r, lanes, e, p_own, diag);
+            coeff_lanes.push(r);
+        }
+
+        new_coeffs.clear();
+        for &(k, lanes) in lanes_of.iter() {
+            let mut coeffs = INDEPENDENT;
+            for (ctx, lane) in lanes.iter().enumerate() {
+                if let Some(lane) = *lane {
+                    let c = &coeff_lanes[lane / LANES];
+                    coeffs[0][ctx] = c[0][lane % LANES];
+                    coeffs[1][ctx] = c[1][lane % LANES];
+                }
             }
             if !coeffs.iter().flatten().all(|x| x.is_finite()) {
                 // Graceful degradation: a non-finite coefficient would
@@ -567,11 +618,15 @@ impl<'a> SinglePass<'a> {
             }
         }
 
-        // Enforce the partner cap, keeping the strongest correlations. The
-        // sort is stable over ascending ids, so ties keep the lower id.
+        // Enforce the partner cap, keeping the strongest correlations; ties
+        // keep the lower id. Selecting the first `cap` under (strength
+        // descending, id ascending) picks the set a stable sort by strength
+        // would keep, without sorting the rest.
         if let Some(cap) = self.options.partner_cap {
             if new_coeffs.len() > cap {
-                new_coeffs.sort_by(|a, b| b.1.total_cmp(&a.1));
+                new_coeffs.select_nth_unstable_by(cap, |a, b| {
+                    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+                });
                 new_coeffs.truncate(cap);
                 new_coeffs.sort_unstable_by_key(|&(k, _, _)| k);
             }
@@ -605,18 +660,94 @@ fn coeff_strength(c: &CorrCoeffs) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Calls evaluated together by one [`propagated_ratios`] instance in the
+/// correlated pass.
+const LANES: usize = 8;
+
+/// Up to [`LANES`] conditioned calls of one gate, fanin-major:
+/// `probs[j][0][lane]` is fanin `j`'s `p01` in that call, `probs[j][1][lane]`
+/// its `p10`, and `skip[lane]` the call's skip mask. Padding lanes past the
+/// last call hold zero probabilities, which no clamp sees out of range.
+#[derive(Clone)]
+struct LaneBatch {
+    probs: [[[f64; LANES]; 2]; MAX_ANALYSIS_ARITY],
+    skip: [u32; LANES],
+}
+
+impl LaneBatch {
+    const EMPTY: LaneBatch = LaneBatch {
+        probs: [[[0.0; LANES]; 2]; MAX_ANALYSIS_ARITY],
+        skip: [u32::MAX; LANES],
+    };
+
+    /// Runs the batch's first `lanes` calls of a gate with `arity` fanins,
+    /// whose conditioned probabilities are still unclamped products:
+    /// clamps them (the coefficient saturations a lone call counts), pads
+    /// the lanes past `lanes`, and returns [`propagated_ratios`]' lanes.
+    fn ratios(
+        &mut self,
+        lanes: usize,
+        arity: usize,
+        w: &[f64],
+        pairs: &[f64],
+        by_out: ByOutput<'_>,
+        diag: &mut Diagnostics,
+    ) -> [[f64; LANES]; 2] {
+        for q in self.probs[..arity].iter_mut().flatten() {
+            q[lanes..].fill(0.0);
+            clamp_lanes(q, |l| l < lanes, |d, x| d.clamp_coeff(x, 0.0, 1.0), diag);
+        }
+        self.skip[lanes..].fill(u32::MAX);
+        propagated_ratios(
+            w,
+            &self.probs[..arity],
+            pairs,
+            &self.skip,
+            lanes,
+            by_out,
+            diag,
+        )
+    }
+}
+
+/// Turns the first `lanes` conditioned ratios `r` of a gate with failure
+/// probability `e` into coefficients: the conditioned `p01`/`p10`
+/// (`e + (1 − 2e)·r`, clamped) over the gate's own `own = [p01, p10]`.
+fn lane_coefficients<const L: usize>(
+    r: &mut [[f64; L]; 2],
+    lanes: usize,
+    e: f64,
+    own: [f64; 2],
+    diag: &mut Diagnostics,
+) {
+    for (r, own) in r.iter_mut().zip(own) {
+        for x in r.iter_mut() {
+            *x = e + (1.0 - 2.0 * e) * *x;
+        }
+        clamp_lanes(r, |l| l < lanes, |d, x| d.clamp_prob(x, 0.0, 1.0), diag);
+        for x in r.iter_mut() {
+            *x = ratio_or_one(*x, own);
+        }
+    }
+}
+
 /// Buffers reused across the gates of one run.
 #[derive(Default)]
 struct PropagationScratch {
-    base: Vec<(f64, f64)>,
-    cond: Vec<(f64, f64)>,
+    /// The current gate's fanin probabilities as a one-lane call.
+    base: Vec<[[f64; 1]; 2]>,
     /// The current gate's fanin-pair coefficient table; see
     /// [`PropagationScratch::load_pairs`].
     pairs: Vec<f64>,
-    candidates: Vec<u32>,
-    /// Per node, the key of the gate it was last collected as a candidate
-    /// for.
-    seen: Vec<u32>,
+    /// The current gate's conditioned calls, [`LANES`] per batch.
+    batches: Vec<LaneBatch>,
+    /// Per candidate partner in ascending id, its key and the lanes of its
+    /// rise- and fall-conditioned calls (`None` when that event never
+    /// occurs).
+    lanes_of: Vec<(u32, [Option<usize>; 2])>,
+    /// Per batch, the coefficients `C[0][ctx]`, `C[1][ctx]` its lanes
+    /// give their candidates.
+    coeff_lanes: Vec<[[f64; LANES]; 2]>,
     /// Surviving partners of the current gate: `(key, strength, coeffs)`.
     new_coeffs: Vec<(u32, f64, CorrCoeffs)>,
 }
@@ -625,7 +756,7 @@ impl PropagationScratch {
     fn load_fanins(&mut self, fanins: &[NodeId], p01: &[f64], p10: &[f64]) {
         self.base.clear();
         self.base
-            .extend(fanins.iter().map(|f| (p01[f.index()], p10[f.index()])));
+            .extend(fanins.iter().map(|f| [[p01[f.index()]], [p10[f.index()]]]));
     }
 
     /// Fills the `k × k × 2 × 2` table of coefficients applied to fanin
@@ -667,6 +798,9 @@ impl PropagationScratch {
                 }
             }
         }
+        // The lane kernel relies on this: a zero chained through the
+        // table stays zero (see `propagated_ratios`).
+        debug_assert!(self.pairs.iter().all(|c| c.is_finite() && *c >= 0.0));
     }
 }
 
@@ -676,25 +810,69 @@ fn pair_index(k: usize, a: usize, b: usize, ea: usize, eb: usize) -> usize {
     ((a * k + b) * 2 + ea) * 2 + eb
 }
 
-/// Computes `(PW(0)/W(0), PW(1)/W(1))`: the propagated error ratios of a
-/// gate, generalizing Table 1 to arbitrary kinds and arities.
+/// Computes `(PW(0)/W(0), PW(1)/W(1))` for up to `L` calls at once: the
+/// propagated error ratios of a gate, generalizing Table 1 to arbitrary
+/// kinds and arities. Returns `[r0 lanes, r1 lanes]`.
 ///
-/// `probs[j]` is fanin `j`'s `(p01, p10)` (possibly conditioned on a
-/// partner event); `pairs` is the gate's fanin-pair table. Fanin positions
-/// set in `skip` take no pairwise chain factors: the conditioning partner
-/// itself, whose coefficients are already folded into `probs`, or every
-/// fanin when correlations are off.
-fn propagated_ratios(
+/// `probs[j][0][lane]` and `probs[j][1][lane]` are fanin `j`'s `p01` and
+/// `p10` in that lane's call (possibly conditioned on a partner event);
+/// `pairs` is the gate's fanin-pair table, shared by every lane. Fanin
+/// positions set in a lane's `skip` mask take no pairwise chain factors in
+/// that lane: the conditioning partner itself, whose coefficients are
+/// already folded into `probs`, or every fanin when correlations are off.
+/// Only the first `lanes` lanes are calls; the rest are padding, whose
+/// clamps are never counted.
+///
+/// Each lane runs the operation sequence of the same call made alone (see
+/// DESIGN §4). Every `probs` entry is a probability in `[0, 1]` and every
+/// `pairs` entry is finite and ≥ 0, so a zero probability multiplied
+/// through a chain stays the zero a lone call leaves unchained. A chain
+/// factor is ×1.0 in a lane whose skip mask covers either position. A lane
+/// whose product has reached 0 counts no further clamp; its product stays
+/// 0, as a lone call's early exit leaves it.
+fn propagated_ratios<const L: usize>(
     w: &[f64],
-    probs: &[(f64, f64)],
+    probs: &[[[f64; L]; 2]],
     pairs: &[f64],
-    skip: u32,
+    skip: &[u32; L],
+    lanes: usize,
     by_out: ByOutput<'_>,
     diag: &mut Diagnostics,
-) -> (f64, f64) {
-    let k = probs.len();
+) -> [[f64; L]; 2] {
+    match probs.len() {
+        1 => ratios_of_arity::<L, 1>(w, probs, pairs, skip, lanes, by_out, diag),
+        2 => ratios_of_arity::<L, 2>(w, probs, pairs, skip, lanes, by_out, diag),
+        3 => ratios_of_arity::<L, 3>(w, probs, pairs, skip, lanes, by_out, diag),
+        4 => ratios_of_arity::<L, 4>(w, probs, pairs, skip, lanes, by_out, diag),
+        _ => ratios_of_arity::<L, 0>(w, probs, pairs, skip, lanes, by_out, diag),
+    }
+}
+
+/// [`propagated_ratios`] for arity `K`, or for any arity when `K` is 0.
+#[inline(always)]
+fn ratios_of_arity<const L: usize, const K: usize>(
+    w: &[f64],
+    probs: &[[[f64; L]; 2]],
+    pairs: &[f64],
+    skip: &[u32; L],
+    lanes: usize,
+    by_out: ByOutput<'_>,
+    diag: &mut Diagnostics,
+) -> [[f64; L]; 2] {
+    let k = if K == 0 { probs.len() } else { K };
+    let probs = &probs[..k];
     debug_assert_eq!(w.len(), 1 << k);
-    let mut pw = [0.0f64; 2];
+    debug_assert!((1..=L).contains(&lanes));
+    debug_assert!(probs
+        .iter()
+        .flatten()
+        .flatten()
+        .all(|q| (0.0..=1.0).contains(q)));
+    // Positions every call skips take no chain at all; a position only some
+    // calls skip takes ×1.0 in those lanes.
+    let skip_all = skip[..lanes].iter().fold(u32::MAX, |acc, &s| acc & s) as usize;
+    let skip_some = skip[..lanes].iter().fold(0, |acc, &s| acc | s) as usize & !skip_all;
+    let mut pw = [[0.0f64; L]; 2];
     let mut wsum = [0.0f64; 2];
     // Each output value's sums see its combinations in ascending order, as
     // a single ascending walk over all combinations would give them.
@@ -709,50 +887,99 @@ fn propagated_ratios(
         if wv <= 0.0 {
             continue;
         }
-        let mut flip_prob = 0.0f64;
+        let mut flip_prob = [0.0f64; L];
         for &u in by_out[out_v ^ 1] {
             let diff = v ^ usize::from(u);
-            let chained = diff & !(skip as usize);
-            let mut prob = 1.0f64;
-            for (j, &(p01, p10)) in probs.iter().enumerate() {
+            let chained = diff & !skip_all;
+            // A lane is live while its product is positive. A live lane's
+            // factors are clamped into [0, 1]; a dead lane's product is 0
+            // and stays 0 whatever its factors.
+            let mut prob = [1.0f64; L];
+            for (j, pj) in probs.iter().enumerate() {
                 let vj = v >> j & 1;
                 let flipped = diff >> j & 1 == 1;
-                let mut q = if vj == 0 { p01 } else { p10 };
-                if q > 0.0 && skip >> j & 1 == 0 {
-                    // Condition on the flip set (§4.1's reweighting, e.g.
-                    // (1 − Pr(j₁₀)·C_ij̃)): a flipped fanin is chained on the
-                    // flipped fanins before it (so each pairwise coefficient
-                    // enters once), while a non-flipped fanin's flip
-                    // probability is conditioned on *every* flipped fanin.
-                    let upper = if flipped { j } else { k };
-                    let mut rest = chained & ((1 << upper) - 1);
+                let mut q = pj[vj];
+                // Condition on the flip set (§4.1's reweighting, e.g.
+                // (1 − Pr(j₁₀)·C_ij̃)): a flipped fanin is chained on the
+                // flipped fanins before it (so each pairwise coefficient
+                // enters once), while a non-flipped fanin's flip
+                // probability is conditioned on *every* flipped fanin.
+                let upper = if flipped { j } else { k };
+                let mut rest = chained & ((1 << upper) - 1);
+                // An unchained factor is a probability already, which a
+                // clamp passes through unchanged and uncounted.
+                if skip_all >> j & 1 == 0 && rest != 0 {
                     while rest != 0 {
                         let j2 = rest.trailing_zeros() as usize;
                         rest &= rest - 1;
-                        q *= pairs[pair_index(k, j, j2, vj, v >> j2 & 1)];
+                        let c = pairs[pair_index(k, j, j2, vj, v >> j2 & 1)];
+                        let both = 1 << j | 1 << j2;
+                        if skip_some & both == 0 {
+                            for x in &mut q {
+                                *x *= c;
+                            }
+                        } else {
+                            for (x, &s) in q.iter_mut().zip(skip) {
+                                *x *= if s as usize & both == 0 { c } else { 1.0 };
+                            }
+                        }
                     }
+                    clamp_lanes(
+                        &mut q,
+                        |l| l < lanes && prob[l] > 0.0,
+                        |d, x| d.clamp_coeff(x, 0.0, 1.0),
+                        diag,
+                    );
                 }
-                let q = diag.clamp_coeff(q, 0.0, 1.0);
-                prob *= if flipped { q } else { 1.0 - q };
-                if prob <= 0.0 {
-                    break;
+                for (p, &x) in prob.iter_mut().zip(&q) {
+                    *p *= if flipped { x } else { 1.0 - x };
                 }
             }
-            flip_prob += prob;
+            for (f, &p) in flip_prob.iter_mut().zip(&prob) {
+                *f += p;
+            }
         }
-        pw[out_v] += wv * diag.clamp_prob(flip_prob, 0.0, 1.0);
+        clamp_lanes(
+            &mut flip_prob,
+            |l| l < lanes,
+            |d, x| d.clamp_prob(x, 0.0, 1.0),
+            diag,
+        );
+        for (acc, &f) in pw[out_v].iter_mut().zip(&flip_prob) {
+            *acc += wv * f;
+        }
     }
-    let r0 = if wsum[0] > COEFF_EPS {
-        pw[0] / wsum[0]
-    } else {
-        0.0
-    };
-    let r1 = if wsum[1] > COEFF_EPS {
-        pw[1] / wsum[1]
-    } else {
-        0.0
-    };
-    (diag.clamp_prob(r0, 0.0, 1.0), diag.clamp_prob(r1, 0.0, 1.0))
+    let mut r = [[0.0f64; L]; 2];
+    for (r, (pw, wsum)) in r.iter_mut().zip(pw.iter().zip(wsum)) {
+        if wsum > COEFF_EPS {
+            for (x, &p) in r.iter_mut().zip(pw) {
+                *x = p / wsum;
+            }
+        }
+        clamp_lanes(r, |l| l < lanes, |d, x| d.clamp_prob(x, 0.0, 1.0), diag);
+    }
+    r
+}
+
+/// Passes every lane of `x` that `counted` selects through `clamp`. In-range
+/// values come out of a clamp unchanged and uncounted, so the per-lane pass
+/// runs only when some lane is out of `[0, 1]` (NaN included).
+#[inline(always)]
+fn clamp_lanes<const L: usize>(
+    x: &mut [f64; L],
+    counted: impl Fn(usize) -> bool,
+    clamp: impl Fn(&mut Diagnostics, f64) -> f64,
+    diag: &mut Diagnostics,
+) {
+    let in_range = x.iter().fold(true, |ok, v| ok & (0.0..=1.0).contains(v));
+    if in_range {
+        return;
+    }
+    for (l, v) in x.iter_mut().enumerate() {
+        if counted(l) {
+            *v = clamp(diag, *v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -771,6 +998,281 @@ mod tests {
             .unwrap()
             .try_run(eps)
             .unwrap()
+    }
+
+    /// The scalar kernel the lane kernel replaced, kept verbatim as its
+    /// oracle. Computes `(PW(0)/W(0), PW(1)/W(1))`: the propagated error
+    /// ratios of a gate, generalizing Table 1 to arbitrary kinds and arities.
+    ///
+    /// `probs[j]` is fanin `j`'s `(p01, p10)` (possibly conditioned on a
+    /// partner event); `pairs` is the gate's fanin-pair table. Fanin positions
+    /// set in `skip` take no pairwise chain factors: the conditioning partner
+    /// itself, whose coefficients are already folded into `probs`, or every
+    /// fanin when correlations are off.
+    fn scalar_propagated_ratios(
+        w: &[f64],
+        probs: &[(f64, f64)],
+        pairs: &[f64],
+        skip: u32,
+        by_out: ByOutput<'_>,
+        diag: &mut Diagnostics,
+    ) -> (f64, f64) {
+        let k = probs.len();
+        debug_assert_eq!(w.len(), 1 << k);
+        let mut pw = [0.0f64; 2];
+        let mut wsum = [0.0f64; 2];
+        // Each output value's sums see its combinations in ascending order, as
+        // a single ascending walk over all combinations would give them.
+        for (out_v, &v) in by_out[0]
+            .iter()
+            .map(|v| (0, v))
+            .chain(by_out[1].iter().map(|v| (1, v)))
+        {
+            let v = usize::from(v);
+            let wv = w[v];
+            wsum[out_v] += wv;
+            if wv <= 0.0 {
+                continue;
+            }
+            let mut flip_prob = 0.0f64;
+            for &u in by_out[out_v ^ 1] {
+                let diff = v ^ usize::from(u);
+                let chained = diff & !(skip as usize);
+                let mut prob = 1.0f64;
+                for (j, &(p01, p10)) in probs.iter().enumerate() {
+                    let vj = v >> j & 1;
+                    let flipped = diff >> j & 1 == 1;
+                    let mut q = if vj == 0 { p01 } else { p10 };
+                    if q > 0.0 && skip >> j & 1 == 0 {
+                        // Condition on the flip set (§4.1's reweighting, e.g.
+                        // (1 − Pr(j₁₀)·C_ij̃)): a flipped fanin is chained on the
+                        // flipped fanins before it (so each pairwise coefficient
+                        // enters once), while a non-flipped fanin's flip
+                        // probability is conditioned on *every* flipped fanin.
+                        let upper = if flipped { j } else { k };
+                        let mut rest = chained & ((1 << upper) - 1);
+                        while rest != 0 {
+                            let j2 = rest.trailing_zeros() as usize;
+                            rest &= rest - 1;
+                            q *= pairs[pair_index(k, j, j2, vj, v >> j2 & 1)];
+                        }
+                    }
+                    let q = diag.clamp_coeff(q, 0.0, 1.0);
+                    prob *= if flipped { q } else { 1.0 - q };
+                    if prob <= 0.0 {
+                        break;
+                    }
+                }
+                flip_prob += prob;
+            }
+            pw[out_v] += wv * diag.clamp_prob(flip_prob, 0.0, 1.0);
+        }
+        let r0 = if wsum[0] > COEFF_EPS {
+            pw[0] / wsum[0]
+        } else {
+            0.0
+        };
+        let r1 = if wsum[1] > COEFF_EPS {
+            pw[1] / wsum[1]
+        } else {
+            0.0
+        };
+        (diag.clamp_prob(r0, 0.0, 1.0), diag.clamp_prob(r1, 0.0, 1.0))
+    }
+
+    /// The ε values the oracle test draws fanin probabilities and gate
+    /// failure probabilities from.
+    const ORACLE_EPS: [f64; 5] = [0.0, 1e-6, 0.05, 0.5, 1.0];
+
+    /// One gate fed to both kernels: `arity` fanins over fewer signals (so
+    /// some fanins repeat and `load_pairs` takes its same-signal branch), a
+    /// random truth table and weight vector with zero weights, partner
+    /// coefficients up to 4 (chained products leave [0, 1]), and `calls`
+    /// conditioned calls with mixed skip masks, evaluated [`LANES`] at a
+    /// time so the last batch has padding lanes. Every `r0`/`r1`, every
+    /// coefficient and every `Diagnostics` field must match bit for bit.
+    /// Returns the diagnostics.
+    fn assert_lanes_match_oracle(arity: usize, calls: usize, eps: f64, seed: u64) -> Diagnostics {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let case = format!("arity {arity}, {calls} calls, ε={eps}, seed {seed}");
+        let prob = |rng: &mut SmallRng| match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => eps + (1.0 - 2.0 * eps) * rng.gen::<f64>(),
+        };
+        let signals = rng.gen_range(1..=arity);
+        let fanins: Vec<NodeId> = (0..arity)
+            .map(|_| NodeId::from_index(rng.gen_range(0..signals)))
+            .collect();
+        let p01: Vec<f64> = (0..signals).map(|_| prob(&mut rng)).collect();
+        let p10: Vec<f64> = (0..signals).map(|_| prob(&mut rng)).collect();
+        let mut partners: Vec<PartnerList> = vec![Vec::new(); signals];
+        for (a, list) in partners.iter_mut().enumerate() {
+            for b in 0..signals {
+                if a != b && rng.gen_bool(0.7) {
+                    let mut c = INDEPENDENT;
+                    c.iter_mut()
+                        .flatten()
+                        .for_each(|x| *x = rng.gen_range(0.0..4.0));
+                    list.push((node_key(b), c));
+                }
+            }
+        }
+        let mut scratch = PropagationScratch::default();
+        scratch.load_fanins(&fanins, &p01, &p10);
+        scratch.load_pairs(&fanins, &partners, &p01, &p10);
+        let table: Vec<bool> = (0..1 << arity).map(|_| rng.gen()).collect();
+        let table = &table;
+        let combos: Vec<u16> = [false, true]
+            .into_iter()
+            .flat_map(|out| (0..1u16 << arity).filter(move |&u| table[usize::from(u)] == out))
+            .collect();
+        let zeros = table.iter().filter(|&&t| !t).count();
+        let by_out: ByOutput<'_> = [&combos[..zeros], &combos[zeros..]];
+        let w: Vec<f64> = (0..1 << arity)
+            .map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen() })
+            .collect();
+        let own = [prob(&mut rng), prob(&mut rng)];
+
+        let mut oracle_diag = Diagnostics::new();
+        let mut lane_diag = Diagnostics::new();
+        // The gate's own call, correlated and not.
+        for skip in [0, u32::MAX] {
+            let base: Vec<(f64, f64)> = scratch.base.iter().map(|&[[a], [b]]| (a, b)).collect();
+            let want =
+                scalar_propagated_ratios(&w, &base, &scratch.pairs, skip, by_out, &mut oracle_diag);
+            let [[r0], [r1]] = propagated_ratios(
+                &w,
+                &scratch.base,
+                &scratch.pairs,
+                &[skip],
+                1,
+                by_out,
+                &mut lane_diag,
+            );
+            assert_eq!(
+                (r0.to_bits(), r1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits()),
+                "{case}: one-lane call, skip {skip:#x}"
+            );
+        }
+        for first in (0..calls).step_by(LANES) {
+            let lanes = (calls - first).min(LANES);
+            // Stale values in every lane, as a reused batch holds them.
+            let mut batch = LaneBatch {
+                probs: [[[f64::NAN; LANES]; 2]; MAX_ANALYSIS_ARITY],
+                skip: [0; LANES],
+            };
+            let mut want = Vec::new();
+            for lane in 0..lanes {
+                let ctx = rng.gen_range(0..2);
+                let skip = if rng.gen_bool(0.5) {
+                    0
+                } else {
+                    rng.gen_range(0..1u32 << arity)
+                };
+                let mut cond = Vec::new();
+                for (j, &f) in fanins.iter().enumerate() {
+                    let (c01, c10) = if skip >> j & 1 == 1 {
+                        if ctx == 0 {
+                            (1.0, 0.0)
+                        } else {
+                            (0.0, 1.0)
+                        }
+                    } else {
+                        let scale = |rng: &mut SmallRng| {
+                            if rng.gen_bool(0.3) {
+                                1.0
+                            } else {
+                                rng.gen_range(0.0..3.0)
+                            }
+                        };
+                        (
+                            p01[f.index()] * scale(&mut rng),
+                            p10[f.index()] * scale(&mut rng),
+                        )
+                    };
+                    batch.probs[j][0][lane] = c01;
+                    batch.probs[j][1][lane] = c10;
+                    if skip >> j & 1 == 1 {
+                        cond.push((c01, c10));
+                    } else {
+                        cond.push((
+                            oracle_diag.clamp_coeff(c01, 0.0, 1.0),
+                            oracle_diag.clamp_coeff(c10, 0.0, 1.0),
+                        ));
+                    }
+                }
+                batch.skip[lane] = skip;
+                let (r0, r1) = scalar_propagated_ratios(
+                    &w,
+                    &cond,
+                    &scratch.pairs,
+                    skip,
+                    by_out,
+                    &mut oracle_diag,
+                );
+                let coeff = |r: f64, own: f64, d: &mut Diagnostics| {
+                    ratio_or_one(d.clamp_prob(eps + (1.0 - 2.0 * eps) * r, 0.0, 1.0), own)
+                };
+                let c0 = coeff(r0, own[0], &mut oracle_diag);
+                let c1 = coeff(r1, own[1], &mut oracle_diag);
+                want.push([r0, r1, c0, c1]);
+            }
+            let mut r = batch.ratios(lanes, arity, &w, &scratch.pairs, by_out, &mut lane_diag);
+            let ratios = r;
+            lane_coefficients(&mut r, lanes, eps, own, &mut lane_diag);
+            for (lane, want) in want.iter().enumerate() {
+                let got = [ratios[0][lane], ratios[1][lane], r[0][lane], r[1][lane]];
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{case}: call {} (r0, r1, C0, C1)",
+                    first + lane
+                );
+            }
+        }
+        let fields = |d: &Diagnostics| {
+            (
+                d.coeff_saturations(),
+                d.prob_clamps(),
+                d.correlation_fallbacks(),
+                d.worst_excursion().to_bits(),
+            )
+        };
+        assert_eq!(
+            fields(&lane_diag),
+            fields(&oracle_diag),
+            "{case}: diagnostics"
+        );
+        lane_diag
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn lane_kernel_matches_the_scalar_oracle(seed in proptest::prelude::any::<u64>()) {
+            let mut all = Diagnostics::new();
+            for arity in 1..=MAX_ANALYSIS_ARITY {
+                for calls in 1..=LANES + 1 {
+                    for (n, &eps) in ORACLE_EPS.iter().enumerate() {
+                        // Wide gates cost 4^arity per call: they run
+                        // every lane count, but one ε per count.
+                        if arity > 5 && (calls + n) % ORACLE_EPS.len() != 0 {
+                            continue;
+                        }
+                        let case_seed = seed ^ (arity * 1000 + calls * 10 + n) as u64;
+                        all.merge(&assert_lanes_match_oracle(arity, calls, eps, case_seed));
+                    }
+                }
+            }
+            // The inputs must reach both kinds of clamp, or the comparison
+            // says nothing about the lanes' clamp bookkeeping.
+            assert!(all.coeff_saturations() > 0 && all.prob_clamps() > 0, "{all:?}");
+        }
     }
 
     #[test]

@@ -36,9 +36,10 @@ use crate::{Diagnostics, GateEps, RelogicError, Weights};
 use relogic_netlist::{Circuit, NodeId};
 use relogic_sim::{CancelToken, ChunkExecutor, CircuitTape};
 
-/// Grid points carried per traversal (the vector width of the value
-/// rows). A chunk of this many ε values shares one pass; the lanes are
-/// independent, so the choice only affects throughput, never results.
+/// Grid points carried per traversal of [`SweepTape::try_run_grid`] (the
+/// vector width of the value rows). A chunk of this many ε values shares
+/// one pass; the lanes are independent, so the choice only affects
+/// throughput, never results. [`SweepTape::try_run_point`] carries one.
 const GRID_LANES: usize = 16;
 
 /// One compiled gate: where it writes, its arity, its ε-independent
@@ -373,7 +374,7 @@ impl SweepTape {
                 let grid = &eps_values[chunk * GRID_LANES..];
                 let grid = &grid[..grid.len().min(GRID_LANES)];
                 let mut diag = Diagnostics::new();
-                let deltas = self.run_lanes(
+                let deltas = self.run_lanes::<GRID_LANES, _>(
                     grid.len(),
                     |slot, lane| if self.is_gate[slot] { grid[lane] } else { 0.0 },
                     vals,
@@ -422,9 +423,9 @@ impl SweepTape {
                 });
             }
         }
-        let mut vals = vec![0.0f64; self.n_slots * 4 * GRID_LANES];
+        let mut vals = vec![0.0f64; self.n_slots * 4];
         let mut diag = Diagnostics::new();
-        let deltas = self.run_lanes(
+        let deltas = self.run_lanes::<1, _>(
             1,
             |slot, _| eps.get(NodeId::from_index(self.node_of_slot[slot] as usize)),
             &mut vals,
@@ -436,8 +437,8 @@ impl SweepTape {
         for slot in 0..self.n_slots {
             let sp = self.signal_prob[slot];
             let node = self.node_of_slot[slot] as usize;
-            p01[node] = vals[slot * 4 * GRID_LANES];
-            p10[node] = vals[(slot * 4 + 1) * GRID_LANES];
+            p01[node] = vals[slot * 4];
+            p10[node] = vals[slot * 4 + 1];
             node_delta[node] = (1.0 - sp) * p01[node] + sp * p10[node];
         }
         let per_output = deltas.into_iter().next().unwrap_or_default();
@@ -450,11 +451,11 @@ impl SweepTape {
         })
     }
 
-    /// One traversal carrying `w ≤ GRID_LANES` grid lanes. `eps_of(slot,
-    /// lane)` supplies each slot's ε; `vals` is the `n_slots × 4 ×
-    /// GRID_LANES` value buffer (`p01`, `p10`, `1−p01`, `1−p10` rows per
-    /// slot). Returns one per-output δ row per lane.
-    fn run_lanes<E>(
+    /// One traversal carrying `w ≤ G` grid lanes. `eps_of(slot, lane)`
+    /// supplies each slot's ε; `vals` is the `n_slots × 4 × G` value buffer
+    /// (`p01`, `p10`, `1−p01`, `1−p10` rows per slot). Returns one
+    /// per-output δ row per lane.
+    fn run_lanes<const G: usize, E>(
         &self,
         w: usize,
         eps_of: E,
@@ -464,8 +465,6 @@ impl SweepTape {
     where
         E: Fn(usize, usize) -> f64,
     {
-        const G: usize = GRID_LANES;
-
         // Sources: p01 = p10 = ε (no propagated component).
         for slot in 0..self.n_slots {
             if !self.is_gate[slot] {
@@ -681,6 +680,23 @@ mod tests {
         }
         for id in c.node_ids() {
             assert!((p.node_delta(id) - r.node_delta(id)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn point_is_a_one_point_grid_bit_for_bit() {
+        let c = reconvergent();
+        let w = weights(&c);
+        let tape = SweepTape::try_new(&c, &w).unwrap();
+        // ε = 1 drives every propagated ratio through its clamp guard.
+        for e in [0.0, 1e-6, 0.05, 0.3, 0.5, 0.9, 1.0] {
+            let point = tape
+                .try_run_point(&GateEps::try_uniform(&c, e).unwrap())
+                .unwrap();
+            let grid = tape.try_run_grid(&[e], 1, &CancelToken::new()).unwrap();
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(point.per_output()), bits(&grid.delta[0]), "ε={e}");
+            assert_eq!(point.diagnostics(), &grid.diagnostics, "ε={e}");
         }
     }
 

@@ -96,8 +96,8 @@ pub struct CriticalEpsReport {
 ///
 /// # Errors
 ///
-/// [`RelogicError::NumericRange`] if `threshold` is not a finite value in
-/// `(0, ½)`; any tape evaluation error is passed through.
+/// [`RelogicError::InvalidParameter`] if `threshold` is not a finite value
+/// in `(0, ½)`; any tape evaluation error is passed through.
 pub fn critical_eps(
     circuit: &Circuit,
     tape: &SweepTape,
@@ -127,11 +127,10 @@ pub fn critical_eps_cancellable(
     cancel: &CancelToken,
 ) -> Result<CriticalEpsReport, RelogicError> {
     if !threshold.is_finite() || threshold <= 0.0 || threshold >= 0.5 {
-        return Err(RelogicError::NumericRange {
-            context: "critical-eps threshold",
+        return Err(RelogicError::InvalidParameter {
+            name: "critical-eps threshold",
             value: threshold,
-            lo: 0.0,
-            hi: 0.5,
+            allowed: "(0, 0.5)",
         });
     }
     let max_steps = if max_steps == 0 {
@@ -302,7 +301,14 @@ mod tests {
         let tape = tape_for(&c);
         for bad in [0.0, -0.1, 0.5, 0.7, f64::NAN] {
             let err = critical_eps(&c, &tape, CriticalMetric::Max, bad, 0).unwrap_err();
-            assert!(matches!(err, RelogicError::NumericRange { .. }), "{bad}");
+            assert!(
+                matches!(err, RelogicError::InvalidParameter { .. }),
+                "{bad}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("critical-eps threshold = {bad} outside (0, 0.5)")
+            );
         }
     }
 }

@@ -79,8 +79,8 @@ fn score(est: &PropagationEstimate, eps: &GateEps) -> (f64, f64) {
 ///
 /// # Errors
 ///
-/// [`RelogicError::NumericRange`] if `area_budget` is not a finite value
-/// ≥ 1.0; estimator errors ([`RelogicError::InvalidEpsilon`],
+/// [`RelogicError::InvalidParameter`] if `area_budget` is not a finite
+/// value ≥ 1.0; estimator errors ([`RelogicError::InvalidEpsilon`],
 /// [`RelogicError::ArityExceeded`], distribution mismatches) pass through.
 pub fn harden(
     circuit: &Circuit,
@@ -120,11 +120,10 @@ pub fn harden_cancellable(
     cancel: &CancelToken,
 ) -> Result<HardenReport, RelogicError> {
     if !area_budget.is_finite() || area_budget < 1.0 {
-        return Err(RelogicError::NumericRange {
-            context: "harden area budget",
+        return Err(RelogicError::InvalidParameter {
+            name: "harden area budget",
             value: area_budget,
-            lo: 1.0,
-            hi: f64::INFINITY,
+            allowed: "[1, inf)",
         });
     }
     let gate_eps = GateEps::try_uniform(circuit, eps)?;
