@@ -580,9 +580,6 @@ impl<'a> SinglePass<'a> {
             }
             lanes_of.push((k, lanes));
         }
-        if lanes_of.is_empty() {
-            return;
-        }
 
         // Run the batches; each lane's (r0, r1) becomes the coefficient
         // pair (C[0][ctx], C[1][ctx]) of its candidate.
@@ -668,7 +665,6 @@ const LANES: usize = 8;
 /// `probs[j][0][lane]` is fanin `j`'s `p01` in that call, `probs[j][1][lane]`
 /// its `p10`, and `skip[lane]` the call's skip mask. Padding lanes past the
 /// last call hold zero probabilities, which no clamp sees out of range.
-#[derive(Clone)]
 struct LaneBatch {
     probs: [[[f64; LANES]; 2]; MAX_ANALYSIS_ARITY],
     skip: [u32; LANES],
@@ -695,7 +691,7 @@ impl LaneBatch {
     ) -> [[f64; LANES]; 2] {
         for q in self.probs[..arity].iter_mut().flatten() {
             q[lanes..].fill(0.0);
-            clamp_lanes(q, |l| l < lanes, |d, x| d.clamp_coeff(x, 0.0, 1.0), diag);
+            clamp_lanes(q, |l| l < lanes, Diagnostics::clamp_coeff, diag);
         }
         self.skip[lanes..].fill(u32::MAX);
         propagated_ratios(
@@ -713,8 +709,8 @@ impl LaneBatch {
 /// Turns the first `lanes` conditioned ratios `r` of a gate with failure
 /// probability `e` into coefficients: the conditioned `p01`/`p10`
 /// (`e + (1 − 2e)·r`, clamped) over the gate's own `own = [p01, p10]`.
-fn lane_coefficients<const L: usize>(
-    r: &mut [[f64; L]; 2],
+fn lane_coefficients(
+    r: &mut [[f64; LANES]; 2],
     lanes: usize,
     e: f64,
     own: [f64; 2],
@@ -724,7 +720,7 @@ fn lane_coefficients<const L: usize>(
         for x in r.iter_mut() {
             *x = e + (1.0 - 2.0 * e) * *x;
         }
-        clamp_lanes(r, |l| l < lanes, |d, x| d.clamp_prob(x, 0.0, 1.0), diag);
+        clamp_lanes(r, |l| l < lanes, Diagnostics::clamp_prob, diag);
         for x in r.iter_mut() {
             *x = ratio_or_one(*x, own);
         }
@@ -924,12 +920,8 @@ fn ratios_of_arity<const L: usize, const K: usize>(
                             }
                         }
                     }
-                    clamp_lanes(
-                        &mut q,
-                        |l| l < lanes && prob[l] > 0.0,
-                        |d, x| d.clamp_coeff(x, 0.0, 1.0),
-                        diag,
-                    );
+                    let live = |l| l < lanes && prob[l] > 0.0;
+                    clamp_lanes(&mut q, live, Diagnostics::clamp_coeff, diag);
                 }
                 for (p, &x) in prob.iter_mut().zip(&q) {
                     *p *= if flipped { x } else { 1.0 - x };
@@ -939,12 +931,7 @@ fn ratios_of_arity<const L: usize, const K: usize>(
                 *f += p;
             }
         }
-        clamp_lanes(
-            &mut flip_prob,
-            |l| l < lanes,
-            |d, x| d.clamp_prob(x, 0.0, 1.0),
-            diag,
-        );
+        clamp_lanes(&mut flip_prob, |l| l < lanes, Diagnostics::clamp_prob, diag);
         for (acc, &f) in pw[out_v].iter_mut().zip(&flip_prob) {
             *acc += wv * f;
         }
@@ -956,19 +943,20 @@ fn ratios_of_arity<const L: usize, const K: usize>(
                 *x = p / wsum;
             }
         }
-        clamp_lanes(r, |l| l < lanes, |d, x| d.clamp_prob(x, 0.0, 1.0), diag);
+        clamp_lanes(r, |l| l < lanes, Diagnostics::clamp_prob, diag);
     }
     r
 }
 
-/// Passes every lane of `x` that `counted` selects through `clamp`. In-range
-/// values come out of a clamp unchanged and uncounted, so the per-lane pass
-/// runs only when some lane is out of `[0, 1]` (NaN included).
+/// Passes every lane of `x` that `counted` selects through `clamp` into
+/// `[0, 1]`. In-range values come out of a clamp unchanged and uncounted,
+/// so the per-lane pass runs only when some lane is out of range (NaN
+/// included).
 #[inline(always)]
 fn clamp_lanes<const L: usize>(
     x: &mut [f64; L],
     counted: impl Fn(usize) -> bool,
-    clamp: impl Fn(&mut Diagnostics, f64) -> f64,
+    clamp: impl Fn(&mut Diagnostics, f64, f64, f64) -> f64,
     diag: &mut Diagnostics,
 ) {
     let in_range = x.iter().fold(true, |ok, v| ok & (0.0..=1.0).contains(v));
@@ -977,7 +965,7 @@ fn clamp_lanes<const L: usize>(
     }
     for (l, v) in x.iter_mut().enumerate() {
         if counted(l) {
-            *v = clamp(diag, *v);
+            *v = clamp(diag, *v, 0.0, 1.0);
         }
     }
 }

@@ -688,7 +688,6 @@ mod tests {
         let c = reconvergent();
         let w = weights(&c);
         let tape = SweepTape::try_new(&c, &w).unwrap();
-        // ε = 1 drives every propagated ratio through its clamp guard.
         for e in [0.0, 1e-6, 0.05, 0.3, 0.5, 0.9, 1.0] {
             let point = tape
                 .try_run_point(&GateEps::try_uniform(&c, e).unwrap())
