@@ -312,8 +312,6 @@ fn provenance(artifact: &Artifact, opts: &Options) -> String {
     for (slot, origin) in artifact.provenance() {
         let what = match origin {
             Origin::DiskHit => "disk hit".to_owned(),
-            // The estimator's line keeps the wording it was introduced with.
-            Origin::DiskMiss if slot == "estimator" => "computed and stored".to_owned(),
             Origin::DiskMiss => "disk miss (computed and stored)".to_owned(),
             Origin::Quarantined(reason) => {
                 format!("corrupt artifact quarantined ({reason}), recomputed")
@@ -881,14 +879,15 @@ fn cache_verify(store: &Store) -> Result<String, CliError> {
 fn cache_gc(store: &Store) -> Result<String, CliError> {
     let report = store.gc()?;
     Ok(format!(
-        "removed {} files (*.tmp, *.corrupt), freed {} bytes\n",
+        "removed {} files (*.tmp, *.corrupt, retired *.tape/*.est), freed {} bytes\n",
         report.removed, report.bytes_freed
     ))
 }
 
-/// Precomputes every artifact for a netlist so a later `serve
-/// --cache-dir` (or one-shot command) starts warm, by reading each slot of
-/// its [`Artifact`] through the store. Idempotent: artifacts already
+/// Precomputes every stored artifact for a netlist (weights and
+/// observability) so a later `serve --cache-dir` (or one-shot command)
+/// starts warm, by reading each stored slot of its [`Artifact`] through
+/// the store. Idempotent: artifacts already
 /// present are read back, not recomputed.
 fn cache_warm(store: &Store, loaded: LoadedNetlist) -> Result<String, CliError> {
     let key = ArtifactKey::of(&loaded.payload).store_key();
@@ -898,12 +897,8 @@ fn cache_warm(store: &Store, loaded: LoadedNetlist) -> Result<String, CliError> 
     let disk = Arc::new(DiskTier::open(store.root()));
     let artifact = Artifact::new(&loaded.payload, loaded.circuit, Some(Arc::clone(&disk)));
     let (counters, never) = (CacheCounters::default(), relogic::CancelToken::new());
-    artifact.tape(&counters);
     artifact.weights(&counters, &never)?;
     artifact.observability(&counters, 0, &never)?;
-    artifact
-        .propagation_estimate(&counters, &never)
-        .map_err(CliError::Estimator)?;
     if disk.is_degraded() {
         return Err(CliError::Store(format!(
             "{}: store unusable, artifacts not written",
@@ -1391,12 +1386,16 @@ y = NOT(t)
         assert!(warm2.contains("already present"), "{warm2}");
         let ls =
             run(&ParsedArgs::parse(["cache", "ls", "--cache-dir", d.as_str()]).unwrap()).unwrap();
-        assert!(ls.contains("5 artifacts"), "{ls}");
+        assert!(ls.contains("3 artifacts"), "{ls}");
         assert!(
-            warm.contains("estimator:     computed and stored"),
+            warm.contains("observability: computed and stored"),
             "{warm}"
         );
-        assert!(warm2.contains("estimator:     already present"), "{warm2}");
+        assert!(warm2.contains("observability: already present"), "{warm2}");
+        assert!(
+            !warm.contains("tape") && !warm.contains("estimator"),
+            "{warm}"
+        );
         let verify =
             run(&ParsedArgs::parse(["cache", "verify", "--cache-dir", d.as_str()]).unwrap())
                 .unwrap();
@@ -1535,8 +1534,8 @@ y = NOT(t)
         std::fs::write(&path, SMALL).unwrap();
         let p = path.display().to_string();
         let d = dir.display().to_string();
-        // Budget 0 exercises the propagation tier, which persists its
-        // estimate; the second run must read it back.
+        // Budget 0 exercises the propagation tier. Its estimate is
+        // recomputed, never stored, so both runs print the same lines.
         let argv = [
             "estimate",
             p.as_str(),
@@ -1547,14 +1546,10 @@ y = NOT(t)
             "--diagnostics",
         ];
         let first = run(&ParsedArgs::parse(argv).unwrap()).unwrap();
-        assert!(first.contains("estimator: computed and stored"), "{first}");
+        assert!(first.contains("disk cache ("), "{first}");
+        assert!(!first.contains("estimator:"), "{first}");
         let second = run(&ParsedArgs::parse(argv).unwrap()).unwrap();
-        assert!(second.contains("estimator: disk hit"), "{second}");
-        assert_eq!(
-            first.replace("estimator: computed and stored", "X"),
-            second.replace("estimator: disk hit", "X"),
-            "cached estimator must not change the numbers"
-        );
+        assert_eq!(first, second, "the disk cache must not change the output");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -95,13 +95,11 @@ struct OutputTap {
 #[derive(Clone, Debug)]
 pub struct SweepTape {
     n_slots: usize,
-    /// Node index of each slot (for ε lookup and node-δ assembly).
+    /// Node index of each slot (for ε lookup).
     node_of_slot: Vec<u32>,
     /// Whether the slot's kind is a gate (draws ε from a uniform grid) or
     /// a source (ε = 0 under [`GateEps::try_uniform`] semantics).
     is_gate: Vec<bool>,
-    /// Signal probability of each slot (for δ assembly).
-    signal_prob: Vec<f64>,
     gates: Vec<GateHeader>,
     vgroups: Vec<VGroup>,
     /// Factor stream: value-row indices `fanin_slot·4 + v_j + 2·c`. Row
@@ -118,9 +116,6 @@ pub struct SweepTape {
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     per_output: Vec<f64>,
-    node_delta: Vec<f64>,
-    p01: Vec<f64>,
-    p10: Vec<f64>,
     diagnostics: Diagnostics,
 }
 
@@ -129,30 +124,6 @@ impl SweepPoint {
     #[must_use]
     pub fn per_output(&self) -> &[f64] {
         &self.per_output
-    }
-
-    /// Unconditional error probability of `node`.
-    #[must_use]
-    pub fn node_delta(&self, node: NodeId) -> f64 {
-        self.node_delta[node.index()]
-    }
-
-    /// `Pr(0→1)` of `node`: probability its clean-0 value reads 1.
-    #[must_use]
-    pub fn p01(&self, node: NodeId) -> f64 {
-        self.p01[node.index()]
-    }
-
-    /// `Pr(1→0)` of `node`: probability its clean-1 value reads 0.
-    #[must_use]
-    pub fn p10(&self, node: NodeId) -> f64 {
-        self.p10[node.index()]
-    }
-
-    /// All per-node deltas, indexed by `NodeId::index`.
-    #[must_use]
-    pub fn node_deltas(&self) -> &[f64] {
-        &self.node_delta
     }
 
     /// Numerical diagnostics of the run.
@@ -176,30 +147,6 @@ impl SweepTape {
         Self::validate(circuit, weights)?;
         let tape = CircuitTape::compile(circuit);
         Ok(Self::compile_validated(circuit, &tape, weights))
-    }
-
-    /// Like [`SweepTape::try_new`], but lowers through an existing
-    /// [`CircuitTape`] (e.g. one shared with the Monte Carlo engine or an
-    /// artifact cache) instead of compiling a fresh one.
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepTape::try_new`], plus [`RelogicError::LengthMismatch`]
-    /// when `tape` was compiled for a different circuit.
-    pub fn try_with_tape(
-        circuit: &Circuit,
-        tape: &CircuitTape,
-        weights: &Weights,
-    ) -> Result<Self, RelogicError> {
-        Self::validate(circuit, weights)?;
-        if tape.n_slots() != circuit.len() {
-            return Err(RelogicError::LengthMismatch {
-                what: "circuit tape",
-                expected: circuit.len(),
-                actual: tape.n_slots(),
-            });
-        }
-        Ok(Self::compile_validated(circuit, tape, weights))
     }
 
     fn validate(circuit: &Circuit, weights: &Weights) -> Result<(), RelogicError> {
@@ -236,7 +183,6 @@ impl SweepTape {
         let n = tape.n_slots();
         let mut node_of_slot = Vec::with_capacity(n);
         let mut is_gate = Vec::with_capacity(n);
-        let mut signal_prob = Vec::with_capacity(n);
         let mut gates = Vec::new();
         let mut vgroups: Vec<VGroup> = Vec::new();
         let mut factors: Vec<u32> = Vec::new();
@@ -246,7 +192,6 @@ impl SweepTape {
             let kind = tape.kind(slot);
             node_of_slot.push(node_idx as u32);
             is_gate.push(kind.is_gate());
-            signal_prob.push(weights.signal_probs()[node_idx]);
             if !kind.is_gate() {
                 continue;
             }
@@ -306,7 +251,6 @@ impl SweepTape {
             n_slots: n,
             node_of_slot,
             is_gate,
-            signal_prob,
             gates,
             vgroups,
             factors,
@@ -318,18 +262,6 @@ impl SweepTape {
     #[must_use]
     pub fn n_slots(&self) -> usize {
         self.n_slots
-    }
-
-    /// Heap footprint of the compiled program.
-    #[must_use]
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.node_of_slot.len() * 4
-            + self.is_gate.len()
-            + self.signal_prob.len() * 8
-            + self.gates.len() * std::mem::size_of::<GateHeader>()
-            + self.vgroups.len() * std::mem::size_of::<VGroup>()
-            + self.factors.len() * 4
-            + self.outputs.len() * std::mem::size_of::<OutputTap>()
     }
 
     /// Evaluates δ(ε) for every output at every value of `eps_values`
@@ -397,7 +329,7 @@ impl SweepTape {
     }
 
     /// Evaluates one arbitrary per-node ε configuration (a single grid
-    /// lane), returning per-output and per-node deltas.
+    /// lane), returning the per-output deltas.
     ///
     /// # Errors
     ///
@@ -431,22 +363,9 @@ impl SweepTape {
             &mut vals,
             &mut diag,
         );
-        let mut node_delta = vec![0.0f64; self.n_slots];
-        let mut p01 = vec![0.0f64; self.n_slots];
-        let mut p10 = vec![0.0f64; self.n_slots];
-        for slot in 0..self.n_slots {
-            let sp = self.signal_prob[slot];
-            let node = self.node_of_slot[slot] as usize;
-            p01[node] = vals[slot * 4];
-            p10[node] = vals[slot * 4 + 1];
-            node_delta[node] = (1.0 - sp) * p01[node] + sp * p10[node];
-        }
         let per_output = deltas.into_iter().next().unwrap_or_default();
         Ok(SweepPoint {
             per_output,
-            node_delta,
-            p01,
-            p10,
             diagnostics: diag,
         })
     }
@@ -678,9 +597,6 @@ mod tests {
         for (k, &d) in r.per_output().iter().enumerate() {
             assert!((p.per_output()[k] - d).abs() < 1e-12);
         }
-        for id in c.node_ids() {
-            assert!((p.node_delta(id) - r.node_delta(id)).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -723,19 +639,5 @@ mod tests {
             tape.try_run_grid(&[f64::NAN], 1, &CancelToken::new()),
             Err(RelogicError::InvalidEpsilon { .. })
         ));
-    }
-
-    #[test]
-    fn shared_circuit_tape_gives_identical_curves() {
-        let c = reconvergent();
-        let w = weights(&c);
-        let ct = CircuitTape::compile(&c);
-        let a = SweepTape::try_new(&c, &w).unwrap();
-        let b = SweepTape::try_with_tape(&c, &ct, &w).unwrap();
-        let grid = crate::sweep::try_epsilon_grid(9, 0.0, 0.3).unwrap();
-        assert_eq!(
-            a.try_run_grid(&grid, 1, &CancelToken::new()).unwrap().delta,
-            b.try_run_grid(&grid, 1, &CancelToken::new()).unwrap().delta
-        );
     }
 }

@@ -17,8 +17,8 @@
 //! cost is `O(edges · outputs)` with no symbolic blow-up, which makes this
 //! the fallback tier when the exact BDD build trips its node budget. The
 //! estimates fill the same [`ObservabilityMatrix`] the exact and sampled
-//! backends fill, so the output error δ, the criticality ranking and the
-//! store encoding are the matrix's own.
+//! backends fill, so the output error δ and the criticality ranking are
+//! the matrix's own.
 
 use relogic::{
     Diagnostics, GateEps, InputDistribution, ObservabilityMatrix, RelogicError, MAX_ANALYSIS_ARITY,
@@ -233,38 +233,6 @@ impl PropagationEstimate {
     pub fn closed_form(&self, eps: &GateEps) -> Vec<f64> {
         self.observabilities.closed_form(eps)
     }
-
-    /// Rebuilds an estimate from deserialized parts: one signal
-    /// probability in `[0, 1]` per row of `observabilities`. Checksummed
-    /// store payloads still route through here so a hash collision
-    /// degrades into an error, never a panic downstream.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated
-    /// invariant.
-    pub fn from_parts(
-        signal_probs: Vec<f64>,
-        observabilities: ObservabilityMatrix,
-    ) -> Result<Self, String> {
-        if signal_probs.len() != observabilities.len() {
-            return Err(format!(
-                "{} signal probs for {} observability rows",
-                signal_probs.len(),
-                observabilities.len()
-            ));
-        }
-        if !signal_probs
-            .iter()
-            .all(|x| x.is_finite() && (0.0..=1.0).contains(x))
-        {
-            return Err("signal probability outside [0, 1]".to_owned());
-        }
-        Ok(PropagationEstimate {
-            signal_probs,
-            observabilities,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -352,19 +320,5 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12, "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn from_parts_rejects_bad_signal_probabilities() {
-        let est = PropagationEstimate::try_compute(&aoi(), &InputDistribution::Uniform).unwrap();
-        let rebuild =
-            |probs: Vec<f64>| PropagationEstimate::from_parts(probs, est.observabilities().clone());
-        assert_eq!(rebuild(est.signal_probs().to_vec()).unwrap(), est);
-        assert!(rebuild(vec![0.5]).is_err(), "one probability per row");
-        let mut bad = est.signal_probs().to_vec();
-        bad[0] = 2.0;
-        assert!(rebuild(bad.clone()).is_err());
-        bad[0] = f64::NAN;
-        assert!(rebuild(bad).is_err());
     }
 }

@@ -61,46 +61,6 @@ impl GateKind {
         GateKind::Xnor,
     ];
 
-    /// A stable one-byte code for on-disk serialization. The mapping is
-    /// part of the persistent artifact-store format: codes must never be
-    /// renumbered, only appended (see [`GateKind::from_wire_code`]).
-    #[must_use]
-    pub fn wire_code(self) -> u8 {
-        match self {
-            GateKind::Input => 0,
-            GateKind::Const(false) => 1,
-            GateKind::Const(true) => 2,
-            GateKind::Buf => 3,
-            GateKind::Not => 4,
-            GateKind::And => 5,
-            GateKind::Nand => 6,
-            GateKind::Or => 7,
-            GateKind::Nor => 8,
-            GateKind::Xor => 9,
-            GateKind::Xnor => 10,
-        }
-    }
-
-    /// Inverse of [`GateKind::wire_code`]; `None` for codes no kind maps
-    /// to (a deserializer must treat those as corruption, not panic).
-    #[must_use]
-    pub fn from_wire_code(code: u8) -> Option<GateKind> {
-        Some(match code {
-            0 => GateKind::Input,
-            1 => GateKind::Const(false),
-            2 => GateKind::Const(true),
-            3 => GateKind::Buf,
-            4 => GateKind::Not,
-            5 => GateKind::And,
-            6 => GateKind::Nand,
-            7 => GateKind::Or,
-            8 => GateKind::Nor,
-            9 => GateKind::Xor,
-            10 => GateKind::Xnor,
-            _ => return None,
-        })
-    }
-
     /// Returns `true` for `Input` and `Const`, which take no fanins.
     #[must_use]
     pub fn is_source(self) -> bool {
@@ -378,31 +338,5 @@ mod tests {
         assert!(GateKind::Input.is_source());
         assert!(GateKind::Const(true).is_source());
         assert!(GateKind::Xor.is_gate());
-    }
-
-    #[test]
-    fn wire_codes_round_trip_and_reject_garbage() {
-        let all = [
-            GateKind::Input,
-            GateKind::Const(false),
-            GateKind::Const(true),
-            GateKind::Buf,
-            GateKind::Not,
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for kind in all {
-            let code = kind.wire_code();
-            assert!(seen.insert(code), "duplicate wire code {code}");
-            assert_eq!(GateKind::from_wire_code(code), Some(kind));
-        }
-        for code in 11u8..=255 {
-            assert_eq!(GateKind::from_wire_code(code), None);
-        }
     }
 }

@@ -218,7 +218,8 @@ impl DiskTier {
 /// per slot (the CLI's `--diagnostics` provenance lines read it).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Origin {
-    /// Computed in memory with no usable persistent tier.
+    /// Computed in memory: no usable persistent tier, or a kind the tier
+    /// never stores.
     Computed,
     /// Read back from the persistent tier, verified bit-exact.
     DiskHit,
@@ -392,7 +393,7 @@ pub struct Artifact {
     disk: Option<Arc<DiskTier>>,
     weights: LazySlot<Weights>,
     observability: LazySlot<ObservabilityMatrix>,
-    tape: OnceLock<(CircuitTape, Origin)>,
+    tape: OnceLock<CircuitTape>,
     estimate: LazySlot<PropagationEstimate>,
 }
 
@@ -532,22 +533,17 @@ impl Artifact {
         slot.map_err(ServeError::from)
     }
 
-    /// The compiled instruction tape (see [`CircuitTape`]), materialized
-    /// on first use and shared by every Monte Carlo request against this
-    /// artifact. Compilation is infallible for parsed circuits.
-    /// `counters.tapes_compiled` increments only when this call actually
-    /// compiles.
+    /// The compiled instruction tape (see [`CircuitTape`]), compiled on
+    /// first use and shared by every Monte Carlo request against this
+    /// artifact. Compilation is infallible for parsed circuits, and
+    /// faster than reading a tape back from disk, so the tape is never
+    /// persisted. `counters.tapes_compiled` increments only when this
+    /// call actually compiles.
     pub fn tape(&self, counters: &CacheCounters) -> &CircuitTape {
-        let (tape, _) = self.tape.get_or_init(|| {
-            self.materialize(
-                &counters.tapes_compiled,
-                Store::load_tape,
-                Store::save_tape,
-                || Ok::<_, std::convert::Infallible>(CircuitTape::compile(&self.circuit)),
-            )
-            .unwrap_or_else(|never| match never {})
-        });
-        tape
+        self.tape.get_or_init(|| {
+            counters.tapes_compiled.fetch_add(1, Ordering::Relaxed);
+            CircuitTape::compile(&self.circuit)
+        })
     }
 
     /// The §3 observability matrix, materialized on first use with
@@ -628,9 +624,10 @@ impl Artifact {
     }
 
     /// The propagation estimate (signal probabilities + per-output
-    /// observability estimates), materialized on first use, checking
-    /// `cancel` before the estimator runs (the estimator itself is
-    /// linear-time, so one up-front check is the right granularity). A
+    /// observability estimates), computed on first use, checking `cancel`
+    /// before the estimator runs (the estimator itself is linear-time, so
+    /// one up-front check is the right granularity, and computing it is
+    /// faster than reading it back, so it is never persisted). A
     /// cancelled materialization leaves the slot empty.
     /// `counters.estimates_computed` increments only when this call
     /// actually runs the estimator.
@@ -651,24 +648,20 @@ impl Artifact {
     ) -> Result<&PropagationEstimate, RelogicError> {
         self.estimate.get_or_build(|| {
             cancel.check("estimate_build")?;
-            self.materialize(
-                &counters.estimates_computed,
-                Store::load_estimate,
-                Store::save_estimate,
-                || PropagationEstimate::try_compute(&self.circuit, &InputDistribution::Uniform),
-            )
+            let estimate =
+                PropagationEstimate::try_compute(&self.circuit, &InputDistribution::Uniform)?;
+            counters.estimates_computed.fetch_add(1, Ordering::Relaxed);
+            Ok((estimate, Origin::Computed))
         })
     }
 
-    /// Where each slot materialized so far came from, in a fixed order
-    /// (`weights`, `observability`, `estimator`, `tape`).
+    /// Where each persisted slot materialized so far came from, in a
+    /// fixed order (`weights`, `observability`).
     #[must_use]
     pub fn provenance(&self) -> Vec<(&'static str, &Origin)> {
         [
             ("weights", self.weights.origin()),
             ("observability", self.observability.origin()),
-            ("estimator", self.estimate.origin()),
-            ("tape", self.tape.get().map(|(_, origin)| origin)),
         ]
         .into_iter()
         .filter_map(|(slot, origin)| Some((slot, origin?)))

@@ -108,7 +108,9 @@ fn warm_restart_reuses_weights_and_tapes_too() {
     assert_eq!(cold_mc, warm.handle_line(&mc));
     let counters = warm.cache().counters();
     assert_eq!(counters.weights_computed.load(Ordering::Relaxed), 0);
-    assert_eq!(counters.tapes_compiled.load(Ordering::Relaxed), 0);
+    // Compiling a tape is faster than reading one back: it is never
+    // stored, so the warm service compiles it again.
+    assert_eq!(counters.tapes_compiled.load(Ordering::Relaxed), 1);
 
     let _ = fs::remove_dir_all(&dir);
 }

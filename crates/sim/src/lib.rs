@@ -66,5 +66,5 @@ pub use estimate::{observabilities_biased, sample_joint_probs, MAX_COUNTED_ARITY
 pub use exec::{available_threads, ChunkExecutor, SubmitRejection};
 pub use exhaustive::{exact_reliability, flip_influence, for_each_input_block, ExactReliability};
 pub use monte_carlo::{try_estimate, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate};
-pub use tape::{CircuitTape, OwnedTapeParts, TapeParts};
+pub use tape::CircuitTape;
 pub use tape_exec::{try_estimate_tape, CHUNK_BLOCKS, DEFAULT_LANES};

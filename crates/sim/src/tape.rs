@@ -257,100 +257,6 @@ impl CircuitTape {
         })
     }
 
-    /// Borrows every internal array of the tape, in the documented field
-    /// order. The persistent artifact store serializes exactly these; the
-    /// inverse is [`CircuitTape::from_parts`].
-    #[must_use]
-    pub fn parts(&self) -> TapeParts<'_> {
-        TapeParts {
-            slot_of_node: &self.slot_of_node,
-            node_of_slot: &self.node_of_slot,
-            kinds: &self.kinds,
-            fanin_start: &self.fanin_start,
-            fanin_slots: &self.fanin_slots,
-            level_starts: &self.level_starts,
-            input_slots: &self.input_slots,
-            output_slots: &self.output_slots,
-        }
-    }
-
-    /// Rebuilds a tape from deserialized arrays, validating every
-    /// structural invariant [`CircuitTape::compile`] guarantees: inverse
-    /// slot/node permutations, CSR offsets that are monotonic and bounded,
-    /// fanin slots strictly below their reader, monotonic level starts
-    /// covering `[0, n]`, and in-range I/O slots. Deserializers sit behind
-    /// a checksum, but a hash collision must degrade into this error —
-    /// never a panic or a structurally impossible tape.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated
-    /// invariant.
-    pub fn from_parts(parts: OwnedTapeParts) -> Result<CircuitTape, String> {
-        let OwnedTapeParts {
-            slot_of_node,
-            node_of_slot,
-            kinds,
-            fanin_start,
-            fanin_slots,
-            level_starts,
-            input_slots,
-            output_slots,
-        } = parts;
-        let n = kinds.len();
-        if slot_of_node.len() != n || node_of_slot.len() != n {
-            return Err(format!(
-                "slot maps ({}, {}) disagree with op count {n}",
-                slot_of_node.len(),
-                node_of_slot.len()
-            ));
-        }
-        for (i, &slot) in slot_of_node.iter().enumerate() {
-            let inverse = node_of_slot.get(slot as usize).copied();
-            if inverse != Some(u32::try_from(i).map_err(|_| "node index overflow".to_owned())?) {
-                return Err(format!("slot maps are not inverse at node {i}"));
-            }
-        }
-        if fanin_start.len() != n + 1 || fanin_start.first() != Some(&0) {
-            return Err("fanin offsets malformed".to_owned());
-        }
-        if fanin_start.last().copied().unwrap_or(0) as usize != fanin_slots.len() {
-            return Err("fanin offsets disagree with edge count".to_owned());
-        }
-        for (slot, w) in fanin_start.windows(2).enumerate() {
-            if w[0] > w[1] || w[1] as usize > fanin_slots.len() {
-                return Err(format!("fanin offsets malformed at slot {slot}"));
-            }
-            if fanin_slots[w[0] as usize..w[1] as usize]
-                .iter()
-                .any(|&f| f as usize >= slot)
-            {
-                return Err(format!("fanin slot >= reader at slot {slot}"));
-            }
-        }
-        if level_starts.first() != Some(&0)
-            || level_starts.last().copied().unwrap_or(u32::MAX) as usize != n
-            || level_starts.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("level starts malformed".to_owned());
-        }
-        if input_slots.iter().chain(&output_slots).any(|&s| {
-            s as usize >= n || (input_slots.contains(&s) && kinds[s as usize] != GateKind::Input)
-        }) {
-            return Err("i/o slot out of range or not matching its kind".to_owned());
-        }
-        Ok(CircuitTape {
-            slot_of_node,
-            node_of_slot,
-            kinds,
-            fanin_start,
-            fanin_slots,
-            level_starts,
-            input_slots,
-            output_slots,
-        })
-    }
-
     /// Projected heap footprint of the tape compiled from `circuit`,
     /// computable without compiling. Used by the serve artifact cache to
     /// charge entries up front.
@@ -384,49 +290,6 @@ impl CircuitTape {
             * 4
             + self.kinds.len() * std::mem::size_of::<GateKind>()
     }
-}
-
-/// Borrowed view of every internal tape array, for serialization.
-#[derive(Clone, Copy, Debug)]
-pub struct TapeParts<'a> {
-    /// Slot of each node, indexed by `NodeId::index`.
-    pub slot_of_node: &'a [u32],
-    /// Node index of each slot (the inverse permutation).
-    pub node_of_slot: &'a [u32],
-    /// Op of each slot.
-    pub kinds: &'a [GateKind],
-    /// CSR offsets into `fanin_slots`, length `n_slots + 1`.
-    pub fanin_start: &'a [u32],
-    /// Flattened fanin slots; every entry is `<` the slot that reads it.
-    pub fanin_slots: &'a [u32],
-    /// First slot of each level, length `levels + 1`.
-    pub level_starts: &'a [u32],
-    /// Slot of each primary input, in input-position order.
-    pub input_slots: &'a [u32],
-    /// Slot of each primary output, in declaration order.
-    pub output_slots: &'a [u32],
-}
-
-/// Owned tape arrays handed to [`CircuitTape::from_parts`] by a
-/// deserializer. Field meanings match [`TapeParts`].
-#[derive(Clone, Debug, Default)]
-pub struct OwnedTapeParts {
-    /// Slot of each node, indexed by `NodeId::index`.
-    pub slot_of_node: Vec<u32>,
-    /// Node index of each slot (the inverse permutation).
-    pub node_of_slot: Vec<u32>,
-    /// Op of each slot.
-    pub kinds: Vec<GateKind>,
-    /// CSR offsets into `fanin_slots`, length `n_slots + 1`.
-    pub fanin_start: Vec<u32>,
-    /// Flattened fanin slots; every entry is `<` the slot that reads it.
-    pub fanin_slots: Vec<u32>,
-    /// First slot of each level, length `levels + 1`.
-    pub level_starts: Vec<u32>,
-    /// Slot of each primary input, in input-position order.
-    pub input_slots: Vec<u32>,
-    /// Slot of each primary output, in declaration order.
-    pub output_slots: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -502,59 +365,6 @@ mod tests {
                 tape.slot_of_node(o.node().index())
             );
         }
-    }
-
-    fn owned_parts(tape: &CircuitTape) -> OwnedTapeParts {
-        let p = tape.parts();
-        OwnedTapeParts {
-            slot_of_node: p.slot_of_node.to_vec(),
-            node_of_slot: p.node_of_slot.to_vec(),
-            kinds: p.kinds.to_vec(),
-            fanin_start: p.fanin_start.to_vec(),
-            fanin_slots: p.fanin_slots.to_vec(),
-            level_starts: p.level_starts.to_vec(),
-            input_slots: p.input_slots.to_vec(),
-            output_slots: p.output_slots.to_vec(),
-        }
-    }
-
-    #[test]
-    fn parts_round_trip_reproduces_the_tape() {
-        let c = full_adder();
-        let tape = CircuitTape::compile(&c);
-        let rebuilt = CircuitTape::from_parts(owned_parts(&tape)).unwrap();
-        assert_eq!(format!("{tape:?}"), format!("{rebuilt:?}"));
-    }
-
-    #[test]
-    fn from_parts_rejects_structural_corruption() {
-        let c = full_adder();
-        let tape = CircuitTape::compile(&c);
-
-        let mut p = owned_parts(&tape);
-        p.node_of_slot.swap(0, 1); // break the inverse permutation
-        assert!(CircuitTape::from_parts(p).is_err());
-
-        let mut p = owned_parts(&tape);
-        let last = p.fanin_slots.len() - 1;
-        p.fanin_slots[last] = u32::MAX; // fanin >= reader
-        assert!(CircuitTape::from_parts(p).is_err());
-
-        let mut p = owned_parts(&tape);
-        p.fanin_start[1] = u32::MAX; // non-monotonic CSR offsets
-        assert!(CircuitTape::from_parts(p).is_err());
-
-        let mut p = owned_parts(&tape);
-        p.level_starts.pop(); // level starts no longer cover [0, n]
-        assert!(CircuitTape::from_parts(p).is_err());
-
-        let mut p = owned_parts(&tape);
-        p.output_slots[0] = u32::MAX; // out-of-range output slot
-        assert!(CircuitTape::from_parts(p).is_err());
-
-        let mut p = owned_parts(&tape);
-        p.kinds.pop(); // length mismatch across arrays
-        assert!(CircuitTape::from_parts(p).is_err());
     }
 
     /// Words of `tape` for one block whose input words are `inputs` (in

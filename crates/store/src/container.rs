@@ -31,30 +31,31 @@ pub const FORMAT_VERSION: u16 = 1;
 /// Bytes in the fixed header.
 pub const HEADER_LEN: usize = 36;
 
-/// What a container holds. Wire codes are append-only.
+/// File extensions of the kinds earlier versions stored under wire codes
+/// 1 (the compiled tape) and 4 (the propagation estimate). Both are
+/// cheaper to recompute than to read back; `Store::gc` deletes their
+/// files.
+pub(crate) const RETIRED_EXTENSIONS: [&str; 2] = ["tape", "est"];
+
+/// What a container holds. Wire codes are append-only; the retired codes
+/// 1 and 4 and their extensions `tape` and `est` stay reserved so they
+/// are never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// Provenance record: format tag, backend tag, netlist text.
     Meta,
-    /// A compiled `relogic_sim::CircuitTape`.
-    Tape,
     /// `relogic::Weights` (weight vectors + signal probabilities).
     Weights,
     /// `relogic::ObservabilityMatrix` (+ its run diagnostics).
     Observability,
-    /// A `relogic_estimate::PropagationEstimate` (signal probabilities +
-    /// per-output and any-output observability estimates).
-    Estimator,
 }
 
 impl ArtifactKind {
     /// Every kind, in wire-code order.
-    pub const ALL: [ArtifactKind; 5] = [
+    pub const ALL: [ArtifactKind; 3] = [
         ArtifactKind::Meta,
-        ArtifactKind::Tape,
         ArtifactKind::Weights,
         ArtifactKind::Observability,
-        ArtifactKind::Estimator,
     ];
 
     /// Stable wire code stored in the container header.
@@ -62,10 +63,8 @@ impl ArtifactKind {
     pub fn code(self) -> u8 {
         match self {
             ArtifactKind::Meta => 0,
-            ArtifactKind::Tape => 1,
             ArtifactKind::Weights => 2,
             ArtifactKind::Observability => 3,
-            ArtifactKind::Estimator => 4,
         }
     }
 
@@ -74,10 +73,8 @@ impl ArtifactKind {
     pub fn from_code(code: u8) -> Option<ArtifactKind> {
         match code {
             0 => Some(ArtifactKind::Meta),
-            1 => Some(ArtifactKind::Tape),
             2 => Some(ArtifactKind::Weights),
             3 => Some(ArtifactKind::Observability),
-            4 => Some(ArtifactKind::Estimator),
             _ => None,
         }
     }
@@ -87,10 +84,8 @@ impl ArtifactKind {
     pub fn extension(self) -> &'static str {
         match self {
             ArtifactKind::Meta => "meta",
-            ArtifactKind::Tape => "tape",
             ArtifactKind::Weights => "wts",
             ArtifactKind::Observability => "obs",
-            ArtifactKind::Estimator => "est",
         }
     }
 
@@ -99,10 +94,8 @@ impl ArtifactKind {
     pub fn from_extension(ext: &str) -> Option<ArtifactKind> {
         match ext {
             "meta" => Some(ArtifactKind::Meta),
-            "tape" => Some(ArtifactKind::Tape),
             "wts" => Some(ArtifactKind::Weights),
             "obs" => Some(ArtifactKind::Observability),
-            "est" => Some(ArtifactKind::Estimator),
             _ => None,
         }
     }
@@ -112,10 +105,8 @@ impl ArtifactKind {
     pub fn name(self) -> &'static str {
         match self {
             ArtifactKind::Meta => "meta",
-            ArtifactKind::Tape => "tape",
             ArtifactKind::Weights => "weights",
             ArtifactKind::Observability => "observability",
-            ArtifactKind::Estimator => "estimator",
         }
     }
 }
@@ -236,8 +227,8 @@ mod tests {
 
     #[test]
     fn seal_then_open_returns_the_payload() {
-        let sealed = seal(ArtifactKind::Tape, b"hello");
-        assert_eq!(open(&sealed, ArtifactKind::Tape).unwrap(), b"hello");
+        let sealed = seal(ArtifactKind::Meta, b"hello");
+        assert_eq!(open(&sealed, ArtifactKind::Meta).unwrap(), b"hello");
     }
 
     #[test]
@@ -246,8 +237,14 @@ mod tests {
             assert_eq!(ArtifactKind::from_code(kind.code()), Some(kind));
             assert_eq!(ArtifactKind::from_extension(kind.extension()), Some(kind));
         }
-        assert_eq!(ArtifactKind::from_code(5), None);
-        assert_eq!(ArtifactKind::from_extension("corrupt"), None);
+        // Retired kinds stay unknown: their codes and extensions are
+        // reserved, never reused.
+        for code in [1, 4, 5] {
+            assert_eq!(ArtifactKind::from_code(code), None);
+        }
+        for ext in ["tape", "est", "corrupt"] {
+            assert_eq!(ArtifactKind::from_extension(ext), None);
+        }
     }
 
     #[test]
@@ -276,8 +273,16 @@ mod tests {
         // Right container, wrong expectation: version gating also covers
         // a kind byte that decodes but is not what the caller asked for.
         assert_eq!(
-            open(&sealed, ArtifactKind::Tape),
+            open(&sealed, ArtifactKind::Observability),
             Err(ContainerError::BadKind(ArtifactKind::Weights.code()))
+        );
+
+        // A container of a retired kind is no kind at all.
+        let mut bad = sealed.clone();
+        bad[10] = 1;
+        assert_eq!(
+            open(&bad, ArtifactKind::Weights),
+            Err(ContainerError::BadKind(1))
         );
 
         let mut bad = sealed.clone();

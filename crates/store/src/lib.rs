@@ -5,13 +5,17 @@
 //!
 //! The serve daemon's artifact cache is fast but volatile: every restart
 //! re-pays the full symbolic-analysis cost of each circuit. This crate
-//! persists the three expensive, ε-independent artifacts — the compiled
-//! [`CircuitTape`](relogic_sim::CircuitTape), the
-//! [`Weights`](relogic::Weights), and the
+//! persists the two expensive, ε-independent artifacts — the
+//! [`Weights`](relogic::Weights) and the
 //! [`ObservabilityMatrix`](relogic::ObservabilityMatrix) — keyed by the
 //! same 128-bit content address the in-memory cache uses, alongside a
 //! small provenance record (netlist text + format + backend) that lets
 //! `relogic cache warm` recompute everything offline.
+//!
+//! A kind is stored only when reading it back is measured to be faster
+//! than recomputing it. The compiled tape and the propagation estimate
+//! fail that test and are rebuilt in memory; [`Store::gc`] deletes the
+//! `*.tape` and `*.est` containers earlier versions wrote.
 //!
 //! Design rules, in priority order:
 //!
@@ -33,8 +37,8 @@ mod key;
 mod store;
 
 pub use codec::{
-    decode_estimate, decode_meta, decode_observability, decode_tape, decode_weights,
-    encode_estimate, encode_meta, encode_observability, encode_tape, encode_weights, ArtifactMeta,
+    decode_meta, decode_observability, decode_weights, encode_meta, encode_observability,
+    encode_weights, ArtifactMeta,
 };
 pub use container::{open, seal, ArtifactKind, ContainerError, FORMAT_VERSION, HEADER_LEN, MAGIC};
 pub use key::StoreKey;

@@ -10,14 +10,12 @@
 //! counter is bumped, one line goes to stderr, and the caller recomputes.
 
 use crate::codec::{
-    decode_estimate, decode_meta, decode_observability, decode_tape, decode_weights,
-    encode_estimate, encode_meta, encode_observability, encode_tape, encode_weights, ArtifactMeta,
+    decode_meta, decode_observability, decode_weights, encode_meta, encode_observability,
+    encode_weights, ArtifactMeta,
 };
-use crate::container::{self, ArtifactKind, ContainerError};
+use crate::container::{self, ArtifactKind, ContainerError, RETIRED_EXTENSIONS};
 use crate::key::StoreKey;
 use relogic::{ObservabilityMatrix, Weights};
-use relogic_estimate::PropagationEstimate;
-use relogic_sim::CircuitTape;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -156,7 +154,7 @@ pub struct VerifyReport {
 /// Outcome of [`Store::gc`].
 #[derive(Clone, Debug, Default)]
 pub struct GcReport {
-    /// `*.tmp` and `*.corrupt` files removed.
+    /// `*.tmp`, `*.corrupt` and retired-kind files removed.
     pub removed: u64,
     /// Bytes those files occupied.
     pub bytes_freed: u64,
@@ -250,15 +248,6 @@ impl Store {
         self.save(key, ArtifactKind::Meta, &encode_meta(meta))
     }
 
-    /// Persists a compiled tape.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::save_meta`].
-    pub fn save_tape(&self, key: StoreKey, tape: &CircuitTape) -> Result<(), StoreError> {
-        self.save(key, ArtifactKind::Tape, &encode_tape(tape))
-    }
-
     /// Persists weight vectors.
     ///
     /// # Errors
@@ -283,19 +272,6 @@ impl Store {
             ArtifactKind::Observability,
             &encode_observability(matrix),
         )
-    }
-
-    /// Persists a propagation estimate.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::save_meta`].
-    pub fn save_estimate(
-        &self,
-        key: StoreKey,
-        estimate: &PropagationEstimate,
-    ) -> Result<(), StoreError> {
-        self.save(key, ArtifactKind::Estimator, &encode_estimate(estimate))
     }
 
     fn save(&self, key: StoreKey, kind: ArtifactKind, payload: &[u8]) -> Result<(), StoreError> {
@@ -402,15 +378,6 @@ impl Store {
         self.load(key, ArtifactKind::Meta, decode_meta)
     }
 
-    /// Loads a compiled tape.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::load_meta`].
-    pub fn load_tape(&self, key: StoreKey) -> Result<Loaded<CircuitTape>, StoreError> {
-        self.load(key, ArtifactKind::Tape, decode_tape)
-    }
-
     /// Loads weight vectors.
     ///
     /// # Errors
@@ -430,15 +397,6 @@ impl Store {
         key: StoreKey,
     ) -> Result<Loaded<ObservabilityMatrix>, StoreError> {
         self.load(key, ArtifactKind::Observability, decode_observability)
-    }
-
-    /// Loads a propagation estimate.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::load_meta`].
-    pub fn load_estimate(&self, key: StoreKey) -> Result<Loaded<PropagationEstimate>, StoreError> {
-        self.load(key, ArtifactKind::Estimator, decode_estimate)
     }
 
     fn load<T>(
@@ -567,10 +525,8 @@ impl Store {
         for entry in self.ls()? {
             let outcome = match entry.kind {
                 ArtifactKind::Meta => discard(self.load_meta(entry.key)?),
-                ArtifactKind::Tape => discard(self.load_tape(entry.key)?),
                 ArtifactKind::Weights => discard(self.load_weights(entry.key)?),
                 ArtifactKind::Observability => discard(self.load_observability(entry.key)?),
-                ArtifactKind::Estimator => discard(self.load_estimate(entry.key)?),
             };
             match outcome {
                 Loaded::Hit(()) => report.ok += 1,
@@ -586,8 +542,11 @@ impl Store {
         Ok(report)
     }
 
-    /// Removes `*.tmp` residue (crashed writes) and `*.corrupt` files
-    /// (already out of circulation). Live artifacts are never touched.
+    /// Removes `*.tmp` residue (crashed writes), `*.corrupt` files
+    /// (already out of circulation) and `<key>.tape`/`<key>.est`
+    /// containers of the kinds earlier versions stored (see
+    /// [`ArtifactKind`]). Live artifacts and unrelated files are never
+    /// touched.
     ///
     /// # Errors
     ///
@@ -601,7 +560,10 @@ impl Store {
             let item = item.map_err(|e| StoreError::new("read dir", &self.root, e))?;
             let name = item.file_name();
             let Some(name) = name.to_str() else { continue };
-            if !(name.ends_with(".tmp") || name.ends_with(".corrupt")) {
+            let retired = name.split_once('.').is_some_and(|(stem, ext)| {
+                RETIRED_EXTENSIONS.contains(&ext) && StoreKey::parse_hex(stem).is_some()
+            });
+            if !(retired || name.ends_with(".tmp") || name.ends_with(".corrupt")) {
                 continue;
             }
             let path = item.path();

@@ -12,8 +12,7 @@
 use relogic::{Backend, InputDistribution, ObservabilityMatrix, Weights};
 use relogic_netlist::Circuit;
 use relogic_sim::chaos::{Chaos, ChaosConfig, ChaosSite, SitePolicy};
-use relogic_sim::CircuitTape;
-use relogic_store::{encode_tape, Loaded, Store, StoreKey};
+use relogic_store::{encode_weights, ArtifactMeta, Loaded, Store, StoreKey};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +44,10 @@ fn full_adder() -> Circuit {
     c
 }
 
+fn adder_weights() -> Weights {
+    Weights::try_compute(&full_adder(), &InputDistribution::Uniform, Backend::Bdd).unwrap()
+}
+
 fn adder_key() -> StoreKey {
     StoreKey::digest("bench", "bdd", "synthetic-full-adder")
 }
@@ -65,21 +68,21 @@ fn chaos_store(dir: &Path, site: ChaosSite, limit: u64) -> Store {
 fn torn_rename_leaves_no_final_file_and_restart_recovers() {
     let dir = temp_dir("torn");
     let store = chaos_store(&dir, ChaosSite::DiskTornRename, 1);
-    let tape = CircuitTape::compile(&full_adder());
+    let weights = adder_weights();
     let key = adder_key();
 
     // The kill-mid-write: temp file complete, rename never happens.
-    let err = store.save_tape(key, &tape).unwrap_err();
+    let err = store.save_weights(key, &weights).unwrap_err();
     assert!(err.to_string().contains("disk_torn_rename"));
-    assert!(!dir.join(format!("{}.tape", key.hex())).exists());
+    assert!(!dir.join(format!("{}.wts", key.hex())).exists());
 
     // Restart: a fresh store on the same directory sees a clean miss,
     // recomputes, and the retry (budget exhausted) succeeds.
     let restarted = Store::open(&dir).unwrap().quiet();
-    assert!(matches!(restarted.load_tape(key).unwrap(), Loaded::Miss));
-    restarted.save_tape(key, &tape).unwrap();
-    let loaded = restarted.load_tape(key).unwrap().hit().unwrap();
-    assert_eq!(encode_tape(&loaded), encode_tape(&tape));
+    assert!(matches!(restarted.load_weights(key).unwrap(), Loaded::Miss));
+    restarted.save_weights(key, &weights).unwrap();
+    let loaded = restarted.load_weights(key).unwrap().hit().unwrap();
+    assert_eq!(encode_weights(&loaded), encode_weights(&weights));
 
     // The crashed write's residue is invisible to ls and removed by gc.
     assert_eq!(restarted.ls().unwrap().len(), 1);
@@ -92,27 +95,27 @@ fn torn_rename_leaves_no_final_file_and_restart_recovers() {
 fn short_write_tears_the_final_file_and_restart_quarantines_it() {
     let dir = temp_dir("short");
     let store = chaos_store(&dir, ChaosSite::DiskShortWrite, 1);
-    let tape = CircuitTape::compile(&full_adder());
+    let weights = adder_weights();
     let key = adder_key();
 
     // A non-atomic writer dies halfway through the final file.
-    let err = store.save_tape(key, &tape).unwrap_err();
+    let err = store.save_weights(key, &weights).unwrap_err();
     assert!(err.to_string().contains("disk_short_write"));
-    assert!(dir.join(format!("{}.tape", key.hex())).exists());
+    assert!(dir.join(format!("{}.wts", key.hex())).exists());
 
     // Restart: the torn file is detected, quarantined, and never served.
     let restarted = Store::open(&dir).unwrap().quiet();
     assert!(matches!(
-        restarted.load_tape(key).unwrap(),
+        restarted.load_weights(key).unwrap(),
         Loaded::Quarantined(_)
     ));
     assert_eq!(restarted.counters().quarantined, 1);
-    assert!(dir.join(format!("{}.tape.corrupt", key.hex())).exists());
+    assert!(dir.join(format!("{}.wts.corrupt", key.hex())).exists());
 
     // Recompute + rewrite heals; gc sweeps the quarantined residue.
-    restarted.save_tape(key, &tape).unwrap();
-    let loaded = restarted.load_tape(key).unwrap().hit().unwrap();
-    assert_eq!(encode_tape(&loaded), encode_tape(&tape));
+    restarted.save_weights(key, &weights).unwrap();
+    let loaded = restarted.load_weights(key).unwrap().hit().unwrap();
+    assert_eq!(encode_weights(&loaded), encode_weights(&weights));
     assert_eq!(restarted.gc().unwrap().removed, 1);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -121,17 +124,17 @@ fn short_write_tears_the_final_file_and_restart_quarantines_it() {
 fn fsync_failure_reports_an_error_but_the_data_landed() {
     let dir = temp_dir("fsync");
     let store = chaos_store(&dir, ChaosSite::DiskFsyncFail, 1);
-    let tape = CircuitTape::compile(&full_adder());
+    let weights = adder_weights();
     let key = adder_key();
 
-    let err = store.save_tape(key, &tape).unwrap_err();
+    let err = store.save_weights(key, &weights).unwrap_err();
     assert!(err.to_string().contains("disk_fsync_fail"));
 
     // The rename completed before the (simulated) fsync verdict, so a
     // read legitimately hits — fsync failure loses durability, not
     // atomicity.
-    let loaded = store.load_tape(key).unwrap().hit().unwrap();
-    assert_eq!(encode_tape(&loaded), encode_tape(&tape));
+    let loaded = store.load_weights(key).unwrap().hit().unwrap();
+    assert_eq!(encode_weights(&loaded), encode_weights(&weights));
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -143,14 +146,16 @@ fn read_time_bit_flips_are_always_quarantined_never_served_wrong() {
         let store = Store::open(&dir).unwrap().quiet();
         let key = adder_key();
         store
-            .save_tape(key, &CircuitTape::compile(&circuit))
-            .unwrap();
-        store
-            .save_weights(
+            .save_meta(
                 key,
-                &Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap(),
+                &ArtifactMeta {
+                    format_tag: "bench".into(),
+                    backend_tag: "bdd".into(),
+                    netlist: "synthetic-full-adder".into(),
+                },
             )
             .unwrap();
+        store.save_weights(key, &adder_weights()).unwrap();
         store
             .save_observability(
                 key,
@@ -161,7 +166,7 @@ fn read_time_bit_flips_are_always_quarantined_never_served_wrong() {
     let store = chaos_store(&dir, ChaosSite::DiskBitFlip, u64::MAX);
     let key = adder_key();
     assert!(matches!(
-        store.load_tape(key).unwrap(),
+        store.load_meta(key).unwrap(),
         Loaded::Quarantined(_)
     ));
     assert!(matches!(
@@ -182,26 +187,26 @@ fn chaos_disk_profile_storm_never_serves_a_wrong_answer() {
     // write/read cycles: every read either hits bit-identical, misses, or
     // quarantines — and after the budgets drain the store heals.
     let dir = temp_dir("storm");
-    let tape = CircuitTape::compile(&full_adder());
-    let tape_enc = encode_tape(&tape);
+    let weights = adder_weights();
+    let weights_enc = encode_weights(&weights);
     let key = adder_key();
 
     let mut store = Store::open(&dir).unwrap().quiet();
     store.set_chaos(Chaos::new(ChaosConfig::disk_profile(7)));
     for _ in 0..64 {
-        let _ = store.save_tape(key, &tape);
-        match store.load_tape(key).unwrap() {
-            Loaded::Hit(t) => assert_eq!(encode_tape(&t), tape_enc, "wrong answer served"),
+        let _ = store.save_weights(key, &weights);
+        match store.load_weights(key).unwrap() {
+            Loaded::Hit(w) => assert_eq!(encode_weights(&w), weights_enc, "wrong answer served"),
             Loaded::Miss | Loaded::Quarantined(_) => {}
         }
     }
     // Budgets exhausted (bit-flip site is unlimited but probabilistic;
     // write sites are budgeted): a final write+read settles to a hit.
     let healed = Store::open(&dir).unwrap().quiet();
-    healed.save_tape(key, &tape).unwrap();
+    healed.save_weights(key, &weights).unwrap();
     assert_eq!(
-        encode_tape(&healed.load_tape(key).unwrap().hit().unwrap()),
-        tape_enc
+        encode_weights(&healed.load_weights(key).unwrap().hit().unwrap()),
+        weights_enc
     );
     let _ = healed.gc().unwrap();
     fs::remove_dir_all(&dir).unwrap();

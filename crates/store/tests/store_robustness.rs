@@ -9,7 +9,8 @@
 //!    a complete small archive: every mutated container either loads
 //!    bit-identical to the original or is rejected and quarantined.
 //! 3. **Maintenance** — `verify` reports corruption, `gc` removes
-//!    `*.tmp`/`*.corrupt` residue and nothing else.
+//!    `*.tmp`/`*.corrupt` residue and retired-kind containers and nothing
+//!    else.
 //!
 //! Chaos crash simulations (short writes, torn renames, fsync failure)
 //! live in `store_chaos.rs`, gated on the `chaos` feature.
@@ -19,13 +20,8 @@
 use proptest::collection;
 use proptest::prelude::*;
 use relogic::{Backend, InputDistribution, ObservabilityMatrix, Weights};
-use relogic_estimate::PropagationEstimate;
 use relogic_netlist::{Circuit, GateKind, NodeId};
-use relogic_sim::CircuitTape;
-use relogic_store::{
-    encode_estimate, encode_observability, encode_tape, encode_weights, ArtifactMeta, Loaded,
-    Store, StoreKey,
-};
+use relogic_store::{encode_observability, encode_weights, ArtifactMeta, Loaded, Store, StoreKey};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,17 +104,14 @@ fn adder_key() -> StoreKey {
     StoreKey::digest("bench", "bdd", "synthetic-full-adder")
 }
 
-/// Writes a complete archive (meta + tape + weights + observability +
-/// estimator) for the full adder and returns the canonical encodings for
-/// bit-identity checks.
-fn populate(store: &Store) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
+/// Writes a complete archive (meta + weights + observability) for the
+/// full adder and returns the canonical encodings for bit-identity checks.
+fn populate(store: &Store) -> (Vec<u8>, Vec<u8>) {
     let circuit = full_adder();
     let key = adder_key();
-    let tape = CircuitTape::compile(&circuit);
     let weights =
         Weights::try_compute(&circuit, &InputDistribution::Uniform, Backend::Bdd).unwrap();
     let matrix = ObservabilityMatrix::compute(&circuit, &InputDistribution::Uniform, Backend::Bdd);
-    let estimate = PropagationEstimate::try_compute(&circuit, &InputDistribution::Uniform).unwrap();
     store
         .save_meta(
             key,
@@ -129,16 +122,9 @@ fn populate(store: &Store) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
             },
         )
         .unwrap();
-    store.save_tape(key, &tape).unwrap();
     store.save_weights(key, &weights).unwrap();
     store.save_observability(key, &matrix).unwrap();
-    store.save_estimate(key, &estimate).unwrap();
-    (
-        encode_tape(&tape),
-        encode_weights(&weights),
-        encode_observability(&matrix),
-        encode_estimate(&estimate),
-    )
+    (encode_weights(&weights), encode_observability(&matrix))
 }
 
 // ---------------------------------------------------------------------------
@@ -146,19 +132,6 @@ fn populate(store: &Store) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #[test]
-    fn tape_round_trips_bit_identically(seed in arb_circuit()) {
-        let circuit = build_circuit(&seed);
-        let tape = CircuitTape::compile(&circuit);
-        let dir = temp_dir("tape-prop");
-        let store = Store::open(&dir).unwrap().quiet();
-        let key = StoreKey::digest("bench", "bdd", &format!("{seed:?}"));
-        store.save_tape(key, &tape).unwrap();
-        let loaded = store.load_tape(key).unwrap().hit().expect("hit");
-        prop_assert_eq!(encode_tape(&tape), encode_tape(&loaded));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn weights_round_trip_bit_identically(seed in arb_circuit()) {
         let circuit = build_circuit(&seed);
@@ -189,19 +162,6 @@ proptest! {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn estimate_round_trips_bit_identically(seed in arb_circuit()) {
-        let circuit = build_circuit(&seed);
-        let estimate =
-            PropagationEstimate::try_compute(&circuit, &InputDistribution::Uniform).unwrap();
-        let dir = temp_dir("est-prop");
-        let store = Store::open(&dir).unwrap().quiet();
-        let key = StoreKey::digest("bench", "bdd", &format!("{seed:?}"));
-        store.save_estimate(key, &estimate).unwrap();
-        let loaded = store.load_estimate(key).unwrap().hit().expect("hit");
-        prop_assert_eq!(encode_estimate(&estimate), encode_estimate(&loaded));
-        fs::remove_dir_all(&dir).unwrap();
-    }
 }
 
 #[test]
@@ -233,7 +193,7 @@ fn meta_round_trips_through_a_store() {
 fn every_single_byte_flip_is_quarantined_or_bit_identical() {
     let dir = temp_dir("fuzz");
     let store = Store::open(&dir).unwrap().quiet();
-    let (tape_enc, weights_enc, obs_enc, est_enc) = populate(&store);
+    let (weights_enc, obs_enc) = populate(&store);
     let key = adder_key();
 
     let files: Vec<PathBuf> = store
@@ -242,11 +202,7 @@ fn every_single_byte_flip_is_quarantined_or_bit_identical() {
         .iter()
         .map(|e| dir.join(format!("{}.{}", e.key.hex(), e.kind.extension())))
         .collect();
-    assert_eq!(
-        files.len(),
-        5,
-        "meta + tape + weights + observability + estimator"
-    );
+    assert_eq!(files.len(), 3, "meta + weights + observability");
 
     let mut mutations = 0u64;
     let mut served_identical = 0u64;
@@ -270,11 +226,6 @@ fn every_single_byte_flip_is_quarantined_or_bit_identical() {
                         Loaded::Quarantined(_) => None,
                         Loaded::Miss => panic!("mutated file vanished"),
                     },
-                    "tape" => match store.load_tape(key).unwrap() {
-                        Loaded::Hit(t) => Some(encode_tape(&t) == tape_enc),
-                        Loaded::Quarantined(_) => None,
-                        Loaded::Miss => panic!("mutated file vanished"),
-                    },
                     "wts" => match store.load_weights(key).unwrap() {
                         Loaded::Hit(w) => Some(encode_weights(&w) == weights_enc),
                         Loaded::Quarantined(_) => None,
@@ -282,11 +233,6 @@ fn every_single_byte_flip_is_quarantined_or_bit_identical() {
                     },
                     "obs" => match store.load_observability(key).unwrap() {
                         Loaded::Hit(o) => Some(encode_observability(&o) == obs_enc),
-                        Loaded::Quarantined(_) => None,
-                        Loaded::Miss => panic!("mutated file vanished"),
-                    },
-                    "est" => match store.load_estimate(key).unwrap() {
-                        Loaded::Hit(e) => Some(encode_estimate(&e) == est_enc),
                         Loaded::Quarantined(_) => None,
                         Loaded::Miss => panic!("mutated file vanished"),
                     },
@@ -339,16 +285,26 @@ fn ls_verify_and_gc_manage_a_mixed_directory() {
     populate(&store);
     let key = adder_key();
 
-    // ls sees exactly the five live containers and bytes_on_disk matches.
+    // Containers of the retired tape and estimator kinds, as earlier
+    // versions wrote them: unknown to ls, verify and bytes_on_disk.
+    let retired = [
+        dir.join(format!("{}.tape", key.hex())),
+        dir.join(format!("{}.est", key.hex())),
+    ];
+    for path in &retired {
+        fs::write(path, b"RLGSTORE retired kind").unwrap();
+    }
+
+    // ls sees exactly the three live containers and bytes_on_disk matches.
     let entries = store.ls().unwrap();
-    assert_eq!(entries.len(), 5);
+    assert_eq!(entries.len(), 3);
     let total: u64 = entries.iter().map(|e| e.bytes).sum();
     assert_eq!(store.bytes_on_disk().unwrap(), total);
     assert_eq!(store.meta_keys().unwrap(), vec![key]);
 
     // A clean archive verifies clean.
     let report = store.verify().unwrap();
-    assert_eq!(report.ok, 5);
+    assert_eq!(report.ok, 3);
     assert!(report.quarantined.is_empty());
 
     // Corrupt one file: verify finds it, quarantines it, and reports why.
@@ -358,18 +314,22 @@ fn ls_verify_and_gc_manage_a_mixed_directory() {
     bytes[last] ^= 0xff;
     fs::write(&victim, &bytes).unwrap();
     let report = store.verify().unwrap();
-    assert_eq!(report.ok, 4);
+    assert_eq!(report.ok, 2);
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].0, victim);
     assert!(!victim.exists());
 
-    // gc removes only the quarantined residue; the other artifacts and
-    // stray unrelated files survive.
+    // gc removes the quarantined residue and the retired containers; the
+    // live artifacts and stray unrelated files survive, even one whose
+    // extension is retired but whose stem is no key.
     fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
+    fs::write(dir.join("notes.tape"), b"keep me").unwrap();
     let report = store.gc().unwrap();
-    assert_eq!(report.removed, 1);
+    assert_eq!(report.removed, 3);
     assert!(report.bytes_freed > 0);
-    assert_eq!(store.ls().unwrap().len(), 4);
+    assert_eq!(store.ls().unwrap().len(), 2);
+    assert!(retired.iter().all(|path| !path.exists()));
     assert!(dir.join("unrelated.txt").exists());
+    assert!(dir.join("notes.tape").exists());
     fs::remove_dir_all(&dir).unwrap();
 }
