@@ -1,5 +1,4 @@
-//! Shared harness for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! Shared harness for the table/figure regeneration binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the DATE
 //! 2007 paper (see `DESIGN.md` §6 for the index); this library holds the

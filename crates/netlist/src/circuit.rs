@@ -358,11 +358,6 @@ impl Circuit {
         &self.outputs[id.index()]
     }
 
-    /// Iterates over all output ids in declaration order.
-    pub fn output_ids(&self) -> impl ExactSizeIterator<Item = OutputId> + DoubleEndedIterator + '_ {
-        (0..self.outputs.len()).map(OutputId::from_index)
-    }
-
     /// The name bound to `node`, if any.
     #[must_use]
     pub fn node_name(&self, node: NodeId) -> Option<&str> {

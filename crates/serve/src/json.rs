@@ -1,9 +1,9 @@
 //! A small, dependency-free JSON tree, parser, and encoder.
 //!
-//! The workspace's offline dependency policy admits only `rand`,
-//! `proptest`, and `criterion`, so the service protocol cannot lean on
-//! `serde`. This module implements the subset of JSON the protocol needs —
-//! which is all of RFC 8259 except that
+//! The workspace's offline dependency policy admits only `rand` and
+//! `proptest`, so the service protocol cannot lean on `serde`. This
+//! module implements the subset of JSON the protocol needs — which is all
+//! of RFC 8259 except that
 //!
 //! * numbers are `f64` (like JavaScript; integers are exact up to 2⁵³),
 //! * non-finite numbers encode as `null` (JSON has no NaN/Infinity), and

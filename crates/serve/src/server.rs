@@ -529,7 +529,6 @@ fn frame_loop<S: Connection>(stream: S, shared: &Arc<Shared>) {
         match read_frame(&mut reader, &mut buf, shared.max_request_bytes) {
             FrameRead::Frame => {
                 idle = Duration::ZERO;
-                let started = Instant::now();
                 let reply = match std::str::from_utf8(&buf) {
                     Ok(text) => {
                         let text = text.trim();
@@ -564,8 +563,6 @@ fn frame_loop<S: Connection>(stream: S, shared: &Arc<Shared>) {
                 {
                     return;
                 }
-                // Time spent computing doesn't count against idleness.
-                let _ = started;
             }
             FrameRead::TooLarge => {
                 let line = Response {

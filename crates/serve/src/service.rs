@@ -30,7 +30,10 @@ pub struct ServiceConfig {
     /// Artifact-cache byte budget.
     pub cache_bytes: usize,
     /// Per-request execution timeout in milliseconds; `0` disables the
-    /// timeout (requests run inline on the connection worker).
+    /// timeout. An analysis request still runs on a runner thread of its
+    /// own whenever a disconnect probe is set, which is always the case
+    /// over a TCP or Unix socket; only a request with neither a deadline
+    /// nor a probe runs inline on the caller's thread.
     pub timeout_ms: u64,
     /// Maximum request frame size in bytes.
     pub max_request_bytes: usize,

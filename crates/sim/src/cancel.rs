@@ -2,10 +2,8 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle around an `Arc` of two
 //! atomics — a cancel flag and a deadline expressed in nanoseconds past the
-//! token's creation instant — plus an optional parent link so a request
-//! token fans out to per-stage child tokens: cancelling (or expiring) the
-//! parent cancels every child, while a child can carry its own tighter
-//! deadline without affecting siblings.
+//! token's creation instant. Every clone shares both, so a request and the
+//! workers it fans out to fire together.
 //!
 //! Engines poll [`CancelToken::check`] at their natural work boundaries
 //! (chunk hand-out, pattern block, BDD gate build, sweep node, estimator
@@ -37,33 +35,15 @@ struct TokenInner {
     deadline_nanos: AtomicU64,
     /// Creation instant; all deadline math is relative to this.
     epoch: Instant,
-    /// Parent link for derived tokens: a fired parent fires every child.
-    parent: Option<Arc<TokenInner>>,
 }
 
 impl TokenInner {
-    fn flag_set(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        match &self.parent {
-            Some(parent) => parent.flag_set(),
-            None => false,
-        }
-    }
-
     fn is_cancelled(&self) -> bool {
         if self.cancelled.load(Ordering::Relaxed) {
             return true;
         }
         let deadline = self.deadline_nanos.load(Ordering::Relaxed);
-        if deadline != NO_DEADLINE && Self::nanos(self.epoch.elapsed()) >= deadline {
-            return true;
-        }
-        match &self.parent {
-            Some(parent) => parent.is_cancelled(),
-            None => false,
-        }
+        deadline != NO_DEADLINE && Self::nanos(self.epoch.elapsed()) >= deadline
     }
 
     /// Saturating `Duration` → nanos; ~584 years before saturation.
@@ -74,9 +54,8 @@ impl TokenInner {
 
 /// A cloneable cancellation handle shared by a request and its workers.
 ///
-/// Clones share state: cancelling any clone cancels them all. Use
-/// [`CancelToken::child`] to derive a *linked but separate* token that
-/// observes the parent's cancellation while adding its own flag/deadline.
+/// Clones share state: cancelling any clone cancels them all, and a
+/// deadline set through one clone applies to every clone.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -100,7 +79,6 @@ impl CancelToken {
                 cancelled: AtomicBool::new(false),
                 deadline_nanos: AtomicU64::new(NO_DEADLINE),
                 epoch: Instant::now(),
-                parent: None,
             }),
         }
     }
@@ -121,39 +99,25 @@ impl CancelToken {
         self.inner.deadline_nanos.store(fire_at, Ordering::Relaxed);
     }
 
-    /// Fires the token: every clone and every derived child is cancelled.
+    /// Fires the token: every clone is cancelled.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the token has fired (explicitly or via any deadline up the
-    /// parent chain). Cheap enough for per-chunk / per-gate polling.
+    /// Whether the token has fired, explicitly or by its deadline. Cheap
+    /// enough for per-chunk / per-gate polling.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.inner.is_cancelled()
     }
 
-    /// Whether the token (or an ancestor) was fired by an explicit
-    /// [`CancelToken::cancel`] call, as opposed to a deadline expiry.
+    /// Whether the token was fired by an explicit [`CancelToken::cancel`]
+    /// call, as opposed to a deadline expiry.
     /// Lets a caller that cancels for different reasons (client
     /// disconnect, graceful drain) label the outcome accordingly.
     #[must_use]
     pub fn was_cancelled_explicitly(&self) -> bool {
-        self.inner.flag_set()
-    }
-
-    /// Derives a child token: fired whenever this token is, and
-    /// independently cancellable/deadline-able without affecting siblings.
-    #[must_use]
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline_nanos: AtomicU64::new(NO_DEADLINE),
-                epoch: Instant::now(),
-                parent: Some(Arc::clone(&self.inner)),
-            }),
-        }
+        self.inner.cancelled.load(Ordering::Relaxed)
     }
 
     /// Time since the token was created — the `after` half of a
@@ -171,7 +135,7 @@ impl CancelToken {
     ///
     /// # Errors
     ///
-    /// [`Cancelled`] when the token (or any ancestor) has fired.
+    /// [`Cancelled`] when the token has fired.
     pub fn check(&self, checked_at: &'static str) -> Result<(), Cancelled> {
         if self.is_cancelled() {
             Err(Cancelled {
@@ -246,27 +210,23 @@ mod tests {
     }
 
     #[test]
-    fn child_observes_parent_cancel_but_not_vice_versa() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        let sibling = parent.child();
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled(), "child cancel must not leak up");
-        assert!(
-            !sibling.is_cancelled(),
-            "child cancel must not hit siblings"
-        );
-        parent.cancel();
-        assert!(sibling.is_cancelled(), "parent cancel reaches every child");
-    }
-
-    #[test]
-    fn child_observes_parent_deadline() {
-        let parent = CancelToken::with_deadline(Duration::from_millis(1));
-        let child = parent.child();
+    fn only_cancel_counts_as_explicit() {
+        let expired = CancelToken::with_deadline(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
-        assert!(child.is_cancelled());
+        assert!(expired.is_cancelled());
+        assert!(
+            !expired.was_cancelled_explicitly(),
+            "a deadline expiry is not an explicit cancel"
+        );
+
+        let t = CancelToken::new();
+        let clone = t.clone();
+        assert!(!t.was_cancelled_explicitly());
+        clone.cancel();
+        for token in [&t, &clone] {
+            assert!(token.is_cancelled());
+            assert!(token.was_cancelled_explicitly());
+        }
     }
 
     #[test]

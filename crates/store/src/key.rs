@@ -80,13 +80,6 @@ impl StoreKey {
         }
     }
 
-    /// Rebuilds a key from its two 64-bit words (for callers that already
-    /// hold an equivalent digest, like the serve cache's `ArtifactKey`).
-    #[must_use]
-    pub fn from_words(a: u64, b: u64) -> StoreKey {
-        StoreKey { a, b }
-    }
-
     /// The key's two 64-bit words, in `(a, b)` order.
     #[must_use]
     pub fn words(&self) -> (u64, u64) {
