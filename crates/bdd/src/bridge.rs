@@ -171,7 +171,7 @@ impl std::error::Error for BuildInterrupt {}
 
 /// Symbolic representation of a circuit: one BDD per node, over the
 /// primary-input variables.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CircuitBdds {
     funcs: Vec<BddRef>,
     order: VarOrder,
@@ -194,7 +194,7 @@ impl CircuitBdds {
     /// variables (e.g. a pre-allocated observability auxiliary) are fine.
     ///
     /// The *base* construction is the deterministic part of exact analysis
-    /// (every worker replays the identical sequence), so a budget enforced
+    /// (it runs once, before any parallel sweep), so a budget enforced
     /// here trips identically for every thread count — and it is where
     /// multiplier-class circuits (c6288) blow up in the first place.
     ///

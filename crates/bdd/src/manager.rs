@@ -289,6 +289,7 @@ impl fmt::Display for BddStats {
 /// let nf = m.not(f);
 /// assert_eq!(m.not(nf), f); // pointer equality, O(1)
 /// ```
+#[derive(Clone)]
 pub struct BddManager {
     nodes: Vec<Node>,
     free_head: u32,

@@ -25,6 +25,13 @@ pub(crate) const CLAMP_SLACK: f64 = 1e-12;
 /// Obtained from [`crate::SinglePassResult::diagnostics`], passed to the
 /// consolidator's `try_*` methods, and from [`crate::sweep::DeltaCurves`].
 /// Merge several runs with [`Diagnostics::merge`].
+///
+/// The `relogic-serve` daemon keeps one service-wide value as its engine
+/// record: every observability matrix it computes and every `estimate`
+/// report merge into it, and every request that unwinds on a fired
+/// cancel token adds one [`Diagnostics::record_cancellation`]. Its
+/// `stats` and `health` replies read the estimator tiers, BDD engine
+/// statistics and cancellations from that record.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Diagnostics {
     prob_clamps: u64,

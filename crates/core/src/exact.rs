@@ -14,6 +14,7 @@ use relogic_netlist::{Circuit, NodeId};
 
 /// A manager holding the base function of every node of a circuit, plus
 /// what reading probabilities off it needs.
+#[derive(Clone)]
 pub(crate) struct ExactModel {
     pub(crate) manager: BddManager,
     pub(crate) bdds: CircuitBdds,

@@ -206,11 +206,11 @@ impl ObsPlan {
 }
 
 /// Per-worker symbolic state: a full BDD manager plus the base circuit
-/// functions it splices auxiliaries into. Every worker's copy comes from
-/// the identical deterministic construction sequence (the budget probe's
-/// manager is handed on as the first worker's), so any worker computes
-/// bit-identical results for any node — which is what makes the fan-out
-/// independent of thread count and scheduling.
+/// functions it splices auxiliaries into. The budget probe's model is
+/// handed on as the first worker's and every other worker starts from a
+/// clone of it, so any worker computes bit-identical results for any node
+/// — which is what makes the fan-out independent of thread count and
+/// scheduling.
 struct BddWorker {
     manager: BddManager,
     bdds: CircuitBdds,
@@ -290,18 +290,18 @@ impl ObservabilityMatrix {
     /// exactly once whatever the thread count. Each worker holds a full BDD
     /// manager, so at most `⌈outputs / 8⌉ + 1` workers start.
     ///
-    /// Results are **bit-identical for every thread count**: each worker
-    /// builds the circuit's BDDs through the same deterministic
-    /// construction sequence, every row is a canonical BDD under the same
-    /// variable order, so a node's row does not depend on which worker
-    /// computed it, and rows are reassembled in node order.
+    /// Results are **bit-identical for every thread count**: the circuit's
+    /// BDDs are built once and every worker starts from a copy of that
+    /// manager, every row is a canonical BDD under the same variable
+    /// order, so a node's row does not depend on which worker computed
+    /// it, and rows are reassembled in node order.
     ///
     /// The simulation backend splits the target nodes across workers;
     /// every worker replays the same sampled input stream, so the counts
     /// are bit-identical for every thread count as well.
     ///
-    /// The BDD backend checks `cancel` per gate of every worker's base
-    /// build (the probe path of
+    /// The BDD backend checks `cancel` per gate of the base build (the
+    /// probe path of
     /// [`ObservabilityMatrix::try_compute_budgeted_cancellable`], with no
     /// budget), then per post-dominator tree and per node of the backward
     /// sweep; the simulation backend checks it once per 64-pattern block
@@ -351,15 +351,15 @@ impl ObservabilityMatrix {
     /// the BDD backend and no cancellation, but the deterministic base
     /// circuit construction is bounded by a live-node `budget`.
     ///
-    /// The budget is checked gate-by-gate during a single-threaded probe
-    /// build — the identical sequence every parallel worker would replay —
-    /// so the trip decision is a pure function of `(circuit, budget)` and
-    /// cannot depend on thread count or scheduling. A probe that fits
-    /// becomes the first worker's state, so only extra workers build the
-    /// circuit again. The subsequent backward sweep is GC-managed (a
-    /// worker collects once splice garbage outgrows the base functions by
-    /// two million nodes) rather than budget-checked; the base build is
-    /// where multiplier-class reconvergence blows up.
+    /// The budget is checked gate-by-gate during the single-threaded base
+    /// build, so the trip decision is a pure function of
+    /// `(circuit, budget)` and cannot depend on thread count or
+    /// scheduling. A build that fits becomes the first worker's state and
+    /// every other worker starts from a clone of it, so the circuit is
+    /// built once whatever the thread count. The subsequent backward sweep
+    /// is GC-managed (a worker collects once splice garbage outgrows the
+    /// base functions by two million nodes) rather than budget-checked;
+    /// the base build is where multiplier-class reconvergence blows up.
     ///
     /// # Errors
     ///
@@ -377,9 +377,9 @@ impl ObservabilityMatrix {
     }
 
     /// Like [`ObservabilityMatrix::try_compute_budgeted`], checking
-    /// `cancel` while it works: the probe build and every other worker's
-    /// build poll the token after every gate (one extra branch), and the
-    /// subsequent sweep checks per post-dominator tree and per node.
+    /// `cancel` while it works: the base build polls the token after every
+    /// gate (one extra branch), and the subsequent sweep checks per
+    /// post-dominator tree and per node.
     ///
     /// # Errors
     ///
@@ -394,7 +394,7 @@ impl ObservabilityMatrix {
     ) -> Result<Self, RelogicError> {
         let probs = dist.try_position_probs(circuit)?;
         let probe = ExactModel::try_build(circuit, &probs, budget, cancel)?;
-        Self::compute_bdd(circuit, &probs, threads, cancel, BddWorker::new(probe))
+        Self::compute_bdd(circuit, threads, cancel, probe)
     }
 
     /// One backward sweep over the nodes in `owned` (one post-dominator
@@ -532,46 +532,45 @@ impl ObservabilityMatrix {
     /// chunk computes every column for the nodes it owns, so each stem
     /// splice is paid exactly once whatever the thread count, and the
     /// executor hands the trees out to at most [`sweep_threads`] workers.
-    /// `probe` is the worker whose build the budget was checked on; it
-    /// becomes the first worker's state, and only the other workers build
-    /// again, polling `cancel` per gate as the probe did.
+    /// `probe` is the model whose build the budget was checked on; it
+    /// becomes the first worker's state, and every other worker that
+    /// starts gets a clone of it, made before any worker sweeps.
     fn compute_bdd(
         circuit: &Circuit,
-        input_probs: &[f64],
         threads: usize,
         cancel: &CancelToken,
-        probe: BddWorker,
+        probe: ExactModel,
     ) -> Result<Self, RelogicError> {
         let n = circuit.len();
         let plan = ObsPlan::build(circuit);
-        let exec = ChunkExecutor::new(sweep_threads(threads, circuit.output_count()));
-        let probe = Mutex::new(Some(probe));
+        // The executor starts one worker per thread, but never more than
+        // there are trees, and always one.
+        let started = sweep_threads(threads, circuit.output_count())
+            .min(plan.trees.len())
+            .max(1);
+        let exec = ChunkExecutor::new(started);
+        let mut ready: Vec<BddWorker> = (1..started)
+            .map(|_| BddWorker::new(probe.clone()))
+            .collect();
+        ready.push(BddWorker::new(probe));
+        let ready = Mutex::new(ready);
         let (tree_vals, workers) = exec.try_map_chunks_with_state(
             plan.trees.len(),
             cancel,
             "obs_chunk",
             || {
-                // Only `take` runs under the lock, so a poisoned slot is
-                // still either full or empty.
-                let handed_on = match probe.lock() {
-                    Ok(mut slot) => slot.take(),
-                    Err(poisoned) => poisoned.into_inner().take(),
+                // Only `pop` runs under the lock, so a poisoned list is
+                // still whole.
+                let worker = match ready.lock() {
+                    Ok(mut list) => list.pop(),
+                    Err(poisoned) => poisoned.into_inner().pop(),
                 };
-                // The other workers replay the probe's build, which fit the
-                // budget, so only the token can stop them: `None`.
-                handed_on.or_else(|| {
-                    ExactModel::try_build(circuit, input_probs, usize::MAX, cancel)
-                        .ok()
-                        .map(BddWorker::new)
-                })
+                let Some(worker) = worker else {
+                    unreachable!("one prepared worker per started thread")
+                };
+                worker
             },
-            |worker, tree| match worker {
-                Some(worker) => Self::sweep(worker, circuit, &plan, &plan.trees[tree], cancel),
-                None => Err(Cancelled {
-                    after: cancel.elapsed(),
-                    checked_at: "bdd_gate",
-                }),
-            },
+            |worker, tree| Self::sweep(worker, circuit, &plan, &plan.trees[tree], cancel),
         )?;
         let mut per_output: Vec<Vec<f64>> = vec![Vec::new(); n];
         let mut any_output: Vec<f64> = vec![0.0; n];
@@ -585,7 +584,7 @@ impl ObservabilityMatrix {
             }
         }
         let mut engine = BddEngineStats::default();
-        for w in workers.iter().flatten() {
+        for w in &workers {
             engine.merge(&w.manager.stats());
         }
         let mut diagnostics = Diagnostics::new();

@@ -35,7 +35,9 @@
 //! in-flight request drops its reference.
 
 use crate::proto::{BackendSpec, CircuitPayload, ServeError};
-use relogic::{CancelToken, InputDistribution, ObservabilityMatrix, RelogicError, Weights};
+use relogic::{
+    CancelToken, Diagnostics, InputDistribution, ObservabilityMatrix, RelogicError, Weights,
+};
 use relogic_estimate::PropagationEstimate;
 use relogic_netlist::structure::CircuitStats;
 use relogic_netlist::Circuit;
@@ -606,10 +608,11 @@ impl Artifact {
                         ),
                     }?;
                     // Disk hits carry their persisted diagnostics, but the
-                    // engine aggregate counts only runs this process made.
-                    if let Some(stats) = matrix.diagnostics().bdd_stats() {
-                        counters.bdd_engine.record(stats);
+                    // engine record counts only runs this process made.
+                    if matrix.diagnostics().bdd_stats().is_some() {
+                        counters.bdd_runs.fetch_add(1, Ordering::Relaxed);
                     }
+                    counters.engine().merge(matrix.diagnostics());
                     Ok(matrix)
                 },
             )
@@ -706,73 +709,25 @@ pub struct CacheCounters {
     pub estimates_computed: AtomicU64,
     /// Artifacts larger than the whole budget, served uncached.
     pub uncacheable: AtomicU64,
-    /// BDD engine statistics aggregated over every observability
-    /// materialization this process has run.
-    pub bdd_engine: BddEngineAggregate,
+    /// Observability materializations that reported BDD engine
+    /// statistics (the `bdd_engine.runs` member of `stats`).
+    pub bdd_runs: AtomicU64,
+    /// The service-wide engine record: BDD engine statistics, estimator
+    /// tiers and fallbacks, and cancellations, folded with
+    /// [`Diagnostics::merge`]'s rules. Read it through
+    /// [`CacheCounters::engine`].
+    engine: Mutex<Diagnostics>,
 }
 
-/// Lock-free aggregate of [`relogic::BddEngineStats`] across runs: sums
-/// for the monotonic counters, maxima for the extrema. `unique_load` is
-/// stored in millionths so it fits an atomic integer.
-#[derive(Debug, Default)]
-pub struct BddEngineAggregate {
-    /// Observability materializations that reported engine statistics.
-    pub runs: AtomicU64,
-    /// High-water mark of live decision nodes in any one run.
-    pub peak_live_nodes: AtomicU64,
-    /// Worst unique-table load factor seen, in millionths.
-    pub unique_load_millionths: AtomicU64,
-    /// Operation-cache hits, summed over runs.
-    pub cache_hits: AtomicU64,
-    /// Operation-cache misses, summed over runs.
-    pub cache_misses: AtomicU64,
-    /// Garbage collections, summed over runs.
-    pub gc_runs: AtomicU64,
-    /// Sifting reorder passes, summed over runs.
-    pub reorders: AtomicU64,
-}
-
-impl BddEngineAggregate {
-    /// Folds one run's statistics into the aggregate.
-    pub fn record(&self, stats: &relogic::BddEngineStats) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.peak_live_nodes.fetch_max(
-            u64::try_from(stats.peak_live_nodes).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let load = (stats.unique_load.clamp(0.0, 1.0) * 1_000_000.0) as u64;
-        self.unique_load_millionths
-            .fetch_max(load, Ordering::Relaxed);
-        self.cache_hits
-            .fetch_add(stats.cache_hits, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(stats.cache_misses, Ordering::Relaxed);
-        self.gc_runs.fetch_add(stats.gc_runs, Ordering::Relaxed);
-        self.reorders.fetch_add(stats.reorders, Ordering::Relaxed);
-    }
-
-    /// Worst unique-table load factor seen, as a fraction.
-    #[must_use]
-    pub fn unique_load(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.unique_load_millionths.load(Ordering::Relaxed) as f64 / 1_000_000.0
-        }
-    }
-
-    /// Aggregate operation-cache hit rate (0 when never consulted).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let total = hits + self.cache_misses.load(Ordering::Relaxed);
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                hits as f64 / total as f64
-            }
+impl CacheCounters {
+    /// The service-wide engine record, locked. A poisoned lock is
+    /// recovered: every update is one merge or one increment, so the
+    /// record is whole after any panic. Hold the guard only to update or
+    /// clone the record.
+    pub fn engine(&self) -> MutexGuard<'_, Diagnostics> {
+        match self.engine.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
         }
     }
 }
@@ -1266,6 +1221,20 @@ mod tests {
                 .is_ok()
         });
         assert!(fresh.join().unwrap());
+    }
+
+    #[test]
+    fn engine_record_folds_diagnostics() {
+        let counters = CacheCounters::default();
+        let mut d = Diagnostics::new();
+        d.record_estimator_fallback();
+        d.record_tier_propagation();
+        counters.engine().merge(&d);
+        counters.engine().merge(&d);
+        let engine = counters.engine().clone();
+        assert_eq!(engine.tier_exact(), 0);
+        assert_eq!(engine.tier_propagation(), 2);
+        assert_eq!(engine.estimator_fallbacks(), 2);
     }
 
     #[test]

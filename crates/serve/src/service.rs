@@ -352,9 +352,9 @@ impl Service {
     /// Executes a parsed request under `cancel` with no timeout of its own,
     /// threading the token through every engine (the supervisor's runner
     /// thread and its inline path call this; a fresh token runs unbounded).
-    /// A fired token surfaces as a typed `deadline_exceeded` body (counted in
-    /// `stats.cancelled`); a run that completes is bit-identical to one
-    /// executed with a fresh token.
+    /// A fired token surfaces as a typed `deadline_exceeded` body (counted
+    /// as a cancellation in the engine record); a run that completes is
+    /// bit-identical to one executed with a fresh token.
     #[must_use]
     pub fn execute(&self, id: Option<Json>, request: Request, cancel: &CancelToken) -> Response {
         let kind = request.kind();
@@ -362,7 +362,7 @@ impl Service {
         if matches!(body, Err(ServeError::DeadlineExceeded { .. })) {
             // The compute path observed the fired token and unwound with
             // a typed error — the "no zombie work" counter.
-            self.inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+            self.inner.cache.counters().engine().record_cancellation();
         }
         Response {
             id,
@@ -568,9 +568,10 @@ impl Service {
             });
         };
         let (artifact, cached) = self.inner.cache.get_or_compile(&payload)?;
-        let outcome = api::run(request, &artifact, self.inner.cache.counters(), 0, cancel)?;
+        let counters = self.inner.cache.counters();
+        let outcome = api::run(request, &artifact, counters, 0, cancel)?;
         if let api::Outcome::Estimate(report) = &outcome {
-            self.inner.stats.record_tiers(&report.diagnostics);
+            counters.engine().merge(&report.diagnostics);
         }
         let mut result = outcome.to_json(request, artifact.circuit())?;
         result.push("cache", Json::from(cached.tag()));
@@ -583,6 +584,7 @@ impl Service {
     #[must_use]
     pub fn health_json(&self) -> Json {
         let stats = &self.inner.stats;
+        let engine = self.inner.cache.counters().engine().clone();
         let draining = self.is_draining();
         let queue_depth = self.inner.queue_probe.get().map_or(0, |probe| probe());
         Json::obj([
@@ -595,10 +597,7 @@ impl Service {
             ("max_inflight", Json::from(self.inner.config.max_inflight)),
             ("queue_depth", Json::from(queue_depth)),
             ("shed", Json::from(stats.shed.load(Ordering::Relaxed))),
-            (
-                "cancelled",
-                Json::from(stats.cancelled.load(Ordering::Relaxed)),
-            ),
+            ("cancelled", Json::from(engine.cancellations())),
             (
                 "deadline_exceeded",
                 Json::from(stats.deadline_exceeded.load(Ordering::Relaxed)),
@@ -609,7 +608,7 @@ impl Service {
             ),
             (
                 "estimator_fallbacks",
-                Json::from(stats.estimator_fallbacks.load(Ordering::Relaxed)),
+                Json::from(engine.estimator_fallbacks()),
             ),
             ("cache_dir", Json::from(self.cache_dir_state())),
             (
@@ -626,11 +625,23 @@ impl Service {
     }
 
     /// The `stats` result object: per-kind request counters, cache
-    /// counters, and service-time percentiles.
+    /// counters, the engine record (estimator tiers, BDD engine
+    /// statistics, cancellations), and service-time percentiles.
     #[must_use]
     pub fn stats_json(&self) -> Json {
         let stats = &self.inner.stats;
         let counters = self.inner.cache.counters();
+        let engine = counters.engine().clone();
+        let bdd = engine.bdd_stats().copied().unwrap_or_default();
+        // Truncated to millionths, the resolution `stats` has always
+        // reported.
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            clippy::cast_precision_loss
+        )]
+        let unique_load =
+            (bdd.unique_load.clamp(0.0, 1.0) * 1_000_000.0) as u64 as f64 / 1_000_000.0;
         let (entries, bytes) = self.inner.cache.usage();
         Json::obj([
             (
@@ -647,7 +658,10 @@ impl Service {
             ),
             ("shed", Json::from(stats.shed.load(Ordering::Relaxed))),
             ("panics", Json::from(stats.panics.load(Ordering::Relaxed))),
-            ("cancellation", stats.cancellation_json()),
+            (
+                "cancellation",
+                stats.cancellation_json(engine.cancellations()),
+            ),
             (
                 "inflight",
                 Json::from(stats.inflight.load(Ordering::Relaxed)),
@@ -706,7 +720,15 @@ impl Service {
                     ),
                 ]),
             ),
-            ("estimator", stats.estimator_json()),
+            (
+                "estimator",
+                Json::obj([
+                    ("tier_exact", Json::from(engine.tier_exact())),
+                    ("tier_propagation", Json::from(engine.tier_propagation())),
+                    ("tier_mc", Json::from(engine.tier_mc())),
+                    ("fallbacks", Json::from(engine.estimator_fallbacks())),
+                ]),
+            ),
             ("cache_dir", Json::from(self.cache_dir_state())),
             ("disk", {
                 let snapshot = self
@@ -733,33 +755,15 @@ impl Service {
                 Json::obj([
                     (
                         "runs",
-                        Json::from(counters.bdd_engine.runs.load(Ordering::Relaxed)),
+                        Json::from(counters.bdd_runs.load(Ordering::Relaxed)),
                     ),
-                    (
-                        "peak_live_nodes",
-                        Json::from(counters.bdd_engine.peak_live_nodes.load(Ordering::Relaxed)),
-                    ),
-                    ("unique_load", Json::from(counters.bdd_engine.unique_load())),
-                    (
-                        "cache_hits",
-                        Json::from(counters.bdd_engine.cache_hits.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "cache_misses",
-                        Json::from(counters.bdd_engine.cache_misses.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "cache_hit_rate",
-                        Json::from(counters.bdd_engine.cache_hit_rate()),
-                    ),
-                    (
-                        "gc_runs",
-                        Json::from(counters.bdd_engine.gc_runs.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "reorders",
-                        Json::from(counters.bdd_engine.reorders.load(Ordering::Relaxed)),
-                    ),
+                    ("peak_live_nodes", Json::from(bdd.peak_live_nodes)),
+                    ("unique_load", Json::from(unique_load)),
+                    ("cache_hits", Json::from(bdd.cache_hits)),
+                    ("cache_misses", Json::from(bdd.cache_misses)),
+                    ("cache_hit_rate", Json::from(bdd.cache_hit_rate())),
+                    ("gc_runs", Json::from(bdd.gc_runs)),
+                    ("reorders", Json::from(bdd.reorders)),
                 ]),
             ),
             ("latency_us", stats.latency.to_json()),
@@ -778,6 +782,12 @@ mod tests {
             timeout_ms: 0,
             ..ServiceConfig::default()
         })
+    }
+
+    /// Compute paths that unwound on a fired token, as the engine record
+    /// counts them.
+    fn cancelled(svc: &Service) -> u64 {
+        svc.cache().counters().engine().cancellations()
     }
 
     fn analyze_frame(extra: &str) -> String {
@@ -866,14 +876,14 @@ mod tests {
         // The runner observes the fired token and unwinds with a typed
         // error — the cancelled counter ticks once the worker is free.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.stats().cancelled.load(Ordering::Relaxed) == 0 {
+        while cancelled(&svc) == 0 {
             assert!(
                 Instant::now() < deadline,
                 "runner never observed the cancel"
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(svc.stats().cancelled.load(Ordering::Relaxed), 1);
+        assert_eq!(cancelled(&svc), 1);
         // The counters surface in stats and health.
         let stats = svc.handle_line(r#"{"kind":"stats"}"#);
         let doc = crate::json::parse(stats.trim()).unwrap();
@@ -979,8 +989,12 @@ mod tests {
             Err(ServeError::DeadlineExceeded { .. }) => {}
             other => panic!("expected deadline_exceeded, got {other:?}"),
         }
-        assert_eq!(svc.stats().tier_propagation.load(Ordering::Relaxed), 0);
-        assert_eq!(svc.stats().cancelled.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            svc.cache().counters().engine().tier_propagation(),
+            0,
+            "a cancelled estimate records no tier"
+        );
+        assert_eq!(cancelled(&svc), 1);
     }
 
     #[test]
@@ -1011,7 +1025,7 @@ mod tests {
         let out = worker.join().unwrap();
         assert!(out.contains("\"code\":\"shutting_down\""), "{out}");
         assert_eq!(svc.inflight_token_count(), 0, "token unregistered");
-        assert_eq!(svc.stats().cancelled.load(Ordering::Relaxed), 1);
+        assert_eq!(cancelled(&svc), 1);
     }
 
     #[test]
@@ -1068,40 +1082,85 @@ mod tests {
     }
 
     #[test]
-    fn estimate_tiers_are_reported_and_fallbacks_are_never_silent() {
+    fn engine_record_answers_stats_and_health() {
         let svc = service();
+        let estimate = |extra: &str| {
+            svc.handle_line(&format!(
+                r#"{{"kind":"estimate","netlist":"{SMALL}","eps":0.1{extra}}}"#
+            ))
+        };
         // Default budget: the two-gate circuit fits the exact tier.
-        let out = svc.handle_line(&format!(
-            r#"{{"kind":"estimate","netlist":"{SMALL}","eps":0.1,"id":1}}"#
-        ));
-        assert!(out.contains("\"ok\":true"), "{out}");
+        let out = estimate("");
         assert!(out.contains("\"tier\":\"exact\""), "{out}");
         // Budget 0 disables the exact tier: the answer degrades to the
         // propagation tier and says so.
-        let out = svc.handle_line(&format!(
-            r#"{{"kind":"estimate","netlist":"{SMALL}","eps":0.1,"bdd_node_budget":0}}"#
-        ));
+        let out = estimate(r#","bdd_node_budget":0"#);
         assert!(out.contains("\"tier\":\"propagation\""), "{out}");
         assert!(out.contains("\"estimator_fallbacks\":1"), "{out}");
-        // The fallback is visible in stats and health.
+        let obs_frame = format!(r#"{{"kind":"observability","netlist":"{SMALL}","eps":0.1}}"#);
+        let obs = svc.handle_line(&obs_frame);
+        assert!(obs.contains("\"ok\":true"), "{obs}");
+        let mc = svc.handle_line(&format!(
+            r#"{{"kind":"monte_carlo","netlist":"{SMALL}","patterns":400000000,"threads":1,"deadline_ms":1}}"#
+        ));
+        assert!(mc.contains("\"code\":\"deadline_exceeded\""), "{mc}");
+        // The runner records its cancellation once it unwinds.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cancelled(&svc) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "runner never observed the cancel"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
         let stats = svc.handle_line(r#"{"kind":"stats"}"#);
         let doc = crate::json::parse(stats.trim()).unwrap();
-        let estimator = doc.get("result").unwrap().get("estimator").unwrap();
-        assert_eq!(estimator.get("tier_exact").and_then(Json::as_u64), Some(1));
+        let result = doc.get("result").unwrap();
+        let member = |path: [&str; 2]| {
+            result
+                .get(path[0])
+                .and_then(|m| m.get(path[1]))
+                .and_then(Json::as_f64)
+        };
+        let estimator = result.get("estimator").unwrap().encode();
         assert_eq!(
-            estimator.get("tier_propagation").and_then(Json::as_u64),
-            Some(1)
+            estimator,
+            r#"{"tier_exact":1,"tier_propagation":1,"tier_mc":0,"fallbacks":1}"#
         );
-        assert_eq!(estimator.get("fallbacks").and_then(Json::as_u64), Some(1));
-        let requests = doc.get("result").unwrap().get("requests").unwrap();
-        assert_eq!(requests.get("estimate").and_then(Json::as_u64), Some(2));
+        // The exact estimate materialized the matrix; the observability
+        // request read it back, so the engine ran once.
+        let (_, parsed) = proto::parse_request(&obs_frame, &RequestLimits::default());
+        let payload = parsed.unwrap().payload().unwrap().into_owned();
+        let (artifact, _) = svc.cache().get_or_compile(&payload).unwrap();
+        let matrix = artifact.observability_if_ready().unwrap();
+        let bdd = *matrix.diagnostics().bdd_stats().unwrap();
+        #[allow(clippy::cast_precision_loss)]
+        let counts = [
+            ("runs", 1.0),
+            ("peak_live_nodes", bdd.peak_live_nodes as f64),
+            ("cache_hits", bdd.cache_hits as f64),
+            ("cache_misses", bdd.cache_misses as f64),
+            ("cache_hit_rate", bdd.cache_hit_rate()),
+            ("gc_runs", bdd.gc_runs as f64),
+            ("reorders", bdd.reorders as f64),
+        ];
+        for (name, want) in counts {
+            assert_eq!(member(["bdd_engine", name]), Some(want), "{name}");
+        }
+        assert!(bdd.peak_live_nodes > 0);
+        let load = member(["bdd_engine", "unique_load"]).unwrap();
+        assert!(load <= bdd.unique_load && bdd.unique_load - load < 1e-6);
+        assert_eq!(member(["requests", "estimate"]), Some(2.0));
+        assert_eq!(member(["cancellation", "cancelled"]), Some(1.0));
+        assert_eq!(member(["cancellation", "deadline_exceeded"]), Some(1.0));
+
         let health = svc.handle_line(r#"{"kind":"health"}"#);
         let doc = crate::json::parse(health.trim()).unwrap();
+        let result = doc.get("result").unwrap();
+        assert_eq!(result.get("cancelled").and_then(Json::as_u64), Some(1));
         assert_eq!(
-            doc.get("result")
-                .unwrap()
-                .get("estimator_fallbacks")
-                .and_then(Json::as_u64),
+            result.get("estimator_fallbacks").and_then(Json::as_u64),
             Some(1)
         );
     }

@@ -114,12 +114,8 @@ pub struct ServiceStats {
     pub errors: AtomicU64,
     /// Requests that hit the per-request timeout.
     pub timeouts: AtomicU64,
-    /// Compute paths that observed a fired cancel token and unwound with
-    /// a typed `Cancelled` error — no partial results, no zombie work.
-    /// Covers deadline fires, disconnect cancels, and drain cancels.
-    pub cancelled: AtomicU64,
     /// Requests answered with the `deadline_exceeded` wire code (the
-    /// client-facing subset of `cancelled`).
+    /// client-facing subset of the engine record's cancellations).
     pub deadline_exceeded: AtomicU64,
     /// In-flight jobs cancelled because their client disconnected before
     /// the reply was ready.
@@ -138,16 +134,6 @@ pub struct ServiceStats {
     pub connections_active: AtomicU64,
     /// Service-time histogram over every answered frame.
     pub latency: LatencyHistogram,
-    /// `estimate` requests answered by the exact BDD tier.
-    pub tier_exact: AtomicU64,
-    /// `estimate` requests answered by the propagation tier.
-    pub tier_propagation: AtomicU64,
-    /// `estimate` requests refined by the Monte Carlo tier.
-    pub tier_mc: AtomicU64,
-    /// Exact-tier abandonments (budget trips and backend failures). A
-    /// nonzero count here is the "never degrade silently" signal: every
-    /// fallback is visible in `stats` and `health`.
-    pub estimator_fallbacks: AtomicU64,
 }
 
 impl ServiceStats {
@@ -157,50 +143,16 @@ impl ServiceStats {
         self.requests[kind].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one estimate's tier outcome into the service-wide counters.
-    pub fn record_tiers(&self, diagnostics: &relogic::Diagnostics) {
-        self.tier_exact
-            .fetch_add(diagnostics.tier_exact(), Ordering::Relaxed);
-        self.tier_propagation
-            .fetch_add(diagnostics.tier_propagation(), Ordering::Relaxed);
-        self.tier_mc
-            .fetch_add(diagnostics.tier_mc(), Ordering::Relaxed);
-        self.estimator_fallbacks
-            .fetch_add(diagnostics.estimator_fallbacks(), Ordering::Relaxed);
-    }
-
-    /// The `estimator` sub-object: which tier answered `estimate`
-    /// requests, and how often the exact tier was abandoned.
-    #[must_use]
-    pub fn estimator_json(&self) -> Json {
-        Json::obj([
-            (
-                "tier_exact",
-                Json::from(self.tier_exact.load(Ordering::Relaxed)),
-            ),
-            (
-                "tier_propagation",
-                Json::from(self.tier_propagation.load(Ordering::Relaxed)),
-            ),
-            ("tier_mc", Json::from(self.tier_mc.load(Ordering::Relaxed))),
-            (
-                "fallbacks",
-                Json::from(self.estimator_fallbacks.load(Ordering::Relaxed)),
-            ),
-        ])
-    }
-
     /// The `cancellation` sub-object: cooperative-cancellation outcomes.
     /// `cancelled` counts every compute path that unwound on a fired
-    /// token; `deadline_exceeded` and `disconnect_cancels` attribute the
-    /// fires to their cause.
+    /// token (the engine record's [`relogic::Diagnostics::cancellations`]:
+    /// deadline fires, disconnect cancels and drain cancels);
+    /// `deadline_exceeded` and `disconnect_cancels` attribute the fires to
+    /// their cause.
     #[must_use]
-    pub fn cancellation_json(&self) -> Json {
+    pub fn cancellation_json(&self, cancelled: u64) -> Json {
         Json::obj([
-            (
-                "cancelled",
-                Json::from(self.cancelled.load(Ordering::Relaxed)),
-            ),
+            ("cancelled", Json::from(cancelled)),
             (
                 "deadline_exceeded",
                 Json::from(self.deadline_exceeded.load(Ordering::Relaxed)),
@@ -270,26 +222,11 @@ mod tests {
     #[test]
     fn cancellation_counters_serialize() {
         let s = ServiceStats::default();
-        s.cancelled.fetch_add(3, Ordering::Relaxed);
         s.deadline_exceeded.fetch_add(2, Ordering::Relaxed);
         s.disconnect_cancels.fetch_add(1, Ordering::Relaxed);
-        let j = s.cancellation_json();
+        let j = s.cancellation_json(3);
         assert_eq!(j.get("cancelled").and_then(Json::as_u64), Some(3));
         assert_eq!(j.get("deadline_exceeded").and_then(Json::as_u64), Some(2));
         assert_eq!(j.get("disconnect_cancels").and_then(Json::as_u64), Some(1));
-    }
-
-    #[test]
-    fn tier_counters_fold_diagnostics() {
-        let s = ServiceStats::default();
-        let mut d = relogic::Diagnostics::new();
-        d.record_estimator_fallback();
-        d.record_tier_propagation();
-        s.record_tiers(&d);
-        s.record_tiers(&d);
-        let j = s.estimator_json();
-        assert_eq!(j.get("tier_exact").and_then(Json::as_u64), Some(0));
-        assert_eq!(j.get("tier_propagation").and_then(Json::as_u64), Some(2));
-        assert_eq!(j.get("fallbacks").and_then(Json::as_u64), Some(2));
     }
 }

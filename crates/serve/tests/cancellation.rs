@@ -175,14 +175,15 @@ fn client_disconnect_mid_monte_carlo_frees_the_worker() {
     // The cancelled compute unwinds at its next chunk boundary and ticks
     // the cancelled counter exactly once.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while stats.cancelled.load(Ordering::Relaxed) == 0 {
+    let cancelled = || server.service().cache().counters().engine().cancellations();
+    while cancelled() == 0 {
         assert!(
             Instant::now() < deadline,
             "abandoned job never observed its cancel"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(stats.cancelled.load(Ordering::Relaxed), 1);
+    assert_eq!(cancelled(), 1);
     server.shutdown();
 }
 

@@ -304,9 +304,10 @@ struct TapeRun<'a> {
     /// Noisy slots grouped by quantized probability, for the mask
     /// pre-pass.
     mask_classes: Vec<MaskClass>,
-    /// Whether the run uses the AVX-512 paths: the hand-vectorized mask
-    /// comparator and the AVX-512-compiled kernel clone (detected once
-    /// per run; every path emits identical words).
+    /// Whether chunks run through [`TapeRun::run_chunk_avx512`], the
+    /// AVX-512 `#[target_feature]` clone of
+    /// [`TapeRun::run_chunk_impl`] (detected once per run; both compile
+    /// the same source and emit identical words).
     simd: bool,
     /// Fault-mask resolution (binary digits).
     resolution: u32,
