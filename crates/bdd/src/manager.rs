@@ -22,13 +22,29 @@
 //! The unique table and the operation cache are open-addressed arrays with
 //! power-of-two capacities and multiplicative (xxhash-style) mixing of the
 //! packed `(var, low, high)` triple. The unique table is exact (linear
-//! probing, grown at 80% load, rebuilt tombstone-free after garbage
-//! collection); each 8-byte slot carries the node's 32-bit hash beside its
-//! index, so a probe reads a node only when the hashes match, and growing
-//! the table reads no node at all. The operation cache is *lossy* — one
-//! 16-byte entry per slot, overwritten on collision, with the operation
-//! folded into the key — and keeps hit/miss counters surfaced through
+//! probing, doubled in place at 80% load, rebuilt tombstone-free after
+//! garbage collection); each 8-byte slot carries the node's 32-bit hash
+//! beside its index, so a probe reads a node only when the hashes match,
+//! and growing the table reads no node at all. The operation cache is
+//! *lossy* — one 16-byte entry per slot, overwritten on collision, with
+//! the operation folded into the key — holds about one entry per two
+//! nodes, and keeps hit/miss counters surfaced through
 //! [`BddManager::stats`].
+//!
+//! # Bytes per live node
+//!
+//! A node takes 12 bytes, its share of the unique table 10 to 20 (an
+//! 8-byte slot at a load between 40 and 80 %), and its share of the op
+//! cache about 8. No table is held twice while it grows: the node store
+//! and the unique table grow by reallocation (a large block is remapped,
+//! not copied), and the cache is released before its larger successor is
+//! allocated. So a build that stops at a live-node limit peaks at the
+//! tables it ends with, about 38 bytes per live node at a 2M limit
+//! (24 MiB of nodes, a 32 MiB unique table, a 16 MiB cache). The cache's
+//! size cannot change a result: between collections a miss re-derives a
+//! result whose nodes all exist, so node indices, live counts and limit
+//! trips are those of any cache size, and only the hit/miss counters
+//! move.
 //!
 //! # Live-node limit
 //!
@@ -308,6 +324,10 @@ pub struct BddManager {
     live_limit: usize,
     /// Set once the limit has refused an allocation.
     exhausted: bool,
+    /// Most bytes the node store, unique table and op cache have held at
+    /// once, a table being replaced included.
+    #[cfg(test)]
+    table_bytes_peak: usize,
     cache_hits: u64,
     cache_misses: u64,
     gc_runs: u64,
@@ -348,6 +368,8 @@ impl BddManager {
             cache: vec![EMPTY_ENTRY; CACHE_MIN],
             live_limit: usize::MAX,
             exhausted: false,
+            #[cfg(test)]
+            table_bytes_peak: 0,
             cache_hits: 0,
             cache_misses: 0,
             gc_runs: 0,
@@ -497,21 +519,57 @@ impl BddManager {
         (self.unique_len + 1) * 5 >= self.unique.len() * 4
     }
 
+    /// Doubles the unique table in place. The grown `Vec` keeps the old
+    /// slots in its lower half (a large block grows by remapping, not by
+    /// copying), and one pass over them moves every entry to its slot in
+    /// the doubled table, so the old and the new table are never resident
+    /// at once, and no node is read.
+    ///
+    /// The pass visits the old slots in a circle that starts after an
+    /// empty one, so it walks every probe run from its first slot, lifting
+    /// each entry out and re-inserting it from its new home. A re-insertion
+    /// probes only slots the pass has visited, so no entry it steps over
+    /// moves later: in the lower half it stops at the slot it was lifted
+    /// from at the latest, and the upper half cannot fill up to its top
+    /// before the pass reaches the entries that wrapped round the old
+    /// table's end.
     fn unique_grow(&mut self) {
-        let new_cap = self.unique.len() * 2;
-        let mut slots = vec![EMPTY_SLOT; new_cap];
-        let mask = new_cap - 1;
-        for &s in &self.unique {
+        let old_cap = self.unique.len();
+        let mask = 2 * old_cap - 1;
+        self.unique.resize(2 * old_cap, EMPTY_SLOT);
+        self.note_table_bytes(0);
+        let start = self.unique[..old_cap]
+            .iter()
+            .position(|s| s.idx == NIL_IDX)
+            .expect("a table at most 80% full has an empty slot");
+        for k in 1..old_cap {
+            let i = (start + k) & (old_cap - 1);
+            let s = std::mem::replace(&mut self.unique[i], EMPTY_SLOT);
             if s.idx == NIL_IDX {
                 continue;
             }
-            let mut i = s.hash as usize & mask;
-            while slots[i].idx != NIL_IDX {
-                i = (i + 1) & mask;
+            let mut j = s.hash as usize & mask;
+            while self.unique[j].idx != NIL_IDX {
+                j = (j + 1) & mask;
             }
-            slots[i] = s;
+            self.unique[j] = s;
         }
-        self.unique = slots;
+    }
+
+    /// Folds the bytes the three tables hold now, plus `transient` bytes
+    /// of a table being replaced, into the peak the unit tests gate on. A
+    /// table that grows by reallocation has no transient.
+    #[inline]
+    fn note_table_bytes(&mut self, transient: usize) {
+        #[cfg(test)]
+        {
+            let held = self.nodes.capacity() * std::mem::size_of::<Node>()
+                + self.unique.len() * std::mem::size_of::<Slot>()
+                + self.cache.len() * std::mem::size_of::<CacheEntry>();
+            self.table_bytes_peak = self.table_bytes_peak.max(held + transient);
+        }
+        #[cfg(not(test))]
+        let _ = transient;
     }
 
     /// Re-inserts an already-allocated node under its (possibly new)
@@ -607,7 +665,11 @@ impl BddManager {
         } else {
             let idx = u32::try_from(self.nodes.len()).expect("BDD node count overflow");
             assert!(idx < 1 << 31, "BDD node count overflow");
+            let cap = self.nodes.capacity();
             self.nodes.push(Node { var, low, high });
+            if self.nodes.capacity() != cap {
+                self.note_table_bytes(0);
+            }
             idx
         };
         self.unique[i] = Slot { hash, idx };
@@ -637,14 +699,22 @@ impl BddManager {
 
     // ----- operation cache ----------------------------------------------
 
-    /// Grows the lossy cache toward the node count (never shrinks, capped
-    /// at [`CACHE_MAX`] entries). Called at public operation entry points
-    /// only — never mid-recursion.
+    /// Grows the lossy cache to half the node store, rounded up to a power
+    /// of two, once the store passes twice its length (never shrinks,
+    /// capped at [`CACHE_MAX`] entries). Called at public operation entry
+    /// points only — never mid-recursion. The old cache is released before
+    /// the new one is allocated.
+    ///
+    /// Half the node count, rather than one entry per node, saves 16 MiB
+    /// of a build that trips at 2M live nodes and costs 3–6 % more misses
+    /// on the c499 and c1355 base builds.
     fn maybe_grow_cache(&mut self) {
-        if self.cache.len() < CACHE_MAX && self.nodes.len() > self.cache.len() {
-            let want = self.nodes.len().next_power_of_two().min(CACHE_MAX);
+        if self.cache.len() < CACHE_MAX && self.nodes.len() > 2 * self.cache.len() {
+            let want = (self.nodes.len().next_power_of_two() / 2).min(CACHE_MAX);
             if want > self.cache.len() {
+                self.cache = Vec::new();
                 self.cache = vec![EMPTY_ENTRY; want];
+                self.note_table_bytes(0);
             }
         }
     }
@@ -1052,6 +1122,7 @@ impl BddManager {
     fn rebuild_unique(&mut self) {
         let want = (self.live * 2).next_power_of_two().max(UNIQUE_MIN);
         let mut slots = vec![EMPTY_SLOT; want];
+        self.note_table_bytes(want * std::mem::size_of::<Slot>());
         let mask = want - 1;
         let mut len = 0usize;
         for (i, n) in self.nodes.iter().enumerate().skip(1) {
@@ -1723,6 +1794,74 @@ mod tests {
         assert_eq!(merged.cache_misses, 2 * s.cache_misses);
         assert_eq!(merged.peak_live_nodes, s.peak_live_nodes);
         assert!(merged.cache_hit_rate() >= 0.0);
+    }
+
+    #[test]
+    fn in_place_doubling_keeps_every_entry_findable() {
+        // Synthetic slots at up to 80% load, with home slots crowded at
+        // the top so that probe runs wrap in the old table and re-inserted
+        // entries wrap in the doubled one.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            hash3(state, 0, 0)
+        };
+        for trial in 0..500_u32 {
+            let cap = 16usize << (trial % 3);
+            let mut m = BddManager::new(1);
+            m.unique = vec![EMPTY_SLOT; cap];
+            let fill = cap * 4 / 5 - (trial as usize % 5);
+            for idx in 0..fill {
+                let r = next();
+                #[allow(clippy::cast_possible_truncation)]
+                let hash = if r % 2 == 0 {
+                    // Home in the top eighth of both the old and the
+                    // doubled table.
+                    (r >> 32) as u32 | (cap as u32 * 2 - cap as u32 / 8)
+                } else {
+                    (r >> 32) as u32
+                };
+                let mut i = hash as usize & (cap - 1);
+                while m.unique[i].idx != NIL_IDX {
+                    i = (i + 1) & (cap - 1);
+                }
+                m.unique[i] = Slot {
+                    hash,
+                    idx: u32::try_from(idx).unwrap(),
+                };
+            }
+            m.unique_grow();
+            let mask = 2 * cap - 1;
+            let mut found = 0;
+            for s in m.unique.iter().filter(|s| s.idx != NIL_IDX) {
+                let mut i = s.hash as usize & mask;
+                while m.unique[i].idx != s.idx {
+                    assert_ne!(m.unique[i].idx, NIL_IDX, "trial {trial}: lost {}", s.idx);
+                    i = (i + 1) & mask;
+                }
+                found += 1;
+            }
+            assert_eq!(found, fill, "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn a_tripped_build_holds_at_most_40_bytes_per_live_node() {
+        // 2M / 16: the tables stand to this limit as to the estimate
+        // tier's 2M budget, and the unique table doubles on the way.
+        let budget = 125_000;
+        let circuit = relogic_gen::suite::build("c1908").unwrap();
+        let order = crate::VarOrder::dfs(&circuit);
+        let mut m = BddManager::new(order.len());
+        let built = crate::CircuitBdds::try_build(&mut m, &circuit, &order, budget, &mut || false);
+        assert!(matches!(built, Err(crate::BuildInterrupt::Budget(_))));
+        assert_eq!(m.stats().peak_live_nodes, budget);
+        let peak = m.table_bytes_peak;
+        assert!(
+            peak <= 40 * budget,
+            "{peak} table bytes at the peak: {} per live node",
+            peak / budget
+        );
     }
 
     #[test]

@@ -1446,6 +1446,17 @@ y = NOT(t)
     }
 
     #[test]
+    fn estimate_budget_trip_prints_its_bdd_statistics() {
+        let out = run_on_file(
+            "estimate",
+            &["--eps", "0.1", "--bdd-node-budget", "2", "--diagnostics"],
+        );
+        assert!(out.contains("(3 live nodes > 2)"), "{out}");
+        assert!(out.contains("peak live BDD nodes:      2\n"), "{out}");
+        assert!(out.contains("op-cache hit rate:"), "{out}");
+    }
+
+    #[test]
     fn estimate_json_matches_server_schema() {
         let out = run_on_file("estimate", &["--eps", "0.1", "--json"]);
         let doc = relogic_serve::json::parse(out.trim()).unwrap();

@@ -6,6 +6,7 @@
 //! have already validated their inputs (they panic with the error's
 //! `Display` text on violation).
 
+use crate::BddEngineStats;
 use relogic_netlist::NodeId;
 use relogic_sim::{Cancelled, SimError};
 use std::error::Error;
@@ -119,6 +120,10 @@ pub enum RelogicError {
         live_nodes: usize,
         /// The configured live-node budget.
         budget: usize,
+        /// The tripped manager's engine counters: its peak is `budget`
+        /// live nodes, and its op-cache hits and misses are the build's
+        /// work up to the trip.
+        stats: BddEngineStats,
     },
     /// The run's [`relogic_sim::CancelToken`] fired (deadline or explicit
     /// cancel) before the work completed; no partial result escapes.
@@ -183,7 +188,9 @@ impl fmt::Display for RelogicError {
                 allowed,
             } => write!(f, "{name} = {value} outside {allowed}"),
             RelogicError::Sim(e) => write!(f, "simulation error: {e}"),
-            RelogicError::BddBudgetExceeded { live_nodes, budget } => write!(
+            RelogicError::BddBudgetExceeded {
+                live_nodes, budget, ..
+            } => write!(
                 f,
                 "exact BDD analysis exceeded its live-node budget ({live_nodes} live nodes > {budget})"
             ),

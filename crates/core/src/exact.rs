@@ -46,9 +46,10 @@ impl ExactModel {
     ///
     /// [`RelogicError::CircuitTooLarge`] if the inputs leave no variable
     /// for the auxiliary,
-    /// [`RelogicError::BddBudgetExceeded`] at the first node allocation
-    /// that would pass `budget`, or [`RelogicError::Cancelled`] (site
-    /// `bdd_gate`) once the token fires.
+    /// [`RelogicError::BddBudgetExceeded`], carrying the manager's engine
+    /// counters, at the first node allocation that would pass `budget`,
+    /// or [`RelogicError::Cancelled`] (site `bdd_gate`) once the token
+    /// fires.
     pub(crate) fn try_build(
         circuit: &Circuit,
         input_probs: &[f64],
@@ -68,6 +69,7 @@ impl ExactModel {
                 BuildInterrupt::Budget(b) => RelogicError::BddBudgetExceeded {
                     live_nodes: b.live_nodes,
                     budget: b.budget,
+                    stats: manager.stats(),
                 },
                 BuildInterrupt::Interrupted => RelogicError::Cancelled(Cancelled {
                     after: cancel.elapsed(),

@@ -5,7 +5,9 @@
 //! 1. **Exact** — the caller's exact closure, handed the BDD live-node
 //!    budget. Any failure (budget trip, arity limit, variable-space
 //!    exhaustion …) records one estimator fallback in the report's
-//!    [`Diagnostics`] and escalates; exact failures are never silent.
+//!    [`Diagnostics`] and escalates; exact failures are never silent. A
+//!    budget trip also records the tripped manager's BDD engine
+//!    statistics there.
 //! 2. **Propagation** — the linear propagation-probability estimator.
 //! 3. **Monte Carlo** — when the propagation answer saturates toward the
 //!    δ = ½ ceiling (where the independence closed form loses
@@ -171,7 +173,12 @@ where
                 });
             }
             Err(e @ RelogicError::Cancelled(_)) => return Err(e),
-            Err(e) => format!("exact tier failed: {e}"),
+            Err(e) => {
+                if let RelogicError::BddBudgetExceeded { stats, .. } = &e {
+                    diagnostics.record_bdd_stats(*stats);
+                }
+                format!("exact tier failed: {e}")
+            }
         }
     };
     diagnostics.record_estimator_fallback();
@@ -215,6 +222,12 @@ mod tests {
         Err(RelogicError::BddBudgetExceeded {
             live_nodes: 123,
             budget: 100,
+            stats: relogic::BddEngineStats {
+                live_nodes: 100,
+                peak_live_nodes: 100,
+                cache_misses: 40,
+                ..relogic::BddEngineStats::default()
+            },
         })
     }
 
@@ -254,6 +267,9 @@ mod tests {
             "{}",
             report.reason
         );
+        // The trip's engine statistics join the report.
+        let bdd = report.diagnostics.bdd_stats().expect("trip statistics");
+        assert_eq!((bdd.peak_live_nodes, bdd.cache_misses), (100, 40));
     }
 
     #[test]
@@ -296,6 +312,7 @@ mod tests {
         assert_eq!(report.tier, EstimatorTier::Propagation);
         assert!(report.reason.contains("disabled"));
         assert_eq!(report.diagnostics.estimator_fallbacks(), 1);
+        assert!(report.diagnostics.bdd_stats().is_none());
     }
 
     #[test]

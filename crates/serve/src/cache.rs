@@ -709,8 +709,9 @@ pub struct CacheCounters {
     pub estimates_computed: AtomicU64,
     /// Artifacts larger than the whole budget, served uncached.
     pub uncacheable: AtomicU64,
-    /// Observability materializations that reported BDD engine
-    /// statistics (the `bdd_engine.runs` member of `stats`).
+    /// BDD builds whose engine statistics reached the engine record: the
+    /// observability matrices this process computed and the exact-tier
+    /// budget trips (the `bdd_engine.runs` member of `stats`).
     pub bdd_runs: AtomicU64,
     /// The service-wide engine record: BDD engine statistics, estimator
     /// tiers and fallbacks, and cancellations, folded with

@@ -571,6 +571,11 @@ impl Service {
         let counters = self.inner.cache.counters();
         let outcome = api::run(request, &artifact, counters, 0, cancel)?;
         if let api::Outcome::Estimate(report) = &outcome {
+            // A report carries BDD statistics only when its exact tier
+            // tripped the budget; that build counts as a run.
+            if report.diagnostics.bdd_stats().is_some() {
+                counters.bdd_runs.fetch_add(1, Ordering::Relaxed);
+            }
             counters.engine().merge(&report.diagnostics);
         }
         let mut result = outcome.to_json(request, artifact.circuit())?;
@@ -1163,6 +1168,22 @@ mod tests {
             result.get("estimator_fallbacks").and_then(Json::as_u64),
             Some(1)
         );
+    }
+
+    #[test]
+    fn a_budget_trip_reaches_the_engine_record() {
+        let svc = service();
+        let out = svc.handle_line(&format!(
+            r#"{{"kind":"estimate","netlist":"{SMALL}","eps":0.1,"bdd_node_budget":2}}"#
+        ));
+        assert!(out.contains("(3 live nodes > 2)"), "{out}");
+        let stats = svc.handle_line(r#"{"kind":"stats"}"#);
+        let doc = crate::json::parse(stats.trim()).unwrap();
+        let engine = doc.get("result").unwrap().get("bdd_engine").unwrap();
+        let member = |name: &str| engine.get(name).and_then(Json::as_u64);
+        assert_eq!(member("runs"), Some(1), "{stats}");
+        assert_eq!(member("peak_live_nodes"), Some(2), "{stats}");
+        assert!(member("cache_misses") > Some(0), "{stats}");
     }
 
     #[test]
