@@ -16,7 +16,10 @@
 //!   distribution of that pair (single pass with exact BDD weights at
 //!   ε = 0.1, itself pinned by `single_pass_golden`), sampled and exact;
 //! * `sampled_weights_match_golden_bits`: every weight vector and signal
-//!   probability of the `Weights`, sampled on i10 and exact on b9.
+//!   probability of the `Weights`, sampled on the five suite circuits
+//!   Table 2 samples (c1908, c2670, frg2, c3540, i10), sampled on i10
+//!   under biased inputs (`weights-biased`, where `BiasedBits` draws
+//!   several words per input and block) and exact on b9.
 //!
 //! The input stream (one `SmallRng(seed)` word per input position and
 //! block, through `BiasedBits` for biased inputs) fixes every sampled
@@ -106,16 +109,33 @@ fn pair_line(backend: Backend) -> String {
     format!("{} b9 {:016x}", kind("pairs", backend), fnv(joints))
 }
 
-fn weights_line(name: &str, backend: Backend) -> String {
+/// Input `i` is 1 with probability 0.2, 0.7, 0.9 or 0.35 (by `i mod 4`):
+/// none is ½, so every input goes through `BiasedBits`.
+fn biased(c: &relogic_netlist::Circuit) -> InputDistribution {
+    let probs = [0.2, 0.7, 0.9, 0.35];
+    InputDistribution::Independent((0..c.input_count()).map(|i| probs[i % 4]).collect())
+}
+
+fn weights_line(name: &str, backend: Backend, biased_inputs: bool) -> String {
     let c = relogic_gen::suite::build(name).expect("suite circuit");
-    let w = Weights::try_compute(&c, &InputDistribution::Uniform, backend).unwrap();
+    let dist = if biased_inputs {
+        biased(&c)
+    } else {
+        InputDistribution::Uniform
+    };
+    let w = Weights::try_compute(&c, &dist, backend).unwrap();
     let values = w
         .vectors()
         .iter()
         .flatten()
         .chain(w.signal_probs())
         .copied();
-    format!("{} {name} {:016x}", kind("weights", backend), fnv(values))
+    let name_kind = if biased_inputs {
+        "weights-biased"
+    } else {
+        "weights"
+    };
+    format!("{} {name} {:016x}", kind(name_kind, backend), fnv(values))
 }
 
 fn assert_golden(line: &str) {
@@ -134,7 +154,16 @@ const OBSERVABILITY_INPUTS: [(&str, Backend); 4] = [
     ("b9", Backend::Bdd),
 ];
 const PAIR_INPUTS: [Backend; 2] = [TABLE2_SAMPLED, Backend::Bdd];
-const WEIGHT_INPUTS: [(&str, Backend); 2] = [("i10", TABLE2_SAMPLED), ("b9", Backend::Bdd)];
+/// `(circuit, backend, biased inputs)`.
+const WEIGHT_INPUTS: [(&str, Backend, bool); 7] = [
+    ("c1908", TABLE2_SAMPLED, false),
+    ("c2670", TABLE2_SAMPLED, false),
+    ("frg2", TABLE2_SAMPLED, false),
+    ("c3540", TABLE2_SAMPLED, false),
+    ("i10", TABLE2_SAMPLED, false),
+    ("i10", TABLE2_SAMPLED, true),
+    ("b9", Backend::Bdd, false),
+];
 
 #[test]
 fn sampled_observability_matches_golden_bits() {
@@ -152,8 +181,8 @@ fn sampled_pair_values_match_golden_bits() {
 
 #[test]
 fn sampled_weights_match_golden_bits() {
-    for (name, backend) in WEIGHT_INPUTS {
-        assert_golden(&weights_line(name, backend));
+    for (name, backend, biased_inputs) in WEIGHT_INPUTS {
+        assert_golden(&weights_line(name, backend, biased_inputs));
     }
 }
 
@@ -168,7 +197,7 @@ fn print_golden_lines() {
         .chain(
             WEIGHT_INPUTS
                 .iter()
-                .map(|&(name, backend)| weights_line(name, backend)),
+                .map(|&(name, backend, biased_inputs)| weights_line(name, backend, biased_inputs)),
         );
     for line in lines {
         println!("golden {line}");
