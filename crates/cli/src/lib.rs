@@ -59,7 +59,9 @@ OPTIONS:
     --top <N>               rows to print for rank               [default: 10]
     --threads <N>           worker threads for observability, sweep, mc,
                             rank, estimate and serve; 0 = auto-detect
-                            (results are identical for every N)  [default: 0]
+                            (results are identical for every N); sampled
+                            weights (--backend sim) always use every
+                            core                                 [default: 0]
     --partner-cap <N|none>  cap the correlation partners tracked per node
                             (accuracy/time dial; `none` lifts the cap)
     --json                  emit machine-readable JSON (analyze, observability,

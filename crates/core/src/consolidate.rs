@@ -110,7 +110,7 @@ impl Consolidator {
         let (joint, _) = match backend.validated()? {
             Backend::Bdd => exact_joint_probs(circuit, &probs, &tuples)?,
             Backend::Simulation { patterns, seed } => {
-                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &tuples)
+                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &tuples, 0)
             }
         };
         let pair_values = pairs

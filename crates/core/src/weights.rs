@@ -31,6 +31,11 @@ impl Weights {
     /// validating gate arities and the input distribution before touching
     /// the backend.
     ///
+    /// A sampled backend runs [`relogic_sim::sample_joint_probs`] on every
+    /// available core: this signature takes no `threads` yet. The result
+    /// does not depend on the core count; every vector and probability is
+    /// an exact pattern count divided by the pattern total.
+    ///
     /// # Errors
     ///
     /// [`RelogicError::ArityExceeded`] if a gate's arity exceeds
@@ -76,7 +81,7 @@ impl Weights {
         let (vectors, signal_probs) = match backend.validated()? {
             Backend::Bdd => exact_joint_probs(circuit, &probs, &fanins)?,
             Backend::Simulation { patterns, seed } => {
-                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &fanins)
+                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &fanins, 0)
             }
         };
         Ok(Weights {

@@ -7,7 +7,16 @@
 //! `O(1/√patterns)`. Both run on the compiled tape's block evaluator
 //! ([`CircuitTape::eval_block`]) and draw their inputs from one
 //! `SmallRng(seed)` stream ([`InputSampler`]), so every count is a pure
-//! function of `(input probabilities, patterns, seed)`.
+//! function of `(input probabilities, patterns, seed)`, whatever the
+//! thread count:
+//!
+//! * [`sample_joint_probs`] hands each worker a contiguous range of
+//!   blocks. A worker fast-forwards the stream to its first block by
+//!   drawing the earlier blocks' inputs and discarding them, then counts
+//!   exact integers, which are summed in worker order.
+//! * [`observabilities_biased`] splits the target nodes instead and every
+//!   worker replays the whole stream: re-evaluating each target's fanout
+//!   cone costs far more than the replayed clean evaluation.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::exec::ChunkExecutor;
@@ -31,6 +40,14 @@ use relogic_netlist::{Circuit, NodeId};
 /// are the joint value distributions the consolidator needs. The second
 /// half is the fault-free signal probability `Pr(node = 1)` of every node.
 ///
+/// The blocks are split into contiguous ranges over `threads` workers
+/// (`0` auto-detects the hardware). Every value is an exact integer count
+/// divided by the pattern total, so the result is bit-identical for every
+/// thread count. A tuple of at most four nodes is counted per block as
+/// the popcounts of ANDs over its subsets, turned into value counts by
+/// inclusion–exclusion after the last block; a wider tuple splits each
+/// block's 64 lanes node by node.
+///
 /// # Examples
 ///
 /// ```
@@ -42,7 +59,7 @@ use relogic_netlist::{Circuit, NodeId};
 /// let b = c.add_input("b");
 /// let g = c.and([a, b]);
 /// c.add_output("y", g);
-/// let (joint, p) = sample_joint_probs(&c, &[0.5, 0.5], 1 << 16, 7, &[[a, b]]);
+/// let (joint, p) = sample_joint_probs(&c, &[0.5, 0.5], 1 << 16, 7, &[[a, b]], 0);
 /// assert!((joint[0][0b11] - p[g.index()]).abs() < 1e-12);
 /// assert!((p[g.index()] - 0.25).abs() < 0.01);
 /// ```
@@ -58,12 +75,150 @@ pub fn sample_joint_probs<T: AsRef<[NodeId]>>(
     patterns: u64,
     seed: u64,
     tuples: &[T],
+    threads: usize,
 ) -> (Vec<Vec<f64>>, Vec<f64>) {
     let tape = CircuitTape::compile(circuit);
-    let sampler = InputSampler::independent(input_probs);
     let blocks = patterns.div_ceil(64).max(1);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let slot_tuples: Vec<Vec<usize>> = tuples
+    let counts = sample_counts(&tape, input_probs, blocks, seed, tuples, threads);
+    #[allow(clippy::cast_precision_loss)]
+    let fraction = |count: u64| count as f64 / (blocks * 64) as f64;
+    let joint = counts
+        .joint
+        .into_iter()
+        .map(|cs| cs.into_iter().map(fraction).collect())
+        .collect();
+    let signal_probs = (0..tape.n_slots())
+        .map(|i| fraction(counts.ones[tape.slot_of_node(i)]))
+        .collect();
+    (joint, signal_probs)
+}
+
+/// Maximum tuple width [`sample_joint_probs`] samples (a tuple's vector
+/// has `2^width` entries).
+pub const MAX_COUNTED_ARITY: usize = 12;
+
+/// Widest tuple counted by ANDs over its subsets; wider tuples split
+/// their lanes instead.
+const MAX_SUBSET_COUNTED: usize = 4;
+
+/// The integer counts of one sampled pass.
+#[derive(Debug, PartialEq)]
+struct Counts {
+    /// Per tuple, the patterns on which it took each value combination
+    /// (empty for an empty tuple).
+    joint: Vec<Vec<u64>>,
+    /// Per slot, the patterns on which it was 1.
+    ones: Vec<u64>,
+}
+
+/// The per-block counting work, grouped by tuple width so each group
+/// runs one monomorphic loop. Each entry holds the start of the tuple's
+/// `2^width` counters in a worker's flat accumulator, and its slots.
+/// Tuples of width 0 and 1 need no per-block work: their counts come
+/// from the pattern total and the slot's ones.
+#[derive(Default)]
+struct CountPlan {
+    pairs: Vec<(usize, [u32; 2])>,
+    triples: Vec<(usize, [u32; 3])>,
+    quads: Vec<(usize, [u32; 4])>,
+    wide: Vec<(usize, Vec<u32>)>,
+    /// Length of the flat accumulator.
+    len: usize,
+}
+
+impl CountPlan {
+    fn new(slot_tuples: &[Vec<u32>]) -> Self {
+        let mut plan = CountPlan::default();
+        for t in slot_tuples {
+            let offset = plan.len;
+            match t.len() {
+                0 => continue,
+                1 => {}
+                2 => plan.pairs.push((offset, [t[0], t[1]])),
+                3 => plan.triples.push((offset, [t[0], t[1], t[2]])),
+                4 => plan.quads.push((offset, [t[0], t[1], t[2], t[3]])),
+                _ => plan.wide.push((offset, t.clone())),
+            }
+            plan.len += 1 << t.len();
+        }
+        plan
+    }
+
+    /// Adds one evaluated block to `acc`: for a tuple of at most four
+    /// slots, the popcount of the AND over every subset of two or more of
+    /// them; for a wider tuple, its value-combination counts.
+    fn count_block(&self, words: &[u64], acc: &mut [u64]) {
+        for (offset, slots) in &self.pairs {
+            and_subsets(words, slots, &mut acc[*offset..]);
+        }
+        for (offset, slots) in &self.triples {
+            and_subsets(words, slots, &mut acc[*offset..]);
+        }
+        for (offset, slots) in &self.quads {
+            and_subsets(words, slots, &mut acc[*offset..]);
+        }
+        for (offset, slots) in &self.wide {
+            split_lanes(words, slots, &mut acc[*offset..]);
+        }
+    }
+}
+
+/// Adds `popcount(AND of words[slots[j]] for j in m)` to `acc[m]` for every
+/// subset `m` of at least two positions. `and[m]` extends `and[m]` minus
+/// its lowest position, so each subset costs one AND.
+#[inline(always)]
+fn and_subsets<const K: usize>(words: &[u64], slots: &[u32; K], acc: &mut [u64]) {
+    let w: [u64; K] = std::array::from_fn(|j| words[slots[j] as usize]);
+    let mut and = [u64::MAX; 1 << MAX_SUBSET_COUNTED];
+    for m in 1..1usize << K {
+        let rest = m & (m - 1);
+        and[m] = and[rest] & w[m.trailing_zeros() as usize];
+        if rest != 0 {
+            acc[m] += u64::from(and[m].count_ones());
+        }
+    }
+}
+
+/// Adds the value-combination counts of one block of the wide tuple
+/// `slots` to `acc`: the 64-lane mask splits on each slot's word in turn
+/// (bit `j` of the combination = slot `j`'s value), and a branch whose
+/// mask empties is dropped.
+fn split_lanes(words: &[u64], slots: &[u32], acc: &mut [u64]) {
+    // Depth-first, so at most one pending sibling per level.
+    let mut stack = [(0u64, 0usize, 0usize); MAX_COUNTED_ARITY + 1];
+    stack[0] = (u64::MAX, 0, 0);
+    let mut top = 1;
+    while top > 0 {
+        top -= 1;
+        let (mask, combo, j) = stack[top];
+        let w = words[slots[j] as usize];
+        if j + 1 == slots.len() {
+            let one = (mask & w).count_ones();
+            acc[combo | 1 << j] += u64::from(one);
+            acc[combo] += u64::from(mask.count_ones() - one);
+            continue;
+        }
+        for (half, bit) in [(mask & !w, 0), (mask & w, 1 << j)] {
+            if half != 0 {
+                stack[top] = (half, combo | bit, j + 1);
+                top += 1;
+            }
+        }
+    }
+}
+
+/// Samples `blocks` 64-pattern blocks on `tape` and counts every tuple's
+/// value combinations and every slot's ones, over `threads` workers.
+fn sample_counts<T: AsRef<[NodeId]>>(
+    tape: &CircuitTape,
+    input_probs: &[f64],
+    blocks: u64,
+    seed: u64,
+    tuples: &[T],
+    threads: usize,
+) -> Counts {
+    let sampler = InputSampler::independent(input_probs);
+    let slot_tuples: Vec<Vec<u32>> = tuples
         .iter()
         .map(|t| {
             let t = t.as_ref();
@@ -72,62 +227,85 @@ pub fn sample_joint_probs<T: AsRef<[NodeId]>>(
                 "tuple of {} nodes exceeds weight-vector limit {MAX_COUNTED_ARITY}",
                 t.len()
             );
-            t.iter().map(|id| tape.slot_of_node(id.index())).collect()
+            t.iter()
+                .map(|id| tape.slot_of_node(id.index()) as u32)
+                .collect()
         })
         .collect();
-    // An empty tuple (a source's fanins) gets no counts.
-    let mut counts: Vec<Vec<u64>> = slot_tuples
-        .iter()
-        .map(|t| vec![0u64; if t.is_empty() { 0 } else { 1 << t.len() }])
-        .collect();
-    let mut ones = vec![0u64; tape.n_slots()];
-    let mut words = vec![0u64; tape.n_slots()];
-    let mut tuple_words: Vec<u64> = Vec::with_capacity(MAX_COUNTED_ARITY);
-    for _ in 0..blocks {
-        sampler.fill(&mut words, tape.input_slots(), &mut rng);
-        tape.eval_block(&mut words, None);
-        for (count, &w) in ones.iter_mut().zip(&words) {
-            *count += u64::from(w.count_ones());
+    let plan = CountPlan::new(&slot_tuples);
+    let executor = ChunkExecutor::new(threads);
+    let workers = executor
+        .threads()
+        .min(usize::try_from(blocks).unwrap_or(usize::MAX));
+    // Worker `w` takes blocks `blocks·w/workers .. blocks·(w+1)/workers`
+    // (at most `blocks`, so the cast back is exact).
+    #[allow(clippy::cast_possible_truncation)]
+    let start_of = |w: usize| (u128::from(blocks) * w as u128 / workers as u128) as u64;
+    let chunks = executor.map_chunks(workers, |w| {
+        let (start, end) = (start_of(w), start_of(w + 1));
+        let mut words = vec![0u64; tape.n_slots()];
+        let mut ones = vec![0u64; tape.n_slots()];
+        let mut acc = vec![0u64; plan.len];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..start {
+            sampler.fill(&mut words, tape.input_slots(), &mut rng);
         }
-        for (tuple, slot) in slot_tuples.iter().zip(&mut counts) {
-            tuple_words.clear();
-            tuple_words.extend(tuple.iter().map(|&s| words[s]));
-            if tuple_words.len() <= 4 {
-                // Bit-sliced: one AND-chain per combination.
-                for (combo, c) in slot.iter_mut().enumerate() {
-                    let mut w = u64::MAX;
-                    for (j, &tw) in tuple_words.iter().enumerate() {
-                        w &= if combo >> j & 1 == 1 { tw } else { !tw };
-                    }
-                    *c += u64::from(w.count_ones());
-                }
-            } else {
-                // Lane-gather for wide tuples.
-                for lane in 0..64 {
-                    let mut combo = 0usize;
-                    for (j, &tw) in tuple_words.iter().enumerate() {
-                        combo |= (((tw >> lane) & 1) as usize) << j;
-                    }
-                    slot[combo] += 1;
-                }
+        for _ in start..end {
+            sampler.fill(&mut words, tape.input_slots(), &mut rng);
+            tape.eval_block(&mut words, None);
+            for (count, &word) in ones.iter_mut().zip(&words) {
+                *count += u64::from(word.count_ones());
+            }
+            plan.count_block(&words, &mut acc);
+        }
+        (ones, acc)
+    });
+    let mut ones = vec![0u64; tape.n_slots()];
+    let mut acc = vec![0u64; plan.len];
+    for (worker_ones, worker_acc) in chunks {
+        for (sum, c) in ones.iter_mut().zip(worker_ones) {
+            *sum += c;
+        }
+        for (sum, c) in acc.iter_mut().zip(worker_acc) {
+            *sum += c;
+        }
+    }
+    let mut offset = 0;
+    let joint = slot_tuples
+        .iter()
+        .map(|t| {
+            if t.is_empty() {
+                return Vec::new();
+            }
+            let counts = &mut acc[offset..offset + (1 << t.len())];
+            offset += counts.len();
+            if t.len() <= MAX_SUBSET_COUNTED {
+                subset_to_value_counts(counts, t, &ones, blocks * 64);
+            }
+            counts.to_vec()
+        })
+        .collect();
+    Counts { joint, ones }
+}
+
+/// Turns a narrow tuple's subset counts into value-combination counts in
+/// place. The empty subset counts every pattern and a one-slot subset the
+/// slot's ones; then for each position `j`, inclusion–exclusion removes
+/// the patterns on which `j` is also 1 from every entry with `j` clear.
+/// The result is exact; intermediate differences may wrap.
+fn subset_to_value_counts(counts: &mut [u64], slots: &[u32], ones: &[u64], total: u64) {
+    counts[0] = total;
+    for (j, &s) in slots.iter().enumerate() {
+        counts[1 << j] = ones[s as usize];
+    }
+    for j in 0..slots.len() {
+        for m in 0..counts.len() {
+            if m & 1 << j == 0 {
+                counts[m] = counts[m].wrapping_sub(counts[m | 1 << j]);
             }
         }
     }
-    #[allow(clippy::cast_precision_loss)]
-    let fraction = |count: u64| count as f64 / (blocks * 64) as f64;
-    let joint = counts
-        .into_iter()
-        .map(|cs| cs.into_iter().map(fraction).collect())
-        .collect();
-    let signal_probs = (0..tape.n_slots())
-        .map(|i| fraction(ones[tape.slot_of_node(i)]))
-        .collect();
-    (joint, signal_probs)
 }
-
-/// Maximum tuple width [`sample_joint_probs`] samples (a tuple's vector
-/// has `2^width` entries).
-pub const MAX_COUNTED_ARITY: usize = 12;
 
 /// The fanout cone of node `target`: its own slot first, then every gate
 /// slot a flip there can reach, in slot order (fanins first).
@@ -258,7 +436,7 @@ mod tests {
     /// its tuple.
     fn weight_samples(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let fanins: Vec<&[NodeId]> = c.iter().map(|(_, n)| n.fanins()).collect();
-        sample_joint_probs(c, &uniform(c), patterns, seed, &fanins)
+        sample_joint_probs(c, &uniform(c), patterns, seed, &fanins, 1)
     }
 
     fn observabilities(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -315,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_tuple_uses_lane_gather() {
+    fn wide_tuple_splits_lanes() {
         let mut c = Circuit::new("t");
         let ins: Vec<_> = (0..6).map(|i| c.add_input(format!("x{i}"))).collect();
         let g = c.and(ins);
@@ -392,6 +570,120 @@ mod tests {
         for threads in [1, 2] {
             let err = observabilities_biased(&c, &[0.5], 1 << 16, 1, threads, &token).unwrap_err();
             assert_eq!(err.checked_at, "obs_sim");
+        }
+    }
+
+    /// The per-block counting the subset and lane-split counters replaced,
+    /// kept as their oracle: one thread over the whole stream, each value
+    /// combination of a tuple of at most four nodes one AND chain, a wider
+    /// tuple gathered lane by lane.
+    fn per_block_counts(
+        tape: &CircuitTape,
+        input_probs: &[f64],
+        blocks: u64,
+        seed: u64,
+        tuples: &[Vec<NodeId>],
+    ) -> Counts {
+        let sampler = InputSampler::independent(input_probs);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let slot_tuples: Vec<Vec<usize>> = tuples
+            .iter()
+            .map(|t| t.iter().map(|id| tape.slot_of_node(id.index())).collect())
+            .collect();
+        let mut counts: Vec<Vec<u64>> = slot_tuples
+            .iter()
+            .map(|t| vec![0u64; if t.is_empty() { 0 } else { 1 << t.len() }])
+            .collect();
+        let mut ones = vec![0u64; tape.n_slots()];
+        let mut words = vec![0u64; tape.n_slots()];
+        let mut tuple_words: Vec<u64> = Vec::with_capacity(MAX_COUNTED_ARITY);
+        for _ in 0..blocks {
+            sampler.fill(&mut words, tape.input_slots(), &mut rng);
+            tape.eval_block(&mut words, None);
+            for (count, &w) in ones.iter_mut().zip(&words) {
+                *count += u64::from(w.count_ones());
+            }
+            for (tuple, slot) in slot_tuples.iter().zip(&mut counts) {
+                tuple_words.clear();
+                tuple_words.extend(tuple.iter().map(|&s| words[s]));
+                if tuple_words.len() <= 4 {
+                    for (combo, c) in slot.iter_mut().enumerate() {
+                        let mut w = u64::MAX;
+                        for (j, &tw) in tuple_words.iter().enumerate() {
+                            w &= if combo >> j & 1 == 1 { tw } else { !tw };
+                        }
+                        *c += u64::from(w.count_ones());
+                    }
+                } else {
+                    for lane in 0..64 {
+                        let mut combo = 0usize;
+                        for (j, &tw) in tuple_words.iter().enumerate() {
+                            combo |= (((tw >> lane) & 1) as usize) << j;
+                        }
+                        slot[combo] += 1;
+                    }
+                }
+            }
+        }
+        Counts {
+            joint: counts,
+            ones,
+        }
+    }
+
+    /// Ten inputs under two layers of gates, and tuples of every counted
+    /// shape: each node's fanins (widths 0 to 3, a repeated node in
+    /// `xor(x0, x0)`), an empty tuple, and tuples of 1, 4, 5, 8 and
+    /// [`MAX_COUNTED_ARITY`] correlated nodes, a repeated one included.
+    fn shaped_tuples() -> (Circuit, Vec<Vec<NodeId>>) {
+        let mut c = Circuit::new("t");
+        let x: Vec<_> = (0..10).map(|i| c.add_input(format!("x{i}"))).collect();
+        let same = c.xor([x[0], x[0]]);
+        let g = [
+            c.and([x[0], x[1]]),
+            c.or([x[2], x[3], x[4]]),
+            c.xor([x[4], x[5]]),
+            c.nand([x[6], x[7], x[1]]),
+            c.nor([x[8], x[9]]),
+            c.not(x[3]),
+        ];
+        let h = c.or([g[0], g[1], g[2], g[3]]);
+        let k = c.xor([h, g[4], g[5]]);
+        c.add_output("h", h);
+        c.add_output("k", k);
+        c.add_output("same", same);
+        let mut tuples: Vec<Vec<NodeId>> = c.iter().map(|(_, n)| n.fanins().to_vec()).collect();
+        tuples.push(Vec::new());
+        tuples.push(vec![k]);
+        tuples.push(vec![g[0], g[1], h, x[2]]);
+        tuples.push(vec![x[0], g[0], same, h, k]);
+        tuples.push(vec![g[0], g[1], g[2], g[3], g[4], g[5], h, x[4]]);
+        let widest = vec![
+            x[0], x[1], g[0], g[1], g[2], g[3], g[4], g[5], h, k, same, x[1],
+        ];
+        assert_eq!(widest.len(), MAX_COUNTED_ARITY);
+        tuples.push(widest);
+        (c, tuples)
+    }
+
+    #[test]
+    fn counts_match_the_per_block_oracle() {
+        let (c, tuples) = shaped_tuples();
+        let tape = CircuitTape::compile(&c);
+        let biased: Vec<f64> = (0..c.input_count())
+            .map(|i| [0.2, 0.7, 0.9, 0.35][i % 4])
+            .collect();
+        for probs in [uniform(&c), biased] {
+            for blocks in [1, 5, 157] {
+                let oracle = per_block_counts(&tape, &probs, blocks, 17, &tuples);
+                for threads in [1, 2, 3, 7] {
+                    let counts = sample_counts(&tape, &probs, blocks, 17, &tuples, threads);
+                    assert_eq!(
+                        counts, oracle,
+                        "blocks={blocks} threads={threads} probs={probs:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -75,7 +75,7 @@ proptest! {
     fn signal_probabilities_match_truth_table((c, _e) in arb_case()) {
         let fanins: Vec<&[NodeId]> = c.iter().map(|(_, n)| n.fanins()).collect();
         let (_, probs) =
-            sample_joint_probs(&c, &vec![0.5; c.input_count()], 1 << 14, 3, &fanins);
+            sample_joint_probs(&c, &vec![0.5; c.input_count()], 1 << 14, 3, &fanins, 0);
         // Brute-force count per node.
         let m = c.input_count();
         let mut ones = vec![0usize; c.len()];

@@ -4,11 +4,13 @@
 //! fanout, exercising every tallied quantity — per-output error counts,
 //! any-output consolidation, joint output pairs, and per-node conditional
 //! error statistics — at pattern budgets both aligned and misaligned with
-//! the chunk width.
+//! the chunk width. The sampled joint value distributions behind weight
+//! vectors and output-pair values carry the same guarantee.
 
-use relogic_netlist::Circuit;
+use relogic_netlist::{Circuit, NodeId};
 use relogic_sim::{
-    try_estimate, try_estimate_tape, CancelToken, CircuitTape, MonteCarloConfig, CHUNK_BLOCKS,
+    sample_joint_probs, try_estimate, try_estimate_tape, CancelToken, CircuitTape,
+    MonteCarloConfig, CHUNK_BLOCKS, MAX_COUNTED_ARITY,
 };
 
 /// A 3-output circuit with shared logic and reconvergent fanout, big
@@ -139,5 +141,49 @@ fn try_estimate_is_the_tape_kernel_bit_for_bit() {
         let precompiled =
             try_estimate_tape(&c, &tape, &eps, &cfg, &CancelToken::new()).expect("valid run");
         assert_eq!(compiled_per_call, precompiled, "threads = {threads}");
+    }
+}
+
+/// Every bit of a `sample_joint_probs` result.
+fn joint_bits(result: &(Vec<Vec<f64>>, Vec<f64>)) -> (Vec<Vec<u64>>, Vec<u64>) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (result.0.iter().map(|v| bits(v)).collect(), bits(&result.1))
+}
+
+#[test]
+fn sampled_joint_probs_are_bit_identical_at_every_thread_count() {
+    let mut c = circuit();
+    let ids: Vec<NodeId> = c.iter().map(|(id, _)| id).collect();
+    // `xor(x0, x0)`: a tuple that repeats a node.
+    let same = c.xor([ids[0], ids[0]]);
+    c.add_output("same", same);
+    let mut tuples: Vec<Vec<NodeId>> = c.iter().map(|(_, n)| n.fanins().to_vec()).collect();
+    tuples.push(Vec::new());
+    tuples.push(vec![ids[8]]);
+    tuples.push(ids[6..10].to_vec());
+    tuples.push(vec![ids[0], ids[6], ids[9], ids[12], same]);
+    tuples.push(ids[6..14].to_vec());
+    tuples.push(ids[3..3 + MAX_COUNTED_ARITY].to_vec());
+    for width in [0, 1, 2, 4, 5, 8, MAX_COUNTED_ARITY] {
+        assert!(tuples.iter().any(|t| t.len() == width), "width {width}");
+    }
+    let uniform = vec![0.5; c.input_count()];
+    let biased: Vec<f64> = (0..c.input_count())
+        .map(|i| [0.2, 0.7, 0.9, 0.35][i % 4])
+        .collect();
+    for probs in [&uniform, &biased] {
+        // One block (fewer than the workers), a ragged last block, and
+        // enough blocks for every worker to fast-forward.
+        for patterns in [64, 1000, 20_000] {
+            let base = joint_bits(&sample_joint_probs(&c, probs, patterns, 9, &tuples, 1));
+            for threads in [0, 2, 3, 7] {
+                let parallel = sample_joint_probs(&c, probs, patterns, 9, &tuples, threads);
+                assert_eq!(
+                    base,
+                    joint_bits(&parallel),
+                    "patterns = {patterns}, threads = {threads}, probs = {probs:?}"
+                );
+            }
+        }
     }
 }
