@@ -57,7 +57,7 @@ fn main() {
     );
 
     let consolidator =
-        Consolidator::try_for_pairs(&circuit, &[(a, b)], &InputDistribution::Uniform, backend)
+        Consolidator::try_for_pairs(&circuit, &[(a, b)], &InputDistribution::Uniform, backend, 0)
             .unwrap();
     let mut rows = Vec::with_capacity(points);
     let mut diag = Diagnostics::new();

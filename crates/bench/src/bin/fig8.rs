@@ -58,7 +58,7 @@ fn main() {
     let analyze = |c: &Circuit| -> (Vec<f64>, Vec<f64>) {
         let weights = Weights::try_compute(c, &InputDistribution::Uniform, backend).unwrap();
         let engine = SinglePass::try_new(c, &weights, SinglePassOptions::default()).unwrap();
-        let cons = Consolidator::try_new(c, &InputDistribution::Uniform, backend).unwrap();
+        let cons = Consolidator::try_new(c, &InputDistribution::Uniform, backend, 0).unwrap();
         let mut sp = Vec::with_capacity(grid.len());
         let mut mc = Vec::with_capacity(grid.len());
         for (i, &e) in grid.iter().enumerate() {

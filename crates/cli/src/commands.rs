@@ -373,10 +373,12 @@ fn stats(c: &Circuit) -> Result<String, CliError> {
 }
 
 fn analysis_weights(c: &Circuit, opts: &Options) -> Result<Weights, CliError> {
-    Ok(Weights::try_compute(
+    Ok(Weights::try_compute_threads_cancellable(
         c,
         &InputDistribution::Uniform,
         opts.backend(),
+        opts.threads,
+        &relogic::CancelToken::new(),
     )?)
 }
 
@@ -554,6 +556,7 @@ fn analyze_text(
                 c,
                 &InputDistribution::Uniform,
                 opts.backend(),
+                opts.threads,
             )?;
             let any = cons.try_any_output_error(result, &mut diag)?;
             out.push_str(&format!("{:>24}  any-output = {any:.6}\n", "*"));
@@ -897,7 +900,7 @@ fn cache_warm(store: &Store, loaded: LoadedNetlist) -> Result<String, CliError> 
     let disk = Arc::new(DiskTier::open(store.root()));
     let artifact = Artifact::new(&loaded.payload, loaded.circuit, Some(Arc::clone(&disk)));
     let (counters, never) = (CacheCounters::default(), relogic::CancelToken::new());
-    artifact.weights(&counters, &never)?;
+    artifact.weights(&counters, 0, &never)?;
     artifact.observability(&counters, 0, &never)?;
     if disk.is_degraded() {
         return Err(CliError::Store(format!(

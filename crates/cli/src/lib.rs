@@ -58,10 +58,9 @@ OPTIONS:
     --to <bench|blif|verilog|dot>  target format for convert     [default: blif]
     --top <N>               rows to print for rank               [default: 10]
     --threads <N>           worker threads for observability, sweep, mc,
-                            rank, estimate and serve; 0 = auto-detect
-                            (results are identical for every N); sampled
-                            weights (--backend sim) always use every
-                            core                                 [default: 0]
+                            rank, estimate, sampled weights (--backend
+                            sim) and serve; 0 = auto-detect (results are
+                            identical for every N)               [default: 0]
     --partner-cap <N|none>  cap the correlation partners tracked per node
                             (accuracy/time dial; `none` lifts the cap)
     --json                  emit machine-readable JSON (analyze, observability,

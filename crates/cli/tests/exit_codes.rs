@@ -143,6 +143,39 @@ fn observability_honours_the_deadline() {
 }
 
 #[test]
+fn analyze_honours_the_deadline_while_its_weights_build() {
+    // The weight build is where `analyze` spends its time on c1908: 64M
+    // sampled patterns take seconds, and so does the exact backend's BDD
+    // build. The sampled pass checks the token once per 64-pattern block
+    // in every worker, the BDD build after every gate.
+    let p = netlist(
+        "c1908-analyze.bench",
+        &relogic_netlist::bench::write(&relogic_gen::suite::build("c1908").unwrap()),
+    )
+    .display()
+    .to_string();
+    let inputs: [&[&str]; 2] = [
+        &["--backend", "sim", "--patterns", "67108864"],
+        &["--backend", "bdd"],
+    ];
+    for input in inputs {
+        for threads in ["1", "2"] {
+            let mut args = vec!["analyze", &p, "--deadline-ms", "500", "--threads", threads];
+            args.extend_from_slice(input);
+            let started = std::time::Instant::now();
+            let out = cli(&args);
+            let elapsed = started.elapsed();
+            assert_eq!(out.status.code(), Some(9), "{args:?}: {out:?}");
+            assert!(out.stdout.is_empty(), "{args:?}: partial output {out:?}");
+            assert!(
+                elapsed < std::time::Duration::from_millis(750),
+                "{args:?}: exited after {elapsed:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn malformed_netlist_exits_4_with_file_and_line() {
     let p = netlist("broken.bench", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
         .display()

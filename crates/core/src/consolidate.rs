@@ -9,7 +9,10 @@
 //! pair, give a pairwise-corrected estimate.
 
 use crate::exact::exact_joint_probs;
-use crate::{Backend, Diagnostics, ErrorEvent, InputDistribution, RelogicError, SinglePassResult};
+use crate::{
+    Backend, CancelToken, Diagnostics, ErrorEvent, InputDistribution, RelogicError,
+    SinglePassResult,
+};
 use relogic_netlist::{Circuit, NodeId};
 use std::collections::HashMap;
 
@@ -38,7 +41,7 @@ use std::collections::HashMap;
 /// let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd)?;
 /// let engine = SinglePass::try_new(&c, &w, SinglePassOptions::default())?;
 /// let r = engine.try_run(&GateEps::try_uniform(&c, 0.1)?)?;
-/// let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd)?;
+/// let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd, 0)?;
 /// let any = cons.try_any_output_error(&r, &mut Diagnostics::new())?;
 /// assert!(any >= r.per_output()[0].max(r.per_output()[1]) - 1e-9);
 /// assert!(any <= r.per_output()[0] + r.per_output()[1] + 1e-9);
@@ -58,8 +61,10 @@ impl Consolidator {
     /// Cost is one symbolic circuit construction plus `O(outputs²)`
     /// conjunction queries with [`Backend::Bdd`], or one sampling pass with
     /// [`Backend::Simulation`] — the same joint-distribution call weight
-    /// vectors make, with output pairs as the node tuples. For circuits
-    /// with very many outputs prefer [`Consolidator::try_for_pairs`].
+    /// vectors make, with output pairs as the node tuples, on `threads`
+    /// workers (`0` auto-detects; every count gives the same bits). For
+    /// circuits with very many outputs prefer
+    /// [`Consolidator::try_for_pairs`].
     ///
     /// # Errors
     ///
@@ -68,15 +73,17 @@ impl Consolidator {
         circuit: &Circuit,
         dist: &InputDistribution,
         backend: Backend,
+        threads: usize,
     ) -> Result<Self, RelogicError> {
         let m = circuit.output_count();
         let pairs: Vec<(usize, usize)> = (0..m)
             .flat_map(|a| ((a + 1)..m).map(move |b| (a, b)))
             .collect();
-        Self::try_for_pairs(circuit, &pairs, dist, backend)
+        Self::try_for_pairs(circuit, &pairs, dist, backend, threads)
     }
 
-    /// Builds joint value distributions for the given output-index pairs.
+    /// Builds joint value distributions for the given output-index pairs,
+    /// a sampled backend on `threads` workers (`0` auto-detects).
     ///
     /// # Errors
     ///
@@ -91,6 +98,7 @@ impl Consolidator {
         pairs: &[(usize, usize)],
         dist: &InputDistribution,
         backend: Backend,
+        threads: usize,
     ) -> Result<Self, RelogicError> {
         let output_nodes: Vec<NodeId> = circuit.outputs().iter().map(|o| o.node()).collect();
         for &(a, b) in pairs {
@@ -107,11 +115,12 @@ impl Consolidator {
             .iter()
             .map(|&(a, b)| [output_nodes[a], output_nodes[b]])
             .collect();
+        let never = CancelToken::new();
         let (joint, _) = match backend.validated()? {
-            Backend::Bdd => exact_joint_probs(circuit, &probs, &tuples)?,
-            Backend::Simulation { patterns, seed } => {
-                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &tuples, 0)
-            }
+            Backend::Bdd => exact_joint_probs(circuit, &probs, &tuples, &never)?,
+            Backend::Simulation { patterns, seed } => relogic_sim::sample_joint_probs(
+                circuit, &probs, patterns, seed, &tuples, threads, &never,
+            )?,
         };
         let pair_values = pairs
             .iter()
@@ -274,7 +283,7 @@ mod tests {
             .unwrap()
             .try_run(&e)
             .unwrap();
-        let cons = Consolidator::try_new(c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let cons = Consolidator::try_new(c, &InputDistribution::Uniform, Backend::Bdd, 0).unwrap();
         (r, cons, e)
     }
 
@@ -290,7 +299,7 @@ mod tests {
             patterns: 0,
             seed: 1,
         };
-        let err = Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, zero)
+        let err = Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, zero, 0)
             .unwrap_err();
         assert_eq!(
             err,
@@ -302,7 +311,7 @@ mod tests {
             seed: 1,
         };
         assert!(
-            Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, one).is_ok()
+            Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, one, 0).is_ok()
         );
     }
 
@@ -386,7 +395,8 @@ mod tests {
             .unwrap()
             .try_run(&eps)
             .unwrap();
-        let exact = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+        let exact =
+            Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd, 0).unwrap();
         let sampled = Consolidator::try_new(
             &c,
             &InputDistribution::Uniform,
@@ -394,6 +404,7 @@ mod tests {
                 patterns: 1 << 15,
                 seed: 5,
             },
+            0,
         )
         .unwrap();
         assert!((any(&exact, &r) - any(&sampled, &r)).abs() < 0.02);
@@ -423,9 +434,14 @@ mod tests {
     #[test]
     fn for_pairs_restricts_coverage() {
         let c = two_output_reconvergent();
-        let cons =
-            Consolidator::try_for_pairs(&c, &[(0, 1)], &InputDistribution::Uniform, Backend::Bdd)
-                .unwrap();
+        let cons = Consolidator::try_for_pairs(
+            &c,
+            &[(0, 1)],
+            &InputDistribution::Uniform,
+            Backend::Bdd,
+            0,
+        )
+        .unwrap();
         let w = Weights::try_compute(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
         let r = SinglePass::try_new(&c, &w, SinglePassOptions::default())
             .unwrap()
@@ -439,9 +455,14 @@ mod tests {
     #[test]
     fn bad_pairs_rejected() {
         let c = two_output_reconvergent();
-        let err =
-            Consolidator::try_for_pairs(&c, &[(1, 1)], &InputDistribution::Uniform, Backend::Bdd)
-                .unwrap_err();
+        let err = Consolidator::try_for_pairs(
+            &c,
+            &[(1, 1)],
+            &InputDistribution::Uniform,
+            Backend::Bdd,
+            0,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("invalid output pair"), "{err}");
     }
 
@@ -449,12 +470,19 @@ mod tests {
     fn try_variants_surface_typed_errors() {
         let c = two_output_reconvergent();
         assert!(matches!(
-            Consolidator::try_for_pairs(&c, &[(0, 7)], &InputDistribution::Uniform, Backend::Bdd),
+            Consolidator::try_for_pairs(
+                &c,
+                &[(0, 7)],
+                &InputDistribution::Uniform,
+                Backend::Bdd,
+                0
+            ),
             Err(RelogicError::InvalidOutputPair { .. })
         ));
         // A consolidator missing a pair reports it instead of panicking.
-        let empty = Consolidator::try_for_pairs(&c, &[], &InputDistribution::Uniform, Backend::Bdd)
-            .unwrap();
+        let empty =
+            Consolidator::try_for_pairs(&c, &[], &InputDistribution::Uniform, Backend::Bdd, 0)
+                .unwrap();
         let (r, _, _) = analyzed(&c, 0.1);
         assert!(matches!(
             empty.try_joint_error(&r, 0, 1, &mut Diagnostics::new()),

@@ -96,21 +96,25 @@ impl ExactModel {
 /// empty tuple gets an empty vector. The second half is `Pr(node = 1)`
 /// for every node.
 ///
+/// The build polls `cancel` after every gate.
+///
 /// # Errors
 ///
 /// [`RelogicError::CircuitTooLarge`] if the inputs leave no variable for
-/// the model's auxiliary.
+/// the model's auxiliary, or [`RelogicError::Cancelled`] once `cancel`
+/// fires during the build.
 pub(crate) fn exact_joint_probs<T: AsRef<[NodeId]>>(
     circuit: &Circuit,
     input_probs: &[f64],
     tuples: &[T],
+    cancel: &CancelToken,
 ) -> Result<(Vec<Vec<f64>>, Vec<f64>), RelogicError> {
     let ExactModel {
         mut manager,
         bdds,
         var_probs,
         ..
-    } = ExactModel::try_build(circuit, input_probs, usize::MAX, &CancelToken::new())?;
+    } = ExactModel::try_build(circuit, input_probs, usize::MAX, cancel)?;
     let mut memo = Vec::new();
     let signal_probs = bdds
         .funcs()

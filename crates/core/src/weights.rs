@@ -11,7 +11,7 @@
 //! across every ε in a sweep, exactly as the paper prescribes.
 
 use crate::exact::exact_joint_probs;
-use crate::{Backend, InputDistribution, RelogicError};
+use crate::{Backend, CancelToken, InputDistribution, RelogicError};
 use relogic_netlist::{Circuit, NodeId};
 
 /// Maximum gate arity the analytical engines accept (weight vectors have
@@ -32,9 +32,9 @@ impl Weights {
     /// the backend.
     ///
     /// A sampled backend runs [`relogic_sim::sample_joint_probs`] on every
-    /// available core: this signature takes no `threads` yet. The result
-    /// does not depend on the core count; every vector and probability is
-    /// an exact pattern count divided by the pattern total.
+    /// available core. This is [`Weights::try_compute_threads_cancellable`]
+    /// with `threads` 0 and a token that never fires, kept because the
+    /// benchmark crate calls it.
     ///
     /// # Errors
     ///
@@ -67,6 +67,30 @@ impl Weights {
         dist: &InputDistribution,
         backend: Backend,
     ) -> Result<Self, RelogicError> {
+        Self::try_compute_threads_cancellable(circuit, dist, backend, 0, &CancelToken::new())
+    }
+
+    /// Computes weight vectors and signal probabilities for `circuit` as
+    /// [`Weights::try_compute`] does, a sampled backend on `threads`
+    /// workers (`0` auto-detects the hardware; the BDD backend runs on
+    /// one). The result does not depend on `threads`: every sampled
+    /// vector and probability is an exact pattern count divided by the
+    /// pattern total. The BDD backend checks `cancel` after every gate of
+    /// its build, the sampled backend once per 64-pattern block in every
+    /// worker; a run that completes returns the same bits as an
+    /// unbounded one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Weights::try_compute`], plus [`RelogicError::Cancelled`] once
+    /// `cancel` fires.
+    pub fn try_compute_threads_cancellable(
+        circuit: &Circuit,
+        dist: &InputDistribution,
+        backend: Backend,
+        threads: usize,
+        cancel: &CancelToken,
+    ) -> Result<Self, RelogicError> {
         for (id, node) in circuit.iter() {
             if node.arity() > MAX_ANALYSIS_ARITY {
                 return Err(RelogicError::ArityExceeded {
@@ -79,10 +103,10 @@ impl Weights {
         let probs = dist.try_position_probs(circuit)?;
         let fanins: Vec<&[NodeId]> = circuit.iter().map(|(_, node)| node.fanins()).collect();
         let (vectors, signal_probs) = match backend.validated()? {
-            Backend::Bdd => exact_joint_probs(circuit, &probs, &fanins)?,
-            Backend::Simulation { patterns, seed } => {
-                relogic_sim::sample_joint_probs(circuit, &probs, patterns, seed, &fanins, 0)
-            }
+            Backend::Bdd => exact_joint_probs(circuit, &probs, &fanins, cancel)?,
+            Backend::Simulation { patterns, seed } => relogic_sim::sample_joint_probs(
+                circuit, &probs, patterns, seed, &fanins, threads, cancel,
+            )?,
         };
         Ok(Weights {
             vectors,
@@ -347,5 +371,61 @@ mod tests {
             &crate::CancelToken::new(),
         );
         assert_eq!(obs.unwrap_err(), want);
+    }
+
+    #[test]
+    fn thread_count_and_an_unfired_token_keep_every_bit() {
+        let c = reconvergent();
+        let dist = InputDistribution::Uniform;
+        let sim = Backend::Simulation {
+            patterns: 5000,
+            seed: 3,
+        };
+        let bits = |w: &Weights| {
+            let v: Vec<u64> = w.vectors().iter().flatten().map(|x| x.to_bits()).collect();
+            let p: Vec<u64> = w.signal_probs().iter().map(|x| x.to_bits()).collect();
+            (v, p)
+        };
+        for backend in [Backend::Bdd, sim] {
+            let base = bits(&Weights::try_compute(&c, &dist, backend).unwrap());
+            for threads in [1, 2, 7] {
+                let w = Weights::try_compute_threads_cancellable(
+                    &c,
+                    &dist,
+                    backend,
+                    threads,
+                    &CancelToken::new(),
+                )
+                .unwrap();
+                assert_eq!(bits(&w), base, "{backend:?} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fired_token_stops_either_backend() {
+        let c = reconvergent();
+        let fired = CancelToken::new();
+        fired.cancel();
+        let sim = Backend::Simulation {
+            patterns: 5000,
+            seed: 3,
+        };
+        for (backend, site) in [(Backend::Bdd, "bdd_gate"), (sim, "joint_sim")] {
+            for threads in [1, 2] {
+                let err = Weights::try_compute_threads_cancellable(
+                    &c,
+                    &InputDistribution::Uniform,
+                    backend,
+                    threads,
+                    &fired,
+                )
+                .unwrap_err();
+                match err {
+                    RelogicError::Cancelled(c) => assert_eq!(c.checked_at, site),
+                    other => panic!("{backend:?}: expected a cancellation, got {other}"),
+                }
+            }
+        }
     }
 }

@@ -99,7 +99,7 @@ fn pair_line(backend: Backend) -> String {
         .unwrap()
         .try_run(&GateEps::try_uniform(&c, 0.1).unwrap())
         .unwrap();
-    let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, backend).unwrap();
+    let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, backend, 0).unwrap();
     let m = c.output_count();
     let mut diag = Diagnostics::new();
     let joints: Vec<f64> = (0..m)

@@ -41,8 +41,9 @@ pub enum Outcome<'a> {
 }
 
 /// Runs one analysis request against `artifact`, materializing the slots
-/// its kind reads. `threads` is the BDD and estimator worker count (`0`
-/// auto-detects; answers are identical for every count); a
+/// its kind reads. `threads` is the worker count of the BDD, sampled
+/// weight and estimator passes (`0` auto-detects; answers are identical
+/// for every count); a
 /// `monte_carlo` request names its own. The artifact must be the one
 /// built from [`Request::payload`]. `estimate` escalates from the exact
 /// tier under the request's node budget to the propagation estimator, then
@@ -64,7 +65,7 @@ pub fn run<'a>(
     let circuit = artifact.circuit();
     Ok(match request {
         Request::Analyze { eps, options, .. } => {
-            let weights = artifact.weights(counters, cancel)?;
+            let weights = artifact.weights(counters, threads, cancel)?;
             Outcome::Analyze(analyze_points(circuit, weights, eps, options, cancel)?)
         }
         Request::Observability { .. } => {
@@ -155,7 +156,7 @@ pub fn run<'a>(
             max_steps,
             ..
         } => {
-            let tape = SweepTape::try_new(circuit, artifact.weights(counters, cancel)?)?;
+            let tape = SweepTape::try_new(circuit, artifact.weights(counters, threads, cancel)?)?;
             Outcome::CriticalEps(relogic_estimate::critical_eps_cancellable(
                 circuit, &tape, *metric, *threshold, *max_steps, cancel,
             )?)

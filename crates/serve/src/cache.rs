@@ -500,8 +500,11 @@ impl Artifact {
         Ok((value, origin))
     }
 
-    /// The ε-independent weight vectors, materialized on first use,
-    /// checking `cancel` before the backend runs. A cancelled
+    /// The ε-independent weight vectors, materialized on first use with
+    /// `threads` sampling workers (`0` auto-detects; the weights are
+    /// identical for every count), checking `cancel` before the backend
+    /// runs and inside it (see
+    /// [`Weights::try_compute_threads_cancellable`]). A cancelled
     /// materialization leaves the slot empty — the next request recomputes
     /// instead of observing a frozen `Cancelled`.
     /// `counters.weights_computed` increments only when this call actually
@@ -515,6 +518,7 @@ impl Artifact {
     pub fn weights(
         &self,
         counters: &CacheCounters,
+        threads: usize,
         cancel: &CancelToken,
     ) -> Result<&Weights, ServeError> {
         let slot = self.weights.get_or_build(|| {
@@ -524,10 +528,12 @@ impl Artifact {
                 Store::load_weights,
                 Store::save_weights,
                 || {
-                    Weights::try_compute(
+                    Weights::try_compute_threads_cancellable(
                         &self.circuit,
                         &InputDistribution::Uniform,
                         self.backend.backend(),
+                        threads,
+                        cancel,
                     )
                 },
             )
@@ -1021,14 +1027,14 @@ mod tests {
         let (a1, o1) = cache.get_or_compile(&payload(SMALL)).unwrap();
         assert_eq!(o1, CacheOutcome::Miss);
         let w1 = a1
-            .weights(cache.counters(), &CancelToken::new())
+            .weights(cache.counters(), 0, &CancelToken::new())
             .unwrap()
             .signal_probs()
             .to_vec();
         let (a2, o2) = cache.get_or_compile(&payload(SMALL)).unwrap();
         assert_eq!(o2, CacheOutcome::Hit);
         let w2 = a2
-            .weights(cache.counters(), &CancelToken::new())
+            .weights(cache.counters(), 0, &CancelToken::new())
             .unwrap()
             .signal_probs()
             .to_vec();
@@ -1134,7 +1140,9 @@ mod tests {
         assert_eq!((entries, bytes), (0, 0));
         assert_eq!(cache.counters().evictions.load(Ordering::Relaxed), 2);
         // The held artifact keeps working after eviction.
-        assert!(held.weights(cache.counters(), &CancelToken::new()).is_ok());
+        assert!(held
+            .weights(cache.counters(), 0, &CancelToken::new())
+            .is_ok());
         // And the next lookup recompiles.
         let (_, o) = cache.get_or_compile(&payload(SMALL)).unwrap();
         assert_eq!(o, CacheOutcome::Miss);
@@ -1187,9 +1195,9 @@ mod tests {
             .is_ok());
         assert!(a.observability_if_ready().is_some());
 
-        let err = a.weights(cache.counters(), &fired).unwrap_err();
+        let err = a.weights(cache.counters(), 0, &fired).unwrap_err();
         assert_eq!(err.code(), "deadline_exceeded", "{err}");
-        assert!(a.weights(cache.counters(), &CancelToken::new()).is_ok());
+        assert!(a.weights(cache.counters(), 0, &CancelToken::new()).is_ok());
 
         let err = a
             .propagation_estimate(cache.counters(), &fired)

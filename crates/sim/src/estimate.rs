@@ -46,29 +46,35 @@ use relogic_netlist::{Circuit, NodeId};
 /// thread count. A tuple of at most four nodes is counted per block as
 /// the popcounts of ANDs over its subsets, turned into value counts by
 /// inclusion–exclusion after the last block; a wider tuple splits each
-/// block's 64 lanes node by node.
+/// block's 64 lanes node by node. `cancel` is checked once per 64-pattern
+/// block in every worker, fast-forwarded blocks included.
 ///
 /// # Examples
 ///
 /// ```
 /// use relogic_netlist::Circuit;
-/// use relogic_sim::sample_joint_probs;
+/// use relogic_sim::{sample_joint_probs, CancelToken};
 ///
 /// let mut c = Circuit::new("t");
 /// let a = c.add_input("a");
 /// let b = c.add_input("b");
 /// let g = c.and([a, b]);
 /// c.add_output("y", g);
-/// let (joint, p) = sample_joint_probs(&c, &[0.5, 0.5], 1 << 16, 7, &[[a, b]], 0);
+/// let never = CancelToken::new();
+/// let (joint, p) = sample_joint_probs(&c, &[0.5, 0.5], 1 << 16, 7, &[[a, b]], 0, &never)?;
 /// assert!((joint[0][0b11] - p[g.index()]).abs() < 1e-12);
 /// assert!((p[g.index()] - 0.25).abs() < 0.01);
+/// # Ok::<(), relogic_sim::Cancelled>(())
 /// ```
+///
+/// # Errors
+///
+/// [`Cancelled`] once `cancel` fires before the last block completes.
 ///
 /// # Panics
 ///
 /// Panics if a tuple has more than [`MAX_COUNTED_ARITY`] nodes or
 /// `input_probs` holds a probability outside `[0, 1]`.
-#[must_use]
 pub fn sample_joint_probs<T: AsRef<[NodeId]>>(
     circuit: &Circuit,
     input_probs: &[f64],
@@ -76,10 +82,11 @@ pub fn sample_joint_probs<T: AsRef<[NodeId]>>(
     seed: u64,
     tuples: &[T],
     threads: usize,
-) -> (Vec<Vec<f64>>, Vec<f64>) {
+    cancel: &CancelToken,
+) -> Result<(Vec<Vec<f64>>, Vec<f64>), Cancelled> {
     let tape = CircuitTape::compile(circuit);
     let blocks = patterns.div_ceil(64).max(1);
-    let counts = sample_counts(&tape, input_probs, blocks, seed, tuples, threads);
+    let counts = sample_counts(&tape, input_probs, blocks, seed, tuples, threads, cancel)?;
     #[allow(clippy::cast_precision_loss)]
     let fraction = |count: u64| count as f64 / (blocks * 64) as f64;
     let joint = counts
@@ -90,7 +97,7 @@ pub fn sample_joint_probs<T: AsRef<[NodeId]>>(
     let signal_probs = (0..tape.n_slots())
         .map(|i| fraction(counts.ones[tape.slot_of_node(i)]))
         .collect();
-    (joint, signal_probs)
+    Ok((joint, signal_probs))
 }
 
 /// Maximum tuple width [`sample_joint_probs`] samples (a tuple's vector
@@ -111,16 +118,15 @@ struct Counts {
     ones: Vec<u64>,
 }
 
-/// The per-block counting work, grouped by tuple width so each group
-/// runs one monomorphic loop. Each entry holds the start of the tuple's
-/// `2^width` counters in a worker's flat accumulator, and its slots.
-/// Tuples of width 0 and 1 need no per-block work: their counts come
-/// from the pattern total and the slot's ones.
+/// The per-block counting work. Each entry holds the start of the
+/// tuple's `2^width` counters in a worker's flat accumulator, and its
+/// slots. Tuples of width 0 and 1 need no per-block work: their counts
+/// come from the pattern total and the slot's ones.
 #[derive(Default)]
 struct CountPlan {
-    pairs: Vec<(usize, [u32; 2])>,
-    triples: Vec<(usize, [u32; 3])>,
-    quads: Vec<(usize, [u32; 4])>,
+    /// Tuples of 2 to [`MAX_SUBSET_COUNTED`] slots, as `(offset, width,
+    /// slots)`; slots past the width are unused.
+    narrow: Vec<(usize, usize, [u32; MAX_SUBSET_COUNTED])>,
     wide: Vec<(usize, Vec<u32>)>,
     /// Length of the flat accumulator.
     len: usize,
@@ -134,9 +140,11 @@ impl CountPlan {
             match t.len() {
                 0 => continue,
                 1 => {}
-                2 => plan.pairs.push((offset, [t[0], t[1]])),
-                3 => plan.triples.push((offset, [t[0], t[1], t[2]])),
-                4 => plan.quads.push((offset, [t[0], t[1], t[2], t[3]])),
+                k @ 2..=MAX_SUBSET_COUNTED => {
+                    let mut slots = [0; MAX_SUBSET_COUNTED];
+                    slots[..k].copy_from_slice(t);
+                    plan.narrow.push((offset, k, slots));
+                }
                 _ => plan.wide.push((offset, t.clone())),
             }
             plan.len += 1 << t.len();
@@ -148,14 +156,15 @@ impl CountPlan {
     /// slots, the popcount of the AND over every subset of two or more of
     /// them; for a wider tuple, its value-combination counts.
     fn count_block(&self, words: &[u64], acc: &mut [u64]) {
-        for (offset, slots) in &self.pairs {
-            and_subsets(words, slots, &mut acc[*offset..]);
-        }
-        for (offset, slots) in &self.triples {
-            and_subsets(words, slots, &mut acc[*offset..]);
-        }
-        for (offset, slots) in &self.quads {
-            and_subsets(words, slots, &mut acc[*offset..]);
+        for (offset, width, slots) in &self.narrow {
+            let acc = &mut acc[*offset..];
+            // One monomorphic kernel per width: with the width a constant
+            // the subset loop unrolls.
+            match width {
+                2 => and_subsets::<2>(words, slots, acc),
+                3 => and_subsets::<3>(words, slots, acc),
+                _ => and_subsets::<4>(words, slots, acc),
+            }
         }
         for (offset, slots) in &self.wide {
             split_lanes(words, slots, &mut acc[*offset..]);
@@ -164,10 +173,10 @@ impl CountPlan {
 }
 
 /// Adds `popcount(AND of words[slots[j]] for j in m)` to `acc[m]` for every
-/// subset `m` of at least two positions. `and[m]` extends `and[m]` minus
-/// its lowest position, so each subset costs one AND.
+/// subset `m` of at least two of the first `K` positions. `and[m]` extends
+/// `and[m]` minus its lowest position, so each subset costs one AND.
 #[inline(always)]
-fn and_subsets<const K: usize>(words: &[u64], slots: &[u32; K], acc: &mut [u64]) {
+fn and_subsets<const K: usize>(words: &[u64], slots: &[u32; MAX_SUBSET_COUNTED], acc: &mut [u64]) {
     let w: [u64; K] = std::array::from_fn(|j| words[slots[j] as usize]);
     let mut and = [u64::MAX; 1 << MAX_SUBSET_COUNTED];
     for m in 1..1usize << K {
@@ -216,7 +225,8 @@ fn sample_counts<T: AsRef<[NodeId]>>(
     seed: u64,
     tuples: &[T],
     threads: usize,
-) -> Counts {
+    cancel: &CancelToken,
+) -> Result<Counts, Cancelled> {
     let sampler = InputSampler::independent(input_probs);
     let slot_tuples: Vec<Vec<u32>> = tuples
         .iter()
@@ -241,25 +251,34 @@ fn sample_counts<T: AsRef<[NodeId]>>(
     // (at most `blocks`, so the cast back is exact).
     #[allow(clippy::cast_possible_truncation)]
     let start_of = |w: usize| (u128::from(blocks) * w as u128 / workers as u128) as u64;
-    let chunks = executor.map_chunks(workers, |w| {
-        let (start, end) = (start_of(w), start_of(w + 1));
-        let mut words = vec![0u64; tape.n_slots()];
-        let mut ones = vec![0u64; tape.n_slots()];
-        let mut acc = vec![0u64; plan.len];
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..start {
-            sampler.fill(&mut words, tape.input_slots(), &mut rng);
-        }
-        for _ in start..end {
-            sampler.fill(&mut words, tape.input_slots(), &mut rng);
-            tape.eval_block(&mut words, None);
-            for (count, &word) in ones.iter_mut().zip(&words) {
-                *count += u64::from(word.count_ones());
+    let (chunks, _) = executor.try_map_chunks_with_state(
+        workers,
+        cancel,
+        "joint_sim",
+        || (),
+        |(), w| {
+            let (start, end) = (start_of(w), start_of(w + 1));
+            let mut words = vec![0u64; tape.n_slots()];
+            let mut ones = vec![0u64; tape.n_slots()];
+            let mut acc = vec![0u64; plan.len];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for block in 0..end {
+                cancel.check("joint_sim")?;
+                sampler.fill(&mut words, tape.input_slots(), &mut rng);
+                if block < start {
+                    // Fast-forward: an earlier worker's block only
+                    // advances the stream.
+                    continue;
+                }
+                tape.eval_block(&mut words, None);
+                for (count, &word) in ones.iter_mut().zip(&words) {
+                    *count += u64::from(word.count_ones());
+                }
+                plan.count_block(&words, &mut acc);
             }
-            plan.count_block(&words, &mut acc);
-        }
-        (ones, acc)
-    });
+            Ok((ones, acc))
+        },
+    )?;
     let mut ones = vec![0u64; tape.n_slots()];
     let mut acc = vec![0u64; plan.len];
     for (worker_ones, worker_acc) in chunks {
@@ -285,7 +304,7 @@ fn sample_counts<T: AsRef<[NodeId]>>(
             counts.to_vec()
         })
         .collect();
-    Counts { joint, ones }
+    Ok(Counts { joint, ones })
 }
 
 /// Turns a narrow tuple's subset counts into value-combination counts in
@@ -436,7 +455,16 @@ mod tests {
     /// its tuple.
     fn weight_samples(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let fanins: Vec<&[NodeId]> = c.iter().map(|(_, n)| n.fanins()).collect();
-        sample_joint_probs(c, &uniform(c), patterns, seed, &fanins, 1)
+        sample_joint_probs(
+            c,
+            &uniform(c),
+            patterns,
+            seed,
+            &fanins,
+            1,
+            &CancelToken::new(),
+        )
+        .unwrap()
     }
 
     fn observabilities(c: &Circuit, patterns: u64, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -573,6 +601,22 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fired_token_cancels_joint_probs() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let g = c.and([a, b]);
+        c.add_output("y", g);
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1, 2] {
+            let err = sample_joint_probs(&c, &[0.5, 0.5], 1 << 16, 1, &[[a, b]], threads, &token)
+                .unwrap_err();
+            assert_eq!(err.checked_at, "joint_sim");
+        }
+    }
+
     /// The per-block counting the subset and lane-split counters replaced,
     /// kept as their oracle: one thread over the whole stream, each value
     /// combination of a tuple of at most four nodes one AND chain, a wider
@@ -677,7 +721,16 @@ mod tests {
             for blocks in [1, 5, 157] {
                 let oracle = per_block_counts(&tape, &probs, blocks, 17, &tuples);
                 for threads in [1, 2, 3, 7] {
-                    let counts = sample_counts(&tape, &probs, blocks, 17, &tuples, threads);
+                    let counts = sample_counts(
+                        &tape,
+                        &probs,
+                        blocks,
+                        17,
+                        &tuples,
+                        threads,
+                        &CancelToken::new(),
+                    )
+                    .unwrap();
                     assert_eq!(
                         counts, oracle,
                         "blocks={blocks} threads={threads} probs={probs:?}"

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 use relogic_netlist::{Circuit, GateKind, NodeId};
 use relogic_sim::{
-    exact_reliability, flip_influence, sample_joint_probs, try_estimate, MonteCarloConfig,
+    exact_reliability, flip_influence, sample_joint_probs, try_estimate, CancelToken,
+    MonteCarloConfig,
 };
 
 fn random_circuit(ops: &[(u8, u8, u8)], inputs: usize) -> Circuit {
@@ -75,7 +76,8 @@ proptest! {
     fn signal_probabilities_match_truth_table((c, _e) in arb_case()) {
         let fanins: Vec<&[NodeId]> = c.iter().map(|(_, n)| n.fanins()).collect();
         let (_, probs) =
-            sample_joint_probs(&c, &vec![0.5; c.input_count()], 1 << 14, 3, &fanins, 0);
+            sample_joint_probs(&c, &vec![0.5; c.input_count()], 1 << 14, 3, &fanins, 0, &CancelToken::new())
+                .unwrap();
         // Brute-force count per node.
         let m = c.input_count();
         let mut ones = vec![0usize; c.len()];

@@ -175,11 +175,13 @@ fn sampled_joint_probs_are_bit_identical_at_every_thread_count() {
         // One block (fewer than the workers), a ragged last block, and
         // enough blocks for every worker to fast-forward.
         for patterns in [64, 1000, 20_000] {
-            let base = joint_bits(&sample_joint_probs(&c, probs, patterns, 9, &tuples, 1));
+            let never = CancelToken::new();
+            let base = sample_joint_probs(&c, probs, patterns, 9, &tuples, 1, &never).unwrap();
             for threads in [0, 2, 3, 7] {
-                let parallel = sample_joint_probs(&c, probs, patterns, 9, &tuples, threads);
+                let parallel =
+                    sample_joint_probs(&c, probs, patterns, 9, &tuples, threads, &never).unwrap();
                 assert_eq!(
-                    base,
+                    joint_bits(&base),
                     joint_bits(&parallel),
                     "patterns = {patterns}, threads = {threads}, probs = {probs:?}"
                 );

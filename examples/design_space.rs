@@ -18,7 +18,7 @@ use relogic_netlist::Circuit;
 fn consolidated(c: &Circuit, eps_value: f64, backend: Backend) -> f64 {
     let weights = Weights::try_compute(c, &InputDistribution::Uniform, backend).unwrap();
     let engine = SinglePass::try_new(c, &weights, SinglePassOptions::default()).unwrap();
-    let cons = Consolidator::try_new(c, &InputDistribution::Uniform, backend).unwrap();
+    let cons = Consolidator::try_new(c, &InputDistribution::Uniform, backend, 0).unwrap();
     let result = engine
         .try_run(&GateEps::try_uniform(c, eps_value).unwrap())
         .unwrap();

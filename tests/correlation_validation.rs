@@ -213,7 +213,7 @@ fn observability_exclusive_pairs_are_a_known_limitation() {
     let q = c.or([s, b]);
     c.add_output("op", p);
     c.add_output("oq", q);
-    let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd).unwrap();
+    let cons = Consolidator::try_new(&c, &InputDistribution::Uniform, Backend::Bdd, 0).unwrap();
     let e = 0.05;
     let r = analyze(&c, e);
     let stats = exact_pair_stats(&c, &GateEps::try_uniform(&c, e).unwrap(), p, q);
