@@ -48,6 +48,11 @@ use std::io::ErrorKind;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
+
+/// How often a request waiting on another request's slot build re-checks
+/// its own cancel token.
+const SLOT_WAIT_POLL: Duration = Duration::from_millis(10);
 
 /// The 128-bit content address of an artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -317,11 +322,14 @@ impl<T> LazySlot<T> {
     }
 
     /// Returns the materialized value, building it if this call is first.
-    /// Concurrent callers block until the builder finishes; a cancelled
-    /// or budget-tripped build leaves the slot empty so the next caller
-    /// rebuilds.
+    /// Concurrent callers block until the builder finishes or their own
+    /// `cancel` fires (checked as `site` before building and every
+    /// [`SLOT_WAIT_POLL`] while waiting); a cancelled or budget-tripped
+    /// build leaves the slot empty so the next caller rebuilds.
     fn get_or_build(
         &self,
+        cancel: &CancelToken,
+        site: &'static str,
         build: impl FnOnce() -> Result<(T, Origin), RelogicError>,
     ) -> Result<&T, RelogicError> {
         if let Some(v) = self.peek() {
@@ -335,12 +343,13 @@ impl<T> LazySlot<T> {
             if let Some(e) = &state.failed {
                 return Err(e.clone());
             }
+            cancel.check(site)?;
             if !state.building {
                 break;
             }
-            state = match self.done.wait(state) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
+            state = match self.done.wait_timeout(state, SLOT_WAIT_POLL) {
+                Ok((g, _)) => g,
+                Err(poisoned) => poisoned.into_inner().0,
             };
         }
         state.building = true;
@@ -521,8 +530,7 @@ impl Artifact {
         threads: usize,
         cancel: &CancelToken,
     ) -> Result<&Weights, ServeError> {
-        let slot = self.weights.get_or_build(|| {
-            cancel.check("weights_build")?;
+        let slot = self.weights.get_or_build(cancel, "weights_build", || {
             self.materialize(
                 &counters.weights_computed,
                 Store::load_weights,
@@ -587,8 +595,7 @@ impl Artifact {
         budget: Option<usize>,
         cancel: &CancelToken,
     ) -> Result<&ObservabilityMatrix, RelogicError> {
-        self.observability.get_or_build(|| {
-            cancel.check("obs_build")?;
+        self.observability.get_or_build(cancel, "obs_build", || {
             self.materialize(
                 &counters.observability_computed,
                 Store::load_observability,
@@ -655,8 +662,7 @@ impl Artifact {
         counters: &CacheCounters,
         cancel: &CancelToken,
     ) -> Result<&PropagationEstimate, RelogicError> {
-        self.estimate.get_or_build(|| {
-            cancel.check("estimate_build")?;
+        self.estimate.get_or_build(cancel, "estimate_build", || {
             let estimate =
                 PropagationEstimate::try_compute(&self.circuit, &InputDistribution::Uniform)?;
             counters.estimates_computed.fetch_add(1, Ordering::Relaxed);
@@ -1230,6 +1236,44 @@ mod tests {
                 .is_ok()
         });
         assert!(fresh.join().unwrap());
+    }
+
+    #[test]
+    fn a_waiter_unwinds_on_its_own_token_while_another_request_builds() {
+        let slot = Arc::new(LazySlot::<u32>::default());
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (started, building) = std::sync::mpsc::channel::<()>();
+        let builder = {
+            let slot = Arc::clone(&slot);
+            std::thread::spawn(move || {
+                let value = slot.get_or_build(&CancelToken::new(), "test_build", || {
+                    started.send(()).unwrap();
+                    held.recv().unwrap();
+                    Ok((7, Origin::Computed))
+                });
+                value.copied().unwrap()
+            })
+        };
+        building.recv().unwrap();
+        let waited = std::time::Instant::now();
+        let deadlined = CancelToken::with_deadline(Duration::from_millis(20));
+        let err = slot
+            .get_or_build(&deadlined, "test_build", || {
+                unreachable!("the slot is building")
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, RelogicError::Cancelled(c) if c.checked_at == "test_build"),
+            "{err}"
+        );
+        assert!(
+            waited.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            waited.elapsed()
+        );
+        release.send(()).unwrap();
+        assert_eq!(builder.join().unwrap(), 7);
+        assert_eq!(slot.peek(), Some(&7));
     }
 
     #[test]

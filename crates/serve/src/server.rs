@@ -18,11 +18,18 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a connection read blocks before re-checking the drain flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
+
+/// How often the connection watcher probes the sockets of in-flight
+/// requests. Bounds how long a cancelled job can outlive its client: the
+/// worker is freed within one watch interval plus one engine check
+/// interval.
+const WATCH_INTERVAL: Duration = Duration::from_millis(100);
 
 /// How long an acceptor waits for worker-pool queue space before shedding
 /// the connection with an `overloaded` farewell. Bounded so a wedged pool
@@ -80,7 +87,8 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     pool: WorkerPool,
-    accept_threads: Vec<std::thread::JoinHandle<()>>,
+    accept_threads: Vec<JoinHandle<()>>,
+    watcher: Watcher,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
@@ -114,10 +122,10 @@ impl Server {
         let mut accept_threads = Vec::new();
         let mut tcp_addr = None;
         let mut unix_path = None;
-        // Any failure past this point (bind, listener setup, acceptor
+        // Any failure past this point (bind, listener setup, thread
         // spawn) must tear the partially started server down instead of
         // leaking accept threads or the socket file.
-        let setup = (|| -> std::io::Result<()> {
+        let setup = (|| -> std::io::Result<Watcher> {
             if let Some(addr) = &config.tcp {
                 let listener = TcpListener::bind(addr)?;
                 listener.set_nonblocking(true)?;
@@ -150,23 +158,27 @@ impl Server {
                     |stream: UnixStream, shared| serve_connection(stream, &shared),
                 )?);
             }
-            Ok(())
+            Watcher::spawn(shared.service.clone())
         })();
-        if let Err(e) = setup {
-            shared.service.begin_drain();
-            for handle in accept_threads {
-                let _ = handle.join();
+        let watcher = match setup {
+            Ok(watcher) => watcher,
+            Err(e) => {
+                shared.service.begin_drain();
+                for handle in accept_threads {
+                    let _ = handle.join();
+                }
+                pool.shutdown();
+                if let Some(path) = &unix_path {
+                    let _ = std::fs::remove_file(path);
+                }
+                return Err(e);
             }
-            pool.shutdown();
-            if let Some(path) = &unix_path {
-                let _ = std::fs::remove_file(path);
-            }
-            return Err(e);
-        }
+        };
         Ok(Server {
             shared,
             pool,
             accept_threads,
+            watcher,
             tcp_addr,
             unix_path,
         })
@@ -198,7 +210,8 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, give in-flight frames the
     /// configured grace period to finish, then *fire* their cancel
-    /// tokens, join every thread, and unlink the Unix socket. A
+    /// tokens, join every thread (the connection watcher last, once no
+    /// request can register), and unlink the Unix socket. A
     /// wedged-slow job cannot hold shutdown hostage: past the grace
     /// period it unwinds at its next engine check site and its client is
     /// answered with `shutting_down`.
@@ -215,13 +228,51 @@ impl Server {
         // Queued connections still run; each notices the drain flag after
         // at most one poll interval and closes after its current frame.
         self.pool.shutdown();
+        self.watcher.stop();
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
     }
 }
 
-/// The subset of the pool the acceptors need, cloneable across threads.
+/// The connection watcher: one thread that, every [`WATCH_INTERVAL`],
+/// probes the socket of each in-flight request with [`peer_disconnected`]
+/// and fires the cancel tokens of requests whose client is gone, so a
+/// vanished client frees its worker instead of leaving it to compute a
+/// reply nobody will read.
+struct Watcher {
+    /// Dropping the sender stops the thread at its next wake-up.
+    stop: mpsc::Sender<()>,
+    thread: JoinHandle<()>,
+}
+
+impl Watcher {
+    /// Starts the watcher over `service`'s in-flight registry.
+    ///
+    /// # Errors
+    ///
+    /// Returns the spawn error if the thread cannot be created.
+    fn spawn(service: Service) -> std::io::Result<Watcher> {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::Builder::new()
+            .name("relogic-serve-watch".to_string())
+            .spawn(move || {
+                while let Err(mpsc::RecvTimeoutError::Timeout) =
+                    stopped.recv_timeout(WATCH_INTERVAL)
+                {
+                    service.cancel_disconnected(peer_disconnected);
+                }
+            })?;
+        Ok(Watcher { stop, thread })
+    }
+
+    /// Stops the watcher and joins its thread.
+    fn stop(self) {
+        drop(self.stop);
+        let _ = self.thread.join();
+    }
+}
+
 /// A cloneable handle that submits boxed jobs to the shared worker pool,
 /// waiting at most [`SUBMIT_WAIT`] for queue space. Rejections are
 /// handled by the job's own drop guard (see [`PendingConn`]), so the
@@ -298,7 +349,7 @@ fn spawn_acceptor<L, S>(
     shared: Arc<Shared>,
     submit: Submit,
     handler: fn(S, Arc<Shared>),
-) -> std::io::Result<std::thread::JoinHandle<()>>
+) -> std::io::Result<JoinHandle<()>>
 where
     L: Accept<Stream = S> + Send + 'static,
     S: Write + Send + 'static,
@@ -357,9 +408,9 @@ trait Connection: Read + Write {
     /// Sets the read timeout used for drain-flag polling.
     fn set_poll_timeout(&self, timeout: Duration) -> std::io::Result<()>;
 
-    /// The raw socket descriptor for disconnect probing, when the stream
-    /// has one. `None` disables the probe (the request still runs under
-    /// its deadline, it just cannot notice a vanished client early).
+    /// The raw socket descriptor the connection watcher probes, when the
+    /// stream has one. `None` leaves the request unwatched (it still runs
+    /// under its deadline, it just cannot notice a vanished client early).
     fn probe_fd(&self) -> Option<RawFd> {
         None
     }
@@ -403,9 +454,10 @@ fn peer_disconnected(fd: RawFd) -> bool {
         fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
     }
     let mut byte = 0u8;
-    // SAFETY: `fd` is a live socket owned by this connection's stream for
-    // the duration of the frame loop; the buffer is a valid one-byte
-    // write target; MSG_PEEK leaves the stream state untouched.
+    // SAFETY: the buffer is a valid one-byte write target, and MSG_PEEK
+    // leaves the stream state untouched. The watcher probes `fd` under the
+    // in-flight registry lock, and a request unregisters before its
+    // connection's stream can close, so `fd` is still that live socket.
     let n = unsafe { recv(fd, &raw mut byte, 1, MSG_PEEK | MSG_DONTWAIT) };
     n == 0
 }
@@ -536,17 +588,12 @@ fn frame_loop<S: Connection>(stream: S, shared: &Arc<Shared>) {
                             buf.clear();
                             continue;
                         }
-                        // Probe the socket while the request computes: a
-                        // vanished client cancels the in-flight job and
-                        // frees this worker instead of computing a reply
-                        // nobody will read.
-                        match reader.get_ref().probe_fd() {
-                            Some(fd) => {
-                                let gone = move || peer_disconnected(fd);
-                                shared.service.handle_line_with_probe(text, Some(&gone))
-                            }
-                            None => shared.service.handle_line(text),
-                        }
+                        // The request registers this socket while it
+                        // computes, so the connection watcher can cancel
+                        // it once the client is gone.
+                        shared
+                            .service
+                            .handle_line_with_probe(text, reader.get_ref().probe_fd())
                     }
                     Err(_) => Response {
                         id: None,

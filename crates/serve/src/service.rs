@@ -13,16 +13,11 @@ use crate::proto::{self, Request, RequestLimits, Response, ServeError};
 use crate::stats::ServiceStats;
 use relogic::CancelToken;
 use std::collections::HashMap;
+use std::os::fd::RawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-
-/// How often the supervisor re-checks the client-disconnect probe while a
-/// request is in flight. Bounds how long a cancelled job can outlive its
-/// client: the worker is freed within one poll interval plus one engine
-/// check interval.
-const DISCONNECT_POLL: Duration = Duration::from_millis(100);
 
 /// Service configuration (transport-independent parts).
 #[derive(Clone, Debug)]
@@ -30,10 +25,11 @@ pub struct ServiceConfig {
     /// Artifact-cache byte budget.
     pub cache_bytes: usize,
     /// Per-request execution timeout in milliseconds; `0` disables the
-    /// timeout. An analysis request still runs on a runner thread of its
-    /// own whenever a disconnect probe is set, which is always the case
-    /// over a TCP or Unix socket; only a request with neither a deadline
-    /// nor a probe runs inline on the caller's thread.
+    /// timeout. An analysis request runs on the thread that read its
+    /// frame, under a cancel token armed with the tighter of this cap and
+    /// the request's own `deadline_ms`; when the cap fires, the engine
+    /// unwinds at its next check site and the request is answered
+    /// `timeout`.
     pub timeout_ms: u64,
     /// Maximum request frame size in bytes.
     pub max_request_bytes: usize,
@@ -86,11 +82,12 @@ struct ServiceInner {
     /// the `health` kind (absent when the service runs without a server,
     /// e.g. in tests).
     queue_probe: OnceLock<Box<dyn Fn() -> usize + Send + Sync>>,
-    /// Cancel token of every request currently executing, keyed by a
-    /// monotonic registration id. Graceful drain fires them all once the
-    /// grace period runs out, so a wedged-slow job cannot hold shutdown
-    /// hostage.
-    inflight_tokens: Mutex<HashMap<u64, CancelToken>>,
+    /// Cancel token of every request currently executing, with its
+    /// client's socket descriptor when it has one, keyed by a monotonic
+    /// registration id. Graceful drain fires them all once the grace
+    /// period runs out, so a wedged-slow job cannot hold shutdown hostage;
+    /// the server's connection watcher fires those whose client is gone.
+    inflight_tokens: Mutex<HashMap<u64, (CancelToken, Option<RawFd>)>>,
     /// Next registration id for `inflight_tokens`.
     next_token: AtomicU64,
 }
@@ -98,7 +95,7 @@ struct ServiceInner {
 impl ServiceInner {
     /// The in-flight token registry; a poisoned lock is recovered (the
     /// map's state is valid after any panic — inserts/removes are atomic).
-    fn tokens(&self) -> MutexGuard<'_, HashMap<u64, CancelToken>> {
+    fn tokens(&self) -> MutexGuard<'_, HashMap<u64, (CancelToken, Option<RawFd>)>> {
         match self.inflight_tokens.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -169,10 +166,15 @@ impl Service {
         }
     }
 
-    /// Registers `token` as in flight until the returned guard drops.
-    fn register_token(&self, token: &CancelToken) -> TokenRegistration<'_> {
+    /// Registers `token`, and the socket of the client waiting for its
+    /// reply, as in flight until the returned guard drops.
+    fn register_token(
+        &self,
+        token: &CancelToken,
+        client_fd: Option<RawFd>,
+    ) -> TokenRegistration<'_> {
         let id = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
-        self.inner.tokens().insert(id, token.clone());
+        self.inner.tokens().insert(id, (token.clone(), client_fd));
         TokenRegistration {
             inner: &self.inner,
             id,
@@ -185,10 +187,23 @@ impl Service {
     /// error instead of wedging shutdown.
     pub fn cancel_inflight(&self) -> usize {
         let tokens = self.inner.tokens();
-        for token in tokens.values() {
+        for (token, _) in tokens.values() {
             token.cancel();
         }
         tokens.len()
+    }
+
+    /// Fires the cancel token of every in-flight request whose client
+    /// socket `gone` reports closed. The server's connection watcher calls
+    /// this periodically. `gone` runs under the registry lock: a request
+    /// unregisters before its connection can close, so every descriptor it
+    /// sees is still open.
+    pub(crate) fn cancel_disconnected(&self, gone: impl Fn(RawFd) -> bool) {
+        for (token, client_fd) in self.inner.tokens().values() {
+            if client_fd.is_some_and(&gone) {
+                token.cancel();
+            }
+        }
     }
 
     /// How many requests are currently registered as cancellable.
@@ -298,42 +313,36 @@ impl Service {
         self.handle_line_with_probe(line, None)
     }
 
-    /// Like [`Service::handle_line`], with an optional client-liveness
-    /// probe. When the probe reports the client gone mid-request, the
-    /// in-flight job's cancel token is fired and the worker is freed
-    /// within 100 ms (the probe interval) plus one engine check interval — the
-    /// (undeliverable) response is returned for the caller to discard.
+    /// Like [`Service::handle_line`], for a request whose client waits on
+    /// the socket `client_fd`. The request is registered with that
+    /// descriptor while it computes, so the server's connection watcher
+    /// can fire its cancel token once the client is gone; the worker is
+    /// then freed within one watcher interval plus one engine check
+    /// interval, and the (undeliverable) response is returned for the
+    /// caller to discard.
     #[must_use]
-    pub fn handle_line_with_probe(
-        &self,
-        line: &str,
-        client_gone: Option<&dyn Fn() -> bool>,
-    ) -> String {
+    pub fn handle_line_with_probe(&self, line: &str, client_fd: Option<RawFd>) -> String {
         let started = Instant::now();
         let (id, parsed) = proto::parse_request(line, &self.inner.config.limits);
         let response = match parsed {
             Ok(request) => {
                 self.inner.stats.count_kind(request.kind_index());
-                if request.needs_admission() {
-                    match self.admit() {
-                        Some(permit) => {
-                            let response = self.execute_supervised(id, request, client_gone);
-                            drop(permit);
-                            response
-                        }
-                        None => {
-                            self.inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-                            Response {
-                                id,
-                                kind: Some(request.kind()),
-                                body: Err(ServeError::Overloaded {
-                                    retry_after_ms: self.retry_after_hint_ms(),
-                                }),
-                            }
-                        }
-                    }
+                if !request.needs_admission() {
+                    // `stats` and `health` run unbounded and unregistered.
+                    self.execute(id, request, &CancelToken::new())
+                } else if let Some(permit) = self.admit() {
+                    let response = self.execute_bounded(id, request, client_fd);
+                    drop(permit);
+                    response
                 } else {
-                    self.execute_supervised(id, request, client_gone)
+                    self.inner.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    Response {
+                        id,
+                        kind: Some(request.kind()),
+                        body: Err(ServeError::Overloaded {
+                            retry_after_ms: self.retry_after_hint_ms(),
+                        }),
+                    }
                 }
             }
             Err(error) => Response {
@@ -350,11 +359,10 @@ impl Service {
     }
 
     /// Executes a parsed request under `cancel` with no timeout of its own,
-    /// threading the token through every engine (the supervisor's runner
-    /// thread and its inline path call this; a fresh token runs unbounded).
-    /// A fired token surfaces as a typed `deadline_exceeded` body (counted
-    /// as a cancellation in the engine record); a run that completes is
-    /// bit-identical to one executed with a fresh token.
+    /// threading the token through every engine (a fresh token runs
+    /// unbounded). A fired token surfaces as a typed `deadline_exceeded`
+    /// body (counted as a cancellation in the engine record); a run that
+    /// completes is bit-identical to one executed with a fresh token.
     #[must_use]
     pub fn execute(&self, id: Option<Json>, request: Request, cancel: &CancelToken) -> Response {
         let kind = request.kind();
@@ -371,150 +379,44 @@ impl Service {
         }
     }
 
-    /// Executes a parsed request under the tighter of the client's
-    /// `deadline_ms` and the server's `--timeout-ms` cap, watching the
-    /// client-liveness probe while the work runs. `stats`/`health` always
-    /// run inline (they must stay responsive while workers are saturated).
-    ///
-    /// Which bound fired decides the wire code: a binding *client*
-    /// deadline answers `deadline_exceeded`; the *server* cap keeps the
-    /// legacy `timeout` code. Either way the supervisor no longer merely
-    /// abandons the runner thread — the request token is armed with the
-    /// deadline, so the runner unwinds at its next engine check site.
-    #[must_use]
-    pub fn execute_supervised(
+    /// Executes an admitted analysis request on the calling thread under
+    /// the tighter of the client's `deadline_ms` and the server's
+    /// `--timeout-ms` cap. The token is armed with that deadline and
+    /// registered (with `client_fd`) for as long as the compute runs, so
+    /// drain and the connection watcher can fire it too; [`Self::finalize`]
+    /// names the cause. A panic (a bug, or an injected chaos fault) is
+    /// contained here, counted, and answered with a typed `internal`.
+    fn execute_bounded(
         &self,
         id: Option<Json>,
         request: Request,
-        client_gone: Option<&dyn Fn() -> bool>,
+        client_fd: Option<RawFd>,
     ) -> Response {
-        if !request.needs_admission() {
-            return self.execute(id, request, &CancelToken::new());
-        }
         let server_ms = self.inner.config.timeout_ms;
         let request_ms = request.deadline_ms();
-        let effective_ms = match (request_ms, server_ms) {
-            (Some(r), 0) => Some(r),
-            (Some(r), s) => Some(r.min(s)),
-            (None, 0) => None,
-            (None, s) => Some(s),
-        };
+        let server_cap = (server_ms > 0).then_some(server_ms);
         // Whether the *client's* deadline is the binding constraint (it
         // is at least as tight as the server cap).
-        let request_binding = match (request_ms, server_ms) {
-            (Some(_), 0) => true,
-            (Some(r), s) => r <= s,
-            (None, _) => false,
-        };
-        let token = match effective_ms {
+        let request_binding = request_ms.is_some_and(|r| server_cap.is_none_or(|s| r <= s));
+        let token = match request_ms.into_iter().chain(server_cap).min() {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
             None => CancelToken::new(),
         };
-        let registration = self.register_token(&token);
-        if effective_ms.is_none() && client_gone.is_none() {
-            // Nothing to supervise: run inline. The token stays
-            // registered so graceful drain can still fire it.
-            let response = self.execute(id, request, &token);
-            drop(registration);
-            return self.finalize(response, &token, request_binding, server_ms);
-        }
+        let _registration = self.register_token(&token, client_fd);
         let kind = request.kind();
-        let supervisor_id = id.clone();
-        let service = self.clone();
-        let runner_token = token.clone();
-        let (tx, rx) = mpsc::channel();
-        // The runner is detached if the supervisor returns first, but the
-        // armed token means a runaway analysis now unwinds at its next
-        // check site instead of computing to completion for nobody. A
-        // panic inside the runner (a bug — or an injected chaos fault) is
-        // contained here: it bumps the panic counter and drops `tx`,
-        // which the supervisor observes as a disconnect and answers with
-        // a typed `internal`.
-        std::thread::spawn(move || {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                service.execute(id, request, &runner_token)
-            }));
-            match outcome {
-                Ok(response) => {
-                    let _ = tx.send(response);
-                }
-                Err(_) => {
-                    service.inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        let started = Instant::now();
-        loop {
-            let until_fire =
-                effective_ms.map(|ms| Duration::from_millis(ms).saturating_sub(started.elapsed()));
-            let slice = match (until_fire, client_gone) {
-                (Some(remaining), Some(_)) => remaining.min(DISCONNECT_POLL),
-                (Some(remaining), None) => remaining,
-                (None, _) => DISCONNECT_POLL,
-            };
-            match rx.recv_timeout(slice) {
-                Ok(response) => {
-                    drop(registration);
-                    return self.finalize(response, &token, request_binding, server_ms);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(gone) = client_gone {
-                        if gone() {
-                            // The reply is undeliverable; cancel the job
-                            // so the worker frees promptly, and hand back
-                            // a response the caller will fail to write.
-                            token.cancel();
-                            self.inner
-                                .stats
-                                .disconnect_cancels
-                                .fetch_add(1, Ordering::Relaxed);
-                            drop(registration);
-                            return Response {
-                                id: supervisor_id,
-                                kind: Some(kind),
-                                body: Err(ServeError::Internal(
-                                    "client disconnected; request cancelled".into(),
-                                )),
-                            };
-                        }
-                    }
-                    let deadline_fired = effective_ms
-                        .is_some_and(|ms| started.elapsed() >= Duration::from_millis(ms));
-                    if deadline_fired {
-                        // The deadline armed in the token has fired; the
-                        // runner unwinds on its own at the next check
-                        // site. Answer now with the code of whichever
-                        // bound was binding.
-                        drop(registration);
-                        let body = if request_binding {
-                            self.inner
-                                .stats
-                                .deadline_exceeded
-                                .fetch_add(1, Ordering::Relaxed);
-                            Err(ServeError::DeadlineExceeded {
-                                after_ms: effective_ms.unwrap_or(0),
-                                site: "watchdog",
-                            })
-                        } else {
-                            self.inner.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                            Err(ServeError::Timeout { ms: server_ms })
-                        };
-                        return Response {
-                            id: supervisor_id,
-                            kind: Some(kind),
-                            body,
-                        };
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    drop(registration);
-                    return Response {
-                        id: supervisor_id,
-                        kind: Some(kind),
-                        body: Err(ServeError::Internal(
-                            "request worker died before producing a response".into(),
-                        )),
-                    };
+        let reply_id = id.clone();
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.execute(id, request, &token)
+        })) {
+            Ok(response) => self.finalize(response, &token, request_binding, server_ms),
+            Err(_) => {
+                self.inner.stats.panics.fetch_add(1, Ordering::Relaxed);
+                Response {
+                    id: reply_id,
+                    kind: Some(kind),
+                    body: Err(ServeError::Internal(
+                        "request panicked before producing a response".into(),
+                    )),
                 }
             }
         }
@@ -522,10 +424,12 @@ impl Service {
 
     /// Attributes a `deadline_exceeded` body produced by the compute path
     /// to its cause: drain cancellation remaps to `shutting_down` (the
-    /// request is retryable elsewhere), a binding client deadline keeps
-    /// the typed code and counts it, and a binding server cap remaps to
-    /// the legacy `timeout` code so pre-deadline clients see the same
-    /// wire contract as before.
+    /// request is retryable elsewhere); any other explicit cancel came
+    /// from the connection watcher, so the client is gone and gets an
+    /// undeliverable `internal`; a binding client deadline keeps the typed
+    /// code and counts it; and a binding server cap remaps to the legacy
+    /// `timeout` code so pre-deadline clients see the same wire contract
+    /// as before.
     fn finalize(
         &self,
         mut response: Response,
@@ -533,20 +437,26 @@ impl Service {
         request_binding: bool,
         server_ms: u64,
     ) -> Response {
-        if matches!(response.body, Err(ServeError::DeadlineExceeded { .. })) {
-            let explicit = token.was_cancelled_explicitly();
-            if explicit && self.is_draining() {
-                response.body = Err(ServeError::ShuttingDown);
-            } else if request_binding || explicit {
-                self.inner
-                    .stats
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.inner.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                response.body = Err(ServeError::Timeout { ms: server_ms });
-            }
+        if !matches!(response.body, Err(ServeError::DeadlineExceeded { .. })) {
+            return response;
         }
+        let stats = &self.inner.stats;
+        response.body = if token.was_cancelled_explicitly() {
+            if self.is_draining() {
+                Err(ServeError::ShuttingDown)
+            } else {
+                stats.disconnect_cancels.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::Internal(
+                    "client disconnected; request cancelled".into(),
+                ))
+            }
+        } else if request_binding {
+            stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            response.body
+        } else {
+            stats.timeouts.fetch_add(1, Ordering::Relaxed);
+            Err(ServeError::Timeout { ms: server_ms })
+        };
         response
     }
 

@@ -1,8 +1,9 @@
 //! End-to-end deadline and cancellation tests over real sockets: a
 //! bound `deadline_ms` request answers `deadline_exceeded` promptly and
-//! demonstrably frees its worker, a vanished client cancels its
-//! in-flight job, and graceful drain completes under a wedged-slow job
-//! by firing the outstanding cancel tokens after the grace period.
+//! demonstrably frees its worker, the `--timeout-ms` cap answers
+//! `timeout` the same way, a vanished client cancels its in-flight job,
+//! and graceful drain completes under a wedged-slow job by firing the
+//! outstanding cancel tokens after the grace period.
 
 // Test helpers may unwrap: a panic here is a test failure, not a crash path.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -33,16 +34,168 @@ fn start_server(threads: usize, timeout_ms: u64, drain_grace_ms: u64) -> Server 
 }
 
 fn round_trip(addr: std::net::SocketAddr, frame: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    stream.write_all(frame.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    json::parse(line.trim()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+    Connection::open(addr).call(frame)
+}
+
+/// One persistent connection: each call writes a frame and reads its
+/// reply line, so every frame is served by the same pool worker.
+struct Connection {
+    reader: BufReader<TcpStream>,
+}
+
+impl Connection {
+    fn open(addr: std::net::SocketAddr) -> Connection {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        Connection {
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn call(&mut self, frame: &str) -> Json {
+        let stream = self.reader.get_mut();
+        stream.write_all(frame.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        self.reader.read_line(&mut line).unwrap();
+        json::parse(line.trim()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+    }
+
+    /// `stats`' in-flight gauge and its `cancellation` object's
+    /// `cancelled`, `deadline_exceeded` and the top-level `timeouts`.
+    fn counters(&mut self) -> [u64; 4] {
+        let reply = self.call(r#"{"kind":"stats"}"#);
+        let result = reply.get("result").unwrap();
+        let cancellation = result.get("cancellation").unwrap();
+        [
+            result.get("inflight"),
+            cancellation.get("cancelled"),
+            cancellation.get("deadline_exceeded"),
+            result.get("timeouts"),
+        ]
+        .map(|member| member.and_then(Json::as_u64).unwrap())
+    }
+}
+
+// The deadline plus 250 ms, the bound `crates/cli/tests/exit_codes.rs`
+// holds the CLI to.
+const DEADLINE_MS: u64 = 500;
+const REPLY_BOUND: Duration = Duration::from_millis(750);
+
+/// An analysis frame on `netlist`, with `extra` members appended.
+fn frame(kind: &str, id: u64, netlist: &str, extra: &[(&'static str, Json)]) -> String {
+    let mut members = vec![
+        ("kind", Json::from(kind)),
+        ("id", Json::from(id)),
+        ("netlist", Json::from(netlist)),
+        ("eps", Json::from(0.05)),
+    ];
+    members.extend(extra.iter().cloned());
+    Json::obj(members).encode()
+}
+
+/// A short `monte_carlo` on the same connection must answer: the worker
+/// is free again.
+fn assert_worker_answers(conn: &mut Connection, netlist: &str) {
+    let quick = [
+        ("patterns", Json::from(2_048u64)),
+        ("threads", Json::from(1u64)),
+    ];
+    let reply = conn.call(&frame("monte_carlo", 99, netlist, &quick));
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{}",
+        reply.encode()
+    );
+}
+
+/// The serve deadline contract on c1908, one pool worker, cold cache:
+/// each kind answers `deadline_exceeded` within the deadline plus
+/// 250 ms, naming the engine check site that unwound. By the time the
+/// reply is read its compute has already stopped: `stats`, the next
+/// frame on the same worker, shows nothing in flight and one more
+/// cancellation, without polling. The worker then answers again.
+#[test]
+fn every_kind_meets_its_deadline_on_c1908_and_frees_its_worker() {
+    let netlist = relogic_netlist::bench::write(&relogic_gen::suite::c1908());
+    let server = start_server(1, 0, 2_000);
+    let mut conn = Connection::open(server.tcp_addr().unwrap());
+    let [_, mut cancelled, mut exceeded, _] = conn.counters();
+    let huge_mc = [
+        ("patterns", Json::from(4_000_000_000u64)),
+        ("threads", Json::from(1u64)),
+    ];
+    // `observability` and `estimate` stop in the exact build, `analyze`
+    // while its weights build, `monte_carlo` between tape chunks.
+    let cases: [(&str, &[(&'static str, Json)]); 4] = [
+        ("observability", &[]),
+        ("monte_carlo", &huge_mc),
+        ("estimate", &[]),
+        ("analyze", &[]),
+    ];
+    for (id, (kind, extra)) in (1u64..).zip(cases) {
+        let mut members = extra.to_vec();
+        members.push(("deadline_ms", Json::from(DEADLINE_MS)));
+        let started = Instant::now();
+        let reply = conn.call(&frame(kind, id, &netlist, &members));
+        let waited = started.elapsed();
+        let error = reply
+            .get("error")
+            .unwrap_or_else(|| panic!("{kind}: {}", reply.encode()));
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("deadline_exceeded"),
+            "{kind}: {}",
+            reply.encode()
+        );
+        let site = error.get("site").and_then(Json::as_str).unwrap();
+        assert_ne!(site, "watchdog", "{kind}: {}", reply.encode());
+        assert!(waited < REPLY_BOUND, "{kind}: answered after {waited:?}");
+        let [inflight, now_cancelled, now_exceeded, _] = conn.counters();
+        assert_eq!(inflight, 0, "{kind}: compute outlived its reply");
+        assert_eq!(
+            now_cancelled,
+            cancelled + 1,
+            "{kind}: cancellation not yet counted"
+        );
+        assert_eq!(now_exceeded, exceeded + 1, "{kind}");
+        (cancelled, exceeded) = (now_cancelled, now_exceeded);
+    }
+    assert_worker_answers(&mut conn, &netlist);
+    server.shutdown();
+}
+
+/// The `--timeout-ms` cap fires like a client deadline but answers the
+/// legacy `timeout` code, within the same bound and with the worker free
+/// by the time the reply is read.
+#[test]
+fn the_server_cap_answers_timeout_and_frees_the_worker() {
+    let netlist = relogic_netlist::bench::write(&relogic_gen::suite::c1908());
+    let server = start_server(1, DEADLINE_MS, 2_000);
+    let mut conn = Connection::open(server.tcp_addr().unwrap());
+    let [_, cancelled, exceeded, timeouts] = conn.counters();
+    let started = Instant::now();
+    let reply = conn.call(&wedge_frame(&netlist, 1));
+    let waited = started.elapsed();
+    let error = reply.get("error").unwrap();
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("timeout"),
+        "{}",
+        reply.encode()
+    );
+    assert_eq!(error.get("ms").and_then(Json::as_u64), Some(DEADLINE_MS));
+    assert!(waited < REPLY_BOUND, "answered after {waited:?}");
+    assert_eq!(
+        conn.counters(),
+        [0, cancelled + 1, exceeded, timeouts + 1],
+        "[inflight, cancelled, deadline_exceeded, timeouts]"
+    );
+    assert_worker_answers(&mut conn, &netlist);
+    server.shutdown();
 }
 
 /// A Monte Carlo budget large enough to run for minutes on one thread —

@@ -5,9 +5,9 @@
 //! software that *computes* those reliabilities. Every layer of the serving
 //! stack — worker-pool jobs, request execution, connection I/O, the
 //! artifact cache — exposes an injection site ([`ChaosSite`]) with a
-//! configurable, seeded failure probability, so the failure paths built in
-//! earlier PRs (typed errors, watchdog timeouts, panic containment, LRU
-//! eviction) can be exercised under *injected* faults instead of waiting
+//! configurable, seeded failure probability, so the stack's failure paths
+//! (typed errors, deadline timeouts, panic containment, LRU eviction) can
+//! be exercised under *injected* faults instead of waiting
 //! for production to find them.
 //!
 //! # Determinism contract
@@ -46,7 +46,8 @@ pub enum ChaosSite {
     /// runs (latency spike).
     PoolDelay,
     /// Request execution panics mid-analysis (in `relogic-serve` the
-    /// watchdog turns this into exactly one `internal` wire error).
+    /// request-level `catch_unwind` turns this into exactly one `internal`
+    /// wire error).
     ExecPanic,
     /// Request execution is delayed by [`ChaosConfig::delay`] first.
     ExecDelay,
@@ -420,7 +421,7 @@ impl Chaos {
 
     /// Panics (with a recognizable payload) if the panic-class `site`
     /// fires. Callers must sit under a `catch_unwind` boundary — the
-    /// worker pool and the serve watchdog both do.
+    /// worker pool's per-job one and serve's per-request one both do.
     pub fn maybe_panic(&self, site: ChaosSite) {
         if self.should(site) {
             panic!("chaos: injected {} fault", site.name());
