@@ -5,26 +5,27 @@
 //! These provide the same quantities as the BDD backend in `relogic-bdd`
 //! but scale to circuits whose BDDs blow up, at the cost of sampling noise
 //! `O(1/√patterns)`. Both run on the compiled tape's block evaluator
-//! ([`CircuitTape::eval_block`]) and draw their inputs from one
-//! `SmallRng(seed)` stream ([`InputSampler`]), so every count is a pure
-//! function of `(input probabilities, patterns, seed)`, whatever the
-//! thread count:
+//! ([`CircuitTape::eval_block`]) and draw their input words from Monte
+//! Carlo's position-addressed stream (`tape_exec::input_words`), keyed by
+//! `(seed, block, input node)`. Any block can be drawn on any worker, so
+//! every count is a pure function of `(input probabilities, patterns,
+//! seed)`, whatever the thread count, and a Monte Carlo run with the same
+//! `(patterns, seed)` sees the same fault-free values:
 //!
-//! * [`sample_joint_probs`] hands each worker a contiguous range of
-//!   blocks. A worker fast-forwards the stream to its first block by
-//!   drawing the earlier blocks' inputs and discarding them, then counts
-//!   exact integers, which are summed in worker order.
-//! * [`observabilities_biased`] splits the target nodes instead and every
-//!   worker replays the whole stream: re-evaluating each target's fanout
-//!   cone costs far more than the replayed clean evaluation.
+//! * [`sample_joint_probs`] hands out chunks of [`CHUNK_BLOCKS`] blocks,
+//!   as Monte Carlo does. Each worker adds exact integer counts into its
+//!   own accumulator, and the accumulators are summed at the end.
+//! * [`observabilities_biased`] splits the target nodes instead, and
+//!   every worker draws and evaluates every block: re-evaluating each
+//!   target's fanout cone costs far more than the clean evaluation, and a
+//!   block split would hold one nodes × outputs counter matrix per worker.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::exec::ChunkExecutor;
-use crate::sampler::InputSampler;
 use crate::tape::CircuitTape;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use crate::tape_exec::{input_quantized, input_words, CHUNK_BLOCKS, DEFAULT_LANES as L};
 use relogic_netlist::{Circuit, NodeId};
+use std::ops::Range;
 
 /// Joint value probabilities of node tuples and the signal probability of
 /// every node, from one simulation pass over `patterns` sampled input
@@ -40,14 +41,16 @@ use relogic_netlist::{Circuit, NodeId};
 /// are the joint value distributions the consolidator needs. The second
 /// half is the fault-free signal probability `Pr(node = 1)` of every node.
 ///
-/// The blocks are split into contiguous ranges over `threads` workers
-/// (`0` auto-detects the hardware). Every value is an exact integer count
+/// Chunks of [`CHUNK_BLOCKS`] blocks go to `threads` workers (`0`
+/// auto-detects the hardware). Every value is an exact integer count
 /// divided by the pattern total, so the result is bit-identical for every
-/// thread count. A tuple of at most four nodes is counted per block as
-/// the popcounts of ANDs over its subsets, turned into value counts by
-/// inclusion–exclusion after the last block; a wider tuple splits each
-/// block's 64 lanes node by node. `cancel` is checked once per 64-pattern
-/// block in every worker, fast-forwarded blocks included.
+/// thread count. The input words are Monte Carlo's, so the signal
+/// probabilities equal the fault-free ones a tape Monte Carlo run with
+/// the same `(patterns, seed)` and input probabilities tallies. A tuple of
+/// at most four nodes is counted per block as the popcounts of ANDs over
+/// its subsets, turned into value counts by inclusion–exclusion after the
+/// last block; a wider tuple splits each block's 64 lanes node by node.
+/// `cancel` is checked at every chunk hand-out.
 ///
 /// # Examples
 ///
@@ -216,6 +219,75 @@ fn split_lanes(words: &[u64], slots: &[u32], acc: &mut [u64]) {
     }
 }
 
+/// The sampled passes' view of the input stream: per-slot input biases
+/// and the seed, turned into evaluated blocks.
+struct BlockStream<'a> {
+    tape: &'a CircuitTape,
+    quantized: Vec<Option<u64>>,
+    seed: u64,
+}
+
+/// Per-worker buffers of a [`BlockStream`]: one block's slot words and
+/// the input words of `L` blocks, per input position.
+struct BlockScratch {
+    words: Vec<u64>,
+    inputs: Vec<[u64; L]>,
+}
+
+impl<'a> BlockStream<'a> {
+    fn new(tape: &'a CircuitTape, input_probs: &[f64], seed: u64) -> Self {
+        BlockStream {
+            tape,
+            quantized: input_quantized(tape, input_probs),
+            seed,
+        }
+    }
+
+    fn scratch(&self) -> BlockScratch {
+        BlockScratch {
+            words: vec![0; self.tape.n_slots()],
+            inputs: vec![[0; L]; self.tape.input_slots().len()],
+        }
+    }
+
+    /// Evaluates `blocks` in order and hands each block's slot words to
+    /// `visit`. Input words are drawn `L` blocks at a time; those past
+    /// the range go unused.
+    fn eval_blocks(
+        &self,
+        blocks: Range<u64>,
+        scratch: &mut BlockScratch,
+        mut visit: impl FnMut(&[u64]) -> Result<(), Cancelled>,
+    ) -> Result<(), Cancelled> {
+        let slots = self.tape.input_slots();
+        let mut first = blocks.start;
+        while first < blocks.end {
+            for (group, &s) in scratch.inputs.iter_mut().zip(slots) {
+                let node = self.tape.node_of_slot(s as usize) as u64;
+                *group = input_words(self.seed, first, node, self.quantized[s as usize]);
+            }
+            let live = usize::try_from(blocks.end - first).map_or(L, |n| n.min(L));
+            for l in 0..live {
+                for (group, &s) in scratch.inputs.iter().zip(slots) {
+                    scratch.words[s as usize] = group[l];
+                }
+                self.tape.eval_block(&mut scratch.words, None);
+                visit(&scratch.words)?;
+            }
+            first += L as u64;
+        }
+        Ok(())
+    }
+}
+
+/// One worker's block buffers and integer counts: every slot's ones and
+/// the flat accumulator of a [`CountPlan`].
+struct WorkerCounts {
+    scratch: BlockScratch,
+    ones: Vec<u64>,
+    acc: Vec<u64>,
+}
+
 /// Samples `blocks` 64-pattern blocks on `tape` and counts every tuple's
 /// value combinations and every slot's ones, over `threads` workers.
 fn sample_counts<T: AsRef<[NodeId]>>(
@@ -227,7 +299,7 @@ fn sample_counts<T: AsRef<[NodeId]>>(
     threads: usize,
     cancel: &CancelToken,
 ) -> Result<Counts, Cancelled> {
-    let sampler = InputSampler::independent(input_probs);
+    let stream = BlockStream::new(tape, input_probs, seed);
     let slot_tuples: Vec<Vec<u32>> = tuples
         .iter()
         .map(|t| {
@@ -243,49 +315,35 @@ fn sample_counts<T: AsRef<[NodeId]>>(
         })
         .collect();
     let plan = CountPlan::new(&slot_tuples);
-    let executor = ChunkExecutor::new(threads);
-    let workers = executor
-        .threads()
-        .min(usize::try_from(blocks).unwrap_or(usize::MAX));
-    // Worker `w` takes blocks `blocks·w/workers .. blocks·(w+1)/workers`
-    // (at most `blocks`, so the cast back is exact).
-    #[allow(clippy::cast_possible_truncation)]
-    let start_of = |w: usize| (u128::from(blocks) * w as u128 / workers as u128) as u64;
-    let (chunks, _) = executor.try_map_chunks_with_state(
-        workers,
+    let chunks = usize::try_from(blocks.div_ceil(CHUNK_BLOCKS)).unwrap_or(usize::MAX);
+    let (_, workers) = ChunkExecutor::new(threads).try_map_chunks_with_state(
+        chunks,
         cancel,
         "joint_sim",
-        || (),
-        |(), w| {
-            let (start, end) = (start_of(w), start_of(w + 1));
-            let mut words = vec![0u64; tape.n_slots()];
-            let mut ones = vec![0u64; tape.n_slots()];
-            let mut acc = vec![0u64; plan.len];
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for block in 0..end {
-                cancel.check("joint_sim")?;
-                sampler.fill(&mut words, tape.input_slots(), &mut rng);
-                if block < start {
-                    // Fast-forward: an earlier worker's block only
-                    // advances the stream.
-                    continue;
-                }
-                tape.eval_block(&mut words, None);
-                for (count, &word) in ones.iter_mut().zip(&words) {
+        || WorkerCounts {
+            scratch: stream.scratch(),
+            ones: vec![0; tape.n_slots()],
+            acc: vec![0; plan.len],
+        },
+        |worker, chunk| {
+            let first = chunk as u64 * CHUNK_BLOCKS;
+            let range = first..(first + CHUNK_BLOCKS).min(blocks);
+            stream.eval_blocks(range, &mut worker.scratch, |words| {
+                for (count, &word) in worker.ones.iter_mut().zip(words) {
                     *count += u64::from(word.count_ones());
                 }
-                plan.count_block(&words, &mut acc);
-            }
-            Ok((ones, acc))
+                plan.count_block(words, &mut worker.acc);
+                Ok(())
+            })
         },
     )?;
     let mut ones = vec![0u64; tape.n_slots()];
     let mut acc = vec![0u64; plan.len];
-    for (worker_ones, worker_acc) in chunks {
-        for (sum, c) in ones.iter_mut().zip(worker_ones) {
+    for worker in workers {
+        for (sum, c) in ones.iter_mut().zip(worker.ones) {
             *sum += c;
         }
-        for (sum, c) in acc.iter_mut().zip(worker_acc) {
+        for (sum, c) in acc.iter_mut().zip(worker.acc) {
             *sum += c;
         }
     }
@@ -352,8 +410,9 @@ fn fanout_cone(tape: &CircuitTape, target: usize) -> Vec<u32> {
 /// one output) — the two arrays of `relogic::ObservabilityMatrix`.
 ///
 /// Worker `w` of `threads` (`0` auto-detects the hardware) takes the
-/// nodes `w, w + threads, …` and replays the whole input stream, so every
-/// count — and the result — is bit-identical for every thread count.
+/// nodes `w, w + threads, …` and draws and evaluates every block, so
+/// every count — and the result — is bit-identical for every thread
+/// count. The input words are Monte Carlo's (see the module docs).
 /// `cancel` is checked once per 64-pattern block in every worker.
 ///
 /// Cost is `O(patterns/64 · Σ_i |cone(i)|)`; intended for circuits up to a
@@ -377,7 +436,7 @@ pub fn observabilities_biased(
 ) -> Result<(Vec<Vec<f64>>, Vec<f64>), Cancelled> {
     let tape = CircuitTape::compile(circuit);
     let n = tape.n_slots();
-    let sampler = InputSampler::independent(input_probs);
+    let stream = BlockStream::new(&tape, input_probs, seed);
     let blocks = patterns.div_ceil(64).max(1);
     let mut outputs_at = vec![Vec::new(); n];
     for (k, &os) in tape.output_slots().iter().enumerate() {
@@ -389,18 +448,15 @@ pub fn observabilities_biased(
         workers,
         cancel,
         "obs_sim",
-        || (vec![0u64; n], vec![0u64; n]),
-        |(clean, faulty), worker| {
+        || (stream.scratch(), vec![0u64; n]),
+        |(scratch, faulty), worker| {
             let cones: Vec<Vec<u32>> = (worker..n)
                 .step_by(workers)
                 .map(|t| fanout_cone(&tape, t))
                 .collect();
             let mut counts = vec![(vec![0u64; tape.output_slots().len()], 0u64); cones.len()];
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for _ in 0..blocks {
+            stream.eval_blocks(0..blocks, scratch, |clean| {
                 cancel.check("obs_sim")?;
-                sampler.fill(clean, tape.input_slots(), &mut rng);
-                tape.eval_block(clean, None);
                 faulty.copy_from_slice(clean);
                 for (cone, (row, any_count)) in cones.iter().zip(&mut counts) {
                     let mut any = 0u64;
@@ -422,7 +478,8 @@ pub fn observabilities_biased(
                         faulty[s as usize] = clean[s as usize];
                     }
                 }
-            }
+                Ok(())
+            })?;
             Ok(counts)
         },
     )?;
@@ -618,9 +675,10 @@ mod tests {
     }
 
     /// The per-block counting the subset and lane-split counters replaced,
-    /// kept as their oracle: one thread over the whole stream, each value
-    /// combination of a tuple of at most four nodes one AND chain, a wider
-    /// tuple gathered lane by lane.
+    /// kept as their oracle: one thread, one block at a time, each input
+    /// word drawn alone from the stream, each value combination of a
+    /// tuple of at most four nodes one AND chain, a wider tuple gathered
+    /// lane by lane.
     fn per_block_counts(
         tape: &CircuitTape,
         input_probs: &[f64],
@@ -628,8 +686,7 @@ mod tests {
         seed: u64,
         tuples: &[Vec<NodeId>],
     ) -> Counts {
-        let sampler = InputSampler::independent(input_probs);
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let quantized = input_quantized(tape, input_probs);
         let slot_tuples: Vec<Vec<usize>> = tuples
             .iter()
             .map(|t| t.iter().map(|id| tape.slot_of_node(id.index())).collect())
@@ -641,8 +698,11 @@ mod tests {
         let mut ones = vec![0u64; tape.n_slots()];
         let mut words = vec![0u64; tape.n_slots()];
         let mut tuple_words: Vec<u64> = Vec::with_capacity(MAX_COUNTED_ARITY);
-        for _ in 0..blocks {
-            sampler.fill(&mut words, tape.input_slots(), &mut rng);
+        for block in 0..blocks {
+            for &s in tape.input_slots() {
+                let node = tape.node_of_slot(s as usize) as u64;
+                [words[s as usize]] = input_words(seed, block, node, quantized[s as usize]);
+            }
             tape.eval_block(&mut words, None);
             for (count, &w) in ones.iter_mut().zip(&words) {
                 *count += u64::from(w.count_ones());

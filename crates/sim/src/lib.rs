@@ -11,9 +11,9 @@
 //!   instruction tape, with the one 64-pattern block evaluator
 //!   ([`CircuitTape::eval_block`], optional per-slot XOR flip masks) every
 //!   sampled and exhaustive pass runs on.
-//! * [`BiasedBits`] — `Bernoulli(p)` words at one RNG word per binary
-//!   digit of `p` (biased input sampling; defines the quantized ε the
-//!   tape kernel realizes).
+//! * [`BiasedBits`] — a probability quantized to a whole number of binary
+//!   digits: the ε every fault mask and the bias every biased input word
+//!   realizes.
 //! * [`try_estimate`] — the Monte Carlo reliability estimator (per-output δ,
 //!   consolidated any-output error, joint output pairs, per-node
 //!   conditional error statistics).
@@ -21,7 +21,9 @@
 //!   compiled tape executed by a fused wide kernel (`u64×8` lanes,
 //!   clean and noisy planes in one pass, fault masks generated in-lane
 //!   from a position-based RNG). Bit-identical across thread counts;
-//!   callers holding a compiled tape call it directly.
+//!   callers holding a compiled tape call it directly. Its input stream,
+//!   keyed by `(seed, block, input node)`, is the only one in the crate:
+//!   the sampling backends below draw the same words.
 //! * [`exec::ChunkExecutor`] — the deterministic fan-out executor behind
 //!   the Monte Carlo engine, sampled observability and the ε-sweep drivers
 //!   in `relogic::sweep`.
@@ -45,7 +47,6 @@ mod estimate;
 pub mod exec;
 mod exhaustive;
 mod monte_carlo;
-mod sampler;
 mod tape;
 mod tape_exec;
 

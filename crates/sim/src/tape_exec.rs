@@ -245,6 +245,54 @@ fn biased_group<const W: usize>(
     }
 }
 
+/// The input words of blocks `first_block .. first_block + W` at input
+/// node `node`: the one input stream of every simulation pass in this
+/// crate (Monte Carlo, sampled weights and pair values, sampled
+/// observability). Word `l` is a pure function of `(seed, first_block +
+/// l, node)`: the cell's first digit plane when `quantized` is `None`
+/// (p = ½), otherwise its bitsliced Bernoulli word. `quantized` comes
+/// from [`input_quantized`].
+#[inline(always)]
+pub(crate) fn input_words<const W: usize>(
+    seed: u64,
+    first_block: u64,
+    node: u64,
+    quantized: Option<u64>,
+) -> [u64; W] {
+    let mut bases = [0u64; W];
+    for (l, b) in bases.iter_mut().enumerate() {
+        *b = cell_key(seed, first_block + l as u64, node, STREAM_INPUT);
+    }
+    let mut words = [0u64; W];
+    match quantized {
+        None => {
+            for l in 0..W {
+                words[l] = digit_word(bases[l], 0);
+            }
+        }
+        Some(q) => biased_group(&bases, q, DEFAULT_RESOLUTION, &mut words),
+    }
+    words
+}
+
+/// Per-slot input biases for [`input_words`]: input position `i` is 1
+/// with probability `input_probs[i]`, quantized to [`DEFAULT_RESOLUTION`]
+/// binary digits; `None` marks p = ½ and every slot past the given
+/// positions or not an input.
+///
+/// # Panics
+///
+/// Panics if a probability is outside `[0, 1]`.
+pub(crate) fn input_quantized(tape: &CircuitTape, input_probs: &[f64]) -> Vec<Option<u64>> {
+    let mut quantized = vec![None; tape.n_slots()];
+    for (&slot, &p) in tape.input_slots().iter().zip(input_probs) {
+        if (p - 0.5).abs() >= f64::EPSILON {
+            quantized[slot as usize] = Some(BiasedBits::new(p, DEFAULT_RESOLUTION).quantized());
+        }
+    }
+    quantized
+}
+
 /// Mask pre-pass batch width: every `biased_group` call in the pre-pass
 /// spans 16 words (`16 / L` slots). The plane loop is latency-bound on
 /// `mix64`, so each plane must present enough independent words to
@@ -481,16 +529,7 @@ impl TapeRun<'_> {
             match tape.kind(s) {
                 GateKind::Input => {
                     let node = tape.node_of_slot(s) as u64;
-                    let bases = self.bases(first_block, node, STREAM_INPUT);
-                    let mut words = [0u64; L];
-                    match self.sample_q[s] {
-                        None => {
-                            for l in 0..L {
-                                words[l] = digit_word(bases[l], 0);
-                            }
-                        }
-                        Some(p) => biased_group(&bases, p, DEFAULT_RESOLUTION, &mut words),
-                    }
+                    let words = input_words::<L>(self.seed, first_block, node, self.sample_q[s]);
                     for l in 0..L {
                         vals[out + l] = words[l];
                         vals[out + L + l] = words[l];
@@ -539,16 +578,6 @@ impl TapeRun<'_> {
                 }
             }
         }
-    }
-
-    /// Cell keys of one lane group for a `(node, stream)` pair.
-    #[inline(always)]
-    fn bases(&self, first_block: u64, node: u64, stream: u64) -> [u64; L] {
-        let mut bases = [0u64; L];
-        for (l, b) in bases.iter_mut().enumerate() {
-            *b = cell_key(self.seed, first_block + l as u64, node, stream);
-        }
-        bases
     }
 
     /// Tallies the first `live` lanes of the freshly computed group.
@@ -637,15 +666,7 @@ pub fn try_estimate_tape(
         .into_iter()
         .map(|(quantized, slots)| MaskClass { quantized, slots })
         .collect();
-    let mut sample_q: Vec<Option<u64>> = vec![None; n];
-    if let Some(probs) = &config.input_probs {
-        for (pos, &p) in probs.iter().enumerate() {
-            if (p - 0.5).abs() >= f64::EPSILON {
-                let slot = tape.input_slots()[pos] as usize;
-                sample_q[slot] = Some(BiasedBits::new(p, DEFAULT_RESOLUTION).quantized());
-            }
-        }
-    }
+    let sample_q = input_quantized(tape, config.input_probs.as_deref().unwrap_or_default());
     let output_slots: Vec<usize> = output_nodes.iter().map(|&i| tape.slot_of_node(i)).collect();
 
     let blocks = config.patterns.div_ceil(64).max(1);
