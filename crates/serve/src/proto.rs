@@ -111,12 +111,16 @@ impl BackendSpec {
     }
 
     /// A stable string mixed into cache keys: artifacts computed by
-    /// different backends must never collide.
+    /// different backends must never collide. The sampled tag also names
+    /// the input stream (`pos`: the position-addressed stream the sampled
+    /// passes share with Monte Carlo), so artifacts sampled under the
+    /// earlier sequential stream, tagged `sim:{patterns}:{seed}`, get other
+    /// keys and are never served.
     #[must_use]
     pub fn cache_tag(self) -> String {
         match self {
             BackendSpec::Bdd => "bdd".to_owned(),
-            BackendSpec::Sim { patterns, seed } => format!("sim:{patterns}:{seed}"),
+            BackendSpec::Sim { patterns, seed } => format!("sim-pos:{patterns}:{seed}"),
         }
     }
 }

@@ -7,8 +7,12 @@
 // Test helpers may unwrap: a panic here is a test failure, not a crash path.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use relogic::Weights;
+use relogic_serve::cache::ArtifactKey;
 use relogic_serve::json::{self, Json};
+use relogic_serve::proto::{BackendSpec, CircuitPayload, NetlistFormat};
 use relogic_serve::{Service, ServiceConfig};
+use relogic_store::{Store, StoreKey};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,6 +115,51 @@ fn warm_restart_reuses_weights_and_tapes_too() {
     // Compiling a tape is faster than reading one back: it is never
     // stored, so the warm service compiles it again.
     assert_eq!(counters.tapes_compiled.load(Ordering::Relaxed), 1);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sampled_weights_stored_under_the_sequential_stream_tag_are_never_served() {
+    let dir = temp_dir("old-stream");
+    let analyze = format!(
+        r#"{{"kind":"analyze","netlist":"{SMALL}","eps":0.1,"backend":"sim","backend_patterns":4096,"backend_seed":3}}"#
+    );
+    let netlist = SMALL.replace("\\n", "\n");
+    // What a daemon on the sequential input stream stored for this
+    // request: its tag was `sim:{patterns}:{seed}`. Constant weights make
+    // a served copy visible in the answer.
+    let old_key = StoreKey::digest("bench", "sim:4096:3", &netlist);
+    let stale = Weights::from_parts(
+        vec![vec![], vec![], vec![0.25; 4], vec![0.5; 2]],
+        vec![0.5; 4],
+    )
+    .unwrap();
+    Store::open(&dir)
+        .unwrap()
+        .save_weights(old_key, &stale)
+        .unwrap();
+
+    let service = service_with_dir(Some(dir.clone()));
+    let reply = service.handle_line(&analyze);
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let counters = service.cache().counters();
+    assert_eq!(counters.weights_computed.load(Ordering::Relaxed), 1);
+    assert_eq!(
+        reply,
+        service_with_dir(None).handle_line(&analyze),
+        "the stored weights reached the answer"
+    );
+    // The memory tier keys artifacts by the same digest.
+    let payload = CircuitPayload {
+        netlist,
+        format: NetlistFormat::Bench,
+        backend: BackendSpec::Sim {
+            patterns: 4096,
+            seed: 3,
+        },
+    };
+    assert_ne!(ArtifactKey::of(&payload).store_key(), old_key);
 
     let _ = fs::remove_dir_all(&dir);
 }
