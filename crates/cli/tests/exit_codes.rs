@@ -10,16 +10,37 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SMALL: &str = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nt = NAND(a, b)\ny = NOT(t)\n";
 
-/// Writes `text` to a fresh file named `name` and returns its path.
-fn netlist(name: &str, text: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("relogic-cli-exit-{}", std::process::id()));
+/// A netlist file in a directory of its own, removed when this drops.
+struct TempNetlist {
+    dir: PathBuf,
+    path: String,
+}
+
+impl Drop for TempNetlist {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Writes `text` to a file named `name` in a fresh directory.
+fn netlist(name: &str, text: &str) -> TempNetlist {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "relogic-cli-exit-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     std::fs::write(&path, text).unwrap();
-    path
+    TempNetlist {
+        path: path.display().to_string(),
+        dir,
+    }
 }
 
 fn cli(args: &[&str]) -> Output {
@@ -29,19 +50,19 @@ fn cli(args: &[&str]) -> Output {
         .unwrap()
 }
 
-fn c499() -> String {
-    let path = netlist(
+fn c499() -> TempNetlist {
+    netlist(
         "c499.bench",
         &relogic_netlist::bench::write(&relogic_gen::suite::build("c499").unwrap()),
-    );
-    path.display().to_string()
+    )
 }
 
 #[test]
 fn estimator_failure_exits_8() {
     // Budget 0 skips the exact tier, ε 0.3 saturates the propagation
     // answer, and the Monte Carlo refinement then rejects zero patterns.
-    let p = netlist("est-fail.bench", SMALL).display().to_string();
+    let file = netlist("est-fail.bench", SMALL);
+    let p = &file.path;
     let out = cli(&[
         "estimate",
         &p,
@@ -60,7 +81,8 @@ fn estimator_failure_exits_8() {
 
 #[test]
 fn out_of_range_parameters_exit_8_naming_the_allowed_range() {
-    let p = netlist("range.bench", SMALL).display().to_string();
+    let file = netlist("range.bench", SMALL);
+    let p = &file.path;
     let cases = [
         (
             vec!["critical-eps", &p, "--threshold", "0"],
@@ -90,7 +112,8 @@ fn out_of_range_parameters_exit_8_naming_the_allowed_range() {
 
 #[test]
 fn expired_deadline_exits_9_with_empty_stdout() {
-    let p = c499();
+    let file = c499();
+    let p = &file.path;
     for command in ["observability", "estimate"] {
         let out = cli(&[command, &p, "--deadline-ms", "1"]);
         assert_eq!(out.status.code(), Some(9), "{command}: {out:?}");
@@ -107,12 +130,11 @@ fn observability_honours_the_deadline() {
     // The exact backend's base BDD build alone runs for seconds there; it
     // checks the token after every gate of every worker's build. Either
     // way both commands stop within the deadline plus 250 ms.
-    let p = netlist(
+    let file = netlist(
         "c1908.bench",
         &relogic_netlist::bench::write(&relogic_gen::suite::build("c1908").unwrap()),
-    )
-    .display()
-    .to_string();
+    );
+    let p = &file.path;
     let inputs: [&[&str]; 3] = [
         &[
             "--backend",
@@ -146,14 +168,13 @@ fn observability_honours_the_deadline() {
 fn analyze_honours_the_deadline_while_its_weights_build() {
     // The weight build is where `analyze` spends its time on c1908: 64M
     // sampled patterns take seconds, and so does the exact backend's BDD
-    // build. The sampled pass checks the token once per 64-pattern block
-    // in every worker, the BDD build after every gate.
-    let p = netlist(
+    // build. The sampled pass checks the token at every hand-out of 16
+    // blocks of 64 patterns, the BDD build after every gate.
+    let file = netlist(
         "c1908-analyze.bench",
         &relogic_netlist::bench::write(&relogic_gen::suite::build("c1908").unwrap()),
-    )
-    .display()
-    .to_string();
+    );
+    let p = &file.path;
     let inputs: [&[&str]; 2] = [
         &["--backend", "sim", "--patterns", "67108864"],
         &["--backend", "bdd"],
@@ -177,9 +198,8 @@ fn analyze_honours_the_deadline_while_its_weights_build() {
 
 #[test]
 fn malformed_netlist_exits_4_with_file_and_line() {
-    let p = netlist("broken.bench", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
-        .display()
-        .to_string();
+    let file = netlist("broken.bench", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n");
+    let p = &file.path;
     for command in ["analyze", "observability", "estimate"] {
         let out = cli(&[command, &p]);
         assert_eq!(out.status.code(), Some(4), "{command}: {out:?}");
@@ -193,7 +213,8 @@ fn closed_stdout_exits_quietly_without_a_panic() {
     // The reader goes away before the child prints (`relogic-cli … | head`
     // with a reader that exits early): the write fails with a broken pipe,
     // which is the reader's choice, not a crash.
-    let p = netlist("pipe.bench", SMALL).display().to_string();
+    let file = netlist("pipe.bench", SMALL);
+    let p = &file.path;
     for args in [
         &["sweep", &p, "--points", "4000", "--no-correlations"][..],
         &["analyze", &p, "--per-node"],
@@ -214,7 +235,8 @@ fn closed_stdout_exits_quietly_without_a_panic() {
 
 #[test]
 fn json_and_deadline_flags_are_usage_errors_where_not_honoured() {
-    let p = netlist("flags.bench", SMALL).display().to_string();
+    let file = netlist("flags.bench", SMALL);
+    let p = &file.path;
     let p = p.as_str();
     for (args, flag) in [
         (&["sweep", p, "--json"][..], "--json"),
