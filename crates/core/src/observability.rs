@@ -299,8 +299,9 @@ impl ObservabilityMatrix {
     /// it, and rows are reassembled in node order.
     ///
     /// The simulation backend splits the target nodes across workers;
-    /// every worker replays the same sampled input stream, so the counts
-    /// are bit-identical for every thread count as well.
+    /// every worker draws and evaluates every block of the position-based
+    /// input stream Monte Carlo uses, so the counts are bit-identical for
+    /// every thread count as well.
     ///
     /// The BDD backend checks `cancel` per gate of the base build (the
     /// probe path of

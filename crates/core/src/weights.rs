@@ -76,9 +76,9 @@ impl Weights {
     /// one). The result does not depend on `threads`: every sampled
     /// vector and probability is an exact pattern count divided by the
     /// pattern total. The BDD backend checks `cancel` after every gate of
-    /// its build, the sampled backend once per 64-pattern block in every
-    /// worker; a run that completes returns the same bits as an
-    /// unbounded one.
+    /// its build, the sampled backend at every hand-out of
+    /// [`relogic_sim::CHUNK_BLOCKS`] 64-pattern blocks; a run that
+    /// completes returns the same bits as an unbounded one.
     ///
     /// # Errors
     ///

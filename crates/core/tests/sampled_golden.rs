@@ -18,13 +18,17 @@
 //! * `sampled_weights_match_golden_bits`: every weight vector and signal
 //!   probability of the `Weights`, sampled on the five suite circuits
 //!   Table 2 samples (c1908, c2670, frg2, c3540, i10), sampled on i10
-//!   under biased inputs (`weights-biased`, where `BiasedBits` draws
-//!   several words per input and block) and exact on b9.
+//!   under biased inputs (`weights-biased`, where each input word is the
+//!   bitsliced comparison against its quantized bias) and exact on b9.
 //!
-//! The input stream (one `SmallRng(seed)` word per input position and
-//! block, through `BiasedBits` for biased inputs) fixes every sampled
-//! count, so any change to the simulator that keeps its arithmetic shows
-//! no bit difference here; the exact values are weighted model counts of
+//! The input stream fixes every sampled count: Monte Carlo's
+//! position-addressed stream, one word per (seed, block, input node),
+//! through the bitsliced comparator for biased inputs. Any change to the
+//! simulator that keeps that stream and its arithmetic shows no bit
+//! difference here. The sampled lines were last re-recorded when the
+//! sampled passes moved from a sequential `SmallRng(seed)` stream onto
+//! that one; `sampled_oracle.rs` bounds the same quantities against the
+//! exact backend. The exact values are weighted model counts of
 //! canonical BDDs under the DFS variable order, so they change only with
 //! that order or the probability arithmetic. Rewrite the file only for an
 //! intended change to the numbers:
@@ -110,7 +114,7 @@ fn pair_line(backend: Backend) -> String {
 }
 
 /// Input `i` is 1 with probability 0.2, 0.7, 0.9 or 0.35 (by `i mod 4`):
-/// none is ½, so every input goes through `BiasedBits`.
+/// none is ½, so every input word is a biased one.
 fn biased(c: &relogic_netlist::Circuit) -> InputDistribution {
     let probs = [0.2, 0.7, 0.9, 0.35];
     InputDistribution::Independent((0..c.input_count()).map(|i| probs[i % 4]).collect())

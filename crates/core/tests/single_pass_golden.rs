@@ -25,7 +25,9 @@
 //!    (131072 patterns, seed 0xBEEF) and pins the ascending-id tie rule.
 //!    Its lines were recorded later than the others, from the flattened
 //!    kernel: the `HashMap` engine broke those ties in iteration order, so
-//!    its frg2 values were not reproducible from one run to the next. The
+//!    its frg2 values were not reproducible from one run to the next. They
+//!    were re-recorded once more, with the engine unchanged, when sampled
+//!    weights moved onto Monte Carlo's position-addressed input stream. The
 //!    same happened once in the set it recorded: c1355 at ε = 0.05
 //!    (`c1355 1`) gave saturation counts of 1886, 1887 or 1888 from run to
 //!    run, with stable δ and node hash. The file holds 1886, the count
