@@ -219,19 +219,12 @@ fn split_lanes(words: &[u64], slots: &[u32], acc: &mut [u64]) {
     }
 }
 
-/// The sampled passes' view of the input stream: per-slot input biases
-/// and the seed, turned into evaluated blocks.
+/// The sampled passes' input stream: per-slot input biases and the
+/// seed, turned into evaluated blocks.
 struct BlockStream<'a> {
     tape: &'a CircuitTape,
     quantized: Vec<Option<u64>>,
     seed: u64,
-}
-
-/// Per-worker buffers of a [`BlockStream`]: one block's slot words and
-/// the input words of `L` blocks, per input position.
-struct BlockScratch {
-    words: Vec<u64>,
-    inputs: Vec<[u64; L]>,
 }
 
 impl<'a> BlockStream<'a> {
@@ -243,49 +236,35 @@ impl<'a> BlockStream<'a> {
         }
     }
 
-    fn scratch(&self) -> BlockScratch {
-        BlockScratch {
-            words: vec![0; self.tape.n_slots()],
-            inputs: vec![[0; L]; self.tape.input_slots().len()],
-        }
-    }
-
     /// Evaluates `blocks` in order and hands each block's slot words to
     /// `visit`. Input words are drawn `L` blocks at a time; those past
     /// the range go unused.
     fn eval_blocks(
         &self,
         blocks: Range<u64>,
-        scratch: &mut BlockScratch,
         mut visit: impl FnMut(&[u64]) -> Result<(), Cancelled>,
     ) -> Result<(), Cancelled> {
         let slots = self.tape.input_slots();
+        let mut words = vec![0u64; self.tape.n_slots()];
+        let mut inputs = vec![[0u64; L]; slots.len()];
         let mut first = blocks.start;
         while first < blocks.end {
-            for (group, &s) in scratch.inputs.iter_mut().zip(slots) {
+            for (group, &s) in inputs.iter_mut().zip(slots) {
                 let node = self.tape.node_of_slot(s as usize) as u64;
                 *group = input_words(self.seed, first, node, self.quantized[s as usize]);
             }
             let live = usize::try_from(blocks.end - first).map_or(L, |n| n.min(L));
             for l in 0..live {
-                for (group, &s) in scratch.inputs.iter().zip(slots) {
-                    scratch.words[s as usize] = group[l];
+                for (group, &s) in inputs.iter().zip(slots) {
+                    words[s as usize] = group[l];
                 }
-                self.tape.eval_block(&mut scratch.words, None);
-                visit(&scratch.words)?;
+                self.tape.eval_block(&mut words, None);
+                visit(&words)?;
             }
             first += L as u64;
         }
         Ok(())
     }
-}
-
-/// One worker's block buffers and integer counts: every slot's ones and
-/// the flat accumulator of a [`CountPlan`].
-struct WorkerCounts {
-    scratch: BlockScratch,
-    ones: Vec<u64>,
-    acc: Vec<u64>,
 }
 
 /// Samples `blocks` 64-pattern blocks on `tape` and counts every tuple's
@@ -316,34 +295,30 @@ fn sample_counts<T: AsRef<[NodeId]>>(
         .collect();
     let plan = CountPlan::new(&slot_tuples);
     let chunks = usize::try_from(blocks.div_ceil(CHUNK_BLOCKS)).unwrap_or(usize::MAX);
+    // Each worker's state is its own `(ones, accumulator)` counts.
     let (_, workers) = ChunkExecutor::new(threads).try_map_chunks_with_state(
         chunks,
         cancel,
         "joint_sim",
-        || WorkerCounts {
-            scratch: stream.scratch(),
-            ones: vec![0; tape.n_slots()],
-            acc: vec![0; plan.len],
-        },
-        |worker, chunk| {
+        || (vec![0u64; tape.n_slots()], vec![0u64; plan.len]),
+        |(ones, acc), chunk| {
             let first = chunk as u64 * CHUNK_BLOCKS;
-            let range = first..(first + CHUNK_BLOCKS).min(blocks);
-            stream.eval_blocks(range, &mut worker.scratch, |words| {
-                for (count, &word) in worker.ones.iter_mut().zip(words) {
+            stream.eval_blocks(first..(first + CHUNK_BLOCKS).min(blocks), |words| {
+                for (count, &word) in ones.iter_mut().zip(words) {
                     *count += u64::from(word.count_ones());
                 }
-                plan.count_block(words, &mut worker.acc);
+                plan.count_block(words, acc);
                 Ok(())
             })
         },
     )?;
     let mut ones = vec![0u64; tape.n_slots()];
     let mut acc = vec![0u64; plan.len];
-    for worker in workers {
-        for (sum, c) in ones.iter_mut().zip(worker.ones) {
+    for (worker_ones, worker_acc) in workers {
+        for (sum, c) in ones.iter_mut().zip(worker_ones) {
             *sum += c;
         }
-        for (sum, c) in acc.iter_mut().zip(worker.acc) {
+        for (sum, c) in acc.iter_mut().zip(worker_acc) {
             *sum += c;
         }
     }
@@ -448,14 +423,15 @@ pub fn observabilities_biased(
         workers,
         cancel,
         "obs_sim",
-        || (stream.scratch(), vec![0u64; n]),
-        |(scratch, faulty), worker| {
+        || (),
+        |(), worker| {
             let cones: Vec<Vec<u32>> = (worker..n)
                 .step_by(workers)
                 .map(|t| fanout_cone(&tape, t))
                 .collect();
             let mut counts = vec![(vec![0u64; tape.output_slots().len()], 0u64); cones.len()];
-            stream.eval_blocks(0..blocks, scratch, |clean| {
+            let mut faulty = vec![0u64; n];
+            stream.eval_blocks(0..blocks, |clean| {
                 cancel.check("obs_sim")?;
                 faulty.copy_from_slice(clean);
                 for (cone, (row, any_count)) in cones.iter().zip(&mut counts) {
@@ -465,7 +441,7 @@ pub fn observabilities_biased(
                         faulty[s] = if i == 0 {
                             !clean[s]
                         } else {
-                            tape.eval_slot(s, faulty)
+                            tape.eval_slot(s, &faulty)
                         };
                         for &k in &outputs_at[s] {
                             let diff = clean[s] ^ faulty[s];

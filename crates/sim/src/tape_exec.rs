@@ -24,6 +24,12 @@
 //! index (not slot), so the numbers are also invariant under tape-layout
 //! changes.
 //!
+//! The input stream is shared: [`input_words`] makes every input word of
+//! every simulation pass, this kernel's and the sampling backends' in
+//! `estimate`, from per-slot biases that [`input_quantized`] computes. A
+//! sampled pass therefore sees exactly the fault-free values of a Monte
+//! Carlo run with the same `(patterns, seed)` and input probabilities.
+//!
 //! Biased Bernoulli(ε) words realize the exact same quantized probability
 //! as [`BiasedBits`] (`⌊ε·2^r⌉ / 2^r`), but through an MSB-first bitsliced
 //! comparison ([`biased_word`]) that draws one uniform *digit plane* at a
