@@ -65,7 +65,7 @@ fn estimator_failure_exits_8() {
     let p = &file.path;
     let out = cli(&[
         "estimate",
-        &p,
+        p,
         "--eps",
         "0.3",
         "--bdd-node-budget",
@@ -115,7 +115,7 @@ fn expired_deadline_exits_9_with_empty_stdout() {
     let file = c499();
     let p = &file.path;
     for command in ["observability", "estimate"] {
-        let out = cli(&[command, &p, "--deadline-ms", "1"]);
+        let out = cli(&[command, p, "--deadline-ms", "1"]);
         assert_eq!(out.status.code(), Some(9), "{command}: {out:?}");
         assert!(out.stdout.is_empty(), "{command}: partial output {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -201,7 +201,7 @@ fn malformed_netlist_exits_4_with_file_and_line() {
     let file = netlist("broken.bench", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n");
     let p = &file.path;
     for command in ["analyze", "observability", "estimate"] {
-        let out = cli(&[command, &p]);
+        let out = cli(&[command, p]);
         assert_eq!(out.status.code(), Some(4), "{command}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("broken.bench:3:"), "{command}: {stderr}");
@@ -216,8 +216,8 @@ fn closed_stdout_exits_quietly_without_a_panic() {
     let file = netlist("pipe.bench", SMALL);
     let p = &file.path;
     for args in [
-        &["sweep", &p, "--points", "4000", "--no-correlations"][..],
-        &["analyze", &p, "--per-node"],
+        &["sweep", p, "--points", "4000", "--no-correlations"][..],
+        &["analyze", p, "--per-node"],
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_relogic-cli"))
             .args(args)
