@@ -19,9 +19,9 @@
 //! The manager uses **complement edges** (negation is a tag bit, so `NOT`
 //! is O(1) and XOR-reconvergent circuits like the c499/c1355 analogues stay
 //! linear-size), open-addressed unique/operation tables with hit-rate
-//! counters ([`BddStats`]), a memoized `ite` kernel with standard-triple
-//! normalization, mark-and-sweep garbage collection with external roots,
-//! and optional sifting-based dynamic reordering
+//! counters ([`BddStats`]), memoized AND and XOR kernels with sorted,
+//! polarity-normalized cache keys, mark-and-sweep garbage collection with
+//! external roots, and optional sifting-based dynamic reordering
 //! ([`BddManager::enable_reordering`]).
 //!
 //! # Examples

@@ -1,6 +1,6 @@
 //! The ROBDD node manager: complement edges, an open-addressed unique
-//! table, a memoized `ite` kernel, mark-and-sweep garbage collection with
-//! external roots, and optional sifting-based dynamic reordering.
+//! table, memoized AND and XOR kernels, mark-and-sweep garbage collection
+//! with external roots, and optional sifting-based dynamic reordering.
 //!
 //! # Representation
 //!
@@ -172,10 +172,10 @@ const EMPTY_SLOT: Slot = Slot {
     idx: NIL_IDX,
 };
 
-/// An operation-cache entry. The key is `(f, g, h)` for ITE, whose `f` is
-/// a regular non-terminal ref (even, at least 2), and `(f | 1, v, value)`
-/// for restriction, whose `f` is regular too; `a == 0` marks an empty
-/// slot.
+/// An operation-cache entry. The key is `(a, b, AND_TAG)` or `(a, b,
+/// XOR_TAG)` for the two apply kernels, whose sorted operands are
+/// non-terminal refs, and `(f, v, value)` for restriction, whose `f` is a
+/// regular non-terminal ref; so `a == 0` marks an empty slot.
 #[derive(Clone, Copy)]
 struct CacheEntry {
     a: u32,
@@ -191,8 +191,14 @@ const EMPTY_ENTRY: CacheEntry = CacheEntry {
     result: 0,
 };
 
-/// What [`BddManager::ite`] and [`BddManager::restrict`] return once the
-/// live-node limit has refused an allocation.
+/// The third key word of an AND or XOR cache entry. Restriction keeps its
+/// fixed value, 0 or 1, there, so no two operations share a key.
+const AND_TAG: u32 = 2;
+const XOR_TAG: u32 = 3;
+
+/// What the AND and XOR kernels and [`BddManager::restrict`] return once
+/// the live-node limit has refused an allocation (`or` returns its
+/// negation).
 const PLACEHOLDER: BddRef = BddRef::FALSE;
 
 /// xxhash-style avalanche over three 64-bit lanes.
@@ -318,7 +324,7 @@ pub struct BddManager {
     /// Open-addressed unique table: hashed node indices or [`EMPTY_SLOT`].
     unique: Vec<Slot>,
     unique_len: usize,
-    /// Lossy operation cache (ite / restrict), overwrite-on-collision.
+    /// Lossy operation cache (and / xor / restrict), overwrite-on-collision.
     cache: Vec<CacheEntry>,
     /// Allocations that would take `live` past this are refused.
     live_limit: usize,
@@ -776,146 +782,98 @@ impl BddManager {
 
     /// Conjunction `a ∧ b`.
     pub fn and(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.ite(a, b, BddRef::FALSE)
+        self.maybe_grow_cache();
+        self.and_rec(a, b)
     }
 
-    /// Disjunction `a ∨ b`.
+    /// Disjunction `a ∨ b = ¬(¬a ∧ ¬b)`.
     pub fn or(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.ite(a, BddRef::TRUE, b)
+        self.and(a.negate(), b.negate()).negate()
     }
 
     /// Exclusive or `a ⊕ b`.
     pub fn xor(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.ite(a, b.negate(), b)
-    }
-
-    /// Ranking key for standard-triple canonicalization: earlier level
-    /// first, node index as the deterministic tie-break.
-    #[inline]
-    fn rank(&self, r: BddRef) -> u64 {
-        (u64::from(self.level(r)) << 32) | r.index() as u64
-    }
-
-    /// If-then-else `ite(f, g, h) = (f ∧ g) ∨ (¬f ∧ h)` — the single
-    /// memoized kernel every binary operation reduces to.
-    ///
-    /// Arguments are normalized to a *standard triple* before the cache
-    /// lookup (constant/equal-argument reductions, operand swaps that pick
-    /// the canonical representative of equivalent calls, and complement
-    /// canonicalization so the cached `f` and `g` are always regular), so
-    /// e.g. `and(a, b)`, `and(b, a)` and `not(or(¬a, ¬b))` all share one
-    /// cache line.
-    pub fn ite(&mut self, f: BddRef, g: BddRef, h: BddRef) -> BddRef {
         self.maybe_grow_cache();
-        self.ite_rec(f, g, h)
+        self.xor_rec(a, b)
     }
 
-    fn ite_rec(&mut self, f: BddRef, g: BddRef, h: BddRef) -> BddRef {
+    /// The memoized AND kernel. Operands are sorted before the lookup, so
+    /// `and(a, b)`, `and(b, a)` and `¬or(¬a, ¬b)` share one cache line.
+    fn and_rec(&mut self, a: BddRef, b: BddRef) -> BddRef {
         if self.exhausted {
             return PLACEHOLDER;
         }
-        // Terminal f.
-        if f.is_true() {
-            return g;
+        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        // Sorted, a terminal `b` implies a terminal `a`.
+        if a == b || a.is_true() {
+            return b;
         }
-        if f.is_false() {
-            return h;
+        if a.is_false() || a == b.negate() {
+            return BddRef::FALSE;
         }
-        let (mut f, mut g, mut h) = (f, g, h);
-        // Equal/complement argument reductions.
-        if f == g {
-            g = BddRef::TRUE;
-        } else if f == g.negate() {
-            g = BddRef::FALSE;
-        }
-        if f == h {
-            h = BddRef::FALSE;
-        } else if f == h.negate() {
-            h = BddRef::TRUE;
-        }
-        // Terminal-result cases.
-        if g == h {
-            return g;
-        }
-        if g.is_true() && h.is_false() {
-            return f;
-        }
-        if g.is_false() && h.is_true() {
-            return f.negate();
-        }
-        // Operand swaps: pick the canonical representative among the
-        // equivalent formulations so the cache collapses them.
-        if g.is_true() {
-            // ite(f,1,h) = f ∨ h = ite(h,1,f)
-            if self.rank(h) < self.rank(f) {
-                std::mem::swap(&mut f, &mut h);
-            }
-        } else if g.is_false() {
-            // ite(f,0,h) = ¬f ∧ h = ite(¬h,0,¬f)
-            if self.rank(h) < self.rank(f) {
-                let nf = f.negate();
-                f = h.negate();
-                h = nf;
-            }
-        } else if h.is_false() {
-            // ite(f,g,0) = f ∧ g = ite(g,f,0)
-            if self.rank(g) < self.rank(f) {
-                std::mem::swap(&mut f, &mut g);
-            }
-        } else if h.is_true() {
-            // ite(f,g,1) = ¬f ∨ g = ite(¬g,¬f,1)
-            if self.rank(g) < self.rank(f) {
-                let nf = f.negate();
-                f = g.negate();
-                g = nf;
-            }
-        } else if g == h.negate() {
-            // ite(f,g,¬g) = f ⊙ g = ite(g,f,¬f)
-            if self.rank(g) < self.rank(f) {
-                let nf = f.negate();
-                std::mem::swap(&mut f, &mut g);
-                h = nf;
-            }
-        }
-        // Complement canonicalization: cached f and g are regular.
-        if f.is_complement() {
-            f = f.negate();
-            std::mem::swap(&mut g, &mut h);
-        }
-        let complement_out = g.is_complement();
-        if complement_out {
-            g = g.negate();
-            h = h.negate();
-        }
-        let slot = match self.cache_get(f.0, g.0, h.0) {
-            Ok(r) => return if complement_out { r.negate() } else { r },
+        let slot = match self.cache_get(a.0, b.0, AND_TAG) {
+            Ok(r) => return r,
             Err(slot) => slot,
         };
-        let v_level = self.level(f).min(self.level(g)).min(self.level(h));
-        let v = self.var_at[v_level as usize];
-        let (f0, f1) = self.cofactor_at(f, v_level);
-        let (g0, g1) = self.cofactor_at(g, v_level);
-        let (h0, h1) = self.cofactor_at(h, v_level);
-        let low = self.ite_rec(f0, g0, h0);
-        let high = self.ite_rec(f1, g1, h1);
+        let (v, (a0, a1), (b0, b1)) = self.split(a, b);
+        let low = self.and_rec(a0, b0);
+        let high = self.and_rec(a1, b1);
         let r = self.mk(v, low, high);
         if self.exhausted {
             return PLACEHOLDER;
         }
-        self.cache_put(slot, f.0, g.0, h.0, r.0);
-        if complement_out {
-            r.negate()
-        } else {
-            r
-        }
+        self.cache_put(slot, a.0, b.0, AND_TAG, r.0);
+        r
     }
 
+    /// The memoized XOR kernel. `a ⊕ b = |a| ⊕ |b|`, negated when exactly
+    /// one operand is complemented, so only regular, sorted operands are
+    /// cached: `xor(a, b)`, `xor(¬b, ¬a)` and `¬xor(¬a, b)` share a line.
+    fn xor_rec(&mut self, a: BddRef, b: BddRef) -> BddRef {
+        if self.exhausted {
+            return PLACEHOLDER;
+        }
+        let parity = (a.0 ^ b.0) & 1;
+        let (a, b) = (a.regular(), b.regular());
+        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        if a == b {
+            return BddRef(BddRef::FALSE.0 ^ parity);
+        }
+        // The only regular terminal is TRUE, and `1 ⊕ b = ¬b`.
+        if a.is_true() {
+            return BddRef(b.0 ^ 1 ^ parity);
+        }
+        let slot = match self.cache_get(a.0, b.0, XOR_TAG) {
+            Ok(r) => return BddRef(r.0 ^ parity),
+            Err(slot) => slot,
+        };
+        let (v, (a0, a1), (b0, b1)) = self.split(a, b);
+        let low = self.xor_rec(a0, b0);
+        let high = self.xor_rec(a1, b1);
+        let r = self.mk(v, low, high);
+        if self.exhausted {
+            return PLACEHOLDER;
+        }
+        self.cache_put(slot, a.0, b.0, XOR_TAG, r.0);
+        BddRef(r.0 ^ parity)
+    }
+
+    /// The top variable of two non-terminal refs and each ref's (low,
+    /// high) cofactors on it; a ref that does not test it is its own
+    /// cofactor twice.
     #[inline]
-    fn cofactor_at(&self, r: BddRef, v_level: u32) -> (BddRef, BddRef) {
-        if !r.is_terminal() && self.level(r) == v_level {
-            (self.low_of(r), self.high_of(r))
-        } else {
-            (r, r)
+    fn split(&self, a: BddRef, b: BddRef) -> (Var, (BddRef, BddRef), (BddRef, BddRef)) {
+        let (na, nb) = (self.nodes[a.index()], self.nodes[b.index()]);
+        let (la, lb) = (
+            self.level_of[na.var as usize],
+            self.level_of[nb.var as usize],
+        );
+        let fa = (self.low_of(a), self.high_of(a));
+        let fb = (self.low_of(b), self.high_of(b));
+        match la.cmp(&lb) {
+            std::cmp::Ordering::Less => (na.var, fa, (b, b)),
+            std::cmp::Ordering::Equal => (na.var, fa, fb),
+            std::cmp::Ordering::Greater => (nb.var, (a, a), fb),
         }
     }
 
@@ -957,8 +915,7 @@ impl BddManager {
             };
             return BddRef(r.0 ^ c);
         }
-        // The odd first key word tells restriction from ITE.
-        let key = (fr.0 | 1, v, u32::from(value));
+        let key = (fr.0, v, u32::from(value));
         let slot = match self.cache_get(key.0, key.1, key.2) {
             Ok(r) => return BddRef(r.0 ^ c),
             Err(slot) => slot,
@@ -1546,42 +1503,42 @@ mod tests {
     }
 
     #[test]
-    fn ite_identities() {
+    fn apply_identities() {
         let (mut m, a, b) = two_var();
-        let f = m.ite(a, b, BddRef::FALSE);
-        let g = m.and(a, b);
-        assert_eq!(f, g);
         let na = m.not(a);
-        assert_eq!(m.ite(a, BddRef::FALSE, BddRef::TRUE), na);
-        assert_eq!(m.ite(a, BddRef::TRUE, BddRef::FALSE), a);
-        assert_eq!(m.ite(BddRef::TRUE, a, b), a);
-        assert_eq!(m.ite(BddRef::FALSE, a, b), b);
-        assert_eq!(m.ite(b, a, a), a);
+        assert_eq!(m.and(a, a), a);
+        assert_eq!(m.and(a, na), BddRef::FALSE);
+        assert_eq!(m.or(a, a), a);
+        assert_eq!(m.or(a, na), BddRef::TRUE);
+        assert_eq!(m.xor(a, a), BddRef::FALSE);
+        assert_eq!(m.xor(a, na), BddRef::TRUE);
+        assert_eq!(m.xor(na, BddRef::TRUE), a);
+        assert_eq!(m.or(b, BddRef::FALSE), b);
     }
 
     #[test]
-    fn ite_standard_triples_share_cache_lines() {
+    fn apply_keys_share_cache_lines() {
         let (mut m, a, b) = two_var();
-        // Build once; the algebraically equal forms must all resolve to
-        // the same ref without growing the node store.
-        let f1 = m.and(a, b);
-        let nodes_after_first = m.node_count();
-        let f2 = {
-            let na = m.not(a);
-            let nb = m.not(b);
-            let o = m.or(na, nb);
-            m.not(o)
-        };
-        assert_eq!(f1, f2);
-        assert_eq!(m.node_count(), nodes_after_first);
-        let nb = m.not(b);
-        let x1 = m.xor(a, b);
-        let x2 = m.xor(b, a);
-        let x3 = m.ite(a, nb, b);
-        assert_eq!(x1, x2);
-        assert_eq!(x1, x3);
-        let stats = m.stats();
-        assert!(stats.cache_hits > 0, "normalization should yield hits");
+        let (na, nb) = (m.not(a), m.not(b));
+        // Each first call misses once: its cofactors are terminal cases.
+        let f = m.and(a, b);
+        let x = m.xor(a, b);
+        let first = m.stats();
+        assert_eq!((first.cache_hits, first.cache_misses), (0, 2));
+        // The equal forms resolve to the same ref from the cache alone.
+        let o = m.or(na, nb);
+        assert_eq!(m.not(o), f);
+        assert_eq!(m.and(b, a), f);
+        assert_eq!(m.xor(b, a), x);
+        assert_eq!(m.xor(nb, na), x);
+        let nx = m.xor(na, b);
+        assert_eq!(m.not(nx), x);
+        let s = m.stats();
+        assert_eq!((s.cache_hits, s.cache_misses), (5, 2));
+        assert_eq!(s.live_nodes, first.live_nodes);
+        // The tags keep AND, XOR and restriction on one manager apart.
+        assert_ne!(f, x);
+        assert_eq!(m.restrict(x, 0, true), nb);
     }
 
     #[test]

@@ -879,10 +879,14 @@ fn cache_verify(store: &Store) -> Result<String, CliError> {
     Err(CliError::Store(msg))
 }
 
+/// Removes what no request can read: the artifacts of keys this version
+/// would not give their recorded payload (a renamed backend tag, say), and
+/// the store's own residue.
 fn cache_gc(store: &Store) -> Result<String, CliError> {
-    let report = store.gc()?;
+    let report =
+        store.gc(|key, meta| ArtifactKey::of_meta(meta).is_some_and(|k| k.store_key() == key))?;
     Ok(format!(
-        "removed {} files (*.tmp, *.corrupt, retired *.tape/*.est), freed {} bytes\n",
+        "removed {} files (unreachable keys, *.tmp, *.corrupt, retired *.tape/*.est), freed {} bytes\n",
         report.removed, report.bytes_freed
     ))
 }
@@ -1425,6 +1429,52 @@ y = NOT(t)
         assert!(gc.contains("removed 1 files"), "{gc}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_gc_removes_keys_of_retired_backend_tags() {
+        let root = std::env::temp_dir().join(format!("relogic-cli-gc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("store");
+        std::fs::create_dir_all(&root).unwrap();
+        let path = root.join("gcme.bench");
+        std::fs::write(&path, SMALL).unwrap();
+        let (p, d) = (path.display().to_string(), dir.display().to_string());
+        let warm = ["cache", "warm", &p, "--cache-dir", &d];
+        run(&ParsedArgs::parse(warm).unwrap()).unwrap();
+        let sampled = ["--backend", "sim", "--patterns", "4096", "--seed", "7"];
+        run(&ParsedArgs::parse(warm.into_iter().chain(sampled)).unwrap()).unwrap();
+
+        // A key an earlier version wrote under the sequential-stream tag,
+        // with its artifacts (copied from the current sampled key's).
+        let store = Store::open(&dir).unwrap();
+        let old_tag = "sim:4096:7";
+        let old = relogic_store::StoreKey::digest("bench", old_tag, SMALL);
+        let meta = relogic_store::ArtifactMeta {
+            format_tag: "bench".into(),
+            backend_tag: old_tag.into(),
+            netlist: SMALL.into(),
+        };
+        store.save_meta(old, &meta).unwrap();
+        let sim = relogic_store::StoreKey::digest("bench", "sim-pos:4096:7", SMALL);
+        for ext in ["wts", "obs"] {
+            let from = dir.join(format!("{}.{ext}", sim.hex()));
+            std::fs::copy(from, dir.join(format!("{}.{ext}", old.hex()))).unwrap();
+        }
+        assert_eq!(store.ls().unwrap().len(), 9);
+
+        let gc =
+            run(&ParsedArgs::parse(["cache", "gc", "--cache-dir", d.as_str()]).unwrap()).unwrap();
+        assert!(gc.contains("removed 3 files"), "{gc}");
+        let left = store.ls().unwrap();
+        assert_eq!(left.len(), 6, "the current bdd and sim-pos keys stay");
+        assert!(left.iter().all(|e| e.key != old));
+        assert!(left.iter().any(|e| e.key == sim));
+        let again =
+            run(&ParsedArgs::parse(["cache", "gc", "--cache-dir", d.as_str()]).unwrap()).unwrap();
+        assert!(again.contains("removed 0 files"), "{again}");
+
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

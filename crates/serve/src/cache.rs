@@ -34,7 +34,7 @@
 //! out `Arc<Artifact>` clones, so memory is reclaimed when the last
 //! in-flight request drops its reference.
 
-use crate::proto::{BackendSpec, CircuitPayload, ServeError};
+use crate::proto::{BackendSpec, CircuitPayload, NetlistFormat, ServeError};
 use relogic::{
     CancelToken, Diagnostics, InputDistribution, ObservabilityMatrix, RelogicError, Weights,
 };
@@ -70,6 +70,21 @@ impl ArtifactKey {
             &payload.backend.cache_tag(),
             &payload.netlist,
         ))
+    }
+
+    /// The key this version gives the payload a stored provenance record
+    /// describes, or `None` when the record names a format or backend tag
+    /// this version never produces. A stored key that differs from this
+    /// is one no request can reach.
+    #[must_use]
+    pub fn of_meta(meta: &ArtifactMeta) -> Option<ArtifactKey> {
+        let format = NetlistFormat::from_tag(&meta.format_tag)?;
+        let backend = BackendSpec::from_cache_tag(&meta.backend_tag)?;
+        Some(ArtifactKey(StoreKey::digest(
+            format.tag(),
+            &backend.cache_tag(),
+            &meta.netlist,
+        )))
     }
 
     /// The equivalent on-disk store key.

@@ -123,6 +123,23 @@ impl BackendSpec {
             BackendSpec::Sim { patterns, seed } => format!("sim-pos:{patterns}:{seed}"),
         }
     }
+
+    /// The backend whose [`BackendSpec::cache_tag`] is `tag`, or `None`
+    /// for a tag this version never produces (such as the earlier
+    /// `sim:{patterns}:{seed}`).
+    #[must_use]
+    pub fn from_cache_tag(tag: &str) -> Option<BackendSpec> {
+        if tag == "bdd" {
+            return Some(BackendSpec::Bdd);
+        }
+        let (patterns, seed) = tag.strip_prefix("sim-pos:")?.split_once(':')?;
+        let spec = BackendSpec::Sim {
+            patterns: patterns.parse().ok()?,
+            seed: seed.parse().ok()?,
+        };
+        // Only the canonical rendering: "+1" or "01" would parse too.
+        (spec.cache_tag() == tag).then_some(spec)
+    }
 }
 
 /// The circuit-carrying part shared by every analysis request.

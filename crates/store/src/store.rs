@@ -154,7 +154,8 @@ pub struct VerifyReport {
 /// Outcome of [`Store::gc`].
 #[derive(Clone, Debug, Default)]
 pub struct GcReport {
-    /// `*.tmp`, `*.corrupt` and retired-kind files removed.
+    /// Containers of rejected keys, `*.tmp`, `*.corrupt` and retired-kind
+    /// files removed.
     pub removed: u64,
     /// Bytes those files occupied.
     pub bytes_freed: u64,
@@ -542,20 +543,43 @@ impl Store {
         Ok(report)
     }
 
-    /// Removes `*.tmp` residue (crashed writes), `*.corrupt` files
-    /// (already out of circulation) and `<key>.tape`/`<key>.est`
-    /// containers of the kinds earlier versions stored (see
-    /// [`ArtifactKind`]). Live artifacts and unrelated files are never
+    /// Removes every container of each key whose provenance record
+    /// `keep` rejects, such as a key no current request produces because
+    /// a later version renamed its backend tag; then `*.tmp` residue
+    /// (crashed writes), `*.corrupt` files (already out of circulation)
+    /// and `<key>.tape`/`<key>.est` containers of the kinds earlier
+    /// versions stored (see [`ArtifactKind`]). Keys without a readable
+    /// record, the artifacts of kept keys and unrelated files are never
     /// touched.
     ///
     /// # Errors
     ///
     /// [`StoreError`] when the directory cannot be scanned or a file
     /// cannot be removed.
-    pub fn gc(&self) -> Result<GcReport, StoreError> {
+    pub fn gc(
+        &self,
+        keep: impl Fn(StoreKey, &ArtifactMeta) -> bool,
+    ) -> Result<GcReport, StoreError> {
+        let mut report = GcReport::default();
+        let mut remove = |path: &Path, bytes: u64| -> Result<(), StoreError> {
+            fs::remove_file(path).map_err(|e| StoreError::new("remove", path, e))?;
+            report.removed += 1;
+            report.bytes_freed += bytes;
+            Ok(())
+        };
+        let entries = self.ls()?;
+        for meta_entry in entries.iter().filter(|e| e.kind == ArtifactKind::Meta) {
+            let Loaded::Hit(meta) = self.load_meta(meta_entry.key)? else {
+                continue;
+            };
+            if !keep(meta_entry.key, &meta) {
+                for e in entries.iter().filter(|e| e.key == meta_entry.key) {
+                    remove(&self.path_of(e.key, e.kind), e.bytes)?;
+                }
+            }
+        }
         let read =
             fs::read_dir(&self.root).map_err(|e| StoreError::new("read dir", &self.root, e))?;
-        let mut report = GcReport::default();
         for item in read {
             let item = item.map_err(|e| StoreError::new("read dir", &self.root, e))?;
             let name = item.file_name();
@@ -563,14 +587,9 @@ impl Store {
             let retired = name.split_once('.').is_some_and(|(stem, ext)| {
                 RETIRED_EXTENSIONS.contains(&ext) && StoreKey::parse_hex(stem).is_some()
             });
-            if !(retired || name.ends_with(".tmp") || name.ends_with(".corrupt")) {
-                continue;
+            if retired || name.ends_with(".tmp") || name.ends_with(".corrupt") {
+                remove(&item.path(), item.metadata().map(|m| m.len()).unwrap_or(0))?;
             }
-            let path = item.path();
-            let bytes = item.metadata().map(|m| m.len()).unwrap_or(0);
-            fs::remove_file(&path).map_err(|e| StoreError::new("remove", &path, e))?;
-            report.removed += 1;
-            report.bytes_freed += bytes;
         }
         Ok(report)
     }

@@ -86,7 +86,7 @@ fn torn_rename_leaves_no_final_file_and_restart_recovers() {
 
     // The crashed write's residue is invisible to ls and removed by gc.
     assert_eq!(restarted.ls().unwrap().len(), 1);
-    let report = restarted.gc().unwrap();
+    let report = restarted.gc(|_, _| true).unwrap();
     assert_eq!(report.removed, 1, "one *.tmp from the torn rename");
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -116,7 +116,7 @@ fn short_write_tears_the_final_file_and_restart_quarantines_it() {
     restarted.save_weights(key, &weights).unwrap();
     let loaded = restarted.load_weights(key).unwrap().hit().unwrap();
     assert_eq!(encode_weights(&loaded), encode_weights(&weights));
-    assert_eq!(restarted.gc().unwrap().removed, 1);
+    assert_eq!(restarted.gc(|_, _| true).unwrap().removed, 1);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -208,6 +208,6 @@ fn chaos_disk_profile_storm_never_serves_a_wrong_answer() {
         encode_weights(&healed.load_weights(key).unwrap().hit().unwrap()),
         weights_enc
     );
-    let _ = healed.gc().unwrap();
+    let _ = healed.gc(|_, _| true).unwrap();
     fs::remove_dir_all(&dir).unwrap();
 }

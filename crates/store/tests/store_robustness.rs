@@ -324,7 +324,7 @@ fn ls_verify_and_gc_manage_a_mixed_directory() {
     // extension is retired but whose stem is no key.
     fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
     fs::write(dir.join("notes.tape"), b"keep me").unwrap();
-    let report = store.gc().unwrap();
+    let report = store.gc(|_, _| true).unwrap();
     assert_eq!(report.removed, 3);
     assert!(report.bytes_freed > 0);
     assert_eq!(store.ls().unwrap().len(), 2);
