@@ -972,17 +972,40 @@ t = NAND(a, b)
 y = NOT(t)
 ";
 
-    fn run_on_file(command: &str, extra: &[&str]) -> String {
-        // One file per invocation: tests run concurrently, and
-        // `fs::write` truncates before writing, so a shared path would
-        // let one test read another's half-written netlist.
-        static CALL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = CALL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join("relogic-cli-test");
+    /// A netlist file in a directory of its own, removed when this drops.
+    struct TempNetlist {
+        dir: std::path::PathBuf,
+        path: String,
+    }
+
+    impl Drop for TempNetlist {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// Writes `text` to a file named `name` in a fresh directory: tests
+    /// run concurrently, and `fs::write` truncates before writing, so a
+    /// shared path would let one test read another's half-written netlist.
+    fn netlist(name: &str, text: &str) -> TempNetlist {
+        static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "relogic-cli-test-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{command}-{n}.bench"));
-        std::fs::write(&path, SMALL).unwrap();
-        let mut argv: Vec<String> = vec![command.to_owned(), path.display().to_string()];
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        TempNetlist {
+            path: path.display().to_string(),
+            dir,
+        }
+    }
+
+    fn run_on_file(command: &str, extra: &[&str]) -> String {
+        let file = netlist(&format!("{command}.bench"), SMALL);
+        let mut argv: Vec<String> = vec![command.to_owned(), file.path.clone()];
         argv.extend(extra.iter().map(|s| (*s).to_owned()));
         let parsed = ParsedArgs::parse(argv).unwrap();
         run(&parsed).unwrap()
@@ -1059,15 +1082,11 @@ y = NOT(t)
 
     #[test]
     fn verilog_detection_by_extension() {
-        let dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.v");
-        std::fs::write(
-            &path,
+        let file = netlist(
+            "t.v",
             "module t (a, y);\n input a;\n output y;\n not (y, a);\nendmodule\n",
-        )
-        .unwrap();
-        let parsed = ParsedArgs::parse(["stats", path.display().to_string().as_str()]).unwrap();
+        );
+        let parsed = ParsedArgs::parse(["stats", file.path.as_str()]).unwrap();
         let out = run(&parsed).unwrap();
         assert!(out.contains("gates:            1"), "{out}");
     }
@@ -1105,11 +1124,8 @@ y = NOT(t)
 
     #[test]
     fn parse_errors_carry_file_and_line() {
-        let dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("broken.bench");
-        std::fs::write(&path, "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n").unwrap();
-        let parsed = ParsedArgs::parse(["stats", path.display().to_string().as_str()]).unwrap();
+        let file = netlist("broken.bench", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n");
+        let parsed = ParsedArgs::parse(["stats", file.path.as_str()]).unwrap();
         let err = run(&parsed).unwrap_err();
         assert!(matches!(err, CliError::Netlist { .. }));
         assert_eq!(err.exit_code(), 4);
@@ -1122,11 +1138,8 @@ y = NOT(t)
 
     #[test]
     fn strict_rejects_out_of_policy_eps() {
-        let dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("strict.bench");
-        std::fs::write(&path, SMALL).unwrap();
-        let p = path.display().to_string();
+        let file = netlist("strict.bench", SMALL);
+        let p = file.path.clone();
         // ε = 0.6 passes lenient validation…
         let parsed = ParsedArgs::parse(["analyze", p.as_str(), "--eps", "0.6"]).unwrap();
         assert!(run(&parsed).is_ok());
@@ -1150,11 +1163,8 @@ y = NOT(t)
 
     #[test]
     fn mc_zero_patterns_is_a_typed_error() {
-        let dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mc0.bench");
-        std::fs::write(&path, SMALL).unwrap();
-        let p = path.display().to_string();
+        let file = netlist("mc0.bench", SMALL);
+        let p = file.path.clone();
         let parsed = ParsedArgs::parse(["mc", p.as_str(), "--patterns", "0"]).unwrap();
         let err = run(&parsed).unwrap_err();
         assert!(matches!(err, CliError::Sim(_)));
@@ -1309,11 +1319,8 @@ y = NOT(t)
     fn cache_dir_round_trip_and_provenance() {
         let dir = std::env::temp_dir().join(format!("relogic-cli-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let netlist_dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&netlist_dir).unwrap();
-        let path = netlist_dir.join("cached.bench");
-        std::fs::write(&path, SMALL).unwrap();
-        let p = path.display().to_string();
+        let file = netlist("cached.bench", SMALL);
+        let p = file.path.clone();
         let d = dir.display().to_string();
 
         // First run computes and stores; second hits and prints identically.
@@ -1362,11 +1369,8 @@ y = NOT(t)
     fn cache_subcommands_manage_the_store_offline() {
         let dir = std::env::temp_dir().join(format!("relogic-cli-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let netlist_dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&netlist_dir).unwrap();
-        let path = netlist_dir.join("warmme.bench");
-        std::fs::write(&path, SMALL).unwrap();
-        let p = path.display().to_string();
+        let file = netlist("warmme.bench", SMALL);
+        let p = file.path.clone();
         let d = dir.display().to_string();
 
         // --cache-dir is mandatory for the offline actions.
@@ -1592,11 +1596,8 @@ y = NOT(t)
     fn estimate_persists_artifacts_through_the_disk_cache() {
         let dir = std::env::temp_dir().join(format!("relogic-cli-est-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let netlist_dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&netlist_dir).unwrap();
-        let path = netlist_dir.join("est-cache.bench");
-        std::fs::write(&path, SMALL).unwrap();
-        let p = path.display().to_string();
+        let file = netlist("est-cache.bench", SMALL);
+        let p = file.path.clone();
         let d = dir.display().to_string();
         // Budget 0 exercises the propagation tier. Its estimate is
         // recomputed, never stored, so both runs print the same lines.
@@ -1624,11 +1625,8 @@ y = NOT(t)
         // directory must both answer from it: same tier, same delta bits.
         let dir = std::env::temp_dir().join(format!("relogic-cli-tier-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let netlist_dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&netlist_dir).unwrap();
-        let path = netlist_dir.join("tier.bench");
-        std::fs::write(&path, SMALL).unwrap();
-        let p = path.display().to_string();
+        let file = netlist("tier.bench", SMALL);
+        let p = file.path.clone();
         let d = dir.display().to_string();
         run(&ParsedArgs::parse(["cache", "warm", p.as_str(), "--cache-dir", d.as_str()]).unwrap())
             .unwrap();
@@ -1696,11 +1694,8 @@ y = NOT(t)
 
     #[test]
     fn estimator_errors_exit_with_code_8() {
-        let dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("est-err.bench");
-        std::fs::write(&path, SMALL).unwrap();
-        let p = path.display().to_string();
+        let file = netlist("est-err.bench", SMALL);
+        let p = file.path.clone();
         // A threshold at or above the delta = ½ ceiling is an estimator
         // parameter error, distinct from the analysis exit code.
         let parsed = ParsedArgs::parse(["critical-eps", p.as_str(), "--threshold", "0.9"]).unwrap();
@@ -1791,15 +1786,11 @@ y = NOT(t)
 
     #[test]
     fn blif_detection_by_extension() {
-        let dir = std::env::temp_dir().join("relogic-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.blif");
-        std::fs::write(
-            &path,
+        let file = netlist(
+            "t.blif",
             ".model t\n.inputs a\n.outputs y\n.names a y\n0 1\n.end\n",
-        )
-        .unwrap();
-        let parsed = ParsedArgs::parse(["stats", path.display().to_string().as_str()]).unwrap();
+        );
+        let parsed = ParsedArgs::parse(["stats", file.path.as_str()]).unwrap();
         let out = run(&parsed).unwrap();
         assert!(out.contains("model:            t"));
     }

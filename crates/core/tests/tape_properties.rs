@@ -2,10 +2,10 @@
 //!
 //! Three contracts, each pitted against randomized circuits:
 //!
-//! 1. **Functional equivalence** — the tape's block evaluator computes the
-//!    same value at every node as the scalar `Circuit::eval_all`, checked
-//!    on every input assignment (circuits are capped at 12 inputs so 2^n
-//!    enumeration stays cheap).
+//! 1. **Functional equivalence** — the tape's evaluator computes the same
+//!    value at every node as the scalar `Circuit::eval_all`, at one word
+//!    per slot and at `DEFAULT_LANES`, checked on every input assignment
+//!    (circuits are capped at 12 inputs so 2^n enumeration stays cheap).
 //! 2. **Monte Carlo bit-identity** — `try_estimate_tape` returns the same
 //!    bits for every worker-thread count: the position-based RNG makes the
 //!    sample set a pure function of (seed, pattern index), not of the
@@ -23,7 +23,7 @@ use relogic::{
     Weights,
 };
 use relogic_netlist::{Circuit, GateKind, NodeId};
-use relogic_sim::{try_estimate_tape, CircuitTape, MonteCarloConfig};
+use relogic_sim::{try_estimate_tape, CircuitTape, MonteCarloConfig, DEFAULT_LANES};
 
 /// Recipe for one random gate: a kind selector plus two fanin selectors
 /// (reduced modulo the number of already-built nodes).
@@ -72,39 +72,53 @@ fn build_circuit(seed: &CircuitSeed) -> Circuit {
     c
 }
 
+/// Evaluates every input assignment of `c` on `tape` in groups of `W`
+/// words per slot and checks every node against `Circuit::eval_all`.
+/// Pattern `p` of a group sits in lane `p / 64`, bit `p % 64`, so lane
+/// `l` carries assignments `first + 64·l …`; input `j` takes bit `j` of
+/// the assignment index.
+fn assert_every_assignment<const W: usize>(c: &Circuit, tape: &CircuitTape) {
+    let m = c.input_count();
+    let total = 1usize << m;
+    let mut words = vec![[0u64; W]; tape.n_slots()];
+    for first in (0..total).step_by(64 * W) {
+        let patterns = total.min(first + 64 * W) - first;
+        for (j, &slot) in tape.input_slots().iter().enumerate() {
+            let row = &mut words[slot as usize];
+            *row = [0; W];
+            for p in (0..patterns).filter(|p| (first + p) >> j & 1 == 1) {
+                row[p / 64] |= 1 << (p % 64);
+            }
+        }
+        tape.eval_group(&mut words, None);
+        for p in 0..patterns {
+            let bits: Vec<bool> = (0..m).map(|j| (first + p) >> j & 1 == 1).collect();
+            for (i, &v) in c.eval_all(&bits).iter().enumerate() {
+                assert_eq!(
+                    words[tape.slot_of_node(i)][p / 64] >> (p % 64) & 1 == 1,
+                    v,
+                    "W = {W}: node {i} disagrees at assignment {}",
+                    first + p
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Exhaustive equivalence: for every input assignment, every node's
-    /// value from the tape's block evaluator equals the scalar
+    /// value from the tape's evaluator, one word per slot and
+    /// `DEFAULT_LANES` words per slot, equals the scalar
     /// `Circuit::eval_all`. Catches any slot-mapping, fanin-rewiring,
-    /// level-ordering or word-rule bug in the tape.
+    /// level-ordering, lane-indexing or gate-rule bug in the tape.
     #[test]
     fn tape_matches_graph_on_every_input_assignment(seed in arb_circuit()) {
         let c = build_circuit(&seed);
         let tape = CircuitTape::compile(&c);
-        let m = c.input_count();
-        let mut words = vec![0u64; tape.n_slots()];
-        for first in (0..1usize << m).step_by(64) {
-            // Lane `l` carries assignment `first + l`: input `j` takes
-            // bit `j` of the assignment index.
-            let lanes = (1usize << m).min(first + 64) - first;
-            for (j, &slot) in tape.input_slots().iter().enumerate() {
-                words[slot as usize] = (0..lanes)
-                    .filter(|l| (first + l) >> j & 1 == 1)
-                    .fold(0u64, |w, l| w | 1 << l);
-            }
-            tape.eval_block(&mut words, None);
-            for l in 0..lanes {
-                let bits: Vec<bool> = (0..m).map(|j| (first + l) >> j & 1 == 1).collect();
-                for (i, &v) in c.eval_all(&bits).iter().enumerate() {
-                    prop_assert_eq!(
-                        words[tape.slot_of_node(i)] >> l & 1 == 1, v,
-                        "node {} disagrees at assignment {}", i, first + l
-                    );
-                }
-            }
-        }
+        assert_every_assignment::<1>(&c, &tape);
+        assert_every_assignment::<DEFAULT_LANES>(&c, &tape);
     }
 
     /// Monte Carlo estimates are a pure function of (seed, patterns):

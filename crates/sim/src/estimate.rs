@@ -4,10 +4,12 @@
 //!
 //! These provide the same quantities as the BDD backend in `relogic-bdd`
 //! but scale to circuits whose BDDs blow up, at the cost of sampling noise
-//! `O(1/√patterns)`. Both run on the compiled tape's block evaluator
-//! ([`CircuitTape::eval_block`]) and draw their input words from Monte
+//! `O(1/√patterns)`. Both evaluate groups of [`DEFAULT_LANES`](L)
+//! 64-pattern blocks on the compiled tape's evaluator
+//! ([`CircuitTape::eval_group`]) and draw their input words from Monte
 //! Carlo's position-addressed stream (`tape_exec::input_words`), keyed by
-//! `(seed, block, input node)`. Any block can be drawn on any worker, so
+//! `(seed, block, input node)`. Lanes past the pattern budget go
+//! uncounted. Any block can be drawn on any worker, so
 //! every count is a pure function of `(input probabilities, patterns,
 //! seed)`, whatever the thread count, and a Monte Carlo run with the same
 //! `(patterns, seed)` sees the same fault-free values:
@@ -19,6 +21,7 @@
 //!   every worker draws and evaluates every block: re-evaluating each
 //!   target's fanout cone costs far more than the clean evaluation, and a
 //!   block split would hold one nodes × outputs counter matrix per worker.
+//!   Each cone is re-evaluated over a whole group of blocks at once.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::exec::ChunkExecutor;
@@ -155,32 +158,38 @@ impl CountPlan {
         plan
     }
 
-    /// Adds one evaluated block to `acc`: for a tuple of at most four
-    /// slots, the popcount of the AND over every subset of two or more of
-    /// them; for a wider tuple, its value-combination counts.
-    fn count_block(&self, words: &[u64], acc: &mut [u64]) {
+    /// Adds lane `l` of one evaluated group to `acc`: for a tuple of at
+    /// most four slots, the popcount of the AND over every subset of two
+    /// or more of them; for a wider tuple, its value-combination counts.
+    fn count_lane(&self, words: &[[u64; L]], l: usize, acc: &mut [u64]) {
         for (offset, width, slots) in &self.narrow {
             let acc = &mut acc[*offset..];
             // One monomorphic kernel per width: with the width a constant
             // the subset loop unrolls.
             match width {
-                2 => and_subsets::<2>(words, slots, acc),
-                3 => and_subsets::<3>(words, slots, acc),
-                _ => and_subsets::<4>(words, slots, acc),
+                2 => and_subsets::<2>(words, l, slots, acc),
+                3 => and_subsets::<3>(words, l, slots, acc),
+                _ => and_subsets::<4>(words, l, slots, acc),
             }
         }
         for (offset, slots) in &self.wide {
-            split_lanes(words, slots, &mut acc[*offset..]);
+            split_lanes(words, l, slots, &mut acc[*offset..]);
         }
     }
 }
 
-/// Adds `popcount(AND of words[slots[j]] for j in m)` to `acc[m]` for every
-/// subset `m` of at least two of the first `K` positions. `and[m]` extends
-/// `and[m]` minus its lowest position, so each subset costs one AND.
+/// Adds `popcount(AND of words[slots[j]][l] for j in m)` to `acc[m]` for
+/// every subset `m` of at least two of the first `K` positions. `and[m]`
+/// extends `and[m]` minus its lowest position, so each subset costs one
+/// AND.
 #[inline(always)]
-fn and_subsets<const K: usize>(words: &[u64], slots: &[u32; MAX_SUBSET_COUNTED], acc: &mut [u64]) {
-    let w: [u64; K] = std::array::from_fn(|j| words[slots[j] as usize]);
+fn and_subsets<const K: usize>(
+    words: &[[u64; L]],
+    l: usize,
+    slots: &[u32; MAX_SUBSET_COUNTED],
+    acc: &mut [u64],
+) {
+    let w: [u64; K] = std::array::from_fn(|j| words[slots[j] as usize][l]);
     let mut and = [u64::MAX; 1 << MAX_SUBSET_COUNTED];
     for m in 1..1usize << K {
         let rest = m & (m - 1);
@@ -191,11 +200,11 @@ fn and_subsets<const K: usize>(words: &[u64], slots: &[u32; MAX_SUBSET_COUNTED],
     }
 }
 
-/// Adds the value-combination counts of one block of the wide tuple
-/// `slots` to `acc`: the 64-lane mask splits on each slot's word in turn
-/// (bit `j` of the combination = slot `j`'s value), and a branch whose
-/// mask empties is dropped.
-fn split_lanes(words: &[u64], slots: &[u32], acc: &mut [u64]) {
+/// Adds the value-combination counts of lane `l` of the wide tuple
+/// `slots` to `acc`: the 64-pattern mask splits on each slot's word in
+/// turn (bit `j` of the combination = slot `j`'s value), and a branch
+/// whose mask empties is dropped.
+fn split_lanes(words: &[[u64; L]], l: usize, slots: &[u32], acc: &mut [u64]) {
     // Depth-first, so at most one pending sibling per level.
     let mut stack = [(0u64, 0usize, 0usize); MAX_COUNTED_ARITY + 1];
     stack[0] = (u64::MAX, 0, 0);
@@ -203,7 +212,7 @@ fn split_lanes(words: &[u64], slots: &[u32], acc: &mut [u64]) {
     while top > 0 {
         top -= 1;
         let (mask, combo, j) = stack[top];
-        let w = words[slots[j] as usize];
+        let w = words[slots[j] as usize][l];
         if j + 1 == slots.len() {
             let one = (mask & w).count_ones();
             acc[combo | 1 << j] += u64::from(one);
@@ -217,6 +226,11 @@ fn split_lanes(words: &[u64], slots: &[u32], acc: &mut [u64]) {
             }
         }
     }
+}
+
+/// The ones in `words`.
+fn ones_in(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 /// The sampled passes' input stream: per-slot input biases and the
@@ -236,31 +250,26 @@ impl<'a> BlockStream<'a> {
         }
     }
 
-    /// Evaluates `blocks` in order and hands each block's slot words to
-    /// `visit`. Input words are drawn `L` blocks at a time; those past
-    /// the range go unused.
-    fn eval_blocks(
+    /// Evaluates `blocks` in groups of `L` and hands each group's
+    /// slot-major words to `visit`, with the number of leading lanes that
+    /// hold blocks of the range; lanes past its end go uncounted.
+    fn eval_groups(
         &self,
         blocks: Range<u64>,
-        mut visit: impl FnMut(&[u64]) -> Result<(), Cancelled>,
+        mut visit: impl FnMut(&[[u64; L]], usize) -> Result<(), Cancelled>,
     ) -> Result<(), Cancelled> {
-        let slots = self.tape.input_slots();
-        let mut words = vec![0u64; self.tape.n_slots()];
-        let mut inputs = vec![[0u64; L]; slots.len()];
+        let mut words = vec![[0u64; L]; self.tape.n_slots()];
         let mut first = blocks.start;
         while first < blocks.end {
-            for (group, &s) in inputs.iter_mut().zip(slots) {
+            for &s in self.tape.input_slots() {
                 let node = self.tape.node_of_slot(s as usize) as u64;
-                *group = input_words(self.seed, first, node, self.quantized[s as usize]);
+                words[s as usize] = input_words(self.seed, first, node, self.quantized[s as usize]);
             }
-            let live = usize::try_from(blocks.end - first).map_or(L, |n| n.min(L));
-            for l in 0..live {
-                for (group, &s) in inputs.iter().zip(slots) {
-                    words[s as usize] = group[l];
-                }
-                self.tape.eval_block(&mut words, None);
-                visit(&words)?;
-            }
+            self.tape.eval_group(&mut words, None);
+            visit(
+                &words,
+                usize::try_from(blocks.end - first).map_or(L, |n| n.min(L)),
+            )?;
             first += L as u64;
         }
         Ok(())
@@ -303,11 +312,13 @@ fn sample_counts<T: AsRef<[NodeId]>>(
         || (vec![0u64; tape.n_slots()], vec![0u64; plan.len]),
         |(ones, acc), chunk| {
             let first = chunk as u64 * CHUNK_BLOCKS;
-            stream.eval_blocks(first..(first + CHUNK_BLOCKS).min(blocks), |words| {
-                for (count, &word) in ones.iter_mut().zip(words) {
-                    *count += u64::from(word.count_ones());
+            stream.eval_groups(first..(first + CHUNK_BLOCKS).min(blocks), |words, live| {
+                for (count, row) in ones.iter_mut().zip(words) {
+                    *count += ones_in(&row[..live]);
                 }
-                plan.count_block(words, acc);
+                for l in 0..live {
+                    plan.count_lane(words, l, acc);
+                }
                 Ok(())
             })
         },
@@ -376,8 +387,9 @@ fn fanout_cone(tape: &CircuitTape, target: usize) -> Vec<u32> {
 }
 
 /// Estimates the noiseless observability of every node at every output by
-/// parallel-pattern fault simulation: for each sampled block, each node is
-/// flipped in turn and only its fanout cone is re-simulated.
+/// parallel-pattern fault simulation: for each sampled group of
+/// [`DEFAULT_LANES`](L) blocks, each node is flipped in turn and only its
+/// fanout cone is re-simulated.
 ///
 /// Input position `i` is 1 with probability `input_probs[i]`. Returns the
 /// per-output rows, indexed `[node][output]`, and the any-output
@@ -388,7 +400,8 @@ fn fanout_cone(tape: &CircuitTape, target: usize) -> Vec<u32> {
 /// nodes `w, w + threads, …` and draws and evaluates every block, so
 /// every count — and the result — is bit-identical for every thread
 /// count. The input words are Monte Carlo's (see the module docs).
-/// `cancel` is checked once per 64-pattern block in every worker.
+/// `cancel` is checked once per group of [`DEFAULT_LANES`](L) blocks in
+/// every worker.
 ///
 /// Cost is `O(patterns/64 · Σ_i |cone(i)|)`; intended for circuits up to a
 /// few thousand gates (the exact BDD backend in `relogic` is preferable for
@@ -430,26 +443,28 @@ pub fn observabilities_biased(
                 .map(|t| fanout_cone(&tape, t))
                 .collect();
             let mut counts = vec![(vec![0u64; tape.output_slots().len()], 0u64); cones.len()];
-            let mut faulty = vec![0u64; n];
-            stream.eval_blocks(0..blocks, |clean| {
+            let mut faulty = vec![[0u64; L]; n];
+            stream.eval_groups(0..blocks, |clean, live| {
                 cancel.check("obs_sim")?;
                 faulty.copy_from_slice(clean);
                 for (cone, (row, any_count)) in cones.iter().zip(&mut counts) {
-                    let mut any = 0u64;
+                    let mut any = [0u64; L];
                     for (i, &s) in cone.iter().enumerate() {
                         let s = s as usize;
-                        faulty[s] = if i == 0 {
-                            !clean[s]
+                        if i == 0 {
+                            faulty[s] = clean[s].map(|w| !w);
                         } else {
-                            tape.eval_slot(s, &faulty)
-                        };
+                            tape.eval_slot(s, &mut faulty);
+                        }
                         for &k in &outputs_at[s] {
-                            let diff = clean[s] ^ faulty[s];
-                            row[k] += u64::from(diff.count_ones());
-                            any |= diff;
+                            for l in 0..live {
+                                let diff = clean[s][l] ^ faulty[s][l];
+                                row[k] += u64::from(diff.count_ones());
+                                any[l] |= diff;
+                            }
                         }
                     }
-                    *any_count += u64::from(any.count_ones());
+                    *any_count += ones_in(&any[..live]);
                     for &s in cone {
                         faulty[s as usize] = clean[s as usize];
                     }
@@ -672,15 +687,16 @@ mod tests {
             .map(|t| vec![0u64; if t.is_empty() { 0 } else { 1 << t.len() }])
             .collect();
         let mut ones = vec![0u64; tape.n_slots()];
-        let mut words = vec![0u64; tape.n_slots()];
+        let mut group = vec![[0u64]; tape.n_slots()];
         let mut tuple_words: Vec<u64> = Vec::with_capacity(MAX_COUNTED_ARITY);
         for block in 0..blocks {
             for &s in tape.input_slots() {
                 let node = tape.node_of_slot(s as usize) as u64;
-                [words[s as usize]] = input_words(seed, block, node, quantized[s as usize]);
+                group[s as usize] = input_words(seed, block, node, quantized[s as usize]);
             }
-            tape.eval_block(&mut words, None);
-            for (count, &w) in ones.iter_mut().zip(&words) {
+            tape.eval_group(&mut group, None);
+            let words = group.as_flattened();
+            for (count, &w) in ones.iter_mut().zip(words) {
                 *count += u64::from(w.count_ones());
             }
             for (tuple, slot) in slot_tuples.iter().zip(&mut counts) {
@@ -769,6 +785,84 @@ mod tests {
                     .unwrap();
                     assert_eq!(
                         counts, oracle,
+                        "blocks={blocks} threads={threads} probs={probs:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The observability pass without groups or cones, kept as its
+    /// oracle: one thread, one block at a time at `W = 1`, each input word
+    /// drawn alone from the stream, and each target flipped with a full
+    /// re-evaluation of the block.
+    fn per_block_observabilities(
+        tape: &CircuitTape,
+        input_probs: &[f64],
+        blocks: u64,
+        seed: u64,
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let n = tape.n_slots();
+        let quantized = input_quantized(tape, input_probs);
+        let outputs = tape.output_slots();
+        let mut rows = vec![vec![0u64; outputs.len()]; n];
+        let mut any = vec![0u64; n];
+        let mut clean = vec![[0u64]; n];
+        let mut faulty = vec![[0u64]; n];
+        let mut flips = vec![[0u64]; n];
+        for block in 0..blocks {
+            for &s in tape.input_slots() {
+                let node = tape.node_of_slot(s as usize) as u64;
+                clean[s as usize] = input_words(seed, block, node, quantized[s as usize]);
+            }
+            tape.eval_group(&mut clean, None);
+            for target in 0..n {
+                let ts = tape.slot_of_node(target);
+                flips[ts] = [u64::MAX];
+                faulty.copy_from_slice(&clean);
+                tape.eval_group(&mut faulty, Some(&flips));
+                flips[ts] = [0];
+                let mut either = 0u64;
+                for (k, &os) in outputs.iter().enumerate() {
+                    let diff = clean[os as usize][0] ^ faulty[os as usize][0];
+                    rows[target][k] += u64::from(diff.count_ones());
+                    either |= diff;
+                }
+                any[target] += u64::from(either.count_ones());
+            }
+        }
+        #[allow(clippy::cast_precision_loss)]
+        let fraction = |count: u64| count as f64 / (blocks * 64) as f64;
+        (
+            rows.into_iter()
+                .map(|row| row.into_iter().map(fraction).collect())
+                .collect(),
+            any.into_iter().map(fraction).collect(),
+        )
+    }
+
+    #[test]
+    fn observabilities_match_the_per_block_oracle() {
+        let (c, _) = shaped_tuples();
+        let tape = CircuitTape::compile(&c);
+        let biased: Vec<f64> = (0..c.input_count())
+            .map(|i| [0.2, 0.7, 0.9, 0.35][i % 4])
+            .collect();
+        for probs in [uniform(&c), biased] {
+            for blocks in [1, 5, 157] {
+                let oracle = per_block_observabilities(&tape, &probs, blocks, 23);
+                for threads in [1, 2, 3, 7] {
+                    let sampled = observabilities_biased(
+                        &c,
+                        &probs,
+                        blocks * 64,
+                        23,
+                        threads,
+                        &CancelToken::new(),
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        sampled, oracle,
                         "blocks={blocks} threads={threads} probs={probs:?}"
                     );
                 }

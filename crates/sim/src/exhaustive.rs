@@ -24,8 +24,8 @@ pub struct ExactReliability {
 /// Enumerates all `2^m` input assignments of `tape`'s `m` inputs in
 /// 64-pattern blocks, calling `visit(words, lane_mask)` once per block.
 ///
-/// `words` holds every slot's fault-free word ([`CircuitTape::eval_block`]
-/// layout): pattern `block · 64 + lane` assigns input position `i` bit `i`
+/// `words` holds every slot's fault-free word, indexed by slot (a
+/// [`CircuitTape::eval_group`] group at `W = 1`, flattened): pattern `block · 64 + lane` assigns input position `i` bit `i`
 /// of the pattern index. `lane_mask` selects the lanes that hold a
 /// pattern; only a circuit with fewer than 6 inputs leaves lanes unused.
 /// Each assignment is visited exactly once, so a count over masked lanes
@@ -63,13 +63,13 @@ pub fn for_each_input_block<F: FnMut(&[u64], u64)>(tape: &CircuitTape, mut visit
     } else {
         (1, (1u64 << (1usize << inputs)) - 1)
     };
-    let mut words = vec![0u64; tape.n_slots()];
+    let mut words = vec![[0u64]; tape.n_slots()];
     for block in 0..blocks {
         for (position, &slot) in tape.input_slots().iter().enumerate() {
-            words[slot as usize] = input_word(position, block);
+            words[slot as usize] = [input_word(position, block)];
         }
-        tape.eval_block(&mut words, None);
-        visit(&words, lane_mask);
+        tape.eval_group(&mut words, None);
+        visit(words.as_flattened(), lane_mask);
     }
 }
 
@@ -136,8 +136,8 @@ pub fn exact_reliability(circuit: &Circuit, node_eps: &[f64]) -> ExactReliabilit
     let patterns = pattern_count(circuit);
     let mut per_output = vec![0.0f64; tape.output_slots().len()];
     let mut any_output = 0.0f64;
-    let mut faulty = vec![0u64; tape.n_slots()];
-    let mut masks = vec![0u64; tape.n_slots()];
+    let mut faulty = vec![[0u64]; tape.n_slots()];
+    let mut masks = vec![[0u64]; tape.n_slots()];
 
     for_each_input_block(&tape, |clean, lane_mask| {
         for subset in 0..1u64 << noisy.len() {
@@ -154,14 +154,14 @@ pub fn exact_reliability(circuit: &Circuit, node_eps: &[f64]) -> ExactReliabilit
                 continue;
             }
             for (j, &node) in noisy.iter().enumerate() {
-                masks[tape.slot_of_node(node)] = 0u64.wrapping_sub(subset >> j & 1);
+                masks[tape.slot_of_node(node)] = [0u64.wrapping_sub(subset >> j & 1)];
             }
-            faulty.copy_from_slice(clean);
-            tape.eval_block(&mut faulty, Some(&masks));
+            faulty.as_flattened_mut().copy_from_slice(clean);
+            tape.eval_group(&mut faulty, Some(&masks));
             let mut any = 0u64;
             for (k, &os) in tape.output_slots().iter().enumerate() {
                 let os = os as usize;
-                let diff = (clean[os] ^ faulty[os]) & lane_mask;
+                let diff = (clean[os] ^ faulty[os][0]) & lane_mask;
                 per_output[k] += weight * (f64::from(diff.count_ones()) / patterns);
                 any |= diff;
             }
@@ -188,18 +188,18 @@ pub fn exact_reliability(circuit: &Circuit, node_eps: &[f64]) -> ExactReliabilit
 pub fn flip_influence(circuit: &Circuit, flipped: &[NodeId]) -> Vec<f64> {
     assert!(circuit.input_count() <= 20);
     let tape = CircuitTape::compile(circuit);
-    let mut masks = vec![0u64; tape.n_slots()];
+    let mut masks = vec![[0u64]; tape.n_slots()];
     for &f in flipped {
-        masks[tape.slot_of_node(f.index())] = u64::MAX;
+        masks[tape.slot_of_node(f.index())] = [u64::MAX];
     }
-    let mut faulty = vec![0u64; tape.n_slots()];
+    let mut faulty = vec![[0u64]; tape.n_slots()];
     let mut counts = vec![0u64; tape.output_slots().len()];
     for_each_input_block(&tape, |clean, lane_mask| {
-        faulty.copy_from_slice(clean);
-        tape.eval_block(&mut faulty, Some(&masks));
+        faulty.as_flattened_mut().copy_from_slice(clean);
+        tape.eval_group(&mut faulty, Some(&masks));
         for (count, &os) in counts.iter_mut().zip(tape.output_slots()) {
             let os = os as usize;
-            *count += u64::from(((clean[os] ^ faulty[os]) & lane_mask).count_ones());
+            *count += u64::from(((clean[os] ^ faulty[os][0]) & lane_mask).count_ones());
         }
     });
     let patterns = pattern_count(circuit);

@@ -8,9 +8,11 @@
 //! lives here:
 //!
 //! * [`CircuitTape`] — the circuit lowered once into a flat slot-indexed
-//!   instruction tape, with the one 64-pattern block evaluator
-//!   ([`CircuitTape::eval_block`], optional per-slot XOR flip masks) every
-//!   sampled and exhaustive pass runs on.
+//!   instruction tape, with the one evaluator every simulation pass runs
+//!   on ([`CircuitTape::eval_group`]: a slot-major group of `W`
+//!   64-pattern words per slot, optional per-slot XOR flip masks) —
+//!   Monte Carlo at 16 words, the sampling backends at 8, exhaustive
+//!   evaluation at 1.
 //! * [`BiasedBits`] — a probability quantized to a whole number of binary
 //!   digits: the ε every fault mask and the bias every biased input word
 //!   realizes.

@@ -1,6 +1,5 @@
 //! Compilation of a levelized [`Circuit`] into a flat instruction tape, and
-//! the one 64-pattern block evaluator every sampled and exhaustive pass
-//! runs on.
+//! the one bit-parallel evaluator every simulation pass runs on.
 //!
 //! [`CircuitTape`] lowers the circuit once into a structure-of-arrays form
 //! the execution kernels can stream, instead of chasing `NodeId` pointers
@@ -16,9 +15,12 @@
 //!   begins, so kernels that want to process level-by-level (the ε-grid
 //!   sweep engine) can do so without re-deriving structure.
 //!
-//! [`CircuitTape::eval_block`] evaluates one 64-pattern word per slot,
-//! with optional per-slot XOR flip masks. It and the wide Monte Carlo
-//! kernel share one word-level gate rule, `gate_word`.
+//! [`CircuitTape::eval_group`] evaluates a slot-major `[[u64; W]]` group,
+//! `W` 64-pattern words per slot, with optional per-slot XOR flip masks.
+//! Monte Carlo runs it at `W = 2·DEFAULT_LANES` (clean and noisy blocks
+//! side by side), the sampled passes at `W = DEFAULT_LANES` and the
+//! exhaustive driver at `W = 1`. Its per-slot step, `eval_slot`, is the
+//! crate's one gate rule.
 //!
 //! The tape is pure structure: it carries no ε values and no RNG state, so
 //! one compiled tape serves every Monte Carlo configuration and every
@@ -27,31 +29,27 @@
 
 use relogic_netlist::{Circuit, GateKind};
 
-/// Evaluates one gate over a 64-pattern word, fetching each fanin word
-/// through `fetch` (called with the fanin position `0..arity`).
-///
-/// This is the library's one word-level gate rule. The closure form lets
-/// each caller supply its own storage layout (slot-indexed words in
-/// [`CircuitTape::eval_block`], slot×lane-strided words in the Monte Carlo
-/// kernel) without a gather into a scratch buffer.
-///
-/// # Panics
-///
-/// Panics on [`GateKind::Input`], which has no evaluation rule.
+/// One gate over `W` lanes: `dst = op(rows[f₀], rows[f₁], …)` folded over
+/// the fanin rows, complemented when `invert`. Every call site in
+/// [`CircuitTape::eval_slot`] passes a constant `op` and `invert`, so the
+/// gate kind is matched once per slot and each kind compiles to its own
+/// loop over whole `W`-word rows.
 #[inline(always)]
-pub(crate) fn gate_word<F: FnMut(usize) -> u64>(kind: GateKind, arity: usize, mut fetch: F) -> u64 {
-    match kind {
-        GateKind::Input => panic!("primary inputs have no evaluation rule"),
-        GateKind::Const(false) => 0,
-        GateKind::Const(true) => u64::MAX,
-        GateKind::Buf => fetch(0),
-        GateKind::Not => !fetch(0),
-        GateKind::And => (0..arity).fold(u64::MAX, |acc, i| acc & fetch(i)),
-        GateKind::Nand => !(0..arity).fold(u64::MAX, |acc, i| acc & fetch(i)),
-        GateKind::Or => (0..arity).fold(0, |acc, i| acc | fetch(i)),
-        GateKind::Nor => !(0..arity).fold(0, |acc, i| acc | fetch(i)),
-        GateKind::Xor => (0..arity).fold(0, |acc, i| acc ^ fetch(i)),
-        GateKind::Xnor => !(0..arity).fold(0, |acc, i| acc ^ fetch(i)),
+fn fold_rows<const W: usize>(
+    dst: &mut [u64; W],
+    rows: &[[u64; W]],
+    fanins: &[u32],
+    invert: bool,
+    op: impl Fn(u64, u64) -> u64,
+) {
+    let mut acc = rows[fanins[0] as usize];
+    for &f in &fanins[1..] {
+        for (a, &x) in acc.iter_mut().zip(&rows[f as usize]) {
+            *a = op(*a, x);
+        }
+    }
+    for (d, a) in dst.iter_mut().zip(acc) {
+        *d = if invert { !a } else { a };
     }
 }
 
@@ -225,36 +223,50 @@ impl CircuitTape {
         &self.output_slots
     }
 
-    /// Evaluates one 64-pattern block in slot order: `words[slot]` holds
-    /// the slot's value for 64 patterns. Input slots must already hold
-    /// their input words; every other slot is overwritten. With `flips`,
-    /// each slot's word is XOR-ed with `flips[slot]` right after it is
-    /// computed (inputs included), so every reader sees the flipped value:
-    /// Bernoulli(ε) masks are the von Neumann gate-noise model, all-ones
-    /// masks deterministic fault injection.
+    /// Evaluates every gate slot of a slot-major group: `words[slot]`
+    /// holds the slot's `W` 64-pattern words, lane `l` its `l`-th block.
+    /// Input slots must already hold their input words; every other slot
+    /// is overwritten. With `flips`, each slot's words are XOR-ed with
+    /// `flips[slot]` right after they are computed (inputs included), so
+    /// every reader sees the flipped value: Bernoulli(ε) masks are the von
+    /// Neumann gate-noise model, all-ones masks deterministic fault
+    /// injection.
     ///
     /// # Panics
     ///
-    /// Panics if `words` or `flips` holds fewer words than there are slots.
-    pub fn eval_block(&self, words: &mut [u64], flips: Option<&[u64]>) {
+    /// Panics if `words` or `flips` holds fewer rows than there are slots.
+    pub fn eval_group<const W: usize>(&self, words: &mut [[u64; W]], flips: Option<&[[u64; W]]>) {
         for s in 0..self.n_slots() {
-            if self.kinds[s] != GateKind::Input {
-                words[s] = self.eval_slot(s, words);
-            }
+            self.eval_slot(s, words);
             if let Some(flips) = flips {
-                words[s] ^= flips[s];
+                for (w, &f) in words[s].iter_mut().zip(&flips[s]) {
+                    *w ^= f;
+                }
             }
         }
     }
 
-    /// The 64-pattern word of gate `slot` computed from the slot-indexed
-    /// `words` of its fanins.
+    /// Computes gate `slot`'s `W` words from the rows of its fanins in
+    /// the slot-major `words`; an input slot is left as it is. This is the
+    /// crate's one gate rule: Monte Carlo, the sampled passes and the
+    /// exhaustive driver all evaluate through it. The kind is matched once
+    /// per slot, outside the lane loop.
     #[inline(always)]
-    pub(crate) fn eval_slot(&self, slot: usize, words: &[u64]) -> u64 {
+    pub(crate) fn eval_slot<const W: usize>(&self, slot: usize, words: &mut [[u64; W]]) {
+        let (rows, rest) = words.split_at_mut(slot);
+        let dst = &mut rest[0];
         let fanins = self.fanins(slot);
-        gate_word(self.kinds[slot], fanins.len(), |i| {
-            words[fanins[i] as usize]
-        })
+        // A one-fanin AND is a buffer and a one-fanin NAND an inverter.
+        match self.kinds[slot] {
+            GateKind::Input => {}
+            GateKind::Const(v) => *dst = [0u64.wrapping_sub(u64::from(v)); W],
+            GateKind::Buf | GateKind::And => fold_rows(dst, rows, fanins, false, |a, b| a & b),
+            GateKind::Not | GateKind::Nand => fold_rows(dst, rows, fanins, true, |a, b| a & b),
+            GateKind::Or => fold_rows(dst, rows, fanins, false, |a, b| a | b),
+            GateKind::Nor => fold_rows(dst, rows, fanins, true, |a, b| a | b),
+            GateKind::Xor => fold_rows(dst, rows, fanins, false, |a, b| a ^ b),
+            GateKind::Xnor => fold_rows(dst, rows, fanins, true, |a, b| a ^ b),
+        }
     }
 
     /// Projected heap footprint of the tape compiled from `circuit`,
@@ -368,34 +380,39 @@ mod tests {
     }
 
     /// Words of `tape` for one block whose input words are `inputs` (in
-    /// input-position order).
+    /// input-position order), evaluated at `W = 1`.
     fn block(tape: &CircuitTape, inputs: &[u64], flips: Option<&[u64]>) -> Vec<u64> {
-        let mut words = vec![0u64; tape.n_slots()];
+        let mut words = vec![[0u64]; tape.n_slots()];
         for (&slot, &w) in tape.input_slots().iter().zip(inputs) {
-            words[slot as usize] = w;
+            words[slot as usize] = [w];
         }
-        tape.eval_block(&mut words, flips);
-        words
+        let flips: Option<Vec<[u64; 1]>> = flips.map(|f| f.iter().map(|&w| [w]).collect());
+        tape.eval_group(&mut words, flips.as_deref());
+        words.as_flattened().to_vec()
     }
 
     #[test]
-    fn eval_block_matches_scalar_on_random_patterns() {
+    fn eval_group_matches_scalar_on_random_patterns() {
         use rand::rngs::SmallRng;
         use rand::{RngCore, SeedableRng};
         let c = full_adder();
         let tape = CircuitTape::compile(&c);
         let mut rng = SmallRng::seed_from_u64(11);
-        let inputs: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
-        let words = block(&tape, &inputs, None);
-        for lane in 0..64 {
-            let bits: Vec<bool> = inputs.iter().map(|w| w >> lane & 1 != 0).collect();
-            let expect = c.eval_all(&bits);
-            for (i, &v) in expect.iter().enumerate() {
-                assert_eq!(
-                    words[tape.slot_of_node(i)] >> lane & 1 != 0,
-                    v,
-                    "lane {lane} node {i}"
-                );
+        let mut words = vec![[0u64; 4]; tape.n_slots()];
+        for &s in tape.input_slots() {
+            words[s as usize] = std::array::from_fn(|_| rng.next_u64());
+        }
+        tape.eval_group(&mut words, None);
+        for pattern in 0..4 * 64 {
+            let (word, lane) = (pattern / 64, pattern % 64);
+            let bit = |s: usize| words[s][word] >> lane & 1 != 0;
+            let inputs: Vec<bool> = tape
+                .input_slots()
+                .iter()
+                .map(|&s| bit(s as usize))
+                .collect();
+            for (i, &v) in c.eval_all(&inputs).iter().enumerate() {
+                assert_eq!(bit(tape.slot_of_node(i)), v, "pattern {pattern} node {i}");
             }
         }
     }
@@ -431,38 +448,48 @@ mod tests {
     }
 
     #[test]
-    fn gate_word_matches_scalar_eval() {
-        // Pack all 16 combinations of 4 inputs into the low 16 lanes.
-        let mut lanes = [0u64; 4];
-        for combo in 0..16 {
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                if combo >> j & 1 != 0 {
-                    *lane |= 1 << combo;
-                }
-            }
+    fn eval_slot_matches_scalar_eval() {
+        // One gate of every kind over four inputs whose 16 combinations
+        // fill the low 16 lanes.
+        let mut c = Circuit::new("kinds");
+        let x: Vec<_> = (0..4).map(|i| c.add_input(format!("x{i}"))).collect();
+        let gates = [
+            c.and(x.clone()),
+            c.nand(x.clone()),
+            c.or(x.clone()),
+            c.nor(x.clone()),
+            c.xor(x.clone()),
+            c.xnor(x.clone()),
+            c.not(x[1]),
+            c.buf(x[2]),
+            c.add_const(true),
+            c.add_const(false),
+        ];
+        for (k, &g) in gates.iter().enumerate() {
+            c.add_output(format!("y{k}"), g);
         }
-        for kind in [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ] {
-            let word = gate_word(kind, 4, |i| lanes[i]);
-            for combo in 0..16 {
-                let bits: Vec<bool> = (0..4).map(|j| combo >> j & 1 != 0).collect();
+        let tape = CircuitTape::compile(&c);
+        let inputs: Vec<u64> = (0..4)
+            .map(|j| {
+                (0..16)
+                    .filter(|combo| combo >> j & 1 != 0)
+                    .map(|combo| 1 << combo)
+                    .sum()
+            })
+            .collect();
+        let words = block(&tape, &inputs, None);
+        for combo in 0..16 {
+            let bits: Vec<bool> = (0..4).map(|j| combo >> j & 1 != 0).collect();
+            let expect = c.eval_all(&bits);
+            for &g in &gates {
                 assert_eq!(
-                    word >> combo & 1 != 0,
-                    kind.eval(&bits),
-                    "{kind:?} combo {combo:04b}"
+                    words[tape.slot_of_node(g.index())] >> combo & 1 != 0,
+                    expect[g.index()],
+                    "{:?} combo {combo:04b}",
+                    tape.kind(tape.slot_of_node(g.index()))
                 );
             }
         }
-        assert_eq!(gate_word(GateKind::Not, 1, |_| 0b10), !0b10);
-        assert_eq!(gate_word(GateKind::Buf, 1, |_| 0b10), 0b10);
-        assert_eq!(gate_word(GateKind::Const(true), 0, |_| 0), u64::MAX);
-        assert_eq!(gate_word(GateKind::Const(false), 0, |_| 0), 0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::exec::ChunkExecutor;
 use crate::monte_carlo::{
     finalize_counts, validate_run, MonteCarloConfig, NodeErrorStats, ReliabilityEstimate,
 };
-use crate::tape::{gate_word, CircuitTape};
+use crate::tape::CircuitTape;
 use crate::{BiasedBits, SimError};
 use relogic_netlist::{Circuit, GateKind};
 
@@ -62,6 +62,10 @@ pub const DEFAULT_LANES: usize = 8;
 
 /// Short name for [`DEFAULT_LANES`] inside the kernel.
 const L: usize = DEFAULT_LANES;
+
+/// Words per slot of the kernel's value group: `L` clean blocks, then
+/// the same `L` blocks noisy.
+const W2: usize = 2 * L;
 
 /// 64-pattern blocks per chunk: the granularity at which work is handed to
 /// threads and the [`CancelToken`] is polled (1024 patterns, coarse enough
@@ -330,25 +334,6 @@ struct MaskClass {
     slots: Vec<(u32, u64)>,
 }
 
-/// Unary gate `kind` over one slot's lane window. Callers pass a constant
-/// `kind`, so `gate_word`'s dispatch folds away inside the lane loop.
-#[inline(always)]
-fn zip1(kind: GateKind, dst: &mut [u64], a: &[u64]) {
-    for (d, &x) in dst.iter_mut().zip(a) {
-        *d = gate_word(kind, 1, |_| x);
-    }
-}
-
-/// Binary gate `kind` over one slot's lane window, as [`zip1`]. The zip
-/// bounds the loop by slice lengths, so the body compiles to straight
-/// vector ops.
-#[inline(always)]
-fn zip2(kind: GateKind, dst: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = gate_word(kind, 2, |i| if i == 0 { x } else { y });
-    }
-}
-
 /// Everything a worker needs to simulate chunks of a run: the tape plus
 /// per-slot quantized probabilities and the tally configuration.
 struct TapeRun<'a> {
@@ -376,23 +361,23 @@ struct TapeRun<'a> {
     blocks: u64,
 }
 
-/// Per-worker scratch. `vals` interleaves the clean and noisy planes as
-/// one `n_slots × 2L` buffer — lanes `0..L` of a slot are the clean
-/// blocks, lanes `L..2L` the matching noisy blocks — so a single gate
-/// loop over `2L` lanes evaluates both circuits at double vector width;
+/// Per-worker scratch. `vals` is the slot-major group
+/// [`CircuitTape::eval_slot`] evaluates: lanes `0..L` of a slot are the
+/// clean blocks, lanes `L..2L` the matching noisy blocks, so one gate
+/// step over `2L` lanes evaluates both circuits at double vector width;
 /// only the trailing mask XOR distinguishes them. `masks` is the
-/// pre-pass mask plane, `n_slots × L`, written (and read) only at slots
-/// with a nonzero quantized probability, so it never needs re-zeroing.
+/// pre-pass mask plane, written (and read) only at slots with a nonzero
+/// quantized probability, so it never needs re-zeroing.
 struct TapeScratch {
-    vals: Vec<u64>,
-    masks: Vec<u64>,
+    vals: Vec<[u64; W2]>,
+    masks: Vec<[u64; L]>,
 }
 
 impl TapeScratch {
     fn new(n_slots: usize) -> TapeScratch {
         TapeScratch {
-            vals: vec![0u64; n_slots * L * 2],
-            masks: vec![0u64; n_slots * L],
+            vals: vec![[0u64; W2]; n_slots],
+            masks: vec![[0u64; L]; n_slots],
         }
     }
 }
@@ -478,7 +463,7 @@ impl TapeRun<'_> {
     /// Remainder slots fall back to an `L`-wide call, which produces the
     /// identical words (each word is a pure function of its cell key).
     #[inline(always)]
-    fn fill_masks(&self, masks: &mut [u64], first_block: u64) {
+    fn fill_masks(&self, masks: &mut [[u64; L]], first_block: u64) {
         let batch = MASK_BATCH_WORDS / L;
         // `cell_key`'s weighted sum separates into a per-block and a
         // per-node term; hoisting both leaves one add + one xor + one
@@ -501,8 +486,7 @@ impl TapeRun<'_> {
                 let mut out = [0u64; MASK_BATCH_WORDS];
                 biased_group(&bases, q, self.resolution, &mut out);
                 for (j, &(s, _)) in head.iter().enumerate() {
-                    let s = s as usize;
-                    masks[s * L..s * L + L].copy_from_slice(&out[j * L..j * L + L]);
+                    masks[s as usize].copy_from_slice(&out[j * L..j * L + L]);
                 }
                 rest = tail;
             }
@@ -511,75 +495,31 @@ impl TapeRun<'_> {
                 for l in 0..L {
                     bases[l] = mix64(self.seed ^ block_terms[l].wrapping_add(nt));
                 }
-                let mut out = [0u64; L];
-                biased_group(&bases, q, self.resolution, &mut out);
-                let s = s as usize;
-                masks[s * L..s * L + L].copy_from_slice(&out);
+                biased_group(&bases, q, self.resolution, &mut masks[s as usize]);
             }
         }
     }
 
     /// Evaluates blocks `first_block .. first_block + L` for every slot:
     /// mask pre-pass, then clean and noisy planes in one tape pass over
-    /// the interleaved `2L`-lane value buffer. Fanin arities 1 and 2 get
-    /// dedicated loops so the gate fold has a compile-time trip count in
-    /// the overwhelmingly common cases.
+    /// the `2L`-lane value group.
     #[inline(always)]
     fn compute_group(&self, scratch: &mut TapeScratch, first_block: u64) {
         self.fill_masks(&mut scratch.masks, first_block);
         let tape = self.tape;
         let vals = &mut scratch.vals;
-        let mask_plane = &scratch.masks;
         for s in 0..tape.n_slots() {
-            let out = s * 2 * L;
-            match tape.kind(s) {
-                GateKind::Input => {
-                    let node = tape.node_of_slot(s) as u64;
-                    let words = input_words::<L>(self.seed, first_block, node, self.sample_q[s]);
-                    for l in 0..L {
-                        vals[out + l] = words[l];
-                        vals[out + L + l] = words[l];
-                    }
-                }
-                kind => {
-                    let fanins = tape.fanins(s);
-                    // Reads come from slots strictly below `s` and writes
-                    // go to slot `s`: splitting at the slot boundary makes
-                    // that disjointness explicit and lets the fixed-width
-                    // zip loops drop their bounds checks.
-                    let (lo, hi) = vals.split_at_mut(out);
-                    let dst = &mut hi[..2 * L];
-                    let src = |f: u32| &lo[f as usize * 2 * L..][..2 * L];
-                    let generic = |dst: &mut [u64]| {
-                        let arity = fanins.len();
-                        for (l, d) in dst.iter_mut().enumerate() {
-                            *d = gate_word(kind, arity, |i| lo[fanins[i] as usize * 2 * L + l]);
-                        }
-                    };
-                    match *fanins {
-                        [a, b] => match kind {
-                            GateKind::And => zip2(GateKind::And, dst, src(a), src(b)),
-                            GateKind::Nand => zip2(GateKind::Nand, dst, src(a), src(b)),
-                            GateKind::Or => zip2(GateKind::Or, dst, src(a), src(b)),
-                            GateKind::Nor => zip2(GateKind::Nor, dst, src(a), src(b)),
-                            GateKind::Xor => zip2(GateKind::Xor, dst, src(a), src(b)),
-                            GateKind::Xnor => zip2(GateKind::Xnor, dst, src(a), src(b)),
-                            _ => generic(dst),
-                        },
-                        [a] => match kind {
-                            GateKind::Buf => zip1(GateKind::Buf, dst, src(a)),
-                            GateKind::Not => zip1(GateKind::Not, dst, src(a)),
-                            _ => generic(dst),
-                        },
-                        _ => generic(dst),
-                    }
-                }
+            if tape.kind(s) == GateKind::Input {
+                let node = tape.node_of_slot(s) as u64;
+                let words = input_words::<L>(self.seed, first_block, node, self.sample_q[s]);
+                let (clean, noisy) = vals[s].split_at_mut(L);
+                clean.copy_from_slice(&words);
+                noisy.copy_from_slice(&words);
+            } else {
+                tape.eval_slot(s, vals);
             }
             if self.mask_q[s] != 0 {
-                for (v, &m) in vals[out + L..out + 2 * L]
-                    .iter_mut()
-                    .zip(&mask_plane[s * L..s * L + L])
-                {
+                for (v, &m) in vals[s][L..].iter_mut().zip(&scratch.masks[s]) {
                     *v ^= m;
                 }
             }
@@ -590,8 +530,8 @@ impl TapeRun<'_> {
     #[inline(always)]
     fn tally_group(&self, scratch: &TapeScratch, live: usize, counts: &mut FaultCounts) {
         let vals = &scratch.vals;
-        let clean = |s: usize, l: usize| vals[s * 2 * L + l];
-        let noisy = |s: usize, l: usize| vals[s * 2 * L + L + l];
+        let clean = |s: usize, l: usize| vals[s][l];
+        let noisy = |s: usize, l: usize| vals[s][L + l];
         for l in 0..live {
             let mut any = 0u64;
             for (k, &os) in self.output_slots.iter().enumerate() {

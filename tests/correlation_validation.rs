@@ -79,8 +79,8 @@ fn exact_pair_stats(circuit: &Circuit, eps: &GateEps, a: NodeId, b: NodeId) -> P
 
     let tape = CircuitTape::compile(circuit);
     let (sa, sb) = (tape.slot_of_node(a.index()), tape.slot_of_node(b.index()));
-    let mut faulty = vec![0u64; tape.n_slots()];
-    let mut masks = vec![0u64; tape.n_slots()];
+    let mut faulty = vec![[0u64]; tape.n_slots()];
+    let mut masks = vec![[0u64]; tape.n_slots()];
     let mut pa = [0.0f64; 2];
     let mut pb = [0.0f64; 2];
     let mut joint = [[0.0f64; 2]; 2];
@@ -116,13 +116,13 @@ fn exact_pair_stats(circuit: &Circuit, eps: &GateEps, a: NodeId, b: NodeId) -> P
                 continue;
             }
             for (j, &node) in noisy.iter().enumerate() {
-                masks[tape.slot_of_node(node)] = 0u64.wrapping_sub(subset >> j & 1);
+                masks[tape.slot_of_node(node)] = [0u64.wrapping_sub(subset >> j & 1)];
             }
-            faulty.copy_from_slice(clean);
-            tape.eval_block(&mut faulty, Some(&masks));
+            faulty.as_flattened_mut().copy_from_slice(clean);
+            tape.eval_group(&mut faulty, Some(&masks));
 
-            let fa = faulty[sa];
-            let fb = faulty[sb];
+            let [fa] = faulty[sa];
+            let [fb] = faulty[sb];
             // rise = clean 0, noisy 1; fall = clean 1, noisy 0
             let ev_a = [(!ca & fa) & lane_mask, (ca & !fa) & lane_mask];
             let ev_b = [(!cb & fb) & lane_mask, (cb & !fb) & lane_mask];
